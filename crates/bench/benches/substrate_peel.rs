@@ -18,7 +18,7 @@
 //!   word-packed bitset intersection win;
 //! * serial store build — isolating the sharded-build win;
 //! * `DSD_ENUM_SHARDS` 1 vs 4 on a general-pattern store build,
-//!   isolating the canonical-root sharded pattern enumeration win.
+//!   isolating the sharded pattern enumeration win.
 //!
 //! Core numbers, kmax, peel order, and ρ′ must be bit-identical across
 //! every configuration, and the default store path must beat streaming by
@@ -148,7 +148,7 @@ fn main() {
     // General-pattern sharding ablation: a c3-star decomposition whose
     // store build is the dominant cost, 1 shard vs 4 (the env knob routes
     // through `InstanceStore::pattern` exactly as a caller's thread count
-    // would).
+    // would). Best of 3 per path, like the clique arms.
     let pg = dataset("As-733").expect("registry dataset").generate();
     let psi = Pattern::c3_star();
     println!(
@@ -157,20 +157,31 @@ fn main() {
         pg.num_edges(),
         psi.name()
     );
+    const PATTERN_REPEATS: usize = 3;
     let stream_psi = GenericPatternOracle::new(&psi);
-    let t = Instant::now();
-    let stream_pattern_dec = decompose(&pg, &stream_psi);
-    let pattern_streaming = t.elapsed();
+    let mut pattern_streaming = Duration::MAX;
+    let mut stream_pattern_dec = None;
+    for _ in 0..PATTERN_REPEATS {
+        let t = Instant::now();
+        stream_pattern_dec = Some(decompose(&pg, &stream_psi));
+        pattern_streaming = pattern_streaming.min(t.elapsed());
+    }
+    let stream_pattern_dec = stream_pattern_dec.unwrap();
     let mut pattern_times = Vec::new();
     let mut pattern_ref: Option<CliqueCoreDecomposition> = None;
     for shards in [1usize, 4] {
         std::env::set_var("DSD_ENUM_SHARDS", shards.to_string());
-        let oracle = MaterializedOracle::with_policy(&psi, Parallelism::new(shards), None);
-        let t = Instant::now();
-        let dec = decompose(&pg, &oracle);
-        let elapsed = t.elapsed();
+        let mut elapsed = Duration::MAX;
+        let mut outcome = None;
+        for _ in 0..PATTERN_REPEATS {
+            let oracle = MaterializedOracle::with_policy(&psi, Parallelism::new(shards), None);
+            let t = Instant::now();
+            let dec = decompose(&pg, &oracle);
+            elapsed = elapsed.min(t.elapsed());
+            outcome = Some((dec, oracle.store_stats().expect("pattern store was built")));
+        }
         std::env::remove_var("DSD_ENUM_SHARDS");
-        let stats = oracle.store_stats().expect("pattern store was built");
+        let (dec, stats) = outcome.unwrap();
         assert!(stats.materialized, "pattern store must materialize");
         match &pattern_ref {
             None => {
@@ -197,11 +208,19 @@ fn main() {
         pattern_streaming.as_secs_f64() * 1e3,
         pattern_times[0].as_secs_f64() / pattern_times[1].as_secs_f64(),
     );
+    // Symmetry-broken anchored enumeration made the streaming baseline
+    // itself ~165x faster (9.3 s to 45–60 ms): each instance is now found
+    // once, when its first member is peeled, so a one-shot streaming peel
+    // costs about one enumeration pass. The store's build — enumerate plus
+    // row grouping — is then about as expensive as the whole streaming
+    // peel; it earns its keep across repeat queries and flow networks,
+    // not here. Measured 0.99–1.02x in two runs on two cores; the floor
+    // keeps the store path within 2x of streaming.
     let pattern_speedup = pattern_streaming.as_secs_f64() / pattern_times[1].as_secs_f64();
     assert!(
-        pattern_speedup >= 8.0,
-        "materialized c3-star decomposition must beat streaming ≥ 8x \
-         (measured {pattern_speedup:.2}x)"
+        pattern_speedup >= 0.5,
+        "materialized c3-star decomposition must stay within 2x of \
+         streaming (measured {pattern_speedup:.2}x)"
     );
 
     // The h-clique aggregate is build-dominated once the peel is

@@ -7,14 +7,17 @@
 //! traffic actually lives, an overflow heap for the unbounded-`u64` hub
 //! tail that made a pure bin-sort impractical beyond h = 2.
 //!
-//! Decrements come from the oracle's cheapest engine: a store-backed
-//! [`InstancePeeler`] when the Ψ-substrate is materialized (per-row
+//! Decrements come from the oracle's [`InstancePeeler`] whenever it offers
+//! one: store-backed when the Ψ-substrate is materialized (per-row
 //! alive-member counts make each removal O(memberships touched) — the
 //! whole decomposition is then one columnar pass over the instance store),
-//! or streaming `removal_decrements` re-enumeration otherwise. Both paths
-//! drive the same loop, so their outputs are bit-identical; debug builds
-//! additionally cross-check the bucket order against a reference heap peel
-//! on small inputs.
+//! or a closed-form peeler for edges, stars and diamonds (dense scratch
+//! reused across removals). Only streaming h-cliques (h ≥ 3) and general
+//! patterns — the budget-fallback paths — re-enumerate through per-call
+//! `removal_decrements`. Every path drives the same loop, so their outputs
+//! are bit-identical; debug builds additionally cross-check the bucket
+//! order against a reference heap peel on small inputs, which streams the
+//! stateless `removal_decrements` and so also referees every peeler.
 //!
 //! The decomposition simultaneously tracks the densest *residual* subgraph
 //! seen while peeling — this is the ρ′ of Pruning1 **and** exactly the
@@ -78,7 +81,7 @@ impl CliqueCoreDecomposition {
 
 /// Streaming decrement adapter: drives the shared peel loop through
 /// per-call `removal_decrements` re-enumeration, for oracles without a
-/// materialized store.
+/// peeler of their own.
 struct StreamingPeeler<'a> {
     g: &'a Graph,
     oracle: &'a dyn DensityOracle,
@@ -210,7 +213,7 @@ fn peel(
 /// The pre-bucket-queue peel (lazy binary min-heap over `(deg, v)`), kept
 /// as the debug-build referee for the tie-break-invariance of core
 /// numbers. Streams decrements straight from the oracle, so it also
-/// cross-checks the store-backed peeler against `removal_decrements`.
+/// cross-checks every peeler against `removal_decrements`.
 #[cfg(debug_assertions)]
 fn reference_heap_core(g: &Graph, oracle: &dyn DensityOracle, alive: &VertexSet) -> Vec<u64> {
     use std::cmp::Reverse;

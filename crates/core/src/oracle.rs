@@ -21,10 +21,16 @@
 //! patterns — which are always available as:
 //!
 //! * h-cliques → kClist enumeration (`dsd-motif::kclist`);
-//! * x-stars and diamonds → Appendix-D closed forms (`dsd-motif::special`,
-//!   always streaming: their closed forms beat materialization);
-//! * anything else → generic backtracking enumeration
+//! * x-stars and diamonds → Appendix-D closed forms (`dsd-motif::special`);
+//! * anything else → symmetry-broken backtracking enumeration
 //!   (`dsd-motif::pattern_enum`).
+//!
+//! Edges, stars and diamonds never materialize: a store would only repeat
+//! the graph's CSR (edges) or cost more than the closed forms. Their peels
+//! still get a stateful [`InstancePeeler`] — the edge rule (each alive
+//! neighbour loses one), the star kernel over maintained alive degrees,
+//! the diamond two-pass wedge walk — with dense scratch reused across
+//! removals, so a removal allocates nothing.
 
 use std::sync::Arc;
 
@@ -69,9 +75,14 @@ pub trait DensityOracle: Send + Sync {
 
     /// A stateful decrement engine for one peel of `g[alive]`, when the
     /// oracle can offer one cheaper than per-call [`Self::removal_decrements`]
-    /// (the store-backed oracle can: O(memberships touched) per removal).
-    /// `None` keeps the caller on the streaming path.
-    fn peeler<'a>(&'a self, g: &Graph, alive: &VertexSet) -> Option<Box<dyn InstancePeeler + 'a>> {
+    /// (the store-backed oracle can: O(memberships touched) per removal;
+    /// so can the edge, star and diamond rules, by reusing scratch across
+    /// removals). `None` keeps the caller on the streaming path.
+    fn peeler<'a>(
+        &'a self,
+        g: &'a Graph,
+        alive: &VertexSet,
+    ) -> Option<Box<dyn InstancePeeler + 'a>> {
         let _ = (g, alive);
         None
     }
@@ -240,6 +251,11 @@ impl DensityOracle for CliqueOracle {
         alive: &VertexSet,
         v: VertexId,
     ) -> Vec<(VertexId, u64)> {
+        if self.h == 2 {
+            let mut out = Vec::new();
+            edge_losses(g, alive, v, &mut |u, amount| out.push((u, amount)));
+            return out;
+        }
         let mut acc = std::collections::HashMap::new();
         kclist::for_each_clique_containing(g, self.h, v, alive, |others| {
             for &u in others {
@@ -253,6 +269,50 @@ impl DensityOracle for CliqueOracle {
 
     fn count(&self, g: &Graph, alive: &VertexSet) -> u64 {
         kclist::count_cliques_within(g, self.h, alive)
+    }
+
+    fn peeler<'a>(
+        &'a self,
+        g: &'a Graph,
+        alive: &VertexSet,
+    ) -> Option<Box<dyn InstancePeeler + 'a>> {
+        (self.h == 2).then(|| {
+            Box::new(EdgePeeler {
+                g,
+                alive: alive.clone(),
+            }) as Box<dyn InstancePeeler + 'a>
+        })
+    }
+}
+
+/// The edge decrement rule: removing `v` costs each alive neighbour one
+/// edge, reported in ascending order.
+fn edge_losses(g: &Graph, alive: &VertexSet, v: VertexId, sink: &mut dyn FnMut(VertexId, u64)) {
+    for &u in g.neighbors(v) {
+        if alive.contains(u) {
+            sink(u, 1);
+        }
+    }
+}
+
+/// Edge (h = 2) peel engine over [`edge_losses`].
+struct EdgePeeler<'a> {
+    g: &'a Graph,
+    alive: VertexSet,
+}
+
+impl InstancePeeler for EdgePeeler<'_> {
+    fn degrees(&self) -> Vec<u64> {
+        let mut deg = vec![0u64; self.g.num_vertices()];
+        for v in self.alive.iter() {
+            deg[v as usize] = self.alive.restricted_degree(self.g, v) as u64;
+        }
+        deg
+    }
+
+    fn remove(&mut self, v: VertexId, sink: &mut dyn FnMut(VertexId, u64)) {
+        edge_losses(self.g, &self.alive, v, sink);
+        self.alive.remove(v);
     }
 }
 
@@ -296,6 +356,14 @@ impl DensityOracle for ParallelCliqueOracle {
     fn count(&self, g: &Graph, alive: &VertexSet) -> u64 {
         self.inner.count(g, alive)
     }
+
+    fn peeler<'a>(
+        &'a self,
+        g: &'a Graph,
+        alive: &VertexSet,
+    ) -> Option<Box<dyn InstancePeeler + 'a>> {
+        self.inner.peeler(g, alive)
+    }
 }
 
 /// x-star oracle using the Appendix-D closed forms.
@@ -327,6 +395,24 @@ impl DensityOracle for StarOracle {
     ) -> Vec<(VertexId, u64)> {
         special::star_decrements(g, self.x, alive, v)
     }
+
+    fn peeler<'a>(
+        &'a self,
+        g: &'a Graph,
+        alive: &VertexSet,
+    ) -> Option<Box<dyn InstancePeeler + 'a>> {
+        Some(Box::new(special::StarPeel::new(g, self.x, alive)))
+    }
+}
+
+impl InstancePeeler for special::StarPeel<'_> {
+    fn degrees(&self) -> Vec<u64> {
+        special::StarPeel::degrees(self)
+    }
+
+    fn remove(&mut self, v: VertexId, sink: &mut dyn FnMut(VertexId, u64)) {
+        special::StarPeel::remove(self, v, sink)
+    }
 }
 
 /// Diamond (4-cycle) oracle using the Appendix-D grouping.
@@ -348,6 +434,24 @@ impl DensityOracle for DiamondOracle {
         v: VertexId,
     ) -> Vec<(VertexId, u64)> {
         special::diamond_decrements(g, alive, v)
+    }
+
+    fn peeler<'a>(
+        &'a self,
+        g: &'a Graph,
+        alive: &VertexSet,
+    ) -> Option<Box<dyn InstancePeeler + 'a>> {
+        Some(Box::new(special::DiamondPeel::new(g, alive)))
+    }
+}
+
+impl InstancePeeler for special::DiamondPeel<'_> {
+    fn degrees(&self) -> Vec<u64> {
+        special::DiamondPeel::degrees(self)
+    }
+
+    fn remove(&mut self, v: VertexId, sink: &mut dyn FnMut(VertexId, u64)) {
+        special::DiamondPeel::remove(self, v, sink)
     }
 }
 
@@ -382,13 +486,13 @@ impl DensityOracle for GenericPatternOracle {
         v: VertexId,
     ) -> Vec<(VertexId, u64)> {
         let mut acc = std::collections::HashMap::new();
-        for inst in pattern_enum::instances_containing(g, &self.pattern, v, alive) {
-            for &u in &inst.vertices {
+        pattern_enum::for_each_instance_containing(g, &self.pattern, v, alive, |image| {
+            for &u in image {
                 if u != v {
                     *acc.entry(u).or_insert(0u64) += 1;
                 }
             }
-        }
+        });
         let mut out: Vec<(VertexId, u64)> = acc.into_iter().collect();
         out.sort_unstable();
         out
@@ -591,7 +695,11 @@ impl DensityOracle for MaterializedOracle {
         }
     }
 
-    fn peeler<'a>(&'a self, g: &Graph, alive: &VertexSet) -> Option<Box<dyn InstancePeeler + 'a>> {
+    fn peeler<'a>(
+        &'a self,
+        g: &'a Graph,
+        alive: &VertexSet,
+    ) -> Option<Box<dyn InstancePeeler + 'a>> {
         self.state(g)
             .store
             .as_ref()
@@ -858,7 +966,7 @@ pub fn oracle_for_with(psi: &Pattern, parallelism: Parallelism) -> Box<dyn Densi
 /// The full oracle policy: h-cliques (h ≥ 3) and general patterns
 /// materialize an [`InstanceStore`] capped at `budget` bytes (`None` =
 /// unlimited, `Some(0)` = never materialize), falling back to streaming
-/// when the store would not fit; edges keep the direct kClist path (the
+/// when the store would not fit; edges keep the direct neighbour rule (the
 /// store would just duplicate the graph's own CSR) and stars/diamonds keep
 /// their closed forms.
 pub fn oracle_with_budget(
@@ -1066,19 +1174,44 @@ mod tests {
 
     #[test]
     fn peeler_decrements_match_stateless_decrements() {
+        // Every oracle that offers a peeler, peeled to exhaustion in a
+        // scrambled order: each removal's decrements equal the stateless
+        // `removal_decrements` on the same alive set.
         let g = wheel6();
-        let psi = Pattern::triangle();
-        let oracle = MaterializedOracle::new(&psi);
-        let mut alive = full(&g);
-        let mut peeler = oracle.peeler(&g, &alive).expect("materialized");
-        assert_eq!(peeler.degrees(), oracle.degrees(&g, &alive));
-        for victim in [0u32, 4, 2] {
-            let expect = oracle.removal_decrements(&g, &alive, victim);
-            let mut got: Vec<(VertexId, u64)> = Vec::new();
-            peeler.remove(victim, &mut |u, amount| got.push((u, amount)));
-            assert_eq!(got, expect, "victim {victim}");
-            alive.remove(victim);
+        let n = g.num_vertices() as VertexId;
+        let oracles: Vec<(&str, Box<dyn DensityOracle>)> = vec![
+            (
+                "triangle store",
+                Box::new(MaterializedOracle::new(&Pattern::triangle())),
+            ),
+            ("edge", Box::new(CliqueOracle::new(2))),
+            (
+                "edge parallel",
+                Box::new(ParallelCliqueOracle::new(2, Parallelism::new(2))),
+            ),
+            ("2-star", Box::new(StarOracle::new(2))),
+            ("3-star", Box::new(StarOracle::new(3))),
+            ("diamond", Box::new(DiamondOracle)),
+        ];
+        for (name, oracle) in &oracles {
+            let mut alive = full(&g);
+            let mut peeler = oracle.peeler(&g, &alive).expect("oracle offers a peeler");
+            assert_eq!(peeler.degrees(), oracle.degrees(&g, &alive), "{name}");
+            for victim in (0..n).map(|i| (i * 3 + 1) % n) {
+                let expect = oracle.removal_decrements(&g, &alive, victim);
+                let mut got: Vec<(VertexId, u64)> = Vec::new();
+                peeler.remove(victim, &mut |u, amount| got.push((u, amount)));
+                assert_eq!(got, expect, "{name}, victim {victim}");
+                alive.remove(victim);
+            }
+            assert!(alive.is_empty());
         }
+        // Streaming clique (h ≥ 3) and general-pattern oracles stay on the
+        // re-enumeration path.
+        assert!(CliqueOracle::new(3).peeler(&g, &full(&g)).is_none());
+        assert!(GenericPatternOracle::new(&Pattern::c3_star())
+            .peeler(&g, &full(&g))
+            .is_none());
     }
 
     #[test]

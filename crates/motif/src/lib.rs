@@ -10,9 +10,10 @@
 //! * [`pattern`] — small pattern graphs ([`Pattern`]): the paper's Figure 7
 //!   menu (2-star, 3-star, c3-star, diamond, 2-triangle, 3-triangle,
 //!   basket) plus arbitrary h-cliques and user-defined patterns, with
-//!   automorphism counting;
-//! * [`pattern_enum`] — backtracking enumeration of non-induced pattern
-//!   instances (distinct edge sets), per-vertex pattern-degrees, and
+//!   their automorphism groups and symmetry-breaking conditions;
+//! * [`pattern_enum`] — symmetry-broken backtracking enumeration of
+//!   non-induced pattern instances (distinct edge sets, each reached
+//!   once), per-vertex pattern-degrees, and
 //!   instance grouping by vertex set (for the `construct+` flow network);
 //! * [`special`] — the Appendix-D fast paths for star and diamond (4-cycle)
 //!   pattern degrees and decremental updates.
@@ -46,8 +47,9 @@ pub use kclist::{
 pub use parallel::{clique_degrees_parallel, clique_degrees_parallel_within};
 pub use pattern::{Pattern, PatternKind};
 pub use pattern_enum::{
-    count_instances, for_each_instance_until, for_each_owned_instance_until, group_instances,
-    instances, instances_containing, pattern_degrees, InstanceGroup, PatternInstance,
+    count_instances, for_each_instance_containing, for_each_instance_until,
+    for_each_owned_instance_until, group_instances, instances, instances_containing,
+    pattern_degrees, InstanceGroup, PatternInstance,
 };
 pub use store::{InstanceStore, StoreBuildStats, StoreError};
 

@@ -17,7 +17,7 @@
 //! plus a vertex adjacent to two adjacent cycle vertices) is documented as
 //! an assumption in `DESIGN.md`.
 
-use dsd_graph::VertexId;
+use crate::pattern_enum::Plans;
 
 /// Classifies patterns that have specialized fast paths (Appendix D).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,22 +45,38 @@ pub struct Pattern {
     /// permutation search is worst-case 8! relabelings and sits on every
     /// request's substrate-cache key, so it must run once per pattern,
     /// not once per request.
-    canonical: CanonicalCache,
+    canonical: Memo<Vec<(u8, u8)>>,
+    /// Memoized automorphism group and the enumerator's plans built from
+    /// it, boxed so the slot stays small on every `Pattern` value.
+    symmetry: Memo<Box<Symmetry>>,
 }
 
-/// Lazily computed canonical form. Transparent for equality/comparison:
-/// it is derived from `edges`, so patterns that compare equal have equal
-/// canonical forms whether or not either side has been computed yet.
-#[derive(Clone, Debug, Default)]
-struct CanonicalCache(std::sync::OnceLock<Vec<(u8, u8)>>);
+/// Aut(Ψ) and the symmetry-broken search plans derived from it.
+#[derive(Clone, Debug)]
+struct Symmetry {
+    automorphisms: Vec<Vec<u8>>,
+    plans: Plans,
+}
 
-impl PartialEq for CanonicalCache {
+/// Lazily computed value derived from the pattern's edges. Transparent
+/// for equality/comparison: patterns that compare equal have equal derived
+/// values whether or not either side has been computed yet.
+#[derive(Clone, Debug)]
+struct Memo<T>(std::sync::OnceLock<T>);
+
+impl<T> Default for Memo<T> {
+    fn default() -> Self {
+        Memo(std::sync::OnceLock::new())
+    }
+}
+
+impl<T> PartialEq for Memo<T> {
     fn eq(&self, _: &Self) -> bool {
         true
     }
 }
 
-impl Eq for CanonicalCache {}
+impl<T> Eq for Memo<T> {}
 
 impl Pattern {
     /// Builds a pattern from an edge list over vertices `0..n`.
@@ -90,7 +106,8 @@ impl Pattern {
             n,
             edges: canon,
             adj,
-            canonical: CanonicalCache::default(),
+            canonical: Memo::default(),
+            symmetry: Memo::default(),
         };
         assert!(p.is_connected(), "patterns must be connected");
         p
@@ -245,83 +262,118 @@ impl Pattern {
     /// Number of automorphisms |Aut(Ψ)|, computed by matching the pattern
     /// onto itself. Patterns are tiny, so brute-force search is fine.
     pub fn automorphism_count(&self) -> u64 {
-        let mut map = vec![usize::MAX; self.n];
-        let mut used = vec![false; self.n];
-        fn rec(p: &Pattern, pos: usize, map: &mut [usize], used: &mut [bool]) -> u64 {
-            if pos == p.n {
-                return 1;
-            }
-            let mut total = 0;
-            for cand in 0..p.n {
-                if used[cand] || p.degree(cand) != p.degree(pos) {
-                    continue;
-                }
-                let ok = (0..pos).all(|q| p.adj[pos][q] == p.adj[cand][map[q]]);
-                if ok {
-                    map[pos] = cand;
-                    used[cand] = true;
-                    total += rec(p, pos + 1, map, used);
-                    used[cand] = false;
-                }
-            }
-            total
-        }
-        rec(self, 0, &mut map, &mut used)
+        let mut count = 0u64;
+        self.for_each_automorphism(&mut |_| count += 1);
+        count
     }
 
-    /// The automorphism orbit of pattern vertex `v`: every pattern vertex
-    /// some automorphism maps `v` to, sorted ascending. Always contains
-    /// `v` itself (the identity). The sharded enumerator uses the orbit of
-    /// its pivot position to decide canonical ownership of an instance —
-    /// the images of an instance's embeddings at one pattern vertex are
-    /// exactly the images of that vertex's orbit, so the minimum over the
-    /// orbit is a shard-independent representative.
-    pub fn orbit(&self, v: usize) -> Vec<usize> {
-        assert!(v < self.n, "orbit of out-of-range pattern vertex");
-        let mut map = vec![usize::MAX; self.n];
-        let mut used = vec![false; self.n];
-        let mut images = vec![false; self.n];
+    /// The automorphism group Aut(Ψ), one permutation per element with
+    /// `perm[v]` the image of pattern vertex `v`. Computed once per pattern
+    /// and memoized.
+    pub fn automorphisms(&self) -> &[Vec<u8>] {
+        &self.symmetry().automorphisms
+    }
+
+    fn symmetry(&self) -> &Symmetry {
+        self.symmetry.0.get_or_init(|| {
+            let mut automorphisms = Vec::new();
+            self.for_each_automorphism(&mut |perm| {
+                automorphisms.push(perm.iter().map(|&x| x as u8).collect());
+            });
+            let plans = Plans::compile(self, &self.pairs_from(&automorphisms));
+            Box::new(Symmetry {
+                automorphisms,
+                plans,
+            })
+        })
+    }
+
+    /// Backtracking self-match: visits every automorphism as `map[v]` =
+    /// image of `v`.
+    fn for_each_automorphism(&self, f: &mut dyn FnMut(&[usize])) {
         fn rec(
             p: &Pattern,
             pos: usize,
-            v: usize,
             map: &mut [usize],
             used: &mut [bool],
-            images: &mut [bool],
+            f: &mut dyn FnMut(&[usize]),
         ) {
             if pos == p.n {
-                images[map[v]] = true;
-                return;
-            }
-            if pos > v && images[map[v]] {
-                // Everything below this node maps v identically; the image
-                // is already recorded, so the subtree adds nothing.
+                f(map);
                 return;
             }
             for cand in 0..p.n {
                 if used[cand] || p.degree(cand) != p.degree(pos) {
                     continue;
                 }
-                let ok = (0..pos).all(|q| p.adj[pos][q] == p.adj[cand][map[q]]);
-                if ok {
+                if (0..pos).all(|q| p.adj[pos][q] == p.adj[cand][map[q]]) {
                     map[pos] = cand;
                     used[cand] = true;
-                    rec(p, pos + 1, v, map, used, images);
+                    rec(p, pos + 1, map, used, f);
                     used[cand] = false;
                 }
             }
         }
-        rec(self, 0, v, &mut map, &mut used, &mut images);
-        (0..self.n).filter(|&q| images[q]).collect()
+        rec(
+            self,
+            0,
+            &mut vec![usize::MAX; self.n],
+            &mut vec![false; self.n],
+            f,
+        );
+    }
+
+    /// Grochow–Kellis symmetry-breaking conditions along
+    /// [`Self::search_order`]: each pair `(a, b)` demands
+    /// `image(a) < image(b)`. Exactly one of the |Aut(Ψ)| embeddings of
+    /// every instance satisfies all of them, so an enumerator that checks
+    /// them reaches each instance once, with no dedup.
+    ///
+    /// Derivation (Grochow & Kellis, RECOMB 2007): walk the search order
+    /// keeping the pointwise stabilizer of the vertices passed so far;
+    /// at vertex `a`, pair `a` with every other vertex of its orbit under
+    /// that stabilizer, then restrict to the stabilizer of `a`. Orbit
+    /// members always come later in the order than `a`, so every pair's
+    /// second vertex is the one placed last. The first group of pairs pins
+    /// the pivot to the minimum image over its full orbit — an
+    /// embedding-independent vertex, which is what lets sharded builds
+    /// split instances by pivot image with no cross-shard dedup.
+    pub fn symmetry_pairs(&self) -> Vec<(usize, usize)> {
+        self.pairs_from(self.automorphisms())
+    }
+
+    /// [`Self::symmetry_pairs`] over an explicit automorphism group.
+    fn pairs_from(&self, automorphisms: &[Vec<u8>]) -> Vec<(usize, usize)> {
+        let mut group: Vec<&[u8]> = automorphisms.iter().map(Vec::as_slice).collect();
+        let mut pairs = Vec::new();
+        for a in self.search_order() {
+            let mut orbit: Vec<usize> = group.iter().map(|perm| perm[a] as usize).collect();
+            orbit.sort_unstable();
+            orbit.dedup();
+            pairs.extend(orbit.into_iter().filter(|&b| b != a).map(|b| (a, b)));
+            group.retain(|perm| perm[a] as usize == a);
+        }
+        pairs
+    }
+
+    /// The enumerator's compiled search plans, built once per pattern.
+    pub(crate) fn plans(&self) -> &Plans {
+        &self.symmetry().plans
     }
 
     /// A search order for enumeration: starts at a max-degree vertex and
     /// extends so every vertex is adjacent to an earlier one (connected
     /// patterns guarantee this exists).
     pub fn search_order(&self) -> Vec<usize> {
+        let start = (0..self.n).max_by_key(|&u| self.degree(u)).unwrap_or(0);
+        self.search_order_from(start)
+    }
+
+    /// [`Self::search_order`] pinned to start at pattern vertex `start` —
+    /// the order of an enumeration anchored at `start`.
+    pub(crate) fn search_order_from(&self, start: usize) -> Vec<usize> {
         let mut order = Vec::with_capacity(self.n);
         let mut placed = vec![false; self.n];
-        let start = (0..self.n).max_by_key(|&u| self.degree(u)).unwrap_or(0);
         order.push(start);
         placed[start] = true;
         while order.len() < self.n {
@@ -457,68 +509,75 @@ impl Pattern {
     }
 }
 
-/// Checks that a candidate graph-vertex assignment is edge-consistent with
-/// the pattern for all already-assigned positions. Shared by the enumerator
-/// in [`crate::pattern_enum`].
-#[inline]
-pub(crate) fn consistent(
-    p: &Pattern,
-    order: &[usize],
-    images: &[VertexId],
-    pos: usize,
-    candidate: VertexId,
-    has_edge: impl Fn(VertexId, VertexId) -> bool,
-) -> bool {
-    let pv = order[pos];
-    for q in 0..pos {
-        let pq = order[q];
-        if p.has_edge(pv, pq) && !has_edge(candidate, images[q]) {
-            return false;
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The menu plus the generic constructors the enumerator must handle.
+    fn menu() -> Vec<Pattern> {
+        let mut menu = Pattern::figure7();
+        menu.extend([
+            Pattern::edge(),
+            Pattern::triangle(),
+            Pattern::clique(4),
+            Pattern::cycle(5),
+            Pattern::path(4),
+            Pattern::complete_bipartite(2, 3),
+        ]);
+        menu
+    }
+
     #[test]
-    fn orbits_match_known_symmetry_groups() {
-        // Star: hub is fixed, leaves form one orbit.
-        let s = Pattern::star(3);
-        // Hub is the max-degree vertex; find it.
-        let hub = (0..4).find(|&v| s.degree(v) == 3).unwrap();
-        assert_eq!(s.orbit(hub), vec![hub]);
-        let leaves: Vec<usize> = (0..4).filter(|&v| v != hub).collect();
-        for &l in &leaves {
-            assert_eq!(s.orbit(l), leaves);
-        }
-        // Clique: vertex-transitive.
-        let c = Pattern::clique(4);
-        for v in 0..4 {
-            assert_eq!(c.orbit(v), vec![0, 1, 2, 3]);
-        }
-        // Paw (triangle + pendant on 0): orbits {0}, {1,2}, {3}.
-        let paw = Pattern::c3_star();
-        assert_eq!(paw.orbit(0), vec![0]);
-        assert_eq!(paw.orbit(1), vec![1, 2]);
-        assert_eq!(paw.orbit(2), vec![1, 2]);
-        assert_eq!(paw.orbit(3), vec![3]);
-        // Orbit sizes are consistent with |Aut| (orbit-stabilizer: the
-        // orbit of v divides |Aut|).
-        for p in Pattern::figure7() {
-            let aut = p.automorphism_count();
-            for v in 0..p.vertex_count() {
-                let orb = p.orbit(v);
-                assert!(orb.contains(&v), "{}: orbit must contain v", p.name());
-                assert_eq!(
-                    aut % orb.len() as u64,
-                    0,
-                    "{}: orbit size divides |Aut|",
-                    p.name()
-                );
+    fn automorphisms_list_the_group() {
+        for p in menu() {
+            let group = p.automorphisms();
+            assert_eq!(group.len() as u64, p.automorphism_count(), "{}", p.name());
+            let identity: Vec<u8> = (0..p.vertex_count() as u8).collect();
+            assert!(group.contains(&identity), "{}: identity", p.name());
+            let mut distinct = group.to_vec();
+            distinct.sort();
+            distinct.dedup();
+            assert_eq!(distinct.len(), group.len(), "{}: duplicates", p.name());
+            for perm in group {
+                for &(u, v) in p.edges() {
+                    assert!(
+                        p.has_edge(perm[u as usize] as usize, perm[v as usize] as usize),
+                        "{}: {perm:?} breaks edge ({u}, {v})",
+                        p.name()
+                    );
+                }
             }
+        }
+    }
+
+    #[test]
+    fn symmetry_pairs_match_known_symmetry_groups() {
+        // Star: the hub leads the search order and is fixed; the leaves
+        // are totally ordered among themselves.
+        let s = Pattern::star(3);
+        let pairs = s.symmetry_pairs();
+        assert_eq!(pairs.len(), 3);
+        assert!(pairs.iter().all(|&(a, b)| a != 0 && b != 0));
+        // Clique: every vertex pair is ordered.
+        assert_eq!(Pattern::clique(4).symmetry_pairs().len(), 6);
+        // Paw (triangle + pendant on 0): only the swap of 1 and 2.
+        let paw = Pattern::c3_star().symmetry_pairs();
+        assert_eq!(paw.len(), 1);
+        assert_eq!((paw[0].0.min(paw[0].1), paw[0].0.max(paw[0].1)), (1, 2));
+        // Orbit-stabilizer along the chain: the orbit at each search
+        // position has 1 + (pairs led by that vertex) members, and the
+        // product of the orbit sizes is |Aut|. Every pair's second vertex
+        // comes later in the search order.
+        for p in menu() {
+            let order = p.search_order();
+            let pos = |v: usize| order.iter().position(|&q| q == v).unwrap();
+            let pairs = p.symmetry_pairs();
+            let product: u64 = order
+                .iter()
+                .map(|&a| 1 + pairs.iter().filter(|&&(x, _)| x == a).count() as u64)
+                .product();
+            assert_eq!(product, p.automorphism_count(), "{}", p.name());
+            assert!(pairs.iter().all(|&(a, b)| pos(a) < pos(b)), "{}", p.name());
         }
     }
 

@@ -3,28 +3,29 @@
 //! Per the paper's Definition 8 and the automorphism remark below it, a
 //! *pattern instance* is a subgraph `S ⊆ G` isomorphic to Ψ, where
 //! instances are identified by their **edge set** (automorphic re-mappings
-//! of the same subgraph are one instance). Consequently:
+//! of the same subgraph are one instance). An instance is the image of
+//! exactly |Aut(Ψ)| injective embeddings; the search checks the
+//! Grochow–Kellis symmetry-breaking pairs of [`Pattern::symmetry_pairs`]
+//! as it places vertices, so exactly one of them survives. Consequently:
 //!
-//! * counts are `#injective embeddings / |Aut(Ψ)|`;
-//! * explicit instance materialization dedups embeddings by the canonical
-//!   (sorted) image of the pattern's edge set.
+//! * counts and degrees are plain embedding tallies — no `/ |Aut(Ψ)|`;
+//! * materialization emits each instance once — no edge-set hash dedup;
+//! * anchored enumeration ([`instances_containing`]) pins the anchor at
+//!   each pattern vertex in turn, and since the surviving embedding maps
+//!   exactly one pattern vertex to the anchor, the runs are disjoint.
 //!
 //! Enumeration shards cleanly over the first search position: restricting
 //! the position-0 candidates to a subset of vertices covers exactly the
-//! embeddings whose pivot image lands in that subset, and
-//! [`for_each_owned_instance_until`] turns that into a disjoint *instance*
-//! partition via canonical-root ownership — a shard emits an instance only
-//! when its pivot image is the instance's minimum vertex over the pivot's
-//! automorphism orbit, so automorphic embeddings discovered by different
-//! shards dedup with zero cross-shard communication. (The historical
-//! single-threaded-backtracking caveat is gone: the store's pattern build
-//! fans this out across workers exactly like the clique build.)
-
-use std::collections::HashSet;
+//! instances whose surviving embedding puts the pivot there. The first
+//! pairs pin the pivot's image to the minimum over its automorphism
+//! orbit, an embedding-independent vertex, so shards over disjoint
+//! candidate sets ([`for_each_owned_instance_until`]) emit disjoint
+//! instance sets with zero cross-shard communication — the store's pattern
+//! build fans this out across workers exactly like the clique build.
 
 use dsd_graph::{Graph, VertexId, VertexSet};
 
-use crate::pattern::{consistent, Pattern};
+use crate::pattern::Pattern;
 
 /// A concrete pattern instance in a host graph.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -45,135 +46,238 @@ pub struct InstanceGroup {
     pub count: u64,
 }
 
-/// Enumerates injective embeddings of `p` into `g[alive]`.
-///
-/// `f` receives the image indexed by **pattern vertex id** (not search
-/// order) and returns `true` to continue or `false` to abort the whole
-/// enumeration. If `anchor` is `Some((pv, v))`, pattern vertex `pv` is
-/// pinned to graph vertex `v`, and `v` is treated as alive regardless of
-/// the mask. If `first` is `Some(list)`, the position-0 candidates are
-/// restricted to `list` instead of all of `g.vertices()` — the shard
-/// boundary of the parallel pattern build.
-fn for_each_embedding_until<F: FnMut(&[VertexId]) -> bool>(
-    g: &Graph,
-    p: &Pattern,
-    alive: &VertexSet,
-    anchor: Option<(usize, VertexId)>,
-    first: Option<&[VertexId]>,
-    f: &mut F,
-) {
-    let order = p.search_order();
-    let k = p.vertex_count();
-    let mut images = vec![0 as VertexId; k]; // by search position
-    let mut by_pattern = vec![0 as VertexId; k]; // by pattern vertex id
-    let mut used: HashSet<VertexId> = HashSet::with_capacity(k);
+/// One search position of a compiled search plan.
+#[derive(Clone, Debug)]
+struct Step {
+    /// Pattern vertex placed at this position.
+    pv: usize,
+    /// Earlier positions whose pattern vertex is adjacent to `pv`.
+    adjacent: Vec<usize>,
+    /// Earlier positions whose image must be smaller than this one's.
+    above: Vec<usize>,
+    /// Earlier positions whose image must be larger than this one's.
+    below: Vec<usize>,
+    /// An earlier position with the same `adjacent` set, whose candidate
+    /// list this position scans instead of re-intersecting neighbourhoods
+    /// (the two wings of a 2-triangle, the tails of a 3-triangle).
+    reuse: Option<usize>,
+    /// Whether a later position reuses this one's candidate list, so the
+    /// list must be materialized.
+    keep: bool,
+}
 
-    let is_alive =
-        |u: VertexId| -> bool { alive.contains(u) || anchor.map(|(_, v)| v == u).unwrap_or(false) };
-
-    // Candidate source for a position: any earlier position whose pattern
-    // vertex is adjacent; its image's neighbourhood bounds the search.
-    // Returns false to propagate an abort.
-    #[allow(clippy::too_many_arguments)]
-    fn rec<F: FnMut(&[VertexId]) -> bool>(
-        g: &Graph,
-        p: &Pattern,
-        order: &[usize],
-        pos: usize,
-        images: &mut [VertexId],
-        by_pattern: &mut [VertexId],
-        used: &mut HashSet<VertexId>,
-        anchor: Option<(usize, VertexId)>,
-        first: Option<&[VertexId]>,
-        is_alive: &dyn Fn(VertexId) -> bool,
-        f: &mut F,
-    ) -> bool {
-        if pos == order.len() {
-            return f(by_pattern);
+/// Compiles a search order with its edge and symmetry-breaking checks,
+/// each attached to the position that places the later of its vertices.
+fn compile_plan(p: &Pattern, order: &[usize], pairs: &[(usize, usize)]) -> Vec<Step> {
+    let mut pos_of = vec![0usize; order.len()];
+    for (i, &pv) in order.iter().enumerate() {
+        pos_of[pv] = i;
+    }
+    let mut steps: Vec<Step> = order
+        .iter()
+        .enumerate()
+        .map(|(i, &pv)| Step {
+            pv,
+            adjacent: (0..i).filter(|&q| p.has_edge(pv, order[q])).collect(),
+            above: pairs
+                .iter()
+                .filter(|&&(a, b)| b == pv && pos_of[a] < i)
+                .map(|&(a, _)| pos_of[a])
+                .collect(),
+            below: pairs
+                .iter()
+                .filter(|&&(a, b)| a == pv && pos_of[b] < i)
+                .map(|&(_, b)| pos_of[b])
+                .collect(),
+            reuse: None,
+            keep: false,
+        })
+        .collect();
+    for i in 1..steps.len() {
+        if let Some(q) = (1..i).find(|&q| steps[q].adjacent == steps[i].adjacent) {
+            steps[i].reuse = Some(q);
+            steps[q].keep = true;
         }
-        let pv = order[pos];
-        let try_candidate = |cand: VertexId,
-                             images: &mut [VertexId],
-                             by_pattern: &mut [VertexId],
-                             used: &mut HashSet<VertexId>,
-                             f: &mut F|
-         -> bool {
-            if used.contains(&cand) || !is_alive(cand) {
-                return true;
-            }
-            if !consistent(p, order, images, pos, cand, |a, b| g.has_edge(a, b)) {
-                return true;
-            }
-            images[pos] = cand;
-            by_pattern[pv] = cand;
-            used.insert(cand);
-            let keep = rec(
-                g,
-                p,
-                order,
-                pos + 1,
-                images,
-                by_pattern,
-                used,
-                anchor,
-                first,
-                is_alive,
-                f,
-            );
-            used.remove(&cand);
-            keep
+    }
+    steps
+}
+
+/// Every search plan of one pattern, memoized on the [`Pattern`].
+#[derive(Clone, Debug)]
+pub(crate) struct Plans {
+    /// Free enumeration along [`Pattern::search_order`].
+    free: Vec<Step>,
+    /// `anchored[pv]`: enumeration with pattern vertex `pv` placed first.
+    anchored: Vec<Vec<Step>>,
+}
+
+impl Plans {
+    /// Compiles every plan of `p` under its symmetry-breaking `pairs`.
+    pub(crate) fn compile(p: &Pattern, pairs: &[(usize, usize)]) -> Plans {
+        Plans {
+            free: compile_plan(p, &p.search_order(), pairs),
+            anchored: (0..p.vertex_count())
+                .map(|pv| compile_plan(p, &p.search_order_from(pv), pairs))
+                .collect(),
+        }
+    }
+}
+
+/// Backtracking state of one enumeration run.
+struct Search<'a, F> {
+    g: &'a Graph,
+    alive: &'a VertexSet,
+    steps: &'a [Step],
+    /// Images by search position.
+    images: Vec<VertexId>,
+    /// Images by pattern vertex id.
+    by_pattern: Vec<VertexId>,
+    /// Candidate lists by search position, filled for [`Step::keep`]
+    /// positions only.
+    cands: Vec<Vec<VertexId>>,
+    f: F,
+}
+
+impl<F: FnMut(&[VertexId]) -> bool> Search<'_, F> {
+    /// Places `root` at position 0 (the caller vouches for its liveness)
+    /// and extends it; `false` propagates an abort.
+    fn root(&mut self, root: VertexId) -> bool {
+        self.images[0] = root;
+        self.by_pattern[self.steps[0].pv] = root;
+        self.extend(1)
+    }
+
+    fn extend(&mut self, pos: usize) -> bool {
+        let Some(step) = self.steps.get(pos) else {
+            return (self.f)(&self.by_pattern);
         };
-        if let Some((apv, av)) = anchor {
-            if apv == pv {
-                return try_candidate(av, images, by_pattern, used, f);
-            }
-        }
-        if pos == 0 {
-            match first {
-                Some(list) => {
-                    for &cand in list {
-                        if !try_candidate(cand, images, by_pattern, used, f) {
+        let g = self.g;
+        // Symmetry breaking bounds the candidate window to (lo, hi).
+        let lo = step.above.iter().map(|&q| self.images[q]).max();
+        let hi = step
+            .below
+            .iter()
+            .map(|&q| self.images[q])
+            .min()
+            .unwrap_or(VertexId::MAX);
+        let listed = match step.reuse {
+            // Position `q`'s list holds exactly the alive common neighbours
+            // of this position's adjacent images.
+            Some(q) => q,
+            None => {
+                // Candidates come from the adjacent earlier image of least
+                // degree.
+                let src = *step
+                    .adjacent
+                    .iter()
+                    .min_by_key(|&&q| g.degree(self.images[q]))
+                    .expect("search order keeps patterns connected");
+                let around = g.neighbors(self.images[src]);
+                if !step.keep {
+                    let start = lo.map_or(0, |lo| around.partition_point(|&x| x <= lo));
+                    for &cand in &around[start..] {
+                        if cand >= hi {
+                            break;
+                        }
+                        if self.fits(step, src, cand)
+                            && !self.images[..pos].contains(&cand)
+                            && !self.place(pos, cand)
+                        {
                             return false;
                         }
                     }
+                    return true;
                 }
-                None => {
-                    for cand in g.vertices() {
-                        if !try_candidate(cand, images, by_pattern, used, f) {
-                            return false;
-                        }
-                    }
-                }
+                // A later position reuses the list, so materialize all of
+                // it — that position's window may differ from this one's.
+                let mut list = std::mem::take(&mut self.cands[pos]);
+                list.clear();
+                list.extend(
+                    around
+                        .iter()
+                        .copied()
+                        .filter(|&cand| self.fits(step, src, cand)),
+                );
+                self.cands[pos] = list;
+                pos
             }
-        } else {
-            // Anchor on the earlier neighbour with the smallest image degree.
-            let src = (0..pos)
-                .filter(|&q| p.has_edge(pv, order[q]))
-                .min_by_key(|&q| g.degree(images[q]))
-                .expect("search order keeps patterns connected");
-            let around = images[src];
-            for &cand in g.neighbors(around) {
-                if !try_candidate(cand, images, by_pattern, used, f) {
-                    return false;
-                }
+        };
+        // The list is ascending, and deeper positions never rewrite it, so
+        // it can be indexed while recursing.
+        let start = lo.map_or(0, |lo| self.cands[listed].partition_point(|&x| x <= lo));
+        for i in start..self.cands[listed].len() {
+            let cand = self.cands[listed][i];
+            if cand >= hi {
+                break;
+            }
+            if !self.images[..pos].contains(&cand) && !self.place(pos, cand) {
+                return false;
             }
         }
         true
     }
 
-    rec(
+    /// Whether `cand`, a neighbour of the image at `src`, is alive and
+    /// adjacent to the images at every other position `step` is adjacent to.
+    fn fits(&self, step: &Step, src: usize, cand: VertexId) -> bool {
+        self.alive.contains(cand)
+            && step
+                .adjacent
+                .iter()
+                .all(|&q| q == src || self.g.has_edge(cand, self.images[q]))
+    }
+
+    /// Places `cand` at `pos` and extends; `false` propagates an abort.
+    fn place(&mut self, pos: usize, cand: VertexId) -> bool {
+        self.images[pos] = cand;
+        self.by_pattern[self.steps[pos].pv] = cand;
+        self.extend(pos + 1)
+    }
+}
+
+/// Where an enumeration's position-0 candidates come from.
+#[derive(Clone, Copy)]
+enum Roots<'r> {
+    /// Every alive vertex.
+    All,
+    /// The alive vertices of a shard's candidate list.
+    Among(&'r [VertexId]),
+    /// Pattern vertex `.0` pinned to graph vertex `.1`, which counts as
+    /// alive regardless of the mask.
+    Anchor(usize, VertexId),
+}
+
+/// Visits one embedding per distinct instance of `p` in `g[alive]` (the
+/// one satisfying the symmetry-breaking pairs). `f` receives the image
+/// indexed by **pattern vertex id** and returns `false` to abort; the call
+/// then returns `false`.
+fn for_each_embedding_until<F: FnMut(&[VertexId]) -> bool>(
+    g: &Graph,
+    p: &Pattern,
+    alive: &VertexSet,
+    roots: Roots<'_>,
+    f: F,
+) -> bool {
+    let plans = p.plans();
+    let steps = match roots {
+        Roots::Anchor(pv, _) => &plans.anchored[pv],
+        _ => &plans.free,
+    };
+    let k = p.vertex_count();
+    let mut search = Search {
         g,
-        p,
-        &order,
-        0,
-        &mut images,
-        &mut by_pattern,
-        &mut used,
-        anchor,
-        first,
-        &is_alive,
+        alive,
+        steps,
+        images: vec![0; k],
+        by_pattern: vec![0; k],
+        cands: vec![Vec::new(); k],
         f,
-    );
+    };
+    match roots {
+        Roots::All => alive.iter().all(|v| search.root(v)),
+        Roots::Among(list) => list.iter().all(|&v| !alive.contains(v) || search.root(v)),
+        Roots::Anchor(_, v) => search.root(v),
+    }
 }
 
 /// Non-aborting wrapper over [`for_each_embedding_until`].
@@ -181,10 +285,10 @@ fn for_each_embedding<F: FnMut(&[VertexId])>(
     g: &Graph,
     p: &Pattern,
     alive: &VertexSet,
-    anchor: Option<(usize, VertexId)>,
-    f: &mut F,
+    roots: Roots<'_>,
+    mut f: F,
 ) {
-    for_each_embedding_until(g, p, alive, anchor, None, &mut |image| {
+    for_each_embedding_until(g, p, alive, roots, |image| {
         f(image);
         true
     });
@@ -192,15 +296,9 @@ fn for_each_embedding<F: FnMut(&[VertexId])>(
 
 /// Number of pattern instances `μ(G[alive], Ψ)` (Definition 10's numerator).
 pub fn count_instances(g: &Graph, p: &Pattern, alive: &VertexSet) -> u64 {
-    let mut embeddings = 0u64;
-    for_each_embedding(g, p, alive, None, &mut |_| embeddings += 1);
-    let aut = p.automorphism_count();
-    debug_assert_eq!(
-        embeddings % aut,
-        0,
-        "embedding count not divisible by |Aut|"
-    );
-    embeddings / aut
+    let mut count = 0u64;
+    for_each_embedding(g, p, alive, Roots::All, |_| count += 1);
+    count
 }
 
 /// Like [`count_instances`] but gives up once more than `cap` instances
@@ -208,40 +306,23 @@ pub fn count_instances(g: &Graph, p: &Pattern, alive: &VertexSet) -> u64 {
 /// pattern/graph combinations whose instance sets would not fit in memory
 /// (the analogue of the paper's multi-day timeout bars).
 pub fn count_instances_capped(g: &Graph, p: &Pattern, alive: &VertexSet, cap: u64) -> Option<u64> {
-    let aut = p.automorphism_count();
-    let cap_embeddings = cap.saturating_mul(aut);
-    let mut embeddings = 0u64;
-    let mut over = false;
-    for_each_embedding_until(g, p, alive, None, None, &mut |_| {
-        embeddings += 1;
-        if embeddings > cap_embeddings {
-            over = true;
-            false
-        } else {
-            true
-        }
+    let mut count = 0u64;
+    let done = for_each_embedding_until(g, p, alive, Roots::All, |_| {
+        count += 1;
+        count <= cap
     });
-    if over {
-        None
-    } else {
-        Some(embeddings / aut)
-    }
+    done.then_some(count)
 }
 
 /// Pattern-degree `deg(v, Ψ)` of every vertex of `g[alive]` (Definition 9).
 pub fn pattern_degrees(g: &Graph, p: &Pattern, alive: &VertexSet) -> Vec<u64> {
-    let mut emb_deg = vec![0u64; g.num_vertices()];
-    for_each_embedding(g, p, alive, None, &mut |image| {
+    let mut deg = vec![0u64; g.num_vertices()];
+    for_each_embedding(g, p, alive, Roots::All, |image| {
         for &v in image {
-            emb_deg[v as usize] += 1;
+            deg[v as usize] += 1;
         }
     });
-    let aut = p.automorphism_count();
-    for d in &mut emb_deg {
-        debug_assert_eq!(*d % aut, 0);
-        *d /= aut;
-    }
-    emb_deg
+    deg
 }
 
 fn canonical_instance(p: &Pattern, image: &[VertexId]) -> PatternInstance {
@@ -265,55 +346,25 @@ fn canonical_instance(p: &Pattern, image: &[VertexId]) -> PatternInstance {
 /// `false` to abort; the call then returns `false`.
 ///
 /// This is the emission API the columnar instance store builds on: no
-/// intermediate `Vec<Vec<VertexId>>`, and the only transient state is the
-/// edge-set hash used for automorphism dedup.
+/// intermediate `Vec<Vec<VertexId>>` and no dedup state.
 pub fn for_each_instance_until<F: FnMut(&[VertexId]) -> bool>(
     g: &Graph,
     p: &Pattern,
     alive: &VertexSet,
     f: &mut F,
 ) -> bool {
-    let mut seen: HashSet<Vec<(VertexId, VertexId)>> = HashSet::new();
-    let mut members: Vec<VertexId> = Vec::with_capacity(p.vertex_count());
-    let mut aborted = false;
-    for_each_embedding_until(g, p, alive, None, None, &mut |image| {
-        let mut edges: Vec<(VertexId, VertexId)> = p
-            .edges()
-            .iter()
-            .map(|&(a, b)| {
-                let (u, v) = (image[a as usize], image[b as usize]);
-                (u.min(v), u.max(v))
-            })
-            .collect();
-        edges.sort_unstable();
-        if seen.insert(edges) {
-            members.clear();
-            members.extend_from_slice(image);
-            members.sort_unstable();
-            if !f(&members) {
-                aborted = true;
-                return false;
-            }
-        }
-        true
-    });
-    !aborted
+    for_each_sorted_until(g, p, alive, Roots::All, f)
 }
 
 /// One shard of a parallel distinct-instance enumeration: visits exactly
-/// the instances *owned* by the first-position candidate set `first`,
-/// handing the sink id-sorted member lists. The sink returns `false` to
-/// abort; the call then returns `false`.
+/// the instances whose symmetry-broken embedding places the pivot (first
+/// search position) in `first`, handing the sink id-sorted member lists.
+/// The sink returns `false` to abort; the call then returns `false`.
 ///
-/// Ownership is canonical-root: the pivot (first search position) of an
-/// instance's embeddings ranges over the image of the pivot's automorphism
-/// orbit — an embedding-independent vertex set — and the shard whose
-/// `first` contains the *minimum* of that set owns the instance. Shards
-/// over disjoint `first` sets therefore emit disjoint instance sets with
-/// no cross-shard dedup, and a partition of the alive vertices covers
-/// every instance exactly once. Within a shard, embeddings that fix the
-/// pivot (its stabilizer) still collide, so the canonical edge-set dedup
-/// stays, scoped shard-locally.
+/// That pivot image is the minimum image over the pivot's automorphism
+/// orbit — the same vertex whichever shard looks — so shards over
+/// disjoint `first` sets emit disjoint instance sets, and a partition of
+/// the alive vertices covers every instance exactly once.
 pub fn for_each_owned_instance_until<F: FnMut(&[VertexId]) -> bool>(
     g: &Graph,
     p: &Pattern,
@@ -321,74 +372,68 @@ pub fn for_each_owned_instance_until<F: FnMut(&[VertexId]) -> bool>(
     first: &[VertexId],
     f: &mut F,
 ) -> bool {
-    let order = p.search_order();
-    let pivot = order[0];
-    let orbit = p.orbit(pivot);
-    let mut seen: HashSet<Vec<(VertexId, VertexId)>> = HashSet::new();
-    let mut members: Vec<VertexId> = Vec::with_capacity(p.vertex_count());
-    let mut aborted = false;
-    for_each_embedding_until(g, p, alive, None, Some(first), &mut |image| {
-        let canon = orbit
-            .iter()
-            .map(|&q| image[q])
-            .min()
-            .expect("orbit contains the pivot");
-        if image[pivot] != canon {
-            return true; // another first-candidate owns this instance
-        }
-        let mut edges: Vec<(VertexId, VertexId)> = p
-            .edges()
-            .iter()
-            .map(|&(a, b)| {
-                let (u, v) = (image[a as usize], image[b as usize]);
-                (u.min(v), u.max(v))
-            })
-            .collect();
-        edges.sort_unstable();
-        if seen.insert(edges) {
-            members.clear();
-            members.extend_from_slice(image);
-            members.sort_unstable();
-            if !f(&members) {
-                aborted = true;
-                return false;
-            }
-        }
-        true
-    });
-    !aborted
+    for_each_sorted_until(g, p, alive, Roots::Among(first), f)
 }
 
-/// Materializes the distinct pattern instances of `g[alive]`.
+/// Emits each surviving embedding's member list, id-sorted.
+fn for_each_sorted_until<F: FnMut(&[VertexId]) -> bool>(
+    g: &Graph,
+    p: &Pattern,
+    alive: &VertexSet,
+    roots: Roots<'_>,
+    f: &mut F,
+) -> bool {
+    let mut members: Vec<VertexId> = Vec::with_capacity(p.vertex_count());
+    for_each_embedding_until(g, p, alive, roots, |image| {
+        members.clear();
+        members.extend_from_slice(image);
+        members.sort_unstable();
+        f(&members)
+    })
+}
+
+/// Materializes the distinct pattern instances of `g[alive]`, sorted by
+/// edge set.
 ///
 /// Intended for the (small) located cores that exact PDS algorithms build
-/// flow networks over — instances are deduplicated via hashing.
+/// flow networks over.
 pub fn instances(g: &Graph, p: &Pattern, alive: &VertexSet) -> Vec<PatternInstance> {
-    let mut seen: HashSet<PatternInstance> = HashSet::new();
-    for_each_embedding(g, p, alive, None, &mut |image| {
-        seen.insert(canonical_instance(p, image));
+    let mut out = Vec::new();
+    for_each_embedding(g, p, alive, Roots::All, |image| {
+        out.push(canonical_instance(p, image));
     });
-    let mut out: Vec<PatternInstance> = seen.into_iter().collect();
     out.sort_unstable_by(|a, b| a.edges.cmp(&b.edges));
     out
 }
 
-/// Distinct instances containing `v` whose other members are all alive
-/// (`v` itself may already be dead — this is the decrement step of pattern
-/// core decomposition).
+/// Visits every distinct instance containing `v` whose other members are
+/// all alive (`v` itself may already be dead — this is the decrement step
+/// of pattern core decomposition), exactly once each. `f` receives the
+/// image indexed by pattern vertex id.
+pub fn for_each_instance_containing<F: FnMut(&[VertexId])>(
+    g: &Graph,
+    p: &Pattern,
+    v: VertexId,
+    alive: &VertexSet,
+    mut f: F,
+) {
+    for pv in 0..p.vertex_count() {
+        for_each_embedding(g, p, alive, Roots::Anchor(pv, v), &mut f);
+    }
+}
+
+/// Distinct instances containing `v` whose other members are all alive,
+/// sorted by edge set (see [`for_each_instance_containing`]).
 pub fn instances_containing(
     g: &Graph,
     p: &Pattern,
     v: VertexId,
     alive: &VertexSet,
 ) -> Vec<PatternInstance> {
-    let mut seen: HashSet<PatternInstance> = HashSet::new();
-    for pv in 0..p.vertex_count() {
-        for_each_embedding(g, p, alive, Some((pv, v)), &mut |image| {
-            seen.insert(canonical_instance(p, image));
-        });
-    }
-    let mut out: Vec<PatternInstance> = seen.into_iter().collect();
+    let mut out = Vec::new();
+    for_each_instance_containing(g, p, v, alive, |image| {
+        out.push(canonical_instance(p, image));
+    });
     out.sort_unstable_by(|a, b| a.edges.cmp(&b.edges));
     out
 }
@@ -612,6 +657,72 @@ mod tests {
             Some(exact)
         );
         assert_eq!(count_instances_capped(&g, &p, &full(&g), exact - 1), None);
+    }
+
+    /// Every injective embedding of `p` into `g`, with no symmetry
+    /// breaking: plain backtracking over pattern vertices `0..k`.
+    fn all_embeddings(g: &Graph, p: &Pattern) -> u64 {
+        fn rec(g: &Graph, p: &Pattern, image: &mut Vec<VertexId>) -> u64 {
+            let pos = image.len();
+            if pos == p.vertex_count() {
+                return 1;
+            }
+            let mut total = 0;
+            for cand in g.vertices() {
+                if !image.contains(&cand)
+                    && (0..pos).all(|q| !p.has_edge(pos, q) || g.has_edge(cand, image[q]))
+                {
+                    image.push(cand);
+                    total += rec(g, p, image);
+                    image.pop();
+                }
+            }
+            total
+        }
+        rec(g, p, &mut Vec::new())
+    }
+
+    #[test]
+    fn symmetry_pairs_admit_one_embedding_per_instance() {
+        let mut menu = Pattern::figure7();
+        menu.extend([
+            Pattern::triangle(),
+            Pattern::clique(4),
+            Pattern::star(4),
+            Pattern::cycle(5),
+            Pattern::path(4),
+            Pattern::complete_bipartite(2, 3),
+        ]);
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for round in 0..4 {
+            let n = 9 + round as usize;
+            let mut b = GraphBuilder::new(n);
+            for u in 0..n as u32 {
+                for v in (u + 1)..n as u32 {
+                    if next() % 100 < 45 {
+                        b.add_edge(u, v);
+                    }
+                }
+            }
+            let g = b.build();
+            for p in &menu {
+                let embeddings = all_embeddings(&g, p);
+                let aut = p.automorphism_count();
+                assert_eq!(embeddings % aut, 0, "{} round {round}", p.name());
+                assert_eq!(
+                    count_instances(&g, p, &full(&g)),
+                    embeddings / aut,
+                    "{} round {round}",
+                    p.name()
+                );
+            }
+        }
     }
 
     #[test]

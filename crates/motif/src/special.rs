@@ -8,6 +8,14 @@
 //! lists used when a vertex is peeled (Algorithm 3's inner loop), reducing
 //! pattern-core decomposition from `O(n·dˣ)` to `O(n·d²)` as the paper
 //! notes.
+//!
+//! Each decrement rule is one kernel (`star_losses`, `diamond_losses`)
+//! with two callers: the stateless [`star_decrements`] /
+//! [`diamond_decrements`] tally into a hash map sized by the removal's
+//! neighbourhood, and the stateful [`StarPeel`] / [`DiamondPeel`] keep
+//! dense scratch (for stars the alive degrees, for diamonds alive-only
+//! adjacency lists) across every removal of one peel, so a removal
+//! allocates nothing.
 
 use std::collections::HashMap;
 
@@ -22,6 +30,94 @@ fn adeg(g: &Graph, alive: &VertexSet, v: VertexId) -> u64 {
         .iter()
         .filter(|&&u| alive.contains(u))
         .count() as u64
+}
+
+/// Per-vertex tallies the decrement kernels add into. Zero additions are
+/// dropped, so every recorded entry is nonzero.
+trait Tally {
+    fn add(&mut self, v: VertexId, amount: u64);
+    fn get(&self, v: VertexId) -> u64;
+    fn for_each(&self, f: impl FnMut(VertexId, u64));
+}
+
+impl Tally for HashMap<VertexId, u64> {
+    fn add(&mut self, v: VertexId, amount: u64) {
+        if amount > 0 {
+            *self.entry(v).or_insert(0) += amount;
+        }
+    }
+
+    fn get(&self, v: VertexId) -> u64 {
+        self.get(&v).copied().unwrap_or(0)
+    }
+
+    fn for_each(&self, mut f: impl FnMut(VertexId, u64)) {
+        for (&v, &amount) in self {
+            f(v, amount);
+        }
+    }
+}
+
+/// A peel's reusable tally: dense values plus the list of touched
+/// vertices, so a reset costs O(touched) instead of O(n).
+#[derive(Clone, Debug)]
+struct DenseTally {
+    value: Vec<u64>,
+    touched: Vec<VertexId>,
+}
+
+impl DenseTally {
+    fn new(n: usize) -> Self {
+        DenseTally {
+            value: vec![0; n],
+            touched: Vec::new(),
+        }
+    }
+
+    /// Hands every entry to `sink` in ascending vertex order, then resets.
+    fn drain_sorted(&mut self, sink: &mut dyn FnMut(VertexId, u64)) {
+        self.touched.sort_unstable();
+        for &v in &self.touched {
+            sink(v, self.value[v as usize]);
+        }
+        self.clear();
+    }
+
+    fn clear(&mut self) {
+        for &v in &self.touched {
+            self.value[v as usize] = 0;
+        }
+        self.touched.clear();
+    }
+}
+
+impl Tally for DenseTally {
+    fn add(&mut self, v: VertexId, amount: u64) {
+        if amount > 0 {
+            let slot = &mut self.value[v as usize];
+            if *slot == 0 {
+                self.touched.push(v);
+            }
+            *slot += amount;
+        }
+    }
+
+    fn get(&self, v: VertexId) -> u64 {
+        self.value[v as usize]
+    }
+
+    fn for_each(&self, mut f: impl FnMut(VertexId, u64)) {
+        for &v in &self.touched {
+            f(v, self.value[v as usize]);
+        }
+    }
+}
+
+/// A one-off tally as the ascending `(vertex, amount)` list.
+fn sorted(tally: HashMap<VertexId, u64>) -> Vec<(VertexId, u64)> {
+    let mut out: Vec<(VertexId, u64)> = tally.into_iter().collect();
+    out.sort_unstable();
+    out
 }
 
 /// x-star pattern-degrees of all vertices of `g[alive]` (Appendix D.1.1).
@@ -56,11 +152,47 @@ pub fn star_degrees(g: &Graph, x: usize, alive: &VertexSet) -> Vec<u64> {
     out
 }
 
+/// The x-star decrement kernel (Appendix D.1.2): tallies into `loss` what
+/// every other alive vertex loses when `v` leaves `g[alive]`, given the
+/// alive-restricted degree `adeg` of every vertex (with `v` still alive).
+fn star_losses(
+    g: &Graph,
+    x: u64,
+    alive: &VertexSet,
+    v: VertexId,
+    adeg: impl Fn(VertexId) -> u64,
+    loss: &mut impl Tally,
+) {
+    let y = adeg(v);
+    for &u in g.neighbors(v) {
+        if !alive.contains(u) {
+            continue;
+        }
+        let z_u = adeg(u);
+        // Stars centred at v with u as a tail, plus stars centred at u with
+        // v as a tail.
+        loss.add(
+            u,
+            binomial(y - 1, x - 1).saturating_add(binomial(z_u - 1, x - 1)),
+        );
+        // Stars centred at u containing both v and w as tails.
+        let two_hop = binomial(z_u.saturating_sub(2), x - 2);
+        if z_u >= 2 && two_hop > 0 {
+            for &w in g.neighbors(u) {
+                if w != v && alive.contains(w) {
+                    loss.add(w, two_hop);
+                }
+            }
+        }
+    }
+}
+
 /// Per-vertex pattern-degree losses caused by removing `v` from `g[alive]`
 /// for the x-star pattern (Appendix D.1.2). `v` must still be in `alive`.
 ///
-/// Returns `(u, amount)` pairs for every *other* vertex whose degree drops;
-/// the removed vertex's own loss is simply its current degree.
+/// Returns `(u, amount)` pairs, ascending, for every *other* vertex whose
+/// degree drops; the removed vertex's own loss is simply its current
+/// degree.
 pub fn star_decrements(
     g: &Graph,
     x: usize,
@@ -69,112 +201,264 @@ pub fn star_decrements(
 ) -> Vec<(VertexId, u64)> {
     assert!(x >= 2);
     debug_assert!(alive.contains(v), "compute decrements before removing v");
-    let x = x as u64;
-    let y = adeg(g, alive, v);
-    let mut acc: HashMap<VertexId, u64> = HashMap::new();
-    for &u in g.neighbors(v) {
-        if !alive.contains(u) {
-            continue;
-        }
-        let z_u = adeg(g, alive, u);
-        // Stars centred at v with u as a tail, plus stars centred at u with
-        // v as a tail.
-        let one_hop = binomial(y - 1, x - 1).saturating_add(binomial(z_u - 1, x - 1));
-        if one_hop > 0 {
-            *acc.entry(u).or_insert(0) += one_hop;
-        }
-        // Stars centred at u containing both v and w as tails.
-        if x >= 2 && z_u >= 2 {
-            let two_hop = binomial(z_u - 2, x - 2);
-            if two_hop > 0 {
-                for &w in g.neighbors(u) {
-                    if w != v && alive.contains(w) {
-                        *acc.entry(w).or_insert(0) += two_hop;
-                    }
-                }
-            }
-        }
-    }
-    let mut out: Vec<(VertexId, u64)> = acc.into_iter().collect();
-    out.sort_unstable();
-    out
+    let mut loss = HashMap::new();
+    star_losses(g, x as u64, alive, v, |u| adeg(g, alive, u), &mut loss);
+    sorted(loss)
 }
 
 /// Diamond (4-cycle) pattern-degrees of all vertices (Appendix D.2.1):
 /// `deg(v) = Σ_{w ≠ v} C(|N(v) ∩ N(w)|, 2)` over alive vertices.
-pub fn diamond_degrees(g: &Graph, alive: &VertexSet) -> Vec<u64> {
-    let n = g.num_vertices();
-    let mut out = vec![0u64; n];
-    let mut count = vec![0u32; n];
-    let mut touched: Vec<VertexId> = Vec::new();
-    for v in alive.iter() {
-        for &a in g.neighbors(v) {
-            if !alive.contains(a) {
-                continue;
-            }
-            for &w in g.neighbors(a) {
-                if w != v && alive.contains(w) {
-                    if count[w as usize] == 0 {
-                        touched.push(w);
-                    }
-                    count[w as usize] += 1;
-                }
-            }
-        }
-        let mut d = 0u64;
-        for &w in &touched {
-            d = d.saturating_add(binomial(count[w as usize] as u64, 2));
-            count[w as usize] = 0;
-        }
-        touched.clear();
-        out[v as usize] = d;
-    }
-    out
-}
-
-/// Per-vertex diamond-degree losses caused by removing `v` (Appendix
-/// D.2.2). `v` must still be in `alive`.
 ///
-/// For each far endpoint `w` with `c` common alive neighbours: `w` loses
-/// `C(c, 2)` and each common neighbour loses `c − 1`.
-pub fn diamond_decrements(g: &Graph, alive: &VertexSet, v: VertexId) -> Vec<(VertexId, u64)> {
-    debug_assert!(alive.contains(v), "compute decrements before removing v");
-    let n = g.num_vertices();
-    let mut count = vec![0u32; n];
-    let mut touched: Vec<VertexId> = Vec::new();
-    for &a in g.neighbors(v) {
-        if !alive.contains(a) {
-            continue;
-        }
-        for &w in g.neighbors(a) {
-            if w != v && alive.contains(w) {
+/// Computed cycle by cycle instead, each 4-cycle found once from its
+/// highest-ranked vertex in (degree, id) order (Chiba–Nishizeki): from a
+/// top `t`, walk the wedges `t–a–w` with `a` and `w` ranked below `t`,
+/// count them per far end `w`, and each pair of wedges to `w` is one
+/// cycle. `t` and `w` gain `C(c_w, 2)`; a second pass over the same wedges
+/// gives each middle `a` the `c_w − 1` cycles it shares with `w`. With
+/// neighbour lists sorted by rank every walk is a list prefix, and a hub's
+/// long list is only walked from the few vertices ranked above it.
+pub fn diamond_degrees(g: &Graph, alive: &VertexSet) -> Vec<u64> {
+    let mut by_rank: Vec<VertexId> = alive.iter().collect();
+    by_rank.sort_unstable_by_key(|&v| (g.degree(v), v));
+    let mut rank = vec![0u32; g.num_vertices()];
+    for (r, &v) in by_rank.iter().enumerate() {
+        rank[v as usize] = r as u32;
+    }
+    // Alive neighbours by rank, each list ascending.
+    let mut start = Vec::with_capacity(by_rank.len() + 1);
+    let mut lower: Vec<u32> = Vec::new();
+    for &v in &by_rank {
+        start.push(lower.len());
+        let from = lower.len();
+        lower.extend(
+            g.neighbors(v)
+                .iter()
+                .filter(|&&u| alive.contains(u))
+                .map(|&u| rank[u as usize]),
+        );
+        lower[from..].sort_unstable();
+    }
+    start.push(lower.len());
+    let below = |r: u32, top: u32| {
+        let list = &lower[start[r as usize]..start[r as usize + 1]];
+        &list[..list.partition_point(|&x| x < top)]
+    };
+
+    let mut deg = vec![0u64; by_rank.len()];
+    let mut count = vec![0u32; by_rank.len()];
+    let mut touched: Vec<u32> = Vec::new();
+    for t in 0..by_rank.len() as u32 {
+        for &a in below(t, t) {
+            for &w in below(a, t) {
                 if count[w as usize] == 0 {
                     touched.push(w);
                 }
                 count[w as usize] += 1;
             }
         }
-    }
-    let mut acc: HashMap<VertexId, u64> = HashMap::new();
-    for &w in &touched {
-        let c = count[w as usize] as u64;
-        if c >= 2 {
-            *acc.entry(w).or_insert(0) += binomial(c, 2);
+        for &a in below(t, t) {
+            let shared: u64 = below(a, t)
+                .iter()
+                .map(|&w| count[w as usize] as u64 - 1)
+                .sum();
+            deg[a as usize] = deg[a as usize].saturating_add(shared);
         }
-        if c >= 2 {
-            // Each middle vertex a ∈ N(v) ∩ N(w) participates in c − 1
-            // dying cycles through (v, w).
-            for &a in g.neighbors(v) {
-                if alive.contains(a) && g.has_edge(a, w) {
-                    *acc.entry(a).or_insert(0) += c - 1;
+        for &w in &touched {
+            let cycles = binomial(count[w as usize] as u64, 2);
+            deg[t as usize] = deg[t as usize].saturating_add(cycles);
+            deg[w as usize] = deg[w as usize].saturating_add(cycles);
+            count[w as usize] = 0;
+        }
+        touched.clear();
+    }
+    let mut out = vec![0u64; g.num_vertices()];
+    for (r, &v) in by_rank.iter().enumerate() {
+        out[v as usize] = deg[r];
+    }
+    out
+}
+
+/// The diamond decrement kernel (Appendix D.2.2), as a two-pass wedge
+/// walk from `v` (still in `alive`). Pass one tallies into `wedges` the
+/// number `c_w` of alive common neighbours of `v` and every far endpoint
+/// `w`; each 4-cycle through `v` is a pair of wedges to one `w`. Pass two
+/// re-walks the same wedges: the middle vertex `a` of a wedge to `w`
+/// lies on `c_w − 1` dying cycles through `(v, w)`. Far endpoints lose
+/// `C(c_w, 2)`.
+fn diamond_losses<'n>(
+    neighbors: impl Fn(VertexId) -> &'n [VertexId],
+    alive: &VertexSet,
+    v: VertexId,
+    wedges: &mut impl Tally,
+    loss: &mut impl Tally,
+) {
+    let far = |a: VertexId| {
+        neighbors(a)
+            .iter()
+            .copied()
+            .filter(move |&w| w != v && alive.contains(w))
+    };
+    let middles = || neighbors(v).iter().copied().filter(|&a| alive.contains(a));
+    for a in middles() {
+        for w in far(a) {
+            wedges.add(w, 1);
+        }
+    }
+    for a in middles() {
+        loss.add(a, far(a).map(|w| wedges.get(w) - 1).sum());
+    }
+    wedges.for_each(|w, c| loss.add(w, binomial(c, 2)));
+}
+
+/// Per-vertex diamond-degree losses caused by removing `v` (Appendix
+/// D.2.2). `v` must still be in `alive`.
+///
+/// For each far endpoint `w` with `c` common alive neighbours: `w` loses
+/// `C(c, 2)` and each common neighbour loses `c − 1`. Returns ascending
+/// `(u, amount)` pairs.
+pub fn diamond_decrements(g: &Graph, alive: &VertexSet, v: VertexId) -> Vec<(VertexId, u64)> {
+    debug_assert!(alive.contains(v), "compute decrements before removing v");
+    let (mut wedges, mut loss) = (HashMap::new(), HashMap::new());
+    diamond_losses(|u| g.neighbors(u), alive, v, &mut wedges, &mut loss);
+    sorted(loss)
+}
+
+/// Stateful x-star peel of `g[alive]`: keeps the alive set, the alive
+/// degrees and a dense loss tally across removals, so each removal costs
+/// the kernel's two-hop walk and allocates nothing.
+#[derive(Clone, Debug)]
+pub struct StarPeel<'g> {
+    g: &'g Graph,
+    x: usize,
+    alive: VertexSet,
+    adeg: Vec<u64>,
+    loss: DenseTally,
+}
+
+impl<'g> StarPeel<'g> {
+    /// Starts a peel of `g[alive]` for the x-star.
+    pub fn new(g: &'g Graph, x: usize, alive: &VertexSet) -> Self {
+        assert!(x >= 2);
+        let n = g.num_vertices();
+        let adeg = (0..n as VertexId)
+            .map(|v| {
+                if alive.contains(v) {
+                    adeg(g, alive, v)
+                } else {
+                    0
                 }
+            })
+            .collect();
+        StarPeel {
+            g,
+            x,
+            alive: alive.clone(),
+            adeg,
+            loss: DenseTally::new(n),
+        }
+    }
+
+    /// Star-degrees of the current (un-removed) subgraph.
+    pub fn degrees(&self) -> Vec<u64> {
+        star_degrees(self.g, self.x, &self.alive)
+    }
+
+    /// Removes `v` (still un-removed), handing `sink` each other vertex's
+    /// loss in ascending vertex order.
+    pub fn remove(&mut self, v: VertexId, sink: &mut dyn FnMut(VertexId, u64)) {
+        debug_assert!(self.alive.contains(v), "vertex already removed");
+        let adeg = &self.adeg;
+        star_losses(
+            self.g,
+            self.x as u64,
+            &self.alive,
+            v,
+            |u| adeg[u as usize],
+            &mut self.loss,
+        );
+        self.loss.drain_sorted(sink);
+        for &u in self.g.neighbors(v) {
+            if self.alive.contains(u) {
+                self.adeg[u as usize] -= 1;
             }
         }
-        count[w as usize] = 0;
+        self.alive.remove(v);
     }
-    let mut out: Vec<(VertexId, u64)> = acc.into_iter().collect();
-    out.sort_unstable();
-    out
+}
+
+/// Stateful diamond peel of `g[alive]`: keeps the alive set, dense wedge
+/// and loss tallies, and an adjacency copy holding only alive neighbours
+/// across removals. A removal costs the kernel's two wedge walks over
+/// alive vertices (a hub's list shrinks as its neighbours peel away) plus
+/// one pass to drop the removed vertex, and allocates nothing.
+#[derive(Clone, Debug)]
+pub struct DiamondPeel<'g> {
+    g: &'g Graph,
+    alive: VertexSet,
+    /// `adj[start[u]..start[u] + len[u]]`: the alive neighbours of `u`.
+    start: Vec<usize>,
+    len: Vec<u32>,
+    adj: Vec<VertexId>,
+    wedges: DenseTally,
+    loss: DenseTally,
+}
+
+impl<'g> DiamondPeel<'g> {
+    /// Starts a diamond peel of `g[alive]`.
+    pub fn new(g: &'g Graph, alive: &VertexSet) -> Self {
+        let n = g.num_vertices();
+        let mut start = Vec::with_capacity(n);
+        let mut len = vec![0u32; n];
+        let mut adj = Vec::new();
+        for u in 0..n as VertexId {
+            start.push(adj.len());
+            if alive.contains(u) {
+                adj.extend(g.neighbors(u).iter().filter(|&&w| alive.contains(w)));
+                len[u as usize] = (adj.len() - start[u as usize]) as u32;
+            }
+        }
+        DiamondPeel {
+            g,
+            alive: alive.clone(),
+            start,
+            len,
+            adj,
+            wedges: DenseTally::new(n),
+            loss: DenseTally::new(n),
+        }
+    }
+
+    /// Diamond-degrees of the current (un-removed) subgraph.
+    pub fn degrees(&self) -> Vec<u64> {
+        diamond_degrees(self.g, &self.alive)
+    }
+
+    /// Removes `v` (still un-removed), handing `sink` each other vertex's
+    /// loss in ascending vertex order.
+    pub fn remove(&mut self, v: VertexId, sink: &mut dyn FnMut(VertexId, u64)) {
+        debug_assert!(self.alive.contains(v), "vertex already removed");
+        let (start, len, adj) = (&self.start, &self.len, &self.adj);
+        let neighbors = |u: VertexId| {
+            let s = start[u as usize];
+            &adj[s..s + len[u as usize] as usize]
+        };
+        diamond_losses(neighbors, &self.alive, v, &mut self.wedges, &mut self.loss);
+        self.wedges.clear();
+        self.loss.drain_sorted(sink);
+        let s = self.start[v as usize];
+        for i in s..s + self.len[v as usize] as usize {
+            let a = self.adj[i] as usize;
+            let list = &mut self.adj[self.start[a]..self.start[a] + self.len[a] as usize];
+            let at = list
+                .iter()
+                .position(|&w| w == v)
+                .expect("adjacency is symmetric");
+            list.swap(at, list.len() - 1);
+            self.len[a] -= 1;
+        }
+        self.len[v as usize] = 0;
+        self.alive.remove(v);
+    }
 }
 
 #[cfg(test)]
@@ -232,10 +516,15 @@ mod tests {
     fn diamond_degrees_match_generic_enumeration() {
         for seed in 1..8u64 {
             let g = random_graph(seed * 7 + 1, 9, 45);
-            let alive = VertexSet::full(9);
-            let fast = diamond_degrees(&g, &alive);
-            let slow = pattern_degrees(&g, &Pattern::diamond(), &alive);
-            assert_eq!(fast, slow, "seed {seed}");
+            let mut alive = VertexSet::full(9);
+            for dead in [None, Some(seed as u32 % 9), Some(0)] {
+                if let Some(v) = dead {
+                    alive.remove(v);
+                }
+                let fast = diamond_degrees(&g, &alive);
+                let slow = pattern_degrees(&g, &Pattern::diamond(), &alive);
+                assert_eq!(fast, slow, "seed {seed}, dead {dead:?}");
+            }
         }
     }
 
@@ -288,6 +577,39 @@ mod tests {
                 }
                 let got: HashMap<VertexId, u64> = dec.into_iter().collect();
                 assert_eq!(got, expect, "seed {seed} victim {victim}");
+            }
+        }
+    }
+
+    #[test]
+    fn peels_match_stateless_decrements_over_full_peels() {
+        for seed in 1..6u64 {
+            let g = random_graph(seed * 17 + 3, 12, 45);
+            let n = g.num_vertices() as u32;
+            // A scrambled removal order over every vertex.
+            let order: Vec<VertexId> = (0..n).map(|i| (i * 7 + seed as u32) % n).collect();
+            let mut alive = VertexSet::full(12);
+            alive.remove(order[n as usize - 1]);
+            let mut stars: Vec<StarPeel> = (2..=3).map(|x| StarPeel::new(&g, x, &alive)).collect();
+            let mut diamond = DiamondPeel::new(&g, &alive);
+            for (i, x) in (2..=3usize).enumerate() {
+                assert_eq!(stars[i].degrees(), star_degrees(&g, x, &alive));
+            }
+            assert_eq!(diamond.degrees(), diamond_degrees(&g, &alive));
+            for &v in &order[..n as usize - 1] {
+                for (i, x) in (2..=3usize).enumerate() {
+                    let mut got = Vec::new();
+                    stars[i].remove(v, &mut |u, a| got.push((u, a)));
+                    assert_eq!(
+                        got,
+                        star_decrements(&g, x, &alive, v),
+                        "seed {seed} x {x} v {v}"
+                    );
+                }
+                let mut got = Vec::new();
+                diamond.remove(v, &mut |u, a| got.push((u, a)));
+                assert_eq!(got, diamond_decrements(&g, &alive, v), "seed {seed} v {v}");
+                alive.remove(v);
             }
         }
     }

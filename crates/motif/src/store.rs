@@ -17,12 +17,12 @@
 //! built in parallel, sharded by degeneracy-ordered root vertex (every
 //! clique is discovered exactly once, from its lowest-ranked member), with
 //! per-worker columns concatenated at the end. General-pattern stores
-//! shard the same way over first-position candidates with canonical-root
-//! ownership (see [`crate::for_each_owned_instance_until`]): each worker
-//! emits exactly the instances whose canonical minimum vertex it owns, so
-//! the per-worker columns concatenate without cross-shard dedup and the
-//! grouped result is bit-identical to the serial pass for every worker
-//! count.
+//! shard the same way over first-position candidates (see
+//! [`crate::for_each_owned_instance_until`]): symmetry breaking reaches
+//! each instance through one embedding, whose pivot lands in exactly one
+//! worker's candidate set, so the per-worker columns concatenate without
+//! cross-shard dedup and the grouped result is bit-identical to the serial
+//! pass for every worker count.
 //!
 //! Row and membership counts are guarded against `u32` overflow, and an
 //! optional byte budget aborts oversized builds mid-enumeration — both
@@ -180,8 +180,8 @@ struct RowCaps {
 impl RowCaps {
     /// `transient_per_row` charges build-time scratch that peaks alongside
     /// the columns (the per-shard column copied at concatenation, the
-    /// pattern path's edge-set dedup entries) so a refused build cannot
-    /// itself blow the budget it was refused for.
+    /// pattern path's grouping copy, repair's cross-edge dedup entries) so
+    /// a refused build cannot itself blow the budget it was refused for.
     fn new(n: usize, psi_size: usize, transient_per_row: u64, budget: Option<u64>) -> Self {
         // Per row: members (4·|VΨ|) + incidence row ids (4·|VΨ|) + a
         // worst-case weight slot (4) + build transients. Offsets are per
@@ -362,8 +362,7 @@ impl InstanceStore {
     }
 
     /// Builds the store of all distinct instances of `psi` in `g[alive]`,
-    /// sharded across `threads` workers by first-position candidate with
-    /// canonical-root ownership (see
+    /// sharded across `threads` workers by first-position candidate (see
     /// [`crate::for_each_owned_instance_until`]): shards emit disjoint
     /// instance sets with no cross-shard dedup, and the grouping pass
     /// sorts rows by content, so the finished store is **bit-identical**
@@ -381,11 +380,8 @@ impl InstanceStore {
         let t0 = Instant::now();
         let n = g.num_vertices();
         let k = psi.vertex_count();
-        // Transient: the edge-set dedup keeps one heap-allocated canonical
-        // edge list per instance (8 bytes/edge + ~48 of set overhead),
-        // and grouping copies the member column once.
-        let dedup_per_row = 8 * psi.edge_count() as u64 + 48 + 4 * k as u64;
-        let caps = RowCaps::new(n, k, dedup_per_row, budget);
+        // Transient: grouping copies the member column once.
+        let caps = RowCaps::new(n, k, 4 * k as u64, budget);
         caps.check_base()?;
         let max_rows = caps.max_rows();
 
@@ -396,6 +392,11 @@ impl InstanceStore {
         let roots: Vec<VertexId> = alive.iter().collect();
         let shards = threads.max(1).min(roots.len().max(1));
         let enum_t0 = Instant::now();
+        // Compile the search plans here, not in a worker: a worker would
+        // allocate the pattern's long-lived memo in its own malloc arena,
+        // which then cannot be trimmed, and the fragmentation measurably
+        // raises peak RSS across repeated builds.
+        psi.plans();
 
         let (members, overflowed) = if shards <= 1 {
             let mut members: Vec<VertexId> = Vec::new();
@@ -415,8 +416,8 @@ impl InstanceStore {
             // Mirror of the sharded clique build: strided first-position
             // candidates (hub costs are skewed; striding mixes them),
             // per-worker columns, chunked row quota off one shared
-            // counter. Ownership makes shard outputs disjoint, so the
-            // columns concatenate with no dedup pass.
+            // counter. Symmetry breaking makes shard outputs disjoint, so
+            // the columns concatenate with no dedup pass.
             const ROW_CHUNK: u64 = 4_096;
             let chunk = ROW_CHUNK.min((max_rows / shards as u64).max(1));
             let total_rows = AtomicU64::new(0);
@@ -786,6 +787,9 @@ impl InstanceStore {
             }
         }
 
+        // Transient: the cross-edge dedup keeps one heap-allocated canonical
+        // edge list per new instance (8 bytes/edge + ~48 of set overhead),
+        // and grouping copies its member list.
         let dedup_per_row = 8 * psi.edge_count() as u64 + 48 + 4 * k as u64;
         let caps = RowCaps::new(self.inc_offsets.len() - 1, k, dedup_per_row, budget);
         caps.check_base()?;
@@ -1030,25 +1034,46 @@ fn push_sorted_row(members: &mut Vec<VertexId>, clique: &[VertexId], row: &mut [
 }
 
 /// Merges rows with identical member lists, returning the compacted
-/// column plus weights (`None` when every row was already unique).
+/// column plus weights (`None` when every row was already unique). Rows
+/// come out in ascending lexicographic order.
 fn group_rows(members: Vec<VertexId>, k: usize) -> (Vec<VertexId>, Option<Vec<u32>>) {
     let rows = members.len() / k;
     if rows <= 1 {
         return (members, None);
     }
-    let mut order: Vec<u32> = (0..rows as u32).collect();
-    let row_of = |i: u32| &members[i as usize * k..(i as usize + 1) * k];
-    order.sort_unstable_by(|&a, &b| row_of(a).cmp(row_of(b)));
-
     let mut grouped: Vec<VertexId> = Vec::with_capacity(members.len());
     let mut weights: Vec<u32> = Vec::new();
-    for &i in &order {
-        let row = row_of(i);
+    let mut push = |row: &[VertexId]| {
         if grouped.len() >= k && &grouped[grouped.len() - k..] == row {
             *weights.last_mut().expect("weight per emitted row") += 1;
         } else {
             grouped.extend_from_slice(row);
             weights.push(1);
+        }
+    };
+    if k <= 4 {
+        // Up to four 32-bit members pack into one u128 whose numeric order
+        // is the rows' lexicographic order, so the sort compares integers
+        // instead of slices through an index.
+        let mut keys: Vec<u128> = members
+            .chunks_exact(k)
+            .map(|row| row.iter().fold(0u128, |key, &v| key << 32 | v as u128))
+            .collect();
+        drop(members);
+        keys.sort_unstable();
+        let mut row = [0 as VertexId; 4];
+        for key in keys {
+            for (i, slot) in row[..k].iter_mut().enumerate() {
+                *slot = (key >> (32 * (k - 1 - i))) as VertexId;
+            }
+            push(&row[..k]);
+        }
+    } else {
+        let mut order: Vec<u32> = (0..rows as u32).collect();
+        let row_of = |i: u32| &members[i as usize * k..(i as usize + 1) * k];
+        order.sort_unstable_by(|&a, &b| row_of(a).cmp(row_of(b)));
+        for &i in &order {
+            push(row_of(i));
         }
     }
     if weights.iter().all(|&w| w == 1) {

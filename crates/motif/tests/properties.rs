@@ -1,5 +1,6 @@
 //! Property-style tests of the motif substrate: kClist vs generic pattern
-//! enumeration, automorphism-correct dedup, specialized degree paths, and
+//! enumeration, one emission per instance under symmetry breaking,
+//! specialized degree paths, and
 //! the parallel degree pass. Driven by a deterministic xorshift seed loop
 //! (no crates.io access in the container).
 
@@ -28,7 +29,8 @@ fn kclist_equals_pattern_enumeration() {
     }
 }
 
-/// Instance materialization dedups to exactly the counted number.
+/// Instance materialization emits exactly the counted number of
+/// distinct instances.
 #[test]
 fn instances_len_equals_count() {
     let mut rng = XorShift::new(0x1247);

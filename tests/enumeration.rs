@@ -6,6 +6,10 @@
 //!
 //! * the word-packed **bitset** kClist kernel and the sorted-**merge**
 //!   kernel emit the same cliques in the same order, root by root;
+//! * **symmetry-broken** pattern enumeration reaches each instance
+//!   exactly once: instances, anchored instances, counts and degrees
+//!   equal a plain backtracking reference that deduplicates every
+//!   embedding through a hash set of canonical edge sets;
 //! * **sharded** general-pattern enumeration produces a store that is
 //!   bit-identical to the serial build — same rows in the same order,
 //!   same weights, same incidence CSR — for any worker count;
@@ -24,7 +28,7 @@
 //! Iteration counts honour `DSD_PROP_ITERS` like `tests/dynamic.rs`;
 //! nightly CI runs this suite at 5000 iterations.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
 use dsd::core::oracle::{CliqueOracle, GenericPatternOracle};
 use dsd::core::{
@@ -34,7 +38,9 @@ use dsd::core::{
 use dsd::graph::{Graph, GraphUpdate, VertexId, VertexSet};
 use dsd::motif::kclist::{CliqueLister, CliqueScratch};
 use dsd::motif::store::InstanceStore;
-use dsd::motif::Pattern;
+use dsd::motif::{
+    count_instances, instances, instances_containing, pattern_degrees, Pattern, PatternInstance,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -122,6 +128,126 @@ fn assert_solutions_identical(ctx: &str, warm: &Solution, cold: &Solution) {
     );
 }
 
+/// Test-only reference enumerator: every injective embedding by plain
+/// backtracking over pattern vertices `0..k` (no symmetry breaking),
+/// deduplicated through a hash set of canonical edge sets. With `anchor`,
+/// keeps the instances containing it, the anchor exempt from `alive`.
+/// Sorted by edge set, like the library's materializers.
+fn reference_instances(
+    g: &Graph,
+    psi: &Pattern,
+    alive: &VertexSet,
+    anchor: Option<VertexId>,
+) -> Vec<PatternInstance> {
+    struct Ref<'a> {
+        g: &'a Graph,
+        psi: &'a Pattern,
+        alive: &'a VertexSet,
+        anchor: Option<VertexId>,
+        image: Vec<VertexId>,
+        seen: HashSet<Vec<(VertexId, VertexId)>>,
+        out: Vec<PatternInstance>,
+    }
+    impl Ref<'_> {
+        fn extend(&mut self) {
+            let pos = self.image.len();
+            if pos == self.psi.vertex_count() {
+                if self.anchor.is_some_and(|v| !self.image.contains(&v)) {
+                    return;
+                }
+                let mut edges: Vec<(VertexId, VertexId)> = self
+                    .psi
+                    .edges()
+                    .iter()
+                    .map(|&(a, b)| {
+                        let (u, v) = (self.image[a as usize], self.image[b as usize]);
+                        (u.min(v), u.max(v))
+                    })
+                    .collect();
+                edges.sort_unstable();
+                if self.seen.insert(edges.clone()) {
+                    let mut vertices = self.image.clone();
+                    vertices.sort_unstable();
+                    self.out.push(PatternInstance { vertices, edges });
+                }
+                return;
+            }
+            for cand in self.g.vertices() {
+                if (self.alive.contains(cand) || self.anchor == Some(cand))
+                    && !self.image.contains(&cand)
+                    && (0..pos)
+                        .all(|q| !self.psi.has_edge(pos, q) || self.g.has_edge(cand, self.image[q]))
+                {
+                    self.image.push(cand);
+                    self.extend();
+                    self.image.pop();
+                }
+            }
+        }
+    }
+    let mut r = Ref {
+        g,
+        psi,
+        alive,
+        anchor,
+        image: Vec::new(),
+        seen: HashSet::new(),
+        out: Vec::new(),
+    };
+    r.extend();
+    r.out.sort_unstable_by(|a, b| a.edges.cmp(&b.edges));
+    r.out
+}
+
+/// Symmetry-broken enumeration must equal the hash-set-dedup reference:
+/// instances, anchored instances at every vertex (dead anchors included),
+/// counts and degrees, over the menu and beyond.
+#[test]
+fn symmetry_broken_enumeration_matches_dedup_reference() {
+    let iters = prop_iters(3);
+    let mut rng = StdRng::seed_from_u64(0x15E9_0005);
+    let mut menu = Pattern::figure7();
+    menu.extend([
+        Pattern::triangle(),
+        Pattern::clique(4),
+        Pattern::cycle(5),
+        Pattern::path(4),
+        Pattern::complete_bipartite(2, 3),
+    ]);
+    for iter in 0..iters {
+        let g = random_graph(&mut rng, 10, 15, 0.25, 0.5);
+        let n = g.num_vertices();
+        let mut alive = VertexSet::full(n);
+        for _ in 0..2 {
+            alive.remove(rng.gen_range(0..n as VertexId));
+        }
+        for psi in &menu {
+            let ctx = format!("iter {iter}, psi = {}", psi.name());
+            let reference = reference_instances(&g, psi, &alive, None);
+            assert_eq!(instances(&g, psi, &alive), reference, "instances: {ctx}");
+            assert_eq!(
+                count_instances(&g, psi, &alive),
+                reference.len() as u64,
+                "count: {ctx}"
+            );
+            let mut degrees = vec![0u64; n];
+            for inst in &reference {
+                for &v in &inst.vertices {
+                    degrees[v as usize] += 1;
+                }
+            }
+            assert_eq!(pattern_degrees(&g, psi, &alive), degrees, "degrees: {ctx}");
+            for v in 0..n as VertexId {
+                assert_eq!(
+                    instances_containing(&g, psi, v, &alive),
+                    reference_instances(&g, psi, &alive, Some(v)),
+                    "anchored at {v}: {ctx}"
+                );
+            }
+        }
+    }
+}
+
 /// Bitset and merge kernels must emit identical cliques in identical
 /// order — per root, across sparse and crossover-dense graphs.
 #[test]
@@ -159,7 +285,11 @@ fn sharded_pattern_store_matches_serial_bitwise() {
     for iter in 0..iters {
         let g = random_graph(&mut rng, 14, 24, 0.25, 0.45);
         let alive = VertexSet::full(g.num_vertices());
-        for psi in [Pattern::c3_star(), Pattern::diamond()] {
+        for psi in [
+            Pattern::c3_star(),
+            Pattern::diamond(),
+            Pattern::two_triangle(),
+        ] {
             let (serial, _) = InstanceStore::pattern(&g, &psi, &alive, 1, None)
                 .expect("serial pattern build fits the default budget");
             let reference = store_fingerprint(&serial);
