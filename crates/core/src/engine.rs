@@ -1975,12 +1975,12 @@ impl DsdRequest {
         self
     }
 
-    /// Sets an α-tolerance for the binary search: the answer's density is
+    /// Sets an α-tolerance for the α-search: the answer's density is
     /// then within `tolerance` of optimal instead of certified exact.
     ///
-    /// Applies to the binary-search objectives/methods (Densest via
-    /// Exact/CoreExact, and top-k); the peel/core methods and the query
-    /// variant have no α search and ignore it.
+    /// Applies to the α-search objectives/methods (Densest via
+    /// Exact/CoreExact, and top-k); the peel/core methods have no α
+    /// search, and the query variant always certifies, so both ignore it.
     pub fn tolerance(mut self, tolerance: f64) -> Self {
         self.tolerance = Some(tolerance);
         self
@@ -1989,7 +1989,7 @@ impl DsdRequest {
     /// Caps the number of min-cut probes; an exhausted budget returns the
     /// best subgraph found so far (guarantee degrades to `Heuristic`).
     ///
-    /// Applies to the same binary-search paths as [`Self::tolerance`].
+    /// Applies to the same α-search paths as [`Self::tolerance`].
     /// For [`Objective::TopK`] the cap is per round (each of the up-to-`k`
     /// CoreExact scans gets its own budget), so a request's probe total is
     /// bounded by `k × probes`.

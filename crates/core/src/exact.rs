@@ -1,6 +1,6 @@
 //! Algorithm 1 (`Exact`) and Algorithm 8 (`PExact`): flow-based exact DSD
 //! riding the shared [`mod@crate::alpha_search`] loop over the guessed
-//! density α.
+//! density α, starting from the midpoint of `[0, max Ψ-degree]`.
 //!
 //! The network is constructed over the entire graph (the size weakness
 //! that `CoreExact` repairs by locating in a core), but each guess is no
@@ -14,22 +14,22 @@
 use dsd_graph::{Graph, VertexId, VertexSet};
 use dsd_motif::pattern::{Pattern, PatternKind};
 
-use crate::alpha_search::{alpha_search, effective_gap, NetworkProbe};
+use crate::alpha_search::{alpha_search, effective_gap, DecisionProbe, FirstProbe, NetworkProbe};
 use crate::flownet::{
     build_clique_network, build_edge_network, build_pattern_network, build_store_network,
     DensityNetwork, FlowBackend, NetworkLender,
 };
-use crate::oracle::{density, oracle_for, DensityOracle};
+use crate::oracle::{oracle_for, DensityOracle};
 use crate::types::DsdResult;
 
 pub use crate::alpha_search::{density_gap, ExactStats};
 
-/// Per-request knobs for the flow/binary-search framework.
+/// Per-request knobs for the flow/α-search framework.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExactOpts {
     /// Max-flow backend for the min-cut probes.
     pub backend: FlowBackend,
-    /// Extra binary-search stopping tolerance on α. The effective gap is
+    /// Extra α-search stopping tolerance on α. The effective gap is
     /// `max(1/(n(n−1)), tolerance)` — Lemma 12's separation keeps the
     /// default exact; a larger tolerance trades certified precision for
     /// fewer probes.
@@ -165,30 +165,32 @@ pub(crate) fn exact_with_lender(
     // otherwise PExact's ungrouped Algorithm-8 network — construct+
     // grouping without a store belongs to CorePExact.
     let mut net = acquire_network(g, &members, psi, false, oracle, lender);
+    let mut probe = NetworkProbe::new(&mut net, g, oracle, opts.backend);
     let outcome = alpha_search(
-        &mut NetworkProbe::new(&mut net, opts.backend),
+        &mut probe,
         bounds,
+        FirstProbe::Midpoint,
         gap,
         budget,
         &mut stats,
     );
-    let mut best = outcome.witness.unwrap_or_default();
-    if best.is_empty() {
-        // μ > 0 guarantees α = 0 is feasible, so an empty witness means an
-        // exhausted step budget starved the search before any feasible
-        // probe. Fall back to one counted probe at the proven-feasible
-        // guess rather than returning a bogus empty answer (see the
-        // `step_budget` docs).
-        stats.iterations += 1;
-        stats.network_nodes.push(net.num_nodes());
-        best = net.solve(0.0, opts.backend).unwrap_or_default();
-    }
+    let (mut best, rho) = match outcome.witness {
+        Some(w) => (w, outcome.lower),
+        None => {
+            // μ > 0 guarantees α = 0 is feasible, so a missing witness
+            // means an exhausted step budget starved the search before
+            // any feasible probe. Fall back to one counted probe at the
+            // proven-feasible guess rather than returning a bogus empty
+            // answer (see the `step_budget` docs).
+            stats.iterations += 1;
+            stats.network_nodes.push(probe.network_nodes());
+            probe.probe(0.0).unwrap_or_default()
+        }
+    };
     stats.absorb_flow(net.probe_stats());
     release_network(&members, net, lender);
     debug_assert!(!best.is_empty(), "μ > 0 guarantees a feasible guess");
     best.sort_unstable();
-    let set = VertexSet::from_members(n, &best);
-    let rho = density(oracle, g, &set);
     (
         DsdResult {
             vertices: best,

@@ -37,11 +37,11 @@
 //!   store-built network's.
 //!
 //! Only the `v→t` capacities depend on α — monotone *non-decreasingly* —
-//! so a network is built once per candidate subgraph and each
-//! binary-search guess is served by the parametric machinery of
-//! `dsd_flow::parametric`: [`DensityNetwork::solve`] keeps one solver
-//! allocation alive across the probe sequence, checkpoints the flow state
-//! of feasible probes (whose α becomes the search's lower bound), and
+//! so a network is built once per candidate subgraph and each α-search
+//! guess is served by the parametric machinery of `dsd_flow::parametric`:
+//! [`DensityNetwork::solve`] keeps one solver allocation alive across the
+//! probe sequence, checkpoints the flow state of feasible probes (the
+//! search then raises its lower bound past their α), and
 //! warm-[`resolve`](dsd_flow::MaxFlow::resolve)s every probe whose α
 //! dominates the checkpoint instead of paying a from-scratch max-flow —
 //! the Gallo–Grigoriadis–Tarjan amortization \[29\] the paper cites as
@@ -283,10 +283,13 @@ impl DensityNetwork {
     ///
     /// Soundness rule: a checkpoint taken at α may seed any later probe
     /// with α′ ≥ α (capacities only grow from α to α′, so the stored flow
-    /// stays feasible). The α-search loop probes strictly above its lower
-    /// bound, so callers checkpoint exactly when a probe's α *becomes*
-    /// the lower bound: [`Self::solve`] does it on every feasible probe;
-    /// seed probes at the initial lower bound call this directly.
+    /// stays feasible). Callers checkpoint at feasible probes
+    /// ([`Self::solve`] and the α-search's probes do it): the α-search
+    /// then raises its lower bound to the witness's density, above the
+    /// checkpoint's α, and never probes below that bound — its
+    /// certification probe sits exactly on it — so every later probe can
+    /// restore from the checkpoint. Seed probes at the initial lower
+    /// bound call this directly.
     pub fn checkpoint(&mut self) {
         if !self.warm_start {
             return;
@@ -408,6 +411,29 @@ impl DensityNetwork {
             self.checkpoint();
             Some(vertices)
         }
+    }
+
+    /// The α-search's probe: feasible iff the min-cut source side is
+    /// non-empty and its density — scored by `density` — strictly beats
+    /// `alpha` (a cut that only ties α, a floating-point tie at the
+    /// optimum, is infeasible). Returns the side and its density;
+    /// feasible probes checkpoint the flow state.
+    pub(crate) fn solve_beating(
+        &mut self,
+        alpha: f64,
+        backend: FlowBackend,
+        density: impl FnOnce(&[VertexId]) -> f64,
+    ) -> Option<(Vec<VertexId>, f64)> {
+        let side = self.min_cut_side(alpha, backend);
+        if side.is_empty() {
+            return None;
+        }
+        let rho = density(&side);
+        if rho <= alpha {
+            return None;
+        }
+        self.checkpoint();
+        Some((side, rho))
     }
 }
 

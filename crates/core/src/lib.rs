@@ -88,7 +88,8 @@ pub mod top_k;
 pub mod types;
 
 pub use alpha_search::{
-    alpha_search, density_gap, effective_gap, DecisionProbe, NetworkProbe, SearchOutcome,
+    alpha_search, density_gap, effective_gap, DecisionProbe, FirstProbe, NetworkProbe,
+    SearchOutcome,
 };
 pub use approx::{core_app, core_app_from, inc_app, inc_app_from, inc_app_parallel, ApproxResult};
 pub use bounds::{density_bounds, locate_core_order, DensityBounds};

@@ -1012,6 +1012,15 @@ pub fn density(oracle: &dyn DensityOracle, g: &Graph, alive: &VertexSet) -> f64 
     }
 }
 
+/// [`density`] of the subgraph induced by a member list.
+pub(crate) fn member_density(oracle: &dyn DensityOracle, g: &Graph, members: &[VertexId]) -> f64 {
+    density(
+        oracle,
+        g,
+        &VertexSet::from_members(g.num_vertices(), members),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

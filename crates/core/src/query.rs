@@ -7,14 +7,13 @@
 //! answer inside a *Q-anchored* ⌈x/2⌉-core (peeling never removes Q); (4)
 //! α-search with a *pinned* Goldberg network (`s→q` capacity ∞ for
 //! `q ∈ Q`, forcing Q into the source side of every min cut), riding the
-//! shared [`mod@crate::alpha_search`] loop. The pinned network is built once
-//! and every probe runs through the parametric resolve machinery —
-//! previously this path rebuilt the network *and* re-solved from scratch
-//! at every guess.
+//! shared [`mod@crate::alpha_search`] loop from the midpoint of
+//! `[x/2, kmax]`. The pinned network is built once and every probe runs
+//! through the parametric resolve machinery.
 
 use dsd_graph::{Graph, InducedSubgraph, VertexId, VertexSet};
 
-use crate::alpha_search::{alpha_search, density_gap, DecisionProbe, ExactStats};
+use crate::alpha_search::{alpha_search, density_gap, DecisionProbe, ExactStats, FirstProbe};
 use crate::flownet::{build_query_network, DensityNetwork, FlowBackend, NetworkLender};
 use crate::kcore::{k_core_decomposition, KCoreDecomposition};
 use crate::types::DsdResult;
@@ -29,7 +28,7 @@ pub fn densest_with_query(g: &Graph, query: &[VertexId]) -> Option<DsdResult> {
 
 /// The pinned-network probe: the min cut always keeps Q on the source
 /// side (the ∞ pins make `S = {s}` impossible), so feasibility is decided
-/// by the returned side's *density* rather than cut non-triviality.
+/// by the returned side's edge density strictly beating α.
 /// Feasible probes checkpoint the flow state for the parametric chain.
 struct QueryProbe<'a> {
     net: &'a mut DensityNetwork,
@@ -40,18 +39,10 @@ struct QueryProbe<'a> {
 impl DecisionProbe for QueryProbe<'_> {
     type Witness = Vec<VertexId>;
 
-    fn probe(&mut self, alpha: f64) -> Option<Vec<VertexId>> {
-        let side = self.net.min_cut_side(alpha, self.backend);
-        if side.is_empty() {
-            return None;
-        }
-        let density = induced_edges(self.g, &side) as f64 / side.len() as f64;
-        if density > alpha {
-            self.net.checkpoint();
-            Some(side)
-        } else {
-            None
-        }
+    fn probe(&mut self, alpha: f64) -> Option<(Vec<VertexId>, f64)> {
+        let g = self.g;
+        self.net
+            .solve_beating(alpha, self.backend, |side| edge_density(g, side))
     }
 
     fn network_nodes(&self) -> usize {
@@ -137,6 +128,8 @@ pub(crate) fn densest_with_query_lender(
     // sequence. The seed probe at l both captures the x-core-quality
     // answer (robust when no strictly-denser subgraph exists) and
     // checkpoints the parametric chain — every later probe has α > l.
+    // The search itself starts from the midpoint: witness jumps from the
+    // weak x/2 bound would first cut off large low-density sides.
     let l = x as f64 / 2.0;
     let u = cores.kmax as f64;
     let mut stats = ExactStats {
@@ -160,7 +153,14 @@ pub(crate) fn densest_with_query_lender(
             g: &sub.graph,
             backend,
         };
-        alpha_search(&mut probe, (l, u), gap, usize::MAX, &mut stats)
+        alpha_search(
+            &mut probe,
+            (l, u),
+            FirstProbe::Midpoint,
+            gap,
+            usize::MAX,
+            &mut stats,
+        )
     };
     if let Some(side) = outcome.witness {
         best = Some(side);
@@ -173,14 +173,19 @@ pub(crate) fn densest_with_query_lender(
     let side = best?;
     let mut vertices: Vec<VertexId> = side.iter().map(|&v| sub.to_parent(v)).collect();
     vertices.sort_unstable();
-    let m_in = induced_edges(&sub.graph, &side);
     Some((
         DsdResult {
-            density: m_in as f64 / side.len() as f64,
+            density: edge_density(&sub.graph, &side),
             vertices,
         },
         stats,
     ))
+}
+
+/// Edge density of `g[members]` — the probe's witness score and the
+/// answer's density alike.
+fn edge_density(g: &Graph, members: &[VertexId]) -> f64 {
+    induced_edges(g, members) as f64 / members.len() as f64
 }
 
 fn induced_edges(g: &Graph, members: &[VertexId]) -> usize {

@@ -20,8 +20,8 @@
 //!    runs ([`DsdEngine::solve_certified`]), where located-core
 //!    components confined to one certified shard are skipped whenever
 //!    their certified optimum cannot beat the running lower bound — a
-//!    skip that provably mirrors an infeasible seed probe (Lemma 14
-//!    strict feasibility), so answers stay **bit-identical** to the
+//!    skip that provably mirrors an infeasible first probe at that bound
+//!    (Lemma 14 strict feasibility), so answers stay **bit-identical** to the
 //!    single-engine path. Cross-shard structure (boundary edges, split
 //!    components) always flows through the real flow machinery.
 //!

@@ -36,7 +36,7 @@ pub fn top_k_densest(g: &Graph, psi: &Pattern, k: usize) -> Vec<DsdResult> {
 pub struct TopKScan {
     /// Vertex-disjoint densest subgraphs, densest first.
     pub subgraphs: Vec<DsdResult>,
-    /// Whether any round's binary search was cut short by the config's
+    /// Whether any round's α-search was cut short by the config's
     /// step budget (the affected rounds are then not certified optimal).
     pub budget_exhausted: bool,
     /// α-search instrumentation merged across all rounds (probe counts,

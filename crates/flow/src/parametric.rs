@@ -1,7 +1,7 @@
 //! Parametric probe driver: one solver allocation + warm `resolve` across
 //! a monotone probe sequence.
 //!
-//! The exact DSD algorithms binary-search a density guess α, and the only
+//! The exact DSD algorithms search a density guess α, and the only
 //! α-dependent capacities (`v→t`) are monotone non-decreasing in α. That
 //! is exactly the regime of Gallo–Grigoriadis–Tarjan parametric max-flow:
 //! a probe at a higher α can keep the previous flow (still feasible) and

@@ -11,13 +11,21 @@
 //! grouped and ungrouped forms), driving each pair of networks through a
 //! bisection-shaped α schedule (ups after feasible probes, downs after
 //! infeasible ones — the downs are what exercise the checkpoint-restore
-//! path). Honours `DSD_PROP_ITERS` for the nightly deep run.
+//! path). The last test checks the witness-jump α-search end to end:
+//! engine answers for Exact, CoreExact, top-3 and the query variant must
+//! match a bisection-driven reference bit for bit, with fewer probes.
+//! Honours `DSD_PROP_ITERS` for the nightly deep run.
 
 use dsd::core::flownet::{
-    build_clique_network, build_edge_network, build_pattern_network, DensityNetwork, FlowBackend,
+    build_clique_network, build_edge_network, build_pattern_network, build_query_network,
+    DensityNetwork, FlowBackend,
+};
+use dsd::core::{
+    decompose, density, density_gap, k_core_decomposition, oracle_for, DecisionProbe, DsdResult,
 };
 use dsd::graph::testing::XorShift;
-use dsd::graph::Graph;
+use dsd::graph::{connected_components_within, Graph, InducedSubgraph, VertexSet};
+use dsd::motif::pattern::PatternKind;
 use dsd::motif::Pattern;
 
 fn iters() -> usize {
@@ -179,13 +187,14 @@ fn backend_switch_mid_sequence_stays_correct() {
     }
 }
 
-/// `exact` (which now rides the shared α-search with parametric reuse)
+/// `exact` (which rides the shared α-search with parametric reuse)
 /// returns the same answer as a reuse-disabled run of the same search —
 /// the end-to-end closure of the per-probe checks above.
 #[test]
 fn exact_results_match_between_parametric_and_scratch_probes() {
-    use dsd::core::{alpha_search, density_gap, exact, NetworkProbe};
+    use dsd::core::{alpha_search, exact, FirstProbe, NetworkProbe};
 
+    let mut reuse_checked = 0;
     for seed in 0..iters() as u64 {
         let mut rng = XorShift::new(0xD1FF ^ (seed * 271));
         let g = rng.random_graph(6, 14, 40);
@@ -201,10 +210,16 @@ fn exact_results_match_between_parametric_and_scratch_probes() {
                 _ => build_clique_network(&g, &members, psi.vertex_count()),
             };
             net.set_warm_start(false);
+            let oracle = oracle_for(&psi);
+            let mut probe = Recorder {
+                inner: NetworkProbe::new(&mut net, &g, oracle.as_ref(), FlowBackend::Dinic),
+                feasible: Vec::new(),
+            };
             let mut stats = dsd::core::exact::ExactStats::default();
             let outcome = alpha_search(
-                &mut NetworkProbe::new(&mut net, FlowBackend::Dinic),
+                &mut probe,
                 ref_stats.initial_bounds,
+                FirstProbe::Midpoint,
                 density_gap(g.num_vertices()),
                 usize::MAX,
                 &mut stats,
@@ -217,13 +232,355 @@ fn exact_results_match_between_parametric_and_scratch_probes() {
                 "seed {seed} {}: parametric vs scratch exact diverged",
                 psi.name()
             );
+            assert_eq!(outcome.lower.to_bits(), reference.density.to_bits());
             assert_eq!(stats.iterations, ref_stats.iterations, "same probe count");
             assert_eq!(stats.resolve_hits, 0, "scratch run must not reuse");
-            assert!(
-                ref_stats.resolve_hits > 0,
-                "seed {seed} {}: parametric run never reused flow state",
-                psi.name()
-            );
+            // Only a probe after a feasible one has checkpointed flow to
+            // resolve from; a search that certifies its first witness
+            // right away may have none.
+            let probes_after_feasible = match probe.feasible.iter().position(|&f| f) {
+                Some(i) => probe.feasible.len() - i - 1,
+                None => 0,
+            };
+            if probes_after_feasible > 0 {
+                reuse_checked += 1;
+                assert!(
+                    ref_stats.resolve_hits > 0,
+                    "seed {seed} {}: parametric run never reused flow state",
+                    psi.name()
+                );
+            }
         }
     }
+    assert!(reuse_checked > 0, "no search probed after a feasible probe");
+}
+
+/// Wraps a probe and records each probe's feasibility.
+struct Recorder<P> {
+    inner: P,
+    feasible: Vec<bool>,
+}
+
+impl<P: DecisionProbe> DecisionProbe for Recorder<P> {
+    type Witness = P::Witness;
+
+    fn probe(&mut self, alpha: f64) -> Option<(P::Witness, f64)> {
+        let out = self.inner.probe(alpha);
+        self.feasible.push(out.is_some());
+        out
+    }
+
+    fn network_nodes(&self) -> usize {
+        self.inner.network_nodes()
+    }
+}
+
+// ── Witness-jump vs bisection differential ───────────────────────────
+//
+// The α-search jumps its lower bound to each feasible witness's density
+// and certifies with a probe there, instead of bisecting down to Lemma
+// 12's gap. The reference below is the bisection loop it replaced, driving
+// test-local re-implementations of Exact, CoreExact (all prunings; its
+// Pruning3 network shrinks change no feasibility decision, so they are
+// left out), the top-k scan and the query variant over the same public
+// network constructions. Every engine answer must match the reference's
+// vertices and density bits.
+
+/// The bisection α loop: probe the midpoint of `[lower, upper]` until the
+/// bracket is narrower than `gap`, raising `lower` on feasible probes and
+/// lowering `upper` otherwise. Returns the final lower bound and the last
+/// feasible probe's witness; counts probes into `probes`.
+fn bisect<W>(
+    bounds: (f64, f64),
+    gap: f64,
+    probes: &mut usize,
+    mut probe: impl FnMut(f64) -> Option<W>,
+) -> (f64, Option<W>) {
+    let (mut lower, mut upper) = bounds;
+    let mut witness = None;
+    while upper - lower >= gap {
+        *probes += 1;
+        let alpha = (lower + upper) / 2.0;
+        match probe(alpha) {
+            Some(w) => {
+                lower = alpha;
+                witness = Some(w);
+            }
+            None => upper = alpha,
+        }
+    }
+    (lower, witness)
+}
+
+/// The enumeration-built density network for Ψ over `g[members]`.
+fn density_network(g: &Graph, members: &[u32], psi: &Pattern, grouped: bool) -> DensityNetwork {
+    match psi.kind() {
+        PatternKind::Clique(2) => build_edge_network(g, members),
+        PatternKind::Clique(h) => build_clique_network(g, members, h),
+        _ => build_pattern_network(g, members, psi, grouped),
+    }
+}
+
+fn psi_density(g: &Graph, psi: &Pattern, vs: &[u32]) -> f64 {
+    let oracle = oracle_for(psi);
+    density(
+        oracle.as_ref(),
+        g,
+        &VertexSet::from_members(g.num_vertices(), vs),
+    )
+}
+
+fn sorted_result(mut vertices: Vec<u32>, density: f64) -> DsdResult {
+    vertices.sort_unstable();
+    DsdResult { vertices, density }
+}
+
+/// Algorithm 1/8 over the whole graph with bisection.
+fn ref_exact(g: &Graph, psi: &Pattern, probes: &mut usize) -> DsdResult {
+    let oracle = oracle_for(psi);
+    let full = VertexSet::full(g.num_vertices());
+    let max_deg = oracle.degrees(g, &full).into_iter().max().unwrap_or(0);
+    if max_deg == 0 {
+        return DsdResult::empty();
+    }
+    let mut net = density_network(g, &all(g), psi, false);
+    let gap = density_gap(g.num_vertices());
+    let (_, w) = bisect((0.0, max_deg as f64), gap, probes, |a| {
+        net.solve(a, FlowBackend::Dinic)
+    });
+    let w = w.expect("μ > 0 makes some probe feasible");
+    let rho = psi_density(g, psi, &w);
+    sorted_result(w, rho)
+}
+
+/// Algorithm 4 (all prunings) with a seed probe at `l` and bisection.
+fn ref_core_exact(g: &Graph, psi: &Pattern, probes: &mut usize) -> DsdResult {
+    let oracle = oracle_for(psi);
+    let dec = decompose(g, oracle.as_ref());
+    if dec.kmax == 0 {
+        return DsdResult::empty();
+    }
+    let ceil_k = |x: f64| if x <= 0.0 { 0 } else { x.ceil() as u64 };
+    let core_vs = dec.max_core().to_vec();
+    let core_rho = psi_density(g, psi, &core_vs);
+    let (mut best_vs, mut best_rho) = if dec.best_density > core_rho {
+        (dec.best_residual(), dec.best_density)
+    } else {
+        (core_vs, core_rho)
+    };
+    let mut l = dec
+        .best_density
+        .max(dec.kmax as f64 / psi.vertex_count() as f64);
+    let mut k_loc = ceil_k(l).max(1);
+    let (mut rho2, mut rho2_vs) = (0.0f64, Vec::new());
+    for members in connected_components_within(g, &dec.core_set(k_loc)).all_members() {
+        let rho = psi_density(g, psi, &members);
+        if rho > rho2 {
+            (rho2, rho2_vs) = (rho, members);
+        }
+    }
+    if rho2 > best_rho {
+        (best_rho, best_vs) = (rho2, rho2_vs);
+    }
+    l = l.max(rho2);
+    k_loc = k_loc.max(ceil_k(rho2));
+    for comp in connected_components_within(g, &dec.core_set(k_loc)).all_members() {
+        let lk = ceil_k(l);
+        let comp: Vec<u32> = comp
+            .into_iter()
+            .filter(|&v| lk <= k_loc || dec.core[v as usize] >= lk)
+            .collect();
+        if comp.len() < psi.vertex_count() {
+            continue;
+        }
+        let mut net = density_network(g, &comp, psi, true);
+        let mut record = |w: Vec<u32>| {
+            let rho = psi_density(g, psi, &w);
+            if rho > best_rho {
+                (best_rho, best_vs) = (rho, w);
+            }
+        };
+        *probes += 1;
+        if let Some(w) = net.solve(l, FlowBackend::Dinic) {
+            record(w);
+            let gap = density_gap(comp.len());
+            let bounds = (l, dec.kmax as f64);
+            (l, _) = bisect(bounds, gap, probes, |a| {
+                net.solve(a, FlowBackend::Dinic).map(&mut record)
+            });
+        }
+    }
+    sorted_result(best_vs, best_rho)
+}
+
+/// The disjoint top-k scan over [`ref_core_exact`].
+fn ref_top_k(g: &Graph, psi: &Pattern, k: usize, probes: &mut usize) -> Vec<DsdResult> {
+    let mut alive = VertexSet::full(g.num_vertices());
+    let mut out = Vec::new();
+    while out.len() < k && alive.len() >= psi.vertex_count() {
+        let sub = InducedSubgraph::from_set(g, &alive);
+        let local = ref_core_exact(&sub.graph, psi, probes);
+        if local.is_empty() {
+            break;
+        }
+        let vertices = sub.to_parent_vec(&local.vertices);
+        for &v in &vertices {
+            alive.remove(v);
+        }
+        out.push(DsdResult {
+            vertices,
+            density: local.density,
+        });
+    }
+    out
+}
+
+fn edge_density(g: &Graph, side: &[u32]) -> f64 {
+    psi_density(g, &Pattern::edge(), side)
+}
+
+/// Section 6.3: the Q-anchored ⌈x/2⌉-core, a seed probe at x/2 on the
+/// pinned network, then bisection on `[x/2, kmax]`.
+fn ref_query(g: &Graph, query: &[u32], probes: &mut usize) -> DsdResult {
+    let cores = k_core_decomposition(g);
+    let x = query.iter().map(|&q| cores.core[q as usize]).min().unwrap();
+    let k = x.div_ceil(2) as usize;
+    let mut alive = VertexSet::full(g.num_vertices());
+    let mut deg = g.degrees();
+    let mut stack: Vec<u32> = g
+        .vertices()
+        .filter(|&v| !query.contains(&v) && deg[v as usize] < k)
+        .collect();
+    while let Some(v) = stack.pop() {
+        if !alive.contains(v) {
+            continue;
+        }
+        alive.remove(v);
+        for &u in g.neighbors(v) {
+            if alive.contains(u) {
+                deg[u as usize] -= 1;
+                if !query.contains(&u) && deg[u as usize] < k {
+                    stack.push(u);
+                }
+            }
+        }
+    }
+    let sub = InducedSubgraph::from_set(g, &alive);
+    let local_query: Vec<u32> = (0..sub.orig.len() as u32)
+        .filter(|&i| query.contains(&sub.to_parent(i)))
+        .collect();
+    let l = x as f64 / 2.0;
+    let mut net = build_query_network(&sub.graph, &local_query);
+    *probes += 1;
+    let seed = net.min_cut_side(l, FlowBackend::Dinic);
+    net.checkpoint();
+    let gap = density_gap(sub.graph.num_vertices());
+    let (_, w) = bisect((l, cores.kmax as f64), gap, probes, |a| {
+        let side = net.min_cut_side(a, FlowBackend::Dinic);
+        let feasible = !side.is_empty() && edge_density(&sub.graph, &side) > a;
+        feasible.then(|| {
+            net.checkpoint();
+            side
+        })
+    });
+    let side = w.unwrap_or(seed);
+    let rho = edge_density(&sub.graph, &side);
+    sorted_result(sub.to_parent_vec(&side), rho)
+}
+
+/// Graphs with several tied densest subgraphs: disjoint equal cliques,
+/// alone and beside sparser parts.
+fn tied_graphs() -> Vec<Graph> {
+    let cliques = |sizes: &[u32], extra: &[(u32, u32)]| {
+        let mut edges = Vec::new();
+        let mut base = 0;
+        for &h in sizes {
+            for u in base..base + h {
+                for v in (u + 1)..base + h {
+                    edges.push((u, v));
+                }
+            }
+            base += h;
+        }
+        edges.extend_from_slice(extra);
+        let n = base.max(extra.iter().map(|&(u, v)| u.max(v) + 1).max().unwrap_or(0));
+        Graph::from_edges(n as usize, &edges)
+    };
+    vec![
+        cliques(&[4, 4], &[]),
+        cliques(&[5, 5, 5], &[]),
+        cliques(&[5, 5, 4], &[(13, 14), (14, 15)]),
+        cliques(&[4, 4, 4], &[(3, 12), (12, 13), (13, 14), (14, 12)]),
+    ]
+}
+
+fn assert_same(label: &str, got: &DsdResult, want: &DsdResult) {
+    assert_eq!(got.vertices, want.vertices, "{label}: vertices diverged");
+    assert_eq!(
+        got.density.to_bits(),
+        want.density.to_bits(),
+        "{label}: density diverged ({} vs {})",
+        got.density,
+        want.density
+    );
+}
+
+#[test]
+fn witness_jump_search_matches_bisection_reference() {
+    use dsd::core::{DsdEngine, Method, Objective};
+
+    let mut graphs = tied_graphs();
+    for seed in 0..iters() as u64 {
+        let mut rng = XorShift::new(0x1A3B ^ (seed * 6151));
+        graphs.push(rng.random_graph(8, 18, 25 + (seed % 40)));
+    }
+    let patterns = [
+        Pattern::edge(),
+        Pattern::triangle(),
+        Pattern::clique(4),
+        Pattern::diamond(),
+    ];
+    // (reference, witness-jump) probe totals.
+    let (mut ref_probes, mut jump_probes) = (0usize, 0usize);
+    for (i, g) in graphs.iter().enumerate() {
+        let engine = DsdEngine::over(g);
+        for psi in &patterns {
+            let label = format!("graph {i} {}", psi.name());
+            for method in [Method::Exact, Method::CoreExact] {
+                let got = engine.request(psi).method(method).solve();
+                let want = match method {
+                    Method::Exact => ref_exact(g, psi, &mut ref_probes),
+                    _ => ref_core_exact(g, psi, &mut ref_probes),
+                };
+                assert_same(&format!("{label} {method:?}"), &got.to_result(), &want);
+                jump_probes += got.stats.flow_iterations;
+            }
+            let got = engine.request(psi).objective(Objective::TopK(3)).solve();
+            let want = ref_top_k(g, psi, 3, &mut ref_probes);
+            assert_eq!(got.subgraphs.len(), want.len(), "{label} top-3: rounds");
+            for (round, (a, b)) in got.subgraphs.iter().zip(&want).enumerate() {
+                assert_same(&format!("{label} top-3 round {round}"), a, b);
+            }
+            jump_probes += got.stats.flow_iterations;
+        }
+        let n = g.num_vertices() as u32;
+        for query in [vec![i as u32 % n], vec![0, n - 1]] {
+            let got = engine
+                .request(&Pattern::edge())
+                .objective(Objective::WithQuery(query.clone()))
+                .solve();
+            let want = ref_query(g, &query, &mut ref_probes);
+            assert_same(
+                &format!("graph {i} query {query:?}"),
+                &got.to_result(),
+                &want,
+            );
+            jump_probes += got.stats.flow_iterations;
+        }
+    }
+    println!("probes: bisection {ref_probes}, witness-jump {jump_probes}");
+    assert!(
+        jump_probes < ref_probes,
+        "witness jumps used {jump_probes} probes vs bisection's {ref_probes}"
+    );
 }
