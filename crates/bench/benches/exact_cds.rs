@@ -3,7 +3,7 @@
 //! `Instant`-timed harness — no criterion offline.
 
 use dsd_bench::util::report;
-use dsd_core::{core_exact, core_exact_with, exact, CoreExactConfig, FlowBackend};
+use dsd_core::{core_exact, core_exact_with, exact, CoreExactConfig};
 use dsd_datasets::chung_lu;
 use dsd_motif::Pattern;
 
@@ -13,7 +13,7 @@ fn main() {
     for h in [2usize, 3] {
         let psi = Pattern::clique(h);
         report(&format!("Exact/h={h}"), 5, || {
-            std::hint::black_box(exact(&g, &psi, FlowBackend::Dinic));
+            std::hint::black_box(exact(&g, &psi));
         });
         report(&format!("CoreExact/h={h}"), 5, || {
             std::hint::black_box(core_exact(&g, &psi));

@@ -13,7 +13,6 @@
 //! 35–38. The parametric-vs-scratch ratio is printed for the ablation; it
 //! sits near 1× now, because only the probes after the first feasible one
 //! can resolve warm and a 4–5-probe search has one or two of them.
-//! Push-relabel is reported alongside.
 //!
 //! (CoreExact itself is not the probe driver here because on the
 //! planted-clique stand-ins its ρ′ lower bound converges the search in
@@ -35,13 +34,13 @@ use std::time::{Duration, Instant};
 use dsd_core::flownet::{build_clique_network, build_edge_network, DensityNetwork};
 use dsd_core::{
     alpha_search, density_gap, oracle_for, DensityOracle, DsdEngine, ExactStats, FirstProbe,
-    FlowBackend, Method, NetworkProbe,
+    Method, NetworkProbe,
 };
 use dsd_datasets::dataset;
 use dsd_graph::{Graph, VertexId, VertexSet};
 use dsd_motif::Pattern;
 
-/// Probe ceiling per exact search (any h, either backend): the measured
+/// Probe ceiling per exact search (any h): the measured
 /// 4–5 probes plus one of headroom.
 const PROBE_CEILING: usize = 6;
 
@@ -51,14 +50,13 @@ fn run_search(
     net: &mut DensityNetwork,
     g: &Graph,
     oracle: &dyn DensityOracle,
-    backend: FlowBackend,
     bounds: (f64, f64),
     gap: f64,
 ) -> (Vec<VertexId>, ExactStats, Duration) {
     let mut stats = ExactStats::default();
     let t = Instant::now();
     let outcome = alpha_search(
-        &mut NetworkProbe::new(net, g, oracle, backend),
+        &mut NetworkProbe::new(net, g, oracle),
         bounds,
         FirstProbe::Midpoint,
         gap,
@@ -96,59 +94,53 @@ fn main() {
         g.num_edges()
     );
 
-    let mut dinic_scratch = Duration::ZERO;
-    let mut dinic_parametric = Duration::ZERO;
+    let mut search_scratch = Duration::ZERO;
+    let mut search_parametric = Duration::ZERO;
     for h in [2usize, 3, 4] {
         let gap = density_gap(g.num_vertices());
         let oracle = oracle_for(&Pattern::clique(h));
-        for backend in [FlowBackend::Dinic, FlowBackend::PushRelabel] {
-            let (mut warm_net, bounds) = workload(&g, h);
-            let (mut cold_net, _) = workload(&g, h);
-            cold_net.set_warm_start(false);
+        let (mut warm_net, bounds) = workload(&g, h);
+        let (mut cold_net, _) = workload(&g, h);
+        cold_net.set_warm_start(false);
 
-            let (w_wit, w_stats, warm) =
-                run_search(&mut warm_net, &g, oracle.as_ref(), backend, bounds, gap);
-            let (c_wit, c_stats, cold) =
-                run_search(&mut cold_net, &g, oracle.as_ref(), backend, bounds, gap);
+        let (w_wit, w_stats, warm) = run_search(&mut warm_net, &g, oracle.as_ref(), bounds, gap);
+        let (c_wit, c_stats, cold) = run_search(&mut cold_net, &g, oracle.as_ref(), bounds, gap);
 
-            assert_eq!(w_wit, c_wit, "h={h} {backend:?}: answers diverged");
-            assert_eq!(
-                w_stats.iterations, c_stats.iterations,
-                "h={h} {backend:?}: probe schedules diverged"
-            );
-            assert_eq!(c_stats.resolve_hits, 0, "baseline must be from-scratch");
-            assert!(
-                w_stats.resolve_hits > 0,
-                "h={h} {backend:?}: parametric run never reused flow state"
-            );
-            assert!(
-                w_stats.iterations <= PROBE_CEILING,
-                "h={h} {backend:?}: {} probes exceed the {PROBE_CEILING}-probe ceiling",
-                w_stats.iterations
-            );
+        assert_eq!(w_wit, c_wit, "h={h}: answers diverged");
+        assert_eq!(
+            w_stats.iterations, c_stats.iterations,
+            "h={h}: probe schedules diverged"
+        );
+        assert_eq!(c_stats.resolve_hits, 0, "baseline must be from-scratch");
+        assert!(
+            w_stats.resolve_hits > 0,
+            "h={h}: parametric run never reused flow state"
+        );
+        assert!(
+            w_stats.iterations <= PROBE_CEILING,
+            "h={h}: {} probes exceed the {PROBE_CEILING}-probe ceiling",
+            w_stats.iterations
+        );
 
-            let speedup = cold.as_secs_f64() / warm.as_secs_f64();
-            println!(
-                "h={h} {backend:?}: {} probes, {} warm resolves | scratch {:>8.2} ms, \
-                 parametric {:>8.2} ms, speedup {speedup:.2}x (augment work {} vs {})",
-                w_stats.iterations,
-                w_stats.resolve_hits,
-                cold.as_secs_f64() * 1e3,
-                warm.as_secs_f64() * 1e3,
-                c_stats.augment_work,
-                w_stats.augment_work,
-            );
-            if backend == FlowBackend::Dinic {
-                dinic_scratch += cold;
-                dinic_parametric += warm;
-            }
-        }
+        let speedup = cold.as_secs_f64() / warm.as_secs_f64();
+        println!(
+            "h={h}: {} probes, {} warm resolves | scratch {:>8.2} ms, \
+             parametric {:>8.2} ms, speedup {speedup:.2}x (augment work {} vs {})",
+            w_stats.iterations,
+            w_stats.resolve_hits,
+            cold.as_secs_f64() * 1e3,
+            warm.as_secs_f64() * 1e3,
+            c_stats.augment_work,
+            w_stats.augment_work,
+        );
+        search_scratch += cold;
+        search_parametric += warm;
     }
-    let aggregate = dinic_scratch.as_secs_f64() / dinic_parametric.as_secs_f64();
+    let aggregate = search_scratch.as_secs_f64() / search_parametric.as_secs_f64();
     println!(
-        "aggregate (Dinic, h=2..4): scratch {:.2} ms vs parametric {:.2} ms — {aggregate:.2}x",
-        dinic_scratch.as_secs_f64() * 1e3,
-        dinic_parametric.as_secs_f64() * 1e3,
+        "aggregate (h=2..4): scratch {:.2} ms vs parametric {:.2} ms — {aggregate:.2}x",
+        search_scratch.as_secs_f64() * 1e3,
+        search_parametric.as_secs_f64() * 1e3,
     );
 
     // ── Phase 2: factorised warm-network engine phase (ISSUE 10) ──────

@@ -3,7 +3,7 @@
 //! Plain `Instant`-timed harness — no criterion offline.
 
 use dsd_bench::util::report;
-use dsd_core::flownet::{build_pattern_network, FlowBackend};
+use dsd_core::flownet::build_pattern_network;
 use dsd_core::{core_exact, exact, peel_app};
 use dsd_datasets::chung_lu;
 use dsd_graph::VertexId;
@@ -14,7 +14,7 @@ fn main() {
     let g = chung_lu::chung_lu(600, 1_800, 2.5, 51);
     for psi in [Pattern::two_star(), Pattern::diamond()] {
         report(&format!("PExact/{}", psi.name()), 5, || {
-            std::hint::black_box(exact(&g, &psi, FlowBackend::Dinic));
+            std::hint::black_box(exact(&g, &psi));
         });
         report(&format!("CorePExact/{}", psi.name()), 5, || {
             std::hint::black_box(core_exact(&g, &psi));
@@ -43,10 +43,10 @@ fn main() {
     });
     report("ungrouped_solve", 10, || {
         let mut net = build_pattern_network(&g, &members, &psi, false);
-        std::hint::black_box(net.solve(0.5, FlowBackend::Dinic));
+        std::hint::black_box(net.solve(0.5));
     });
     report("grouped_solve", 10, || {
         let mut net = build_pattern_network(&g, &members, &psi, true);
-        std::hint::black_box(net.solve(0.5, FlowBackend::Dinic));
+        std::hint::black_box(net.solve(0.5));
     });
 }

@@ -4,10 +4,11 @@
 //! Synthetic traffic over ten generated graphs (five R-MAT, five
 //! Chung-Lu power-law) and three patterns (edge, triangle, 2-star):
 //!
-//! 1. **Footprint measurement** — every `(graph, Ψ)` pair is warmed on
-//!    an *ungoverned* `DsdService` via one `solve_batch`; the summed
-//!    `substrate_bytes()` is the full footprint `F`, and per-pair deltas
-//!    give the entry-size distribution.
+//! 1. **Footprint measurement** — every `(graph, Ψ, method)` triple the
+//!    mixed phase can issue is solved on an *ungoverned* `DsdService`;
+//!    the summed `substrate_bytes()` (stores, decompositions and cached
+//!    flow networks) is the full footprint `F`, and per-`(graph, Ψ)`
+//!    deltas over all methods give the entry-size distribution.
 //! 2. **Governed warm sweep** — the same query set replayed through a
 //!    `DsdServer` whose governor budget is `F / 3`; every answer must be
 //!    bit-identical to the synchronous `solve_batch` reference.
@@ -111,18 +112,21 @@ fn patterns() -> Vec<Pattern> {
     vec![Pattern::edge(), Pattern::triangle(), Pattern::two_star()]
 }
 
-/// The warm sweep: every (graph, Ψ) pair once, methods pinned so the
-/// answer is deterministic regardless of cache temperature.
+/// The methods the mixed phase draws from.
+const METHODS: [Method; 3] = [Method::CoreExact, Method::PeelApp, Method::IncApp];
+
+/// The warm sweep: every (graph, Ψ, method) triple the mixed phase can
+/// issue, so warming them all leaves resident everything the governor
+/// will ever have to hold, exact-solve flow networks included. Methods
+/// are pinned so each answer is deterministic regardless of cache
+/// temperature.
 fn warm_queries() -> Vec<DsdRequest> {
-    let methods = [Method::CoreExact, Method::PeelApp, Method::IncApp];
     let mut reqs = Vec::new();
     for name in NAMES {
-        for (pi, psi) in patterns().iter().enumerate() {
-            reqs.push(
-                DsdRequest::new(psi)
-                    .on(name)
-                    .method(methods[pi % methods.len()]),
-            );
+        for psi in &patterns() {
+            for method in METHODS {
+                reqs.push(DsdRequest::new(psi).on(name).method(method));
+            }
         }
     }
     reqs
@@ -132,7 +136,6 @@ fn warm_queries() -> Vec<DsdRequest> {
 /// (graph, Ψ, method) combination.
 fn mixed_script(rng: &mut StdRng, graphs: &[Graph], ops: usize) -> Vec<Op> {
     let psis = patterns();
-    let methods = [Method::CoreExact, Method::PeelApp, Method::IncApp];
     (0..ops)
         .map(|_| {
             let graph = rng.gen_range(0..graphs.len());
@@ -152,7 +155,7 @@ fn mixed_script(rng: &mut StdRng, graphs: &[Graph], ops: usize) -> Vec<Op> {
                 Op::Update { graph, edges }
             } else {
                 let psi = &psis[rng.gen_range(0..psis.len())];
-                let method = methods[rng.gen_range(0..methods.len())];
+                let method = METHODS[rng.gen_range(0..METHODS.len())];
                 Op::Query {
                     graph,
                     req: DsdRequest::new(psi).on(NAMES[graph]).method(method),
@@ -238,7 +241,8 @@ fn main() {
         cfg.ops
     );
 
-    // Phase 1: footprint measurement on an ungoverned service, and the
+    // Phase 1: footprint measurement on an ungoverned service over every
+    // (graph, Ψ, method) the mixed phase issues, which is also the
     // synchronous solve_batch reference for the warm sweep.
     let service = DsdService::new();
     for (name, g) in NAMES.iter().zip(&graphs) {
@@ -248,17 +252,24 @@ fn main() {
     let batch = service.solve_batch(warm.clone());
     let footprint = service.substrate_bytes();
     assert!(footprint > 0, "warm substrates must occupy bytes");
+    // The full footprint holds every exact-solve network; free it before
+    // the governed phases build their own.
+    drop(service);
 
-    // Per-entry sizes: warm one pattern at a time on fresh engines and
-    // take substrate_bytes deltas. The worker count is then the largest
-    // w <= 8 whose w biggest entries still fit the budget — that bounds
-    // the pinned in-flight working set below the budget by construction.
+    // Per-entry sizes: a governor entry is one (graph, Ψ) key, holding
+    // its store, decomposition and flow networks. Warm one pattern at a
+    // time under every method on fresh engines and take substrate_bytes
+    // deltas. The worker count is then the largest w <= 8 whose w
+    // biggest entries still fit the budget — that bounds the pinned
+    // in-flight working set below the budget by construction.
     let mut entry_sizes: Vec<u64> = Vec::new();
     for g in &graphs {
         let engine = DsdEngine::new(g.clone());
         let mut prev = 0;
         for psi in &patterns() {
-            engine.request(psi).method(Method::PeelApp).solve();
+            for method in METHODS {
+                engine.request(psi).method(method).solve();
+            }
             let now = engine.substrate_bytes();
             entry_sizes.push(now - prev);
             prev = now;

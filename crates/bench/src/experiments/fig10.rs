@@ -1,7 +1,7 @@
 //! Figure 10: the individual effect of CoreExact's three pruning criteria.
 //! P1/P2/P3 enable exactly one pruning each; "All" is the full CoreExact.
 
-use dsd_core::{core_exact_with, CoreExactConfig, FlowBackend};
+use dsd_core::{core_exact_with, CoreExactConfig};
 use dsd_datasets::dataset;
 use dsd_motif::Pattern;
 
@@ -12,7 +12,6 @@ fn config(p1: bool, p2: bool, p3: bool) -> CoreExactConfig {
         pruning1: p1,
         pruning2: p2,
         pruning3: p3,
-        backend: FlowBackend::Dinic,
         ..CoreExactConfig::default()
     }
 }

@@ -5,7 +5,7 @@
 //! R-MAT (skewed/planted structure) but barely helps on ER, whose flat
 //! degrees make the kmax-core ≈ the whole graph.
 
-use dsd_core::{core_app, core_exact, exact, inc_app, peel_app, FlowBackend};
+use dsd_core::{core_app, core_exact, exact, inc_app, peel_app};
 use dsd_datasets::{er, rmat, ssca};
 use dsd_graph::Graph;
 use dsd_motif::Pattern;
@@ -41,7 +41,7 @@ pub fn run_exact(quick: bool) {
             let psi = Pattern::clique(h);
             let exact_cell = match budget.admit(&g, h) {
                 Ok(()) => {
-                    let ((r, _), t) = time(|| exact(&g, &psi, FlowBackend::Dinic));
+                    let ((r, _), t) = time(|| exact(&g, &psi));
                     std::hint::black_box(r.density);
                     secs(t)
                 }

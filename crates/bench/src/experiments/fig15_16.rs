@@ -2,7 +2,7 @@
 //! Figure-7 pattern menu — exact (PExact vs CorePExact) on the small
 //! datasets, approximation (PeelApp/IncApp/CoreApp) on the large ones.
 
-use dsd_core::{core_app, core_exact, exact, inc_app, peel_app, FlowBackend};
+use dsd_core::{core_app, core_exact, exact, inc_app, peel_app};
 use dsd_datasets::dataset;
 use dsd_graph::{Graph, VertexSet};
 use dsd_motif::{pattern_enum, Pattern, PatternKind};
@@ -55,7 +55,7 @@ pub fn run_exact(quick: bool) {
                     rows.push(vec![psi.name().into(), reason.clone(), reason, "-".into()]);
                 }
                 Ok(_) => {
-                    let ((pe, _), pe_t) = time(|| exact(&g, psi, FlowBackend::Dinic));
+                    let ((pe, _), pe_t) = time(|| exact(&g, psi));
                     let ((ce, _), ce_t) = time(|| core_exact(&g, psi));
                     assert!(
                         (pe.density - ce.density).abs() < 1e-6,

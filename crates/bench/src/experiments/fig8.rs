@@ -1,7 +1,7 @@
 //! Figure 8: efficiency of exact (a–e) and approximation (f–j) CDS
 //! algorithms across h-clique sizes.
 
-use dsd_core::{core_exact, exact, inc_app, nucleus_app, peel_app, FlowBackend};
+use dsd_core::{core_exact, exact, inc_app, nucleus_app, peel_app};
 use dsd_datasets::{all_datasets, DatasetKind};
 use dsd_motif::Pattern;
 
@@ -27,7 +27,7 @@ pub fn run_exact(quick: bool) {
             let psi = Pattern::clique(h);
             let (exact_cell, exact_density) = match budget.admit(&g, h) {
                 Ok(()) => {
-                    let ((r, _), t) = time(|| exact(&g, &psi, FlowBackend::Dinic));
+                    let ((r, _), t) = time(|| exact(&g, &psi));
                     (secs(t), Some(r.density))
                 }
                 Err(reason) => (reason, None),

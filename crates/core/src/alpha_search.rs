@@ -44,7 +44,7 @@
 use dsd_flow::ResolveStats;
 use dsd_graph::{Graph, VertexId};
 
-use crate::flownet::{DensityNetwork, FlowBackend};
+use crate::flownet::DensityNetwork;
 use crate::oracle::{member_density, DensityOracle};
 
 /// Instrumentation from an α-search (shared by `Exact`, `CoreExact`, the
@@ -241,24 +241,13 @@ pub struct NetworkProbe<'a> {
     net: &'a mut DensityNetwork,
     g: &'a Graph,
     oracle: &'a dyn DensityOracle,
-    backend: FlowBackend,
 }
 
 impl<'a> NetworkProbe<'a> {
     /// Wraps a network over `g`'s vertices for one α-search with the given
-    /// density oracle and max-flow backend.
-    pub fn new(
-        net: &'a mut DensityNetwork,
-        g: &'a Graph,
-        oracle: &'a dyn DensityOracle,
-        backend: FlowBackend,
-    ) -> Self {
-        NetworkProbe {
-            net,
-            g,
-            oracle,
-            backend,
-        }
+    /// density oracle.
+    pub fn new(net: &'a mut DensityNetwork, g: &'a Graph, oracle: &'a dyn DensityOracle) -> Self {
+        NetworkProbe { net, g, oracle }
     }
 }
 
@@ -268,7 +257,7 @@ impl DecisionProbe for NetworkProbe<'_> {
     fn probe(&mut self, alpha: f64) -> Option<(Vec<VertexId>, f64)> {
         let (g, oracle) = (self.g, self.oracle);
         self.net
-            .solve_beating(alpha, self.backend, |w| member_density(oracle, g, w))
+            .solve_beating(alpha, |w| member_density(oracle, g, w))
     }
 
     fn network_nodes(&self) -> usize {

@@ -214,7 +214,6 @@ pub fn core_app_from(
 mod tests {
     use super::*;
     use crate::exact::exact;
-    use crate::flownet::FlowBackend;
 
     fn planted() -> Graph {
         // K7 planted in a 40-vertex sparse ring.
@@ -307,7 +306,7 @@ mod tests {
         let g = planted();
         for psi in [Pattern::edge(), Pattern::triangle()] {
             let approx = core_app(&g, &psi);
-            let (opt, _) = exact(&g, &psi, FlowBackend::Dinic);
+            let (opt, _) = exact(&g, &psi);
             assert!(
                 approx.result.density + 1e-9 >= opt.density / psi.vertex_count() as f64,
                 "{}",

@@ -38,11 +38,11 @@ use dsd_motif::Pattern;
 use crate::alpha_search::{alpha_search, effective_gap, DecisionProbe, ExactStats, FirstProbe};
 use crate::clique_core::{decompose, CliqueCoreDecomposition};
 use crate::exact::{acquire_network, release_network};
-use crate::flownet::{DensityNetwork, FlowBackend, NetworkLender};
+use crate::flownet::{DensityNetwork, NetworkLender};
 use crate::oracle::{member_density, oracle_for, DensityOracle};
 use crate::types::DsdResult;
 
-/// Pruning/backend switches (Figure 10's P1/P2/P3 ablation) plus the
+/// Pruning switches (Figure 10's P1/P2/P3 ablation) plus the
 /// engine's per-request precision/budget knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct CoreExactConfig {
@@ -56,8 +56,6 @@ pub struct CoreExactConfig {
     /// checkpointed lower-bound flow). On by default; disable for the
     /// from-scratch-per-probe ablation (`exact_probes` bench).
     pub parametric: bool,
-    /// Max-flow backend for the min-cut probes.
-    pub backend: FlowBackend,
     /// Extra α-search stopping tolerance on α (the effective gap is
     /// `max(Lemma-12 gap, tolerance)`; `None` keeps the certified-exact
     /// default).
@@ -76,7 +74,6 @@ impl Default for CoreExactConfig {
             pruning2: true,
             pruning3: true,
             parametric: true,
-            backend: FlowBackend::Dinic,
             tolerance: None,
             step_budget: None,
         }
@@ -183,7 +180,6 @@ struct ComponentProbe<'a> {
     psi: &'a Pattern,
     oracle: &'a dyn DensityOracle,
     dec: &'a CliqueCoreDecomposition,
-    backend: FlowBackend,
     parametric: bool,
     comp: Vec<VertexId>,
     comp_k: u64,
@@ -213,7 +209,7 @@ impl DecisionProbe for ComponentProbe<'_> {
         let (g, oracle) = (self.g, self.oracle);
         let (w, rho_w) = self
             .net
-            .solve_beating(alpha, self.backend, |w| member_density(oracle, g, w))?;
+            .solve_beating(alpha, |w| member_density(oracle, g, w))?;
         if rho_w > *self.best_rho {
             *self.best_rho = rho_w;
             *self.best_vs = w;
@@ -423,7 +419,6 @@ pub(crate) fn core_exact_certified_with_lender(
             psi,
             oracle,
             dec,
-            backend: config.backend,
             parametric: config.parametric,
             comp,
             comp_k,
@@ -472,7 +467,7 @@ mod tests {
     use crate::exact::exact;
 
     fn assert_same_density(g: &Graph, psi: &Pattern) {
-        let (e, _) = exact(g, psi, FlowBackend::Dinic);
+        let (e, _) = exact(g, psi);
         let (c, _) = core_exact(g, psi);
         assert!(
             (e.density - c.density).abs() < 1e-7,
@@ -529,7 +524,7 @@ mod tests {
     #[test]
     fn all_pruning_combinations_agree() {
         let g = figure5_like();
-        let (reference, _) = exact(&g, &Pattern::triangle(), FlowBackend::Dinic);
+        let (reference, _) = exact(&g, &Pattern::triangle());
         for p1 in [false, true] {
             for p2 in [false, true] {
                 for p3 in [false, true] {
@@ -592,7 +587,7 @@ mod tests {
             stats.located_size
         );
         // Every recorded network is far smaller than a whole-graph build.
-        let (_, full_stats) = exact(&g, &Pattern::triangle(), FlowBackend::Dinic);
+        let (_, full_stats) = exact(&g, &Pattern::triangle());
         let full = full_stats.network_nodes[0];
         for &nodes in &stats.exact.network_nodes {
             assert!(nodes < full, "core network {nodes} vs full {full}");

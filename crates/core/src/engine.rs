@@ -67,7 +67,7 @@ use crate::clique_core::{decompose, CliqueCoreDecomposition};
 use crate::core_exact::{core_exact_certified_with_lender, CoreExactConfig, RegionCertificates};
 use crate::dynamic::{repair_delete, repair_insert};
 use crate::exact::{exact_with_lender, ExactOpts};
-use crate::flownet::{DensityNetwork, FlowBackend, Fnv, NetworkLender};
+use crate::flownet::{DensityNetwork, Fnv, NetworkLender};
 use crate::kcore::{k_core_decomposition, KCoreDecomposition};
 use crate::oracle::{
     oracle_with_policy, DensityOracle, StoreStats, SubstrateRepair, DEFAULT_STORE_BUDGET,
@@ -1210,7 +1210,7 @@ impl<'g> DsdEngine<'g> {
     }
 
     /// Starts building a request for pattern Ψ (defaults: Densest,
-    /// `Method::Auto`, Dinic backend, exact tolerance, no step budget),
+    /// `Method::Auto`, exact tolerance, no step budget),
     /// bound to this engine — call `.solve()` on the result. To build a
     /// free-standing request (for [`crate::service::DsdService`] routing
     /// or batching), use [`DsdRequest::new`].
@@ -1454,7 +1454,7 @@ impl<'g> DsdEngine<'g> {
             Objective::TopK(k) => self.solve_top_k(req, *k, &snap, certs),
             Objective::AtLeastK(k) => self.solve_at_least_k(req, *k, &snap, certs),
             Objective::AtMostK(k) => self.solve_at_most_k(req, *k, &snap),
-            Objective::WithQuery(query) => self.solve_with_query(req, query.clone(), &snap),
+            Objective::WithQuery(query) => self.solve_with_query(query.clone(), &snap),
         };
         solution.objective = objective;
         solution.stats.epoch = snap.epoch();
@@ -1499,7 +1499,6 @@ impl<'g> DsdEngine<'g> {
                 let (oracle, oracle_hit) = self.oracle(psi, snap);
                 stats.substrate.oracle_cache_hit = oracle_hit;
                 let opts = ExactOpts {
-                    backend: req.backend,
                     tolerance: req.tolerance,
                     step_budget: req.step_budget,
                 };
@@ -1522,7 +1521,6 @@ impl<'g> DsdEngine<'g> {
                 stats.decomposition_nanos = dec_nanos;
                 stats.kmax = Some(dec.kmax);
                 let config = CoreExactConfig {
-                    backend: req.backend,
                     tolerance: req.tolerance,
                     step_budget: req.step_budget,
                     ..CoreExactConfig::default()
@@ -1633,7 +1631,6 @@ impl<'g> DsdEngine<'g> {
         stats.decomposition_nanos = dec_nanos;
         stats.kmax = Some(dec.kmax);
         let config = CoreExactConfig {
-            backend: req.backend,
             tolerance: req.tolerance,
             step_budget: req.step_budget,
             ..CoreExactConfig::default()
@@ -1701,7 +1698,6 @@ impl<'g> DsdEngine<'g> {
         stats.decomposition_nanos = dec_nanos;
         stats.kmax = Some(dec.kmax);
         let config = CoreExactConfig {
-            backend: req.backend,
             tolerance: req.tolerance,
             step_budget: req.step_budget,
             ..CoreExactConfig::default()
@@ -1757,7 +1753,6 @@ impl<'g> DsdEngine<'g> {
         stats.decomposition_nanos = dec_nanos;
         stats.kmax = Some(dec.kmax);
         let config = CoreExactConfig {
-            backend: req.backend,
             tolerance: req.tolerance,
             step_budget: req.step_budget,
             ..CoreExactConfig::default()
@@ -1791,12 +1786,7 @@ impl<'g> DsdEngine<'g> {
         }
     }
 
-    fn solve_with_query(
-        &self,
-        req: &DsdRequest,
-        query: Vec<VertexId>,
-        snap: &GraphSnapshot<'_>,
-    ) -> Solution {
+    fn solve_with_query(&self, query: Vec<VertexId>, snap: &GraphSnapshot<'_>) -> Solution {
         let g: &Graph = snap;
         // Validate before paying for the k-core order.
         let n = g.num_vertices();
@@ -1818,7 +1808,7 @@ impl<'g> DsdEngine<'g> {
             key: pattern_key(&Pattern::edge()),
             epoch: snap.epoch(),
         };
-        match densest_with_query_lender(g, &query, &kcore, req.backend, Some(&lender)) {
+        match densest_with_query_lender(g, &query, &kcore, Some(&lender)) {
             Some((r, es)) => {
                 record_flow(&mut stats, es);
                 Solution {
@@ -1913,21 +1903,19 @@ pub struct DsdRequest {
     psi: Pattern,
     objective: Objective,
     method: Method,
-    backend: FlowBackend,
     tolerance: Option<f64>,
     step_budget: Option<usize>,
 }
 
 impl DsdRequest {
     /// A request for pattern Ψ with the defaults: [`Objective::Densest`],
-    /// [`Method::Auto`], Dinic backend, exact tolerance, no step budget.
+    /// [`Method::Auto`], exact tolerance, no step budget.
     pub fn new(psi: &Pattern) -> Self {
         DsdRequest {
             graph: None,
             psi: psi.clone(),
             objective: Objective::Densest,
             method: Method::Auto,
-            backend: FlowBackend::Dinic,
             tolerance: None,
             step_budget: None,
         }
@@ -1965,13 +1953,6 @@ impl DsdRequest {
     /// setting.
     pub fn method(mut self, method: Method) -> Self {
         self.method = method;
-        self
-    }
-
-    /// Sets the max-flow backend for min-cut probes (default Dinic).
-    /// Ignored by the probe-free peel/core methods.
-    pub fn flow_backend(mut self, backend: FlowBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -2034,12 +2015,6 @@ impl<'e, 'g> BoundRequest<'e, 'g> {
     /// See [`DsdRequest::method`].
     pub fn method(mut self, method: Method) -> Self {
         self.req = self.req.method(method);
-        self
-    }
-
-    /// See [`DsdRequest::flow_backend`].
-    pub fn flow_backend(mut self, backend: FlowBackend) -> Self {
-        self.req = self.req.flow_backend(backend);
         self
     }
 

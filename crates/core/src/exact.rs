@@ -17,7 +17,7 @@ use dsd_motif::pattern::{Pattern, PatternKind};
 use crate::alpha_search::{alpha_search, effective_gap, DecisionProbe, FirstProbe, NetworkProbe};
 use crate::flownet::{
     build_clique_network, build_edge_network, build_pattern_network, build_store_network,
-    DensityNetwork, FlowBackend, NetworkLender,
+    DensityNetwork, NetworkLender,
 };
 use crate::oracle::{oracle_for, DensityOracle};
 use crate::types::DsdResult;
@@ -27,8 +27,6 @@ pub use crate::alpha_search::{density_gap, ExactStats};
 /// Per-request knobs for the flow/α-search framework.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExactOpts {
-    /// Max-flow backend for the min-cut probes.
-    pub backend: FlowBackend,
     /// Extra α-search stopping tolerance on α. The effective gap is
     /// `max(1/(n(n−1)), tolerance)` — Lemma 12's separation keeps the
     /// default exact; a larger tolerance trades certified precision for
@@ -112,17 +110,9 @@ pub(crate) fn release_network(
 }
 
 /// Runs `Exact` (cliques) / `PExact` (patterns) on the whole graph.
-pub fn exact(g: &Graph, psi: &Pattern, backend: FlowBackend) -> (DsdResult, ExactStats) {
+pub fn exact(g: &Graph, psi: &Pattern) -> (DsdResult, ExactStats) {
     let oracle = oracle_for(psi);
-    exact_with(
-        g,
-        psi,
-        oracle.as_ref(),
-        ExactOpts {
-            backend,
-            ..ExactOpts::default()
-        },
-    )
+    exact_with(g, psi, oracle.as_ref(), ExactOpts::default())
 }
 
 /// [`exact`] against a caller-provided (possibly warm) density oracle and
@@ -165,7 +155,7 @@ pub(crate) fn exact_with_lender(
     // otherwise PExact's ungrouped Algorithm-8 network — construct+
     // grouping without a store belongs to CorePExact.
     let mut net = acquire_network(g, &members, psi, false, oracle, lender);
-    let mut probe = NetworkProbe::new(&mut net, g, oracle, opts.backend);
+    let mut probe = NetworkProbe::new(&mut net, g, oracle);
     let outcome = alpha_search(
         &mut probe,
         bounds,
@@ -205,7 +195,7 @@ mod tests {
     use super::*;
 
     fn exact_d(g: &Graph, psi: &Pattern) -> DsdResult {
-        exact(g, psi, FlowBackend::Dinic).0
+        exact(g, psi).0
     }
 
     /// Figure 1(a)-style: K4 with a tail — EDS is the K4 at ρ = 1.5.
@@ -304,30 +294,5 @@ mod tests {
         assert_eq!(r.vertices, vec![0, 1, 2, 3, 4, 5]);
         // C(5,2) = 10 wedges over 6 vertices.
         assert!((r.density - 10.0 / 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn backends_agree() {
-        let g = Graph::from_edges(
-            7,
-            &[
-                (0, 1),
-                (1, 2),
-                (0, 2),
-                (2, 3),
-                (3, 4),
-                (4, 5),
-                (3, 5),
-                (5, 6),
-                (4, 6),
-                (3, 6),
-            ],
-        );
-        for psi in [Pattern::edge(), Pattern::triangle()] {
-            let a = exact(&g, &psi, FlowBackend::Dinic).0;
-            let b = exact(&g, &psi, FlowBackend::PushRelabel).0;
-            assert_eq!(a.vertices, b.vertices, "{}", psi.name());
-            assert!((a.density - b.density).abs() < 1e-9);
-        }
     }
 }

@@ -42,7 +42,7 @@
 //! [`DensityNetwork::solve`] keeps one solver allocation alive across the
 //! probe sequence, checkpoints the flow state of feasible probes (the
 //! search then raises its lower bound past their α), and
-//! warm-[`resolve`](dsd_flow::MaxFlow::resolve)s every probe whose α
+//! warm-[`resolve`](dsd_flow::Dinic::resolve)s every probe whose α
 //! dominates the checkpoint instead of paying a from-scratch max-flow —
 //! the Gallo–Grigoriadis–Tarjan amortization \[29\] the paper cites as
 //! the classical EDS machinery.
@@ -55,35 +55,10 @@
 //! serving layer's byte governor; [`DensityNetwork::reset_probe_stats`]
 //! fences the reuse accounting between borrowing requests.
 
-use dsd_flow::{
-    min_cut_source_side, Dinic, EdgeId, FlowNetwork, MaxFlow, NodeId, ParametricSolver,
-    ResolveStats,
-};
+use dsd_flow::{min_cut_source_side, EdgeId, FlowNetwork, NodeId, ParametricSolver, ResolveStats};
 use dsd_graph::{Graph, InducedSubgraph, VertexId, VertexSet};
 use dsd_motif::store::InstanceStore;
 use dsd_motif::{kclist, pattern_enum, Pattern};
-
-/// Which max-flow backend solves the min-cut probes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FlowBackend {
-    /// Dinic blocking flow (default; matches the reference implementations).
-    #[default]
-    Dinic,
-    /// Highest-label push-relabel with gap heuristic.
-    PushRelabel,
-}
-
-impl FlowBackend {
-    /// Instantiates the backend's solver. Called once per probe
-    /// *sequence* (a [`ParametricSolver`] keeps it alive across probes),
-    /// not once per probe.
-    pub(crate) fn solver(self) -> Box<dyn MaxFlow + Send> {
-        match self {
-            FlowBackend::Dinic => Box::new(Dinic::new()),
-            FlowBackend::PushRelabel => Box::new(dsd_flow::PushRelabel::new()),
-        }
-    }
-}
 
 /// A parametric checkpoint: the network's flow state right after a probe
 /// at `alpha`, restorable for any later probe with α ≥ `alpha`.
@@ -119,20 +94,14 @@ pub struct DensityNetwork {
     /// Whether parametric reuse is enabled (see [`Self::set_warm_start`]).
     warm_start: bool,
     /// The probe sequence's solver — one allocation, kept across probes.
-    solver: Option<(FlowBackend, ParametricSolver)>,
+    solver: ParametricSolver,
     /// Flow state at the search's current lower bound (see
     /// [`Self::checkpoint`]).
     checkpoint: Option<Checkpoint>,
-    /// Reuse counters from solvers already retired (backend switches).
-    retired_stats: ResolveStats,
     /// Accounting already reported to earlier borrowers of a cached
     /// network (see [`Self::reset_probe_stats`]); subtracted from
     /// [`Self::probe_stats`] so each request reports only its own probes.
     stats_baseline: ResolveStats,
-    /// Scratch: edge ids whose capacity the current probe changed.
-    changed: Vec<EdgeId>,
-    /// All α-edge ids, precomputed for the checkpoint-restore path.
-    all_alpha_ids: Vec<EdgeId>,
 }
 
 impl DensityNetwork {
@@ -144,7 +113,6 @@ impl DensityNetwork {
         alpha_edges: Vec<(EdgeId, f64)>,
         alpha_scale: f64,
     ) -> Self {
-        let all_alpha_ids = alpha_edges.iter().map(|&(e, _)| e).collect();
         DensityNetwork {
             net,
             s,
@@ -154,12 +122,9 @@ impl DensityNetwork {
             alpha_scale,
             last_alpha: None,
             warm_start: true,
-            solver: None,
+            solver: ParametricSolver::new(),
             checkpoint: None,
-            retired_stats: ResolveStats::default(),
             stats_baseline: ResolveStats::default(),
-            changed: Vec::new(),
-            all_alpha_ids,
         }
     }
 
@@ -193,21 +158,11 @@ impl DensityNetwork {
         }
     }
 
-    /// Lifetime probe-reuse accounting, including probes already reported
-    /// to earlier borrowers of a cached network.
-    fn lifetime_stats(&self) -> ResolveStats {
-        let mut stats = self.retired_stats;
-        if let Some((_, solver)) = &self.solver {
-            stats += solver.stats();
-        }
-        stats
-    }
-
     /// Probe-reuse accounting since the last [`Self::reset_probe_stats`]
     /// (network construction, if never reset) — the per-request view a
     /// borrowing solver folds into its `ExactStats`.
     pub fn probe_stats(&self) -> ResolveStats {
-        let total = self.lifetime_stats();
+        let total = self.solver.stats();
         let base = self.stats_baseline;
         ResolveStats {
             probes: total.probes - base.probes,
@@ -221,7 +176,7 @@ impl DensityNetwork {
     /// this when lending a warm network out, so a request never
     /// double-counts a previous borrower's probes.
     pub fn reset_probe_stats(&mut self) {
-        self.stats_baseline = self.lifetime_stats();
+        self.stats_baseline = self.solver.stats();
     }
 
     /// Estimated resident heap bytes of the network: the edge/adjacency
@@ -236,8 +191,7 @@ impl DensityNetwork {
         let mut bytes = raw_edges * (24 + std::mem::size_of::<EdgeId>())
             + self.net.num_nodes() * std::mem::size_of::<Vec<EdgeId>>()
             + self.members.len() * std::mem::size_of::<VertexId>()
-            + self.alpha_edges.len() * std::mem::size_of::<(EdgeId, f64)>()
-            + self.all_alpha_ids.len() * std::mem::size_of::<EdgeId>();
+            + self.alpha_edges.len() * std::mem::size_of::<(EdgeId, f64)>();
         if let Some(ck) = &self.checkpoint {
             bytes += ck.flows.len() * std::mem::size_of::<f64>();
         }
@@ -303,39 +257,22 @@ impl DensityNetwork {
         self.checkpoint = Some(Checkpoint { alpha, flows });
     }
 
-    /// Applies α to the `v→t` capacities, recording which edges changed.
+    /// Applies α to the `v→t` capacities.
     fn apply_alpha(&mut self, alpha: f64) {
         debug_assert!(
             alpha.is_finite(),
             "non-finite α {alpha} (check tolerance/bounds math)"
         );
-        self.changed.clear();
-        let scale = self.alpha_scale;
-        for i in 0..self.alpha_edges.len() {
-            let (e, base) = self.alpha_edges[i];
-            let cap = (base + scale * alpha).max(0.0);
-            if self.net.edge(e).cap != cap {
-                self.net.set_cap(e, cap);
-                self.changed.push(e);
-            }
+        for &(e, base) in &self.alpha_edges {
+            self.net
+                .set_cap(e, (base + self.alpha_scale * alpha).max(0.0));
         }
     }
 
     /// Runs one min-cut probe at `alpha`, choosing the cheapest sound
     /// flow-reuse mode, and leaves the network in the post-probe residual
     /// state.
-    fn probe(&mut self, alpha: f64, backend: FlowBackend) {
-        // A backend switch retires the old solver *and* its flow state —
-        // the two backends' (pre)flow conventions must never mix.
-        let matches_backend = matches!(&self.solver, Some((b, _)) if *b == backend);
-        if !matches_backend {
-            if let Some((_, old)) = self.solver.take() {
-                self.retired_stats += old.stats();
-            }
-            self.solver = Some((backend, ParametricSolver::new(backend.solver())));
-            self.checkpoint = None;
-            self.last_alpha = None;
-        }
+    fn probe(&mut self, alpha: f64) {
         let mode = if !self.warm_start {
             ProbeMode::Cold
         } else if self.last_alpha.is_some_and(|last| alpha >= last) {
@@ -346,20 +283,17 @@ impl DensityNetwork {
             ProbeMode::Cold
         };
         self.apply_alpha(alpha);
-        let (_, solver) = self.solver.as_mut().expect("solver installed above");
         match mode {
             ProbeMode::Resolve => {
-                let _ = solver.resolve(&mut self.net, self.s, self.t, &self.changed);
+                let _ = self.solver.resolve(&mut self.net, self.s, self.t);
             }
             ProbeMode::Restore => {
                 let ck = self.checkpoint.as_ref().expect("restore mode");
                 self.net.restore_flows(&ck.flows);
-                // Relative to the checkpoint every α-edge may have moved
-                // (non-decreasingly); pass them all.
-                let _ = solver.resolve(&mut self.net, self.s, self.t, &self.all_alpha_ids);
+                let _ = self.solver.resolve(&mut self.net, self.s, self.t);
             }
             ProbeMode::Cold => {
-                let _ = solver.solve(&mut self.net, self.s, self.t);
+                let _ = self.solver.solve(&mut self.net, self.s, self.t);
             }
         }
         self.last_alpha = Some(alpha);
@@ -369,8 +303,8 @@ impl DensityNetwork {
     /// ids (`S \ {s}`, instance nodes dropped), regardless of whether the
     /// cut is non-trivial. Does **not** checkpoint — callers with their
     /// own feasibility rule (the pinned query variant) decide that.
-    pub fn min_cut_side(&mut self, alpha: f64, backend: FlowBackend) -> Vec<VertexId> {
-        self.probe(alpha, backend);
+    pub fn min_cut_side(&mut self, alpha: f64) -> Vec<VertexId> {
+        self.probe(alpha);
         let side = min_cut_source_side(&self.net, self.s);
         side.iter()
             .filter(|&&node| node != self.s && (node as usize) <= self.members.len())
@@ -403,8 +337,8 @@ impl DensityNetwork {
     /// Returns `Some(vertices)` (parent-graph ids of `S \ {s}`) when such a
     /// subgraph exists, `None` otherwise. Feasible probes checkpoint the
     /// flow state (their α is the search's new lower bound).
-    pub fn solve(&mut self, alpha: f64, backend: FlowBackend) -> Option<Vec<VertexId>> {
-        let vertices = self.min_cut_side(alpha, backend);
+    pub fn solve(&mut self, alpha: f64) -> Option<Vec<VertexId>> {
+        let vertices = self.min_cut_side(alpha);
         if vertices.is_empty() {
             None
         } else {
@@ -421,10 +355,9 @@ impl DensityNetwork {
     pub(crate) fn solve_beating(
         &mut self,
         alpha: f64,
-        backend: FlowBackend,
         density: impl FnOnce(&[VertexId]) -> f64,
     ) -> Option<(Vec<VertexId>, f64)> {
-        let side = self.min_cut_side(alpha, backend);
+        let side = self.min_cut_side(alpha);
         if side.is_empty() {
             return None;
         }
@@ -764,24 +697,13 @@ mod tests {
         let g = k4_tail();
         let mut net = build_edge_network(&g, &all(&g));
         // ρopt = 1.5 (the K4): feasible below, infeasible at/above.
-        let below = net.solve(1.4, FlowBackend::Dinic);
+        let below = net.solve(1.4);
         assert!(below.is_some());
         let mut got = below.unwrap();
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 2, 3]);
-        assert!(net.solve(1.5, FlowBackend::Dinic).is_none());
-        assert!(net.solve(2.0, FlowBackend::Dinic).is_none());
-    }
-
-    #[test]
-    fn edge_network_backends_agree() {
-        let g = k4_tail();
-        let mut net = build_edge_network(&g, &all(&g));
-        for alpha in [0.3, 0.9, 1.3, 1.49, 1.51, 1.9] {
-            let a = net.solve(alpha, FlowBackend::Dinic).is_some();
-            let b = net.solve(alpha, FlowBackend::PushRelabel).is_some();
-            assert_eq!(a, b, "alpha = {alpha}");
-        }
+        assert!(net.solve(1.5).is_none());
+        assert!(net.solve(2.0).is_none());
     }
 
     #[test]
@@ -792,12 +714,12 @@ mod tests {
         let mut net = build_clique_network(&g, &all(&g), 3);
         // Λ = 4 edges (2-cliques) -> nodes: s + 4 vertices + 4 + t = 10.
         assert_eq!(net.num_nodes(), 10);
-        let feasible = net.solve(0.2, FlowBackend::Dinic);
+        let feasible = net.solve(0.2);
         assert!(feasible.is_some());
         let mut got = feasible.unwrap();
         got.sort_unstable();
         assert_eq!(got, vec![1, 2, 3]);
-        assert!(net.solve(1.0 / 3.0, FlowBackend::Dinic).is_none());
+        assert!(net.solve(1.0 / 3.0).is_none());
     }
 
     #[test]
@@ -805,12 +727,12 @@ mod tests {
         let g = k4_tail();
         // Restrict to the K4 plus the tail vertex 4.
         let mut net = build_clique_network(&g, &[0, 1, 2, 3, 4], 3);
-        let got = net.solve(0.5, FlowBackend::Dinic);
+        let got = net.solve(0.5);
         let mut got = got.unwrap();
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 2, 3]);
         // K4 triangle density = 4 triangles / 4 vertices = 1.
-        assert!(net.solve(1.0, FlowBackend::Dinic).is_none());
+        assert!(net.solve(1.0).is_none());
     }
 
     #[test]
@@ -823,9 +745,9 @@ mod tests {
         let mut gnet = build_pattern_network(&g, &all(&g), &psi, true);
         let mut cnet = build_clique_network(&g, &all(&g), 3);
         for alpha in [0.1, 0.5, 0.9, 0.99, 1.0, 1.5] {
-            let a = pnet.solve(alpha, FlowBackend::Dinic).is_some();
-            let b = gnet.solve(alpha, FlowBackend::Dinic).is_some();
-            let c = cnet.solve(alpha, FlowBackend::Dinic).is_some();
+            let a = pnet.solve(alpha).is_some();
+            let b = gnet.solve(alpha).is_some();
+            let c = cnet.solve(alpha).is_some();
             assert_eq!(a, c, "ungrouped vs clique at {alpha}");
             assert_eq!(b, c, "grouped vs clique at {alpha}");
         }
@@ -841,8 +763,8 @@ mod tests {
         let mut cold = build_edge_network(&g, &all(&g));
         cold.set_warm_start(false);
         for &alpha in &alphas {
-            let a = warm.solve(alpha, FlowBackend::Dinic);
-            let b = cold.solve(alpha, FlowBackend::Dinic);
+            let a = warm.solve(alpha);
+            let b = cold.solve(alpha);
             assert_eq!(a.is_some(), b.is_some(), "alpha = {alpha}");
             if let (Some(mut va), Some(mut vb)) = (a, b) {
                 va.sort_unstable();
@@ -860,8 +782,8 @@ mod tests {
         cold.set_warm_start(false);
         for &alpha in &[0.2, 0.6, 0.8, 0.3, 0.95, 1.0, 1.2] {
             assert_eq!(
-                warm.solve(alpha, FlowBackend::Dinic).is_some(),
-                cold.solve(alpha, FlowBackend::Dinic).is_some(),
+                warm.solve(alpha).is_some(),
+                cold.solve(alpha).is_some(),
                 "alpha = {alpha}"
             );
         }
@@ -899,8 +821,8 @@ mod tests {
         let mut b = build_pattern_network(&g, &all(&g), &psi, true);
         for alpha in [0.1, 0.4, 0.74, 0.76, 1.0] {
             assert_eq!(
-                a.solve(alpha, FlowBackend::Dinic).is_some(),
-                b.solve(alpha, FlowBackend::Dinic).is_some(),
+                a.solve(alpha).is_some(),
+                b.solve(alpha).is_some(),
                 "alpha = {alpha}"
             );
         }

@@ -109,7 +109,6 @@ pub use engine::{
     MULTI_EDGE_DELTA_MAX,
 };
 pub use exact::{exact, exact_with, ExactOpts, ExactStats};
-pub use flownet::FlowBackend;
 pub use hierarchy::{core_hierarchy, core_spectrum, first_level_with_density, CoreLevel};
 pub use kcore::{k_core_decomposition, KCoreDecomposition};
 pub use nucleus::{nucleus_app, nucleus_decomposition};

@@ -43,7 +43,6 @@ pub fn peel_app_from(dec: &CliqueCoreDecomposition) -> DsdResult {
 mod tests {
     use super::*;
     use crate::exact::exact;
-    use crate::flownet::FlowBackend;
 
     fn k_plus_fringe() -> Graph {
         let mut edges = Vec::new();
@@ -67,7 +66,7 @@ mod tests {
             Pattern::diamond(),
         ] {
             let approx = peel_app(&g, &psi);
-            let (opt, _) = exact(&g, &psi, FlowBackend::Dinic);
+            let (opt, _) = exact(&g, &psi);
             let ratio_floor = opt.density / psi.vertex_count() as f64;
             assert!(
                 approx.density + 1e-9 >= ratio_floor,

@@ -14,7 +14,7 @@
 use dsd_graph::{Graph, InducedSubgraph, VertexId, VertexSet};
 
 use crate::alpha_search::{alpha_search, density_gap, DecisionProbe, ExactStats, FirstProbe};
-use crate::flownet::{build_query_network, DensityNetwork, FlowBackend, NetworkLender};
+use crate::flownet::{build_query_network, DensityNetwork, NetworkLender};
 use crate::kcore::{k_core_decomposition, KCoreDecomposition};
 use crate::types::DsdResult;
 
@@ -23,7 +23,7 @@ use crate::types::DsdResult;
 /// Returns `None` when `query` is empty or contains out-of-range vertices.
 pub fn densest_with_query(g: &Graph, query: &[VertexId]) -> Option<DsdResult> {
     let cores = k_core_decomposition(g);
-    densest_with_query_from(g, query, &cores, FlowBackend::Dinic).map(|(r, _)| r)
+    densest_with_query_from(g, query, &cores).map(|(r, _)| r)
 }
 
 /// The pinned-network probe: the min cut always keeps Q on the source
@@ -33,7 +33,6 @@ pub fn densest_with_query(g: &Graph, query: &[VertexId]) -> Option<DsdResult> {
 struct QueryProbe<'a> {
     net: &'a mut DensityNetwork,
     g: &'a Graph,
-    backend: FlowBackend,
 }
 
 impl DecisionProbe for QueryProbe<'_> {
@@ -41,8 +40,7 @@ impl DecisionProbe for QueryProbe<'_> {
 
     fn probe(&mut self, alpha: f64) -> Option<(Vec<VertexId>, f64)> {
         let g = self.g;
-        self.net
-            .solve_beating(alpha, self.backend, |side| edge_density(g, side))
+        self.net.solve_beating(alpha, |side| edge_density(g, side))
     }
 
     fn network_nodes(&self) -> usize {
@@ -51,15 +49,14 @@ impl DecisionProbe for QueryProbe<'_> {
 }
 
 /// [`densest_with_query`] against a caller-provided (possibly warm)
-/// classical core decomposition and an explicit max-flow backend. Also
+/// classical core decomposition. Also
 /// returns the α-search instrumentation (probe counts, flow reuse).
 pub fn densest_with_query_from(
     g: &Graph,
     query: &[VertexId],
     cores: &KCoreDecomposition,
-    backend: FlowBackend,
 ) -> Option<(DsdResult, ExactStats)> {
-    densest_with_query_lender(g, query, cores, backend, None)
+    densest_with_query_lender(g, query, cores, None)
 }
 
 /// [`densest_with_query_from`] with a network lender: the pinned network
@@ -71,7 +68,6 @@ pub(crate) fn densest_with_query_lender(
     g: &Graph,
     query: &[VertexId],
     cores: &KCoreDecomposition,
-    backend: FlowBackend,
     lender: Option<&dyn NetworkLender>,
 ) -> Option<(DsdResult, ExactStats)> {
     let n = g.num_vertices();
@@ -142,7 +138,7 @@ pub(crate) fn densest_with_query_lender(
     };
     stats.iterations += 1;
     stats.network_nodes.push(net.num_nodes());
-    let seed = net.min_cut_side(l, backend);
+    let seed = net.min_cut_side(l);
     net.checkpoint();
     let mut best = if seed.is_empty() { None } else { Some(seed) };
 
@@ -151,7 +147,6 @@ pub(crate) fn densest_with_query_lender(
         let mut probe = QueryProbe {
             net: &mut net,
             g: &sub.graph,
-            backend,
         };
         alpha_search(
             &mut probe,
@@ -284,25 +279,19 @@ mod tests {
     }
 
     /// The pinned-network probe sequence genuinely reuses flow state: all
-    /// probes after the seed warm-resolve, and both backends agree.
+    /// probes after the seed warm-resolve.
     #[test]
-    fn parametric_reuse_and_backend_agreement() {
+    fn parametric_reuse_after_seed_probe() {
         let g = two_cliques();
         let cores = k_core_decomposition(&g);
         for q in [vec![0], vec![9], vec![0, 9]] {
-            let (rd, sd) = densest_with_query_from(&g, &q, &cores, FlowBackend::Dinic).unwrap();
-            let (rp, sp) =
-                densest_with_query_from(&g, &q, &cores, FlowBackend::PushRelabel).unwrap();
-            assert_eq!(rd.vertices, rp.vertices, "query {q:?}");
-            assert_eq!(rd.density.to_bits(), rp.density.to_bits(), "query {q:?}");
-            for (name, s) in [("dinic", &sd), ("push-relabel", &sp)] {
-                assert!(s.iterations >= 2, "{name}: {q:?}");
-                assert_eq!(
-                    s.resolve_hits,
-                    s.iterations - 1,
-                    "{name} {q:?}: every probe after the seed must warm-resolve"
-                );
-            }
+            let (_, s) = densest_with_query_from(&g, &q, &cores).unwrap();
+            assert!(s.iterations >= 2, "{q:?}");
+            assert_eq!(
+                s.resolve_hits,
+                s.iterations - 1,
+                "{q:?}: every probe after the seed must warm-resolve"
+            );
         }
     }
 }

@@ -294,12 +294,12 @@ impl ShardedGraph {
         // Scatter: exact local Densest per shard, pinned to CoreExact
         // with the certified-exact defaults (no tolerance, no budget) so
         // every local optimum is a sound certificate. The request's own
-        // knobs (tolerance, step budget, backend) apply to the merge
-        // only — they must not weaken certificates. Shard solves are
-        // independent (each engine owns its subgraph and substrate
-        // cache), so they fan out across the configured workers; the ρ*
-        // fold below is a commutative max over shard-indexed results, so
-        // the gather is bit-identical for every worker count.
+        // knobs (tolerance, step budget) apply to the merge only — they
+        // must not weaken certificates. Shard solves are independent
+        // (each engine owns its subgraph and substrate cache), so they
+        // fan out across the configured workers; the ρ* fold below is a
+        // commutative max over shard-indexed results, so the gather is
+        // bit-identical for every worker count.
         let locals = self.parallelism.scatter(&self.shards, |_, shard| {
             let local_req = DsdRequest::new(req.psi()).method(Method::CoreExact);
             shard.engine.solve(&local_req)

@@ -267,7 +267,6 @@ pub fn densest_at_most_k_from(
 mod tests {
     use super::*;
     use crate::exact::exact;
-    use crate::flownet::FlowBackend;
     use crate::oracle::density;
     use dsd_graph::GraphBuilder;
 
@@ -326,7 +325,7 @@ mod tests {
         // optimum (an upper bound on the constrained one).
         let g = k5_plus_path();
         let psi = Pattern::edge();
-        let (opt, _) = exact(&g, &psi, FlowBackend::Dinic);
+        let (opt, _) = exact(&g, &psi);
         for k in 2..=6usize {
             let r = densest_at_least_k(&g, &psi, k).unwrap();
             assert!(
@@ -346,7 +345,7 @@ mod tests {
         let psi = Pattern::edge();
         let oracle = oracle_for(&psi);
         let dec = decompose(&g, oracle.as_ref());
-        let (cds, _) = exact(&g, &psi, FlowBackend::Dinic);
+        let (cds, _) = exact(&g, &psi);
         assert_eq!(cds.vertices.len(), 5);
         for k in 2..=9usize {
             let o = densest_at_least_k_from(

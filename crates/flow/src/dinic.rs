@@ -5,14 +5,13 @@
 //! the reference DSD implementations and treat residuals below [`EPS`] as
 //! saturated. Level counts still bound the number of phases by `O(V)`.
 //!
-//! Besides the from-scratch [`MaxFlow::max_flow`], Dinic implements the
-//! warm [`MaxFlow::resolve`]: after monotone *non-decreasing* capacity
+//! Besides the from-scratch [`Dinic::max_flow`], Dinic implements the
+//! warm [`Dinic::resolve`]: after monotone *non-decreasing* capacity
 //! bumps the previous flow stays feasible, so the solver just augments
 //! from the residual network — the cheap half of the parametric max-flow
 //! scheme (Gallo–Grigoriadis–Tarjan) driving the α-search framework.
 
 use crate::network::{EdgeId, FlowNetwork, NodeId, EPS};
-use crate::MaxFlow;
 
 /// Dinic max-flow solver. Stateless between runs; scratch buffers are kept
 /// to amortize allocations across the many min-cut probes of a binary
@@ -93,29 +92,30 @@ impl Dinic {
         }
         total
     }
-}
 
-impl MaxFlow for Dinic {
-    fn max_flow(&mut self, net: &mut FlowNetwork, s: NodeId, t: NodeId) -> f64 {
+    /// Computes the maximum s→t flow value on a network with no flow yet
+    /// (fresh or [`reset`](FlowNetwork::reset_flow)), mutating its flow
+    /// state in place. On a network that already carries a feasible flow
+    /// it returns only the amount augmented on top of it.
+    pub fn max_flow(&mut self, net: &mut FlowNetwork, s: NodeId, t: NodeId) -> f64 {
         assert_ne!(s, t, "source and sink must differ");
         self.augment(net, s, t)
     }
 
-    fn resolve(
-        &mut self,
-        net: &mut FlowNetwork,
-        s: NodeId,
-        t: NodeId,
-        _changed_edges: &[EdgeId],
-    ) -> f64 {
-        assert_ne!(s, t, "source and sink must differ");
-        // The previous flow stays feasible (capacities only increased);
-        // only the delta needs augmenting.
-        let _ = self.augment(net, s, t);
+    /// Re-solves after **monotone non-decreasing** capacity changes,
+    /// keeping the flow already on the network, and returns the new
+    /// max-flow value. The previous flow stays feasible when capacities
+    /// only grow, so only the delta is augmented (the parametric max-flow
+    /// idea of Gallo–Grigoriadis–Tarjan).
+    pub fn resolve(&mut self, net: &mut FlowNetwork, s: NodeId, t: NodeId) -> f64 {
+        let _ = self.max_flow(net, s, t);
         net.inflow(t)
     }
 
-    fn work(&self) -> u64 {
+    /// Monotone counter of augmenting work (edge scans) performed across
+    /// this solver's lifetime; differences around a probe measure the
+    /// probe's cost.
+    pub fn work(&self) -> u64 {
         self.work
     }
 }
@@ -201,12 +201,12 @@ mod tests {
         let f = solver.max_flow(&mut net, 0, 2);
         assert!((f - 1.0).abs() < 1e-9);
         net.set_cap(e1, 4.0);
-        let f2 = solver.resolve(&mut net, 0, 2, &[e1]);
+        let f2 = solver.resolve(&mut net, 0, 2);
         assert!((f2 - 4.0).abs() < 1e-9, "resolved value {f2}");
         assert!(net.conserves_flow(0, 2));
         net.set_cap(e0, 10.0);
         net.set_cap(e1, 20.0);
-        let f3 = solver.resolve(&mut net, 0, 2, &[e0, e1]);
+        let f3 = solver.resolve(&mut net, 0, 2);
         assert!((f3 - 10.0).abs() < 1e-9, "resolved value {f3}");
         assert!(solver.work() > 0);
     }

@@ -7,16 +7,16 @@
 //!
 //! * [`FlowNetwork`] — an arena of paired forward/residual edges with `f64`
 //!   capacities (α is a dyadic rational, so capacities are fractional);
-//! * [`dinic::Dinic`] — BFS-layered blocking-flow solver (default backend);
-//! * [`push_relabel::PushRelabel`] — highest-label push-relabel with the gap
-//!   heuristic (alternative backend, used for cross-validation and ablation);
-//! * [`MaxFlow`] — the trait both implement;
+//! * [`dinic::Dinic`] — BFS-layered blocking-flow solver, with a warm
+//!   [`Dinic::resolve`] for monotone capacity bumps;
+//! * [`ParametricSolver`] — drives one [`Dinic`] across a probe sequence
+//!   and counts the flow-state reuse it delivered;
 //! * [`min_cut_source_side`] — residual-reachability extraction of the
 //!   source side `S` of a minimum st-cut, which *is* the candidate densest
 //!   subgraph in the paper's constructions.
 //!
 //! ```
-//! use dsd_flow::{Dinic, FlowNetwork, MaxFlow, min_cut_source_side};
+//! use dsd_flow::{Dinic, FlowNetwork, min_cut_source_side};
 //!
 //! let mut net = FlowNetwork::new(4);
 //! net.add_edge(0, 1, 3.0);
@@ -31,46 +31,10 @@
 pub mod dinic;
 pub mod network;
 pub mod parametric;
-pub mod push_relabel;
 
 pub use dinic::Dinic;
 pub use network::{EdgeId, FlowNetwork, NodeId, EPS};
 pub use parametric::{ParametricSolver, ResolveStats};
-pub use push_relabel::PushRelabel;
-
-/// A maximum-flow solver over a [`FlowNetwork`].
-pub trait MaxFlow {
-    /// Computes the maximum s→t flow value, mutating the network's flow
-    /// state in place.
-    fn max_flow(&mut self, net: &mut FlowNetwork, s: NodeId, t: NodeId) -> f64;
-
-    /// Re-solves after **monotone non-decreasing** capacity changes to
-    /// `changed_edges`, reusing the (pre)flow already on the network from
-    /// this solver's previous run, and returns the new max-flow value.
-    ///
-    /// The previous flow stays feasible when capacities only grow, so an
-    /// implementation only pays for the delta (the parametric max-flow
-    /// idea of Gallo–Grigoriadis–Tarjan). The default falls back to a
-    /// from-scratch solve, which is always correct.
-    fn resolve(
-        &mut self,
-        net: &mut FlowNetwork,
-        s: NodeId,
-        t: NodeId,
-        changed_edges: &[EdgeId],
-    ) -> f64 {
-        let _ = changed_edges;
-        net.reset_flow();
-        self.max_flow(net, s, t)
-    }
-
-    /// Monotone counter of augmenting work (edge scans) performed by this
-    /// solver across its lifetime; differences around a probe measure the
-    /// probe's cost. Solvers that don't track work return 0.
-    fn work(&self) -> u64 {
-        0
-    }
-}
 
 /// Returns the source side `S` of a minimum st-cut after a max-flow run:
 /// every node reachable from `s` in the residual network.

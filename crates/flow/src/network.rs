@@ -182,8 +182,7 @@ impl FlowNetwork {
     }
 
     /// Total flow currently arriving at `t` (equals the max-flow value
-    /// after a solver run — including for *preflows*, where
-    /// [`outflow`](Self::outflow) can over-count by trapped excess).
+    /// after a solver run).
     pub fn inflow(&self, t: NodeId) -> f64 {
         -self.outflow(t)
     }

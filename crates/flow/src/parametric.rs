@@ -6,19 +6,19 @@
 //! is exactly the regime of Gallo–Grigoriadis–Tarjan parametric max-flow:
 //! a probe at a higher α can keep the previous flow (still feasible) and
 //! pay only for the delta, so a whole probe sequence costs amortized
-//! about one from-scratch max-flow. [`ParametricSolver`] owns the solver
-//! lifecycle for such a sequence — a single allocation instead of a
-//! `Box::new` per probe — and counts how much reuse it delivered.
+//! about one from-scratch max-flow. [`ParametricSolver`] owns one
+//! [`Dinic`] (and its scratch buffers) for such a sequence and counts how
+//! much reuse it delivered.
 
-use crate::network::{EdgeId, FlowNetwork, NodeId};
-use crate::MaxFlow;
+use crate::network::{FlowNetwork, NodeId};
+use crate::Dinic;
 
 /// Reuse accounting for a probe sequence.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ResolveStats {
     /// Min-cut probes run through this solver.
     pub probes: usize,
-    /// Probes served warm by [`MaxFlow::resolve`] (flow-state reuse)
+    /// Probes served warm by [`Dinic::resolve`] (flow-state reuse)
     /// instead of a from-scratch solve.
     pub resolve_hits: usize,
     /// Total augmenting work (edge scans) inside the solver, warm and
@@ -34,7 +34,7 @@ impl core::ops::AddAssign for ResolveStats {
     }
 }
 
-/// Owns one max-flow solver across a probe sequence, dispatching each
+/// Owns one Dinic solver across a probe sequence, dispatching each
 /// probe to a cold [`solve`](Self::solve) or a warm
 /// [`resolve`](Self::resolve) and accumulating [`ResolveStats`].
 ///
@@ -43,22 +43,19 @@ impl core::ops::AddAssign for ResolveStats {
 /// solver was non-decreasing (or the flow state was restored to a
 /// checkpoint for which that holds). `dsd-core`'s `DensityNetwork` is the
 /// canonical driver.
+#[derive(Default)]
 pub struct ParametricSolver {
-    solver: Box<dyn MaxFlow + Send>,
-    /// Whether the network carries a (pre)flow produced by this solver
+    solver: Dinic,
+    /// Whether the network carries a flow produced by this solver
     /// that `resolve` may continue from.
     primed: bool,
     stats: ResolveStats,
 }
 
 impl ParametricSolver {
-    /// Wraps a solver for a probe sequence.
-    pub fn new(solver: Box<dyn MaxFlow + Send>) -> Self {
-        ParametricSolver {
-            solver,
-            primed: false,
-            stats: ResolveStats::default(),
-        }
+    /// A solver for a fresh probe sequence.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Cold probe: resets the network's flow and solves from scratch.
@@ -72,22 +69,15 @@ impl ParametricSolver {
         value
     }
 
-    /// Warm probe after monotone non-decreasing capacity changes on
-    /// `changed_edges`: keeps the flow, pays only for the delta. Falls
-    /// back to a cold [`solve`](Self::solve) when no prior probe primed
-    /// the flow state.
-    pub fn resolve(
-        &mut self,
-        net: &mut FlowNetwork,
-        s: NodeId,
-        t: NodeId,
-        changed_edges: &[EdgeId],
-    ) -> f64 {
+    /// Warm probe after monotone non-decreasing capacity changes: keeps
+    /// the flow, pays only for the delta. Falls back to a cold
+    /// [`solve`](Self::solve) when no prior probe primed the flow state.
+    pub fn resolve(&mut self, net: &mut FlowNetwork, s: NodeId, t: NodeId) -> f64 {
         if !self.primed {
             return self.solve(net, s, t);
         }
         let w0 = self.solver.work();
-        let value = self.solver.resolve(net, s, t, changed_edges);
+        let value = self.solver.resolve(net, s, t);
         self.stats.probes += 1;
         self.stats.resolve_hits += 1;
         self.stats.augment_work += self.solver.work() - w0;
@@ -103,7 +93,7 @@ impl ParametricSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Dinic, PushRelabel};
+    use crate::EdgeId;
 
     fn diamond() -> (FlowNetwork, EdgeId, EdgeId) {
         let mut net = FlowNetwork::new(4);
@@ -116,29 +106,22 @@ mod tests {
 
     #[test]
     fn sequence_reuses_one_solver() {
-        for backend in [true, false] {
-            let solver: Box<dyn MaxFlow + Send> = if backend {
-                Box::new(Dinic::new())
-            } else {
-                Box::new(PushRelabel::new())
-            };
-            let mut para = ParametricSolver::new(solver);
-            let (mut net, a, b) = diamond();
-            // First probe is cold even via resolve().
-            let f0 = para.resolve(&mut net, 0, 3, &[]);
-            assert!((f0 - 2.0).abs() < 1e-9);
-            assert_eq!(para.stats().resolve_hits, 0);
-            // Monotone bumps: warm probes from here on.
-            for (step, cap) in [2.0f64, 3.5, 4.0].into_iter().enumerate() {
-                net.set_cap(a, cap);
-                net.set_cap(b, cap);
-                let f = para.resolve(&mut net, 0, 3, &[a, b]);
-                assert!((f - 2.0 * cap.min(4.0)).abs() < 1e-9, "step {step}: {f}");
-            }
-            let stats = para.stats();
-            assert_eq!(stats.probes, 4);
-            assert_eq!(stats.resolve_hits, 3);
-            assert!(stats.augment_work > 0);
+        let mut para = ParametricSolver::new();
+        let (mut net, a, b) = diamond();
+        // First probe is cold even via resolve().
+        let f0 = para.resolve(&mut net, 0, 3);
+        assert!((f0 - 2.0).abs() < 1e-9);
+        assert_eq!(para.stats().resolve_hits, 0);
+        // Monotone bumps: warm probes from here on.
+        for (step, cap) in [2.0f64, 3.5, 4.0].into_iter().enumerate() {
+            net.set_cap(a, cap);
+            net.set_cap(b, cap);
+            let f = para.resolve(&mut net, 0, 3);
+            assert!((f - 2.0 * cap.min(4.0)).abs() < 1e-9, "step {step}: {f}");
         }
+        let stats = para.stats();
+        assert_eq!(stats.probes, 4);
+        assert_eq!(stats.resolve_hits, 3);
+        assert!(stats.augment_work > 0);
     }
 }

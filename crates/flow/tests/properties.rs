@@ -1,12 +1,13 @@
-//! Property-style tests of the max-flow substrate: the two solvers agree,
-//! flows are conserved and capacity-feasible, and max-flow equals the
-//! capacity of the extracted minimum cut (strong duality). Driven by a
-//! deterministic xorshift seed loop (no crates.io access in the container),
-//! plus a deeper seeded backend-equivalence sweep over the workspace
-//! generator (`crates/rand`) that honours the `DSD_PROP_ITERS` knob used
-//! by the nightly CI job.
+//! Property-style tests of the max-flow substrate: flows are conserved and
+//! capacity-feasible, max-flow equals the capacity of the extracted
+//! minimum cut (strong duality), and Dinic — cold and warm — agrees with
+//! an independent BFS augmenting-path reference (Edmonds–Karp) kept here,
+//! outside the crate. Driven by a deterministic xorshift seed loop (no
+//! crates.io access in the container), plus deeper seeded sweeps over the
+//! workspace generator (`crates/rand`) that honour the `DSD_PROP_ITERS`
+//! knob used by the nightly CI job.
 
-use dsd_flow::{min_cut_source_side, Dinic, FlowNetwork, MaxFlow, NodeId, PushRelabel, EPS};
+use dsd_flow::{min_cut_source_side, Dinic, EdgeId, FlowNetwork, NodeId, EPS};
 use dsd_graph::testing::XorShift;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -60,18 +61,93 @@ fn cut_capacity(net: &FlowNetwork, side: &[NodeId]) -> f64 {
     cap
 }
 
-#[test]
-fn dinic_equals_push_relabel() {
-    let mut rng = XorShift::new(0xF10A);
-    for _ in 0..256 {
-        let spec = random_spec(&mut rng);
-        let s: NodeId = 0;
-        let t: NodeId = (spec.n - 1) as NodeId;
-        let mut a = build(&spec);
-        let mut b = build(&spec);
-        let fa = Dinic::new().max_flow(&mut a, s, t);
-        let fb = PushRelabel::new().max_flow(&mut b, s, t);
-        assert!((fa - fb).abs() < 1e-6, "dinic {fa} vs push-relabel {fb}");
+/// Reference max-flow: Edmonds–Karp (shortest augmenting paths by BFS)
+/// from whatever feasible flow `net` already carries. Returns the flow
+/// value into `t` afterwards.
+fn edmonds_karp(net: &mut FlowNetwork, s: NodeId, t: NodeId) -> f64 {
+    let n = net.num_nodes();
+    loop {
+        let mut parent: Vec<Option<EdgeId>> = vec![None; n];
+        let mut seen = vec![false; n];
+        let mut queue = std::collections::VecDeque::from([s]);
+        seen[s as usize] = true;
+        while let Some(v) = queue.pop_front() {
+            for &e in net.out_edges(v) {
+                let edge = net.edge(e);
+                if edge.residual() > EPS && !seen[edge.to as usize] {
+                    seen[edge.to as usize] = true;
+                    parent[edge.to as usize] = Some(e);
+                    queue.push_back(edge.to);
+                }
+            }
+        }
+        if !seen[t as usize] {
+            return net.inflow(t);
+        }
+        let mut path = Vec::new();
+        let mut v = t;
+        while let Some(e) = parent[v as usize] {
+            path.push(e);
+            v = net.edge(e ^ 1).to;
+        }
+        let bottleneck = path
+            .iter()
+            .map(|&e| net.edge(e).residual())
+            .fold(f64::INFINITY, f64::min);
+        for &e in &path {
+            net.push(e, bottleneck);
+        }
+    }
+}
+
+/// Optimality certificate of a solved network: the flow is capacity-
+/// feasible and conserved, `flow` is what reaches the sink, and the
+/// extracted min cut separates s from t with capacity equal to `flow`.
+fn assert_certified(net: &FlowNetwork, s: NodeId, t: NodeId, flow: f64, ctx: &str) {
+    for (_, e) in net.forward_edges() {
+        assert!(
+            e.flow >= -1e-9 && e.flow <= e.cap + 1e-9,
+            "{ctx}: infeasible edge flow {} / cap {}",
+            e.flow,
+            e.cap
+        );
+    }
+    assert!(net.conserves_flow(s, t), "{ctx}: flow not conserved");
+    assert!(
+        (net.inflow(t) - flow).abs() < 1e-6,
+        "{ctx}: reported {flow} vs sink inflow {}",
+        net.inflow(t)
+    );
+    let side = min_cut_source_side(net, s);
+    assert!(side.contains(&s), "{ctx}: cut misses source");
+    assert!(!side.contains(&t), "{ctx}: cut contains sink");
+    let cap = cut_capacity(net, &side);
+    assert!((flow - cap).abs() < 1e-6, "{ctx}: flow {flow} vs cut {cap}");
+}
+
+fn prop_iters(default: usize) -> u64 {
+    std::env::var("DSD_PROP_ITERS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default) as u64
+}
+
+/// A seeded random network with `n` in `4..=n_max` and `n..=n * density`
+/// edges of capacity in `[0.05, max_cap)`.
+fn seeded_spec(rng: &mut StdRng, n_max: usize, density: usize, max_cap: f64) -> NetSpec {
+    let n = rng.gen_range(4usize..=n_max);
+    let m = rng.gen_range(n..=n * density);
+    NetSpec {
+        n,
+        edges: (0..m)
+            .map(|_| {
+                (
+                    rng.gen_range(0u32..n as u32),
+                    rng.gen_range(0u32..n as u32),
+                    rng.gen_range(0.05f64..max_cap),
+                )
+            })
+            .collect(),
     }
 }
 
@@ -117,123 +193,80 @@ fn max_flow_equals_min_cut() {
     }
 }
 
-/// Backend equivalence, closed end to end: on larger randomized networks
-/// from the workspace's seeded generator, Dinic and push-relabel agree on
-/// the max-flow value *and* each backend's own extracted min cut certifies
-/// it (strong duality holds per backend, not just for Dinic). Iteration
-/// count honours `DSD_PROP_ITERS`.
+/// Cold equivalence, closed end to end: on larger randomized networks
+/// from the workspace's seeded generator, Dinic and the Edmonds–Karp
+/// reference agree on the max-flow value, and each run's own flow and
+/// extracted min cut certify it. Iteration count honours
+/// `DSD_PROP_ITERS`.
 #[test]
-fn backend_equivalence_on_seeded_networks() {
-    let iters = std::env::var("DSD_PROP_ITERS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(300usize);
-    for seed in 0..iters as u64 {
+fn dinic_matches_edmonds_karp_on_seeded_networks() {
+    for seed in 0..prop_iters(300) {
         let mut rng = StdRng::seed_from_u64(0xF70A ^ seed);
-        let n = rng.gen_range(4usize..=24);
-        let m = rng.gen_range(n..=n * 6);
-        let spec = NetSpec {
-            n,
-            edges: (0..m)
-                .map(|_| {
-                    (
-                        rng.gen_range(0u32..n as u32),
-                        rng.gen_range(0u32..n as u32),
-                        rng.gen_range(0.05f64..25.0),
-                    )
-                })
-                .collect(),
-        };
+        let spec = seeded_spec(&mut rng, 24, 6, 25.0);
         let s: NodeId = 0;
-        let t: NodeId = (n - 1) as NodeId;
+        let t: NodeId = (spec.n - 1) as NodeId;
         let mut dinic_net = build(&spec);
-        let mut pr_net = build(&spec);
+        let mut ek_net = build(&spec);
         let f_dinic = Dinic::new().max_flow(&mut dinic_net, s, t);
-        let f_pr = PushRelabel::new().max_flow(&mut pr_net, s, t);
+        let f_ek = edmonds_karp(&mut ek_net, s, t);
         assert!(
-            (f_dinic - f_pr).abs() < 1e-6,
-            "seed {seed}: dinic {f_dinic} vs push-relabel {f_pr}"
+            (f_dinic - f_ek).abs() < 1e-6,
+            "seed {seed}: dinic {f_dinic} vs edmonds-karp {f_ek}"
         );
-        for (name, net, flow) in [
-            ("dinic", &dinic_net, f_dinic),
-            ("push-relabel", &pr_net, f_pr),
-        ] {
-            let side = min_cut_source_side(net, s);
-            assert!(side.contains(&s), "seed {seed}: {name} cut misses source");
-            assert!(!side.contains(&t), "seed {seed}: {name} cut contains sink");
-            let cap = cut_capacity(net, &side);
-            assert!(
-                (flow - cap).abs() < 1e-6,
-                "seed {seed}: {name} flow {flow} vs own cut {cap}"
-            );
-        }
+        assert_certified(&dinic_net, s, t, f_dinic, &format!("seed {seed} dinic"));
+        assert_certified(&ek_net, s, t, f_ek, &format!("seed {seed} edmonds-karp"));
     }
 }
 
-/// Parametric resolve: after monotone non-decreasing capacity bumps, each
-/// backend's warm `resolve` matches a from-scratch solve — value (within
-/// fp tolerance) and the extracted minimal min-cut source side (set
-/// equality; the reachability-minimal min cut is unique, so it must not
-/// depend on how the flow got there). Iterations honour `DSD_PROP_ITERS`.
+/// Parametric resolve: after monotone non-decreasing capacity bumps,
+/// Dinic's warm `resolve` matches a from-scratch Edmonds–Karp solve —
+/// value (within fp tolerance) and the extracted minimal min-cut source
+/// side (set equality; the reachability-minimal min cut is unique, so it
+/// must not depend on how the flow got there) — and the reference
+/// continued warm on its own copy agrees too. Every run is certified.
+/// Iterations honour `DSD_PROP_ITERS`.
 #[test]
-fn resolve_matches_cold_solve_across_backends() {
-    let iters = std::env::var("DSD_PROP_ITERS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(200usize);
-    for seed in 0..iters as u64 {
+fn resolve_matches_cold_solve() {
+    for seed in 0..prop_iters(200) {
         let mut rng = StdRng::seed_from_u64(0x6617 ^ seed);
-        let n = rng.gen_range(4usize..=16);
-        let m = rng.gen_range(n..=n * 5);
-        let spec = NetSpec {
-            n,
-            edges: (0..m)
-                .map(|_| {
-                    (
-                        rng.gen_range(0u32..n as u32),
-                        rng.gen_range(0u32..n as u32),
-                        rng.gen_range(0.05f64..20.0),
-                    )
-                })
-                .collect(),
-        };
+        let spec = seeded_spec(&mut rng, 16, 5, 20.0);
         let s: NodeId = 0;
-        let t: NodeId = (n - 1) as NodeId;
-        for backend in 0..2 {
-            let solver = |b: usize| -> Box<dyn MaxFlow> {
-                if b == 0 {
-                    Box::new(Dinic::new())
-                } else {
-                    Box::new(PushRelabel::new())
+        let t: NodeId = (spec.n - 1) as NodeId;
+        let mut warm = build(&spec);
+        let mut ek_warm = build(&spec);
+        let mut solver = Dinic::new();
+        let _ = solver.max_flow(&mut warm, s, t);
+        let _ = edmonds_karp(&mut ek_warm, s, t);
+        // Three rounds of monotone bumps, resolving after each.
+        for round in 0..3u64 {
+            for e in 0..warm.num_edges() as u32 {
+                if (seed + e as u64 + round).is_multiple_of(3) {
+                    let cap = warm.edge(2 * e).cap + rng.gen_range(0.1f64..8.0);
+                    warm.set_cap(2 * e, cap);
+                    ek_warm.set_cap(2 * e, cap);
                 }
-            };
-            let mut warm = build(&spec);
-            let mut warm_solver = solver(backend);
-            let _ = warm_solver.max_flow(&mut warm, s, t);
-            // Three rounds of monotone bumps, resolving after each.
-            for round in 0..3u64 {
-                let mut changed = Vec::new();
-                for e in 0..warm.num_edges() as u32 {
-                    if (seed + e as u64 + round).is_multiple_of(3) {
-                        let cap = warm.edge(2 * e).cap + rng.gen_range(0.1f64..8.0);
-                        warm.set_cap(2 * e, cap);
-                        changed.push(2 * e);
-                    }
-                }
-                let f_warm = warm_solver.resolve(&mut warm, s, t, &changed);
-                // Cold reference on an identically-capacitated network.
-                let mut cold = warm.clone();
-                cold.reset_flow();
-                let f_cold = solver(backend).max_flow(&mut cold, s, t);
+            }
+            let ctx = format!("seed {seed} round {round}");
+            let f_warm = solver.resolve(&mut warm, s, t);
+            let f_ek_warm = edmonds_karp(&mut ek_warm, s, t);
+            // Cold reference on an identically-capacitated network.
+            let mut cold = warm.clone();
+            cold.reset_flow();
+            let f_cold = edmonds_karp(&mut cold, s, t);
+            for (name, net, f) in [
+                ("dinic warm", &warm, f_warm),
+                ("edmonds-karp warm", &ek_warm, f_ek_warm),
+                ("edmonds-karp cold", &cold, f_cold),
+            ] {
+                assert_certified(net, s, t, f, &format!("{ctx} {name}"));
                 assert!(
-                    (f_warm - f_cold).abs() < 1e-6,
-                    "seed {seed} round {round} backend {backend}: warm {f_warm} vs cold {f_cold}"
+                    (f - f_cold).abs() < 1e-6,
+                    "{ctx}: {name} {f} vs cold {f_cold}"
                 );
-                let side_warm = min_cut_source_side(&warm, s);
-                let side_cold = min_cut_source_side(&cold, s);
                 assert_eq!(
-                    side_warm, side_cold,
-                    "seed {seed} round {round} backend {backend}: min-cut source sides differ"
+                    min_cut_source_side(net, s),
+                    min_cut_source_side(&cold, s),
+                    "{ctx}: {name} min-cut source side differs from cold"
                 );
             }
         }

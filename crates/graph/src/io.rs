@@ -37,12 +37,21 @@ impl From<std::io::Error> for ParseError {
 }
 
 /// Parses an edge list from a reader.
+///
+/// Returns [`ParseError::Malformed`] for a line that is not a `u v` pair,
+/// a `# n` header below max id + 1 or beyond the `u32` vertex range, and
+/// a vertex id that would need more than `u32::MAX` vertices.
 pub fn read_edge_list<R: BufRead>(reader: R) -> Result<Graph, ParseError> {
     let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
     let mut n_override: Option<usize> = None;
-    let mut max_id: i64 = -1;
+    // Vertex count the edges so far need (max id + 1).
+    let mut needed: usize = 0;
     for (idx, line) in reader.lines().enumerate() {
         let line = line?;
+        let malformed = || ParseError::Malformed {
+            line: idx + 1,
+            content: line.clone(),
+        };
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;
@@ -50,8 +59,11 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<Graph, ParseError> {
         if let Some(rest) = trimmed.strip_prefix('#') {
             let mut toks = rest.split_whitespace();
             if toks.next() == Some("n") {
-                if let Some(Ok(n)) = toks.next().map(str::parse::<usize>) {
-                    n_override = Some(n);
+                if let Some(Ok(n)) = toks.next().map(str::parse::<u64>) {
+                    if n > u32::MAX as u64 || (n as usize) < needed {
+                        return Err(malformed());
+                    }
+                    n_override = Some(n as usize);
                 }
             }
             continue;
@@ -60,24 +72,19 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<Graph, ParseError> {
         let (u, v) = match (toks.next(), toks.next()) {
             (Some(a), Some(b)) => match (a.parse::<VertexId>(), b.parse::<VertexId>()) {
                 (Ok(u), Ok(v)) => (u, v),
-                _ => {
-                    return Err(ParseError::Malformed {
-                        line: idx + 1,
-                        content: line.clone(),
-                    })
-                }
+                _ => return Err(malformed()),
             },
-            _ => {
-                return Err(ParseError::Malformed {
-                    line: idx + 1,
-                    content: line.clone(),
-                })
-            }
+            _ => return Err(malformed()),
         };
-        max_id = max_id.max(u as i64).max(v as i64);
+        let top = u.max(v);
+        // Ids index vertices 0..n with n itself a u32.
+        if top == VertexId::MAX || n_override.is_some_and(|n| top as usize >= n) {
+            return Err(malformed());
+        }
+        needed = needed.max(top as usize + 1);
         edges.push((u, v));
     }
-    let n = n_override.unwrap_or((max_id + 1) as usize);
+    let n = n_override.unwrap_or(needed);
     let mut b = GraphBuilder::with_capacity(n, edges.len());
     for (u, v) in edges {
         b.add_edge(u, v);
@@ -137,6 +144,42 @@ mod tests {
     #[test]
     fn rejects_single_token_lines() {
         assert!(parse_edge_list("42\n").is_err());
+    }
+
+    #[test]
+    fn rejects_header_below_max_id() {
+        // Header first: the out-of-range edge line is reported.
+        let err = parse_edge_list("# n 2\n0 1\n0 5\n").unwrap_err();
+        assert!(
+            matches!(err, ParseError::Malformed { line: 3, .. }),
+            "{err:?}"
+        );
+        // Header after the edges: the header line is reported.
+        let err = parse_edge_list("0 5\n# n 2\n").unwrap_err();
+        assert!(
+            matches!(err, ParseError::Malformed { line: 2, .. }),
+            "{err:?}"
+        );
+        // A header of exactly max id + 1 is fine.
+        assert_eq!(parse_edge_list("# n 6\n0 5\n").unwrap().num_vertices(), 6);
+    }
+
+    #[test]
+    fn rejects_header_beyond_u32_range() {
+        let err = parse_edge_list("0 1\n# n 4294967296\n").unwrap_err();
+        assert!(
+            matches!(err, ParseError::Malformed { line: 2, .. }),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn rejects_vertex_id_needing_more_than_u32_vertices() {
+        let err = parse_edge_list("0 1\n0 4294967295\n").unwrap_err();
+        assert!(
+            matches!(err, ParseError::Malformed { line: 2, .. }),
+            "{err:?}"
+        );
     }
 
     #[test]

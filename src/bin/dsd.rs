@@ -3,10 +3,10 @@
 //!
 //! ```text
 //! dsd <edge-list-file> [--psi <pattern>] [--method <method>]
-//!                      [--objective <objective>] [--backend <backend>]
-//!                      [--tolerance <t>] [--budget <probes>]
-//!                      [--query v1,v2,...] [--threads <n>]
-//!                      [--substrate-budget <bytes>] [--stats]
+//!                      [--objective <objective>] [--tolerance <t>]
+//!                      [--budget <probes>] [--query v1,v2,...]
+//!                      [--threads <n>] [--substrate-budget <bytes>]
+//!                      [--stats]
 //! dsd batch <request-file> [--threads <n>] [--substrate-budget <bytes>]
 //!                          [--shards <n>]
 //! dsd serve <request-file> [--budget <bytes>] [--workers <n>]
@@ -17,7 +17,6 @@
 //!             c3-star | diamond | 2-triangle | 3-triangle | basket
 //! methods:    auto (default) | exact | core-exact | peel | inc-app | core-app
 //! objectives: densest (default) | top-k:<k> | at-least:<k> | at-most:<k>
-//! backends:   dinic (default) | push-relabel
 //! ```
 //!
 //! Reads a whitespace edge list (`# comments` allowed, `# n <N>` header
@@ -42,8 +41,7 @@
 //! graph <name> <edge-list-file>
 //! # issue a request against a registered graph (same flags as above)
 //! req <name> [--psi <pattern>] [--objective <objective>] [--method <m>]
-//!            [--backend <b>] [--tolerance <t>] [--budget <probes>]
-//!            [--query v1,v2,...]
+//!            [--tolerance <t>] [--budget <probes>] [--query v1,v2,...]
 //! # apply edge updates to a registered graph in place: +u:v inserts the
 //! # edge {u, v}, -u:v deletes it
 //! update <name> [+u:v | -u:v]...
@@ -93,9 +91,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use dsd::core::{
-    parse_byte_budget, DsdEngine, DsdRequest, DsdServer, DsdService, FlowBackend, GraphUpdate,
-    Method, Objective, Outcome, Parallelism, ServeConfig, ServeError, ServeOutcome, ShardedGraph,
-    Ticket,
+    parse_byte_budget, DsdEngine, DsdRequest, DsdServer, DsdService, GraphUpdate, Method,
+    Objective, Outcome, Parallelism, ServeConfig, ServeError, ServeOutcome, ShardedGraph, Ticket,
 };
 use dsd::datasets::compute_stats;
 use dsd::graph::io::read_edge_list;
@@ -154,14 +151,6 @@ fn parse_objective(s: &str) -> Option<Objective> {
     None
 }
 
-fn parse_backend(s: &str) -> Option<FlowBackend> {
-    match s {
-        "dinic" => Some(FlowBackend::Dinic),
-        "push-relabel" => Some(FlowBackend::PushRelabel),
-        _ => None,
-    }
-}
-
 /// Renders one `SolveStats.store` entry for the CLI.
 fn store_line(store: &dsd::core::StoreStats) -> String {
     if store.materialized {
@@ -194,8 +183,8 @@ fn store_line(store: &dsd::core::StoreStats) -> String {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: dsd <edge-list-file> [--psi <pattern>] [--method <method>] \
-         [--objective <objective>] [--backend <backend>] [--tolerance <t>] \
-         [--budget <probes>] [--query v1,v2,...] [--threads <n>] \
+         [--objective <objective>] [--tolerance <t>] [--budget <probes>] \
+         [--query v1,v2,...] [--threads <n>] \
          [--substrate-budget <bytes>] [--stats]\n\
          \x20      dsd batch <request-file> [--threads <n>] \
          [--substrate-budget <bytes>] [--shards <n>]\n\
@@ -218,7 +207,6 @@ fn parse_req_directive(tokens: &[&str]) -> Result<DsdRequest, String> {
     let mut psi = Pattern::edge();
     let mut objective = Objective::Densest;
     let mut method = Method::Auto;
-    let mut backend = FlowBackend::Dinic;
     let mut tolerance: Option<f64> = None;
     let mut budget: Option<usize> = None;
 
@@ -239,10 +227,6 @@ fn parse_req_directive(tokens: &[&str]) -> Result<DsdRequest, String> {
             "--method" => {
                 let v = value()?;
                 method = parse_method(v).ok_or(format!("unknown method {v:?}"))?;
-            }
-            "--backend" => {
-                let v = value()?;
-                backend = parse_backend(v).ok_or(format!("unknown backend {v:?}"))?;
             }
             "--tolerance" => {
                 let v = value()?;
@@ -271,8 +255,7 @@ fn parse_req_directive(tokens: &[&str]) -> Result<DsdRequest, String> {
     let mut req = DsdRequest::new(&psi)
         .on(*graph)
         .objective(objective)
-        .method(method)
-        .flow_backend(backend);
+        .method(method);
     if let Some(t) = tolerance {
         req = req.tolerance(t);
     }
@@ -930,7 +913,6 @@ fn main() -> ExitCode {
     let mut psi = Pattern::edge();
     let mut method = Method::Auto;
     let mut objective = Objective::Densest;
-    let mut backend = FlowBackend::Dinic;
     let mut tolerance: Option<f64> = None;
     let mut budget: Option<usize> = None;
     let mut threads = 1usize;
@@ -958,13 +940,6 @@ fn main() -> ExitCode {
                 Some(o) => objective = o,
                 None => {
                     eprintln!("unknown objective");
-                    return usage();
-                }
-            },
-            "--backend" => match it.next().and_then(|s| parse_backend(s)) {
-                Some(b) => backend = b,
-                None => {
-                    eprintln!("unknown backend");
                     return usage();
                 }
             },
@@ -1053,8 +1028,7 @@ fn main() -> ExitCode {
     let mut request = engine
         .request(&psi)
         .objective(objective.clone())
-        .method(method)
-        .flow_backend(backend);
+        .method(method);
     if let Some(t) = tolerance {
         request = request.tolerance(t);
     }

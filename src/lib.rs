@@ -90,8 +90,7 @@ pub mod prelude {
     pub use dsd_core::{
         core_exact, densest_subgraph, densest_with_query, exact, peel_app, top_k_densest,
         ApplyStats, BatchOutcome, BatchStats, DsdEngine, DsdRequest, DsdResult, DsdService,
-        FlowBackend, Guarantee, Method, Objective, Outcome, Parallelism, ServiceError, Solution,
-        SolveStats,
+        Guarantee, Method, Objective, Outcome, Parallelism, ServiceError, Solution, SolveStats,
     };
     pub use dsd_graph::{Graph, GraphBuilder, GraphUpdate, VertexId, VertexSet};
     pub use dsd_motif::Pattern;

@@ -165,3 +165,51 @@ fn update_on_unknown_graph_is_nonfatal() {
         "valid request must still print\nstdout:\n{stdout}"
     );
 }
+
+/// `graph` directives naming bad edge-list files (a `# n` header below
+/// max id + 1, a vertex id needing more than `u32::MAX` vertices) are
+/// reported on stderr and fail the run instead of panicking it, and the
+/// valid requests after them still print.
+#[test]
+fn out_of_range_edge_list_is_reported_and_later_requests_still_run() {
+    let dir = temp_dir("out-of-range");
+    let edges = write_file(&dir, "toy.edges", TOY_EDGES);
+    let low_header = write_file(&dir, "low-header.edges", "# n 2\n0 5\n");
+    let huge_id = write_file(&dir, "huge-id.edges", "0 4294967295\n");
+    let reqs = write_file(
+        &dir,
+        "reqs.txt",
+        &format!(
+            "graph bad1 {}\n\
+             graph bad2 {}\n\
+             graph toy {}\n\
+             req toy --psi triangle --method core-exact\n",
+            low_header.display(),
+            huge_id.display(),
+            edges.display()
+        ),
+    );
+    let out = run_batch(&reqs);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "bad edge lists must fail the run, not panic it\nstdout:\n{stdout}\nstderr:\n{stderr}"
+    );
+    for file in [&low_header, &huge_id] {
+        assert!(
+            stderr.contains(&file.display().to_string()),
+            "{} must be reported on stderr\nstderr:\n{stderr}",
+            file.display()
+        );
+    }
+    assert!(
+        stderr.contains("line 2") && stderr.contains("line 1"),
+        "errors must carry the offending line\nstderr:\n{stderr}"
+    );
+    assert!(
+        stdout.contains("density 0.500000"),
+        "the valid request after the bad graphs must still print\nstdout:\n{stdout}"
+    );
+}

@@ -3,7 +3,7 @@
 //! exact algorithms must agree with each other everywhere. Driven by a
 //! deterministic xorshift seed loop (no crates.io access in the container).
 
-use dsd::core::{core_exact, densest_subgraph, exact, oracle_for, FlowBackend, Method};
+use dsd::core::{core_exact, densest_subgraph, exact, oracle_for, Method};
 use dsd::graph::testing::XorShift;
 use dsd::graph::{Graph, VertexSet};
 use dsd::motif::Pattern;
@@ -29,7 +29,7 @@ fn exact_matches_brute_force_for_edges() {
     for _ in 0..64 {
         let g = rng.random_graph(2, 9, 50);
         let psi = Pattern::edge();
-        let (r, _) = exact(&g, &psi, FlowBackend::Dinic);
+        let (r, _) = exact(&g, &psi);
         let want = brute_force_opt(&g, &psi);
         assert!(
             (r.density - want).abs() < 1e-7,
@@ -63,7 +63,7 @@ fn exact_and_core_exact_agree_on_4cliques() {
     for _ in 0..64 {
         let g = rng.random_graph(2, 10, 50);
         let psi = Pattern::clique(4);
-        let (a, _) = exact(&g, &psi, FlowBackend::Dinic);
+        let (a, _) = exact(&g, &psi);
         let (b, _) = core_exact(&g, &psi);
         assert!((a.density - b.density).abs() < 1e-7);
     }
@@ -75,7 +75,7 @@ fn pexact_matches_brute_force_for_two_star() {
     for _ in 0..64 {
         let g = rng.random_graph(2, 8, 50);
         let psi = Pattern::two_star();
-        let (r, _) = exact(&g, &psi, FlowBackend::Dinic);
+        let (r, _) = exact(&g, &psi);
         let want = brute_force_opt(&g, &psi);
         assert!(
             (r.density - want).abs() < 1e-7,
@@ -109,7 +109,7 @@ fn pexact_matches_brute_force_for_c3_star() {
     for _ in 0..64 {
         let g = rng.random_graph(2, 8, 50);
         let psi = Pattern::c3_star();
-        let (r, _) = exact(&g, &psi, FlowBackend::Dinic);
+        let (r, _) = exact(&g, &psi);
         let want = brute_force_opt(&g, &psi);
         assert!(
             (r.density - want).abs() < 1e-7,
@@ -117,19 +117,6 @@ fn pexact_matches_brute_force_for_c3_star() {
             r.density,
             want
         );
-    }
-}
-
-#[test]
-fn push_relabel_backend_agrees() {
-    let mut rng = XorShift::new(0x9815);
-    for _ in 0..64 {
-        let g = rng.random_graph(2, 9, 50);
-        for psi in [Pattern::edge(), Pattern::triangle()] {
-            let (a, _) = exact(&g, &psi, FlowBackend::Dinic);
-            let (b, _) = exact(&g, &psi, FlowBackend::PushRelabel);
-            assert!((a.density - b.density).abs() < 1e-7, "{}", psi.name());
-        }
     }
 }
 

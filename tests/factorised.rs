@@ -11,10 +11,10 @@
 //!   enumeration build over the same subgraph, and double builds of
 //!   either are deterministic;
 //! * identically-shaped networks agree **bit for bit** on every probe:
-//!   same min-cut side, same cut value, for both flow backends;
+//!   same min-cut side, same cut value;
 //! * engine solves through store-built networks match streaming
 //!   (enumeration-built) solves — decision, witness, density bits —
-//!   across edge/clique/star/diamond/general Ψ, both backends, and the
+//!   across edge/clique/star/diamond/general Ψ and the
 //!   exact / core-exact / top-k / query paths;
 //! * repeat solves are served from the **network cache** (hits counted,
 //!   zero store rebuilds) and stay bit-identical;
@@ -24,7 +24,7 @@
 //! Iteration counts honour `DSD_PROP_ITERS` like `tests/dynamic.rs`;
 //! nightly CI runs this suite at 5000 iterations.
 
-use dsd::core::flownet::{build_pattern_network, build_store_network, DensityNetwork, FlowBackend};
+use dsd::core::flownet::{build_pattern_network, build_store_network, DensityNetwork};
 use dsd::core::{DsdEngine, Method, Objective, Solution};
 use dsd::graph::{Graph, GraphUpdate, VertexId, VertexSet};
 use dsd::motif::store::InstanceStore;
@@ -140,8 +140,7 @@ fn store_network_matches_grouped_enumeration_structure() {
 }
 
 /// Identically-shaped networks answer every probe bit-for-bit: the same
-/// ascending α ladder yields the same cut side and the same cut value,
-/// on both backends.
+/// ascending α ladder yields the same cut side and the same cut value.
 #[test]
 fn store_and_enumeration_networks_agree_on_cuts() {
     let iters = prop_iters(4);
@@ -153,27 +152,25 @@ fn store_and_enumeration_networks_agree_on_cuts() {
             let Some(store) = store_for(&g, &psi) else {
                 continue;
             };
-            for backend in [FlowBackend::Dinic, FlowBackend::PushRelabel] {
-                let mut a: DensityNetwork = build_store_network(&g, &all, &store);
-                let mut b = build_pattern_network(&g, &all, &psi, true);
-                for alpha in [0.0, 0.25, 0.5, 1.0, 2.0] {
-                    let sa = a.min_cut_side(alpha, backend);
-                    let va = a.cut_value();
-                    let sb = b.min_cut_side(alpha, backend);
-                    let vb = b.cut_value();
-                    assert_eq!(
-                        sa,
-                        sb,
-                        "iter {iter}, psi {}, {backend:?}, alpha {alpha}: cut side",
-                        psi.name()
-                    );
-                    assert_eq!(
-                        va.to_bits(),
-                        vb.to_bits(),
-                        "iter {iter}, psi {}, {backend:?}, alpha {alpha}: cut value",
-                        psi.name()
-                    );
-                }
+            let mut a: DensityNetwork = build_store_network(&g, &all, &store);
+            let mut b = build_pattern_network(&g, &all, &psi, true);
+            for alpha in [0.0, 0.25, 0.5, 1.0, 2.0] {
+                let sa = a.min_cut_side(alpha);
+                let va = a.cut_value();
+                let sb = b.min_cut_side(alpha);
+                let vb = b.cut_value();
+                assert_eq!(
+                    sa,
+                    sb,
+                    "iter {iter}, psi {}, alpha {alpha}: cut side",
+                    psi.name()
+                );
+                assert_eq!(
+                    va.to_bits(),
+                    vb.to_bits(),
+                    "iter {iter}, psi {}, alpha {alpha}: cut value",
+                    psi.name()
+                );
             }
         }
     }
@@ -181,7 +178,7 @@ fn store_and_enumeration_networks_agree_on_cuts() {
 
 /// Engine solves through the factorised path (store-backed oracle →
 /// store-built networks) match a streaming engine (substrate budget 0 →
-/// enumeration-built networks) bit for bit, across Ψ × backend × method.
+/// enumeration-built networks) bit for bit, across Ψ × method.
 #[test]
 fn store_backed_solves_match_streaming_enumeration() {
     let iters = prop_iters(3);
@@ -191,36 +188,24 @@ fn store_backed_solves_match_streaming_enumeration() {
         for psi in patterns() {
             let factorised = DsdEngine::new(g.clone());
             let streaming = DsdEngine::new(g.clone()).with_substrate_budget(Some(0));
-            for backend in [FlowBackend::Dinic, FlowBackend::PushRelabel] {
-                for method in [Method::Exact, Method::CoreExact] {
-                    let ctx = format!("iter {iter}, psi {}, {backend:?}, {method:?}", psi.name());
-                    let warm = factorised
-                        .request(&psi)
-                        .method(method)
-                        .flow_backend(backend)
-                        .solve();
-                    let cold = streaming
-                        .request(&psi)
-                        .method(method)
-                        .flow_backend(backend)
-                        .solve();
-                    assert_solutions_identical(&ctx, &warm, &cold);
-                }
-                let ctx = format!("iter {iter}, psi {}, {backend:?}, top-k", psi.name());
-                let warm = factorised
-                    .request(&psi)
-                    .objective(Objective::TopK(2))
-                    .method(Method::CoreExact)
-                    .flow_backend(backend)
-                    .solve();
-                let cold = streaming
-                    .request(&psi)
-                    .objective(Objective::TopK(2))
-                    .method(Method::CoreExact)
-                    .flow_backend(backend)
-                    .solve();
+            for method in [Method::Exact, Method::CoreExact] {
+                let ctx = format!("iter {iter}, psi {}, {method:?}", psi.name());
+                let warm = factorised.request(&psi).method(method).solve();
+                let cold = streaming.request(&psi).method(method).solve();
                 assert_solutions_identical(&ctx, &warm, &cold);
             }
+            let ctx = format!("iter {iter}, psi {}, top-k", psi.name());
+            let warm = factorised
+                .request(&psi)
+                .objective(Objective::TopK(2))
+                .method(Method::CoreExact)
+                .solve();
+            let cold = streaming
+                .request(&psi)
+                .objective(Objective::TopK(2))
+                .method(Method::CoreExact)
+                .solve();
+            assert_solutions_identical(&ctx, &warm, &cold);
         }
     }
 }

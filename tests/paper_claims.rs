@@ -5,7 +5,7 @@
 
 use dsd::core::{
     core_app, core_exact, core_exact_with, decompose, densest_at_least_k, exact, inc_app,
-    oracle_for, peel_app, CoreExactConfig, FlowBackend, Method,
+    oracle_for, peel_app, CoreExactConfig, Method,
 };
 use dsd::datasets::{dataset, er};
 use dsd::motif::Pattern;
@@ -25,7 +25,7 @@ fn flow_networks_shrink_inside_cores() {
     let g = dataset("As-733").unwrap().generate();
     let psi = Pattern::triangle();
     let (_, core_stats) = core_exact(&g, &psi);
-    let (_, exact_stats) = exact(&g, &psi, FlowBackend::Dinic);
+    let (_, exact_stats) = exact(&g, &psi);
     let full = exact_stats.network_nodes[0];
     let located = core_stats.exact.network_nodes[0];
     assert!(
@@ -51,7 +51,7 @@ fn flow_networks_shrink_inside_cores() {
 fn core_exact_beats_exact_on_skewed_graphs() {
     let g = dataset("Ca-HepTh").unwrap().generate();
     let psi = Pattern::triangle();
-    let (a, exact_stats) = exact(&g, &psi, FlowBackend::Dinic);
+    let (a, exact_stats) = exact(&g, &psi);
     let (b, core_stats) = core_exact(&g, &psi);
     assert!((a.density - b.density).abs() < 1e-6);
     let exact_work: usize = exact_stats.network_nodes.iter().sum();

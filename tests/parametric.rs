@@ -6,7 +6,7 @@
 //! residual-reachable cut, which is determined by the cut alone and so
 //! must not depend on how the flow state was reached).
 //!
-//! Sweeps seeded random graphs × both backends × all three network
+//! Sweeps seeded random graphs × all three network
 //! constructions (edge / clique / pattern, the pattern one in both its
 //! grouped and ungrouped forms), driving each pair of networks through a
 //! bisection-shaped α schedule (ups after feasible probes, downs after
@@ -18,7 +18,7 @@
 
 use dsd::core::flownet::{
     build_clique_network, build_edge_network, build_pattern_network, build_query_network,
-    DensityNetwork, FlowBackend,
+    DensityNetwork,
 };
 use dsd::core::{
     decompose, density, density_gap, k_core_decomposition, oracle_for, DecisionProbe, DsdResult,
@@ -72,15 +72,9 @@ fn networks(g: &Graph) -> Vec<(String, DensityNetwork, DensityNetwork)> {
 }
 
 /// One differential probe: warm (parametric) vs cold (from-scratch).
-fn check(
-    label: &str,
-    alpha: f64,
-    warm: &mut DensityNetwork,
-    cold: &mut DensityNetwork,
-    backend: FlowBackend,
-) -> bool {
-    let w = warm.solve(alpha, backend);
-    let c = cold.solve(alpha, backend);
+fn check(label: &str, alpha: f64, warm: &mut DensityNetwork, cold: &mut DensityNetwork) -> bool {
+    let w = warm.solve(alpha);
+    let c = cold.solve(alpha);
     assert_eq!(
         w.is_some(),
         c.is_some(),
@@ -107,21 +101,19 @@ fn resolve_after_alpha_bump_is_bit_identical_to_scratch() {
     for seed in 0..iters() as u64 {
         let mut rng = XorShift::new(0xA55E ^ (seed * 7919));
         let g = rng.random_graph(6, 14, 35 + (seed % 30));
-        for backend in [FlowBackend::Dinic, FlowBackend::PushRelabel] {
-            for (name, mut warm, mut cold) in networks(&g) {
-                cold.set_warm_start(false);
-                let label = format!("seed {seed} {name} {backend:?}");
-                let (mut l, mut u) = (0.0f64, 1.0 + g.num_vertices() as f64);
-                for _ in 0..18 {
-                    if u - l < 1e-7 {
-                        break;
-                    }
-                    let alpha = (l + u) / 2.0;
-                    if check(&label, alpha, &mut warm, &mut cold, backend) {
-                        l = alpha;
-                    } else {
-                        u = alpha;
-                    }
+        for (name, mut warm, mut cold) in networks(&g) {
+            cold.set_warm_start(false);
+            let label = format!("seed {seed} {name}");
+            let (mut l, mut u) = (0.0f64, 1.0 + g.num_vertices() as f64);
+            for _ in 0..18 {
+                if u - l < 1e-7 {
+                    break;
+                }
+                let alpha = (l + u) / 2.0;
+                if check(&label, alpha, &mut warm, &mut cold) {
+                    l = alpha;
+                } else {
+                    u = alpha;
                 }
             }
         }
@@ -137,51 +129,17 @@ fn non_monotone_schedules_hit_restore_and_resolve_paths() {
         let mut rng = XorShift::new(0xBEE5 ^ (seed * 104_729));
         let g = rng.random_graph(6, 12, 45);
         let schedule = [0.25, 1.5, 0.9, 2.5, 0.6, 3.5, 0.3, 1.1, 4.0, 0.8];
-        for backend in [FlowBackend::Dinic, FlowBackend::PushRelabel] {
-            for (name, mut warm, mut cold) in networks(&g) {
-                cold.set_warm_start(false);
-                let label = format!("seed {seed} {name} {backend:?} (non-monotone)");
-                for &alpha in &schedule {
-                    check(&label, alpha, &mut warm, &mut cold, backend);
-                }
-                let stats = warm.probe_stats();
-                assert_eq!(stats.probes, schedule.len(), "{label}: probe count");
-                assert!(
-                    stats.resolve_hits > 0,
-                    "{label}: schedule never reused flow state"
-                );
+        for (name, mut warm, mut cold) in networks(&g) {
+            cold.set_warm_start(false);
+            let label = format!("seed {seed} {name} (non-monotone)");
+            for &alpha in &schedule {
+                check(&label, alpha, &mut warm, &mut cold);
             }
-        }
-    }
-}
-
-/// A backend switch mid-sequence must retire the old solver's flow state
-/// (the two backends' conventions never mix) and still agree with cold
-/// solves afterwards.
-#[test]
-fn backend_switch_mid_sequence_stays_correct() {
-    for seed in 0..8u64 {
-        let mut rng = XorShift::new(0xC0DE ^ (seed * 31));
-        let g = rng.random_graph(6, 12, 40);
-        let members = all(&g);
-        let mut warm = build_edge_network(&g, &members);
-        let mut cold = build_edge_network(&g, &members);
-        cold.set_warm_start(false);
-        let schedule = [
-            (0.5, FlowBackend::Dinic),
-            (1.5, FlowBackend::Dinic),
-            (1.0, FlowBackend::PushRelabel),
-            (2.0, FlowBackend::PushRelabel),
-            (1.2, FlowBackend::Dinic),
-            (2.5, FlowBackend::Dinic),
-        ];
-        for &(alpha, backend) in &schedule {
-            check(
-                &format!("seed {seed} switch"),
-                alpha,
-                &mut warm,
-                &mut cold,
-                backend,
+            let stats = warm.probe_stats();
+            assert_eq!(stats.probes, schedule.len(), "{label}: probe count");
+            assert!(
+                stats.resolve_hits > 0,
+                "{label}: schedule never reused flow state"
             );
         }
     }
@@ -199,7 +157,7 @@ fn exact_results_match_between_parametric_and_scratch_probes() {
         let mut rng = XorShift::new(0xD1FF ^ (seed * 271));
         let g = rng.random_graph(6, 14, 40);
         for psi in [Pattern::edge(), Pattern::triangle()] {
-            let (reference, ref_stats) = exact(&g, &psi, FlowBackend::Dinic);
+            let (reference, ref_stats) = exact(&g, &psi);
             if reference.is_empty() {
                 continue;
             }
@@ -212,7 +170,7 @@ fn exact_results_match_between_parametric_and_scratch_probes() {
             net.set_warm_start(false);
             let oracle = oracle_for(&psi);
             let mut probe = Recorder {
-                inner: NetworkProbe::new(&mut net, &g, oracle.as_ref(), FlowBackend::Dinic),
+                inner: NetworkProbe::new(&mut net, &g, oracle.as_ref()),
                 feasible: Vec::new(),
             };
             let mut stats = dsd::core::exact::ExactStats::default();
@@ -345,9 +303,7 @@ fn ref_exact(g: &Graph, psi: &Pattern, probes: &mut usize) -> DsdResult {
     }
     let mut net = density_network(g, &all(g), psi, false);
     let gap = density_gap(g.num_vertices());
-    let (_, w) = bisect((0.0, max_deg as f64), gap, probes, |a| {
-        net.solve(a, FlowBackend::Dinic)
-    });
+    let (_, w) = bisect((0.0, max_deg as f64), gap, probes, |a| net.solve(a));
     let w = w.expect("μ > 0 makes some probe feasible");
     let rho = psi_density(g, psi, &w);
     sorted_result(w, rho)
@@ -401,13 +357,11 @@ fn ref_core_exact(g: &Graph, psi: &Pattern, probes: &mut usize) -> DsdResult {
             }
         };
         *probes += 1;
-        if let Some(w) = net.solve(l, FlowBackend::Dinic) {
+        if let Some(w) = net.solve(l) {
             record(w);
             let gap = density_gap(comp.len());
             let bounds = (l, dec.kmax as f64);
-            (l, _) = bisect(bounds, gap, probes, |a| {
-                net.solve(a, FlowBackend::Dinic).map(&mut record)
-            });
+            (l, _) = bisect(bounds, gap, probes, |a| net.solve(a).map(&mut record));
         }
     }
     sorted_result(best_vs, best_rho)
@@ -472,11 +426,11 @@ fn ref_query(g: &Graph, query: &[u32], probes: &mut usize) -> DsdResult {
     let l = x as f64 / 2.0;
     let mut net = build_query_network(&sub.graph, &local_query);
     *probes += 1;
-    let seed = net.min_cut_side(l, FlowBackend::Dinic);
+    let seed = net.min_cut_side(l);
     net.checkpoint();
     let gap = density_gap(sub.graph.num_vertices());
     let (_, w) = bisect((l, cores.kmax as f64), gap, probes, |a| {
-        let side = net.min_cut_side(a, FlowBackend::Dinic);
+        let side = net.min_cut_side(a);
         let feasible = !side.is_empty() && edge_density(&sub.graph, &side) > a;
         feasible.then(|| {
             net.checkpoint();

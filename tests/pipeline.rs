@@ -166,6 +166,5 @@ fn facade_reexports_compose() {
     }
     let mut net = dsd::flow::FlowNetwork::new(2);
     net.add_edge(0, 1, 1.0);
-    use dsd::flow::MaxFlow;
     assert!((dsd::flow::Dinic::new().max_flow(&mut net, 0, 1) - 1.0).abs() < 1e-9);
 }
