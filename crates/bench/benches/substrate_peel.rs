@@ -17,8 +17,8 @@
 //! * `DSD_NO_BITSET=1` — merge-only kClist kernels, isolating the
 //!   word-packed bitset intersection win;
 //! * serial store build — isolating the sharded-build win;
-//! * `DSD_ENUM_SHARDS` 1 vs 4 on a general-pattern store build,
-//!   isolating the sharded pattern enumeration win.
+//! * 1 vs 4 threads on a general-pattern store build, isolating the
+//!   parallel pattern enumeration win.
 //!
 //! Core numbers, kmax, peel order, and ρ′ must be bit-identical across
 //! every configuration, and the default store path must beat streaming by
@@ -145,10 +145,10 @@ fn main() {
         total_store += store;
     }
 
-    // General-pattern sharding ablation: a c3-star decomposition whose
-    // store build is the dominant cost, 1 shard vs 4 (the env knob routes
-    // through `InstanceStore::pattern` exactly as a caller's thread count
-    // would). Best of 3 per path, like the clique arms.
+    // General-pattern parallel-build ablation: a c3-star decomposition
+    // whose store build is the dominant cost, 1 thread vs 4 (the oracle
+    // forwards its `Parallelism` into `InstanceStore::pattern`). Best of 3
+    // per path, like the clique arms.
     let pg = dataset("As-733").expect("registry dataset").generate();
     let psi = Pattern::c3_star();
     println!(
@@ -169,18 +169,16 @@ fn main() {
     let stream_pattern_dec = stream_pattern_dec.unwrap();
     let mut pattern_times = Vec::new();
     let mut pattern_ref: Option<CliqueCoreDecomposition> = None;
-    for shards in [1usize, 4] {
-        std::env::set_var("DSD_ENUM_SHARDS", shards.to_string());
+    for threads in [1usize, 4] {
         let mut elapsed = Duration::MAX;
         let mut outcome = None;
         for _ in 0..PATTERN_REPEATS {
-            let oracle = MaterializedOracle::with_policy(&psi, Parallelism::new(shards), None);
+            let oracle = MaterializedOracle::with_policy(&psi, Parallelism::new(threads), None);
             let t = Instant::now();
             let dec = decompose(&pg, &oracle);
             elapsed = elapsed.min(t.elapsed());
             outcome = Some((dec, oracle.store_stats().expect("pattern store was built")));
         }
-        std::env::remove_var("DSD_ENUM_SHARDS");
         let (dec, stats) = outcome.unwrap();
         assert!(stats.materialized, "pattern store must materialize");
         match &pattern_ref {
@@ -188,15 +186,13 @@ fn main() {
                 check_identical(&dec, &stream_pattern_dec, "c3-star store vs streaming");
                 pattern_ref = Some(dec);
             }
-            Some(reference) => check_identical(
-                &dec,
-                reference,
-                &format!("c3-star, DSD_ENUM_SHARDS={shards}"),
-            ),
+            Some(reference) => {
+                check_identical(&dec, reference, &format!("c3-star, {threads} threads"))
+            }
         }
         println!(
-            "  store peel ({shards} shard{}):    {:>9.1} ms ({:.2}x vs streaming; enumerate {:.2} ms)",
-            if shards == 1 { "" } else { "s" },
+            "  store peel ({threads} thread{}):   {:>9.1} ms ({:.2}x vs streaming; enumerate {:.2} ms)",
+            if threads == 1 { "" } else { "s" },
             elapsed.as_secs_f64() * 1e3,
             pattern_streaming.as_secs_f64() / elapsed.as_secs_f64(),
             stats.build.enumerate_nanos as f64 / 1e6,
@@ -204,7 +200,7 @@ fn main() {
         pattern_times.push(elapsed);
     }
     println!(
-        "  streaming peel:         {:>9.1} ms; sharded enumeration {:.2}x vs serial",
+        "  streaming peel:         {:>9.1} ms; 4-thread enumeration {:.2}x vs serial",
         pattern_streaming.as_secs_f64() * 1e3,
         pattern_times[0].as_secs_f64() / pattern_times[1].as_secs_f64(),
     );

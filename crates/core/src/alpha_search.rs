@@ -68,10 +68,6 @@ pub struct ExactStats {
     /// Total augmenting work (edge scans) spent inside the flow solvers,
     /// warm and cold probes alike.
     pub augment_work: u64,
-    /// Components skipped outright because a region certificate proved
-    /// their exact optimum cannot beat the current lower bound (the
-    /// sharded scatter-gather path; always 0 for single-engine solves).
-    pub pruned_components: usize,
 }
 
 impl ExactStats {
@@ -89,7 +85,6 @@ impl ExactStats {
         self.budget_exhausted |= other.budget_exhausted;
         self.resolve_hits += other.resolve_hits;
         self.augment_work += other.augment_work;
-        self.pruned_components += other.pruned_components;
     }
 }
 

@@ -101,58 +101,6 @@ pub struct CoreExactStats {
     pub located_size: usize,
 }
 
-/// Exact per-region density optima from a scatter phase, used by the
-/// sharded cross-shard merge to skip located-core components that
-/// provably cannot beat the running lower bound.
-///
-/// A *region* is a vertex-disjoint block of the graph (a shard). A
-/// certificate for region `r` states the **exact** maximum Ψ-density over
-/// all subgraphs fully contained in `r`. Regions are vertex-induced, so a
-/// subgraph confined to one region has identical instance counts locally
-/// and globally; when a connected component of the located core lies
-/// entirely inside a certified region whose bound is at most the current
-/// lower bound `l`, the search's first probe at `l` (strictly-greater
-/// feasibility, Lemma 14) would provably return infeasible and mutate
-/// nothing — the component can be skipped without touching the search
-/// trajectory, which keeps the sharded answer bit-identical to the
-/// unsharded one.
-#[derive(Clone, Debug, Default)]
-pub struct RegionCertificates {
-    /// `region[v]` = region id of vertex `v`; `u32::MAX` = unassigned.
-    region: Vec<u32>,
-    /// `bound[r]` = certified exact optimum density inside region `r`;
-    /// `f64::INFINITY` marks a region without a certificate (e.g. a shard
-    /// whose local solve was budget-clipped and is not exact).
-    bound: Vec<f64>,
-}
-
-impl RegionCertificates {
-    /// Builds certificates from a vertex→region assignment and per-region
-    /// exact optima. Pass `f64::INFINITY` for regions without a certified
-    /// exact bound.
-    pub fn new(region: Vec<u32>, bound: Vec<f64>) -> RegionCertificates {
-        RegionCertificates { region, bound }
-    }
-
-    /// The certified exact density bound covering `members`, if all of
-    /// them lie inside one certified region.
-    fn component_bound(&self, members: &[VertexId]) -> Option<f64> {
-        let first = *members.first()?;
-        let r = *self.region.get(first as usize)?;
-        if r == u32::MAX {
-            return None;
-        }
-        if members
-            .iter()
-            .any(|&v| self.region.get(v as usize) != Some(&r))
-        {
-            return None;
-        }
-        let bound = *self.bound.get(r as usize)?;
-        bound.is_finite().then_some(bound)
-    }
-}
-
 fn ceil_k(x: f64) -> u64 {
     if x <= 0.0 {
         0
@@ -270,38 +218,19 @@ pub fn core_exact_from(
     oracle: &dyn DensityOracle,
     dec: &CliqueCoreDecomposition,
 ) -> (DsdResult, CoreExactStats) {
-    core_exact_from_certified(g, psi, config, oracle, dec, None)
+    core_exact_with_lender(g, psi, config, oracle, dec, None)
 }
 
-/// [`core_exact_from`] with optional scatter-phase region certificates:
-/// a located-core component confined to one certified region whose exact
-/// bound cannot beat the running lower bound is skipped outright (counted
-/// in [`ExactStats::pruned_components`], with a 0 recorded in
-/// `network_nodes` in place of its never-built network). Skips fire only
-/// when the first probe at the lower bound would provably be infeasible,
-/// so the result is bit-identical to the uncertified run.
-pub fn core_exact_from_certified(
+/// [`core_exact_from`] with a network lender: every component network
+/// (including Pruning3's shrink restarts) is borrowed from the lender's
+/// cache when warm and returned afterwards, so repeat requests on an
+/// unchanged graph skip construction entirely.
+pub(crate) fn core_exact_with_lender(
     g: &Graph,
     psi: &Pattern,
     config: CoreExactConfig,
     oracle: &dyn DensityOracle,
     dec: &CliqueCoreDecomposition,
-    certs: Option<&RegionCertificates>,
-) -> (DsdResult, CoreExactStats) {
-    core_exact_certified_with_lender(g, psi, config, oracle, dec, certs, None)
-}
-
-/// [`core_exact_from_certified`] with a network lender: every component
-/// network (including Pruning3's shrink restarts) is borrowed from the
-/// lender's cache when warm and returned afterwards, so repeat requests
-/// on an unchanged graph skip construction entirely.
-pub(crate) fn core_exact_certified_with_lender(
-    g: &Graph,
-    psi: &Pattern,
-    config: CoreExactConfig,
-    oracle: &dyn DensityOracle,
-    dec: &CliqueCoreDecomposition,
-    certs: Option<&RegionCertificates>,
     lender: Option<&dyn NetworkLender>,
 ) -> (DsdResult, CoreExactStats) {
     let t_total = Instant::now();
@@ -391,18 +320,6 @@ pub(crate) fn core_exact_certified_with_lender(
         }
         if comp.len() < psi.vertex_count() {
             continue;
-        }
-        // Certified skip: if the component sits inside one region whose
-        // exact optimum cannot beat l, the search's first probe at l would
-        // return infeasible without mutating anything — skip building the
-        // network at all, mirroring the probe's budget accounting.
-        if let Some(bound) = certs.and_then(|c| c.component_bound(&comp)) {
-            if bound <= l {
-                stats.exact.iterations += 1;
-                stats.exact.network_nodes.push(0);
-                stats.exact.pruned_components += 1;
-                continue;
-            }
         }
         let gap = effective_gap(
             if config.pruning3 {

@@ -64,7 +64,7 @@ use dsd_motif::Pattern;
 
 use crate::approx::{core_app_from, inc_app_from};
 use crate::clique_core::{decompose, CliqueCoreDecomposition};
-use crate::core_exact::{core_exact_certified_with_lender, CoreExactConfig, RegionCertificates};
+use crate::core_exact::{core_exact_with_lender, CoreExactConfig};
 use crate::dynamic::{repair_delete, repair_insert};
 use crate::exact::{exact_with_lender, ExactOpts};
 use crate::flownet::{DensityNetwork, Fnv, NetworkLender};
@@ -75,8 +75,8 @@ use crate::oracle::{
 use crate::parallelism::Parallelism;
 use crate::peel::peel_app_from;
 use crate::query::densest_with_query_lender;
-use crate::size_constrained::{densest_at_least_k_certified, densest_at_most_k_from};
-use crate::top_k::top_k_certified_with_lender;
+use crate::size_constrained::{densest_at_least_k_from, densest_at_most_k_from};
+use crate::top_k::top_k_with_lender;
 use crate::types::DsdResult;
 use crate::Method;
 
@@ -156,9 +156,6 @@ pub struct SolveStats {
     pub flow_resolve_hits: usize,
     /// Total augmenting work (edge scans) inside the flow solvers.
     pub flow_augment_work: u64,
-    /// Located-core components skipped via scatter-phase region
-    /// certificates (the sharded merge path; 0 for single-engine solves).
-    pub pruned_components: usize,
     /// kmax of the (k, Ψ)-core decomposition, when one was consulted.
     pub kmax: Option<u64>,
     /// Substrate cache accounting.
@@ -1431,28 +1428,13 @@ impl<'g> DsdEngine<'g> {
     /// the request carries ([`DsdRequest::on`]) is ignored here — routing
     /// by name is [`crate::service::DsdService`]'s job.
     pub fn solve(&self, req: &DsdRequest) -> Solution {
-        self.solve_inner(req, None)
-    }
-
-    /// [`DsdEngine::solve`] with scatter-phase region certificates from a
-    /// sharded solve (see [`RegionCertificates`]): the α-search-backed
-    /// paths skip located-core components a certificate proves unable to
-    /// beat the running lower bound. Answers are bit-identical to
-    /// [`DsdEngine::solve`]; only the amount of flow work differs.
-    /// Objectives that never consult certificates (AtMostK, WithQuery,
-    /// non-CoreExact Densest methods) behave exactly like `solve`.
-    pub fn solve_certified(&self, req: &DsdRequest, certs: &RegionCertificates) -> Solution {
-        self.solve_inner(req, Some(certs))
-    }
-
-    fn solve_inner(&self, req: &DsdRequest, certs: Option<&RegionCertificates>) -> Solution {
         let t0 = Instant::now();
         let snap = self.graph();
         let objective = req.objective.clone();
         let mut solution = match &req.objective {
-            Objective::Densest => self.solve_densest(req, &snap, certs),
-            Objective::TopK(k) => self.solve_top_k(req, *k, &snap, certs),
-            Objective::AtLeastK(k) => self.solve_at_least_k(req, *k, &snap, certs),
+            Objective::Densest => self.solve_densest(req, &snap),
+            Objective::TopK(k) => self.solve_top_k(req, *k, &snap),
+            Objective::AtLeastK(k) => self.solve_at_least_k(req, *k, &snap),
             Objective::AtMostK(k) => self.solve_at_most_k(req, *k, &snap),
             Objective::WithQuery(query) => self.solve_with_query(query.clone(), &snap),
         };
@@ -1479,12 +1461,7 @@ impl<'g> DsdEngine<'g> {
         solution
     }
 
-    fn solve_densest(
-        &self,
-        req: &DsdRequest,
-        snap: &GraphSnapshot<'_>,
-        certs: Option<&RegionCertificates>,
-    ) -> Solution {
+    fn solve_densest(&self, req: &DsdRequest, snap: &GraphSnapshot<'_>) -> Solution {
         let g: &Graph = snap;
         let psi = &req.psi;
         let method = match req.method {
@@ -1530,15 +1507,8 @@ impl<'g> DsdEngine<'g> {
                     key: pattern_key(psi),
                     epoch: snap.epoch(),
                 };
-                let (r, ces) = core_exact_certified_with_lender(
-                    g,
-                    psi,
-                    config,
-                    oracle.as_ref(),
-                    &dec,
-                    certs,
-                    Some(&lender),
-                );
+                let (r, ces) =
+                    core_exact_with_lender(g, psi, config, oracle.as_ref(), &dec, Some(&lender));
                 let guarantee = exact_guarantee(ces.exact.budget_exhausted, req.tolerance);
                 record_flow(&mut stats, ces.exact);
                 stats.store = oracle.store_stats();
@@ -1611,13 +1581,7 @@ impl<'g> DsdEngine<'g> {
         }
     }
 
-    fn solve_top_k(
-        &self,
-        req: &DsdRequest,
-        k: usize,
-        snap: &GraphSnapshot<'_>,
-        certs: Option<&RegionCertificates>,
-    ) -> Solution {
+    fn solve_top_k(&self, req: &DsdRequest, k: usize, snap: &GraphSnapshot<'_>) -> Solution {
         let g: &Graph = snap;
         let psi = &req.psi;
         // Validate before paying for the decomposition.
@@ -1640,16 +1604,7 @@ impl<'g> DsdEngine<'g> {
             key: pattern_key(psi),
             epoch: snap.epoch(),
         };
-        let scan = top_k_certified_with_lender(
-            g,
-            psi,
-            k,
-            config,
-            oracle.as_ref(),
-            &dec,
-            certs,
-            Some(&lender),
-        );
+        let scan = top_k_with_lender(g, psi, k, config, oracle.as_ref(), &dec, Some(&lender));
         record_flow(&mut stats, scan.exact.clone());
         stats.store = oracle.store_stats();
         let (vertices, density) = scan
@@ -1674,13 +1629,7 @@ impl<'g> DsdEngine<'g> {
         }
     }
 
-    fn solve_at_least_k(
-        &self,
-        req: &DsdRequest,
-        k: usize,
-        snap: &GraphSnapshot<'_>,
-        certs: Option<&RegionCertificates>,
-    ) -> Solution {
+    fn solve_at_least_k(&self, req: &DsdRequest, k: usize, snap: &GraphSnapshot<'_>) -> Solution {
         let g: &Graph = snap;
         let psi = &req.psi;
         // Validate before paying for the decomposition.
@@ -1703,7 +1652,7 @@ impl<'g> DsdEngine<'g> {
             ..CoreExactConfig::default()
         };
         stats.store = oracle.store_stats();
-        match densest_at_least_k_certified(g, psi, k, config, oracle.as_ref(), &dec, certs) {
+        match densest_at_least_k_from(g, psi, k, config, oracle.as_ref(), &dec) {
             Some(o) => {
                 // Exact when the unconstrained CDS met the floor; else
                 // Andersen–Chellapilla's 1/3 bound (proved for edges).
@@ -1861,7 +1810,6 @@ fn record_flow(stats: &mut SolveStats, es: crate::alpha_search::ExactStats) {
     stats.network_nodes = es.network_nodes;
     stats.flow_resolve_hits = es.resolve_hits;
     stats.flow_augment_work = es.augment_work;
-    stats.pruned_components = es.pruned_components;
 }
 
 fn exact_guarantee(budget_exhausted: bool, tolerance: Option<f64>) -> Guarantee {
@@ -1985,8 +1933,7 @@ impl DsdRequest {
         self.step_budget
     }
 
-    /// The request's configured method (possibly [`Method::Auto`]) —
-    /// read by the shard planner to route requests.
+    /// The request's configured method (possibly [`Method::Auto`]).
     pub fn method_choice(&self) -> Method {
         self.method
     }

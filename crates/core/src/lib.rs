@@ -82,7 +82,6 @@ pub mod peel;
 pub mod query;
 pub mod serve;
 pub mod service;
-pub mod shard;
 pub mod size_constrained;
 pub mod top_k;
 pub mod types;
@@ -96,8 +95,7 @@ pub use bounds::{density_bounds, locate_core_order, DensityBounds};
 pub use budget::parse_byte_budget;
 pub use clique_core::{decompose, CliqueCoreDecomposition};
 pub use core_exact::{
-    core_exact, core_exact_from, core_exact_from_certified, core_exact_with, CoreExactConfig,
-    CoreExactStats, RegionCertificates,
+    core_exact, core_exact_from, core_exact_with, CoreExactConfig, CoreExactStats,
 };
 pub use dsd_graph::GraphUpdate;
 pub use dsd_motif::store::StoreBuildStats;
@@ -124,12 +122,11 @@ pub use serve::{
     SubstrateLease, Ticket,
 };
 pub use service::{BatchOutcome, BatchStats, DsdService, ServiceError};
-pub use shard::{ShardPlan, ShardPlanner, ShardReport, ShardedApply, ShardedGraph, ShardedSolve};
 pub use size_constrained::{
-    densest_at_least_k, densest_at_least_k_certified, densest_at_least_k_from, densest_at_most_k,
-    densest_at_most_k_from, SizeConstrainedOutcome,
+    densest_at_least_k, densest_at_least_k_from, densest_at_most_k, densest_at_most_k_from,
+    SizeConstrainedOutcome,
 };
-pub use top_k::{top_k_densest, top_k_densest_certified, top_k_densest_from};
+pub use top_k::{top_k_densest, top_k_densest_from};
 pub use types::DsdResult;
 
 use dsd_graph::Graph;

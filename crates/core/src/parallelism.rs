@@ -8,8 +8,8 @@
 //! runs. `Parallelism` is that number, validated once: construct it at the
 //! edge (CLI flag, service config), pass it down.
 
-/// Worker-count configuration for parallel degree passes and batched
-/// request execution.
+/// Worker-count configuration for parallel substrate passes (instance-store
+/// builds, h-clique degree passes) and batched request execution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Parallelism {
     threads: usize,
@@ -48,60 +48,6 @@ impl Parallelism {
     pub const fn is_serial(self) -> bool {
         self.threads == 1
     }
-
-    /// Runs `f(index, item)` once per item across this configuration's
-    /// workers, returning the results in **item order** regardless of
-    /// completion order. The small worker-pool primitive below the serve
-    /// layer: serial configurations (and single-item inputs) run inline on
-    /// the caller's thread, so `scatter` is deterministic whenever `f` is;
-    /// parallel runs pull items from a shared atomic cursor, so skewed
-    /// per-item costs self-balance instead of stalling a static partition.
-    ///
-    /// Any fold of the results that is commutative and associative (a max,
-    /// a sum) is therefore bit-identical to the serial fold — what the
-    /// sharded scatter-gather relies on for its ρ* bound.
-    pub fn scatter<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        if self.is_serial() || items.len() <= 1 {
-            return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-        }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let workers = self.threads.min(items.len());
-        let collected = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let next = &next;
-                let f = &f;
-                handles.push(scope.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        out.push((i, f(i, &items[i])));
-                    }
-                    out
-                }));
-            }
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("scatter worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-        for (i, r) in collected {
-            results[i] = Some(r);
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every index visited exactly once"))
-            .collect()
-    }
 }
 
 impl Default for Parallelism {
@@ -113,21 +59,6 @@ impl Default for Parallelism {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scatter_preserves_item_order_and_covers_every_item() {
-        let items: Vec<usize> = (0..97).collect();
-        let expect: Vec<usize> = items.iter().map(|&x| x * x).collect();
-        for threads in [1, 2, 3, 8, 128] {
-            let got = Parallelism::new(threads).scatter(&items, |i, &x| {
-                assert_eq!(i, x, "index matches item position");
-                x * x
-            });
-            assert_eq!(got, expect, "threads = {threads}");
-        }
-        let empty: Vec<usize> = Vec::new();
-        assert!(Parallelism::new(4).scatter(&empty, |_, &x| x).is_empty());
-    }
 
     #[test]
     fn clamps_and_reports() {

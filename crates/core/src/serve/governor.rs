@@ -187,15 +187,13 @@ impl SubstrateGovernor {
         }
     }
 
-    /// Evicts LRU entries until the ledger fits the budget. Returns
+    /// Evicts LRU entries until the ledger fits the budget (if any), then
+    /// records the settled total as a peak candidate. Returns
     /// engine handles whose drop must be deferred past the caller's
     /// guard release (see the module docs on the self-deadlock hazard).
     fn enforce(&self, state: &mut GovState) -> Vec<Arc<DsdEngine<'static>>> {
-        let Some(budget) = self.budget else {
-            return Vec::new();
-        };
         let mut deferred = Vec::new();
-        while state.total > budget {
+        while self.budget.is_some_and(|budget| state.total > budget) {
             let victim = state
                 .entries
                 .iter()

@@ -38,7 +38,6 @@ use dsd_graph::{Graph, GraphUpdate};
 use crate::engine::{pattern_key, ApplyStats, DsdEngine, DsdRequest, Objective, Solution};
 use crate::serve::governor::{GovernorStats, SubstrateGovernor, SubstrateLease};
 use crate::service::DsdService;
-use crate::shard::ShardedGraph;
 
 /// Sizing and policy knobs for a [`DsdServer`].
 #[derive(Clone, Debug)]
@@ -208,10 +207,6 @@ struct Shared {
     service: DsdService,
     governor: Arc<SubstrateGovernor>,
     config: ServeConfig,
-    /// Graphs registered sharded: the catalog holds their spine engine
-    /// (so `engine`/`evict`/catalog listing behave uniformly), this map
-    /// holds the scatter-gather executor jobs dispatch through.
-    sharded: Mutex<HashMap<String, Arc<ShardedGraph>>>,
     state: Mutex<PipeState>,
     /// Workers park here when no job is dispatchable.
     work: Condvar,
@@ -235,7 +230,6 @@ impl DsdServer {
             service,
             governor,
             config,
-            sharded: Mutex::new(HashMap::new()),
             state: Mutex::new(PipeState::default()),
             work: Condvar::new(),
             idle: Condvar::new(),
@@ -262,58 +256,11 @@ impl DsdServer {
         engine
     }
 
-    /// Registers (or replaces) a graph served *sharded*: the CSR is
-    /// partitioned into `shards` degeneracy-contiguous per-shard engines
-    /// plus a whole-graph spine (see [`ShardedGraph`]). The spine joins
-    /// the governed catalog under `name` — so [`DsdServer::engine`],
-    /// eviction, and stats behave exactly as for [`DsdServer::register`]
-    /// — while every shard engine also attaches to the governor, keeping
-    /// the global substrate budget authoritative over the whole fleet.
-    /// Jobs still flow through the one logical per-graph queue; dispatch
-    /// fans queries out across the shard engines and routes update
-    /// batches to only the shards they touch.
-    pub fn register_sharded(
-        &self,
-        name: impl Into<String>,
-        graph: Graph,
-        shards: usize,
-    ) -> Arc<ShardedGraph> {
-        let name = name.into();
-        let sharded = Arc::new(ShardedGraph::new(graph, shards));
-        for i in 0..sharded.num_shards() {
-            self.shared.governor.attach(sharded.shard_engine(i));
-        }
-        // The service's governor attaches the spine on registration.
-        self.shared
-            .service
-            .register_engine(name.clone(), Arc::clone(sharded.spine_engine()));
-        let replaced = self
-            .shared
-            .sharded
-            .lock()
-            .unwrap()
-            .insert(name.clone(), Arc::clone(&sharded));
-        drop(replaced);
-        let mut state = self.shared.state.lock().unwrap();
-        if !state.graphs.contains_key(&name) {
-            state.graphs.insert(name.clone(), GraphQueue::default());
-            state.order.push(name);
-        }
-        sharded
-    }
-
-    /// The sharded executor serving `name`, if it was registered via
-    /// [`DsdServer::register_sharded`].
-    pub fn sharded(&self, name: &str) -> Option<Arc<ShardedGraph>> {
-        self.shared.sharded.lock().unwrap().get(name).cloned()
-    }
-
     /// Removes a graph. Queued jobs for it fail with
     /// [`ServeError::UnknownGraph`]; its engine's bytes leave the
     /// governor's ledger once the last in-flight holder drops it.
     pub fn evict(&self, name: &str) -> bool {
         let present = self.shared.service.evict(name);
-        drop(self.shared.sharded.lock().unwrap().remove(name));
         let mut state = self.shared.state.lock().unwrap();
         if let Some(mut q) = state.graphs.remove(name) {
             state.queued -= q.jobs.len();
@@ -535,48 +482,23 @@ fn run_job(shared: &Shared, job: Job) {
                         let cap = req.step_budget_limit().map_or(cap, |b| b.min(cap));
                         req = req.step_budget(cap);
                     }
-                    let sharded = shared.sharded.lock().unwrap().get(&graph).cloned();
-                    // Pin the substrate entries this query is about to use
-                    // so the LRU doesn't thrash them mid-request — for a
-                    // sharded graph that's the spine plus every shard
-                    // engine the scatter phase will touch. The query
+                    // Pin the substrate entry this query is about to use so
+                    // the LRU doesn't thrash it mid-request. The query
                     // variant runs on the (in-place-repaired, unevicted)
                     // classical k-core order and needs no pin; its cached
                     // flow network is take/put (out of the cache while
                     // lent), so eviction can never touch it mid-request.
-                    let _leases: Vec<SubstrateLease> =
-                        if matches!(req.objective_ref(), Objective::WithQuery(_)) {
-                            Vec::new()
-                        } else {
-                            let key = pattern_key(req.psi());
-                            let mut leases = vec![shared.governor.lease(engine.id(), key.clone())];
-                            if let Some(s) = &sharded {
-                                leases.extend((0..s.num_shards()).map(|i| {
-                                    shared.governor.lease(s.shard_engine(i).id(), key.clone())
-                                }));
-                            }
-                            leases
-                        };
-                    let solution = match &sharded {
-                        Some(s) => s.solve(&req),
-                        None => engine.solve(&req),
-                    };
-                    Ok(ServeOutcome::Solved(Box::new(solution)))
+                    let _lease: Option<SubstrateLease> =
+                        (!matches!(req.objective_ref(), Objective::WithQuery(_)))
+                            .then(|| shared.governor.lease(engine.id(), pattern_key(req.psi())));
+                    Ok(ServeOutcome::Solved(Box::new(engine.solve(&req))))
                 }
                 None => Err(ServeError::UnknownGraph(graph.clone())),
             },
-            JobKind::Update(updates) => {
-                let sharded = shared.sharded.lock().unwrap().get(&graph).cloned();
-                match (sharded, shared.service.engine(&graph)) {
-                    // The sharded path barriers only the shards the batch
-                    // touches; the queue-level update barrier still covers
-                    // the whole logical graph (spine + shards) because
-                    // they share one GraphQueue.
-                    (Some(s), _) => Ok(ServeOutcome::Updated(s.apply(&updates).spine)),
-                    (None, Some(engine)) => Ok(ServeOutcome::Updated(engine.apply(&updates))),
-                    (None, None) => Err(ServeError::UnknownGraph(graph.clone())),
-                }
-            }
+            JobKind::Update(updates) => match shared.service.engine(&graph) {
+                Some(engine) => Ok(ServeOutcome::Updated(engine.apply(&updates))),
+                None => Err(ServeError::UnknownGraph(graph.clone())),
+            },
         }
     };
 

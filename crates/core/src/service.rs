@@ -253,27 +253,6 @@ impl DsdService {
         engine
     }
 
-    /// Registers (or replaces) a graph under `name` with a caller-built
-    /// engine — the sharded subsystem's spine joins the catalog this way
-    /// while its shard engines attach to the governor separately. Same
-    /// replacement semantics as [`Self::register`].
-    pub fn register_engine(
-        &self,
-        name: impl Into<String>,
-        engine: Arc<DsdEngine<'static>>,
-    ) -> Arc<DsdEngine<'static>> {
-        if let Some(governor) = &self.governor {
-            governor.attach(&engine);
-        }
-        let replaced = self
-            .catalog
-            .write()
-            .unwrap()
-            .insert(name.into(), Arc::clone(&engine));
-        drop(replaced);
-        engine
-    }
-
     /// Removes `name` from the catalog; returns whether it was present.
     /// In-flight requests on the evicted engine run to completion; under
     /// a governor, the engine's drop then reports its released bytes so

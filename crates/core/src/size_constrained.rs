@@ -35,9 +35,7 @@ use dsd_motif::Pattern;
 
 use crate::alpha_search::ExactStats;
 use crate::clique_core::{decompose, CliqueCoreDecomposition};
-use crate::core_exact::{
-    core_exact_from, core_exact_from_certified, CoreExactConfig, RegionCertificates,
-};
+use crate::core_exact::{core_exact_from, CoreExactConfig};
 use crate::oracle::{oracle_for, DensityOracle};
 use crate::types::DsdResult;
 
@@ -86,22 +84,6 @@ pub fn densest_at_least_k_from(
     oracle: &dyn DensityOracle,
     dec: &CliqueCoreDecomposition,
 ) -> Option<SizeConstrainedOutcome> {
-    densest_at_least_k_certified(g, psi, k, config, oracle, dec, None)
-}
-
-/// [`densest_at_least_k_from`] with optional scatter-phase region
-/// certificates, applied to the exact fast path's α-search (the greedy
-/// peel-order fallback never builds flow networks, so certificates don't
-/// touch it).
-pub fn densest_at_least_k_certified(
-    g: &Graph,
-    psi: &Pattern,
-    k: usize,
-    config: CoreExactConfig,
-    oracle: &dyn DensityOracle,
-    dec: &CliqueCoreDecomposition,
-    certs: Option<&RegionCertificates>,
-) -> Option<SizeConstrainedOutcome> {
     let n = g.num_vertices();
     if k > n || k == 0 {
         return None;
@@ -113,7 +95,7 @@ pub fn densest_at_least_k_certified(
     // fire, so don't pay its α-search just to discard it.
     let mut stats = ExactStats::default();
     if matches!(psi.kind(), PatternKind::Clique(_)) && located_core_len(dec, psi, config) >= k {
-        let (cds, ces) = core_exact_from_certified(g, psi, config, oracle, dec, certs);
+        let (cds, ces) = core_exact_from(g, psi, config, oracle, dec);
         if cds.len() >= k {
             return Some(SizeConstrainedOutcome {
                 result: cds,

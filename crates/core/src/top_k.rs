@@ -14,9 +14,7 @@ use dsd_motif::Pattern;
 
 use crate::alpha_search::ExactStats;
 use crate::clique_core::CliqueCoreDecomposition;
-use crate::core_exact::{
-    core_exact_certified_with_lender, core_exact_with, CoreExactConfig, RegionCertificates,
-};
+use crate::core_exact::{core_exact_with, core_exact_with_lender, CoreExactConfig};
 use crate::flownet::NetworkLender;
 use crate::oracle::DensityOracle;
 use crate::types::DsdResult;
@@ -57,38 +55,19 @@ pub fn top_k_densest_from(
     oracle: &dyn DensityOracle,
     dec: &CliqueCoreDecomposition,
 ) -> TopKScan {
-    top_k_densest_certified(g, psi, k, config, oracle, dec, None)
+    top_k_with_lender(g, psi, k, config, oracle, dec, None)
 }
 
-/// [`top_k_densest_from`] with optional scatter-phase region
-/// certificates. Certificates speak about the *full* graph, so they only
-/// apply to round 0 (the unconstrained scan on the whole graph); residual
-/// rounds delete vertices and rebuild cold, where the per-region optima
-/// no longer bound anything.
-pub fn top_k_densest_certified(
-    g: &Graph,
-    psi: &Pattern,
-    k: usize,
-    config: CoreExactConfig,
-    oracle: &dyn DensityOracle,
-    dec: &CliqueCoreDecomposition,
-    certs: Option<&RegionCertificates>,
-) -> TopKScan {
-    top_k_certified_with_lender(g, psi, k, config, oracle, dec, certs, None)
-}
-
-/// [`top_k_densest_certified`] with a network lender for round 0 (the
+/// [`top_k_densest_from`] with a network lender for round 0 (the
 /// full-graph scan, where the warm substrates and cached networks apply);
 /// residual rounds delete vertices and always build cold.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn top_k_certified_with_lender(
+pub(crate) fn top_k_with_lender(
     g: &Graph,
     psi: &Pattern,
     k: usize,
     config: CoreExactConfig,
     oracle: &dyn DensityOracle,
     dec: &CliqueCoreDecomposition,
-    certs: Option<&RegionCertificates>,
     lender: Option<&dyn NetworkLender>,
 ) -> TopKScan {
     let mut out = Vec::with_capacity(k);
@@ -99,8 +78,7 @@ pub(crate) fn top_k_certified_with_lender(
             break;
         }
         let (vertices, density) = if round == 0 {
-            let (first, stats) =
-                core_exact_certified_with_lender(g, psi, config, oracle, dec, certs, lender);
+            let (first, stats) = core_exact_with_lender(g, psi, config, oracle, dec, lender);
             exact.merge(&stats.exact);
             (first.vertices, first.density)
         } else {

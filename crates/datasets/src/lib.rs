@@ -12,8 +12,8 @@
 //! * [`ssca`] — planted random-size cliques (GTgraph "SSCA#2");
 //! * [`chung_lu`] — power-law degree sequences with a target edge count,
 //!   used as stand-ins for the real graphs via their Appendix-A statistics;
-//! * [`multi_community()`] — one planted dense cluster per shard-sized
-//!   block with a skewed density profile, the sharded-serving workload;
+//! * [`multi_community()`] — one planted dense cluster per block with a
+//!   skewed density profile across blocks;
 //! * [`planted`] — dense-subgraph planting plus the case-study generators
 //!   (collaboration network for Figure 17, PPI-like motif graph for
 //!   Figure 21);

@@ -1,15 +1,10 @@
-//! Multi-community synthetic: one planted dense cluster per block, with
-//! blocks sized to land on distinct shards of a partitioned engine.
+//! Multi-community synthetic: one planted dense cluster per block.
 //!
-//! The sharded scatter-gather path (`dsd_core`'s `ShardedGraph`) prunes
-//! a shard when its located-core bound cannot beat the best certified
-//! local density. This generator manufactures exactly that situation:
-//! `blocks` vertex blocks, each holding a planted near-clique whose size
+//! `blocks` vertex blocks each hold a planted near-clique whose size
 //! *shrinks* block by block, so the density profile across blocks is
 //! strictly skewed — block 0 holds the global densest subgraph and the
-//! tail blocks are provably too sparse to compete. Bridges between
-//! adjacent blocks keep the graph connected (they become boundary edges
-//! under a block-aligned partition) without disturbing the skew.
+//! tail blocks are too sparse to compete. Bridges between adjacent
+//! blocks keep the graph connected without disturbing the skew.
 
 use dsd_graph::{Graph, GraphBuilder, VertexId};
 use rand::rngs::StdRng;

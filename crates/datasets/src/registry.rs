@@ -1,5 +1,5 @@
 //! The thirteen evaluation datasets (plus the three Appendix-E extras and
-//! the repo's own sharded-serving workload) as named synthetic
+//! the repo's own multi-community graph) as named synthetic
 //! configurations.
 //!
 //! Each entry records the paper's reported size (Appendix A, Figure 18),
@@ -55,7 +55,7 @@ enum Generator {
     /// R-MAT (scale, edge draws).
     Rmat { scale: u32, m: usize },
     /// Multi-community: one planted dense cluster per `block_size` block,
-    /// density skewed across blocks — the sharded-serving workload.
+    /// density skewed across blocks.
     MultiCommunity { blocks: usize, block_size: usize },
 }
 
@@ -314,10 +314,9 @@ pub fn all_datasets() -> Vec<Dataset> {
             },
             seed: 13,
         },
-        // Not a paper dataset: the sharded-serving workload (one planted
-        // dense cluster per shard-sized block, density skewed so bound
-        // pruning has sparse shards to skip). `paper_*` fields describe
-        // the generated graph itself (scale 1.0).
+        // Not a paper dataset: one planted dense cluster per block, density
+        // skewed so the tail blocks are too sparse to hold the optimum.
+        // `paper_*` fields describe the generated graph itself (scale 1.0).
         Dataset {
             name: "MultiComm",
             kind: Synthetic,

@@ -38,7 +38,6 @@ pub mod delta;
 pub mod graph;
 pub mod io;
 pub mod order;
-pub mod partition;
 pub mod testing;
 pub mod view;
 
@@ -46,5 +45,4 @@ pub use components::{connected_components, connected_components_within, Connecte
 pub use delta::{AdjacencyView, DeltaGraph, EdgeOverlay, GraphUpdate};
 pub use graph::{Graph, GraphBuilder, VertexId};
 pub use order::{degeneracy_order, DegeneracyOrder};
-pub use partition::{partition_degeneracy, Partition};
 pub use view::{InducedSubgraph, VertexSet};

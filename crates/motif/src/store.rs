@@ -367,9 +367,7 @@ impl InstanceStore {
     /// instance sets with no cross-shard dedup, and the grouping pass
     /// sorts rows by content, so the finished store is **bit-identical**
     /// for every worker count. Rows sharing a vertex set are merged into
-    /// one weighted row. The `DSD_ENUM_SHARDS` environment variable
-    /// overrides the shard count (read per build; `1` forces the serial
-    /// reference path).
+    /// one weighted row. `threads = 1` is the serial reference path.
     pub fn pattern(
         g: &Graph,
         psi: &Pattern,
@@ -385,10 +383,6 @@ impl InstanceStore {
         caps.check_base()?;
         let max_rows = caps.max_rows();
 
-        let threads = match std::env::var("DSD_ENUM_SHARDS") {
-            Ok(s) => s.trim().parse::<usize>().unwrap_or(threads),
-            Err(_) => threads,
-        };
         let roots: Vec<VertexId> = alive.iter().collect();
         let shards = threads.max(1).min(roots.len().max(1));
         let enum_t0 = Instant::now();

@@ -8,10 +8,9 @@
 //!                      [--threads <n>] [--substrate-budget <bytes>]
 //!                      [--stats]
 //! dsd batch <request-file> [--threads <n>] [--substrate-budget <bytes>]
-//!                          [--shards <n>]
 //! dsd serve <request-file> [--budget <bytes>] [--workers <n>]
 //!                          [--queue-depth <n>] [--deadline-ms <n>]
-//!                          [--deadline-probes <n>] [--shards <n>]
+//!                          [--deadline-probes <n>]
 //!
 //! patterns:   edge | triangle | clique:<h> | star:<x> | 2-star | 3-star |
 //!             c3-star | diamond | 2-triangle | 3-triangle | basket
@@ -70,29 +69,14 @@
 //! and `--deadline-probes` additionally clamps each deadlined query's
 //! α-search probe count. Results print in submission order; a final
 //! summary reports throughput and the governor's hit/eviction counters.
-//!
-//! # Sharded execution
-//!
-//! `--shards <n>` (batch and serve) registers every graph as a
-//! `ShardedGraph`: the CSR is partitioned into *at most* `n`
-//! degeneracy-contiguous shard engines (trailing empty shards are
-//! trimmed; registration and per-request output report the actual
-//! count) plus a whole-graph spine, exact densest / top-k /
-//! at-least-k requests scatter across the shards, the best certified
-//! local density prunes shards whose located-core bound cannot beat it,
-//! and the spine merge skips the pruned regions — bit-identical answers,
-//! less flow work. Updates route to only the shards they touch. In serve
-//! mode all shard engines share the governed global byte budget.
 
-use std::collections::HashMap;
 use std::fs::File;
 use std::io::BufReader;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use dsd::core::{
-    parse_byte_budget, DsdEngine, DsdRequest, DsdServer, DsdService, GraphUpdate, Method,
-    Objective, Outcome, Parallelism, ServeConfig, ServeError, ServeOutcome, ShardedGraph, Ticket,
+    parse_byte_budget, ApplyStats, DsdEngine, DsdRequest, DsdServer, DsdService, GraphUpdate,
+    Method, Objective, Outcome, Parallelism, ServeConfig, ServeError, ServeOutcome, Ticket,
 };
 use dsd::datasets::compute_stats;
 use dsd::graph::io::read_edge_list;
@@ -187,10 +171,9 @@ fn usage() -> ExitCode {
          [--query v1,v2,...] [--threads <n>] \
          [--substrate-budget <bytes>] [--stats]\n\
          \x20      dsd batch <request-file> [--threads <n>] \
-         [--substrate-budget <bytes>] [--shards <n>]\n\
+         [--substrate-budget <bytes>]\n\
          \x20      dsd serve <request-file> [--budget <bytes>] [--workers <n>] \
-         [--queue-depth <n>] [--deadline-ms <n>] [--deadline-probes <n>] \
-         [--shards <n>]"
+         [--queue-depth <n>] [--deadline-ms <n>] [--deadline-probes <n>]"
     );
     ExitCode::FAILURE
 }
@@ -355,74 +338,27 @@ fn flush_requests(
     failed
 }
 
-/// Drains `pending` through the sharded executors, one scatter-gather
-/// solve per request (sharding replaces batch grouping as the reuse
-/// story: each shard engine's substrates stay warm across requests).
-fn flush_requests_sharded(
-    catalog: &HashMap<String, Arc<ShardedGraph>>,
-    pending: &mut Vec<DsdRequest>,
-    next_index: &mut usize,
-) -> usize {
-    if pending.is_empty() {
-        return 0;
-    }
-    let t0 = std::time::Instant::now();
-    let mut failed = 0usize;
-    let mut scattered = 0usize;
-    let mut shards_pruned = 0usize;
-    let requests = std::mem::take(pending);
-    let count = requests.len();
-    for req in requests {
-        let i = *next_index;
-        *next_index += 1;
-        let Some(name) = req.graph_name() else {
-            failed += 1;
-            eprintln!("#{i}: error: request names no graph (build it with .on(name))");
-            continue;
-        };
-        let Some(sharded) = catalog.get(name) else {
-            failed += 1;
-            eprintln!("#{i}: error: no graph named {name:?} in the catalog");
-            continue;
-        };
-        let out = sharded.solve_explained(&req);
-        // Report the partition's *actual* shard count (trailing empty
-        // shards are trimmed), not what the command line asked for.
-        let shard_note = if out.scattered {
-            format!(
-                ", {} shards, {} pruned",
-                out.shards_total, out.shards_pruned
-            )
-        } else {
-            String::new()
-        };
-        if out.scattered {
-            scattered += 1;
-            shards_pruned += out.shards_pruned;
-        }
-        let s = &out.solution;
-        println!(
-            "#{i}: {:?} via {:?}: density {:.6}, {} vertices [{:?}] (epoch {}{shard_note})",
-            s.objective,
-            s.method,
-            s.density,
-            s.len(),
-            s.guarantee,
-            s.stats.epoch
-        );
-    }
+fn print_update(name: &str, st: &ApplyStats) {
     println!(
-        "batch: {:.3} ms wall, {count} requests, {scattered} scatter-gather, \
-         {shards_pruned} shard solves pruned by located-core bounds",
-        t0.elapsed().as_secs_f64() * 1e3,
+        "updated {name}: +{} -{} (~{} no-ops), epoch {}, k-core {}, \
+         substrates {} repaired / {} rebuilt",
+        st.inserted,
+        st.deleted,
+        st.ignored,
+        st.epoch,
+        if st.kcore_patched {
+            "patched"
+        } else {
+            "deferred rebuild"
+        },
+        st.substrates_repaired,
+        st.substrates_rebuilt,
     );
-    failed
 }
 
 fn run_batch(args: &[String]) -> ExitCode {
     let mut file: Option<&str> = None;
     let mut threads = 1usize;
-    let mut shards = 1usize;
     let mut substrate_budget: Option<Option<u64>> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -431,13 +367,6 @@ fn run_batch(args: &[String]) -> ExitCode {
                 Some(n) if n >= 1 => threads = n,
                 _ => {
                     eprintln!("bad --threads");
-                    return usage();
-                }
-            },
-            "--shards" => match it.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => shards = n,
-                _ => {
-                    eprintln!("bad --shards");
                     return usage();
                 }
             },
@@ -466,17 +395,7 @@ fn run_batch(args: &[String]) -> ExitCode {
         service = service.with_substrate_budget(budget);
     }
     let service = service;
-    // `--shards` swaps the execution core: graphs register as partitioned
-    // [`ShardedGraph`]s and requests run scatter-gather instead of through
-    // `solve_batch` grouping.
-    let mut sharded_catalog: HashMap<String, Arc<ShardedGraph>> = HashMap::new();
-    if shards > 1 {
-        // The partitioner may trim trailing empty shards, so this is the
-        // *requested* count; each registration reports what it got.
-        println!("batch: {threads} workers, {shards} shards requested");
-    } else {
-        println!("batch: {threads} workers");
-    }
+    println!("batch: {threads} workers");
     let mut pending: Vec<DsdRequest> = Vec::new();
     let mut next_index = 0usize;
     let mut failed = 0usize;
@@ -504,30 +423,13 @@ fn run_batch(args: &[String]) -> ExitCode {
                         // Queued requests must see the catalog as it was
                         // above this line — flush before (re)registering,
                         // like `update` does.
-                        failed += if shards > 1 {
-                            flush_requests_sharded(&sharded_catalog, &mut pending, &mut next_index)
-                        } else {
-                            flush_requests(&service, &mut pending, &mut next_index)
-                        };
+                        failed += flush_requests(&service, &mut pending, &mut next_index);
                         println!(
                             "registered {name}: {} vertices, {} edges",
                             g.num_vertices(),
                             g.num_edges()
                         );
-                        if shards > 1 {
-                            let sg = match substrate_budget {
-                                Some(b) => ShardedGraph::with_substrate_budget(g, shards, b),
-                                None => ShardedGraph::new(g, shards),
-                            };
-                            println!(
-                                "sharded {name}: {} shards ({shards} requested), {} boundary edges",
-                                sg.num_shards(),
-                                sg.boundary_edges()
-                            );
-                            sharded_catalog.insert(name.to_string(), Arc::new(sg));
-                        } else {
-                            service.register(name, g);
-                        }
+                        service.register(name, g);
                     }
                     Err(e) => fail(format!("failed to read {file}: {e}")),
                 }
@@ -540,45 +442,10 @@ fn run_batch(args: &[String]) -> ExitCode {
                 Ok((name, updates)) => {
                     // Updates interleave with the surrounding requests:
                     // everything queued above sees the pre-update graph.
-                    let print_apply = |st: &dsd::core::ApplyStats, suffix: &str| {
-                        println!(
-                            "updated {name}: +{} -{} (~{} no-ops), epoch {}, k-core {}, \
-                             substrates {} repaired / {} rebuilt{suffix}",
-                            st.inserted,
-                            st.deleted,
-                            st.ignored,
-                            st.epoch,
-                            if st.kcore_patched {
-                                "patched"
-                            } else {
-                                "deferred rebuild"
-                            },
-                            st.substrates_repaired,
-                            st.substrates_rebuilt,
-                        );
-                    };
-                    if shards > 1 {
-                        failed +=
-                            flush_requests_sharded(&sharded_catalog, &mut pending, &mut next_index);
-                        match sharded_catalog.get(&name) {
-                            Some(sharded) => {
-                                let st = sharded.apply(&updates);
-                                print_apply(
-                                    &st.spine,
-                                    &format!(
-                                        ", {} shard(s) touched, {} cross-shard",
-                                        st.shards_touched, st.cross_shard
-                                    ),
-                                );
-                            }
-                            None => fail(format!("no graph named {name:?} in the catalog")),
-                        }
-                    } else {
-                        failed += flush_requests(&service, &mut pending, &mut next_index);
-                        match service.update(&name, &updates) {
-                            Ok(st) => print_apply(&st, ""),
-                            Err(e) => fail(format!("update failed: {e}")),
-                        }
+                    failed += flush_requests(&service, &mut pending, &mut next_index);
+                    match service.update(&name, &updates) {
+                        Ok(st) => print_update(&name, &st),
+                        Err(e) => fail(format!("update failed: {e}")),
                     }
                 }
                 Err(e) => fail(e),
@@ -586,11 +453,7 @@ fn run_batch(args: &[String]) -> ExitCode {
             other => fail(format!("unknown directive {other:?}")),
         }
     }
-    failed += if shards > 1 {
-        flush_requests_sharded(&sharded_catalog, &mut pending, &mut next_index)
-    } else {
-        flush_requests(&service, &mut pending, &mut next_index)
-    };
+    failed += flush_requests(&service, &mut pending, &mut next_index);
 
     if failed > 0 || bad_directives > 0 {
         eprintln!(
@@ -627,25 +490,8 @@ fn settle_one(
             s.guarantee,
             s.stats.epoch
         ),
-        (PendingJob::Update(name), Ok(st)) => {
-            if let ServeOutcome::Updated(st) = st {
-                println!(
-                    "updated {name}: +{} -{} (~{} no-ops), epoch {}, k-core {}, \
-                     substrates {} repaired / {} rebuilt",
-                    st.inserted,
-                    st.deleted,
-                    st.ignored,
-                    st.epoch,
-                    if st.kcore_patched {
-                        "patched"
-                    } else {
-                        "deferred rebuild"
-                    },
-                    st.substrates_repaired,
-                    st.substrates_rebuilt,
-                );
-            }
-        }
+        (PendingJob::Update(name), Ok(ServeOutcome::Updated(st))) => print_update(&name, &st),
+        (PendingJob::Update(_), Ok(ServeOutcome::Solved(_))) => unreachable!("update ticket"),
         (PendingJob::Query(i), Err(e)) => {
             *failed += 1;
             eprintln!("#{i}: error: {e}");
@@ -681,7 +527,6 @@ fn submit_with_backpressure(
 
 fn run_serve(args: &[String]) -> ExitCode {
     let mut file: Option<&str> = None;
-    let mut shards = 1usize;
     let mut config = ServeConfig {
         workers: 2,
         queue_depth: 64,
@@ -692,13 +537,6 @@ fn run_serve(args: &[String]) -> ExitCode {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--shards" => match it.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => shards = n,
-                _ => {
-                    eprintln!("bad --shards");
-                    return usage();
-                }
-            },
             "--budget" => match it.next().and_then(|s| parse_byte_budget(s)) {
                 Some(b) => config.substrate_budget = b,
                 None => {
@@ -748,17 +586,12 @@ fn run_serve(args: &[String]) -> ExitCode {
     };
 
     println!(
-        "serve: {} workers, queue depth {}, budget {}{}",
+        "serve: {} workers, queue depth {}, budget {}",
         config.workers,
         config.queue_depth,
         match config.substrate_budget {
             Some(b) => format!("{:.1} KiB", b as f64 / 1024.0),
             None => "unlimited".into(),
-        },
-        if shards > 1 {
-            format!(", {shards} shards requested")
-        } else {
-            String::new()
         }
     );
     let t0 = std::time::Instant::now();
@@ -799,16 +632,7 @@ fn run_serve(args: &[String]) -> ExitCode {
                             g.num_vertices(),
                             g.num_edges()
                         );
-                        if shards > 1 {
-                            let sg = server.register_sharded(name, g, shards);
-                            println!(
-                                "sharded {name}: {} shards ({shards} requested), {} boundary edges",
-                                sg.num_shards(),
-                                sg.boundary_edges()
-                            );
-                        } else {
-                            server.register(name, g);
-                        }
+                        server.register(name, g);
                         registered.push(name.to_string());
                     }
                     Err(e) => fail(format!("failed to read {file}: {e}")),

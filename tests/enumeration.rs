@@ -19,11 +19,11 @@
 //!   view, CSR merge deferred) answers bit-identically to a cold
 //!   rebuild.
 //!
-//! Kernel and shard selection use the explicit constructors
-//! ([`CliqueLister::with_bitset`], the `threads` argument of
-//! [`InstanceStore::pattern`]) rather than the `DSD_NO_BITSET` /
-//! `DSD_ENUM_SHARDS` env toggles: tests in one binary run concurrently
-//! and env vars are process-global.
+//! Kernel selection uses the explicit constructor
+//! ([`CliqueLister::with_bitset`]) rather than the `DSD_NO_BITSET` env
+//! toggle: tests in one binary run concurrently and env vars are
+//! process-global. Shard counts are the `threads` argument of
+//! [`InstanceStore::pattern`].
 //!
 //! Iteration counts honour `DSD_PROP_ITERS` like `tests/dynamic.rs`;
 //! nightly CI runs this suite at 5000 iterations.

@@ -289,6 +289,10 @@ fn governor_ledger_tracks_updates_evict_and_engine_drop() {
     let (ledger, actual) = governor.reconcile();
     assert_eq!(ledger, actual, "ledger drifted after warmup");
     assert!(ledger > 0, "triangle substrates occupy bytes");
+    assert!(
+        governor.stats().peak_bytes >= ledger,
+        "peak tracks the settled ledger without a budget"
+    );
 
     // An update invalidates a's substrates; the apply hook reports it.
     service.update("a", &[GraphUpdate::Insert(0, 1)]).unwrap();
@@ -300,9 +304,14 @@ fn governor_ledger_tracks_updates_evict_and_engine_drop() {
     service
         .solve(&DsdRequest::new(&psi).on("a").method(Method::CoreExact))
         .unwrap();
+    let (pre_evict, _) = governor.reconcile();
     assert!(service.evict("a"));
     let (ledger, actual) = governor.reconcile();
     assert_eq!(ledger, actual, "ledger drifted after evict + engine drop");
+    assert!(
+        governor.stats().peak_bytes >= pre_evict,
+        "evicting never lowers the peak"
+    );
     governor.debug_assert_reconciled();
 }
 
