@@ -6,14 +6,14 @@
 //! classical k-core order after **every** update — the serving contract
 //! for an evolving graph:
 //!
-//! * **incremental** — one registered `DsdService` graph absorbs each
-//!   update through `update()`: the engine repairs the k-core order in
-//!   place with the subcore traversal, accumulates the edges in an
-//!   overlay, and materializes the CSR once at the end of the stream
-//!   (lazy rebuild-or-patch);
+//! * **incremental** — one long-lived engine absorbs each update through
+//!   `DsdEngine::apply`: it repairs the k-core order in place with the
+//!   subcore traversal, accumulates the edges in an overlay, and
+//!   materializes the CSR once at the end of the stream (lazy
+//!   rebuild-or-patch);
 //! * **evict-and-rebuild** — the pre-dynamic status quo: every update
-//!   re-registers a freshly materialized graph and re-peels the k-core
-//!   from scratch.
+//!   builds a fresh engine over the materialized graph and re-peels the
+//!   k-core from scratch.
 //!
 //! Asserted: the final graph and k-core numbers are identical between the
 //! two arms (and to a from-scratch decomposition), the incremental engine
@@ -25,7 +25,7 @@
 use std::collections::HashSet;
 use std::time::Instant;
 
-use dsd_core::{k_core_decomposition, DsdService};
+use dsd_core::{k_core_decomposition, DsdEngine};
 use dsd_datasets::registry;
 use dsd_graph::{DeltaGraph, EdgeOverlay, Graph, GraphUpdate};
 use rand::rngs::StdRng;
@@ -74,12 +74,11 @@ fn main() {
     );
 
     // -- Incremental arm: one live graph, per-edge k-core repair ---------
-    let service = DsdService::new();
-    let engine = service.register("live", g.clone());
+    let engine = DsdEngine::new(g.clone());
     engine.kcore_order(); // the serving steady state: substrate is warm
     let t = Instant::now();
     for update in &updates {
-        let stats = service.update("live", &[*update]).expect("registered");
+        let stats = engine.apply(&[*update]);
         assert_eq!(
             stats.inserted + stats.deleted,
             1,
@@ -96,10 +95,7 @@ fn main() {
         "the whole stream must reuse the single warm k-core build"
     );
 
-    // -- Evict-and-rebuild arm: re-register + re-peel per update --------
-    let baseline = DsdService::new();
-    baseline.register("live", g.clone());
-    baseline.engine("live").unwrap().kcore_order();
+    // -- Evict-and-rebuild arm: fresh engine + re-peel per update --------
     let t = Instant::now();
     let mut current = g.clone();
     let mut rebuilt_kcore = None;
@@ -107,7 +103,7 @@ fn main() {
         let mut overlay = EdgeOverlay::default();
         assert!(overlay.apply(&current, update));
         current = DeltaGraph::new(&current, &overlay).materialize();
-        let engine = baseline.register("live", current.clone());
+        let engine = DsdEngine::new(current.clone());
         rebuilt_kcore = Some(engine.kcore_order());
     }
     let rebuild = t.elapsed();

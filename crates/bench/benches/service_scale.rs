@@ -5,13 +5,13 @@
 //! Chung-Lu power-law) and three patterns (edge, triangle, 2-star):
 //!
 //! 1. **Footprint measurement** — every `(graph, Ψ, method)` triple the
-//!    mixed phase can issue is solved on an *ungoverned* `DsdService`;
+//!    mixed phase can issue is solved on plain, *ungoverned* engines;
 //!    the summed `substrate_bytes()` (stores, decompositions and cached
 //!    flow networks) is the full footprint `F`, and per-`(graph, Ψ)`
 //!    deltas over all methods give the entry-size distribution.
 //! 2. **Governed warm sweep** — the same query set replayed through a
 //!    `DsdServer` whose governor budget is `F / 3`; every answer must be
-//!    bit-identical to the synchronous `solve_batch` reference.
+//!    bit-identical to the ungoverned engines' reference.
 //! 3. **Mixed load** — a seeded query/update script (updates barrier
 //!    only their own graph) pushed through the server with submit-side
 //!    backpressure; answers must be bit-identical (vertices, density
@@ -33,8 +33,8 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 use dsd_core::{
-    DsdEngine, DsdRequest, DsdServer, DsdService, Method, ServeConfig, ServeError, ServeOutcome,
-    Solution, Ticket,
+    DsdEngine, DsdRequest, DsdServer, Method, ServeConfig, ServeError, ServeOutcome, Solution,
+    Ticket,
 };
 use dsd_datasets::{chung_lu, rmat, rmat::RmatParams};
 use dsd_graph::{Graph, GraphUpdate, VertexId};
@@ -241,20 +241,27 @@ fn main() {
         cfg.ops
     );
 
-    // Phase 1: footprint measurement on an ungoverned service over every
+    // Phase 1: footprint measurement on ungoverned engines over every
     // (graph, Ψ, method) the mixed phase issues, which is also the
-    // synchronous solve_batch reference for the warm sweep.
-    let service = DsdService::new();
-    for (name, g) in NAMES.iter().zip(&graphs) {
-        service.register(*name, g.clone());
-    }
+    // reference for the warm sweep.
+    let engines: Vec<DsdEngine<'static>> =
+        graphs.iter().map(|g| DsdEngine::new(g.clone())).collect();
     let warm = warm_queries();
-    let batch = service.solve_batch(warm.clone());
-    let footprint = service.substrate_bytes();
+    let reference: Vec<Solution> = warm
+        .iter()
+        .map(|req| {
+            let graph = NAMES
+                .iter()
+                .position(|name| Some(*name) == req.graph_name())
+                .expect("warm sweep names a known graph");
+            engines[graph].solve(req)
+        })
+        .collect();
+    let footprint: u64 = engines.iter().map(|e| e.substrate_bytes()).sum();
     assert!(footprint > 0, "warm substrates must occupy bytes");
     // The full footprint holds every exact-solve network; free it before
     // the governed phases build their own.
-    drop(service);
+    drop(engines);
 
     // Per-entry sizes: a governor entry is one (graph, Ψ) key, holding
     // its store, decomposition and flow networks. Warm one pattern at a
@@ -297,7 +304,7 @@ fn main() {
         budget as f64 / 1024.0
     );
 
-    // Phase 2: governed warm sweep — bit-identical to solve_batch.
+    // Phase 2: governed warm sweep — bit-identical to the reference.
     let server = DsdServer::new(ServeConfig {
         workers,
         queue_depth: 32,
@@ -321,14 +328,12 @@ fn main() {
             .expect("no sheds in the warm sweep")
             .solution()
             .expect("warm sweep is queries only");
-        let want = batch.solutions[i]
-            .as_ref()
-            .expect("solve_batch routed every request");
+        let want = &reference[i];
         assert_eq!(got.vertices, want.vertices, "warm {i}: vertices diverged");
         assert_eq!(
             got.density.to_bits(),
             want.density.to_bits(),
-            "warm {i}: not bit-identical to solve_batch"
+            "warm {i}: not bit-identical to the ungoverned reference"
         );
     }
     server.drain();

@@ -1,14 +1,15 @@
-//! Bench: the `DsdService` batched-serving win — the ISSUE-2 acceptance
-//! benchmark.
+//! Bench: the `DsdServer` batched-serving win over one cold engine per
+//! request.
 //!
 //! A mixed 32-request workload — 2 graphs × 2 patterns, all 5 objectives
 //! per graph, methods pinned for determinism — is served three ways:
 //!
-//! * **unbatched serial** — the pre-service status quo: one throwaway
+//! * **unbatched serial** — the pre-server status quo: one throwaway
 //!   engine per request, single-threaded, every request re-derives its
 //!   substrates;
-//! * **1-worker `solve_batch`** — one `DsdService`, grouped execution;
-//! * **8-worker `solve_batch`** — the same, across scoped workers.
+//! * **1-worker server** — one `DsdServer`, all 32 requests submitted at
+//!   once and served from its warm engines;
+//! * **8-worker server** — the same, across 8 workers.
 //!
 //! The workload shape mirrors a serving mix: the expensive general
 //! pattern (2-triangle, whose substrate is a full instance
@@ -16,13 +17,13 @@
 //! peel-family and size-constrained requests, while the flow-heavy
 //! objectives (top-k, CoreExact) ride on the cheap triangle substrate.
 //!
-//! Asserted: bit-identical answers across all three executions, substrate
-//! builds == distinct (graph, Ψ) groups (4), and **≥ 3× end-to-end
-//! speedup** for the 8-worker batch over unbatched serial. The speedup is
-//! algorithmic (28 of 32 requests skip their substrate build), so it holds
-//! on any core count.
+//! Asserted: bit-identical answers across all three executions,
+//! decomposition builds (read from the engines' cache stats) == distinct
+//! (graph, Ψ) pairs (4), and **≥ 3× end-to-end speedup** for the 8-worker
+//! server over unbatched serial. The speedup is algorithmic (28 of 32
+//! requests skip their substrate build), so it holds on any core count.
 //!
-//! A second, multicore-only comparison (8-worker vs 1-worker batch) is
+//! A second, multicore-only comparison (8-worker vs 1-worker server) is
 //! always printed and asserted when `DSD_SCALING_ASSERT=1` and the host
 //! reports ≥ 4 hardware threads (the CI configuration) — on fewer cores
 //! thread scaling is physically unavailable and only the print remains.
@@ -31,8 +32,7 @@
 
 use std::time::{Duration, Instant};
 
-use dsd_core::service::{BatchOutcome, DsdService};
-use dsd_core::{DsdEngine, DsdRequest, Method, Objective, Parallelism, Solution};
+use dsd_core::{DsdEngine, DsdRequest, DsdServer, Method, Objective, ServeConfig, Solution};
 use dsd_datasets::planted;
 use dsd_graph::Graph;
 use dsd_motif::Pattern;
@@ -115,7 +115,7 @@ fn workload() -> Vec<DsdRequest> {
     reqs
 }
 
-/// The pre-service baseline: every request pays its own cold engine.
+/// The pre-server baseline: every request pays its own cold engine.
 /// Graph generation and request construction stay outside the timer.
 fn unbatched_serial(
     graphs: &[(&str, Graph)],
@@ -135,14 +135,44 @@ fn unbatched_serial(
     (solutions, t.elapsed())
 }
 
-fn batched(parallelism: Parallelism, requests: Vec<DsdRequest>) -> (BatchOutcome, Duration) {
-    let service = DsdService::with_parallelism(parallelism);
-    for (name, g) in graphs() {
-        service.register(name, g);
-    }
+/// Serves the workload through a fresh `workers`-thread server: all
+/// requests submitted at once, then every ticket redeemed. Returns the
+/// solutions in request order, the decomposition builds the engines paid,
+/// and the wall time from first submit to last answer.
+fn served(workers: usize, requests: Vec<DsdRequest>) -> (Vec<Solution>, usize, Duration) {
+    let server = DsdServer::new(ServeConfig {
+        workers,
+        ..ServeConfig::default()
+    });
+    let engines: Vec<_> = graphs()
+        .into_iter()
+        .map(|(name, g)| server.register(name, g))
+        .collect();
     let t = Instant::now();
-    let outcome = service.solve_batch(requests);
-    (outcome, t.elapsed())
+    let tickets: Vec<_> = requests
+        .into_iter()
+        .map(|req| {
+            server
+                .submit(req)
+                .expect("the queue holds the whole workload")
+        })
+        .collect();
+    let solutions = tickets
+        .into_iter()
+        .map(|ticket| {
+            ticket
+                .wait()
+                .expect("request served")
+                .solution()
+                .expect("a query ticket")
+        })
+        .collect();
+    let elapsed = t.elapsed();
+    let builds = engines
+        .iter()
+        .map(|e| e.cache_stats().decomposition_builds)
+        .sum();
+    (solutions, builds, elapsed)
 }
 
 fn main() {
@@ -153,24 +183,22 @@ fn main() {
     let requests = workload();
 
     let (cold, cold_t) = unbatched_serial(&graphs, &requests);
-    let (warm1, warm1_t) = batched(Parallelism::serial(), requests.clone());
-    let (warm8, warm8_t) = batched(Parallelism::new(WORKERS), requests);
+    let (warm1, builds1, warm1_t) = served(1, requests.clone());
+    let (warm8, builds8, warm8_t) = served(WORKERS, requests);
 
     // Bit-identical answers across all three executions.
-    for ((c, w1), w8) in cold.iter().zip(&warm1.solutions).zip(&warm8.solutions) {
-        let w1 = w1.as_ref().expect("batch request routed");
-        let w8 = w8.as_ref().expect("batch request routed");
+    for ((c, w1), w8) in cold.iter().zip(&warm1).zip(&warm8) {
         assert_eq!(c.vertices, w1.vertices, "{:?}", c.objective);
         assert_eq!(c.density.to_bits(), w1.density.to_bits());
         assert_eq!(c.vertices, w8.vertices, "{:?}", c.objective);
         assert_eq!(c.density.to_bits(), w8.density.to_bits());
     }
 
-    // The batch pays exactly one substrate build per distinct (graph, Ψ).
-    for outcome in [&warm1, &warm8] {
-        assert_eq!(outcome.stats.groups, 4, "2 graphs x 2 patterns");
+    // Each server pays exactly one decomposition build per distinct
+    // (graph, Ψ): 2 graphs x 2 patterns.
+    for builds in [builds1, builds8] {
         assert_eq!(
-            outcome.stats.substrate_builds, 4,
+            builds, 4,
             "substrate builds must equal the distinct (graph, Ψ) count"
         );
     }
@@ -182,13 +210,12 @@ fn main() {
         cold_t.as_secs_f64() * 1e3
     );
     println!(
-        "solve_batch, 1 worker:              {:>9.1} ms",
+        "server, 1 worker:                   {:>9.1} ms",
         warm1_t.as_secs_f64() * 1e3
     );
     println!(
-        "solve_batch, {WORKERS} workers:             {:>9.1} ms ({:.0}% utilization)",
-        warm8_t.as_secs_f64() * 1e3,
-        warm8.stats.utilization() * 100.0
+        "server, {WORKERS} workers:                  {:>9.1} ms",
+        warm8_t.as_secs_f64() * 1e3
     );
     println!("batched speedup over unbatched serial: {speedup:.2}x (acceptance floor: 3x)");
     println!("thread scaling (1 -> {WORKERS} workers): {scaling:.2}x");

@@ -1,7 +1,7 @@
 //! Byte-size budget flag parsing shared by the `dsd` CLI surfaces.
 //!
 //! Every serving surface that accepts a substrate budget
-//! (`dsd batch --substrate-budget`, `dsd serve --budget`, the top-level
+//! (`dsd batch|serve --substrate-budget` and `--budget`, the top-level
 //! `--substrate-budget`) speaks the same little grammar:
 //! `<bytes>` | `<n>k` | `<n>m` | `<n>g` (binary multiples, case
 //! insensitive) | `0` (degenerate zero budget) | `unlimited`.

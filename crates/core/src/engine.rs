@@ -23,8 +23,7 @@
 //! block on the write lock and then hit the cache), while disjoint warm
 //! requests share the read lock and proceed concurrently. Share an engine
 //! across threads with [`std::sync::Arc`] or scoped borrows; for serving
-//! many named graphs from one process, and for batched execution, see
-//! [`crate::service::DsdService`].
+//! many named graphs from one process, see [`crate::serve::DsdServer`].
 //!
 //! The graph is **not** frozen: [`DsdEngine::apply`] takes a batch of
 //! [`GraphUpdate`]s, advances a *graph epoch*, repairs the classical
@@ -1209,8 +1208,8 @@ impl<'g> DsdEngine<'g> {
     /// Starts building a request for pattern Ψ (defaults: Densest,
     /// `Method::Auto`, exact tolerance, no step budget),
     /// bound to this engine — call `.solve()` on the result. To build a
-    /// free-standing request (for [`crate::service::DsdService`] routing
-    /// or batching), use [`DsdRequest::new`].
+    /// free-standing request (for [`crate::serve::DsdServer`] routing),
+    /// use [`DsdRequest::new`].
     pub fn request(&self, psi: &Pattern) -> BoundRequest<'_, 'g> {
         BoundRequest {
             engine: self,
@@ -1385,7 +1384,7 @@ impl<'g> DsdEngine<'g> {
     ///
     /// Note the warm/cold split makes Auto's choice depend on cache state:
     /// under concurrent execution, pin an explicit method when bit-for-bit
-    /// reproducibility across runs matters (see `service::DsdService`).
+    /// reproducibility across runs matters (see `serve::DsdServer`).
     fn auto_method(&self, psi: &Pattern, snap: &GraphSnapshot<'_>) -> Method {
         /// Located-core size above which warm flow probes are judged too
         /// expensive for an auto-selected request.
@@ -1426,7 +1425,7 @@ impl<'g> DsdEngine<'g> {
 
     /// Runs a free-standing request against this engine. Any graph name
     /// the request carries ([`DsdRequest::on`]) is ignored here — routing
-    /// by name is [`crate::service::DsdService`]'s job.
+    /// by name is [`crate::serve::DsdServer`]'s job.
     pub fn solve(&self, req: &DsdRequest) -> Solution {
         let t0 = Instant::now();
         let snap = self.graph();
@@ -1839,9 +1838,7 @@ fn invalid(method: Method, objective: Objective, stats: SolveStats) -> Solution 
 /// A free-standing request specification: pattern, objective, method, and
 /// solver knobs, plus (optionally) the name of the catalog graph it
 /// targets. `DsdRequest` is plain `Send` data — build it anywhere, ship it
-/// to a [`DsdEngine::solve`] call, a
-/// [`crate::service::DsdService::solve`], or a
-/// [`crate::service::DsdService::solve_batch`] workload.
+/// to a [`DsdEngine::solve`] call or a [`crate::serve::DsdServer::submit`].
 ///
 /// For the common bound form, [`DsdEngine::request`] returns a
 /// [`BoundRequest`] with the same builder methods plus `.solve()`.
@@ -1870,7 +1867,7 @@ impl DsdRequest {
     }
 
     /// Routes the request to the named catalog graph (used by
-    /// [`crate::service::DsdService`]; ignored by [`DsdEngine::solve`]).
+    /// [`crate::serve::DsdServer`]; ignored by [`DsdEngine::solve`]).
     pub fn on(mut self, graph: impl Into<String>) -> Self {
         self.graph = Some(graph.into());
         self

@@ -60,6 +60,10 @@
 //! let cds = densest_subgraph(&g, &Pattern::triangle(), Method::CoreExact);
 //! assert_eq!(cds.vertices, vec![0, 1, 2, 3]);
 //! ```
+//!
+//! Serving many named graphs from one process goes through
+//! [`serve::DsdServer`]: a catalog of engines behind per-graph admission
+//! queues, a worker pool, and one substrate byte budget over them all.
 
 pub mod alpha_search;
 pub mod approx;
@@ -81,7 +85,6 @@ pub mod parallelism;
 pub mod peel;
 pub mod query;
 pub mod serve;
-pub mod service;
 pub mod size_constrained;
 pub mod top_k;
 pub mod types;
@@ -121,7 +124,6 @@ pub use serve::{
     DsdServer, GovernorStats, ServeConfig, ServeError, ServeOutcome, ServeStats, SubstrateGovernor,
     SubstrateLease, Ticket,
 };
-pub use service::{BatchOutcome, BatchStats, DsdService, ServiceError};
 pub use size_constrained::{
     densest_at_least_k, densest_at_least_k_from, densest_at_most_k, densest_at_most_k_from,
     SizeConstrainedOutcome,

@@ -211,7 +211,7 @@ pub enum StoreFallback {
 }
 
 /// Instance-store accounting surfaced through [`DensityOracle::store_stats`]
-/// into `SolveStats`/`BatchStats`.
+/// into `SolveStats`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Whether the store was materialized (`false` = streaming fallback).

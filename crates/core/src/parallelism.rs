@@ -6,10 +6,10 @@
 //! `ParallelCliqueOracle`, bench drivers), so the CLI, the benches, and a
 //! batch executor could silently disagree about how many workers a process
 //! runs. `Parallelism` is that number, validated once: construct it at the
-//! edge (CLI flag, service config), pass it down.
+//! edge (CLI flag, engine config), pass it down.
 
 /// Worker-count configuration for parallel substrate passes (instance-store
-/// builds, h-clique degree passes) and batched request execution.
+/// builds, h-clique degree passes).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Parallelism {
     threads: usize,

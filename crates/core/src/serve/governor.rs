@@ -96,7 +96,7 @@ pub struct GovernorStats {
 
 /// The LRU byte governor over all engines in a catalog. Construct with
 /// [`SubstrateGovernor::new`], then [`attach`](Self::attach) every engine
-/// (a governed [`crate::service::DsdService`] does this on `register`).
+/// ([`crate::serve::DsdServer`] does this on `register`).
 pub struct SubstrateGovernor {
     budget: Option<u64>,
     state: Mutex<GovState>,

@@ -1,9 +1,11 @@
-//! `dsd_core::serve`: the self-limiting serving runtime.
+//! `dsd_core::serve`: the serving runtime.
 //!
-//! [`crate::service::DsdService`] gives one process a catalog of live
-//! graphs with warm substrate caches; this module makes that shape safe
-//! to run *indefinitely* under mixed traffic. Two failure modes of the
-//! bare catalog motivate it:
+//! [`DsdServer`] is the one way to serve many named graphs from one
+//! process: it keeps a catalog of live graphs, each behind its own
+//! [`crate::DsdEngine`] with warm substrate caches, and runs queries and
+//! updates against them through per-graph admission queues and a worker
+//! pool. It is built to run *indefinitely* under mixed traffic, which
+//! rules out two failure modes of a bare catalog:
 //!
 //! 1. **Unbounded memory.** Engine caches are grow-only between updates:
 //!    every (graph, Ψ) pair a workload ever touches stays resident. The
@@ -12,13 +14,20 @@
 //!    are (expensive to build, cheap to share, first to evict under
 //!    pressure), and `Arc` reference counting makes eviction safe for
 //!    requests already holding the substrate.
-//! 2. **Unbounded latency.** A synchronous batch head-of-line-blocks
-//!    behind its slowest solve, and one hot graph's update stalls every
-//!    other graph. The [`DsdServer`] pipeline gives each graph its own
-//!    bounded FIFO (updates barrier only their own graph), sheds load
-//!    typed ([`ServeError::Overloaded`]) instead of queueing without
-//!    bound, and enforces per-request deadlines through the α-search
-//!    step-budget knob.
+//! 2. **Unbounded latency.** One hot graph's update must not stall every
+//!    other graph, and a backlog must not grow without bound. The
+//!    pipeline gives each graph its own bounded FIFO (updates barrier
+//!    only their own graph), sheds load typed
+//!    ([`ServeError::Overloaded`]) instead of queueing without bound, and
+//!    enforces per-request deadlines through the α-search step-budget
+//!    knob.
+//!
+//! Substrate work is shared across requests by the engines' build-once
+//! caches: concurrent requests for one (graph, Ψ) pay one decomposition
+//! build between them. Answers are bit-identical to serial execution for
+//! every pinned method; [`crate::Method::Auto`] resolves against the cache
+//! state it observes, so pin a method when runs must reproduce bit for
+//! bit.
 //!
 //! ```
 //! use dsd_core::serve::{DsdServer, ServeConfig, ServeOutcome};

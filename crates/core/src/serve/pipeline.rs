@@ -1,10 +1,12 @@
-//! The admission-controlled request pipeline.
+//! The serving runtime: a governed catalog of named graphs and the
+//! admission-controlled request pipeline in front of it.
 //!
-//! [`DsdServer`] wraps a governed [`DsdService`] in a hand-rolled
-//! thread+channel runtime (the workspace is dependency-free — plain
-//! `std::sync` primitives, no async executor): one bounded FIFO queue per
-//! registered graph, a shared worker pool pulling across the queues
-//! round-robin, and per-ticket completion channels.
+//! [`DsdServer`] keeps one map from graph name to (engine, queue) under a
+//! single state mutex and runs a hand-rolled thread+channel runtime over
+//! it (the workspace is dependency-free — plain `std::sync` primitives,
+//! no async executor): one bounded FIFO queue per registered graph, a
+//! shared worker pool pulling across the queues round-robin, and
+//! per-ticket completion channels.
 //!
 //! The scheduling rules, in order of importance:
 //!
@@ -12,9 +14,7 @@
 //!   concurrently; an update barriers *only its own graph's queue* — it
 //!   dispatches once that graph's in-flight queries drain, runs alone,
 //!   and later same-graph jobs wait behind it. Other graphs' traffic
-//!   flows the whole time. (This generalizes the batch CLI's
-//!   flush-before-update rule from "one global barrier" to "one barrier
-//!   per graph".)
+//!   flows the whole time.
 //! * **Bounded admission.** Each graph queue holds at most
 //!   [`ServeConfig::queue_depth`] jobs; a submit beyond that is shed
 //!   immediately with [`ServeError::Overloaded`] instead of growing an
@@ -36,15 +36,16 @@ use std::time::{Duration, Instant};
 use dsd_graph::{Graph, GraphUpdate};
 
 use crate::engine::{pattern_key, ApplyStats, DsdEngine, DsdRequest, Objective, Solution};
+use crate::oracle::DEFAULT_STORE_BUDGET;
 use crate::serve::governor::{GovernorStats, SubstrateGovernor, SubstrateLease};
-use crate::service::DsdService;
 
 /// Sizing and policy knobs for a [`DsdServer`].
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Worker threads pulling jobs across all graph queues. `0` spawns
-    /// none — jobs then only run via [`DsdServer::step`], which tests use
-    /// to drive the pipeline deterministically.
+    /// none — jobs then only run via [`DsdServer::step`] or
+    /// [`DsdServer::drain`] on the calling thread, which tests use to
+    /// drive the pipeline deterministically.
     pub workers: usize,
     /// Max queued jobs per graph; submits beyond this shed with
     /// [`ServeError::Overloaded`].
@@ -52,6 +53,10 @@ pub struct ServeConfig {
     /// Global substrate byte budget enforced by the governor across every
     /// registered engine (`None` = account but never evict).
     pub substrate_budget: Option<u64>,
+    /// Per-engine instance-store byte budget for graphs registered on
+    /// this server (`None` = unlimited, `Some(0)` = never materialize;
+    /// see [`DsdEngine::with_substrate_budget`]).
+    pub store_budget: Option<u64>,
     /// Deadline attached to every submitted job, measured from submit
     /// (`None` = jobs never expire).
     pub deadline: Option<Duration>,
@@ -67,6 +72,7 @@ impl Default for ServeConfig {
             workers: 2,
             queue_depth: 64,
             substrate_budget: None,
+            store_budget: Some(DEFAULT_STORE_BUDGET),
             deadline: None,
             deadline_step_budget: 0,
         }
@@ -83,7 +89,7 @@ pub enum ServeError {
         /// Its configured queue depth.
         depth: usize,
     },
-    /// The job names a graph the catalog does not hold.
+    /// The job names a graph the server does not hold.
     UnknownGraph(String),
     /// The request was never routed ([`DsdRequest::on`] was not called).
     Unrouted,
@@ -181,19 +187,33 @@ struct Job {
     deadline: Option<Instant>,
 }
 
-#[derive(Default)]
-struct GraphQueue {
+/// One registered graph: its engine and its FIFO queue.
+struct GraphEntry {
+    engine: Arc<DsdEngine<'static>>,
+    /// Tells this registration apart from earlier ones under the same
+    /// name, so a job settles only on the entry it was dispatched from.
+    generation: u64,
     jobs: VecDeque<Job>,
     running_queries: usize,
     update_running: bool,
 }
 
+/// A job taken off its queue, with the engine and registration it runs
+/// against.
+struct Dispatched {
+    job: Job,
+    engine: Arc<DsdEngine<'static>>,
+    generation: u64,
+}
+
 #[derive(Default)]
 struct PipeState {
-    graphs: HashMap<String, GraphQueue>,
+    graphs: HashMap<String, GraphEntry>,
     /// Round-robin dispatch order over `graphs`.
     order: Vec<String>,
     cursor: usize,
+    /// Generations handed out by `register` so far.
+    registrations: u64,
     queued: usize,
     in_flight: usize,
     shutdown: bool,
@@ -204,7 +224,6 @@ struct PipeState {
 }
 
 struct Shared {
-    service: DsdService,
     governor: Arc<SubstrateGovernor>,
     config: ServeConfig,
     state: Mutex<PipeState>,
@@ -214,8 +233,11 @@ struct Shared {
     idle: Condvar,
 }
 
-/// The serving runtime: a governed catalog plus the admission-controlled
-/// worker pipeline. See the module docs for the scheduling rules.
+/// The serving runtime: a catalog of named graphs, each behind its own
+/// governed [`DsdEngine`], plus the admission-controlled worker pipeline.
+/// See the module docs for the scheduling rules.
+///
+/// All methods take `&self`; the server is `Send + Sync`.
 pub struct DsdServer {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
@@ -225,9 +247,7 @@ impl DsdServer {
     /// Builds the runtime and spawns its worker pool.
     pub fn new(config: ServeConfig) -> Self {
         let governor = SubstrateGovernor::new(config.substrate_budget);
-        let service = DsdService::new().with_governor(Arc::clone(&governor));
         let shared = Arc::new(Shared {
-            service,
             governor,
             config,
             state: Mutex::new(PipeState::default()),
@@ -243,40 +263,80 @@ impl DsdServer {
         DsdServer { shared, workers }
     }
 
-    /// Registers (or replaces) a graph: the engine joins the governed
-    /// catalog and gets its own FIFO queue.
+    /// Registers (or replaces) a graph and returns its engine. The engine
+    /// is attached to the governor and gets its own FIFO queue. Replacing
+    /// a graph moves its queued jobs onto the new engine; jobs already
+    /// running finish on the old one, whose bytes leave the governor's
+    /// ledger once the last of them drops it.
     pub fn register(&self, name: impl Into<String>, graph: Graph) -> Arc<DsdEngine<'static>> {
         let name = name.into();
-        let engine = self.shared.service.register(name.clone(), graph);
+        let engine =
+            Arc::new(DsdEngine::new(graph).with_substrate_budget(self.shared.config.store_budget));
+        self.shared.governor.attach(&engine);
         let mut state = self.shared.state.lock().unwrap();
-        if !state.graphs.contains_key(&name) {
-            state.graphs.insert(name.clone(), GraphQueue::default());
-            state.order.push(name);
-        }
+        state.registrations += 1;
+        let generation = state.registrations;
+        let (jobs, replaced) = match state.graphs.remove(&name) {
+            Some(old) => (old.jobs, Some(old.engine)),
+            None => {
+                state.order.push(name.clone());
+                (VecDeque::new(), None)
+            }
+        };
+        state.graphs.insert(
+            name,
+            GraphEntry {
+                engine: Arc::clone(&engine),
+                generation,
+                jobs,
+                running_queries: 0,
+                update_running: false,
+            },
+        );
+        drop(state);
+        // Dropped outside the state lock: a replaced engine's Drop
+        // reports its bytes to the governor.
+        drop(replaced);
         engine
     }
 
-    /// Removes a graph. Queued jobs for it fail with
-    /// [`ServeError::UnknownGraph`]; its engine's bytes leave the
-    /// governor's ledger once the last in-flight holder drops it.
+    /// Removes a graph; returns whether it was present. Queued jobs for
+    /// it fail with [`ServeError::UnknownGraph`]; its engine's bytes
+    /// leave the governor's ledger once the last in-flight holder drops
+    /// it.
     pub fn evict(&self, name: &str) -> bool {
-        let present = self.shared.service.evict(name);
         let mut state = self.shared.state.lock().unwrap();
-        if let Some(mut q) = state.graphs.remove(name) {
-            state.queued -= q.jobs.len();
-            for job in q.jobs.drain(..) {
-                let _ = job.tx.send(Err(ServeError::UnknownGraph(name.to_string())));
-            }
-            state.order.retain(|g| g != name);
-            state.cursor = 0;
+        let Some(mut entry) = state.graphs.remove(name) else {
+            return false;
+        };
+        state.queued -= entry.jobs.len();
+        for job in entry.jobs.drain(..) {
+            let _ = job.tx.send(Err(ServeError::UnknownGraph(name.to_string())));
         }
+        state.order.retain(|g| g != name);
+        state.cursor = 0;
         notify_if_idle(&self.shared, &state);
-        present
+        drop(state);
+        // A pool-less drain waiting on `work` re-checks the queue count.
+        self.shared.work.notify_all();
+        drop(entry);
+        true
     }
 
     /// The engine serving `name`, if registered.
     pub fn engine(&self, name: &str) -> Option<Arc<DsdEngine<'static>>> {
-        self.shared.service.engine(name)
+        let state = self.shared.state.lock().unwrap();
+        state
+            .graphs
+            .get(name)
+            .map(|entry| Arc::clone(&entry.engine))
+    }
+
+    /// Sorted names of all registered graphs.
+    pub fn list(&self) -> Vec<String> {
+        let mut names = self.shared.state.lock().unwrap().order.clone();
+        names.sort_unstable();
+        names
     }
 
     /// The governor enforcing the global substrate budget.
@@ -326,14 +386,14 @@ impl DsdServer {
             return Err(ServeError::ShutDown);
         }
         let depth = self.shared.config.queue_depth;
-        let Some(queue) = state.graphs.get_mut(&name) else {
+        let Some(entry) = state.graphs.get_mut(&name) else {
             return Err(ServeError::UnknownGraph(name));
         };
-        if queue.jobs.len() >= depth {
+        if entry.jobs.len() >= depth {
             state.shed_overload += 1;
             return Err(ServeError::Overloaded { graph: name, depth });
         }
-        queue.jobs.push_back(Job {
+        entry.jobs.push_back(Job {
             graph: name,
             kind,
             tx,
@@ -347,8 +407,9 @@ impl DsdServer {
     }
 
     /// Runs at most one queued job on the calling thread; returns whether
-    /// one was dispatchable. With `workers: 0` this is the only engine of
-    /// progress — tests use it to sequence the pipeline deterministically.
+    /// one was dispatchable. With `workers: 0` this and [`Self::drain`] are
+    /// the only engines of progress — tests use them to sequence the
+    /// pipeline deterministically.
     pub fn step(&self) -> bool {
         let job = {
             let mut state = self.shared.state.lock().unwrap();
@@ -362,12 +423,29 @@ impl DsdServer {
     }
 
     /// Blocks until every queued and in-flight job has completed, then
-    /// debug-asserts the governor's ledger against ground truth. Requires
-    /// `workers > 0` (with none, drive [`DsdServer::step`] instead).
+    /// debug-asserts the governor's ledger against ground truth. With
+    /// `workers: 0` the calling thread runs the queued jobs itself.
     pub fn drain(&self) {
+        let pooled = !self.workers.is_empty();
         let mut state = self.shared.state.lock().unwrap();
         while state.queued > 0 || state.in_flight > 0 {
-            state = self.shared.idle.wait(state).unwrap();
+            if !pooled {
+                if let Some(job) = take_next(&mut state) {
+                    drop(state);
+                    run_job(&self.shared, job);
+                    state = self.shared.state.lock().unwrap();
+                    continue;
+                }
+            }
+            // Without a pool, the queued jobs wait behind one that another
+            // thread is stepping; its completion signals `work` while jobs
+            // stay queued.
+            let wake = if !pooled && state.queued > 0 {
+                &self.shared.work
+            } else {
+                &self.shared.idle
+            };
+            state = wake.wait(state).unwrap();
         }
         drop(state);
         self.shared.governor.debug_assert_reconciled();
@@ -384,9 +462,9 @@ impl DsdServer {
             let mut state = self.shared.state.lock().unwrap();
             state.shutdown = true;
             let mut dropped = 0;
-            for queue in state.graphs.values_mut() {
-                dropped += queue.jobs.len();
-                for job in queue.jobs.drain(..) {
+            for entry in state.graphs.values_mut() {
+                dropped += entry.jobs.len();
+                for job in entry.jobs.drain(..) {
                     let _ = job.tx.send(Err(ServeError::ShutDown));
                 }
             }
@@ -412,32 +490,37 @@ impl Drop for DsdServer {
 /// any time; a front-of-queue update dispatches only once the graph's
 /// in-flight queries drain (and never jumps the FIFO — later same-graph
 /// jobs wait behind it).
-fn take_next(state: &mut PipeState) -> Option<Job> {
+fn take_next(state: &mut PipeState) -> Option<Dispatched> {
     let graphs = state.order.len();
     for i in 0..graphs {
         let at = (state.cursor + i) % graphs;
         let name = &state.order[at];
-        let queue = state.graphs.get_mut(name).expect("order tracks graphs");
-        if queue.update_running {
+        let entry = state.graphs.get_mut(name).expect("order tracks graphs");
+        if entry.update_running {
             continue;
         }
-        let is_update = match queue.jobs.front() {
+        let is_update = match entry.jobs.front() {
             Some(job) => matches!(job.kind, JobKind::Update(_)),
             None => continue,
         };
         if is_update {
-            if queue.running_queries > 0 {
+            if entry.running_queries > 0 {
                 continue;
             }
-            queue.update_running = true;
+            entry.update_running = true;
         } else {
-            queue.running_queries += 1;
+            entry.running_queries += 1;
         }
-        let job = queue.jobs.pop_front().expect("front just inspected");
+        let job = entry.jobs.pop_front().expect("front just inspected");
+        let next = Dispatched {
+            job,
+            engine: Arc::clone(&entry.engine),
+            generation: entry.generation,
+        };
         state.queued -= 1;
         state.in_flight += 1;
         state.cursor = (at + 1) % graphs;
-        return Some(job);
+        return Some(next);
     }
     None
 }
@@ -461,13 +544,18 @@ fn worker_loop(shared: &Shared) {
 }
 
 /// Executes one dispatched job and settles the pipeline bookkeeping.
-fn run_job(shared: &Shared, job: Job) {
-    let Job {
-        graph,
-        kind,
-        tx,
-        deadline,
-    } = job;
+fn run_job(shared: &Shared, dispatched: Dispatched) {
+    let Dispatched {
+        job:
+            Job {
+                graph,
+                kind,
+                tx,
+                deadline,
+            },
+        engine,
+        generation,
+    } = dispatched;
     let is_update = matches!(kind, JobKind::Update(_));
     let expired = deadline.is_some_and(|d| Instant::now() > d);
 
@@ -475,32 +563,29 @@ fn run_job(shared: &Shared, job: Job) {
         Err(ServeError::DeadlineExceeded)
     } else {
         match kind {
-            JobKind::Query(mut req) => match shared.service.engine(&graph) {
-                Some(engine) => {
-                    let cap = shared.config.deadline_step_budget;
-                    if deadline.is_some() && cap > 0 {
-                        let cap = req.step_budget_limit().map_or(cap, |b| b.min(cap));
-                        req = req.step_budget(cap);
-                    }
-                    // Pin the substrate entry this query is about to use so
-                    // the LRU doesn't thrash it mid-request. The query
-                    // variant runs on the (in-place-repaired, unevicted)
-                    // classical k-core order and needs no pin; its cached
-                    // flow network is take/put (out of the cache while
-                    // lent), so eviction can never touch it mid-request.
-                    let _lease: Option<SubstrateLease> =
-                        (!matches!(req.objective_ref(), Objective::WithQuery(_)))
-                            .then(|| shared.governor.lease(engine.id(), pattern_key(req.psi())));
-                    Ok(ServeOutcome::Solved(Box::new(engine.solve(&req))))
+            JobKind::Query(mut req) => {
+                let cap = shared.config.deadline_step_budget;
+                if deadline.is_some() && cap > 0 {
+                    let cap = req.step_budget_limit().map_or(cap, |b| b.min(cap));
+                    req = req.step_budget(cap);
                 }
-                None => Err(ServeError::UnknownGraph(graph.clone())),
-            },
-            JobKind::Update(updates) => match shared.service.engine(&graph) {
-                Some(engine) => Ok(ServeOutcome::Updated(engine.apply(&updates))),
-                None => Err(ServeError::UnknownGraph(graph.clone())),
-            },
+                // Pin the substrate entry this query is about to use so
+                // the LRU doesn't thrash it mid-request. The query
+                // variant runs on the (in-place-repaired, unevicted)
+                // classical k-core order and needs no pin; its cached
+                // flow network is take/put (out of the cache while
+                // lent), so eviction can never touch it mid-request.
+                let _lease: Option<SubstrateLease> =
+                    (!matches!(req.objective_ref(), Objective::WithQuery(_)))
+                        .then(|| shared.governor.lease(engine.id(), pattern_key(req.psi())));
+                Ok(ServeOutcome::Solved(Box::new(engine.solve(&req))))
+            }
+            JobKind::Update(updates) => Ok(ServeOutcome::Updated(engine.apply(&updates))),
         }
     };
+    // Dropped outside the state lock: if the graph was evicted or
+    // replaced meanwhile, this is the engine's last holder.
+    drop(engine);
 
     let mut state = shared.state.lock().unwrap();
     state.in_flight -= 1;
@@ -509,11 +594,18 @@ fn run_job(shared: &Shared, job: Job) {
     } else {
         state.completed += 1;
     }
-    if let Some(queue) = state.graphs.get_mut(&graph) {
+    // Settle only on the registration the job ran against: after an
+    // evict or re-register the name may hold a new entry that never
+    // counted this job.
+    if let Some(entry) = state
+        .graphs
+        .get_mut(&graph)
+        .filter(|entry| entry.generation == generation)
+    {
         if is_update {
-            queue.update_running = false;
+            entry.update_running = false;
         } else {
-            queue.running_queries -= 1;
+            entry.running_queries -= 1;
         }
     }
     // Finishing can unblock a barriered update (or the jobs behind one);

@@ -1,11 +1,10 @@
-//! Serving: one `DsdService` holding several named graphs, answering a
-//! mixed batch of requests across worker threads.
+//! Serving: one `DsdServer` holding several named graphs, answering a
+//! mixed stream of requests across worker threads.
 //!
-//! The service is the deployment shape for the paper's algorithms: the
-//! catalog keeps each dataset's substrates warm between requests, and
-//! `solve_batch` groups a mixed workload by (graph, Ψ) so duplicate
-//! substrate work is paid once, then fans the requests out across scoped
-//! workers.
+//! The server is the deployment shape for the paper's algorithms: its
+//! catalog keeps each dataset's substrates warm between requests, and its
+//! workers share them through each engine's build-once cache, so a mixed
+//! workload pays each (graph, Ψ) substrate once.
 //!
 //! Run with: `cargo run --release --example serving`
 
@@ -13,7 +12,10 @@ use dsd::datasets::planted;
 use dsd::prelude::*;
 
 fn main() {
-    let service = DsdService::with_parallelism(Parallelism::new(4));
+    let server = DsdServer::new(ServeConfig {
+        workers: 4,
+        ..ServeConfig::default()
+    });
 
     // Register two datasets; each gets its own engine + substrate cache.
     let collab = planted::collaboration_network(12, 10, 4, 8, 42);
@@ -25,17 +27,16 @@ fn main() {
         ppi.num_vertices(),
         ppi.num_edges()
     );
-    service.register("collab", collab);
-    service.register("ppi", ppi);
-    assert_eq!(
-        service.list(),
-        vec!["collab".to_string(), "ppi".to_string()]
-    );
+    let engines = [
+        server.register("collab", collab),
+        server.register("ppi", ppi),
+    ];
+    assert_eq!(server.list(), vec!["collab".to_string(), "ppi".to_string()]);
 
     // A mixed workload: both graphs, two patterns, several objectives.
     let tri = Pattern::triangle();
     let star = Pattern::two_star();
-    let batch = vec![
+    let requests = vec![
         DsdRequest::new(&tri).on("collab"),
         DsdRequest::new(&tri)
             .on("collab")
@@ -46,46 +47,48 @@ fn main() {
             .on("ppi")
             .objective(Objective::AtLeastK(12)),
         DsdRequest::new(&star).on("ppi"),
-        // A request for a graph nobody registered fails in place without
-        // poisoning the rest of the batch.
-        DsdRequest::new(&tri).on("missing"),
     ];
-    let outcome = service.solve_batch(batch);
-
-    for (i, result) in outcome.solutions.iter().enumerate() {
-        match result {
-            Ok(s) => println!(
+    let tickets: Vec<_> = requests
+        .into_iter()
+        .map(|req| server.submit(req).expect("the queues have room"))
+        .collect();
+    for (i, ticket) in tickets.into_iter().enumerate() {
+        match ticket.wait() {
+            Ok(ServeOutcome::Solved(s)) => println!(
                 "#{i}: {:?} via {:?} -> density {:.3}, {} vertices",
                 s.objective,
                 s.method,
                 s.density,
                 s.len()
             ),
+            Ok(ServeOutcome::Updated(_)) => unreachable!("a query ticket"),
             Err(e) => println!("#{i}: error: {e}"),
         }
     }
-    let st = &outcome.stats;
-    println!(
-        "batch: {:.2} ms wall, {} groups, {} substrate builds + {} hits, \
-         {:.0}% worker utilization",
-        st.wall_nanos as f64 / 1e6,
-        st.groups,
-        st.substrate_builds,
-        st.substrate_hits,
-        st.utilization() * 100.0
-    );
 
-    // Requests grouped: 2 graphs × 2 patterns = 4 groups, but only the
-    // triangle groups build a (k, Ψ)-core decomposition here (the 2-star
-    // requests above are Densest via Auto → they may resolve to CoreExact
-    // or the decomposition-free CoreApp), so builds ≤ groups.
-    assert_eq!(st.groups, 4);
-    assert!(st.substrate_builds <= st.groups);
-    assert!(outcome.solutions[6].is_err());
+    // A request for a graph nobody registered is refused at submit,
+    // without disturbing the rest of the traffic.
+    assert!(matches!(
+        server.submit(DsdRequest::new(&tri).on("missing")),
+        Err(ServeError::UnknownGraph(_))
+    ));
+
+    // Two graphs × two patterns, but only the triangle requests build a
+    // (k, Ψ)-core decomposition here (the 2-star requests are Densest via
+    // Auto → they may resolve to CoreExact or the decomposition-free
+    // CoreApp), so builds ≤ 4, however the workers interleaved.
+    let (builds, hits) = engines.iter().fold((0, 0), |(b, h), e| {
+        let cs = e.cache_stats();
+        (b + cs.decomposition_builds, h + cs.decomposition_hits)
+    });
+    println!("substrates: {builds} decomposition builds + {hits} hits");
+    assert!(builds <= 4);
+    drop(engines);
 
     // The catalog is dynamic: evicting a dataset frees its substrates once
     // in-flight requests drain.
-    service.evict("ppi");
-    assert_eq!(service.list(), vec!["collab".to_string()]);
-    println!("evicted ppi; catalog now {:?}", service.list());
+    server.drain();
+    server.evict("ppi");
+    assert_eq!(server.list(), vec!["collab".to_string()]);
+    println!("evicted ppi; catalog now {:?}", server.list());
 }

@@ -1,5 +1,5 @@
 //! `dsd` — command-line densest subgraph discovery, driven by the
-//! cache-reusing `DsdEngine` and the multi-graph `DsdService`.
+//! cache-reusing `DsdEngine` and the `DsdServer` serving runtime.
 //!
 //! ```text
 //! dsd <edge-list-file> [--psi <pattern>] [--method <method>]
@@ -7,10 +7,10 @@
 //!                      [--budget <probes>] [--query v1,v2,...]
 //!                      [--threads <n>] [--substrate-budget <bytes>]
 //!                      [--stats]
-//! dsd batch <request-file> [--threads <n>] [--substrate-budget <bytes>]
-//! dsd serve <request-file> [--budget <bytes>] [--workers <n>]
-//!                          [--queue-depth <n>] [--deadline-ms <n>]
-//!                          [--deadline-probes <n>]
+//! dsd batch|serve <request-file> [--workers <n>] [--budget <bytes>]
+//!                                [--substrate-budget <bytes>]
+//!                                [--queue-depth <n>] [--deadline-ms <n>]
+//!                                [--deadline-probes <n>]
 //!
 //! patterns:   edge | triangle | clique:<h> | star:<x> | 2-star | 3-star |
 //!             c3-star | diamond | 2-triangle | 3-triangle | basket
@@ -23,16 +23,15 @@
 //! `--query` runs the Section-6.3 variant (edge density, must contain the
 //! given vertices). `--stats` prints the Figure-18-style statistics
 //! instead. `--threads` sets the worker count for parallel substrate
-//! passes and batch execution (default 1). `--substrate-budget` caps the
-//! bytes the Ψ instance store may occupy (suffixes `k`/`m`/`g` accepted,
-//! `0` disables materialization, `unlimited` lifts the cap); oversized
-//! substrates transparently fall back to streaming enumeration.
+//! passes (default 1). `--substrate-budget` caps the bytes the Ψ instance
+//! store may occupy (suffixes `k`/`m`/`g` accepted, `0` disables
+//! materialization, `unlimited` lifts the cap); oversized substrates
+//! transparently fall back to streaming enumeration.
 //!
-//! # Batch mode
+//! # Request files
 //!
-//! `dsd batch` serves a whole request file through one `DsdService`:
-//! requests are grouped by (graph, Ψ) so duplicate substrate work is paid
-//! once, and executed across `--threads` workers. The file holds one
+//! `dsd batch` and `dsd serve` are two names for one command: it serves a
+//! whole request file through one `DsdServer`. The file holds one
 //! directive per line (`#` comments and blank lines allowed):
 //!
 //! ```text
@@ -46,37 +45,35 @@
 //! update <name> [+u:v | -u:v]...
 //! ```
 //!
-//! Directives execute in file order: an `update` line first flushes the
-//! requests accumulated above it (one grouped batch), then patches the
-//! graph — so update and query traffic genuinely interleave against the
-//! same registered engines (incremental k-core repair, epoch bump, no
-//! re-registration). Malformed directives and failed requests are
-//! reported on stderr and make the exit code 1, but never stop the rest
-//! of the file: every valid request still prints its solution.
-//!
-//! # Serve mode
-//!
-//! `dsd serve` drives the same request-file format through the
-//! `dsd_core::serve` runtime instead of synchronous batches: jobs stream
-//! into per-graph admission queues (an `update` barriers only its own
-//! graph — no global flush), `--workers` threads pull across graphs, and
-//! the `--budget` byte budget is enforced *globally* by the substrate
+//! Jobs stream into per-graph admission queues in file order. An `update`
+//! barriers only its own graph's queue: requests above it see the old
+//! graph, requests below it the new one (incremental k-core repair, epoch
+//! bump, no re-registration), while other graphs' traffic flows on.
+//! Re-registering a name first waits out everything queued above it.
+//! `--workers` (also spelled `--threads`, default 2) threads pull across
+//! graphs, sharing substrate work through each engine's build-once cache.
+//! `--budget` is a byte budget enforced *globally* by the substrate
 //! governor, which evicts least-recently-used (graph, Ψ) substrates and
-//! rebuilds them on demand. `--queue-depth` bounds each graph's queue;
-//! when a queue fills, the driver applies backpressure (waits out its
-//! oldest pending job) rather than dropping requests. `--deadline-ms`
-//! attaches a deadline to every job (expired jobs are shed at dispatch)
-//! and `--deadline-probes` additionally clamps each deadlined query's
-//! α-search probe count. Results print in submission order; a final
-//! summary reports throughput and the governor's hit/eviction counters.
+//! rebuilds them on demand; `--substrate-budget` caps each engine's
+//! instance store as above. `--queue-depth` bounds each graph's queue;
+//! when a queue fills, the command waits out its oldest pending job rather
+//! than dropping requests. `--deadline-ms` attaches a deadline to every
+//! job (expired jobs are shed at dispatch) and `--deadline-probes`
+//! additionally clamps each deadlined query's α-search probe count.
+//!
+//! Results print in file order. Malformed directives, failed and invalid
+//! requests are reported on stderr and make the exit code 1, but never
+//! stop the rest of the file: every valid request still prints its
+//! solution. A closing summary reports throughput, total flow probes,
+//! and the governor's and flow-network caches' counters.
 
 use std::fs::File;
 use std::io::BufReader;
 use std::process::ExitCode;
 
 use dsd::core::{
-    parse_byte_budget, ApplyStats, DsdEngine, DsdRequest, DsdServer, DsdService, GraphUpdate,
-    Method, Objective, Outcome, Parallelism, ServeConfig, ServeError, ServeOutcome, Ticket,
+    parse_byte_budget, ApplyStats, DsdEngine, DsdRequest, DsdServer, GraphUpdate, Method,
+    Objective, Outcome, Parallelism, ServeConfig, ServeError, ServeOutcome, Ticket,
 };
 use dsd::datasets::compute_stats;
 use dsd::graph::io::read_edge_list;
@@ -170,10 +167,9 @@ fn usage() -> ExitCode {
          [--objective <objective>] [--tolerance <t>] [--budget <probes>] \
          [--query v1,v2,...] [--threads <n>] \
          [--substrate-budget <bytes>] [--stats]\n\
-         \x20      dsd batch <request-file> [--threads <n>] \
-         [--substrate-budget <bytes>]\n\
-         \x20      dsd serve <request-file> [--budget <bytes>] [--workers <n>] \
-         [--queue-depth <n>] [--deadline-ms <n>] [--deadline-probes <n>]"
+         \x20      dsd batch|serve <request-file> [--workers <n>] [--budget <bytes>] \
+         [--substrate-budget <bytes>] [--queue-depth <n>] [--deadline-ms <n>] \
+         [--deadline-probes <n>]"
     );
     ExitCode::FAILURE
 }
@@ -280,64 +276,6 @@ fn parse_update_directive(tokens: &[&str]) -> Result<(String, Vec<GraphUpdate>),
     Ok((graph.to_string(), updates))
 }
 
-/// Drains `pending` through one grouped `solve_batch`, printing solutions
-/// with global request indices. Returns the number of failed requests.
-fn flush_requests(
-    service: &DsdService,
-    pending: &mut Vec<DsdRequest>,
-    next_index: &mut usize,
-) -> usize {
-    if pending.is_empty() {
-        return 0;
-    }
-    let outcome = service.solve_batch(std::mem::take(pending));
-    let mut failed = 0usize;
-    for (offset, result) in outcome.solutions.iter().enumerate() {
-        let i = *next_index + offset;
-        match result {
-            Ok(s) => println!(
-                "#{i}: {:?} via {:?}: density {:.6}, {} vertices [{:?}] (epoch {})",
-                s.objective,
-                s.method,
-                s.density,
-                s.len(),
-                s.guarantee,
-                s.stats.epoch
-            ),
-            Err(e) => {
-                failed += 1;
-                eprintln!("#{i}: error: {e}");
-            }
-        }
-    }
-    *next_index += outcome.solutions.len();
-    let st = &outcome.stats;
-    println!(
-        "batch: {:.3} ms wall, {} groups, {} substrate builds + {} hits, \
-         {} flow probes ({} warm resolves), {:.0}% worker utilization",
-        st.wall_nanos as f64 / 1e6,
-        st.groups,
-        st.substrate_builds,
-        st.substrate_hits,
-        st.flow_probes,
-        st.flow_resolve_hits,
-        st.utilization() * 100.0
-    );
-    println!(
-        "substrate: {:.1} KiB built in {:.3} ms this batch, {:.1} KiB resident",
-        st.store_bytes_built as f64 / 1024.0,
-        st.store_build_nanos as f64 / 1e6,
-        st.substrate_bytes as f64 / 1024.0
-    );
-    println!(
-        "networks: {} cache hits / {} misses, {:.1} KiB cached",
-        st.network_hits,
-        st.network_misses,
-        st.network_bytes as f64 / 1024.0
-    );
-    failed
-}
-
 fn print_update(name: &str, st: &ApplyStats) {
     println!(
         "updated {name}: +{} -{} (~{} no-ops), epoch {}, k-core {}, \
@@ -356,148 +294,56 @@ fn print_update(name: &str, st: &ApplyStats) {
     );
 }
 
-fn run_batch(args: &[String]) -> ExitCode {
-    let mut file: Option<&str> = None;
-    let mut threads = 1usize;
-    let mut substrate_budget: Option<Option<u64>> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--threads" => match it.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => threads = n,
-                _ => {
-                    eprintln!("bad --threads");
-                    return usage();
-                }
-            },
-            "--substrate-budget" => match it.next().and_then(|s| parse_byte_budget(s)) {
-                Some(b) => substrate_budget = Some(b),
-                None => {
-                    eprintln!("bad --substrate-budget");
-                    return usage();
-                }
-            },
-            other if !other.starts_with("--") && file.is_none() => file = Some(other),
-            _ => return usage(),
-        }
-    }
-    let Some(path) = file else { return usage() };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("failed to read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let mut service = DsdService::with_parallelism(Parallelism::new(threads));
-    if let Some(budget) = substrate_budget {
-        service = service.with_substrate_budget(budget);
-    }
-    let service = service;
-    println!("batch: {threads} workers");
-    let mut pending: Vec<DsdRequest> = Vec::new();
-    let mut next_index = 0usize;
-    let mut failed = 0usize;
-    let mut bad_directives = 0usize;
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let tokens: Vec<&str> = line.split_whitespace().collect();
-        // Malformed directives are reported and skipped — the rest of the
-        // file (valid requests included) still runs; the exit code says 1.
-        let mut fail = |msg: String| {
-            eprintln!("{path}:{}: {msg}", lineno + 1);
-            bad_directives += 1;
-        };
-        match tokens[0] {
-            "graph" => {
-                let [_, name, file] = tokens[..] else {
-                    fail("graph needs: graph <name> <edge-list-file>".into());
-                    continue;
-                };
-                match load_graph(file) {
-                    Ok(g) => {
-                        // Queued requests must see the catalog as it was
-                        // above this line — flush before (re)registering,
-                        // like `update` does.
-                        failed += flush_requests(&service, &mut pending, &mut next_index);
-                        println!(
-                            "registered {name}: {} vertices, {} edges",
-                            g.num_vertices(),
-                            g.num_edges()
-                        );
-                        service.register(name, g);
-                    }
-                    Err(e) => fail(format!("failed to read {file}: {e}")),
-                }
-            }
-            "req" => match parse_req_directive(&tokens[1..]) {
-                Ok(req) => pending.push(req),
-                Err(e) => fail(e),
-            },
-            "update" => match parse_update_directive(&tokens[1..]) {
-                Ok((name, updates)) => {
-                    // Updates interleave with the surrounding requests:
-                    // everything queued above sees the pre-update graph.
-                    failed += flush_requests(&service, &mut pending, &mut next_index);
-                    match service.update(&name, &updates) {
-                        Ok(st) => print_update(&name, &st),
-                        Err(e) => fail(format!("update failed: {e}")),
-                    }
-                }
-                Err(e) => fail(e),
-            },
-            other => fail(format!("unknown directive {other:?}")),
-        }
-    }
-    failed += flush_requests(&service, &mut pending, &mut next_index);
-
-    if failed > 0 || bad_directives > 0 {
-        eprintln!(
-            "{failed} of {next_index} requests failed, {bad_directives} malformed directives"
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// A submitted serve-mode job awaiting its result: either the global
-/// request index (queries) or the target graph's name (updates).
+/// A submitted job awaiting its result: either the global request index
+/// (queries) or the target graph's name (updates).
 enum PendingJob {
     Query(usize),
     Update(String),
+}
+
+/// Running totals over the settled jobs of one request file.
+#[derive(Default)]
+struct Tally {
+    failed: usize,
+    flow_probes: usize,
+    flow_resolve_hits: usize,
 }
 
 /// Redeems the oldest pending ticket, printing its result in submission
 /// order. Returns `false` when nothing is pending.
 fn settle_one(
     pending: &mut std::collections::VecDeque<(PendingJob, Ticket)>,
-    failed: &mut usize,
+    tally: &mut Tally,
 ) -> bool {
     let Some((job, ticket)) = pending.pop_front() else {
         return false;
     };
     match (job, ticket.wait()) {
-        (PendingJob::Query(i), Ok(ServeOutcome::Solved(s))) => println!(
-            "#{i}: {:?} via {:?}: density {:.6}, {} vertices [{:?}] (epoch {})",
-            s.objective,
-            s.method,
-            s.density,
-            s.len(),
-            s.guarantee,
-            s.stats.epoch
-        ),
+        (PendingJob::Query(i), Ok(ServeOutcome::Solved(s))) if s.outcome == Outcome::Invalid => {
+            tally.failed += 1;
+            eprintln!("#{i}: invalid request: {:?}", s.objective);
+        }
+        (PendingJob::Query(i), Ok(ServeOutcome::Solved(s))) => {
+            tally.flow_probes += s.stats.flow_iterations;
+            tally.flow_resolve_hits += s.stats.flow_resolve_hits;
+            println!(
+                "#{i}: {:?} via {:?}: density {:.6}, {} vertices [{:?}] (epoch {})",
+                s.objective,
+                s.method,
+                s.density,
+                s.len(),
+                s.guarantee,
+                s.stats.epoch
+            );
+        }
         (PendingJob::Update(name), Ok(ServeOutcome::Updated(st))) => print_update(&name, &st),
         (PendingJob::Update(_), Ok(ServeOutcome::Solved(_))) => unreachable!("update ticket"),
         (PendingJob::Query(i), Err(e)) => {
-            *failed += 1;
+            tally.failed += 1;
             eprintln!("#{i}: error: {e}");
         }
         (PendingJob::Update(name), Err(e)) => {
-            *failed += 1;
+            tally.failed += 1;
             eprintln!("update {name}: error: {e}");
         }
         (PendingJob::Query(_), Ok(ServeOutcome::Updated(_))) => unreachable!("query ticket"),
@@ -511,12 +357,12 @@ fn settle_one(
 fn submit_with_backpressure(
     mut submit: impl FnMut() -> Result<Ticket, ServeError>,
     pending: &mut std::collections::VecDeque<(PendingJob, Ticket)>,
-    failed: &mut usize,
+    tally: &mut Tally,
 ) -> Result<Ticket, ServeError> {
     loop {
         match submit() {
             Err(ServeError::Overloaded { .. }) => {
-                if !settle_one(pending, failed) {
+                if !settle_one(pending, tally) {
                     std::thread::sleep(std::time::Duration::from_millis(1));
                 }
             }
@@ -525,15 +371,11 @@ fn submit_with_backpressure(
     }
 }
 
-fn run_serve(args: &[String]) -> ExitCode {
+/// Serves a request file: the command behind both `dsd batch` and `dsd serve`;
+/// `mode` is the subcommand name, used only to label the output.
+fn run_requests(mode: &str, args: &[String]) -> ExitCode {
     let mut file: Option<&str> = None;
-    let mut config = ServeConfig {
-        workers: 2,
-        queue_depth: 64,
-        substrate_budget: None,
-        deadline: None,
-        deadline_step_budget: 0,
-    };
+    let mut config = ServeConfig::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -544,13 +386,22 @@ fn run_serve(args: &[String]) -> ExitCode {
                     return usage();
                 }
             },
-            "--workers" => match it.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => config.workers = n,
-                _ => {
-                    eprintln!("bad --workers");
+            "--substrate-budget" => match it.next().and_then(|s| parse_byte_budget(s)) {
+                Some(b) => config.store_budget = b,
+                None => {
+                    eprintln!("bad --substrate-budget");
                     return usage();
                 }
             },
+            flag @ ("--workers" | "--threads") => {
+                match it.next().and_then(|s| s.parse::<usize>().ok()) {
+                    Some(n) if n >= 1 => config.workers = n,
+                    _ => {
+                        eprintln!("bad {flag}");
+                        return usage();
+                    }
+                }
+            }
             "--queue-depth" => match it.next().and_then(|s| s.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => config.queue_depth = n,
                 _ => {
@@ -586,7 +437,7 @@ fn run_serve(args: &[String]) -> ExitCode {
     };
 
     println!(
-        "serve: {} workers, queue depth {}, budget {}",
+        "{mode}: {} workers, queue depth {}, budget {}",
         config.workers,
         config.queue_depth,
         match config.substrate_budget {
@@ -598,9 +449,8 @@ fn run_serve(args: &[String]) -> ExitCode {
     let server = DsdServer::new(config);
     let mut pending: std::collections::VecDeque<(PendingJob, Ticket)> =
         std::collections::VecDeque::new();
-    let mut registered: Vec<String> = Vec::new();
     let mut next_index = 0usize;
-    let mut failed = 0usize;
+    let mut tally = Tally::default();
     let mut bad_directives = 0usize;
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
@@ -624,7 +474,7 @@ fn run_serve(args: &[String]) -> ExitCode {
                         // queue; drain so everything above this line
                         // still ran against the old graph.
                         if server.engine(name).is_some() {
-                            while settle_one(&mut pending, &mut failed) {}
+                            while settle_one(&mut pending, &mut tally) {}
                             server.drain();
                         }
                         println!(
@@ -633,7 +483,6 @@ fn run_serve(args: &[String]) -> ExitCode {
                             g.num_edges()
                         );
                         server.register(name, g);
-                        registered.push(name.to_string());
                     }
                     Err(e) => fail(format!("failed to read {file}: {e}")),
                 }
@@ -643,7 +492,7 @@ fn run_serve(args: &[String]) -> ExitCode {
                     let submitted = submit_with_backpressure(
                         || server.submit(req.clone()),
                         &mut pending,
-                        &mut failed,
+                        &mut tally,
                     );
                     match submitted {
                         Ok(ticket) => {
@@ -660,7 +509,7 @@ fn run_serve(args: &[String]) -> ExitCode {
                     let submitted = submit_with_backpressure(
                         || server.submit_update(name.clone(), updates.clone()),
                         &mut pending,
-                        &mut failed,
+                        &mut tally,
                     );
                     match submitted {
                         Ok(ticket) => pending.push_back((PendingJob::Update(name), ticket)),
@@ -672,18 +521,21 @@ fn run_serve(args: &[String]) -> ExitCode {
             other => fail(format!("unknown directive {other:?}")),
         }
     }
-    while settle_one(&mut pending, &mut failed) {}
+    while settle_one(&mut pending, &mut tally) {}
     server.drain();
 
     let stats = server.stats();
     let wall = t0.elapsed().as_secs_f64();
     println!(
-        "serve: {} jobs in {:.3} s ({:.0} jobs/s), {} shed overloaded, {} shed on deadline",
+        "{mode}: {} jobs in {:.3} s ({:.0} jobs/s), {} shed overloaded, {} shed on deadline, \
+         {} flow probes ({} warm resolves)",
         stats.completed,
         wall,
         stats.completed as f64 / wall.max(1e-9),
         stats.shed_overload,
         stats.shed_deadline,
+        tally.flow_probes,
+        tally.flow_resolve_hits,
     );
     let g = &stats.governor;
     println!(
@@ -697,29 +549,28 @@ fn run_serve(args: &[String]) -> ExitCode {
         g.peak_bytes as f64 / 1024.0,
         g.violations,
     );
-    // Flow-network cache totals across every registered spine engine
-    // (networks are budgeted and evicted alongside the stores, but their
-    // hit/miss traffic is engine-side, not governor-side).
-    registered.sort_unstable();
-    registered.dedup();
+    // Flow-network cache totals across every registered engine (networks
+    // are budgeted and evicted alongside the stores, but their hit/miss
+    // traffic is engine-side, not governor-side).
     let mut network_hits = 0usize;
     let mut network_misses = 0usize;
     let mut network_bytes = 0u64;
-    for name in &registered {
-        if let Some(engine) = server.engine(name) {
-            let cs = engine.cache_stats();
-            network_hits += cs.network_hits;
-            network_misses += cs.network_misses;
-            network_bytes += engine.network_bytes();
-        }
+    for engine in server.list().iter().filter_map(|name| server.engine(name)) {
+        let cs = engine.cache_stats();
+        network_hits += cs.network_hits;
+        network_misses += cs.network_misses;
+        network_bytes += engine.network_bytes();
     }
     println!(
         "networks: {network_hits} cache hits / {network_misses} misses, {:.1} KiB cached",
         network_bytes as f64 / 1024.0
     );
 
-    if failed > 0 || bad_directives > 0 {
-        eprintln!("{failed} jobs failed, {bad_directives} malformed directives");
+    if tally.failed > 0 || bad_directives > 0 {
+        eprintln!(
+            "{} jobs failed, {bad_directives} malformed directives",
+            tally.failed
+        );
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
@@ -727,11 +578,8 @@ fn run_serve(args: &[String]) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("batch") {
-        return run_batch(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        return run_serve(&args[1..]);
+    if let Some(mode @ ("batch" | "serve")) = args.first().map(String::as_str) {
+        return run_requests(mode, &args[1..]);
     }
     let mut file: Option<&str> = None;
     let mut psi = Pattern::edge();

@@ -43,39 +43,43 @@
 //! engine.
 //!
 //! Graphs are not frozen: [`DsdEngine::apply`] (and
-//! [`DsdService::update`] for named graphs) absorbs
+//! [`DsdServer::submit_update`] for named graphs) absorbs
 //! [`GraphUpdate`](graph::GraphUpdate) batches in place — incremental
 //! k-core repair, conservative Ψ-substrate invalidation, lazy CSR
 //! materialization — bumping a graph epoch that every solution reports
 //! in its stats.
 //!
 //! [`DsdEngine::apply`]: core::engine::DsdEngine::apply
-//! [`DsdService::update`]: core::service::DsdService::update
+//! [`DsdServer::submit_update`]: core::serve::DsdServer::submit_update
 //!
-//! # Serving many graphs and batched workloads
+//! # Serving many graphs
 //!
-//! The engine is `Send + Sync`; [`DsdService`] puts a catalog of named
-//! graphs (each behind its own engine) and a batched, multi-threaded
-//! executor on top of it:
+//! The engine is `Send + Sync`; [`DsdServer`] keeps a catalog of named
+//! graphs (each behind its own engine) and runs requests against them
+//! through per-graph admission queues and a worker pool, under one
+//! substrate byte budget:
 //!
 //! ```
 //! use dsd::prelude::*;
 //!
-//! let service = DsdService::with_parallelism(Parallelism::new(4));
+//! let server = DsdServer::new(ServeConfig::default());
 //! let g = Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (0, 3), (2, 3), (3, 4), (4, 5)]);
-//! service.register("toy", g);
+//! let engine = server.register("toy", g);
 //!
 //! let psi = Pattern::triangle();
-//! let outcome = service.solve_batch(vec![
-//!     DsdRequest::new(&psi).on("toy"),
-//!     DsdRequest::new(&psi).on("toy").objective(Objective::TopK(2)),
-//! ]);
-//! assert_eq!(outcome.stats.substrate_builds, 1, "one (graph, Ψ) group");
-//! assert_eq!(outcome.solutions[0].as_ref().unwrap().vertices, vec![0, 1, 2, 3]);
+//! let densest = server.submit(DsdRequest::new(&psi).on("toy")).unwrap();
+//! let top2 = server
+//!     .submit(DsdRequest::new(&psi).on("toy").objective(Objective::TopK(2)))
+//!     .unwrap();
+//! let cds = densest.wait().unwrap().solution().unwrap();
+//! assert_eq!(cds.vertices, vec![0, 1, 2, 3]);
+//! let top2 = top2.wait().unwrap().solution().unwrap();
+//! assert_eq!(top2.subgraphs[0].vertices, cds.vertices);
+//! assert_eq!(engine.cache_stats().decomposition_builds, 1, "one (graph, Ψ) pair");
 //! ```
 //!
 //! [`Solution`]: core::engine::Solution
-//! [`DsdService`]: core::service::DsdService
+//! [`DsdServer`]: core::serve::DsdServer
 
 pub use dsd_core as core;
 pub use dsd_datasets as datasets;
@@ -89,8 +93,8 @@ pub use dsd_motif as motif;
 pub mod prelude {
     pub use dsd_core::{
         core_exact, densest_subgraph, densest_with_query, exact, peel_app, top_k_densest,
-        ApplyStats, BatchOutcome, BatchStats, DsdEngine, DsdRequest, DsdResult, DsdService,
-        Guarantee, Method, Objective, Outcome, Parallelism, ServiceError, Solution, SolveStats,
+        ApplyStats, DsdEngine, DsdRequest, DsdResult, DsdServer, Guarantee, Method, Objective,
+        Outcome, Parallelism, ServeConfig, ServeError, ServeOutcome, Solution, SolveStats,
     };
     pub use dsd_graph::{Graph, GraphBuilder, GraphUpdate, VertexId, VertexSet};
     pub use dsd_motif::Pattern;

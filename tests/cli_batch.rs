@@ -145,6 +145,51 @@ fn graph_reregistration_flushes_pending_requests() {
     );
 }
 
+/// Requests the engine rejects as invalid (an out-of-range query vertex,
+/// a size bound above the vertex count) are reported on stderr as
+/// `#i: invalid request: …` and fail the run under both names, while the
+/// valid request beside them still prints.
+#[test]
+fn invalid_requests_are_reported_and_fail_the_run() {
+    let dir = temp_dir("invalid");
+    let edges = write_file(&dir, "toy.edges", TOY_EDGES);
+    let reqs = write_file(
+        &dir,
+        "reqs.txt",
+        &format!(
+            "graph toy {}\n\
+             req toy --query 99\n\
+             req toy --objective at-least:100\n\
+             req toy --psi triangle --method core-exact\n",
+            edges.display()
+        ),
+    );
+    for subcommand in ["batch", "serve"] {
+        let out = run_dsd(subcommand, &reqs, &[]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{subcommand}: invalid requests must fail the run\nstdout:\n{stdout}\nstderr:\n{stderr}"
+        );
+        for i in 0..2 {
+            assert!(
+                stderr.contains(&format!("#{i}: invalid request: ")),
+                "{subcommand}: request #{i} reported as invalid\nstderr:\n{stderr}"
+            );
+            assert!(
+                !stdout.contains(&format!("#{i}:")),
+                "{subcommand}: request #{i} printed as a solution\nstdout:\n{stdout}"
+            );
+        }
+        assert!(
+            stdout.contains("#2: Densest via CoreExact: density 0.500000"),
+            "{subcommand}: the valid request still prints\nstdout:\n{stdout}"
+        );
+    }
+}
+
 /// An update on an unregistered graph is reported and fails the run, but
 /// the other requests still execute.
 #[test]

@@ -1,7 +1,7 @@
 //! Differential harness for the dynamic-graph subsystem.
 //!
 //! The contract under test: a long-lived engine that absorbs edge updates
-//! through `DsdEngine::apply` / `DsdService::update` (incremental k-core
+//! through `DsdEngine::apply` / `DsdServer::submit_update` (incremental k-core
 //! repair, conservative Ψ-substrate invalidation, lazy CSR
 //! materialization) answers **every** query bit-identically to a fresh
 //! engine built from scratch over the materialized graph. The harness
@@ -16,8 +16,8 @@
 use std::collections::BTreeSet;
 
 use dsd::core::{
-    k_core_decomposition, repair_delete, repair_insert, DsdEngine, DsdRequest, DsdService, Method,
-    Objective, Outcome, Solution,
+    k_core_decomposition, repair_delete, repair_insert, DsdEngine, DsdRequest, DsdServer, Method,
+    Objective, Outcome, ServeConfig, ServeOutcome, Solution, Ticket,
 };
 use dsd::graph::{DeltaGraph, EdgeOverlay, Graph, GraphUpdate, VertexId};
 use dsd::motif::Pattern;
@@ -136,15 +136,24 @@ fn assert_bit_identical(seed: u64, step: usize, incremental: &Solution, fresh: &
     }
 }
 
-/// One seeded interleaving: a service-registered graph absorbs update
+/// Runs the one queued job on the calling thread and redeems its ticket.
+fn step_one(server: &DsdServer, ticket: Ticket) -> ServeOutcome {
+    assert!(server.step(), "the submitted job is dispatchable");
+    ticket.wait().expect("registered")
+}
+
+/// One seeded interleaving: a server-registered graph absorbs update
 /// batches and answers queries; every query is cross-checked bit-for-bit
 /// against a fresh engine over the materialized reference graph.
 fn run_interleaving(seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let (n, mut edges) = random_base(&mut rng);
     let edge_list: Vec<_> = edges.iter().copied().collect();
-    let service = DsdService::new();
-    service.register("dyn", Graph::from_edges(n, &edge_list));
+    let server = DsdServer::new(ServeConfig {
+        workers: 0,
+        ..ServeConfig::default()
+    });
+    server.register("dyn", Graph::from_edges(n, &edge_list));
 
     let mut expected_epoch = 0u64;
     let steps = rng.gen_range(8usize..=14);
@@ -163,7 +172,12 @@ fn run_interleaving(seed: u64) {
             }
             let net_ins = edges.difference(&before).count();
             let net_del = before.difference(&edges).count();
-            let stats = service.update("dyn", &batch).expect("registered");
+            let ticket = server
+                .submit_update("dyn", batch.clone())
+                .expect("admitted");
+            let ServeOutcome::Updated(stats) = step_one(&server, ticket) else {
+                panic!("an update ticket returned a solution");
+            };
             assert_eq!(
                 stats.inserted, net_ins,
                 "seed {seed}, step {step}: net inserts diverged from mirror"
@@ -180,7 +194,10 @@ fn run_interleaving(seed: u64) {
             continue;
         }
         let req = random_request(&mut rng, n);
-        let incremental = service.solve(&req.clone().on("dyn")).expect("registered");
+        let ticket = server.submit(req.clone().on("dyn")).expect("admitted");
+        let incremental = step_one(&server, ticket)
+            .solution()
+            .expect("a query ticket");
         assert_eq!(
             incremental.stats.epoch, expected_epoch,
             "seed {seed}, step {step}: query answered on a stale epoch"

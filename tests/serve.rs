@@ -8,12 +8,12 @@
 //! job runs the suites with elevated counts).
 
 use std::collections::VecDeque;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use dsd::core::{
-    DsdEngine, DsdRequest, DsdServer, DsdService, Method, ServeConfig, ServeError, ServeOutcome,
-    Solution, SubstrateGovernor, Ticket,
+    CacheObserver, DsdEngine, DsdRequest, DsdServer, Method, PatternKey, ServeConfig, ServeError,
+    ServeOutcome, Solution, SubstrateGovernor, Ticket,
 };
 use dsd::graph::{Graph, GraphBuilder, GraphUpdate, VertexId};
 use dsd::motif::Pattern;
@@ -269,22 +269,28 @@ fn concurrent_evict_substrate_never_corrupts_in_flight_solves() {
     });
 }
 
-/// Satellite 1: the governor's ledger follows `DsdService::evict` and
-/// engine drop — reconciliation against summed `substrate_bytes()` holds
-/// at every quiescent point.
+/// The governor's ledger follows updates, `DsdServer::evict` and engine
+/// drop — reconciliation against summed `substrate_bytes()` holds at
+/// every quiescent point.
 #[test]
 fn governor_ledger_tracks_updates_evict_and_engine_drop() {
     let mut rng = StdRng::seed_from_u64(0x1ED6E2);
-    let governor = SubstrateGovernor::new(None);
-    let service = DsdService::new().with_governor(Arc::clone(&governor));
-    service.register("a", random_graph(&mut rng, 20, 30));
-    service.register("b", random_graph(&mut rng, 20, 30));
+    let server = DsdServer::new(ServeConfig {
+        workers: 0,
+        ..ServeConfig::default()
+    });
+    let governor = Arc::clone(server.governor());
+    server.register("a", random_graph(&mut rng, 20, 30));
+    server.register("b", random_graph(&mut rng, 20, 30));
+    let run = |ticket: Result<Ticket, ServeError>| {
+        let ticket = ticket.expect("admitted");
+        assert!(server.step(), "the submitted job is dispatchable");
+        ticket.wait().expect("registered")
+    };
 
     let psi = Pattern::triangle();
     for name in ["a", "b"] {
-        service
-            .solve(&DsdRequest::new(&psi).on(name).method(Method::CoreExact))
-            .unwrap();
+        run(server.submit(DsdRequest::new(&psi).on(name).method(Method::CoreExact)));
     }
     let (ledger, actual) = governor.reconcile();
     assert_eq!(ledger, actual, "ledger drifted after warmup");
@@ -295,17 +301,15 @@ fn governor_ledger_tracks_updates_evict_and_engine_drop() {
     );
 
     // An update invalidates a's substrates; the apply hook reports it.
-    service.update("a", &[GraphUpdate::Insert(0, 1)]).unwrap();
+    run(server.submit_update("a", vec![GraphUpdate::Insert(0, 1)]));
     let (ledger, actual) = governor.reconcile();
     assert_eq!(ledger, actual, "ledger drifted after update");
 
-    // Re-warm a, then evict it: the catalog held the only strong
+    // Re-warm a, then evict it: the server held the only strong
     // reference, so the engine drops here and reports its bytes.
-    service
-        .solve(&DsdRequest::new(&psi).on("a").method(Method::CoreExact))
-        .unwrap();
+    run(server.submit(DsdRequest::new(&psi).on("a").method(Method::CoreExact)));
     let (pre_evict, _) = governor.reconcile();
-    assert!(service.evict("a"));
+    assert!(server.evict("a"));
     let (ledger, actual) = governor.reconcile();
     assert_eq!(ledger, actual, "ledger drifted after evict + engine drop");
     assert!(
@@ -313,6 +317,145 @@ fn governor_ledger_tracks_updates_evict_and_engine_drop() {
         "evicting never lowers the peak"
     );
     governor.debug_assert_reconciled();
+}
+
+/// A cache observer that forwards to the governor and holds the first
+/// request that reports a substrate use until the test releases it, so
+/// the test can act while that request is provably in flight.
+struct Gate {
+    governor: Arc<SubstrateGovernor>,
+    hold: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+}
+
+impl CacheObserver for Gate {
+    fn on_substrate_used(&self, engine: u64, key: &PatternKey, epoch: u64, bytes: u64, hit: bool) {
+        self.governor
+            .on_substrate_used(engine, key, epoch, bytes, hit);
+        let held = self.hold.lock().unwrap().take();
+        if let Some((arrived, release)) = held {
+            arrived.send(()).unwrap();
+            let _ = release.recv();
+        }
+    }
+
+    fn on_engine_release(&self, engine: u64, bytes: u64) {
+        self.governor.on_engine_release(engine, bytes);
+    }
+
+    fn on_substrate_repaired(&self, engine: u64, key: &PatternKey, epoch: u64, bytes: u64) {
+        self.governor
+            .on_substrate_repaired(engine, key, epoch, bytes);
+    }
+}
+
+/// A query still running on an evicted graph settles on the registration
+/// it ran against, never on a newer one under the same name: after
+/// evict + re-register, updates and queries on the new graph dispatch
+/// normally. Driven with `workers: 0` and a deadline, so a wedged queue
+/// fails the test instead of hanging it.
+#[test]
+fn reregistration_during_an_in_flight_query_keeps_the_new_queue_live() {
+    let server = Arc::new(DsdServer::new(ServeConfig {
+        workers: 0,
+        ..ServeConfig::default()
+    }));
+    let toy = Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (0, 3), (2, 3), (3, 4), (4, 5)]);
+    let old = server.register("g", toy.clone());
+    let (arrived_tx, arrived) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    old.set_cache_observer(Some(Arc::new(Gate {
+        governor: Arc::clone(server.governor()),
+        hold: Mutex::new(Some((arrived_tx, release_rx))),
+    })));
+    let psi = Pattern::triangle();
+    let q = || DsdRequest::new(&psi).on("g").method(Method::CoreExact);
+
+    let first = server.submit(q()).unwrap();
+    let stepper = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.step())
+    };
+    arrived.recv().expect("the query reached the engine");
+    assert_eq!(server.stats().in_flight, 1);
+    assert!(server.evict("g"));
+    server.register("g", toy);
+    drop(release);
+    assert!(
+        stepper
+            .join()
+            .expect("settling the old query must not panic"),
+        "the stepper ran the query"
+    );
+    let first = first.wait().unwrap().solution().unwrap();
+    assert_eq!((first.vertices.len(), first.stats.epoch), (4, 0));
+
+    let update = server
+        .submit_update("g", vec![GraphUpdate::Insert(3, 5)])
+        .unwrap();
+    let after = server.submit(q()).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut outcomes = Vec::new();
+    for ticket in [update, after] {
+        let outcome = loop {
+            if let Some(outcome) = ticket.poll() {
+                break outcome.expect("job ran");
+            }
+            assert!(
+                Instant::now() < deadline,
+                "the re-registered graph's queue is wedged: {:?}",
+                server.stats()
+            );
+            server.step();
+        };
+        outcomes.push(outcome);
+    }
+    assert!(matches!(outcomes[0], ServeOutcome::Updated(_)));
+    let after = outcomes.pop().unwrap().solution().unwrap();
+    assert_eq!(after.stats.epoch, 1, "the query ran after the update");
+    let stats = server.stats();
+    assert_eq!((stats.queued, stats.in_flight), (0, 0));
+}
+
+/// `drain` on a server with no worker pool runs the queued jobs on the
+/// calling thread instead of waiting for workers that do not exist.
+#[test]
+fn poolless_drain_runs_queued_jobs() {
+    let server = Arc::new(DsdServer::new(ServeConfig {
+        workers: 0,
+        ..ServeConfig::default()
+    }));
+    server.register("toy", Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]));
+    let psi = Pattern::triangle();
+    let q = || DsdRequest::new(&psi).on("toy").method(Method::PeelApp);
+    let before = server.submit(q()).unwrap();
+    let update = server
+        .submit_update("toy", vec![GraphUpdate::Delete(0, 1)])
+        .unwrap();
+    let after = server.submit(q()).unwrap();
+
+    let (done_tx, done) = mpsc::channel();
+    let drainer = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || {
+            server.drain();
+            let _ = done_tx.send(());
+        })
+    };
+    done.recv_timeout(Duration::from_secs(10))
+        .expect("drain with no workers must run the queued jobs, not block");
+    drainer.join().unwrap();
+
+    assert_eq!(
+        before.wait().unwrap().solution().unwrap().vertices,
+        vec![0, 1, 2]
+    );
+    assert!(matches!(update.wait(), Ok(ServeOutcome::Updated(_))));
+    let after = after.wait().unwrap().solution().unwrap();
+    assert_eq!(after.stats.epoch, 1);
+    assert!(after.vertices.is_empty(), "no triangle is left");
+    let stats = server.stats();
+    assert_eq!(stats.completed, 3);
+    assert_eq!((stats.queued, stats.in_flight), (0, 0));
 }
 
 /// Admission control with `workers: 0` is fully deterministic: the

@@ -1,10 +1,12 @@
 //! Serving-layer tests: concurrent solves are bit-identical to serial,
-//! racing warmers pay one substrate build, and the catalog stays
+//! racing warmers pay one substrate build, and the server's catalog stays
 //! consistent under register/evict contention.
 
 use std::sync::{Arc, Barrier};
 
-use dsd::core::{DsdRequest, DsdService, Method, Objective, Parallelism, ServiceError, Solution};
+use dsd::core::{
+    DsdEngine, DsdRequest, DsdServer, Method, Objective, ServeConfig, ServeError, Solution, Ticket,
+};
 use dsd::graph::Graph;
 use dsd::motif::Pattern;
 
@@ -60,41 +62,54 @@ fn assert_identical(a: &Solution, b: &Solution, label: &str) {
     assert_eq!(a.outcome, b.outcome, "{label}: outcome");
 }
 
-/// (a) Concurrent `solve` over one shared engine returns bit-identical
-/// solutions to a serial reference, for every objective.
+fn solved(ticket: Ticket) -> Solution {
+    ticket
+        .wait()
+        .expect("job ran")
+        .solution()
+        .expect("a query ticket")
+}
+
+/// (a) Concurrent solves through the server's worker pool over one
+/// shared engine return bit-identical solutions to a serial reference,
+/// for every objective.
 #[test]
 fn concurrent_solves_are_bit_identical_to_serial() {
     const THREADS: usize = 4;
     let psi = Pattern::triangle();
     let workload = pinned_workload(&psi);
 
-    // Serial reference on its own service.
-    let serial = DsdService::new();
-    serial.register("g", structured());
-    let reference: Vec<Solution> = workload
-        .iter()
-        .map(|r| serial.solve(&r.clone().on("g")).unwrap())
-        .collect();
+    // Serial reference on its own engine.
+    let serial = DsdEngine::new(structured());
+    let reference: Vec<Solution> = workload.iter().map(|r| serial.solve(r)).collect();
 
-    // THREADS threads race the full workload over one shared engine.
-    let service = DsdService::new();
-    let engine = service.register("g", structured());
+    // THREADS clients race the full workload onto THREADS workers.
+    let server = DsdServer::new(ServeConfig {
+        workers: THREADS,
+        ..ServeConfig::default()
+    });
+    server.register("g", structured());
     let barrier = Barrier::new(THREADS);
     std::thread::scope(|scope| {
         for _ in 0..THREADS {
-            let engine = Arc::clone(&engine);
+            let server = &server;
             let workload = &workload;
             let reference = &reference;
             let barrier = &barrier;
             scope.spawn(move || {
                 barrier.wait();
-                for (req, expect) in workload.iter().zip(reference) {
-                    let got = engine.solve(req);
+                let tickets: Vec<Ticket> = workload
+                    .iter()
+                    .map(|req| server.submit(req.clone().on("g")).expect("admitted"))
+                    .collect();
+                for (ticket, expect) in tickets.into_iter().zip(reference) {
+                    let got = solved(ticket);
                     assert_identical(&got, expect, &format!("{:?}", expect.objective));
                 }
             });
         }
     });
+    server.drain();
 }
 
 /// (b) Two threads warming the same Ψ through the same engine pay exactly
@@ -102,8 +117,7 @@ fn concurrent_solves_are_bit_identical_to_serial() {
 #[test]
 fn racing_warmers_pay_one_build() {
     const WARMERS: usize = 8;
-    let service = DsdService::new();
-    let engine = service.register("g", structured());
+    let engine = Arc::new(DsdEngine::new(structured()));
     let psi = Pattern::triangle();
     let barrier = Barrier::new(WARMERS);
     std::thread::scope(|scope| {
@@ -131,8 +145,7 @@ fn racing_warmers_pay_one_build() {
 #[test]
 fn racing_solves_share_one_canonical_substrate() {
     const SOLVERS: usize = 6;
-    let service = DsdService::new();
-    let engine = service.register("g", structured());
+    let engine = Arc::new(DsdEngine::new(structured()));
     // The paw, two labelings — canonicalization must key them together.
     let labelings = [
         Pattern::c3_star(),
@@ -161,59 +174,66 @@ fn racing_solves_share_one_canonical_substrate() {
 #[test]
 fn catalog_register_evict_under_contention() {
     const THREADS: usize = 8;
-    let service = DsdService::new();
+    let server = DsdServer::new(ServeConfig {
+        workers: 0,
+        ..ServeConfig::default()
+    });
     let barrier = Barrier::new(THREADS);
     std::thread::scope(|scope| {
         for i in 0..THREADS {
-            let service = &service;
+            let server = &server;
             let barrier = &barrier;
             scope.spawn(move || {
                 barrier.wait();
                 let name = format!("g{i}");
-                service.register(&name, structured());
+                server.register(&name, structured());
                 // A register is immediately visible to its own thread.
-                assert!(service.engine(&name).is_some(), "{name} must be visible");
+                assert!(server.engine(&name).is_some(), "{name} must be visible");
                 // Everyone hammers list() while the catalog churns.
-                let _ = service.list();
+                let _ = server.list();
                 if i % 2 == 1 {
-                    assert!(service.evict(&name), "own registration must evict");
-                    assert!(service.engine(&name).is_none());
+                    assert!(server.evict(&name), "own registration must evict");
+                    assert!(server.engine(&name).is_none());
+                    assert!(!server.evict(&name), "a second evict finds nothing");
                 }
             });
         }
     });
     let expect: Vec<String> = (0..THREADS).step_by(2).map(|i| format!("g{i}")).collect();
-    assert_eq!(service.list(), expect);
+    assert_eq!(server.list(), expect);
+    assert!(server.engine("missing").is_none());
 }
 
 /// Concurrent register/evict races on ONE name always leave the catalog
 /// in a legal state: either absent, or serving a fully-functional engine.
+/// Queries run on the server's worker while registrations and evictions
+/// replace the engine under them.
 #[test]
 fn same_name_register_evict_race_stays_consistent() {
     const ROUNDS: usize = 25;
-    let service = DsdService::new();
+    let server = DsdServer::new(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
     let psi = Pattern::triangle();
-    let expected = {
-        let reference = DsdService::new();
-        reference.register("shared", structured());
-        reference
-            .solve(&DsdRequest::new(&psi).on("shared").method(Method::PeelApp))
-            .unwrap()
-    };
+    let expected = DsdEngine::new(structured())
+        .request(&psi)
+        .method(Method::PeelApp)
+        .solve();
     let barrier = Barrier::new(3);
     std::thread::scope(|scope| {
         // Two registrars and one evictor fight over one name...
         for _ in 0..2 {
-            let service = &service;
+            let server = &server;
             let barrier = &barrier;
             scope.spawn(move || {
                 barrier.wait();
                 for _ in 0..ROUNDS {
-                    service.register("shared", structured());
+                    server.register("shared", structured());
                 }
             });
         }
-        let service = &service;
+        let server = &server;
         let barrier = &barrier;
         let psi = &psi;
         let expected = &expected;
@@ -221,22 +241,30 @@ fn same_name_register_evict_race_stays_consistent() {
             barrier.wait();
             for _ in 0..ROUNDS {
                 // ...while reads observe only legal states.
-                match service.solve(&DsdRequest::new(psi).on("shared").method(Method::PeelApp)) {
-                    Ok(s) => assert_identical(&s, expected, "racing solve"),
-                    Err(e) => assert_eq!(e, ServiceError::UnknownGraph("shared".into())),
+                let req = DsdRequest::new(psi).on("shared").method(Method::PeelApp);
+                match server.submit(req).and_then(Ticket::wait) {
+                    Ok(outcome) => {
+                        let s = outcome.solution().expect("a query ticket");
+                        assert_identical(&s, expected, "racing solve");
+                    }
+                    Err(e) => assert_eq!(e, ServeError::UnknownGraph("shared".into())),
                 }
-                service.evict("shared");
+                server.evict("shared");
             }
         });
     });
-    // The final state is one of the two legal outcomes.
-    let end = service.list();
+    // The final state is one of the two legal outcomes, and the pipeline
+    // settled every job it dispatched.
+    let end = server.list();
     assert!(end.is_empty() || end == vec!["shared".to_string()]);
+    server.drain();
+    let stats = server.stats();
+    assert_eq!((stats.queued, stats.in_flight), (0, 0));
 }
 
-/// An 8-worker batch over a mixed two-graph workload returns the same
-/// solutions as the 1-worker batch, pays one decomposition build per
-/// distinct (graph, Ψ), and reports coherent stats.
+/// A mixed two-graph workload through an 8-worker server returns the same
+/// solutions as through a 1-worker server, and each pays one
+/// decomposition build per distinct (graph, Ψ).
 #[test]
 fn batch_matches_serial_and_dedupes_substrates() {
     let patterns = [Pattern::triangle(), Pattern::edge()];
@@ -257,9 +285,12 @@ fn batch_matches_serial_and_dedupes_substrates() {
         reqs
     };
 
-    let run = |par: Parallelism| {
-        let service = DsdService::with_parallelism(par);
-        service.register("a", structured());
+    let run = |workers: usize| {
+        let server = DsdServer::new(ServeConfig {
+            workers,
+            ..ServeConfig::default()
+        });
+        let a = server.register("a", structured());
         // Graph b: two K4s sharing a vertex plus a tail.
         let mut edges = Vec::new();
         for block in [[0u32, 1, 2, 3], [3, 4, 5, 6]] {
@@ -270,27 +301,29 @@ fn batch_matches_serial_and_dedupes_substrates() {
             }
         }
         edges.push((6, 7));
-        service.register("b", Graph::from_edges(8, &edges));
-        service.solve_batch(build_batch())
+        let b = server.register("b", Graph::from_edges(8, &edges));
+        let tickets: Vec<Ticket> = build_batch()
+            .into_iter()
+            .map(|req| server.submit(req).expect("admitted"))
+            .collect();
+        let solutions: Vec<Solution> = tickets.into_iter().map(solved).collect();
+        server.drain();
+        assert_eq!(server.stats().completed, 16);
+        let (sa, sb) = (a.cache_stats(), b.cache_stats());
+        let builds = sa.decomposition_builds + sb.decomposition_builds;
+        let hits = sa.decomposition_hits + sb.decomposition_hits;
+        (solutions, builds, hits)
     };
 
-    let serial = run(Parallelism::serial());
-    let batched = run(Parallelism::new(8));
+    let serial = run(1);
+    let batched = run(8);
 
-    assert_eq!(serial.solutions.len(), batched.solutions.len());
-    for (s, b) in serial.solutions.iter().zip(&batched.solutions) {
-        let (s, b) = (s.as_ref().unwrap(), b.as_ref().unwrap());
+    assert_eq!(serial.0.len(), batched.0.len());
+    for (s, b) in serial.0.iter().zip(&batched.0) {
         assert_identical(b, s, &format!("{:?}", s.objective));
     }
-    for outcome in [&serial, &batched] {
-        let st = &outcome.stats;
-        assert_eq!(st.requests, 16);
-        assert_eq!(st.groups, 4, "2 graphs × 2 patterns");
-        assert_eq!(st.substrate_builds, 4, "one build per (graph, Ψ)");
-        assert_eq!(st.substrate_hits, 12, "three warm requests per group");
-        assert!(st.wall_nanos > 0);
+    for (_, builds, hits) in [&serial, &batched] {
+        assert_eq!(*builds, 4, "one build per (graph, Ψ)");
+        assert_eq!(*hits, 12, "three warm requests per group");
     }
-    assert_eq!(serial.stats.worker_busy_nanos.len(), 1);
-    assert_eq!(batched.stats.worker_busy_nanos.len(), 8);
-    assert!(batched.stats.utilization() > 0.0);
 }
