@@ -57,7 +57,9 @@ pub struct ExactStats {
     /// shrinking for `CoreExact` — the Figure-9 series).
     pub network_nodes: Vec<usize>,
     /// Initial `[l, u]` bounds on α (for `CoreExact`, the bracket after
-    /// Pruning1/2: the located lower bound and `kmax`).
+    /// Pruning1/2: the located lower bound and `kmax`; for the query
+    /// variant, its seed probe's α — half a gap below the pinned peel's
+    /// bound, but at least x/2 — and `kmax`).
     pub initial_bounds: (f64, f64),
     /// Whether a step budget stopped the search before the gap closed
     /// (the result is then the best witness found, not certified optimal).

@@ -2019,6 +2019,32 @@ mod tests {
         assert_eq!(stats.oracle_builds, 1);
     }
 
+    /// One query spelled three ways — `[a, b]`, `[b, a]`, `[a, a, b]` —
+    /// gets one answer and one cached pinned network, while each
+    /// solution echoes the query as submitted.
+    #[test]
+    fn query_spellings_share_one_cached_network() {
+        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (0, 3), (2, 3), (3, 4), (4, 5)]);
+        let engine = DsdEngine::over(&g);
+        let spellings = [vec![1, 5], vec![5, 1], vec![1, 1, 5]];
+        let solutions: Vec<Solution> = spellings
+            .iter()
+            .map(|q| {
+                engine
+                    .request(&Pattern::edge())
+                    .objective(Objective::WithQuery(q.clone()))
+                    .solve()
+            })
+            .collect();
+        for (q, s) in spellings.iter().zip(&solutions) {
+            assert_eq!(s.objective, Objective::WithQuery(q.clone()));
+            assert_eq!(s.vertices, solutions[0].vertices, "{q:?}");
+            assert_eq!(s.density.to_bits(), solutions[0].density.to_bits());
+        }
+        let stats = engine.cache_stats();
+        assert_eq!((stats.network_misses, stats.network_hits), (1, 2));
+    }
+
     /// `apply` bumps the epoch, patches the cached k-core in place,
     /// repairs the Ψ-oracle's store through its incidence CSR, and drops
     /// only the decomposition, so post-update answers match a cold engine

@@ -1,19 +1,37 @@
 //! Section 6.3's CDS variant: the densest subgraph **containing a set of
 //! query vertices** Q (edge-density), located via cores.
 //!
-//! Steps, following the paper's sketch: (1) classical core decomposition;
-//! (2) `x` = minimum core number over Q, so the x-core contains Q and has
-//! density ≥ x/2 — a lower bound on the constrained optimum; (3) locate the
-//! answer inside a *Q-anchored* ⌈x/2⌉-core (peeling never removes Q); (4)
-//! α-search with a *pinned* Goldberg network (`s→q` capacity ∞ for
+//! Steps, following the paper's sketch with CoreExact's locating bound:
+//! (1) classical core decomposition; `x` = minimum core number over Q, so
+//! the x-core contains Q and has density ≥ x/2 — the paper's lower bound
+//! on the constrained optimum ρ_Q; (2) one *Q-pinned* min-degree peel
+//! (Q is never removed) gives every vertex its Q-anchored core number and
+//! the best residual density l̃ — the edge density of a real Q-containing
+//! set, so l̃ ≤ ρ_Q, the way PeelApp's ρ′ bounds CoreExact's Pruning1;
+//! (3) locate the answer inside a Q-anchored core: every maximiser of
+//! `e(S) − α|S|` over `S ⊇ Q` gives each of its vertices outside Q at
+//! least α neighbours in S, so it lies in the Q-anchored ⌈α⌉-core and a
+//! network cut down to that core has the same min-cut sides;
+//! (4) α-search with a *pinned* Goldberg network (`s→q` capacity ∞ for
 //! `q ∈ Q`, forcing Q into the source side of every min cut), riding the
-//! shared [`mod@crate::alpha_search`] loop from the midpoint of
-//! `[x/2, kmax]`. The pinned network is built once and every probe runs
-//! through the parametric resolve machinery.
+//! shared [`mod@crate::alpha_search`] loop. The pinned network is built
+//! once and every probe runs through the parametric resolve machinery.
+//!
+//! The search starts from the pinned peel's bound. With `gap` the
+//! Lemma-12 separation of the ⌈x/2⌉-anchored core, the seed cut is taken
+//! at α = l = max(l̃ − gap/2, x/2), the network covers only the Q-anchored
+//! ⌈l⌉-core, and the search witness-jumps from the seed's density
+//! ([`FirstProbe::Lower`]). A seed or witness cut at α < ρ_Q whose density
+//! is ρ_Q is the unique maximal densest Q-subgraph, so the answer is the
+//! one a bisection over `[x/2, kmax]` finds. The x/2 floor only matters
+//! when ρ_Q = x/2 (e.g. Q inside a regular component): the seed cut at
+//! x/2 — the minimal densest Q-subgraph — has density exactly x/2, no
+//! probe strictly beats it, and the seed is the bisection's answer too.
 
 use dsd_graph::{Graph, InducedSubgraph, VertexId, VertexSet};
 
 use crate::alpha_search::{alpha_search, density_gap, DecisionProbe, ExactStats, FirstProbe};
+use crate::bucket_queue::PeelQueue;
 use crate::flownet::{build_query_network, DensityNetwork, NetworkLender};
 use crate::kcore::{k_core_decomposition, KCoreDecomposition};
 use crate::types::DsdResult;
@@ -59,11 +77,51 @@ pub fn densest_with_query_from(
     densest_with_query_lender(g, query, cores, None)
 }
 
+/// The Q-pinned min-degree peel: vertices outside Q are removed in
+/// min-degree order, Q never. Returns each vertex's Q-anchored core number
+/// (`usize::MAX` for Q, so the Q-anchored k-core is `{v : core[v] ≥ k}`)
+/// and the best edge density over the residual graphs, every one of which
+/// contains Q.
+fn pinned_peel(g: &Graph, is_query: &[bool]) -> (Vec<usize>, f64) {
+    let n = g.num_vertices();
+    let mut deg = g.degrees();
+    let mut core = vec![usize::MAX; n];
+    let mut queue = PeelQueue::new(g.max_degree() as u64);
+    for v in g.vertices().filter(|&v| !is_query[v as usize]) {
+        queue.push(deg[v as usize] as u64, v);
+    }
+    let (mut edges, mut size) = (g.num_edges(), n);
+    let mut best = edges as f64 / size as f64;
+    let mut running_k = 0;
+    while let Some((d, v)) = queue.pop() {
+        let d = d as usize;
+        if core[v as usize] != usize::MAX || d != deg[v as usize] {
+            continue; // peeled already, or a stale queue entry
+        }
+        running_k = running_k.max(d);
+        core[v as usize] = running_k;
+        for &u in g.neighbors(v) {
+            if core[u as usize] == usize::MAX {
+                deg[u as usize] -= 1;
+                if !is_query[u as usize] {
+                    queue.push(deg[u as usize] as u64, u);
+                }
+            }
+        }
+        edges -= d;
+        size -= 1;
+        best = best.max(edges as f64 / size as f64);
+    }
+    (core, best)
+}
+
 /// [`densest_with_query_from`] with a network lender: the pinned network
 /// is borrowed from the lender's cache — keyed by the anchored-core
 /// member set *and* the pinned query set — when a warm one is resident,
-/// and returned afterwards. The Q-anchored peel re-derives the same
-/// member set on an unchanged graph, so repeat queries warm-resolve.
+/// and returned afterwards. The query is normalised (sorted, duplicates
+/// dropped) first, so `[a, b]`, `[b, a]` and `[a, a, b]` share one answer
+/// and one cached network; the pinned peel re-derives the same member set
+/// on an unchanged graph, so repeat queries warm-resolve.
 pub(crate) fn densest_with_query_lender(
     g: &Graph,
     query: &[VertexId],
@@ -74,43 +132,37 @@ pub(crate) fn densest_with_query_lender(
     if query.is_empty() || query.iter().any(|&q| q as usize >= n) {
         return None;
     }
+    let mut query = query.to_vec();
+    query.sort_unstable();
+    query.dedup();
     let x = query
         .iter()
         .map(|&q| cores.core[q as usize])
         .min()
         .expect("query non-empty");
-    let k = x.div_ceil(2);
-
-    // Q-anchored k-core: peel non-query vertices with degree < k.
-    let mut alive = VertexSet::full(n);
-    let is_query = {
-        let mut mask = vec![false; n];
-        for &q in query {
-            mask[q as usize] = true;
-        }
-        mask
-    };
-    let mut deg: Vec<usize> = g.degrees();
-    let mut stack: Vec<VertexId> = alive
-        .iter()
-        .filter(|&v| !is_query[v as usize] && deg[v as usize] < k as usize)
-        .collect();
-    while let Some(v) = stack.pop() {
-        if !alive.contains(v) {
-            continue;
-        }
-        alive.remove(v);
-        for &u in g.neighbors(v) {
-            if alive.contains(u) {
-                deg[u as usize] -= 1;
-                if !is_query[u as usize] && deg[u as usize] < k as usize {
-                    stack.push(u);
-                }
-            }
-        }
+    let mut is_query = vec![false; n];
+    for &q in &query {
+        is_query[q as usize] = true;
     }
+    let (anchored_core, peel_bound) = pinned_peel(g, &is_query);
 
-    let sub = InducedSubgraph::from_set(g, &alive);
+    // Locate half a gap below l̃: there the seed cut is the maximal
+    // densest Q-subgraph whenever l̃ = ρ_Q (at l̃ itself nothing would
+    // strictly beat α). The x/2 floor keeps the minimal densest seed when
+    // ρ_Q = x/2.
+    let gap = density_gap(
+        anchored_core
+            .iter()
+            .filter(|&&c| c >= x.div_ceil(2) as usize)
+            .count(),
+    );
+    let l = (peel_bound - gap / 2.0).max(x as f64 / 2.0);
+    let k = l.ceil() as usize;
+    let members: Vec<VertexId> = g
+        .vertices()
+        .filter(|&v| anchored_core[v as usize] >= k)
+        .collect();
+    let sub = InducedSubgraph::new(g, &members);
     let local_query: Vec<VertexId> = sub
         .orig
         .iter()
@@ -121,18 +173,15 @@ pub(crate) fn densest_with_query_lender(
     debug_assert_eq!(local_query.len(), query.len());
 
     // α-search with the pinned network, built once for the whole probe
-    // sequence. The seed probe at l both captures the x-core-quality
-    // answer (robust when no strictly-denser subgraph exists) and
-    // checkpoints the parametric chain — every later probe has α > l.
-    // The search itself starts from the midpoint: witness jumps from the
-    // weak x/2 bound would first cut off large low-density sides.
-    let l = x as f64 / 2.0;
+    // sequence. The seed cut at l is a Q-containing answer in its own
+    // right (the answer itself when ρ_Q = x/2) and checkpoints the
+    // parametric chain — every later probe has α ≥ l.
     let u = cores.kmax as f64;
     let mut stats = ExactStats {
         initial_bounds: (l, u),
         ..ExactStats::default()
     };
-    let mut net = match lender.and_then(|l| l.take(&sub.orig, query)) {
+    let mut net = match lender.and_then(|l| l.take(&sub.orig, &query)) {
         Some(net) => net,
         None => build_query_network(&sub.graph, &local_query),
     };
@@ -140,9 +189,7 @@ pub(crate) fn densest_with_query_lender(
     stats.network_nodes.push(net.num_nodes());
     let seed = net.min_cut_side(l);
     net.checkpoint();
-    let mut best = if seed.is_empty() { None } else { Some(seed) };
-
-    let gap = density_gap(sub.graph.num_vertices());
+    let lower = edge_density(&sub.graph, &seed);
     let outcome = {
         let mut probe = QueryProbe {
             net: &mut net,
@@ -150,22 +197,19 @@ pub(crate) fn densest_with_query_lender(
         };
         alpha_search(
             &mut probe,
-            (l, u),
-            FirstProbe::Midpoint,
+            (lower, u),
+            FirstProbe::Lower,
             gap,
             usize::MAX,
             &mut stats,
         )
     };
-    if let Some(side) = outcome.witness {
-        best = Some(side);
-    }
     stats.absorb_flow(net.probe_stats());
     if let Some(l) = lender {
-        l.put(&sub.orig, query, net);
+        l.put(&sub.orig, &query, net);
     }
 
-    let side = best?;
+    let side = outcome.witness.unwrap_or(seed);
     let mut vertices: Vec<VertexId> = side.iter().map(|&v| sub.to_parent(v)).collect();
     vertices.sort_unstable();
     Some((
@@ -276,6 +320,69 @@ mod tests {
         let g = two_cliques();
         assert!(densest_with_query(&g, &[]).is_none());
         assert!(densest_with_query(&g, &[99]).is_none());
+    }
+
+    /// Repeated and reordered query vertices name the same Q: the same
+    /// answer and stats as the normalised query (a debug build used to
+    /// trip the pinned-count assert on a duplicate).
+    #[test]
+    fn duplicate_and_reordered_query_vertices_are_one_query() {
+        let g = two_cliques();
+        let cores = k_core_decomposition(&g);
+        for (plain, variants) in [
+            (vec![9], vec![vec![9, 9], vec![9, 9, 9]]),
+            (
+                vec![0, 9],
+                vec![vec![9, 0], vec![0, 0, 9], vec![9, 0, 9, 0]],
+            ),
+        ] {
+            let (want, want_stats) = densest_with_query_from(&g, &plain, &cores).unwrap();
+            for q in variants {
+                let (got, stats) = densest_with_query_from(&g, &q, &cores).unwrap();
+                assert_eq!(got.vertices, want.vertices, "{q:?}");
+                assert_eq!(got.density.to_bits(), want.density.to_bits(), "{q:?}");
+                assert_eq!(stats.network_nodes, want_stats.network_nodes, "{q:?}");
+            }
+        }
+    }
+
+    /// K8 {0..7} beside a 20-cycle {8..27}, queried at cycle vertex 8:
+    /// x = 2, so the x/2 bound keeps the whole 1-core, but the pinned peel
+    /// finds K8 ∪ {8} (ρ_Q = 28/9) and the network covers only that set.
+    /// A tied query seeds at x/2.
+    #[test]
+    fn peel_bound_narrows_the_pinned_network() {
+        let mut edges = Vec::new();
+        for u in 0..8u32 {
+            for v in (u + 1)..8 {
+                edges.push((u, v));
+            }
+        }
+        for i in 0..20u32 {
+            edges.push((8 + i, 8 + (i + 1) % 20));
+        }
+        let g = Graph::from_edges(28, &edges);
+        let cores = k_core_decomposition(&g);
+        let (r, stats) = densest_with_query_from(&g, &[8], &cores).unwrap();
+        assert_eq!(r.vertices, (0..9).collect::<Vec<_>>());
+        assert_eq!(r.density.to_bits(), (28.0f64 / 9.0).to_bits());
+        // The searched bracket starts just below the peel bound, not at
+        // x/2 = 1.
+        let (l, u) = stats.initial_bounds;
+        assert!(l > 3.0 && l < 28.0 / 9.0, "lower bound {l}");
+        assert_eq!(u, 7.0);
+        // 9 vertices plus s and t instead of all 28 plus s and t.
+        assert!(stats.network_nodes.iter().all(|&nodes| nodes == 11));
+        // The seed cut is already optimal: one certifying probe follows.
+        assert_eq!(stats.iterations, 2);
+
+        // With ρ_Q = x/2 (Q inside K5, x = 4) the seed is taken at x/2 and
+        // is the answer.
+        let g = two_cliques();
+        let cores = k_core_decomposition(&g);
+        let (r, stats) = densest_with_query_from(&g, &[0], &cores).unwrap();
+        assert_eq!(r.vertices, vec![0, 1, 2, 3, 4]);
+        assert_eq!(stats.initial_bounds, (2.0, 4.0));
     }
 
     /// The pinned-network probe sequence genuinely reuses flow state: all

@@ -468,6 +468,79 @@ fn tied_graphs() -> Vec<Graph> {
     ]
 }
 
+/// Size of the clique [`planted_graphs`] plants on vertices `0..h`.
+const PLANTED_H: u32 = 10;
+
+/// A K_h on vertices `0..h` planted in a sparse random graph, with query
+/// sets at the two highest-degree vertices outside the clique, inside the
+/// clique, and at the vertex farthest from it. Queries outside the clique
+/// have ρ_Q well above x/2, so the pinned peel's bound locates them.
+fn planted_graphs() -> Vec<(Graph, Vec<Vec<u32>>)> {
+    (0..4u64)
+        .map(|seed| {
+            let mut rng = XorShift::new(0x91A7 ^ (seed * 4099));
+            let sparse = rng.random_graph(60, 80, 5);
+            let h = PLANTED_H;
+            let mut edges: Vec<(u32, u32)> = sparse.edges().collect();
+            for u in 0..h {
+                edges.extend(((u + 1)..h).map(|v| (u, v)));
+            }
+            let g = Graph::from_edges(sparse.num_vertices(), &edges);
+            let mut hubs: Vec<u32> = (h..g.num_vertices() as u32).collect();
+            hubs.sort_by_key(|&v| std::cmp::Reverse(g.degree(v)));
+            // Breadth-first distance from the clique; unreachable counts
+            // as farthest.
+            let mut dist = vec![usize::MAX; g.num_vertices()];
+            let mut frontier: Vec<u32> = (0..h).collect();
+            for &v in &frontier {
+                dist[v as usize] = 0;
+            }
+            while !frontier.is_empty() {
+                let mut next = Vec::new();
+                for v in frontier {
+                    for &u in g.neighbors(v) {
+                        if dist[u as usize] == usize::MAX {
+                            dist[u as usize] = dist[v as usize] + 1;
+                            next.push(u);
+                        }
+                    }
+                }
+                frontier = next;
+            }
+            let far = g.vertices().max_by_key(|&v| dist[v as usize]).unwrap();
+            let queries = vec![
+                vec![hubs[0]],
+                vec![hubs[0], hubs[1]],
+                vec![1],
+                vec![1, far],
+                vec![far],
+            ];
+            (g, queries)
+        })
+        .collect()
+}
+
+/// Size of the Q-anchored k-core: vertices outside Q are peeled while
+/// their degree is below k.
+fn anchored_core_len(g: &Graph, query: &[u32], k: usize) -> usize {
+    let mut alive = VertexSet::full(g.num_vertices());
+    let mut deg = g.degrees();
+    let mut stack: Vec<u32> = g.vertices().collect();
+    while let Some(v) = stack.pop() {
+        if !alive.contains(v) || query.contains(&v) || deg[v as usize] >= k {
+            continue;
+        }
+        alive.remove(v);
+        for &u in g.neighbors(v) {
+            if alive.contains(u) {
+                deg[u as usize] -= 1;
+                stack.push(u);
+            }
+        }
+    }
+    alive.len()
+}
+
 fn assert_same(label: &str, got: &DsdResult, want: &DsdResult) {
     assert_eq!(got.vertices, want.vertices, "{label}: vertices diverged");
     assert_eq!(
@@ -483,11 +556,14 @@ fn assert_same(label: &str, got: &DsdResult, want: &DsdResult) {
 fn witness_jump_search_matches_bisection_reference() {
     use dsd::core::{DsdEngine, Method, Objective};
 
-    let mut graphs = tied_graphs();
+    // Each graph with the query sets asked of it beyond the two below.
+    let mut graphs: Vec<(Graph, Vec<Vec<u32>>)> =
+        tied_graphs().into_iter().map(|g| (g, Vec::new())).collect();
     for seed in 0..iters() as u64 {
         let mut rng = XorShift::new(0x1A3B ^ (seed * 6151));
-        graphs.push(rng.random_graph(8, 18, 25 + (seed % 40)));
+        graphs.push((rng.random_graph(8, 18, 25 + (seed % 40)), Vec::new()));
     }
+    graphs.extend(planted_graphs());
     let patterns = [
         Pattern::edge(),
         Pattern::triangle(),
@@ -496,7 +572,8 @@ fn witness_jump_search_matches_bisection_reference() {
     ];
     // (reference, witness-jump) probe totals.
     let (mut ref_probes, mut jump_probes) = (0usize, 0usize);
-    for (i, g) in graphs.iter().enumerate() {
+    let mut narrowed = 0;
+    for (i, (g, planted_queries)) in graphs.iter().enumerate() {
         let engine = DsdEngine::over(g);
         for psi in &patterns {
             let label = format!("graph {i} {}", psi.name());
@@ -518,7 +595,10 @@ fn witness_jump_search_matches_bisection_reference() {
             jump_probes += got.stats.flow_iterations;
         }
         let n = g.num_vertices() as u32;
-        for query in [vec![i as u32 % n], vec![0, n - 1]] {
+        let cores = k_core_decomposition(g);
+        let mut queries = vec![vec![i as u32 % n], vec![0, n - 1]];
+        queries.extend(planted_queries.iter().cloned());
+        for query in queries {
             let got = engine
                 .request(&Pattern::edge())
                 .objective(Objective::WithQuery(query.clone()))
@@ -530,8 +610,22 @@ fn witness_jump_search_matches_bisection_reference() {
                 &want,
             );
             jump_probes += got.stats.flow_iterations;
+            // A planted query outside the clique is located by the pinned
+            // peel's bound: its network is smaller than the Q-anchored
+            // ⌈x/2⌉-core the x/2 bound would keep.
+            if planted_queries.contains(&query) && query.iter().all(|&q| q >= PLANTED_H) {
+                let x = query.iter().map(|&q| cores.core[q as usize]).min().unwrap();
+                let half_core = anchored_core_len(g, &query, x.div_ceil(2) as usize);
+                let nodes = got.stats.network_nodes.iter().max().unwrap();
+                assert!(
+                    *nodes < half_core,
+                    "graph {i} query {query:?}: {nodes} network nodes vs a {half_core}-vertex ⌈x/2⌉-core"
+                );
+                narrowed += 1;
+            }
         }
     }
+    assert_eq!(narrowed, 4 * 3, "planted queries outside the clique");
     println!("probes: bisection {ref_probes}, witness-jump {jump_probes}");
     assert!(
         jump_probes < ref_probes,
