@@ -22,6 +22,20 @@
 //! one probe, and a near-optimal seed witness is certified by the
 //! α-search's witness jump one probe later.
 //!
+//! **Witness seed.** A component network borrowed warm from the engine's
+//! cache remembers the densest witness an earlier search on it certified
+//! ([`DensityNetwork::witness`]). CoreExact raises the answer and `l` to
+//! that witness before the component's first probe. The witness is a real
+//! subgraph of this graph epoch (cached networks die with their epoch),
+//! so it is a valid lower bound, and the probe at its density runs at the
+//! network's last α, so a repeat search resolves with almost no
+//! augmentation. Exact answers do not change: a min-cut witness of
+//! density ρ* is the unique maximal densest subgraph within the
+//! component's members, which is what a cold search certifies too.
+//! Requests with a tolerance or a step budget may come back *denser*
+//! than a cold engine's answer (never less dense), because they start
+//! from the best witness any earlier request found.
+//!
 //! Deviation noted for reviewers: Algorithm 4 as printed shares the upper
 //! bound `u` across components, which would starve the α-search of
 //! later components once an earlier one converges; we keep `u` per
@@ -331,6 +345,15 @@ pub(crate) fn core_exact_with_lender(
         );
         let mut net = acquire_network(g, &comp, psi, true, oracle, lender);
         net.set_warm_start(config.parametric);
+        // Witness seed: a warm network's best certified witness is a real
+        // subgraph at this epoch, so the search may start from it.
+        if let Some((w, rho)) = net.witness() {
+            if rho > best_rho {
+                best_rho = rho;
+                best_vs = w.to_vec();
+            }
+            l = l.max(rho);
+        }
         let mut probe = ComponentProbe {
             g,
             psi,

@@ -36,6 +36,13 @@
 //!   fingerprints are stable across runs and identical to the
 //!   store-built network's.
 //!
+//! Antiparallel arcs — Goldberg's `u↔v` and the pattern networks'
+//! `v→ψ` / `ψ→v` — are stored as one folded pair
+//! ([`FlowNetwork::add_edge_pair`]): each arc is the other's residual
+//! twin, which halves those arcs' edge records and adjacency slots. The
+//! minimal min-cut source side does not depend on which maximum flow the
+//! solver finds, so the fold leaves every witness unchanged.
+//!
 //! Only the `v→t` capacities depend on α — monotone *non-decreasingly* —
 //! so a network is built once per candidate subgraph and each α-search
 //! guess is served by the parametric machinery of `dsd_flow::parametric`:
@@ -53,7 +60,10 @@
 //! request on the same (graph, Ψ) epoch warm-resolves an already-built
 //! network. [`DensityNetwork::bytes`] reports their resident size for the
 //! serving layer's byte governor; [`DensityNetwork::reset_probe_stats`]
-//! fences the reuse accounting between borrowing requests.
+//! fences the reuse accounting between borrowing requests. A network also
+//! remembers the densest witness its probes certified
+//! ([`DensityNetwork::witness`]), which the next search over the same
+//! members starts from.
 
 use dsd_flow::{min_cut_source_side, EdgeId, FlowNetwork, NodeId, ParametricSolver, ResolveStats};
 use dsd_graph::{Graph, InducedSubgraph, VertexId, VertexSet};
@@ -102,6 +112,8 @@ pub struct DensityNetwork {
     /// network (see [`Self::reset_probe_stats`]); subtracted from
     /// [`Self::probe_stats`] so each request reports only its own probes.
     stats_baseline: ResolveStats,
+    /// The densest feasible-probe witness so far (see [`Self::witness`]).
+    witness: Option<(Vec<VertexId>, f64)>,
 }
 
 impl DensityNetwork {
@@ -125,6 +137,7 @@ impl DensityNetwork {
             solver: ParametricSolver::new(),
             checkpoint: None,
             stats_baseline: ResolveStats::default(),
+            witness: None,
         }
     }
 
@@ -179,19 +192,35 @@ impl DensityNetwork {
         self.stats_baseline = self.solver.stats();
     }
 
+    /// The densest witness any feasible `solve_beating` probe on this
+    /// network has returned, with the exact density the caller scored it
+    /// at, in the network's member ids.
+    ///
+    /// It is a real subgraph of the graph the network was built over, so
+    /// its density is a valid lower bound for any later search over the
+    /// same members — and a cached network is dropped with its graph
+    /// epoch, so the witness never outlives the graph it was scored on.
+    pub fn witness(&self) -> Option<(&[VertexId], f64)> {
+        self.witness.as_ref().map(|(vs, rho)| (vs.as_slice(), *rho))
+    }
+
     /// Estimated resident heap bytes of the network: the edge/adjacency
     /// arrays, member and α-edge tables, and any checkpointed flow. This
     /// is what the engine's network cache reports into `resident_bytes`
     /// for the serving layer's byte governor.
     pub fn bytes(&self) -> usize {
-        // Forward + reverse edge records (`Edge {to: u32, cap: f64,
-        // flow: f64}` pads to 24 bytes) plus one u32 adjacency-list slot
-        // each, plus a Vec header per node.
+        // Two edge records per pair — forward and reverse, or the two
+        // arcs of a folded pair (`Edge {to: u32, cap: f64, flow: f64}`
+        // pads to 24 bytes) — plus one u32 adjacency-list slot each, plus
+        // a Vec header per node.
         let raw_edges = 2 * self.net.num_edges();
         let mut bytes = raw_edges * (24 + std::mem::size_of::<EdgeId>())
             + self.net.num_nodes() * std::mem::size_of::<Vec<EdgeId>>()
             + self.members.len() * std::mem::size_of::<VertexId>()
             + self.alpha_edges.len() * std::mem::size_of::<(EdgeId, f64)>();
+        if let Some((vs, _)) = &self.witness {
+            bytes += vs.len() * std::mem::size_of::<VertexId>();
+        }
         if let Some(ck) = &self.checkpoint {
             bytes += ck.flows.len() * std::mem::size_of::<f64>();
         }
@@ -199,8 +228,9 @@ impl DensityNetwork {
     }
 
     /// FNV-1a fingerprint of the network's α-independent structure: node
-    /// count, terminals, α-scale, every forward edge (endpoints and base
-    /// capacity), the α-edge table, and the member mapping. Two builds of
+    /// count, terminals, α-scale, every edge pair (endpoints, base
+    /// capacity, and the back capacity a folded pair carries), the α-edge
+    /// table, and the member mapping. Two builds of
     /// the same logical network — enumeration-built or store-built —
     /// must agree bit-for-bit; flow state and solver history are
     /// excluded, so warm and cold copies of one network also agree.
@@ -214,7 +244,7 @@ impl DensityNetwork {
         h.write_u64(self.s as u64);
         h.write_u64(self.t as u64);
         h.write_u64(self.alpha_scale.to_bits());
-        for (i, (from, e)) in self.net.forward_edges().enumerate() {
+        for (i, (from, e, back)) in self.net.edge_pairs().enumerate() {
             h.write_u64(from as u64);
             h.write_u64(e.to as u64);
             // α-edges mutate their cap per probe; their α-free base is
@@ -222,6 +252,7 @@ impl DensityNetwork {
             if !is_alpha[i] {
                 h.write_u64(e.cap.to_bits());
             }
+            h.write_u64(back.cap.to_bits());
         }
         for &(e, base) in &self.alpha_edges {
             h.write_u64(e as u64);
@@ -312,8 +343,9 @@ impl DensityNetwork {
             .collect()
     }
 
-    /// Capacity of the cut the last probe left behind (Σ caps of edges
-    /// from the residual-reachable side to the rest) — the
+    /// Capacity of the cut the last probe left behind (Σ caps of arcs
+    /// from the residual-reachable side to the rest, counting both arcs of
+    /// a folded pair) — the
     /// differential-test invariant that must not depend on how the flow
     /// state was reached.
     pub fn cut_value(&self) -> f64 {
@@ -324,9 +356,11 @@ impl DensityNetwork {
             seen[node as usize] = true;
         }
         let mut cap = 0.0;
-        for (from, e) in self.net.forward_edges() {
-            if seen[from as usize] && !seen[e.to as usize] {
-                cap += e.cap;
+        for (from, e, back) in self.net.edge_pairs() {
+            match (seen[from as usize], seen[e.to as usize]) {
+                (true, false) => cap += e.cap,
+                (false, true) => cap += back.cap,
+                _ => {}
             }
         }
         cap
@@ -351,7 +385,8 @@ impl DensityNetwork {
     /// non-empty and its density — scored by `density` — strictly beats
     /// `alpha` (a cut that only ties α, a floating-point tie at the
     /// optimum, is infeasible). Returns the side and its density;
-    /// feasible probes checkpoint the flow state.
+    /// feasible probes checkpoint the flow state and update
+    /// [`Self::witness`].
     pub(crate) fn solve_beating(
         &mut self,
         alpha: f64,
@@ -366,6 +401,9 @@ impl DensityNetwork {
             return None;
         }
         self.checkpoint();
+        if self.witness.as_ref().is_none_or(|&(_, best)| rho > best) {
+            self.witness = Some((side.clone(), rho));
+        }
         Some((side, rho))
     }
 }
@@ -478,8 +516,12 @@ pub fn build_store_network(
         let weight = store.weight(r);
         for &v in store.members(r) {
             let node = (local[v as usize] + 1) as NodeId;
-            net.add_edge(node, unit_node, weight as f64);
-            net.add_edge(unit_node, node, (weight * (size as u64 - 1)) as f64);
+            net.add_edge_pair(
+                node,
+                unit_node,
+                weight as f64,
+                (weight * (size as u64 - 1)) as f64,
+            );
         }
     }
     DensityNetwork::new(net, s, t, members, alpha_edges, size as f64)
@@ -492,7 +534,7 @@ pub fn build_edge_network(g: &Graph, members: &[VertexId]) -> DensityNetwork {
     let m = sub.graph.num_edges() as f64;
     let s: NodeId = 0;
     let t: NodeId = (n + 1) as NodeId;
-    let mut net = FlowNetwork::with_capacity(n + 2, 2 * sub.graph.num_edges() + 2 * n);
+    let mut net = FlowNetwork::with_capacity(n + 2, sub.graph.num_edges() + 2 * n);
     let mut alpha_edges = Vec::with_capacity(n);
     for v in 0..n {
         let node = (v + 1) as NodeId;
@@ -503,8 +545,7 @@ pub fn build_edge_network(g: &Graph, members: &[VertexId]) -> DensityNetwork {
         alpha_edges.push((e, base));
     }
     for (u, v) in sub.graph.edges() {
-        net.add_edge((u + 1) as NodeId, (v + 1) as NodeId, 1.0);
-        net.add_edge((v + 1) as NodeId, (u + 1) as NodeId, 1.0);
+        net.add_edge_pair((u + 1) as NodeId, (v + 1) as NodeId, 1.0, 1.0);
     }
     DensityNetwork::new(net, s, t, sub.orig, alpha_edges, 2.0)
 }
@@ -520,7 +561,7 @@ pub fn build_query_network(g: &Graph, pinned: &[VertexId]) -> DensityNetwork {
     let m = g.num_edges() as f64;
     let s: NodeId = 0;
     let t: NodeId = (n + 1) as NodeId;
-    let mut net = FlowNetwork::with_capacity(n + 2, 2 * g.num_edges() + 2 * n);
+    let mut net = FlowNetwork::with_capacity(n + 2, g.num_edges() + 2 * n);
     let mut is_pinned = vec![false; n];
     for &q in pinned {
         is_pinned[q as usize] = true;
@@ -535,8 +576,7 @@ pub fn build_query_network(g: &Graph, pinned: &[VertexId]) -> DensityNetwork {
         alpha_edges.push((e, base));
     }
     for (u, v) in g.edges() {
-        net.add_edge((u + 1) as NodeId, (v + 1) as NodeId, 1.0);
-        net.add_edge((v + 1) as NodeId, (u + 1) as NodeId, 1.0);
+        net.add_edge_pair((u + 1) as NodeId, (v + 1) as NodeId, 1.0, 1.0);
     }
     DensityNetwork::new(net, s, t, g.vertices().collect(), alpha_edges, 2.0)
 }
@@ -656,10 +696,10 @@ pub fn build_pattern_network(
     for (i, (vs, weight)) in units.iter().enumerate() {
         let unit_node = (n + 1 + i) as NodeId;
         for &v in vs {
-            net.add_edge((v + 1) as NodeId, unit_node, *weight as f64);
-            net.add_edge(
-                unit_node,
+            net.add_edge_pair(
                 (v + 1) as NodeId,
+                unit_node,
+                *weight as f64,
                 (*weight * (size as u64 - 1)) as f64,
             );
         }

@@ -268,6 +268,11 @@ impl DensityOracle for CliqueOracle {
     }
 
     fn count(&self, g: &Graph, alive: &VertexSet) -> u64 {
+        if self.h == 2 {
+            // Σ restricted degree / 2: no kClist pass, whose degeneracy
+            // order would be rebuilt over the whole graph on every call.
+            return edge_count_within(g, alive);
+        }
         kclist::count_cliques_within(g, self.h, alive)
     }
 
@@ -283,6 +288,13 @@ impl DensityOracle for CliqueOracle {
             }) as Box<dyn InstancePeeler + 'a>
         })
     }
+}
+
+/// Edges of `g[alive]`: half the sum of alive vertices' restricted
+/// degrees.
+fn edge_count_within(g: &Graph, alive: &VertexSet) -> u64 {
+    let twice: usize = alive.iter().map(|v| alive.restricted_degree(g, v)).sum();
+    (twice / 2) as u64
 }
 
 /// The edge decrement rule: removing `v` costs each alive neighbour one
@@ -1069,6 +1081,28 @@ mod tests {
                 "count mismatch for {}",
                 p.name()
             );
+        }
+    }
+
+    #[test]
+    fn edge_count_matches_kclist_on_random_alive_sets() {
+        let mut rng = dsd_graph::testing::XorShift::new(0xE6E5);
+        let oracle = CliqueOracle::new(2);
+        for _ in 0..64 {
+            let percent = 5 + rng.next() % 50;
+            let g = rng.random_graph(1, 40, percent);
+            let mut alive = full(&g);
+            for v in g.vertices() {
+                if rng.next().is_multiple_of(3) {
+                    alive.remove(v);
+                }
+            }
+            for set in [full(&g), alive, VertexSet::empty(g.num_vertices())] {
+                assert_eq!(
+                    oracle.count(&g, &set),
+                    kclist::count_cliques_within(&g, 2, &set)
+                );
+            }
         }
     }
 

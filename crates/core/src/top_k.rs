@@ -5,16 +5,26 @@
 //! rarely enough. Following the standard disjoint top-k scheme (cf. the
 //! locally-densest-subgraph line of work the paper cites [54, 57]): find
 //! the densest subgraph, delete its vertices, and repeat on the residual
-//! graph. Each round uses the core-based exact algorithm, so the whole
-//! scan stays fast; the returned subgraphs are vertex-disjoint and have
+//! graph. The returned subgraphs are vertex-disjoint and have
 //! non-increasing density.
+//!
+//! Every round is CoreExact over the parent graph. Round 0 uses the
+//! caller's (possibly warm) decomposition; round r ≥ 1 decomposes the
+//! residual vertex set `g[alive]` through the same oracle — so a
+//! materialized instance store is peeled under the `alive` mask instead
+//! of being re-enumerated on a copy — and locates its answer in a core of
+//! that decomposition (Lemma 7). Component networks are keyed by parent
+//! vertex ids, so residual rounds borrow from and return to the same
+//! network cache as round 0: a repeat request finds every round's
+//! networks warm, together with the witnesses they certified (see
+//! [`mod@crate::core_exact`]'s witness seed).
 
-use dsd_graph::{Graph, InducedSubgraph, VertexSet};
+use dsd_graph::{Graph, VertexSet};
 use dsd_motif::Pattern;
 
 use crate::alpha_search::ExactStats;
-use crate::clique_core::CliqueCoreDecomposition;
-use crate::core_exact::{core_exact_with, core_exact_with_lender, CoreExactConfig};
+use crate::clique_core::{decompose_within, CliqueCoreDecomposition};
+use crate::core_exact::{core_exact_with_lender, CoreExactConfig};
 use crate::flownet::NetworkLender;
 use crate::oracle::DensityOracle;
 use crate::types::DsdResult;
@@ -44,9 +54,9 @@ pub struct TopKScan {
 
 /// [`top_k_densest`] against caller-provided (possibly warm) substrates.
 ///
-/// The first (densest) round runs on the full graph and so can reuse the
-/// warm decomposition; later rounds operate on residual induced subgraphs
-/// whose core structure genuinely changed, and rebuild cold.
+/// `dec` must be the decomposition of the whole graph; it serves round 0.
+/// Later rounds decompose the residual vertex set through `oracle` on the
+/// parent graph `g`.
 pub fn top_k_densest_from(
     g: &Graph,
     psi: &Pattern,
@@ -58,9 +68,9 @@ pub fn top_k_densest_from(
     top_k_with_lender(g, psi, k, config, oracle, dec, None)
 }
 
-/// [`top_k_densest_from`] with a network lender for round 0 (the
-/// full-graph scan, where the warm substrates and cached networks apply);
-/// residual rounds delete vertices and always build cold.
+/// [`top_k_densest_from`] with a network lender. Every round's component
+/// networks — residual rounds included — are borrowed from and returned
+/// to the lender under their parent-id member sets.
 pub(crate) fn top_k_with_lender(
     g: &Graph,
     psi: &Pattern,
@@ -77,23 +87,22 @@ pub(crate) fn top_k_with_lender(
         if alive.len() < psi.vertex_count() {
             break;
         }
-        let (vertices, density) = if round == 0 {
-            let (first, stats) = core_exact_with_lender(g, psi, config, oracle, dec, lender);
-            exact.merge(&stats.exact);
-            (first.vertices, first.density)
+        let residual;
+        let round_dec = if round == 0 {
+            dec
         } else {
-            let sub = InducedSubgraph::from_set(g, &alive);
-            let (local, stats) = core_exact_with(&sub.graph, psi, config);
-            exact.merge(&stats.exact);
-            (sub.to_parent_vec(&local.vertices), local.density)
+            residual = decompose_within(g, oracle, &alive);
+            &residual
         };
-        if vertices.is_empty() {
+        let (found, stats) = core_exact_with_lender(g, psi, config, oracle, round_dec, lender);
+        exact.merge(&stats.exact);
+        if found.vertices.is_empty() {
             break;
         }
-        for &v in &vertices {
+        for &v in &found.vertices {
             alive.remove(v);
         }
-        out.push(DsdResult { vertices, density });
+        out.push(found);
     }
     TopKScan {
         budget_exhausted: exact.budget_exhausted,

@@ -7,6 +7,7 @@
 //!
 //! * [`FlowNetwork`] — an arena of paired forward/residual edges with `f64`
 //!   capacities (α is a dyadic rational, so capacities are fractional);
+//!   antiparallel arcs can share one folded pair;
 //! * [`dinic::Dinic`] — BFS-layered blocking-flow solver, with a warm
 //!   [`Dinic::resolve`] for monotone capacity bumps;
 //! * [`ParametricSolver`] — drives one [`Dinic`] across a probe sequence

@@ -3,7 +3,8 @@
 /// Node identifier inside a [`FlowNetwork`].
 pub type NodeId = u32;
 /// Edge identifier inside a [`FlowNetwork`]. Even ids are forward edges,
-/// `id ^ 1` is the paired residual edge.
+/// `id ^ 1` is the paired residual edge (the opposite arc of a folded
+/// pair).
 pub type EdgeId = u32;
 
 /// Numerical slack used when comparing `f64` capacities. Binary-search
@@ -32,8 +33,13 @@ impl Edge {
 /// A directed flow network stored as an edge arena with per-node adjacency.
 ///
 /// Every [`add_edge`](FlowNetwork::add_edge) inserts a forward edge and a
-/// zero-capacity reverse edge at ids `2k` / `2k + 1`, so the reverse of edge
-/// `e` is always `e ^ 1` — the classic residual-pairing trick.
+/// zero-capacity reverse edge at ids `2k` / `2k + 1`, or a folded pair
+/// ([`add_edge_pair`](FlowNetwork::add_edge_pair)) whose two arcs both
+/// carry capacity, so the reverse of edge `e` is always `e ^ 1` — the
+/// classic residual-pairing trick. Flow is antisymmetric within a pair
+/// (`flow(e) = −flow(e ^ 1)`), so a folded pair carries one net flow in
+/// `[−cap(e ^ 1), cap(e)]` and needs half the records and adjacency slots
+/// of two separately added antiparallel edges.
 #[derive(Clone, Debug, Default)]
 pub struct FlowNetwork {
     edges: Vec<Edge>,
@@ -66,7 +72,7 @@ impl FlowNetwork {
         self.head.len()
     }
 
-    /// Number of *forward* edges.
+    /// Number of edge pairs (a folded antiparallel pair counts once).
     #[inline]
     pub fn num_edges(&self) -> usize {
         self.edges.len() / 2
@@ -88,6 +94,17 @@ impl FlowNetwork {
         });
         self.head[from as usize].push(id);
         self.head[to as usize].push(id + 1);
+        id
+    }
+
+    /// Adds the antiparallel arcs `u → v` (capacity `cap_uv`) and `v → u`
+    /// (capacity `cap_vu`) as one folded pair: each arc is the other's
+    /// residual twin, so the pair costs two edge records and two adjacency
+    /// slots instead of four. Returns the id of the `u → v` arc (`id ^ 1`
+    /// is `v → u`). Negative capacities are clamped to zero.
+    pub fn add_edge_pair(&mut self, u: NodeId, v: NodeId, cap_uv: f64, cap_vu: f64) -> EdgeId {
+        let id = self.add_edge(u, v, cap_uv);
+        self.edges[(id ^ 1) as usize].cap = cap_vu.max(0.0);
         id
     }
 
@@ -125,19 +142,31 @@ impl FlowNetwork {
     }
 
     /// Pushes `amount` along edge `e` (and pulls it back on `e ^ 1`).
+    ///
+    /// Debug builds reject NaN amounts and pushes that overrun `e`'s
+    /// residual capacity (beyond rounding) — on a folded pair that is the
+    /// bound that keeps the net flow within `[−cap(e ^ 1), cap(e)]`.
     #[inline]
     pub fn push(&mut self, e: EdgeId, amount: f64) {
         debug_assert!(!amount.is_nan(), "edge {e}: pushing NaN flow");
-        self.edges[e as usize].flow += amount;
+        let edge = &mut self.edges[e as usize];
+        edge.flow += amount;
+        debug_assert!(
+            edge.residual() >= -1e-9 * edge.cap.abs().max(edge.flow.abs()).max(1.0),
+            "edge {e}: flow {} overruns capacity {}",
+            edge.flow,
+            edge.cap
+        );
         self.edges[(e ^ 1) as usize].flow -= amount;
     }
 
-    /// Iterates the *forward* edges as `(from, edge)` pairs (`edge.to` is
-    /// the head). Residual pairs are skipped.
-    pub fn forward_edges(&self) -> impl Iterator<Item = (NodeId, &Edge)> + '_ {
+    /// Iterates the edge pairs as `(from, forward, back)`: `forward` is the
+    /// arc `from → forward.to` and `back` its twin `forward.to → from`
+    /// (zero capacity unless the pair was folded).
+    pub fn edge_pairs(&self) -> impl Iterator<Item = (NodeId, &Edge, &Edge)> + '_ {
         self.edges
             .chunks_exact(2)
-            .map(|pair| (pair[1].to, &pair[0]))
+            .map(|pair| (pair[1].to, &pair[0], &pair[1]))
     }
 
     /// Copies the current flow values into `out` (cleared first) — the
@@ -191,13 +220,11 @@ impl FlowNetwork {
     /// tests and debug assertions.
     pub fn conserves_flow(&self, s: NodeId, t: NodeId) -> bool {
         let mut balance = vec![0.0f64; self.num_nodes()];
-        for (i, e) in self.edges.iter().enumerate() {
-            if i % 2 == 0 {
-                // Forward edge from `edges[i+1].to` to `e.to` carrying e.flow.
-                let from = self.edges[i + 1].to;
-                balance[from as usize] -= e.flow;
-                balance[e.to as usize] += e.flow;
-            }
+        // A pair's net flow `e.flow` runs `from → e.to` (negative on a
+        // folded pair carrying flow the other way).
+        for (from, e, _) in self.edge_pairs() {
+            balance[from as usize] -= e.flow;
+            balance[e.to as usize] += e.flow;
         }
         balance
             .iter()
@@ -230,6 +257,64 @@ mod tests {
         assert!((net.edge(e ^ 1).residual() - 3.0).abs() < 1e-12);
         net.reset_flow();
         assert_eq!(net.edge(e).flow, 0.0);
+    }
+
+    #[test]
+    fn folded_pair_shares_one_record_pair() {
+        let mut net = FlowNetwork::new(3);
+        net.add_edge(0, 1, 1.0);
+        let e = net.add_edge_pair(1, 2, 3.0, 5.0);
+        assert_eq!(e, 2);
+        assert_eq!(net.num_edges(), 2);
+        assert_eq!((net.edge(e).to, net.edge(e).cap), (2, 3.0));
+        assert_eq!((net.edge(e ^ 1).to, net.edge(e ^ 1).cap), (1, 5.0));
+        // One adjacency slot per endpoint, not two.
+        assert_eq!(net.out_edges(1), &[1, e]);
+        assert_eq!(net.out_edges(2), &[e ^ 1]);
+        let pairs: Vec<(NodeId, f64, f64)> = net
+            .edge_pairs()
+            .map(|(from, fwd, back)| (from, fwd.cap, back.cap))
+            .collect();
+        assert_eq!(pairs, vec![(0, 1.0, 0.0), (1, 3.0, 5.0)]);
+    }
+
+    #[test]
+    fn folded_pair_flow_runs_both_ways() {
+        let mut net = FlowNetwork::new(2);
+        let e = net.add_edge_pair(0, 1, 3.0, 5.0);
+        // Residuals start at the two capacities.
+        assert_eq!(net.edge(e).residual(), 3.0);
+        assert_eq!(net.edge(e ^ 1).residual(), 5.0);
+        // Pushing one way frees capacity the other way.
+        net.push(e, 2.0);
+        assert_eq!(net.edge(e).residual(), 1.0);
+        assert_eq!(net.edge(e ^ 1).residual(), 7.0);
+        // The net flow can turn negative, down to −cap(e ^ 1).
+        net.push(e ^ 1, 7.0);
+        assert_eq!(net.edge(e).flow, -5.0);
+        assert_eq!(net.edge(e).residual(), 8.0);
+        assert_eq!(net.edge(e ^ 1).residual(), 0.0);
+        assert!(net.conserves_flow(0, 1));
+        assert_eq!(net.outflow(0), -5.0);
+        net.reset_flow();
+        assert_eq!(net.edge(e ^ 1).residual(), 5.0);
+    }
+
+    #[test]
+    fn folded_pair_clamps_negative_capacities() {
+        let mut net = FlowNetwork::new(2);
+        let e = net.add_edge_pair(0, 1, -1.0, -2.0);
+        assert_eq!(net.edge(e).cap, 0.0);
+        assert_eq!(net.edge(e ^ 1).cap, 0.0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "overruns capacity")]
+    fn push_past_capacity_is_rejected_in_debug() {
+        let mut net = FlowNetwork::new(2);
+        let e = net.add_edge_pair(0, 1, 3.0, 5.0);
+        net.push(e ^ 1, 6.0);
     }
 
     #[test]

@@ -12,10 +12,12 @@ use dsd_graph::testing::XorShift;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// A network's arcs as `(u, v, cap_uv, cap_vu)`: `cap_vu > 0` adds a
+/// folded antiparallel pair, `cap_vu = 0` a plain arc.
 #[derive(Clone, Debug)]
 struct NetSpec {
     n: usize,
-    edges: Vec<(u32, u32, f64)>,
+    edges: Vec<(u32, u32, f64, f64)>,
 }
 
 fn random_spec(rng: &mut XorShift) -> NetSpec {
@@ -27,6 +29,7 @@ fn random_spec(rng: &mut XorShift) -> NetSpec {
                 (rng.next() % n as u64) as u32,
                 (rng.next() % n as u64) as u32,
                 rng.unit_f64() * 20.0,
+                0.0,
             )
         })
         .collect();
@@ -35,26 +38,30 @@ fn random_spec(rng: &mut XorShift) -> NetSpec {
 
 fn build(spec: &NetSpec) -> FlowNetwork {
     let mut net = FlowNetwork::new(spec.n);
-    for &(u, v, cap) in &spec.edges {
-        if u != v {
+    for &(u, v, cap, back) in &spec.edges {
+        if u == v {
+            continue;
+        }
+        if back > 0.0 {
+            net.add_edge_pair(u, v, cap, back);
+        } else {
             net.add_edge(u, v, cap);
         }
     }
     net
 }
 
-/// Sum of capacities crossing from the source side to the rest.
+/// Sum of capacities crossing from the source side to the rest. Every
+/// arc counts: a plain arc's residual twin has capacity 0, and a folded
+/// pair's back arc carries its own capacity.
 fn cut_capacity(net: &FlowNetwork, side: &[NodeId]) -> f64 {
     let inside = |v: NodeId| side.contains(&v);
     let mut cap = 0.0;
     for v in side {
         for &e in net.out_edges(*v) {
-            // Forward edges only (even ids).
-            if e % 2 == 0 {
-                let edge = net.edge(e);
-                if !inside(edge.to) {
-                    cap += edge.cap;
-                }
+            let edge = net.edge(e);
+            if !inside(edge.to) {
+                cap += edge.cap;
             }
         }
     }
@@ -104,11 +111,12 @@ fn edmonds_karp(net: &mut FlowNetwork, s: NodeId, t: NodeId) -> f64 {
 /// feasible and conserved, `flow` is what reaches the sink, and the
 /// extracted min cut separates s from t with capacity equal to `flow`.
 fn assert_certified(net: &FlowNetwork, s: NodeId, t: NodeId, flow: f64, ctx: &str) {
-    for (_, e) in net.forward_edges() {
+    for (_, e, back) in net.edge_pairs() {
         assert!(
-            e.flow >= -1e-9 && e.flow <= e.cap + 1e-9,
-            "{ctx}: infeasible edge flow {} / cap {}",
+            e.flow >= -back.cap - 1e-9 && e.flow <= e.cap + 1e-9,
+            "{ctx}: infeasible edge flow {} / caps [{}, {}]",
             e.flow,
+            back.cap,
             e.cap
         );
     }
@@ -145,6 +153,7 @@ fn seeded_spec(rng: &mut StdRng, n_max: usize, density: usize, max_cap: f64) -> 
                     rng.gen_range(0u32..n as u32),
                     rng.gen_range(0u32..n as u32),
                     rng.gen_range(0.05f64..max_cap),
+                    0.0,
                 )
             })
             .collect(),
@@ -216,6 +225,63 @@ fn dinic_matches_edmonds_karp_on_seeded_networks() {
         assert_certified(&dinic_net, s, t, f_dinic, &format!("seed {seed} dinic"));
         assert_certified(&ek_net, s, t, f_ek, &format!("seed {seed} edmonds-karp"));
     }
+}
+
+/// Folded pairs: on seeded networks where about half the arcs are folded
+/// antiparallel pairs (both directions carrying capacity) and the rest
+/// are plain, Dinic agrees with Edmonds–Karp on the max-flow value and on
+/// the minimal min-cut source side, and both runs certify — the same
+/// network with every folded pair split into two plain arcs gives the
+/// same value and the same cut side.
+#[test]
+fn dinic_matches_edmonds_karp_on_folded_networks() {
+    let mut folded_pairs = 0;
+    for seed in 0..prop_iters(300) {
+        let mut rng = StdRng::seed_from_u64(0xF01D ^ seed);
+        let mut spec = seeded_spec(&mut rng, 20, 5, 20.0);
+        for edge in &mut spec.edges {
+            if rng.gen_bool(0.5) {
+                edge.3 = rng.gen_range(0.05f64..20.0);
+                folded_pairs += 1;
+            }
+        }
+        let s: NodeId = 0;
+        let t: NodeId = (spec.n - 1) as NodeId;
+        let ctx = format!("seed {seed}");
+        let mut dinic_net = build(&spec);
+        let mut ek_net = build(&spec);
+        let f_dinic = Dinic::new().max_flow(&mut dinic_net, s, t);
+        let f_ek = edmonds_karp(&mut ek_net, s, t);
+        assert!(
+            (f_dinic - f_ek).abs() < 1e-6,
+            "{ctx}: dinic {f_dinic} vs edmonds-karp {f_ek}"
+        );
+        assert_certified(&dinic_net, s, t, f_dinic, &format!("{ctx} dinic"));
+        assert_certified(&ek_net, s, t, f_ek, &format!("{ctx} edmonds-karp"));
+        let side = min_cut_source_side(&dinic_net, s);
+        assert_eq!(side, min_cut_source_side(&ek_net, s), "{ctx}: cut sides");
+
+        let mut split = FlowNetwork::new(spec.n);
+        for &(u, v, cap, back) in &spec.edges {
+            if u != v {
+                split.add_edge(u, v, cap);
+                if back > 0.0 {
+                    split.add_edge(v, u, back);
+                }
+            }
+        }
+        let f_split = Dinic::new().max_flow(&mut split, s, t);
+        assert!(
+            (f_dinic - f_split).abs() < 1e-6,
+            "{ctx}: folded {f_dinic} vs split {f_split}"
+        );
+        assert_eq!(
+            side,
+            min_cut_source_side(&split, s),
+            "{ctx}: split cut side"
+        );
+    }
+    assert!(folded_pairs > 0);
 }
 
 /// Parametric resolve: after monotone non-decreasing capacity bumps,

@@ -5,7 +5,7 @@
 use dsd::core::{core_exact, peel_app, DsdEngine, Guarantee, Method, Objective, Outcome, Solution};
 use dsd::datasets::chung_lu;
 use dsd::graph::testing::XorShift;
-use dsd::graph::Graph;
+use dsd::graph::{Graph, GraphUpdate};
 use dsd::motif::Pattern;
 
 /// A graph with enough structure that every objective has a non-trivial
@@ -284,4 +284,84 @@ fn owned_and_borrowed_engines_agree() {
     let b = owned.request(&psi).method(Method::CoreExact).solve();
     assert_eq!(a.vertices, b.vertices);
     assert_eq!(a.density.to_bits(), b.density.to_bits());
+}
+
+/// `g` without the deleted edges.
+fn without(g: &Graph, deleted: &[GraphUpdate]) -> Graph {
+    let gone: Vec<(u32, u32)> = deleted
+        .iter()
+        .map(|update| {
+            let (u, v) = update.endpoints();
+            (u.min(v), u.max(v))
+        })
+        .collect();
+    let kept: Vec<(u32, u32)> = g.edges().filter(|e| !gone.contains(e)).collect();
+    Graph::from_edges(g.num_vertices(), &kept)
+}
+
+/// Two random blocks of different density (vertices 0..40 at 30%,
+/// 40..80 at 20%) joined by a few random edges, so that round 1 of a
+/// top-k scan searches the second block — where peeling alone rarely
+/// finds the optimum and a flow probe certifies a witness.
+fn two_blocks(rng: &mut XorShift) -> Graph {
+    let mut edges = Vec::new();
+    for (block, percent) in [(0u32..40, 30), (40..80, 20)] {
+        for u in block.clone() {
+            for v in (u + 1)..block.end {
+                if rng.next() % 100 < percent {
+                    edges.push((u, v));
+                }
+            }
+        }
+    }
+    for _ in 0..4 {
+        edges.push(((rng.next() % 40) as u32, 40 + (rng.next() % 40) as u32));
+    }
+    Graph::from_edges(80, &edges)
+}
+
+/// A warm TopK request leaves cached residual networks behind, each with
+/// the witness it certified. An update that thins round 1's answer moves
+/// the graph to a new epoch, and the next TopK must equal a fresh
+/// engine's answer on the updated graph: no network, and so no witness,
+/// survives the epoch.
+#[test]
+fn top_k_witnesses_do_not_survive_an_update() {
+    let mut rng = XorShift::new(0x70C1);
+    let mut changed = 0;
+    for case in 0..12 {
+        let g = two_blocks(&mut rng);
+        let psi = if case % 2 == 0 {
+            Pattern::edge()
+        } else {
+            Pattern::triangle()
+        };
+        let label = format!("case {case} {}", psi.name());
+        let engine = DsdEngine::new(g.clone());
+        let before = engine.request(&psi).objective(Objective::TopK(3)).solve();
+        let again = engine.request(&psi).objective(Objective::TopK(3)).solve();
+        assert_identical(&before, &again, &format!("{label} warm repeat"));
+        let Some(round1) = before.subgraphs.get(1) else {
+            continue;
+        };
+        // Delete three edges inside round 1's answer.
+        let members = &round1.vertices;
+        let deleted: Vec<GraphUpdate> = g
+            .edges()
+            .filter(|(u, v)| members.contains(u) && members.contains(v))
+            .take(3)
+            .map(|(u, v)| GraphUpdate::Delete(u, v))
+            .collect();
+        engine.apply(&deleted);
+        let after = engine.request(&psi).objective(Objective::TopK(3)).solve();
+        let fresh = DsdEngine::new(without(&g, &deleted))
+            .request(&psi)
+            .objective(Objective::TopK(3))
+            .solve();
+        assert_identical(&after, &fresh, &format!("{label} after update"));
+        if after.subgraphs.get(1) != Some(round1) {
+            changed += 1;
+        }
+    }
+    assert!(changed >= 6, "only {changed} updates changed round 1");
 }

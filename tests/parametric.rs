@@ -632,3 +632,51 @@ fn witness_jump_search_matches_bisection_reference() {
         "witness jumps used {jump_probes} probes vs bisection's {ref_probes}"
     );
 }
+
+/// Residual top-k rounds run on the parent graph's substrates, so their
+/// component networks are cached like round 0's and keep the witnesses
+/// they certified. A repeat TopK(3) on one engine must return the same
+/// answers — both equal to the bisection reference — while its flow
+/// probes resolve from those witnesses at a tenth of the first request's
+/// augmenting work or less.
+#[test]
+fn repeat_top_k_resolves_from_cached_witnesses() {
+    use dsd::core::{DsdEngine, Objective};
+
+    let mut graphs: Vec<Graph> = planted_graphs().into_iter().map(|(g, _)| g).collect();
+    for seed in 0..4u64 {
+        let mut rng = XorShift::new(0x7F3D ^ (seed * 2741));
+        graphs.push(rng.random_graph(50, 70, 20));
+    }
+    let patterns = [
+        Pattern::edge(),
+        Pattern::triangle(),
+        Pattern::clique(4),
+        Pattern::diamond(),
+    ];
+    for (i, g) in graphs.iter().enumerate() {
+        let engine = DsdEngine::over(g);
+        for psi in &patterns {
+            let label = format!("graph {i} {} top-3", psi.name());
+            let want = ref_top_k(g, psi, 3, &mut 0);
+            let first = engine.request(psi).objective(Objective::TopK(3)).solve();
+            let repeat = engine.request(psi).objective(Objective::TopK(3)).solve();
+            for (name, got) in [("first", &first), ("repeat", &repeat)] {
+                assert_eq!(got.subgraphs.len(), want.len(), "{label} {name}: rounds");
+                for (round, (a, b)) in got.subgraphs.iter().zip(&want).enumerate() {
+                    assert_same(&format!("{label} {name} round {round}"), a, b);
+                }
+            }
+            let (cold, warm) = (
+                first.stats.flow_augment_work,
+                repeat.stats.flow_augment_work,
+            );
+            println!("{label}: augment work {cold} -> {warm}");
+            assert!(cold > 0, "{label}: the first request ran no flow");
+            assert!(
+                warm * 10 < cold,
+                "{label}: repeat augment work {warm} vs first {cold}"
+            );
+        }
+    }
+}
