@@ -3,7 +3,7 @@
 //! `Instant`-timed harness — no criterion offline.
 
 use dsd_bench::util::report;
-use dsd_core::{core_exact, core_exact_with, exact, CoreExactConfig};
+use dsd_core::{core_exact, exact, CoreExactConfig, Substrates};
 use dsd_datasets::chung_lu;
 use dsd_motif::Pattern;
 
@@ -37,7 +37,7 @@ fn main() {
             ..CoreExactConfig::default()
         };
         report(name, 5, || {
-            std::hint::black_box(core_exact_with(&g, &psi, config));
+            std::hint::black_box(Substrates::cold(&g, &psi).core_exact(config));
         });
     }
 }

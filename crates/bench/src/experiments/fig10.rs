@@ -1,7 +1,7 @@
 //! Figure 10: the individual effect of CoreExact's three pruning criteria.
 //! P1/P2/P3 enable exactly one pruning each; "All" is the full CoreExact.
 
-use dsd_core::{core_exact_with, CoreExactConfig};
+use dsd_core::{CoreExactConfig, Substrates};
 use dsd_datasets::dataset;
 use dsd_motif::Pattern;
 
@@ -40,7 +40,7 @@ pub fn run(quick: bool) {
             let mut row = vec![format!("{h}-clique")];
             let mut reference_density: Option<f64> = None;
             for (_, cfg) in &variants {
-                let ((r, _), t) = time(|| core_exact_with(&g, &psi, *cfg));
+                let ((r, _), t) = time(|| Substrates::cold(&g, &psi).core_exact(*cfg));
                 if let Some(ref_d) = reference_density {
                     assert!(
                         (r.density - ref_d).abs() < 1e-6,

@@ -13,9 +13,8 @@ use dsd_graph::{Graph, VertexId, VertexSet};
 use dsd_motif::binomial;
 use dsd_motif::pattern::{Pattern, PatternKind};
 
-use crate::clique_core::{decompose, CliqueCoreDecomposition};
-use crate::kcore::{k_core_decomposition, KCoreDecomposition};
-use crate::oracle::{density, oracle_for, DensityOracle};
+use crate::oracle::{density, DensityOracle};
+use crate::substrates::Substrates;
 use crate::types::DsdResult;
 
 /// Result of an approximation run: the (kmax, Ψ)-core and its order.
@@ -27,125 +26,95 @@ pub struct ApproxResult {
     pub kmax: u64,
 }
 
-/// Algorithm 5: full decomposition, return the (kmax, Ψ)-core.
-pub fn inc_app(g: &Graph, psi: &Pattern) -> ApproxResult {
-    let oracle = oracle_for(psi);
-    let dec = decompose(g, oracle.as_ref());
-    inc_app_from(g, oracle.as_ref(), &dec)
-}
-
-/// [`inc_app`] against caller-provided (possibly warm) substrates: reads
-/// the (kmax, Ψ)-core straight out of the decomposition.
-pub fn inc_app_from(
-    g: &Graph,
-    oracle: &dyn DensityOracle,
-    dec: &CliqueCoreDecomposition,
-) -> ApproxResult {
-    let core = dec.max_core();
-    finish(g, oracle, core.to_vec(), dec.kmax)
-}
-
-/// [`inc_app`] for h-cliques with the initial clique-degree pass — the
-/// dominant cost on large graphs — parallelized over the configured
-/// workers (Section 6.3's parallelizability remark).
-pub fn inc_app_parallel(g: &Graph, h: usize, parallelism: crate::Parallelism) -> ApproxResult {
-    let oracle = crate::oracle::ParallelCliqueOracle::new(h, parallelism);
-    let dec = decompose(g, &oracle);
-    let core = dec.max_core();
-    finish(g, &oracle, core.to_vec(), dec.kmax)
-}
-
-fn finish(
-    g: &Graph,
-    oracle: &dyn DensityOracle,
-    mut vertices: Vec<VertexId>,
-    kmax: u64,
-) -> ApproxResult {
-    vertices.sort_unstable();
-    let set = VertexSet::from_members(g.num_vertices(), &vertices);
-    let rho = density(oracle, g, &set);
-    ApproxResult {
-        result: DsdResult {
-            vertices,
-            density: rho,
-        },
-        kmax,
-    }
-}
-
-/// The γ(v, Ψ) upper bound of Algorithm 6 line 1.
-///
-/// * Cliques: `γ(v) = C(x, h−1)` with `x` the classical core number — a
-///   sound bound on the clique-*core* number (the min-degree vertex of the
-///   (k, Ψ)-core has classical degree ≥ its clique count's support).
-/// * Stars / diamond: the Appendix-D closed forms make the *exact* degree
-///   as cheap as any bound, so γ = deg.
-/// * General patterns: γ = exact degree via enumeration (the same cost
-///   PeelApp pays up front).
-pub fn gamma_bounds(g: &Graph, psi: &Pattern) -> Vec<u64> {
-    let oracle = oracle_for(psi);
-    gamma_bounds_from(g, psi, oracle.as_ref(), None)
-}
-
-/// [`gamma_bounds`] against caller-provided (possibly warm) substrates:
-/// the oracle for degree-based bounds and, for cliques, the classical
-/// k-core order (computed cold when absent).
-pub fn gamma_bounds_from(
-    g: &Graph,
-    psi: &Pattern,
-    oracle: &dyn DensityOracle,
-    kcore: Option<&KCoreDecomposition>,
-) -> Vec<u64> {
-    match psi.kind() {
-        PatternKind::Clique(h) => {
-            let gamma_of = |cores: &KCoreDecomposition| {
-                cores
-                    .core
-                    .iter()
-                    .map(|&x| binomial(x as u64, h as u64 - 1))
-                    .collect()
-            };
-            match kcore {
-                Some(cores) => gamma_of(cores),
-                None => gamma_of(&k_core_decomposition(g)),
-            }
-        }
-        _ => oracle.degrees(g, &VertexSet::full(g.num_vertices())),
-    }
-}
-
-/// Default initial frontier size for [`core_app`]'s doubling schedule,
-/// shared with the engine so the free function stays a bit-identical shim.
-pub const CORE_APP_DEFAULT_SEED: usize = 64;
-
-/// Algorithm 6: top-down (kmax, Ψ)-core discovery with frontier doubling.
-pub fn core_app(g: &Graph, psi: &Pattern) -> ApproxResult {
-    core_app_with_seed(g, psi, CORE_APP_DEFAULT_SEED)
-}
-
-/// [`core_app`] with an explicit initial frontier size (the paper leaves
-/// the seed open; doubling makes total work a geometric series regardless).
-pub fn core_app_with_seed(g: &Graph, psi: &Pattern, seed: usize) -> ApproxResult {
-    let oracle = oracle_for(psi);
-    core_app_from(g, psi, oracle.as_ref(), seed, None)
-}
-
-/// [`core_app`] against caller-provided (possibly warm) substrates.
-pub fn core_app_from(
-    g: &Graph,
-    psi: &Pattern,
-    oracle: &dyn DensityOracle,
-    seed: usize,
-    kcore: Option<&KCoreDecomposition>,
-) -> ApproxResult {
-    let n = g.num_vertices();
-    if n == 0 {
-        return ApproxResult {
+impl ApproxResult {
+    /// No subgraph: the graph holds no Ψ instance, so kmax = 0.
+    fn empty() -> Self {
+        ApproxResult {
             result: DsdResult::empty(),
             kmax: 0,
-        };
+        }
     }
-    let gamma = gamma_bounds_from(g, psi, oracle, kcore);
+}
+
+/// Algorithm 5: full decomposition, return the (kmax, Ψ)-core. Builds the
+/// substrates cold.
+pub fn inc_app(g: &Graph, psi: &Pattern) -> ApproxResult {
+    Substrates::cold(g, psi).inc_app()
+}
+
+/// The γ(v, Ψ) upper bound of Algorithm 6 line 1, built cold; see
+/// [`Substrates::gamma_bounds`].
+pub fn gamma_bounds(g: &Graph, psi: &Pattern) -> Vec<u64> {
+    Substrates::cold(g, psi).gamma_bounds()
+}
+
+/// Algorithm 6: top-down (kmax, Ψ)-core discovery with frontier doubling.
+/// Builds the substrates cold.
+pub fn core_app(g: &Graph, psi: &Pattern) -> ApproxResult {
+    Substrates::cold(g, psi).core_app()
+}
+
+/// Initial frontier size of [`Substrates::core_app`]'s doubling schedule
+/// (the paper leaves the seed open; doubling makes total work a geometric
+/// series regardless).
+const CORE_APP_SEED: usize = 64;
+
+impl Substrates<'_> {
+    /// Algorithm 5: reads the (kmax, Ψ)-core straight out of this
+    /// context's decomposition. Empty when the graph holds no Ψ instance.
+    pub fn inc_app(&self) -> ApproxResult {
+        let dec = self.decomposition();
+        if dec.kmax == 0 {
+            return ApproxResult::empty();
+        }
+        finish(
+            self.graph(),
+            self.oracle(),
+            dec.max_core().to_vec(),
+            dec.kmax,
+        )
+    }
+
+    /// The γ(v, Ψ) upper bound of Algorithm 6 line 1.
+    ///
+    /// * Cliques: `γ(v) = C(x, h−1)` with `x` the classical core number
+    ///   (from this context's k-core order) — a sound bound on the
+    ///   clique-*core* number (the min-degree vertex of the (k, Ψ)-core
+    ///   has classical degree ≥ its clique count's support).
+    /// * Stars / diamond: the Appendix-D closed forms make the *exact*
+    ///   degree as cheap as any bound, so γ = deg.
+    /// * General patterns: γ = exact degree via enumeration (the same cost
+    ///   PeelApp pays up front).
+    pub fn gamma_bounds(&self) -> Vec<u64> {
+        match self.pattern().kind() {
+            PatternKind::Clique(h) => self
+                .kcore()
+                .core
+                .iter()
+                .map(|&x| binomial(x as u64, h as u64 - 1))
+                .collect(),
+            _ => {
+                let g = self.graph();
+                self.oracle().degrees(g, &VertexSet::full(g.num_vertices()))
+            }
+        }
+    }
+
+    /// Algorithm 6: top-down (kmax, Ψ)-core discovery with frontier
+    /// doubling. Empty when the graph holds no Ψ instance.
+    pub fn core_app(&self) -> ApproxResult {
+        core_app_seeded(self, CORE_APP_SEED)
+    }
+}
+
+/// [`Substrates::core_app`] from an initial frontier of `seed` vertices.
+fn core_app_seeded(s: &Substrates, seed: usize) -> ApproxResult {
+    let (g, oracle) = (s.graph(), s.oracle());
+    let gamma = s.gamma_bounds();
+    let n = g.num_vertices();
+    if n == 0 {
+        return ApproxResult::empty();
+    }
     // Vertices sorted by γ descending (line 2).
     let mut order: Vec<VertexId> = (0..n as VertexId).collect();
     order.sort_unstable_by(|&a, &b| gamma[b as usize].cmp(&gamma[a as usize]));
@@ -204,16 +173,36 @@ pub fn core_app_from(
     }
 
     if kmax == 0 {
-        // The (0, Ψ)-core is the whole graph (density 0 either way).
-        return finish(g, oracle, g.vertices().collect(), 0);
+        return ApproxResult::empty();
     }
     finish(g, oracle, s_star, kmax)
+}
+
+fn finish(
+    g: &Graph,
+    oracle: &dyn DensityOracle,
+    mut vertices: Vec<VertexId>,
+    kmax: u64,
+) -> ApproxResult {
+    vertices.sort_unstable();
+    let set = VertexSet::from_members(g.num_vertices(), &vertices);
+    let rho = density(oracle, g, &set);
+    ApproxResult {
+        result: DsdResult {
+            vertices,
+            density: rho,
+        },
+        kmax,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clique_core::decompose;
     use crate::exact::exact;
+    use crate::oracle::{oracle_for, ParallelCliqueOracle};
+    use crate::Parallelism;
 
     fn planted() -> Graph {
         // K7 planted in a 40-vertex sparse ring.
@@ -256,23 +245,29 @@ mod tests {
     fn core_app_seed_invariance() {
         let g = planted();
         let psi = Pattern::triangle();
-        let reference = core_app_with_seed(&g, &psi, 64);
+        let s = Substrates::cold(&g, &psi);
+        let reference = core_app_seeded(&s, 64);
         for seed in [1, 2, 5, 17, 40, 1000] {
-            let r = core_app_with_seed(&g, &psi, seed);
+            let r = core_app_seeded(&s, seed);
             assert_eq!(r.kmax, reference.kmax, "seed {seed}");
             assert_eq!(r.result.vertices, reference.result.vertices, "seed {seed}");
         }
     }
 
+    /// The parallel h-clique degree pass decomposes exactly like the
+    /// serial oracle, so IncApp's (kmax, Ψ)-core is the same through it.
     #[test]
-    fn parallel_inc_app_matches_sequential() {
+    fn parallel_clique_oracle_matches_sequential() {
         let g = planted();
         for h in 2..=4usize {
             let seq = inc_app(&g, &Pattern::clique(h));
             for threads in [1, 2, 4] {
-                let par = inc_app_parallel(&g, h, crate::Parallelism::new(threads));
+                let oracle = ParallelCliqueOracle::new(h, Parallelism::new(threads));
+                let par = decompose(&g, &oracle);
                 assert_eq!(par.kmax, seq.kmax, "h {h} threads {threads}");
-                assert_eq!(par.result.vertices, seq.result.vertices);
+                let mut core = par.max_core().to_vec();
+                core.sort_unstable();
+                assert_eq!(core, seq.result.vertices, "h {h} threads {threads}");
             }
         }
     }
@@ -294,7 +289,7 @@ mod tests {
         let g = Graph::from_edges(150, &edges);
         let psi = Pattern::edge();
         let a = inc_app(&g, &psi);
-        let b = core_app_with_seed(&g, &psi, 64);
+        let b = core_app(&g, &psi);
         assert_eq!(a.kmax, 4);
         assert_eq!(b.kmax, 4);
         assert_eq!(a.result.vertices.len(), 150);
@@ -325,15 +320,20 @@ mod tests {
         assert!(r.result.density <= r.kmax as f64 + 1e-9);
     }
 
+    /// A graph without a Ψ instance has no densest subgraph: both
+    /// approximations come back empty, as PeelApp and the exact methods
+    /// do, rather than as the whole graph at density 0.
     #[test]
-    fn zero_instance_graph_returns_whole_graph() {
+    fn zero_instance_graph_returns_empty() {
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let r = core_app(&g, &Pattern::triangle());
-        assert_eq!(r.kmax, 0);
-        assert_eq!(r.result.vertices, vec![0, 1, 2, 3]);
-        assert_eq!(r.result.density, 0.0);
-        let i = inc_app(&g, &Pattern::triangle());
-        assert_eq!(i.kmax, 0);
+        for r in [
+            core_app(&g, &Pattern::triangle()),
+            inc_app(&g, &Pattern::triangle()),
+        ] {
+            assert_eq!(r.kmax, 0);
+            assert!(r.result.is_empty());
+            assert_eq!(r.result.density, 0.0);
+        }
     }
 
     #[test]

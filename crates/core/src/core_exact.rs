@@ -50,10 +50,11 @@ use dsd_graph::{connected_components_within, Graph, VertexId};
 use dsd_motif::Pattern;
 
 use crate::alpha_search::{alpha_search, effective_gap, DecisionProbe, ExactStats, FirstProbe};
-use crate::clique_core::{decompose, CliqueCoreDecomposition};
+use crate::clique_core::CliqueCoreDecomposition;
 use crate::exact::{acquire_network, release_network};
 use crate::flownet::{DensityNetwork, NetworkLender};
-use crate::oracle::{member_density, oracle_for, DensityOracle};
+use crate::oracle::{member_density, DensityOracle};
+use crate::substrates::Substrates;
 use crate::types::DsdResult;
 
 /// Pruning switches (Figure 10's P1/P2/P3 ablation) plus the
@@ -97,7 +98,8 @@ impl Default for CoreExactConfig {
 /// Instrumentation from a CoreExact run (Figures 9–10, Table 3).
 #[derive(Clone, Debug, Default)]
 pub struct CoreExactStats {
-    /// Wall time of the (k, Ψ)-core decomposition.
+    /// Wall time the run's context spent building the (k, Ψ)-core
+    /// decomposition (0 when it came out of the engine's cache).
     pub decomposition_nanos: u128,
     /// Total wall time.
     pub total_nanos: u128,
@@ -204,201 +206,172 @@ impl DecisionProbe for ComponentProbe<'_> {
     }
 }
 
-/// Runs CoreExact (cliques) / CorePExact (general patterns) with the given
-/// configuration, building the substrates cold.
-pub fn core_exact_with(
-    g: &Graph,
-    psi: &Pattern,
-    config: CoreExactConfig,
-) -> (DsdResult, CoreExactStats) {
-    let oracle = oracle_for(psi);
-    let t_dec = Instant::now();
-    let dec = decompose(g, oracle.as_ref());
-    let dec_nanos = t_dec.elapsed().as_nanos();
-    let (result, mut stats) = core_exact_from(g, psi, config, oracle.as_ref(), &dec);
-    stats.decomposition_nanos = dec_nanos;
-    stats.total_nanos += dec_nanos;
-    (result, stats)
-}
-
-/// The flow/α-search phase of CoreExact against caller-provided
-/// (possibly warm) substrates: the density oracle and the (k, Ψ)-core
-/// decomposition. `decomposition_nanos` is left at 0 — warm callers paid
-/// that cost on an earlier request.
-pub fn core_exact_from(
-    g: &Graph,
-    psi: &Pattern,
-    config: CoreExactConfig,
-    oracle: &dyn DensityOracle,
-    dec: &CliqueCoreDecomposition,
-) -> (DsdResult, CoreExactStats) {
-    core_exact_with_lender(g, psi, config, oracle, dec, None)
-}
-
-/// [`core_exact_from`] with a network lender: every component network
-/// (including Pruning3's shrink restarts) is borrowed from the lender's
-/// cache when warm and returned afterwards, so repeat requests on an
-/// unchanged graph skip construction entirely.
-pub(crate) fn core_exact_with_lender(
-    g: &Graph,
-    psi: &Pattern,
-    config: CoreExactConfig,
-    oracle: &dyn DensityOracle,
-    dec: &CliqueCoreDecomposition,
-    lender: Option<&dyn NetworkLender>,
-) -> (DsdResult, CoreExactStats) {
-    let t_total = Instant::now();
-    let size = psi.vertex_count() as f64;
-    let mut stats = CoreExactStats {
-        kmax: dec.kmax,
-        rho_prime: dec.best_density,
-        ..CoreExactStats::default()
-    };
-
-    if dec.kmax == 0 {
-        stats.total_nanos = t_total.elapsed().as_nanos();
-        return (DsdResult::empty(), stats);
-    }
-
-    // Lower bound and initial answer. Theorem 1 guarantees the (kmax,
-    // Ψ)-core achieves at least kmax/|VΨ|; Pruning1 may beat it with the
-    // ρ′-achieving residual graph.
-    let kmax_bound = dec.kmax as f64 / size;
-    let mut best_vs: Vec<VertexId>;
-    let mut best_rho: f64;
-    {
-        let core_vs = dec.max_core().to_vec();
-        let core_rho = member_density(oracle, g, &core_vs);
-        if config.pruning1 && dec.best_density > core_rho {
-            best_vs = dec.best_residual();
-            best_rho = dec.best_density;
-        } else {
-            best_vs = core_vs;
-            best_rho = core_rho;
-        }
-    }
-    let mut l = if config.pruning1 {
-        dec.best_density.max(kmax_bound)
-    } else {
-        kmax_bound
-    };
-
-    // Step 2: locate the CDS in the (k″, Ψ)-core.
-    let mut k_loc = ceil_k(l).max(1);
-    let mut core_set = dec.core_set(k_loc);
-    if config.pruning2 {
-        // ρ″: densest connected component of the located core.
-        let ccs = connected_components_within(g, &core_set);
-        let mut rho2 = 0.0f64;
-        let mut rho2_vs: Vec<VertexId> = Vec::new();
-        for members in ccs.all_members() {
-            let rho = member_density(oracle, g, &members);
-            if rho > rho2 {
-                rho2 = rho;
-                rho2_vs = members;
-            }
-        }
-        if rho2 > best_rho {
-            best_rho = rho2;
-            best_vs = rho2_vs;
-        }
-        if rho2 > l {
-            l = rho2;
-        }
-        let k2 = ceil_k(rho2);
-        if k2 > k_loc {
-            k_loc = k2;
-            core_set = dec.core_set(k_loc);
-        }
-    }
-    stats.located_k = k_loc;
-    stats.located_size = core_set.len();
-
-    // Step 3: per-component α-search on shrinking networks, all riding
-    // the shared loop with one probe budget across components.
-    let u_global = dec.kmax as f64;
-    stats.exact.initial_bounds = (l, u_global);
-    let budget = config.step_budget.unwrap_or(usize::MAX);
-    let ccs = connected_components_within(g, &core_set);
-    for mut comp in ccs.all_members() {
-        if stats.exact.iterations >= budget {
-            stats.exact.budget_exhausted = true;
-            break;
-        }
-        // Line 6: if l has outgrown the located core level, shrink first.
-        let mut comp_k = k_loc;
-        let lk = ceil_k(l);
-        if lk > comp_k {
-            comp = restrict_to_core(&comp, dec, lk);
-            comp_k = lk;
-        }
-        if comp.len() < psi.vertex_count() {
-            continue;
-        }
-        let gap = effective_gap(
-            if config.pruning3 {
-                comp.len()
-            } else {
-                g.num_vertices()
-            },
-            config.tolerance,
-        );
-        let mut net = acquire_network(g, &comp, psi, true, oracle, lender);
-        net.set_warm_start(config.parametric);
-        // Witness seed: a warm network's best certified witness is a real
-        // subgraph at this epoch, so the search may start from it.
-        if let Some((w, rho)) = net.witness() {
-            if rho > best_rho {
-                best_rho = rho;
-                best_vs = w.to_vec();
-            }
-            l = l.max(rho);
-        }
-        let mut probe = ComponentProbe {
-            g,
-            psi,
-            oracle,
-            dec,
-            parametric: config.parametric,
-            comp,
-            comp_k,
-            net,
-            best_rho: &mut best_rho,
-            best_vs: &mut best_vs,
-            retired_flow: dsd_flow::ResolveStats::default(),
-            lender,
+impl Substrates<'_> {
+    /// Runs CoreExact (cliques) / CorePExact (general patterns) with the
+    /// given configuration on this context's oracle and decomposition.
+    ///
+    /// Every component network (including Pruning3's shrink restarts) is
+    /// borrowed from the context's lender when one is warm and returned
+    /// afterwards, so repeat requests on an unchanged graph skip
+    /// construction entirely.
+    pub fn core_exact(&self, config: CoreExactConfig) -> (DsdResult, CoreExactStats) {
+        let t_total = Instant::now();
+        let (g, psi, oracle, lender) = (self.graph(), self.pattern(), self.oracle(), self.lender());
+        let dec = self.decomposition();
+        let size = psi.vertex_count() as f64;
+        let mut stats = CoreExactStats {
+            decomposition_nanos: self.decomposition_nanos(),
+            kmax: dec.kmax,
+            rho_prime: dec.best_density,
+            ..CoreExactStats::default()
         };
-        // Lines 7-9 are the search's first probe: can this component beat
-        // the current lower bound at all? An infeasible probe at l ends
-        // the search; a feasible one checkpoints the flow state the
-        // parametric chain warm-resolves from and jumps l to its witness.
-        let outcome = alpha_search(
-            &mut probe,
-            (l, u_global),
-            FirstProbe::Lower,
-            gap,
-            budget,
-            &mut stats.exact,
-        );
-        l = outcome.lower;
-        stats.exact.absorb_flow(probe.flow_stats());
-        release_network(&probe.comp, probe.net, lender);
-    }
 
-    best_vs.sort_unstable();
-    stats.total_nanos = t_total.elapsed().as_nanos();
-    (
-        DsdResult {
-            vertices: best_vs,
-            density: best_rho,
-        },
-        stats,
-    )
+        if dec.kmax == 0 {
+            stats.total_nanos = t_total.elapsed().as_nanos();
+            return (DsdResult::empty(), stats);
+        }
+
+        // Lower bound and initial answer. Theorem 1 guarantees the (kmax,
+        // Ψ)-core achieves at least kmax/|VΨ|; Pruning1 may beat it with the
+        // ρ′-achieving residual graph.
+        let kmax_bound = dec.kmax as f64 / size;
+        let mut best_vs: Vec<VertexId>;
+        let mut best_rho: f64;
+        {
+            let core_vs = dec.max_core().to_vec();
+            let core_rho = member_density(oracle, g, &core_vs);
+            if config.pruning1 && dec.best_density > core_rho {
+                best_vs = dec.best_residual();
+                best_rho = dec.best_density;
+            } else {
+                best_vs = core_vs;
+                best_rho = core_rho;
+            }
+        }
+        let mut l = if config.pruning1 {
+            dec.best_density.max(kmax_bound)
+        } else {
+            kmax_bound
+        };
+
+        // Step 2: locate the CDS in the (k″, Ψ)-core.
+        let mut k_loc = ceil_k(l).max(1);
+        let mut core_set = dec.core_set(k_loc);
+        if config.pruning2 {
+            // ρ″: densest connected component of the located core.
+            let ccs = connected_components_within(g, &core_set);
+            let mut rho2 = 0.0f64;
+            let mut rho2_vs: Vec<VertexId> = Vec::new();
+            for members in ccs.all_members() {
+                let rho = member_density(oracle, g, &members);
+                if rho > rho2 {
+                    rho2 = rho;
+                    rho2_vs = members;
+                }
+            }
+            if rho2 > best_rho {
+                best_rho = rho2;
+                best_vs = rho2_vs;
+            }
+            if rho2 > l {
+                l = rho2;
+            }
+            let k2 = ceil_k(rho2);
+            if k2 > k_loc {
+                k_loc = k2;
+                core_set = dec.core_set(k_loc);
+            }
+        }
+        stats.located_k = k_loc;
+        stats.located_size = core_set.len();
+
+        // Step 3: per-component α-search on shrinking networks, all riding
+        // the shared loop with one probe budget across components.
+        let u_global = dec.kmax as f64;
+        stats.exact.initial_bounds = (l, u_global);
+        let budget = config.step_budget.unwrap_or(usize::MAX);
+        let ccs = connected_components_within(g, &core_set);
+        for mut comp in ccs.all_members() {
+            if stats.exact.iterations >= budget {
+                stats.exact.budget_exhausted = true;
+                break;
+            }
+            // Line 6: if l has outgrown the located core level, shrink first.
+            let mut comp_k = k_loc;
+            let lk = ceil_k(l);
+            if lk > comp_k {
+                comp = restrict_to_core(&comp, dec, lk);
+                comp_k = lk;
+            }
+            if comp.len() < psi.vertex_count() {
+                continue;
+            }
+            let gap = effective_gap(
+                if config.pruning3 {
+                    comp.len()
+                } else {
+                    g.num_vertices()
+                },
+                config.tolerance,
+            );
+            let mut net = acquire_network(g, &comp, psi, true, oracle, lender);
+            net.set_warm_start(config.parametric);
+            // Witness seed: a warm network's best certified witness is a real
+            // subgraph at this epoch, so the search may start from it.
+            if let Some((w, rho)) = net.witness() {
+                if rho > best_rho {
+                    best_rho = rho;
+                    best_vs = w.to_vec();
+                }
+                l = l.max(rho);
+            }
+            let mut probe = ComponentProbe {
+                g,
+                psi,
+                oracle,
+                dec,
+                parametric: config.parametric,
+                comp,
+                comp_k,
+                net,
+                best_rho: &mut best_rho,
+                best_vs: &mut best_vs,
+                retired_flow: dsd_flow::ResolveStats::default(),
+                lender,
+            };
+            // Lines 7-9 are the search's first probe: can this component beat
+            // the current lower bound at all? An infeasible probe at l ends
+            // the search; a feasible one checkpoints the flow state the
+            // parametric chain warm-resolves from and jumps l to its witness.
+            let outcome = alpha_search(
+                &mut probe,
+                (l, u_global),
+                FirstProbe::Lower,
+                gap,
+                budget,
+                &mut stats.exact,
+            );
+            l = outcome.lower;
+            stats.exact.absorb_flow(probe.flow_stats());
+            release_network(&probe.comp, probe.net, lender);
+        }
+
+        best_vs.sort_unstable();
+        stats.total_nanos = t_total.elapsed().as_nanos();
+        (
+            DsdResult {
+                vertices: best_vs,
+                density: best_rho,
+            },
+            stats,
+        )
+    }
 }
 
-/// Runs CoreExact / CorePExact with the default (all prunings) config.
+/// Runs CoreExact / CorePExact with the default (all prunings) config,
+/// building the substrates cold.
 pub fn core_exact(g: &Graph, psi: &Pattern) -> (DsdResult, CoreExactStats) {
-    core_exact_with(g, psi, CoreExactConfig::default())
+    Substrates::cold(g, psi).core_exact(CoreExactConfig::default())
 }
 
 #[cfg(test)]
@@ -474,7 +447,7 @@ mod tests {
                         pruning3: p3,
                         ..CoreExactConfig::default()
                     };
-                    let (r, _) = core_exact_with(&g, &Pattern::triangle(), config);
+                    let (r, _) = Substrates::cold(&g, &Pattern::triangle()).core_exact(config);
                     assert!(
                         (r.density - reference.density).abs() < 1e-7,
                         "prunings {p1}{p2}{p3}: {} vs {}",

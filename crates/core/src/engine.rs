@@ -12,10 +12,19 @@
 //!   (Algorithm 6) and the Section-6.3 query variant's locator.
 //!
 //! The engine owns the graph and memoizes all three, keyed by Ψ's canonical
-//! form (isomorphic patterns share one entry), so a request workload pays
-//! each substrate once instead of once per call. The free functions
-//! (`densest_subgraph` & co.) remain as thin shims that spin up a throwaway
-//! engine per call.
+//! form (isomorphic patterns share one entry), plus the solved flow
+//! networks of the exact searches, so a request workload pays each
+//! substrate once instead of once per call.
+//!
+//! Every request runs through one skeleton, [`DsdEngine::solve`]: it opens
+//! a [`Substrates`] context over the caches, dispatches on
+//! `(Objective, Method)` to the algorithm's single entry point on that
+//! context, and builds the [`Solution`] envelope (flow counters, store
+//! accounting, kmax, the guarantee, the governor ledger call) in one
+//! place. The paper-named free functions (`core_exact(g, psi)` & co.) run
+//! the same entry points on a cold context with no engine at all;
+//! [`crate::densest_subgraph`] is the one free function that goes through
+//! a throwaway engine.
 //!
 //! The engine is `Send + Sync`: the substrate cache sits behind an
 //! [`RwLock`] with double-checked build-once locking, so N threads warming
@@ -26,12 +35,14 @@
 //! many named graphs from one process, see [`crate::serve::DsdServer`].
 //!
 //! The graph is **not** frozen: [`DsdEngine::apply`] takes a batch of
-//! [`GraphUpdate`]s, advances a *graph epoch*, repairs the classical
+//! [`GraphUpdate`]s and advances a *graph epoch*. It repairs the classical
 //! k-core order in place (the incremental maintenance of
-//! [`crate::dynamic`]) and conservatively invalidates the Ψ-substrates.
-//! Every request runs against a consistent [`GraphSnapshot`] and records
-//! its epoch in [`SolveStats::epoch`]; requests in flight during an update
-//! finish on their pre-update snapshot.
+//! [`crate::dynamic`]) and each Ψ-oracle's instance store through its
+//! incidence CSR, falling back to drop-and-rebuild where no sound cheap
+//! repair exists; (k, Ψ)-core decompositions and cached flow networks
+//! always drop. Every request runs against a consistent [`GraphSnapshot`]
+//! and records its epoch in [`SolveStats::epoch`]; requests in flight
+//! during an update finish on their pre-update snapshot.
 //!
 //! ```
 //! use dsd_core::engine::{DsdEngine, Objective};
@@ -61,21 +72,19 @@ use std::time::Instant;
 use dsd_graph::{DeltaGraph, EdgeOverlay, Graph, GraphUpdate, VertexId};
 use dsd_motif::Pattern;
 
-use crate::approx::{core_app_from, inc_app_from};
+use crate::alpha_search::ExactStats;
 use crate::clique_core::{decompose, CliqueCoreDecomposition};
-use crate::core_exact::{core_exact_with_lender, CoreExactConfig};
+use crate::core_exact::CoreExactConfig;
 use crate::dynamic::{repair_delete, repair_insert};
-use crate::exact::{exact_with_lender, ExactOpts};
+use crate::exact::ExactOpts;
 use crate::flownet::{DensityNetwork, Fnv, NetworkLender};
 use crate::kcore::{k_core_decomposition, KCoreDecomposition};
 use crate::oracle::{
     oracle_with_policy, DensityOracle, StoreStats, SubstrateRepair, DEFAULT_STORE_BUDGET,
 };
 use crate::parallelism::Parallelism;
-use crate::peel::peel_app_from;
-use crate::query::densest_with_query_lender;
-use crate::size_constrained::{densest_at_least_k_from, densest_at_most_k_from};
-use crate::top_k::top_k_with_lender;
+use crate::size_constrained::SizeConstrainedOutcome;
+use crate::substrates::{SubstrateSource, Substrates};
 use crate::types::DsdResult;
 use crate::Method;
 
@@ -304,14 +313,6 @@ pub trait CacheObserver: Send + Sync {
 /// `(substrate, cache_hit)` pair.
 type Cached<T> = (T, bool);
 
-/// Result of a decomposition lookup: the oracle, the decomposition (each
-/// with its cache-hit flag), and the build time this call paid (0 on hit).
-type DecompositionLookup = (
-    Cached<Arc<dyn DensityOracle>>,
-    Cached<Arc<CliqueCoreDecomposition>>,
-    u128,
-);
-
 #[derive(Default)]
 struct SubstrateCache {
     /// Graph epoch the cached substrates belong to. Lookups and inserts
@@ -367,10 +368,11 @@ fn member_fingerprint(members: &[VertexId], pinned: &[VertexId]) -> u64 {
     h.finish()
 }
 
-/// The engine-side [`NetworkLender`]: adapts one solve call's `(Ψ key,
-/// snapshot epoch)` context onto the engine's [`NetworkCache`]. Lives on
-/// the stack of the solve arm and is handed down the α-search entry
-/// points by reference.
+/// The engine side of one request's [`Substrates`] context, for one
+/// `(Ψ key, snapshot epoch)`: it takes the oracle, the decomposition and
+/// the classical k-core order from the engine's epoch-keyed caches, and
+/// lends flow networks from its [`NetworkCache`]. Lives on the stack of
+/// [`DsdEngine::solve`].
 struct EngineLender<'a, 'g> {
     engine: &'a DsdEngine<'g>,
     key: PatternKey,
@@ -414,6 +416,24 @@ impl NetworkLender for EngineLender<'_, '_> {
         // A stale put (the graph moved on mid-solve) just drops the
         // network — it was solved against a snapshot nobody will ask
         // about again.
+    }
+}
+
+impl SubstrateSource for EngineLender<'_, '_> {
+    fn oracle(&self, psi: &Pattern) -> Cached<Arc<dyn DensityOracle>> {
+        self.engine.oracle(psi, &self.key, self.epoch)
+    }
+
+    fn decomposition(
+        &self,
+        g: &Graph,
+        oracle: &dyn DensityOracle,
+    ) -> (Arc<CliqueCoreDecomposition>, bool, u128) {
+        self.engine.decomposition(&self.key, g, self.epoch, oracle)
+    }
+
+    fn kcore(&self, g: &Graph) -> Cached<Arc<KCoreDecomposition>> {
+        self.engine.kcore(g, self.epoch)
     }
 }
 
@@ -1223,7 +1243,9 @@ impl<'g> DsdEngine<'g> {
     /// thread won the build race and this call only waited for it).
     pub fn warm(&self, psi: &Pattern) -> u128 {
         let snap = self.graph();
-        let (_, _, nanos) = self.decomposition(psi, &snap);
+        let key = pattern_key(psi);
+        let (oracle, _) = self.oracle(psi, &key, snap.epoch());
+        let (_, _, nanos) = self.decomposition(&key, &snap, snap.epoch(), oracle.as_ref());
         nanos
     }
 
@@ -1233,141 +1255,121 @@ impl<'g> DsdEngine<'g> {
     /// rebuild — the serving-side view of incremental maintenance.
     pub fn kcore_order(&self) -> Arc<KCoreDecomposition> {
         let snap = self.graph();
-        self.kcore(&snap).0
+        self.kcore(&snap, snap.epoch()).0
     }
 
     fn count(&self, bump: impl FnOnce(&mut EngineCacheStats)) {
         bump(&mut self.counters.lock().unwrap());
     }
 
-    /// The memoized density oracle for Ψ. The bool reports a cache hit.
-    ///
-    /// Double-checked locking: the fast path shares a read lock; a miss
-    /// upgrades to the write lock and re-checks, so racing threads build
-    /// at most one oracle per Ψ. Cache traffic (hits and inserts) is
-    /// epoch-guarded: a request racing an [`Self::apply`] keeps its own
-    /// snapshot consistent by building privately instead of touching the
-    /// newer epoch's cache.
-    fn oracle(&self, psi: &Pattern, snap: &GraphSnapshot<'_>) -> Cached<Arc<dyn DensityOracle>> {
-        self.oracle_keyed(psi, pattern_key(psi), snap)
+    /// Double-checked build-once lookup in the substrate cache at `epoch`.
+    /// The fast path shares a read lock; a miss upgrades to the write lock
+    /// and re-checks, then builds while holding it. That is the build-once
+    /// guarantee: concurrent requests for the same entry block until the
+    /// winner's build lands, then read it as a hit — N threads pay one
+    /// build. (Requests for *already-cached* substrates also wait out the
+    /// build; a serving workload warms its patterns up front, so the write
+    /// lock is cold-start-only.) Cache traffic is epoch-guarded: a request
+    /// racing an [`Self::apply`] keeps its own snapshot consistent by
+    /// building privately instead of touching the newer epoch's cache. The
+    /// bool reports a hit.
+    fn memoized<T: Clone>(
+        &self,
+        epoch: u64,
+        get: impl Fn(&SubstrateCache) -> Option<T>,
+        build: impl FnOnce() -> T,
+        put: impl FnOnce(&mut SubstrateCache, T),
+    ) -> Cached<T> {
+        let lookup = |cache: &SubstrateCache| (cache.epoch == epoch).then(|| get(cache)).flatten();
+        if let Some(hit) = lookup(&self.cache.read().unwrap()) {
+            return (hit, true);
+        }
+        let mut cache = self.cache.write().unwrap();
+        if let Some(hit) = lookup(&cache) {
+            return (hit, true);
+        }
+        let built = build();
+        if cache.epoch == epoch {
+            put(&mut cache, built.clone());
+        }
+        (built, false)
     }
 
-    /// [`Self::oracle`] with the canonical key already computed, so
-    /// callers that need the key themselves (the decomposition lookup)
-    /// don't pay the canonicalization twice.
-    fn oracle_keyed(
+    /// The memoized density oracle for Ψ (canonical key `key`) at graph
+    /// epoch `epoch`. The bool reports a cache hit.
+    fn oracle(
         &self,
         psi: &Pattern,
-        key: PatternKey,
-        snap: &GraphSnapshot<'_>,
+        key: &PatternKey,
+        epoch: u64,
     ) -> Cached<Arc<dyn DensityOracle>> {
-        {
-            let cache = self.cache.read().unwrap();
-            if cache.epoch == snap.epoch() {
-                if let Some(oracle) = cache.oracles.get(&key) {
-                    let oracle = Arc::clone(oracle);
-                    drop(cache);
-                    self.count(|c| c.oracle_hits += 1);
-                    return (oracle, true);
-                }
-            }
-        }
-        let mut cache = self.cache.write().unwrap();
-        if cache.epoch == snap.epoch() {
-            if let Some(oracle) = cache.oracles.get(&key) {
-                let oracle = Arc::clone(oracle);
-                drop(cache);
-                self.count(|c| c.oracle_hits += 1);
-                return (oracle, true);
-            }
-        }
-        let oracle: Arc<dyn DensityOracle> = Arc::from(oracle_with_policy(
-            psi,
-            self.parallelism,
-            self.substrate_budget,
-            Some(self.repair_policy.compact_dead),
-        ));
-        if cache.epoch == snap.epoch() {
-            cache.oracles.insert(key, Arc::clone(&oracle));
-        }
-        drop(cache);
-        self.count(|c| c.oracle_builds += 1);
-        (oracle, false)
+        let (oracle, hit) = self.memoized(
+            epoch,
+            |cache| cache.oracles.get(key).cloned(),
+            || {
+                Arc::from(oracle_with_policy(
+                    psi,
+                    self.parallelism,
+                    self.substrate_budget,
+                    Some(self.repair_policy.compact_dead),
+                ))
+            },
+            |cache, oracle| {
+                cache.oracles.insert(key.clone(), oracle);
+            },
+        );
+        self.count(|c| match hit {
+            true => c.oracle_hits += 1,
+            false => c.oracle_builds += 1,
+        });
+        (oracle, hit)
     }
 
-    /// The memoized (k, Ψ)-core decomposition plus its oracle. The u128 is
-    /// the decomposition build time paid by *this* call (0 on a hit).
-    ///
-    /// The cold build runs while holding the write lock. That is the
-    /// build-once guarantee: concurrent warmers of the same Ψ block until
-    /// the winner's decomposition lands, then read it as a hit — N threads
-    /// pay one build. (Requests for *already-cached* substrates of other
-    /// patterns also wait out the build; a serving workload warms its
-    /// patterns up front, so the write lock is cold-start-only.)
-    fn decomposition(&self, psi: &Pattern, snap: &GraphSnapshot<'_>) -> DecompositionLookup {
-        let key = pattern_key(psi);
-        let (oracle, oracle_hit) = self.oracle_keyed(psi, key.clone(), snap);
-        {
-            let cache = self.cache.read().unwrap();
-            if cache.epoch == snap.epoch() {
-                if let Some(dec) = cache.decompositions.get(&key) {
-                    let dec = Arc::clone(dec);
-                    drop(cache);
-                    self.count(|c| c.decomposition_hits += 1);
-                    return ((oracle, oracle_hit), (dec, true), 0);
-                }
-            }
-        }
-        let mut cache = self.cache.write().unwrap();
-        if cache.epoch == snap.epoch() {
-            if let Some(dec) = cache.decompositions.get(&key) {
-                let dec = Arc::clone(dec);
-                drop(cache);
-                self.count(|c| c.decomposition_hits += 1);
-                return ((oracle, oracle_hit), (dec, true), 0);
-            }
-        }
-        let t = Instant::now();
-        let dec = Arc::new(decompose(snap, oracle.as_ref()));
-        let nanos = t.elapsed().as_nanos();
-        if cache.epoch == snap.epoch() {
-            cache.decompositions.insert(key, Arc::clone(&dec));
-        }
-        drop(cache);
-        self.count(|c| c.decomposition_builds += 1);
-        ((oracle, oracle_hit), (dec, false), nanos)
+    /// The memoized (k, Ψ)-core decomposition of `g` (the snapshot at
+    /// `epoch`) through `oracle`. The bool reports a cache hit; the u128
+    /// is the build time paid by *this* call (0 on a hit).
+    fn decomposition(
+        &self,
+        key: &PatternKey,
+        g: &Graph,
+        epoch: u64,
+        oracle: &dyn DensityOracle,
+    ) -> (Arc<CliqueCoreDecomposition>, bool, u128) {
+        let mut nanos = 0;
+        let (dec, hit) = self.memoized(
+            epoch,
+            |cache| cache.decompositions.get(key).cloned(),
+            || {
+                let t = Instant::now();
+                let dec = Arc::new(decompose(g, oracle));
+                nanos = t.elapsed().as_nanos();
+                dec
+            },
+            |cache, dec| {
+                cache.decompositions.insert(key.clone(), dec);
+            },
+        );
+        self.count(|c| match hit {
+            true => c.decomposition_hits += 1,
+            false => c.decomposition_builds += 1,
+        });
+        (dec, hit, nanos)
     }
 
-    /// The memoized classical k-core order. The bool reports a cache hit.
-    /// Same double-checked build-once discipline as [`Self::decomposition`].
-    fn kcore(&self, snap: &GraphSnapshot<'_>) -> (Arc<KCoreDecomposition>, bool) {
-        {
-            let cache = self.cache.read().unwrap();
-            if cache.epoch == snap.epoch() {
-                if let Some(kc) = &cache.kcore {
-                    let kc = Arc::clone(kc);
-                    drop(cache);
-                    self.count(|c| c.kcore_hits += 1);
-                    return (kc, true);
-                }
-            }
-        }
-        let mut cache = self.cache.write().unwrap();
-        if cache.epoch == snap.epoch() {
-            if let Some(kc) = &cache.kcore {
-                let kc = Arc::clone(kc);
-                drop(cache);
-                self.count(|c| c.kcore_hits += 1);
-                return (kc, true);
-            }
-        }
-        let kc = Arc::new(k_core_decomposition(snap));
-        if cache.epoch == snap.epoch() {
-            cache.kcore = Some(Arc::clone(&kc));
-        }
-        drop(cache);
-        self.count(|c| c.kcore_builds += 1);
-        (kc, false)
+    /// The memoized classical k-core order of `g` (the snapshot at
+    /// `epoch`). The bool reports a cache hit.
+    fn kcore(&self, g: &Graph, epoch: u64) -> Cached<Arc<KCoreDecomposition>> {
+        let (kcore, hit) = self.memoized(
+            epoch,
+            |cache| cache.kcore.clone(),
+            || Arc::new(k_core_decomposition(g)),
+            |cache, kcore| cache.kcore = Some(kcore),
+        );
+        self.count(|c| match hit {
+            true => c.kcore_hits += 1,
+            false => c.kcore_builds += 1,
+        });
+        (kcore, hit)
     }
 
     /// `Method::Auto`'s cost-based selector.
@@ -1385,7 +1387,7 @@ impl<'g> DsdEngine<'g> {
     /// Note the warm/cold split makes Auto's choice depend on cache state:
     /// under concurrent execution, pin an explicit method when bit-for-bit
     /// reproducibility across runs matters (see `serve::DsdServer`).
-    fn auto_method(&self, psi: &Pattern, snap: &GraphSnapshot<'_>) -> Method {
+    fn auto_method(&self, psi: &Pattern, key: &PatternKey, snap: &GraphSnapshot<'_>) -> Method {
         /// Located-core size above which warm flow probes are judged too
         /// expensive for an auto-selected request.
         const WARM_FLOW_VERTEX_CAP: usize = 20_000;
@@ -1393,11 +1395,10 @@ impl<'g> DsdEngine<'g> {
         /// enumeration + decomposition cost of the exact path.
         const COLD_EXACT_WORK_CAP: usize = 1_000_000;
 
-        let key = pattern_key(psi);
         let cached: Option<Arc<CliqueCoreDecomposition>> = {
             let cache = self.cache.read().unwrap();
             if cache.epoch == snap.epoch() {
-                cache.decompositions.get(&key).cloned()
+                cache.decompositions.get(key).cloned()
             } else {
                 None
             }
@@ -1426,351 +1427,235 @@ impl<'g> DsdEngine<'g> {
     /// Runs a free-standing request against this engine. Any graph name
     /// the request carries ([`DsdRequest::on`]) is ignored here — routing
     /// by name is [`crate::serve::DsdServer`]'s job.
+    ///
+    /// One skeleton serves every objective and method. It builds the
+    /// request's [`Substrates`] context over the engine's caches,
+    /// dispatches on `(Objective, Method)` to the algorithm's entry point
+    /// (which acquires the substrates it reads), and wraps the answer in
+    /// a [`Solution`]. The entry points reject an unsatisfiable request
+    /// before they read any substrate, so an invalid request builds
+    /// nothing.
     pub fn solve(&self, req: &DsdRequest) -> Solution {
         let t0 = Instant::now();
         let snap = self.graph();
-        let objective = req.objective.clone();
-        let mut solution = match &req.objective {
-            Objective::Densest => self.solve_densest(req, &snap),
-            Objective::TopK(k) => self.solve_top_k(req, *k, &snap),
-            Objective::AtLeastK(k) => self.solve_at_least_k(req, *k, &snap),
-            Objective::AtMostK(k) => self.solve_at_most_k(req, *k, &snap),
-            Objective::WithQuery(query) => self.solve_with_query(query.clone(), &snap),
+        let epoch = snap.epoch();
+        // The query variant is defined for edge density whatever the
+        // request's Ψ: it runs, caches its pinned networks and ledgers
+        // under the edge key.
+        let query = matches!(req.objective, Objective::WithQuery(_));
+        let edge = Pattern::edge();
+        let psi = if query { &edge } else { &req.psi };
+        let lender = EngineLender {
+            engine: self,
+            key: pattern_key(psi),
+            epoch,
         };
-        solution.objective = objective;
-        solution.stats.epoch = snap.epoch();
-        solution.stats.total_nanos = t0.elapsed().as_nanos();
-        // Ledger the touched substrate entry with the governor (if any).
-        // The query variant runs on the classical k-core order (repaired
-        // in place, never evicted) but caches its pinned flow network
-        // under the canonical edge key, so it ledgers that entry.
-        let (key, hit) = if matches!(req.objective, Objective::WithQuery(_)) {
-            (
-                pattern_key(&Pattern::edge()),
-                solution.stats.substrate.kcore_cache_hit,
-            )
-        } else {
-            (
-                pattern_key(&req.psi),
-                solution.stats.substrate.oracle_cache_hit,
-            )
+        // DalkS and DamkS build their exact attempt's networks fresh and
+        // leave the network cache alone.
+        let lends = !matches!(
+            req.objective,
+            Objective::AtLeastK(_) | Objective::AtMostK(_)
+        );
+        let s = Substrates::cached(
+            &snap,
+            psi,
+            &lender,
+            lends.then_some(&lender as &dyn NetworkLender),
+        );
+        let config = CoreExactConfig {
+            tolerance: req.tolerance,
+            step_budget: req.step_budget,
+            ..CoreExactConfig::default()
         };
-        let bytes = self.key_bytes(&key, snap.epoch());
-        self.notify(|obs| obs.on_substrate_used(self.id, &key, snap.epoch(), bytes, hit));
-        solution
-    }
 
-    fn solve_densest(&self, req: &DsdRequest, snap: &GraphSnapshot<'_>) -> Solution {
-        let g: &Graph = snap;
-        let psi = &req.psi;
-        let method = match req.method {
-            Method::Auto => self.auto_method(psi, snap),
-            m => m,
-        };
-        let mut stats = SolveStats::default();
-        let ratio = 1.0 / psi.vertex_count() as f64;
-
-        let (result, guarantee) = match method {
-            Method::Exact => {
-                let (oracle, oracle_hit) = self.oracle(psi, snap);
-                stats.substrate.oracle_cache_hit = oracle_hit;
-                let opts = ExactOpts {
-                    tolerance: req.tolerance,
-                    step_budget: req.step_budget,
+        let answer = match &req.objective {
+            Objective::Densest => {
+                let method = match req.method {
+                    Method::Auto => self.auto_method(psi, &lender.key, &snap),
+                    m => m,
                 };
-                let lender = EngineLender {
-                    engine: self,
-                    key: pattern_key(psi),
-                    epoch: snap.epoch(),
+                let ratio = Cert::Ratio(1.0 / psi.vertex_count() as f64);
+                let mut kmax = None;
+                let (result, search, cert) = match method {
+                    Method::Exact => {
+                        let opts = ExactOpts {
+                            tolerance: config.tolerance,
+                            step_budget: config.step_budget,
+                        };
+                        let (r, es) = s.exact(opts);
+                        (r, es, Cert::Search)
+                    }
+                    Method::CoreExact => {
+                        let (r, ces) = s.core_exact(config);
+                        (r, ces.exact, Cert::Search)
+                    }
+                    Method::PeelApp => (s.peel_app(), ExactStats::default(), ratio),
+                    Method::IncApp => (s.inc_app().result, ExactStats::default(), ratio),
+                    Method::CoreApp => {
+                        let a = s.core_app();
+                        kmax = Some(a.kmax);
+                        (a.result, ExactStats::default(), ratio)
+                    }
+                    Method::Auto => unreachable!("Auto resolves before dispatch"),
                 };
-                let (r, es) = exact_with_lender(g, psi, oracle.as_ref(), opts, Some(&lender));
-                let guarantee = exact_guarantee(es.budget_exhausted, req.tolerance);
-                record_flow(&mut stats, es);
-                stats.store = oracle.store_stats();
-                (r, guarantee)
-            }
-            Method::CoreExact => {
-                let ((oracle, oracle_hit), (dec, dec_hit), dec_nanos) =
-                    self.decomposition(psi, snap);
-                stats.substrate.oracle_cache_hit = oracle_hit;
-                stats.substrate.decomposition_cache_hit = dec_hit;
-                stats.decomposition_nanos = dec_nanos;
-                stats.kmax = Some(dec.kmax);
-                let config = CoreExactConfig {
-                    tolerance: req.tolerance,
-                    step_budget: req.step_budget,
-                    ..CoreExactConfig::default()
-                };
-                let lender = EngineLender {
-                    engine: self,
-                    key: pattern_key(psi),
-                    epoch: snap.epoch(),
-                };
-                let (r, ces) =
-                    core_exact_with_lender(g, psi, config, oracle.as_ref(), &dec, Some(&lender));
-                let guarantee = exact_guarantee(ces.exact.budget_exhausted, req.tolerance);
-                record_flow(&mut stats, ces.exact);
-                stats.store = oracle.store_stats();
-                (r, guarantee)
-            }
-            Method::PeelApp => {
-                let ((oracle, oracle_hit), (dec, dec_hit), dec_nanos) =
-                    self.decomposition(psi, snap);
-                stats.substrate.oracle_cache_hit = oracle_hit;
-                stats.substrate.decomposition_cache_hit = dec_hit;
-                stats.decomposition_nanos = dec_nanos;
-                stats.kmax = Some(dec.kmax);
-                stats.store = oracle.store_stats();
-                (peel_app_from(&dec), Guarantee::Ratio(ratio))
-            }
-            Method::IncApp => {
-                let ((oracle, oracle_hit), (dec, dec_hit), dec_nanos) =
-                    self.decomposition(psi, snap);
-                stats.substrate.oracle_cache_hit = oracle_hit;
-                stats.substrate.decomposition_cache_hit = dec_hit;
-                stats.decomposition_nanos = dec_nanos;
-                stats.kmax = Some(dec.kmax);
-                let r = inc_app_from(g, oracle.as_ref(), &dec);
-                stats.store = oracle.store_stats();
-                (r.result, Guarantee::Ratio(ratio))
-            }
-            Method::CoreApp => {
-                let (oracle, oracle_hit) = self.oracle(psi, snap);
-                stats.substrate.oracle_cache_hit = oracle_hit;
-                // γ bounds for cliques come from the classical k-core order.
-                let kcore = if matches!(psi.kind(), dsd_motif::pattern::PatternKind::Clique(_)) {
-                    let (kc, kc_hit) = self.kcore(snap);
-                    stats.substrate.kcore_cache_hit = kc_hit;
-                    Some(kc)
+                let found = if result.is_empty() {
+                    Vec::new()
                 } else {
-                    None
+                    vec![result]
                 };
-                let r = core_app_from(
-                    g,
-                    psi,
-                    oracle.as_ref(),
-                    crate::approx::CORE_APP_DEFAULT_SEED,
-                    kcore.as_deref(),
-                );
-                stats.kmax = Some(r.kmax);
-                stats.store = oracle.store_stats();
-                (r.result, Guarantee::Ratio(ratio))
+                Answer {
+                    method,
+                    subgraphs: Some(found),
+                    cert,
+                    search,
+                    kmax,
+                }
             }
-            Method::Auto => unreachable!("Auto resolves before dispatch"),
+            Objective::TopK(k) => match s.top_k(*k, config) {
+                Some(scan) => Answer {
+                    method: Method::CoreExact,
+                    subgraphs: Some(scan.subgraphs),
+                    cert: Cert::Search,
+                    search: scan.exact,
+                    kmax: None,
+                },
+                None => Answer::invalid(Method::CoreExact),
+            },
+            // Exact when the unconstrained CDS met the floor; else
+            // Andersen–Chellapilla's 1/3 bound (proved for edges).
+            Objective::AtLeastK(k) => {
+                let fallback = if psi.vertex_count() == 2 {
+                    Cert::Ratio(1.0 / 3.0)
+                } else {
+                    Cert::Heuristic
+                };
+                Answer::sized(s.densest_at_least_k(*k, config), fallback)
+            }
+            Objective::AtMostK(k) => {
+                Answer::sized(s.densest_at_most_k(*k, config), Cert::Heuristic)
+            }
+            Objective::WithQuery(q) => match s.densest_with_query(q) {
+                Some((r, es)) => Answer {
+                    method: Method::Exact,
+                    subgraphs: Some(vec![r]),
+                    cert: Cert::Exact,
+                    search: es,
+                    kmax: Some(s.kcore().kmax as u64),
+                },
+                None => Answer::invalid(Method::Exact),
+            },
         };
 
-        let outcome = if result.is_empty() {
-            Outcome::Empty
-        } else {
-            Outcome::Found
-        };
-        Solution {
-            vertices: result.vertices.clone(),
-            density: result.density,
-            subgraphs: if result.is_empty() {
-                Vec::new()
-            } else {
-                vec![result]
+        let guarantee = match answer.cert {
+            Cert::Search if answer.search.budget_exhausted => Guarantee::Heuristic,
+            Cert::Search => match config.tolerance {
+                Some(t) if t > 0.0 => Guarantee::AdditiveGap(t),
+                _ => Guarantee::Exact,
             },
-            method,
-            objective: Objective::Densest,
+            Cert::Exact => Guarantee::Exact,
+            Cert::Ratio(r) => Guarantee::Ratio(r),
+            Cert::Heuristic => Guarantee::Heuristic,
+        };
+        let mut stats = SolveStats {
+            decomposition_nanos: s.decomposition_nanos(),
+            kmax: answer.kmax.or(s.decomposed_kmax()),
+            substrate: s.substrate_use(),
+            store: s.store_stats(),
+            epoch,
+            ..SolveStats::default()
+        };
+        record_flow(&mut stats, answer.search);
+        let (outcome, subgraphs) = match answer.subgraphs {
+            None => (Outcome::Invalid, Vec::new()),
+            Some(found) if found.is_empty() => (Outcome::Empty, found),
+            Some(found) => (Outcome::Found, found),
+        };
+        let (vertices, density) = subgraphs
+            .first()
+            .map(|r| (r.vertices.clone(), r.density))
+            .unwrap_or_default();
+        stats.total_nanos = t0.elapsed().as_nanos();
+        // Ledger the touched substrate entry with the governor (if any).
+        // The query variant's entry holds its pinned networks; the
+        // classical k-core order it reads is repaired in place and never
+        // evicted.
+        let hit = if query {
+            stats.substrate.kcore_cache_hit
+        } else {
+            stats.substrate.oracle_cache_hit
+        };
+        let bytes = self.key_bytes(&lender.key, epoch);
+        self.notify(|obs| obs.on_substrate_used(self.id, &lender.key, epoch, bytes, hit));
+        Solution {
+            vertices,
+            density,
+            subgraphs,
+            method: answer.method,
+            objective: req.objective.clone(),
             outcome,
             guarantee,
             stats,
         }
     }
+}
 
-    fn solve_top_k(&self, req: &DsdRequest, k: usize, snap: &GraphSnapshot<'_>) -> Solution {
-        let g: &Graph = snap;
-        let psi = &req.psi;
-        // Validate before paying for the decomposition.
-        if k == 0 {
-            return invalid(Method::CoreExact, Objective::TopK(k), SolveStats::default());
-        }
-        let ((oracle, oracle_hit), (dec, dec_hit), dec_nanos) = self.decomposition(psi, snap);
-        let mut stats = SolveStats::default();
-        stats.substrate.oracle_cache_hit = oracle_hit;
-        stats.substrate.decomposition_cache_hit = dec_hit;
-        stats.decomposition_nanos = dec_nanos;
-        stats.kmax = Some(dec.kmax);
-        let config = CoreExactConfig {
-            tolerance: req.tolerance,
-            step_budget: req.step_budget,
-            ..CoreExactConfig::default()
-        };
-        let lender = EngineLender {
-            engine: self,
-            key: pattern_key(psi),
-            epoch: snap.epoch(),
-        };
-        let scan = top_k_with_lender(g, psi, k, config, oracle.as_ref(), &dec, Some(&lender));
-        record_flow(&mut stats, scan.exact.clone());
-        stats.store = oracle.store_stats();
-        let (vertices, density) = scan
-            .subgraphs
-            .first()
-            .map(|r| (r.vertices.clone(), r.density))
-            .unwrap_or_default();
-        let outcome = if scan.subgraphs.is_empty() {
-            Outcome::Empty
-        } else {
-            Outcome::Found
-        };
-        Solution {
-            vertices,
-            density,
-            subgraphs: scan.subgraphs,
-            method: Method::CoreExact,
-            objective: Objective::TopK(k),
-            outcome,
-            guarantee: exact_guarantee(scan.budget_exhausted, req.tolerance),
-            stats,
+/// How a dispatch arm's answer is certified; [`DsdEngine::solve`] turns it
+/// into the [`Guarantee`].
+enum Cert {
+    /// Optimal up to the request's tolerance and step budget (α-search).
+    Search,
+    /// Optimal; the search takes neither knob (the query variant).
+    Exact,
+    /// Within this factor of optimal.
+    Ratio(f64),
+    /// No guarantee.
+    Heuristic,
+}
+
+/// One dispatch arm's answer, before [`DsdEngine::solve`] wraps it in a
+/// [`Solution`].
+struct Answer {
+    /// The method that ran.
+    method: Method,
+    /// The reported subgraphs, densest first; `None` when the request was
+    /// unsatisfiable.
+    subgraphs: Option<Vec<DsdResult>>,
+    cert: Cert,
+    /// α-search instrumentation (all zero for the probe-free methods).
+    search: ExactStats,
+    /// kmax when the arm read it from somewhere other than the (k, Ψ)-core
+    /// decomposition: CoreApp's top-down scan, or the query variant's
+    /// classical core order.
+    kmax: Option<u64>,
+}
+
+impl Answer {
+    fn invalid(method: Method) -> Self {
+        Answer {
+            method,
+            subgraphs: None,
+            cert: Cert::Heuristic,
+            search: ExactStats::default(),
+            kmax: None,
         }
     }
 
-    fn solve_at_least_k(&self, req: &DsdRequest, k: usize, snap: &GraphSnapshot<'_>) -> Solution {
-        let g: &Graph = snap;
-        let psi = &req.psi;
-        // Validate before paying for the decomposition.
-        if k == 0 || k > g.num_vertices() {
-            return invalid(
-                Method::PeelApp,
-                Objective::AtLeastK(k),
-                SolveStats::default(),
-            );
-        }
-        let ((oracle, oracle_hit), (dec, dec_hit), dec_nanos) = self.decomposition(psi, snap);
-        let mut stats = SolveStats::default();
-        stats.substrate.oracle_cache_hit = oracle_hit;
-        stats.substrate.decomposition_cache_hit = dec_hit;
-        stats.decomposition_nanos = dec_nanos;
-        stats.kmax = Some(dec.kmax);
-        let config = CoreExactConfig {
-            tolerance: req.tolerance,
-            step_budget: req.step_budget,
-            ..CoreExactConfig::default()
-        };
-        stats.store = oracle.store_stats();
-        match densest_at_least_k_from(g, psi, k, config, oracle.as_ref(), &dec) {
-            Some(o) => {
-                // Exact when the unconstrained CDS met the floor; else
-                // Andersen–Chellapilla's 1/3 bound (proved for edges).
-                let guarantee = if o.exact {
-                    exact_guarantee(o.stats.budget_exhausted, req.tolerance)
-                } else if psi.vertex_count() == 2 {
-                    Guarantee::Ratio(1.0 / 3.0)
-                } else {
-                    Guarantee::Heuristic
-                };
-                let method = if o.exact {
+    /// A size-constrained outcome: certified by its exact attempt, or by
+    /// `fallback` when the greedy peel answered.
+    fn sized(outcome: Option<SizeConstrainedOutcome>, fallback: Cert) -> Self {
+        match outcome {
+            Some(o) => Answer {
+                method: if o.exact {
                     Method::CoreExact
                 } else {
                     Method::PeelApp
-                };
-                record_flow(&mut stats, o.stats);
-                Solution {
-                    vertices: o.result.vertices.clone(),
-                    density: o.result.density,
-                    subgraphs: vec![o.result],
-                    method,
-                    objective: Objective::AtLeastK(k),
-                    outcome: Outcome::Found,
-                    guarantee,
-                    stats,
-                }
-            }
-            None => invalid(Method::PeelApp, Objective::AtLeastK(k), stats),
-        }
-    }
-
-    fn solve_at_most_k(&self, req: &DsdRequest, k: usize, snap: &GraphSnapshot<'_>) -> Solution {
-        let g: &Graph = snap;
-        let psi = &req.psi;
-        // Validate before paying for the decomposition.
-        if k == 0 {
-            return invalid(
-                Method::PeelApp,
-                Objective::AtMostK(k),
-                SolveStats::default(),
-            );
-        }
-        let ((oracle, oracle_hit), (dec, dec_hit), dec_nanos) = self.decomposition(psi, snap);
-        let mut stats = SolveStats::default();
-        stats.substrate.oracle_cache_hit = oracle_hit;
-        stats.substrate.decomposition_cache_hit = dec_hit;
-        stats.decomposition_nanos = dec_nanos;
-        stats.kmax = Some(dec.kmax);
-        let config = CoreExactConfig {
-            tolerance: req.tolerance,
-            step_budget: req.step_budget,
-            ..CoreExactConfig::default()
-        };
-        stats.store = oracle.store_stats();
-        match densest_at_most_k_from(g, psi, k, config, oracle.as_ref(), &dec) {
-            Some(o) => {
-                let guarantee = if o.exact {
-                    exact_guarantee(o.stats.budget_exhausted, req.tolerance)
-                } else {
-                    Guarantee::Heuristic
-                };
-                let method = if o.exact {
-                    Method::CoreExact
-                } else {
-                    Method::PeelApp
-                };
-                record_flow(&mut stats, o.stats);
-                Solution {
-                    vertices: o.result.vertices.clone(),
-                    density: o.result.density,
-                    subgraphs: vec![o.result],
-                    method,
-                    objective: Objective::AtMostK(k),
-                    outcome: Outcome::Found,
-                    guarantee,
-                    stats,
-                }
-            }
-            None => invalid(Method::PeelApp, Objective::AtMostK(k), stats),
-        }
-    }
-
-    fn solve_with_query(&self, query: Vec<VertexId>, snap: &GraphSnapshot<'_>) -> Solution {
-        let g: &Graph = snap;
-        // Validate before paying for the k-core order.
-        let n = g.num_vertices();
-        if query.is_empty() || query.iter().any(|&q| q as usize >= n) {
-            return invalid(
-                Method::Exact,
-                Objective::WithQuery(query),
-                SolveStats::default(),
-            );
-        }
-        let (kcore, kcore_hit) = self.kcore(snap);
-        let mut stats = SolveStats::default();
-        stats.substrate.kcore_cache_hit = kcore_hit;
-        stats.kmax = Some(kcore.kmax as u64);
-        // Query networks cache under the canonical edge key — the variant
-        // is defined for edge density regardless of the request's Ψ.
-        let lender = EngineLender {
-            engine: self,
-            key: pattern_key(&Pattern::edge()),
-            epoch: snap.epoch(),
-        };
-        match densest_with_query_lender(g, &query, &kcore, Some(&lender)) {
-            Some((r, es)) => {
-                record_flow(&mut stats, es);
-                Solution {
-                    vertices: r.vertices.clone(),
-                    density: r.density,
-                    subgraphs: vec![r],
-                    method: Method::Exact,
-                    objective: Objective::WithQuery(query),
-                    outcome: Outcome::Found,
-                    guarantee: Guarantee::Exact,
-                    stats,
-                }
-            }
-            None => invalid(Method::Exact, Objective::WithQuery(query), stats),
+                },
+                subgraphs: Some(vec![o.result]),
+                cert: if o.exact { Cert::Search } else { fallback },
+                search: o.stats,
+                kmax: None,
+            },
+            None => Answer::invalid(Method::PeelApp),
         }
     }
 }
@@ -1804,35 +1689,11 @@ fn cache_bytes(cache: &SubstrateCache) -> u64 {
 }
 
 /// Copies an α-search's instrumentation into a request's [`SolveStats`].
-fn record_flow(stats: &mut SolveStats, es: crate::alpha_search::ExactStats) {
+fn record_flow(stats: &mut SolveStats, es: ExactStats) {
     stats.flow_iterations = es.iterations;
     stats.network_nodes = es.network_nodes;
     stats.flow_resolve_hits = es.resolve_hits;
     stats.flow_augment_work = es.augment_work;
-}
-
-fn exact_guarantee(budget_exhausted: bool, tolerance: Option<f64>) -> Guarantee {
-    if budget_exhausted {
-        Guarantee::Heuristic
-    } else {
-        match tolerance {
-            Some(t) if t > 0.0 => Guarantee::AdditiveGap(t),
-            _ => Guarantee::Exact,
-        }
-    }
-}
-
-fn invalid(method: Method, objective: Objective, stats: SolveStats) -> Solution {
-    Solution {
-        vertices: Vec::new(),
-        density: 0.0,
-        subgraphs: Vec::new(),
-        method,
-        objective,
-        outcome: Outcome::Invalid,
-        guarantee: Guarantee::Heuristic,
-        stats,
-    }
 }
 
 /// A free-standing request specification: pattern, objective, method, and
@@ -1891,11 +1752,13 @@ impl DsdRequest {
 
     /// Sets the method (default [`Method::Auto`]).
     ///
-    /// Only [`Objective::Densest`] dispatches on the method; the other
-    /// objectives have a fixed algorithm (top-k iterates CoreExact,
-    /// DalkS/DamkS are peel-based, the query variant is flow-exact) and
-    /// record that algorithm in [`Solution::method`] regardless of this
-    /// setting.
+    /// Only [`Objective::Densest`] dispatches on the method. The other
+    /// objectives have a fixed algorithm and record the one that answered
+    /// in [`Solution::method`] regardless of this setting: top-k iterates
+    /// CoreExact; DalkS and DamkS report CoreExact when their exact
+    /// attempt answers (clique Ψ, and the unconstrained optimum meets the
+    /// size bound) and PeelApp when the greedy fallback does; the query
+    /// variant is flow-exact (Exact).
     pub fn method(mut self, method: Method) -> Self {
         self.method = method;
         self
@@ -1904,8 +1767,9 @@ impl DsdRequest {
     /// Sets an α-tolerance for the α-search: the answer's density is
     /// then within `tolerance` of optimal instead of certified exact.
     ///
-    /// Applies to the α-search objectives/methods (Densest via
-    /// Exact/CoreExact, and top-k); the peel/core methods have no α
+    /// Applies to every α-search: Densest via Exact/CoreExact, top-k, and
+    /// the exact attempt of DalkS and DamkS (whose answer then carries
+    /// [`Guarantee::AdditiveGap`]). The peel/core methods have no α
     /// search, and the query variant always certifies, so both ignore it.
     pub fn tolerance(mut self, tolerance: f64) -> Self {
         self.tolerance = Some(tolerance);
@@ -1915,7 +1779,8 @@ impl DsdRequest {
     /// Caps the number of min-cut probes; an exhausted budget returns the
     /// best subgraph found so far (guarantee degrades to `Heuristic`).
     ///
-    /// Applies to the same α-search paths as [`Self::tolerance`].
+    /// Applies to the same α-search paths as [`Self::tolerance`],
+    /// DalkS's and DamkS's exact attempt included.
     /// For [`Objective::TopK`] the cap is per round (each of the up-to-`k`
     /// CoreExact scans gets its own budget), so a request's probe total is
     /// bounded by `k × probes`.

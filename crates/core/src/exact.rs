@@ -19,7 +19,8 @@ use crate::flownet::{
     build_clique_network, build_edge_network, build_pattern_network, build_store_network,
     DensityNetwork, NetworkLender,
 };
-use crate::oracle::{oracle_for, DensityOracle};
+use crate::oracle::DensityOracle;
+use crate::substrates::Substrates;
 use crate::types::DsdResult;
 
 pub use crate::alpha_search::{density_gap, ExactStats};
@@ -109,85 +110,72 @@ pub(crate) fn release_network(
     }
 }
 
-/// Runs `Exact` (cliques) / `PExact` (patterns) on the whole graph.
+/// Runs `Exact` (cliques) / `PExact` (patterns) on the whole graph,
+/// building the oracle cold.
 pub fn exact(g: &Graph, psi: &Pattern) -> (DsdResult, ExactStats) {
-    let oracle = oracle_for(psi);
-    exact_with(g, psi, oracle.as_ref(), ExactOpts::default())
+    Substrates::cold(g, psi).exact(ExactOpts::default())
 }
 
-/// [`exact`] against a caller-provided (possibly warm) density oracle and
-/// per-request knobs — the engine entry point.
-pub fn exact_with(
-    g: &Graph,
-    psi: &Pattern,
-    oracle: &dyn DensityOracle,
-    opts: ExactOpts,
-) -> (DsdResult, ExactStats) {
-    exact_with_lender(g, psi, oracle, opts, None)
-}
-
-/// [`exact_with`] with a network lender: the α-search borrows its
-/// [`DensityNetwork`] from the lender's cache when one is warm (and
-/// returns it afterwards), so repeat requests on an unchanged graph pay
-/// only the flow resolve.
-pub(crate) fn exact_with_lender(
-    g: &Graph,
-    psi: &Pattern,
-    oracle: &dyn DensityOracle,
-    opts: ExactOpts,
-    lender: Option<&dyn NetworkLender>,
-) -> (DsdResult, ExactStats) {
-    let n = g.num_vertices();
-    let alive = VertexSet::full(n);
-    let degrees = oracle.degrees(g, &alive);
-    let max_deg = degrees.iter().copied().max().unwrap_or(0);
-    let mut stats = ExactStats::default();
-    if max_deg == 0 {
-        return (DsdResult::empty(), stats);
-    }
-
-    let bounds = (0.0f64, max_deg as f64);
-    stats.initial_bounds = bounds;
-    let gap = effective_gap(n, opts.tolerance);
-    let budget = opts.step_budget.unwrap_or(usize::MAX);
-    let members: Vec<VertexId> = g.vertices().collect();
-    // Store-built (construct+-shaped) when the oracle materialized;
-    // otherwise PExact's ungrouped Algorithm-8 network — construct+
-    // grouping without a store belongs to CorePExact.
-    let mut net = acquire_network(g, &members, psi, false, oracle, lender);
-    let mut probe = NetworkProbe::new(&mut net, g, oracle);
-    let outcome = alpha_search(
-        &mut probe,
-        bounds,
-        FirstProbe::Midpoint,
-        gap,
-        budget,
-        &mut stats,
-    );
-    let (mut best, rho) = match outcome.witness {
-        Some(w) => (w, outcome.lower),
-        None => {
-            // μ > 0 guarantees α = 0 is feasible, so a missing witness
-            // means an exhausted step budget starved the search before
-            // any feasible probe. Fall back to one counted probe at the
-            // proven-feasible guess rather than returning a bogus empty
-            // answer (see the `step_budget` docs).
-            stats.iterations += 1;
-            stats.network_nodes.push(probe.network_nodes());
-            probe.probe(0.0).unwrap_or_default()
+impl Substrates<'_> {
+    /// Runs `Exact` / `PExact` on the whole graph through this context's
+    /// oracle, under the per-request knobs in `opts`. The α-search borrows
+    /// its [`DensityNetwork`] from the context's lender when one is warm
+    /// (and returns it afterwards), so repeat requests on an unchanged
+    /// graph pay only the flow resolve.
+    pub fn exact(&self, opts: ExactOpts) -> (DsdResult, ExactStats) {
+        let (g, psi, oracle, lender) = (self.graph(), self.pattern(), self.oracle(), self.lender());
+        let n = g.num_vertices();
+        let alive = VertexSet::full(n);
+        let degrees = oracle.degrees(g, &alive);
+        let max_deg = degrees.iter().copied().max().unwrap_or(0);
+        let mut stats = ExactStats::default();
+        if max_deg == 0 {
+            return (DsdResult::empty(), stats);
         }
-    };
-    stats.absorb_flow(net.probe_stats());
-    release_network(&members, net, lender);
-    debug_assert!(!best.is_empty(), "μ > 0 guarantees a feasible guess");
-    best.sort_unstable();
-    (
-        DsdResult {
-            vertices: best,
-            density: rho,
-        },
-        stats,
-    )
+
+        let bounds = (0.0f64, max_deg as f64);
+        stats.initial_bounds = bounds;
+        let gap = effective_gap(n, opts.tolerance);
+        let budget = opts.step_budget.unwrap_or(usize::MAX);
+        let members: Vec<VertexId> = g.vertices().collect();
+        // Store-built (construct+-shaped) when the oracle materialized;
+        // otherwise PExact's ungrouped Algorithm-8 network — construct+
+        // grouping without a store belongs to CorePExact.
+        let mut net = acquire_network(g, &members, psi, false, oracle, lender);
+        let mut probe = NetworkProbe::new(&mut net, g, oracle);
+        let outcome = alpha_search(
+            &mut probe,
+            bounds,
+            FirstProbe::Midpoint,
+            gap,
+            budget,
+            &mut stats,
+        );
+        let (mut best, rho) = match outcome.witness {
+            Some(w) => (w, outcome.lower),
+            None => {
+                // μ > 0 guarantees α = 0 is feasible, so a missing witness
+                // means an exhausted step budget starved the search before
+                // any feasible probe. Fall back to one counted probe at the
+                // proven-feasible guess rather than returning a bogus empty
+                // answer (see the `step_budget` docs).
+                stats.iterations += 1;
+                stats.network_nodes.push(probe.network_nodes());
+                probe.probe(0.0).unwrap_or_default()
+            }
+        };
+        stats.absorb_flow(net.probe_stats());
+        release_network(&members, net, lender);
+        debug_assert!(!best.is_empty(), "μ > 0 guarantees a feasible guess");
+        best.sort_unstable();
+        (
+            DsdResult {
+                vertices: best,
+                density: rho,
+            },
+            stats,
+        )
+    }
 }
 
 #[cfg(test)]

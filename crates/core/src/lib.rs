@@ -5,27 +5,36 @@
 //! (k, Ψ)-core machinery plus every algorithm the paper introduces or
 //! compares against:
 //!
-//! | Paper name | Here | Kind |
-//! |---|---|---|
-//! | Algorithm 1 `Exact` | [`exact::exact`] (clique Ψ) | exact |
-//! | Algorithm 2 `PeelApp` | [`peel::peel_app`] | 1/\|VΨ\| approx |
-//! | Algorithm 3 core decomposition | [`clique_core::decompose`] | substrate |
-//! | Algorithm 4 `CoreExact` | [`core_exact::core_exact`] | exact |
-//! | Algorithm 5 `IncApp` | [`approx::inc_app`] | approx |
-//! | Algorithm 6 `CoreApp` | [`approx::core_app`] | approx |
-//! | Algorithm 7 `construct+` | [`flownet::build_pattern_network`] / [`flownet::build_store_network`] | substrate |
-//! | Algorithm 8 `PExact` | [`exact::exact`] (pattern Ψ) | exact |
-//! | `CorePExact` | [`core_exact::core_exact`] (pattern Ψ) | exact |
-//! | `Nucleus` baseline | [`nucleus::nucleus_app`] | approx |
-//! | `EMcore` baseline | [`emcore::emcore_max_core`] | approx |
-//! | Sec. 6.3 query variant | [`query::densest_with_query`] | exact |
+//! | Paper name | Cold call | Entry on [`Substrates`] | Kind |
+//! |---|---|---|---|
+//! | Algorithm 1 `Exact` | [`exact::exact`] (clique Ψ) | [`Substrates::exact`] | exact |
+//! | Algorithm 2 `PeelApp` | [`peel::peel_app`] | [`Substrates::peel_app`] | 1/\|VΨ\| approx |
+//! | Algorithm 3 core decomposition | [`clique_core::decompose`] | [`Substrates::decomposition`] | substrate |
+//! | Algorithm 4 `CoreExact` | [`core_exact::core_exact`] | [`Substrates::core_exact`] | exact |
+//! | Algorithm 5 `IncApp` | [`approx::inc_app`] | [`Substrates::inc_app`] | approx |
+//! | Algorithm 6 `CoreApp` | [`approx::core_app`] | [`Substrates::core_app`] | approx |
+//! | Algorithm 6 γ bounds | [`approx::gamma_bounds`] | [`Substrates::gamma_bounds`] | substrate |
+//! | Algorithm 7 `construct+` | [`flownet::build_pattern_network`] / [`flownet::build_store_network`] | — | substrate |
+//! | Algorithm 8 `PExact` | [`exact::exact`] (pattern Ψ) | [`Substrates::exact`] | exact |
+//! | `CorePExact` | [`core_exact::core_exact`] (pattern Ψ) | [`Substrates::core_exact`] | exact |
+//! | `Nucleus` baseline | [`nucleus::nucleus_app`] | — | approx |
+//! | `EMcore` baseline | [`emcore::emcore_max_core`] | — | approx |
+//! | Sec. 6.3 query variant | [`query::densest_with_query`] | [`Substrates::densest_with_query`] | exact |
+//! | Top-k densest (extension) | [`top_k::top_k_densest`] | [`Substrates::top_k`] | exact |
+//! | DalkS / DamkS (extension) | [`size_constrained::densest_at_least_k`] / [`size_constrained::densest_at_most_k`] | [`Substrates::densest_at_least_k`] / [`Substrates::densest_at_most_k`] | exact or approx |
+//!
+//! Every algorithm has one entry point, a method on a [`Substrates`]
+//! context, which acquires the oracle, the (k, Ψ)-core decomposition and
+//! the classical k-core order the first time the algorithm reads them.
+//! The cold calls are one-liners over [`Substrates::cold`]; pass one
+//! context to several entries to share its substrates.
 //!
 //! # Quickstart
 //!
-//! One-off calls go through the free functions; query *workloads* go
-//! through [`engine::DsdEngine`], which owns the graph and memoizes the
-//! expensive substrates (Ψ-instance lists, (k, Ψ)-core decompositions, the
-//! classical k-core order) across requests:
+//! Query *workloads* go through [`engine::DsdEngine`], which owns the
+//! graph and memoizes the expensive substrates (Ψ-instance lists, (k,
+//! Ψ)-core decompositions, the classical k-core order, solved flow
+//! networks) across requests:
 //!
 //! ```
 //! use dsd_core::engine::{DsdEngine, Objective};
@@ -48,17 +57,20 @@
 //! assert!(top.stats.substrate.decomposition_cache_hit);
 //! ```
 //!
-//! The free-function form still works and now shims through a throwaway
-//! engine:
+//! One-off calls use the paper-named cold functions, which build their
+//! substrates on a [`Substrates`] context with no engine at all;
+//! [`densest_subgraph`] runs one request through a throwaway engine:
 //!
 //! ```
-//! use dsd_core::{densest_subgraph, Method};
+//! use dsd_core::{core_exact, densest_subgraph, Method};
 //! use dsd_motif::Pattern;
 //! use dsd_graph::Graph;
 //!
 //! let g = Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (0, 3), (2, 3), (3, 4), (4, 5)]);
-//! let cds = densest_subgraph(&g, &Pattern::triangle(), Method::CoreExact);
+//! let (cds, _) = core_exact(&g, &Pattern::triangle());
 //! assert_eq!(cds.vertices, vec![0, 1, 2, 3]);
+//! let same = densest_subgraph(&g, &Pattern::triangle(), Method::CoreExact);
+//! assert_eq!(same.vertices, cds.vertices);
 //! ```
 //!
 //! Serving many named graphs from one process goes through
@@ -77,7 +89,6 @@ pub mod emcore;
 pub mod engine;
 pub mod exact;
 pub mod flownet;
-pub mod hierarchy;
 pub mod kcore;
 pub mod nucleus;
 pub mod oracle;
@@ -86,6 +97,7 @@ pub mod peel;
 pub mod query;
 pub mod serve;
 pub mod size_constrained;
+pub mod substrates;
 pub mod top_k;
 pub mod types;
 
@@ -93,13 +105,11 @@ pub use alpha_search::{
     alpha_search, density_gap, effective_gap, DecisionProbe, FirstProbe, NetworkProbe,
     SearchOutcome,
 };
-pub use approx::{core_app, core_app_from, inc_app, inc_app_from, inc_app_parallel, ApproxResult};
+pub use approx::{core_app, inc_app, ApproxResult};
 pub use bounds::{density_bounds, locate_core_order, DensityBounds};
 pub use budget::parse_byte_budget;
 pub use clique_core::{decompose, CliqueCoreDecomposition};
-pub use core_exact::{
-    core_exact, core_exact_from, core_exact_with, CoreExactConfig, CoreExactStats,
-};
+pub use core_exact::{core_exact, CoreExactConfig, CoreExactStats};
 pub use dsd_graph::GraphUpdate;
 pub use dsd_motif::store::StoreBuildStats;
 pub use dynamic::{repair_delete, repair_insert};
@@ -109,26 +119,23 @@ pub use engine::{
     GraphSnapshot, Guarantee, Objective, Outcome, PatternKey, RepairPolicy, Solution, SolveStats,
     MULTI_EDGE_DELTA_MAX,
 };
-pub use exact::{exact, exact_with, ExactOpts, ExactStats};
-pub use hierarchy::{core_hierarchy, core_spectrum, first_level_with_density, CoreLevel};
+pub use exact::{exact, ExactOpts, ExactStats};
 pub use kcore::{k_core_decomposition, KCoreDecomposition};
 pub use nucleus::{nucleus_app, nucleus_decomposition};
 pub use oracle::{
-    density, oracle_for, oracle_for_with, oracle_with_budget, oracle_with_policy, DensityOracle,
-    InstancePeeler, MaterializedOracle, StoreFallback, StoreStats, DEFAULT_STORE_BUDGET,
+    density, oracle_for, oracle_with_policy, DensityOracle, InstancePeeler, MaterializedOracle,
+    StoreFallback, StoreStats, DEFAULT_STORE_BUDGET,
 };
 pub use parallelism::Parallelism;
-pub use peel::{peel_app, peel_app_from};
-pub use query::{densest_with_query, densest_with_query_from};
+pub use peel::peel_app;
+pub use query::densest_with_query;
 pub use serve::{
     DsdServer, GovernorStats, ServeConfig, ServeError, ServeOutcome, ServeStats, SubstrateGovernor,
     SubstrateLease, Ticket,
 };
-pub use size_constrained::{
-    densest_at_least_k, densest_at_least_k_from, densest_at_most_k, densest_at_most_k_from,
-    SizeConstrainedOutcome,
-};
-pub use top_k::{top_k_densest, top_k_densest_from};
+pub use size_constrained::{densest_at_least_k, densest_at_most_k, SizeConstrainedOutcome};
+pub use substrates::Substrates;
+pub use top_k::{top_k_densest, TopKScan};
 pub use types::DsdResult;
 
 use dsd_graph::Graph;
@@ -157,7 +164,7 @@ pub enum Method {
 ///
 /// Exact methods return the true CDS/PDS; approximation methods return a
 /// subgraph whose density is within `1/|VΨ|` of optimal (and in practice
-/// much closer — see `EXPERIMENTS.md`). Shims through a throwaway
+/// much closer — see `EXPERIMENTS.md`). Runs through a throwaway
 /// [`engine::DsdEngine`]; build one yourself to reuse substrates across
 /// calls.
 pub fn densest_subgraph(g: &Graph, psi: &Pattern, method: Method) -> DsdResult {

@@ -15,7 +15,7 @@
 //! decomposition O(total memberships) after the single enumeration pass.
 //!
 //! A byte budget guards the materialization: when the store would overflow
-//! its `u32` indexing or the configured budget ([`oracle_with_budget`]),
+//! its `u32` indexing or the configured budget ([`oracle_with_policy`]),
 //! the oracle transparently falls back to the streaming implementations —
 //! kClist re-enumeration for cliques, anchored backtracking for general
 //! patterns — which are always available as:
@@ -868,7 +868,7 @@ impl DensityOracle for MaterializedOracle {
     }
 }
 
-/// The streaming fallback for `psi` (see [`oracle_with_budget`]'s policy).
+/// The streaming fallback for `psi` (see [`oracle_with_policy`]).
 fn streaming_for(psi: &Pattern, parallelism: Parallelism) -> Box<dyn DensityOracle> {
     match psi.kind() {
         PatternKind::Clique(h) if !parallelism.is_serial() => {
@@ -965,14 +965,7 @@ impl InstancePeeler for StorePeeler<'_> {
 /// Picks the cheapest sound oracle for `psi` with the default budget and
 /// no parallelism.
 pub fn oracle_for(psi: &Pattern) -> Box<dyn DensityOracle> {
-    oracle_for_with(psi, Parallelism::serial())
-}
-
-/// [`oracle_for`] with a worker-count configuration (clique store builds
-/// and streaming clique degree passes shard across the workers), at the
-/// default byte budget.
-pub fn oracle_for_with(psi: &Pattern, parallelism: Parallelism) -> Box<dyn DensityOracle> {
-    oracle_with_budget(psi, parallelism, Some(DEFAULT_STORE_BUDGET))
+    oracle_with_policy(psi, Parallelism::serial(), Some(DEFAULT_STORE_BUDGET), None)
 }
 
 /// The full oracle policy: h-cliques (h ≥ 3) and general patterns
@@ -980,18 +973,10 @@ pub fn oracle_for_with(psi: &Pattern, parallelism: Parallelism) -> Box<dyn Densi
 /// unlimited, `Some(0)` = never materialize), falling back to streaming
 /// when the store would not fit; edges keep the direct neighbour rule (the
 /// store would just duplicate the graph's own CSR) and stars/diamonds keep
-/// their closed forms.
-pub fn oracle_with_budget(
-    psi: &Pattern,
-    parallelism: Parallelism,
-    budget: Option<u64>,
-) -> Box<dyn DensityOracle> {
-    oracle_with_policy(psi, parallelism, budget, None)
-}
-
-/// [`oracle_with_budget`] with an explicit dead-row compaction fraction
-/// for materialized stores (`None` = the store default). The engine's
-/// [`crate::engine::RepairPolicy`] lands here.
+/// their closed forms. Clique store builds and streaming clique degree
+/// passes shard across `parallelism`'s workers, and `compact` sets a
+/// materialized store's dead-row compaction fraction (`None` = the store
+/// default; the engine's [`crate::engine::RepairPolicy`] lands here).
 pub fn oracle_with_policy(
     psi: &Pattern,
     parallelism: Parallelism,

@@ -2,10 +2,9 @@
 //! spawns threads.
 //!
 //! Before this type existed, every parallel entry point grew its own
-//! ad-hoc `threads: usize` argument (`inc_app_parallel`,
-//! `ParallelCliqueOracle`, bench drivers), so the CLI, the benches, and a
-//! batch executor could silently disagree about how many workers a process
-//! runs. `Parallelism` is that number, validated once: construct it at the
+//! ad-hoc `threads: usize` argument (`ParallelCliqueOracle`, bench
+//! drivers), so the CLI, the benches, and a batch executor could silently
+//! disagree about how many workers a process runs. `Parallelism` is that number, validated once: construct it at the
 //! edge (CLI flag, engine config), pass it down.
 
 /// Worker-count configuration for parallel substrate passes (instance-store

@@ -10,32 +10,33 @@
 use dsd_graph::Graph;
 use dsd_motif::Pattern;
 
-use crate::clique_core::{decompose, CliqueCoreDecomposition};
-use crate::oracle::oracle_for;
+use crate::substrates::Substrates;
 use crate::types::DsdResult;
 
 /// Runs PeelApp: returns the densest residual subgraph `S*` seen while
-/// greedily peeling minimum-degree vertices.
+/// greedily peeling minimum-degree vertices. Builds the substrates cold.
 ///
 /// Guarantee: `ρ(S*, Ψ) ≥ ρopt / |VΨ|` (Lemma 10, generalizing Charikar's
 /// 0.5-approximation for edges).
 pub fn peel_app(g: &Graph, psi: &Pattern) -> DsdResult {
-    let oracle = oracle_for(psi);
-    let dec = decompose(g, oracle.as_ref());
-    peel_app_from(&dec)
+    Substrates::cold(g, psi).peel_app()
 }
 
-/// [`peel_app`] against a caller-provided (possibly warm) decomposition —
-/// the peel itself *is* the decomposition, so a warm call is O(|S*|).
-pub fn peel_app_from(dec: &CliqueCoreDecomposition) -> DsdResult {
-    if dec.mu == 0 {
-        return DsdResult::empty();
-    }
-    let mut vertices = dec.best_residual();
-    vertices.sort_unstable();
-    DsdResult {
-        vertices,
-        density: dec.best_density,
+impl Substrates<'_> {
+    /// PeelApp on this context's decomposition — the peel itself *is* the
+    /// decomposition, so a warm call is O(|S*|). Empty when the graph
+    /// holds no Ψ instance.
+    pub fn peel_app(&self) -> DsdResult {
+        let dec = self.decomposition();
+        if dec.mu == 0 {
+            return DsdResult::empty();
+        }
+        let mut vertices = dec.best_residual();
+        vertices.sort_unstable();
+        DsdResult {
+            vertices,
+            density: dec.best_density,
+        }
     }
 }
 

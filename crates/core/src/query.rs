@@ -29,19 +29,22 @@
 //! probe strictly beats it, and the seed is the bisection's answer too.
 
 use dsd_graph::{Graph, InducedSubgraph, VertexId, VertexSet};
+use dsd_motif::Pattern;
 
 use crate::alpha_search::{alpha_search, density_gap, DecisionProbe, ExactStats, FirstProbe};
 use crate::bucket_queue::PeelQueue;
-use crate::flownet::{build_query_network, DensityNetwork, NetworkLender};
-use crate::kcore::{k_core_decomposition, KCoreDecomposition};
+use crate::flownet::{build_query_network, DensityNetwork};
+use crate::substrates::Substrates;
 use crate::types::DsdResult;
 
-/// Finds the densest (edge-density) subgraph containing all of `query`.
+/// Finds the densest (edge-density) subgraph containing all of `query`,
+/// building the classical core order cold.
 ///
 /// Returns `None` when `query` is empty or contains out-of-range vertices.
 pub fn densest_with_query(g: &Graph, query: &[VertexId]) -> Option<DsdResult> {
-    let cores = k_core_decomposition(g);
-    densest_with_query_from(g, query, &cores).map(|(r, _)| r)
+    Substrates::cold(g, &Pattern::edge())
+        .densest_with_query(query)
+        .map(|(r, _)| r)
 }
 
 /// The pinned-network probe: the min cut always keeps Q on the source
@@ -64,17 +67,6 @@ impl DecisionProbe for QueryProbe<'_> {
     fn network_nodes(&self) -> usize {
         self.net.num_nodes()
     }
-}
-
-/// [`densest_with_query`] against a caller-provided (possibly warm)
-/// classical core decomposition. Also
-/// returns the α-search instrumentation (probe counts, flow reuse).
-pub fn densest_with_query_from(
-    g: &Graph,
-    query: &[VertexId],
-    cores: &KCoreDecomposition,
-) -> Option<(DsdResult, ExactStats)> {
-    densest_with_query_lender(g, query, cores, None)
 }
 
 /// The Q-pinned min-degree peel: vertices outside Q are removed in
@@ -115,110 +107,115 @@ fn pinned_peel(g: &Graph, is_query: &[bool]) -> (Vec<usize>, f64) {
     (core, best)
 }
 
-/// [`densest_with_query_from`] with a network lender: the pinned network
-/// is borrowed from the lender's cache — keyed by the anchored-core
-/// member set *and* the pinned query set — when a warm one is resident,
-/// and returned afterwards. The query is normalised (sorted, duplicates
-/// dropped) first, so `[a, b]`, `[b, a]` and `[a, a, b]` share one answer
-/// and one cached network; the pinned peel re-derives the same member set
-/// on an unchanged graph, so repeat queries warm-resolve.
-pub(crate) fn densest_with_query_lender(
-    g: &Graph,
-    query: &[VertexId],
-    cores: &KCoreDecomposition,
-    lender: Option<&dyn NetworkLender>,
-) -> Option<(DsdResult, ExactStats)> {
-    let n = g.num_vertices();
-    if query.is_empty() || query.iter().any(|&q| q as usize >= n) {
-        return None;
-    }
-    let mut query = query.to_vec();
-    query.sort_unstable();
-    query.dedup();
-    let x = query
-        .iter()
-        .map(|&q| cores.core[q as usize])
-        .min()
-        .expect("query non-empty");
-    let mut is_query = vec![false; n];
-    for &q in &query {
-        is_query[q as usize] = true;
-    }
-    let (anchored_core, peel_bound) = pinned_peel(g, &is_query);
-
-    // Locate half a gap below l̃: there the seed cut is the maximal
-    // densest Q-subgraph whenever l̃ = ρ_Q (at l̃ itself nothing would
-    // strictly beat α). The x/2 floor keeps the minimal densest seed when
-    // ρ_Q = x/2.
-    let gap = density_gap(
-        anchored_core
+impl Substrates<'_> {
+    /// The densest edge-density subgraph containing all of `query`, plus
+    /// the α-search instrumentation, located in this context's classical
+    /// core order. Ψ plays no part: the variant is defined for edge
+    /// density. Returns `None` when `query` is empty or contains
+    /// out-of-range vertices.
+    ///
+    /// The pinned network is borrowed from the context's lender — keyed by
+    /// the anchored-core member set *and* the pinned query set — when a
+    /// warm one is resident, and returned afterwards. The query is
+    /// normalised (sorted, duplicates dropped) first, so `[a, b]`,
+    /// `[b, a]` and `[a, a, b]` share one answer and one cached network;
+    /// the pinned peel re-derives the same member set on an unchanged
+    /// graph, so repeat queries warm-resolve.
+    pub fn densest_with_query(&self, query: &[VertexId]) -> Option<(DsdResult, ExactStats)> {
+        let (g, lender) = (self.graph(), self.lender());
+        let n = g.num_vertices();
+        if query.is_empty() || query.iter().any(|&q| q as usize >= n) {
+            return None;
+        }
+        let cores = self.kcore();
+        let mut query = query.to_vec();
+        query.sort_unstable();
+        query.dedup();
+        let x = query
             .iter()
-            .filter(|&&c| c >= x.div_ceil(2) as usize)
-            .count(),
-    );
-    let l = (peel_bound - gap / 2.0).max(x as f64 / 2.0);
-    let k = l.ceil() as usize;
-    let members: Vec<VertexId> = g
-        .vertices()
-        .filter(|&v| anchored_core[v as usize] >= k)
-        .collect();
-    let sub = InducedSubgraph::new(g, &members);
-    let local_query: Vec<VertexId> = sub
-        .orig
-        .iter()
-        .enumerate()
-        .filter(|(_, &v)| is_query[v as usize])
-        .map(|(i, _)| i as VertexId)
-        .collect();
-    debug_assert_eq!(local_query.len(), query.len());
+            .map(|&q| cores.core[q as usize])
+            .min()
+            .expect("query non-empty");
+        let mut is_query = vec![false; n];
+        for &q in &query {
+            is_query[q as usize] = true;
+        }
+        let (anchored_core, peel_bound) = pinned_peel(g, &is_query);
 
-    // α-search with the pinned network, built once for the whole probe
-    // sequence. The seed cut at l is a Q-containing answer in its own
-    // right (the answer itself when ρ_Q = x/2) and checkpoints the
-    // parametric chain — every later probe has α ≥ l.
-    let u = cores.kmax as f64;
-    let mut stats = ExactStats {
-        initial_bounds: (l, u),
-        ..ExactStats::default()
-    };
-    let mut net = match lender.and_then(|l| l.take(&sub.orig, &query)) {
-        Some(net) => net,
-        None => build_query_network(&sub.graph, &local_query),
-    };
-    stats.iterations += 1;
-    stats.network_nodes.push(net.num_nodes());
-    let seed = net.min_cut_side(l);
-    net.checkpoint();
-    let lower = edge_density(&sub.graph, &seed);
-    let outcome = {
-        let mut probe = QueryProbe {
-            net: &mut net,
-            g: &sub.graph,
+        // Locate half a gap below l̃: there the seed cut is the maximal
+        // densest Q-subgraph whenever l̃ = ρ_Q (at l̃ itself nothing would
+        // strictly beat α). The x/2 floor keeps the minimal densest seed when
+        // ρ_Q = x/2.
+        let gap = density_gap(
+            anchored_core
+                .iter()
+                .filter(|&&c| c >= x.div_ceil(2) as usize)
+                .count(),
+        );
+        let l = (peel_bound - gap / 2.0).max(x as f64 / 2.0);
+        let k = l.ceil() as usize;
+        let members: Vec<VertexId> = g
+            .vertices()
+            .filter(|&v| anchored_core[v as usize] >= k)
+            .collect();
+        let sub = InducedSubgraph::new(g, &members);
+        let local_query: Vec<VertexId> = sub
+            .orig
+            .iter()
+            .enumerate()
+            .filter(|(_, &v)| is_query[v as usize])
+            .map(|(i, _)| i as VertexId)
+            .collect();
+        debug_assert_eq!(local_query.len(), query.len());
+
+        // α-search with the pinned network, built once for the whole probe
+        // sequence. The seed cut at l is a Q-containing answer in its own
+        // right (the answer itself when ρ_Q = x/2) and checkpoints the
+        // parametric chain — every later probe has α ≥ l.
+        let u = cores.kmax as f64;
+        let mut stats = ExactStats {
+            initial_bounds: (l, u),
+            ..ExactStats::default()
         };
-        alpha_search(
-            &mut probe,
-            (lower, u),
-            FirstProbe::Lower,
-            gap,
-            usize::MAX,
-            &mut stats,
-        )
-    };
-    stats.absorb_flow(net.probe_stats());
-    if let Some(l) = lender {
-        l.put(&sub.orig, &query, net);
-    }
+        let mut net = match lender.and_then(|l| l.take(&sub.orig, &query)) {
+            Some(net) => net,
+            None => build_query_network(&sub.graph, &local_query),
+        };
+        stats.iterations += 1;
+        stats.network_nodes.push(net.num_nodes());
+        let seed = net.min_cut_side(l);
+        net.checkpoint();
+        let lower = edge_density(&sub.graph, &seed);
+        let outcome = {
+            let mut probe = QueryProbe {
+                net: &mut net,
+                g: &sub.graph,
+            };
+            alpha_search(
+                &mut probe,
+                (lower, u),
+                FirstProbe::Lower,
+                gap,
+                usize::MAX,
+                &mut stats,
+            )
+        };
+        stats.absorb_flow(net.probe_stats());
+        if let Some(l) = lender {
+            l.put(&sub.orig, &query, net);
+        }
 
-    let side = outcome.witness.unwrap_or(seed);
-    let mut vertices: Vec<VertexId> = side.iter().map(|&v| sub.to_parent(v)).collect();
-    vertices.sort_unstable();
-    Some((
-        DsdResult {
-            density: edge_density(&sub.graph, &side),
-            vertices,
-        },
-        stats,
-    ))
+        let side = outcome.witness.unwrap_or(seed);
+        let mut vertices: Vec<VertexId> = side.iter().map(|&v| sub.to_parent(v)).collect();
+        vertices.sort_unstable();
+        Some((
+            DsdResult {
+                density: edge_density(&sub.graph, &side),
+                vertices,
+            },
+            stats,
+        ))
+    }
 }
 
 /// Edge density of `g[members]` — the probe's witness score and the
@@ -242,6 +239,11 @@ fn induced_edges(g: &Graph, members: &[VertexId]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The query variant on a cold context, with its search stats.
+    fn with_stats(g: &Graph, query: &[VertexId]) -> Option<(DsdResult, ExactStats)> {
+        Substrates::cold(g, &Pattern::edge()).densest_with_query(query)
+    }
 
     /// Two cliques joined by a path: K5 {0..4} — 5-6 — K4 {7..10}.
     fn two_cliques() -> Graph {
@@ -328,7 +330,6 @@ mod tests {
     #[test]
     fn duplicate_and_reordered_query_vertices_are_one_query() {
         let g = two_cliques();
-        let cores = k_core_decomposition(&g);
         for (plain, variants) in [
             (vec![9], vec![vec![9, 9], vec![9, 9, 9]]),
             (
@@ -336,9 +337,9 @@ mod tests {
                 vec![vec![9, 0], vec![0, 0, 9], vec![9, 0, 9, 0]],
             ),
         ] {
-            let (want, want_stats) = densest_with_query_from(&g, &plain, &cores).unwrap();
+            let (want, want_stats) = with_stats(&g, &plain).unwrap();
             for q in variants {
-                let (got, stats) = densest_with_query_from(&g, &q, &cores).unwrap();
+                let (got, stats) = with_stats(&g, &q).unwrap();
                 assert_eq!(got.vertices, want.vertices, "{q:?}");
                 assert_eq!(got.density.to_bits(), want.density.to_bits(), "{q:?}");
                 assert_eq!(stats.network_nodes, want_stats.network_nodes, "{q:?}");
@@ -362,8 +363,7 @@ mod tests {
             edges.push((8 + i, 8 + (i + 1) % 20));
         }
         let g = Graph::from_edges(28, &edges);
-        let cores = k_core_decomposition(&g);
-        let (r, stats) = densest_with_query_from(&g, &[8], &cores).unwrap();
+        let (r, stats) = with_stats(&g, &[8]).unwrap();
         assert_eq!(r.vertices, (0..9).collect::<Vec<_>>());
         assert_eq!(r.density.to_bits(), (28.0f64 / 9.0).to_bits());
         // The searched bracket starts just below the peel bound, not at
@@ -379,8 +379,7 @@ mod tests {
         // With ρ_Q = x/2 (Q inside K5, x = 4) the seed is taken at x/2 and
         // is the answer.
         let g = two_cliques();
-        let cores = k_core_decomposition(&g);
-        let (r, stats) = densest_with_query_from(&g, &[0], &cores).unwrap();
+        let (r, stats) = with_stats(&g, &[0]).unwrap();
         assert_eq!(r.vertices, vec![0, 1, 2, 3, 4]);
         assert_eq!(stats.initial_bounds, (2.0, 4.0));
     }
@@ -390,9 +389,8 @@ mod tests {
     #[test]
     fn parametric_reuse_after_seed_probe() {
         let g = two_cliques();
-        let cores = k_core_decomposition(&g);
         for q in [vec![0], vec![9], vec![0, 9]] {
-            let (_, s) = densest_with_query_from(&g, &q, &cores).unwrap();
+            let (_, s) = with_stats(&g, &q).unwrap();
             assert!(s.iterations >= 2, "{q:?}");
             assert_eq!(
                 s.resolve_hits,

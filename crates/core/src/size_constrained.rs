@@ -34,9 +34,9 @@ use dsd_motif::pattern::PatternKind;
 use dsd_motif::Pattern;
 
 use crate::alpha_search::ExactStats;
-use crate::clique_core::{decompose, CliqueCoreDecomposition};
-use crate::core_exact::{core_exact_from, CoreExactConfig};
-use crate::oracle::{oracle_for, DensityOracle};
+use crate::clique_core::CliqueCoreDecomposition;
+use crate::core_exact::CoreExactConfig;
+use crate::substrates::Substrates;
 use crate::types::DsdResult;
 
 /// A size-constrained solve: the subgraph plus how it was certified.
@@ -63,92 +63,90 @@ pub struct SizeConstrainedOutcome {
 /// Andersen–Chellapilla, heuristic quality for other Ψ). Returns `None`
 /// when `k` is 0 or exceeds the vertex count.
 pub fn densest_at_least_k(g: &Graph, psi: &Pattern, k: usize) -> Option<DsdResult> {
-    if k > g.num_vertices() || k == 0 {
-        return None;
-    }
-    let oracle = oracle_for(psi);
-    let dec = decompose(g, oracle.as_ref());
-    densest_at_least_k_from(g, psi, k, CoreExactConfig::default(), oracle.as_ref(), &dec)
+    Substrates::cold(g, psi)
+        .densest_at_least_k(k, CoreExactConfig::default())
         .map(|o| o.result)
 }
 
-/// [`densest_at_least_k`] against caller-provided (possibly warm)
-/// substrates: tries the exact fast path (a `CoreExact` α-search under
-/// `config`), then falls back to replaying the decomposition's peel order
-/// without re-peeling.
-pub fn densest_at_least_k_from(
-    g: &Graph,
-    psi: &Pattern,
-    k: usize,
-    config: CoreExactConfig,
-    oracle: &dyn DensityOracle,
-    dec: &CliqueCoreDecomposition,
-) -> Option<SizeConstrainedOutcome> {
-    let n = g.num_vertices();
-    if k > n || k == 0 {
-        return None;
-    }
-    // Exact fast path (clique Ψ): the unconstrained optimum bounds the
-    // constrained one from above and is feasible when it meets the floor.
-    // Skipped outright when the located core (which contains the CDS,
-    // Lemma 7) is already below the floor — the fast path provably can't
-    // fire, so don't pay its α-search just to discard it.
-    let mut stats = ExactStats::default();
-    if matches!(psi.kind(), PatternKind::Clique(_)) && located_core_len(dec, psi, config) >= k {
-        let (cds, ces) = core_exact_from(g, psi, config, oracle, dec);
-        if cds.len() >= k {
-            return Some(SizeConstrainedOutcome {
-                result: cds,
-                exact: true,
-                stats: ces.exact,
-            });
+impl Substrates<'_> {
+    /// [`densest_at_least_k`] on this context's substrates: tries the
+    /// exact fast path (a `CoreExact` α-search under `config`), then falls
+    /// back to replaying the decomposition's peel order without
+    /// re-peeling. Returns `None` when `k` is 0 or exceeds the vertex
+    /// count, before reading any substrate.
+    pub fn densest_at_least_k(
+        &self,
+        k: usize,
+        config: CoreExactConfig,
+    ) -> Option<SizeConstrainedOutcome> {
+        let (g, psi) = (self.graph(), self.pattern());
+        let n = g.num_vertices();
+        if k > n || k == 0 {
+            return None;
         }
-        stats = ces.exact;
-    }
-    // Residual graphs are suffixes of the peel order; the feasible ones
-    // are those with ≥ k vertices, i.e. the first n−k+1 suffixes.
-    let order = &dec.peel_order;
-    let mut best: Option<(f64, usize)> = None;
-    // Recompute μ along the peel by replaying degree-at-removal sums:
-    // μ_suffix(i) = μ − Σ_{j<i} deg_at_removal(j). The decomposition
-    // doesn't store deg-at-removal, so rebuild densities directly —
-    // starting from the initial degrees the decomposition already
-    // computed (a full oracle degree pass is the dominant cost here).
-    let mut alive = VertexSet::full(n);
-    let mut deg = dec.degrees.clone();
-    let mut mu: u64 = dec.mu;
-    // Indexed loop: `i` is simultaneously a position in `order` and the
-    // number of peeled vertices, so enumerate() would obscure the math.
-    #[allow(clippy::needless_range_loop)]
-    for i in 0..=n.saturating_sub(k) {
-        let size = n - i;
-        if size >= k && size > 0 {
-            let rho = mu as f64 / size as f64;
-            if best.map(|(b, _)| rho > b).unwrap_or(true) {
-                best = Some((rho, i));
+        let (oracle, dec) = (self.oracle(), self.decomposition());
+        // Exact fast path (clique Ψ): the unconstrained optimum bounds the
+        // constrained one from above and is feasible when it meets the floor.
+        // Skipped outright when the located core (which contains the CDS,
+        // Lemma 7) is already below the floor — the fast path provably can't
+        // fire, so don't pay its α-search just to discard it.
+        let mut stats = ExactStats::default();
+        if matches!(psi.kind(), PatternKind::Clique(_)) && located_core_len(dec, psi, config) >= k {
+            let (cds, ces) = self.core_exact(config);
+            if cds.len() >= k {
+                return Some(SizeConstrainedOutcome {
+                    result: cds,
+                    exact: true,
+                    stats: ces.exact,
+                });
             }
+            stats = ces.exact;
         }
-        if i == n - k {
-            break;
+        // Residual graphs are suffixes of the peel order; the feasible ones
+        // are those with ≥ k vertices, i.e. the first n−k+1 suffixes.
+        let order = &dec.peel_order;
+        let mut best: Option<(f64, usize)> = None;
+        // Recompute μ along the peel by replaying degree-at-removal sums:
+        // μ_suffix(i) = μ − Σ_{j<i} deg_at_removal(j). The decomposition
+        // doesn't store deg-at-removal, so rebuild densities directly —
+        // starting from the initial degrees the decomposition already
+        // computed (a full oracle degree pass is the dominant cost here).
+        let mut alive = VertexSet::full(n);
+        let mut deg = dec.degrees.clone();
+        let mut mu: u64 = dec.mu;
+        // Indexed loop: `i` is simultaneously a position in `order` and the
+        // number of peeled vertices, so enumerate() would obscure the math.
+        #[allow(clippy::needless_range_loop)]
+        for i in 0..=n.saturating_sub(k) {
+            let size = n - i;
+            if size >= k && size > 0 {
+                let rho = mu as f64 / size as f64;
+                if best.map(|(b, _)| rho > b).unwrap_or(true) {
+                    best = Some((rho, i));
+                }
+            }
+            if i == n - k {
+                break;
+            }
+            let v = order[i];
+            for (u, amount) in oracle.removal_decrements(g, &alive, v) {
+                deg[u as usize] -= amount.min(deg[u as usize]);
+            }
+            mu -= deg[v as usize].min(mu);
+            alive.remove(v);
         }
-        let v = order[i];
-        for (u, amount) in oracle.removal_decrements(g, &alive, v) {
-            deg[u as usize] -= amount.min(deg[u as usize]);
-        }
-        mu -= deg[v as usize].min(mu);
-        alive.remove(v);
+        let (rho, suffix) = best?;
+        let mut vertices: Vec<VertexId> = order[suffix..].to_vec();
+        vertices.sort_unstable();
+        Some(SizeConstrainedOutcome {
+            result: DsdResult {
+                vertices,
+                density: rho,
+            },
+            exact: false,
+            stats,
+        })
     }
-    let (rho, suffix) = best?;
-    let mut vertices: Vec<VertexId> = order[suffix..].to_vec();
-    vertices.sort_unstable();
-    Some(SizeConstrainedOutcome {
-        result: DsdResult {
-            vertices,
-            density: rho,
-        },
-        exact: false,
-        stats,
-    })
 }
 
 /// Size of the `(k″, Ψ)`-core CoreExact would locate the CDS in — an
@@ -169,87 +167,84 @@ fn located_core_len(
 /// otherwise the core-guided greedy trim with no approximation guarantee
 /// (the problem is densest-k-subgraph-hard).
 pub fn densest_at_most_k(g: &Graph, psi: &Pattern, k: usize) -> Option<DsdResult> {
-    if k == 0 {
-        return None;
-    }
-    let oracle = oracle_for(psi);
-    let dec = decompose(g, oracle.as_ref());
-    densest_at_most_k_from(g, psi, k, CoreExactConfig::default(), oracle.as_ref(), &dec)
+    Substrates::cold(g, psi)
+        .densest_at_most_k(k, CoreExactConfig::default())
         .map(|o| o.result)
 }
 
-/// [`densest_at_most_k`] against caller-provided (possibly warm)
-/// substrates: tries the exact fast path, then the greedy trim.
-pub fn densest_at_most_k_from(
-    g: &Graph,
-    psi: &Pattern,
-    k: usize,
-    config: CoreExactConfig,
-    oracle: &dyn DensityOracle,
-    dec: &CliqueCoreDecomposition,
-) -> Option<SizeConstrainedOutcome> {
-    if k == 0 {
-        return None;
-    }
-    // Exact fast path (clique Ψ): a non-empty unconstrained optimum
-    // within the cap is the constrained optimum.
-    let mut stats = ExactStats::default();
-    if matches!(psi.kind(), PatternKind::Clique(_)) {
-        let (cds, ces) = core_exact_from(g, psi, config, oracle, dec);
-        if !cds.is_empty() && cds.len() <= k {
-            return Some(SizeConstrainedOutcome {
-                result: cds,
-                exact: true,
-                stats: ces.exact,
-            });
+impl Substrates<'_> {
+    /// [`densest_at_most_k`] on this context's substrates: tries the
+    /// exact fast path, then the greedy trim. Returns `None` when `k` is
+    /// 0, before reading any substrate.
+    pub fn densest_at_most_k(
+        &self,
+        k: usize,
+        config: CoreExactConfig,
+    ) -> Option<SizeConstrainedOutcome> {
+        if k == 0 {
+            return None;
         }
-        stats = ces.exact;
-    }
-    // Start from the densest residual graph (PeelApp's S*), the best
-    // unconstrained greedy answer, then trim.
-    let start = dec.best_residual();
-    let n = g.num_vertices();
-    let mut alive = VertexSet::from_members(n, &start);
-    let mut deg = oracle.degrees(g, &alive);
-    let mut mu: u64 = deg.iter().sum::<u64>() / psi.vertex_count() as u64;
-    let mut best: Option<(f64, Vec<VertexId>)> = None;
-    loop {
-        if alive.len() <= k && !alive.is_empty() {
-            let rho = mu as f64 / alive.len() as f64;
-            if best.as_ref().map(|(b, _)| rho > *b).unwrap_or(true) {
-                best = Some((rho, alive.to_vec()));
+        let (g, psi, oracle) = (self.graph(), self.pattern(), self.oracle());
+        // Exact fast path (clique Ψ): a non-empty unconstrained optimum
+        // within the cap is the constrained optimum.
+        let mut stats = ExactStats::default();
+        if matches!(psi.kind(), PatternKind::Clique(_)) {
+            let (cds, ces) = self.core_exact(config);
+            if !cds.is_empty() && cds.len() <= k {
+                return Some(SizeConstrainedOutcome {
+                    result: cds,
+                    exact: true,
+                    stats: ces.exact,
+                });
             }
+            stats = ces.exact;
         }
-        if alive.len() <= 1 {
-            break;
+        // Start from the densest residual graph (PeelApp's S*), the best
+        // unconstrained greedy answer, then trim.
+        let start = self.decomposition().best_residual();
+        let n = g.num_vertices();
+        let mut alive = VertexSet::from_members(n, &start);
+        let mut deg = oracle.degrees(g, &alive);
+        let mut mu: u64 = deg.iter().sum::<u64>() / psi.vertex_count() as u64;
+        let mut best: Option<(f64, Vec<VertexId>)> = None;
+        loop {
+            if alive.len() <= k && !alive.is_empty() {
+                let rho = mu as f64 / alive.len() as f64;
+                if best.as_ref().map(|(b, _)| rho > *b).unwrap_or(true) {
+                    best = Some((rho, alive.to_vec()));
+                }
+            }
+            if alive.len() <= 1 {
+                break;
+            }
+            let v = alive
+                .iter()
+                .min_by_key(|&v| deg[v as usize])
+                .expect("non-empty");
+            for (u, amount) in oracle.removal_decrements(g, &alive, v) {
+                deg[u as usize] -= amount.min(deg[u as usize]);
+            }
+            mu -= deg[v as usize].min(mu);
+            alive.remove(v);
         }
-        let v = alive
-            .iter()
-            .min_by_key(|&v| deg[v as usize])
-            .expect("non-empty");
-        for (u, amount) in oracle.removal_decrements(g, &alive, v) {
-            deg[u as usize] -= amount.min(deg[u as usize]);
-        }
-        mu -= deg[v as usize].min(mu);
-        alive.remove(v);
+        let (rho, mut vertices) = best?;
+        vertices.sort_unstable();
+        Some(SizeConstrainedOutcome {
+            result: DsdResult {
+                vertices,
+                density: rho,
+            },
+            exact: false,
+            stats,
+        })
     }
-    let (rho, mut vertices) = best?;
-    vertices.sort_unstable();
-    Some(SizeConstrainedOutcome {
-        result: DsdResult {
-            vertices,
-            density: rho,
-        },
-        exact: false,
-        stats,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exact::exact;
-    use crate::oracle::density;
+    use crate::oracle::{density, oracle_for};
     use dsd_graph::GraphBuilder;
 
     fn k5_plus_path() -> Graph {
@@ -325,20 +320,11 @@ mod tests {
     fn exact_fast_path_fires_on_feasible_cds() {
         let g = k5_plus_path();
         let psi = Pattern::edge();
-        let oracle = oracle_for(&psi);
-        let dec = decompose(&g, oracle.as_ref());
+        let s = Substrates::cold(&g, &psi);
         let (cds, _) = exact(&g, &psi);
         assert_eq!(cds.vertices.len(), 5);
         for k in 2..=9usize {
-            let o = densest_at_least_k_from(
-                &g,
-                &psi,
-                k,
-                CoreExactConfig::default(),
-                oracle.as_ref(),
-                &dec,
-            )
-            .unwrap();
+            let o = s.densest_at_least_k(k, CoreExactConfig::default()).unwrap();
             assert_eq!(o.exact, k <= 5, "k = {k}");
             if o.exact {
                 assert_eq!(o.result.vertices, cds.vertices);
@@ -346,15 +332,7 @@ mod tests {
             }
         }
         for k in 1..=9usize {
-            let o = densest_at_most_k_from(
-                &g,
-                &psi,
-                k,
-                CoreExactConfig::default(),
-                oracle.as_ref(),
-                &dec,
-            )
-            .unwrap();
+            let o = s.densest_at_most_k(k, CoreExactConfig::default()).unwrap();
             assert_eq!(o.exact, k >= 5, "k = {k}");
             if o.exact {
                 assert_eq!(o.result.vertices, cds.vertices);

@@ -9,7 +9,7 @@
 //! non-increasing density.
 //!
 //! Every round is CoreExact over the parent graph. Round 0 uses the
-//! caller's (possibly warm) decomposition; round r ≥ 1 decomposes the
+//! context's (possibly warm) decomposition; round r ≥ 1 decomposes the
 //! residual vertex set `g[alive]` through the same oracle — so a
 //! materialized instance store is peeled under the `alive` mask instead
 //! of being re-enumerated on a copy — and locates its answer in a core of
@@ -23,91 +23,75 @@ use dsd_graph::{Graph, VertexSet};
 use dsd_motif::Pattern;
 
 use crate::alpha_search::ExactStats;
-use crate::clique_core::{decompose_within, CliqueCoreDecomposition};
-use crate::core_exact::{core_exact_with_lender, CoreExactConfig};
-use crate::flownet::NetworkLender;
-use crate::oracle::DensityOracle;
+use crate::clique_core::decompose_within;
+use crate::core_exact::CoreExactConfig;
+use crate::substrates::Substrates;
 use crate::types::DsdResult;
 
-/// Finds up to `k` vertex-disjoint densest subgraphs, densest first.
+/// Finds up to `k` vertex-disjoint densest subgraphs, densest first,
+/// building the substrates cold.
 ///
 /// Stops early when the residual graph has no Ψ instance left. Vertex ids
 /// refer to the original graph.
 pub fn top_k_densest(g: &Graph, psi: &Pattern, k: usize) -> Vec<DsdResult> {
-    let oracle = crate::oracle::oracle_for(psi);
-    let dec = crate::clique_core::decompose(g, oracle.as_ref());
-    top_k_densest_from(g, psi, k, CoreExactConfig::default(), oracle.as_ref(), &dec).subgraphs
+    Substrates::cold(g, psi)
+        .top_k(k, CoreExactConfig::default())
+        .map_or_else(Vec::new, |scan| scan.subgraphs)
 }
 
-/// Result of a [`top_k_densest_from`] scan.
+/// Result of a [`Substrates::top_k`] scan.
 #[derive(Clone, Debug)]
 pub struct TopKScan {
     /// Vertex-disjoint densest subgraphs, densest first.
     pub subgraphs: Vec<DsdResult>,
-    /// Whether any round's α-search was cut short by the config's
-    /// step budget (the affected rounds are then not certified optimal).
-    pub budget_exhausted: bool,
     /// α-search instrumentation merged across all rounds (probe counts,
-    /// network sizes, flow reuse).
+    /// network sizes, flow reuse, and whether any round's search was cut
+    /// short by the config's step budget).
     pub exact: ExactStats,
 }
 
-/// [`top_k_densest`] against caller-provided (possibly warm) substrates.
-///
-/// `dec` must be the decomposition of the whole graph; it serves round 0.
-/// Later rounds decompose the residual vertex set through `oracle` on the
-/// parent graph `g`.
-pub fn top_k_densest_from(
-    g: &Graph,
-    psi: &Pattern,
-    k: usize,
-    config: CoreExactConfig,
-    oracle: &dyn DensityOracle,
-    dec: &CliqueCoreDecomposition,
-) -> TopKScan {
-    top_k_with_lender(g, psi, k, config, oracle, dec, None)
-}
-
-/// [`top_k_densest_from`] with a network lender. Every round's component
-/// networks — residual rounds included — are borrowed from and returned
-/// to the lender under their parent-id member sets.
-pub(crate) fn top_k_with_lender(
-    g: &Graph,
-    psi: &Pattern,
-    k: usize,
-    config: CoreExactConfig,
-    oracle: &dyn DensityOracle,
-    dec: &CliqueCoreDecomposition,
-    lender: Option<&dyn NetworkLender>,
-) -> TopKScan {
-    let mut out = Vec::with_capacity(k);
-    let mut alive = VertexSet::full(g.num_vertices());
-    let mut exact = ExactStats::default();
-    for round in 0..k {
-        if alive.len() < psi.vertex_count() {
-            break;
+impl Substrates<'_> {
+    /// Up to `k` vertex-disjoint densest subgraphs, densest first, or
+    /// `None` when `k` is 0.
+    ///
+    /// Round 0 runs CoreExact on this context's decomposition of the whole
+    /// graph. Each later round decomposes the residual vertex set through
+    /// the same oracle on the parent graph and runs on this context with
+    /// that decomposition swapped in. Every round's component networks are
+    /// borrowed from and returned to the context's lender under their
+    /// parent-id member sets.
+    pub fn top_k(&self, k: usize, config: CoreExactConfig) -> Option<TopKScan> {
+        if k == 0 {
+            return None;
         }
-        let residual;
-        let round_dec = if round == 0 {
-            dec
-        } else {
-            residual = decompose_within(g, oracle, &alive);
-            &residual
-        };
-        let (found, stats) = core_exact_with_lender(g, psi, config, oracle, round_dec, lender);
-        exact.merge(&stats.exact);
-        if found.vertices.is_empty() {
-            break;
+        let g = self.graph();
+        let mut out = Vec::with_capacity(k);
+        let mut alive = VertexSet::full(g.num_vertices());
+        let mut exact = ExactStats::default();
+        for round in 0..k {
+            let residual;
+            let s = if round == 0 {
+                self
+            } else if alive.len() < self.pattern().vertex_count() {
+                break;
+            } else {
+                residual = self.with_decomposition(decompose_within(g, self.oracle(), &alive));
+                &residual
+            };
+            let (found, stats) = s.core_exact(config);
+            exact.merge(&stats.exact);
+            if found.vertices.is_empty() {
+                break;
+            }
+            for &v in &found.vertices {
+                alive.remove(v);
+            }
+            out.push(found);
         }
-        for &v in &found.vertices {
-            alive.remove(v);
-        }
-        out.push(found);
-    }
-    TopKScan {
-        budget_exhausted: exact.budget_exhausted,
-        exact,
-        subgraphs: out,
+        Some(TopKScan {
+            subgraphs: out,
+            exact,
+        })
     }
 }
 

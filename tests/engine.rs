@@ -90,8 +90,33 @@ fn warm_and_cold_solutions_are_bit_identical_for_every_objective() {
     }
 }
 
-/// Every method path (including Auto, cold and warm) returns the unified
-/// `Solution` with populated stats.
+/// A triangle-free graph: K(3,4) on {0..6} plus the path 6-7-8.
+fn triangle_free() -> Graph {
+    let mut edges = Vec::new();
+    for u in 0..3u32 {
+        for v in 3..7u32 {
+            edges.push((u, v));
+        }
+    }
+    edges.extend_from_slice(&[(6, 7), (7, 8)]);
+    Graph::from_edges(9, &edges)
+}
+
+/// The substrates a triangle request that ran `method` reads: (oracle,
+/// (k, Ψ)-core decomposition, classical k-core order).
+fn reads(objective: &Objective, method: Method) -> (bool, bool, bool) {
+    match (objective, method) {
+        (Objective::WithQuery(_), _) => (false, false, true),
+        (_, Method::Exact) => (true, false, false),
+        (_, Method::CoreApp) => (true, false, true),
+        _ => (true, true, false),
+    }
+}
+
+/// Every method path (including Auto, cold and warm) and every objective
+/// returns the unified `Solution` with populated stats: the method that
+/// ran, the outcome, the guarantee, the subgraph count, kmax and which
+/// substrates came out of the cache.
 #[test]
 fn every_method_returns_populated_solution() {
     let g = structured();
@@ -124,6 +149,86 @@ fn every_method_returns_populated_solution() {
             Method::Exact | Method::CoreExact => assert_eq!(s.guarantee, Guarantee::Exact),
             _ => assert_eq!(s.guarantee, Guarantee::Ratio(1.0 / 3.0)),
         }
+    }
+
+    // Each row on a fresh engine, cold and then warm: (objective, method
+    // asked, method that ran, outcome, guarantee, subgraph count). The
+    // triangle-free graph has no densest subgraph: every Densest method
+    // comes back empty, while the size-constrained objectives still return
+    // a set of the requested size (at density 0) and the query variant
+    // measures edges.
+    use {Guarantee as G, Method as M, Objective as O, Outcome::*};
+    let third = G::Ratio(1.0 / 3.0);
+    let cases = [
+        (
+            structured(),
+            vec![
+                (O::TopK(3), M::Auto, M::CoreExact, Found, G::Exact, 2),
+                (O::AtLeastK(8), M::Auto, M::PeelApp, Found, G::Heuristic, 1),
+                (O::AtMostK(4), M::Auto, M::PeelApp, Found, G::Heuristic, 1),
+                (O::WithQuery(vec![9]), M::Auto, M::Exact, Found, G::Exact, 1),
+            ],
+        ),
+        (
+            triangle_free(),
+            vec![
+                (O::Densest, M::Exact, M::Exact, Empty, G::Exact, 0),
+                (O::Densest, M::CoreExact, M::CoreExact, Empty, G::Exact, 0),
+                (O::Densest, M::PeelApp, M::PeelApp, Empty, third, 0),
+                (O::Densest, M::IncApp, M::IncApp, Empty, third, 0),
+                (O::Densest, M::CoreApp, M::CoreApp, Empty, third, 0),
+                (O::TopK(3), M::Auto, M::CoreExact, Empty, G::Exact, 0),
+                (O::AtLeastK(8), M::Auto, M::PeelApp, Found, G::Heuristic, 1),
+                (O::AtMostK(4), M::Auto, M::PeelApp, Found, G::Heuristic, 1),
+                (O::WithQuery(vec![8]), M::Auto, M::Exact, Found, G::Exact, 1),
+            ],
+        ),
+    ];
+    for (g, rows) in cases {
+        for (objective, method, ran, outcome, guarantee, subgraphs) in rows {
+            let engine = DsdEngine::over(&g);
+            let (oracle, dec, kcore) = reads(&objective, ran);
+            for warm in [false, true] {
+                let s = engine
+                    .request(&psi)
+                    .objective(objective.clone())
+                    .method(method)
+                    .solve();
+                let label = format!(
+                    "{objective:?} via {method:?} on n = {} (warm {warm})",
+                    g.num_vertices()
+                );
+                assert_eq!(s.method, ran, "{label}");
+                assert_eq!(s.outcome, outcome, "{label}");
+                assert_eq!(s.guarantee, guarantee, "{label}");
+                assert_eq!(s.subgraphs.len(), subgraphs, "{label}");
+                assert_eq!(
+                    s.stats.kmax.is_some(),
+                    (oracle && ran != M::Exact) || kcore,
+                    "{label}"
+                );
+                let hits = s.stats.substrate;
+                assert_eq!(
+                    (
+                        hits.oracle_cache_hit,
+                        hits.decomposition_cache_hit,
+                        hits.kcore_cache_hit
+                    ),
+                    (warm && oracle, warm && dec, warm && kcore),
+                    "{label}"
+                );
+            }
+        }
+    }
+
+    // Auto resolves differently cold (CoreExact, a small graph) and warm
+    // (PeelApp, kmax = 0), and both agree that there is nothing to find.
+    let g = triangle_free();
+    let engine = DsdEngine::over(&g);
+    for ran in [M::CoreExact, M::PeelApp] {
+        let s = engine.request(&psi).solve();
+        assert_eq!((s.method, s.outcome), (ran, Empty));
+        assert!(s.is_empty() && s.subgraphs.is_empty());
     }
 }
 
@@ -204,6 +309,30 @@ fn tolerance_and_budget_knobs() {
     // subgraph no denser than the optimum.
     assert!(budgeted.density <= exact.density + 1e-9);
     assert!(budgeted.density > 0.0);
+
+    // DalkS and DamkS take both knobs through their exact attempt, which
+    // answers here (the K6 meets both size bounds) and reports CoreExact.
+    for objective in [Objective::AtLeastK(3), Objective::AtMostK(6)] {
+        let request = || engine.request(&psi).objective(objective.clone());
+        let exact = request().solve();
+        assert_eq!(exact.method, Method::CoreExact, "{objective:?}");
+        assert_eq!(exact.guarantee, Guarantee::Exact, "{objective:?}");
+
+        let tol = request().tolerance(0.25).solve();
+        assert_eq!(tol.method, Method::CoreExact, "{objective:?}");
+        assert_eq!(tol.guarantee, Guarantee::AdditiveGap(0.25), "{objective:?}");
+        assert!(tol.density >= exact.density - 0.25 - 1e-9);
+        assert!(tol.density <= exact.density + 1e-9);
+
+        // A zero budget stops the search before its first probe; the
+        // answer is the located seed, with no certificate.
+        let starved = request().step_budget(0).solve();
+        assert_eq!(starved.stats.flow_iterations, 0, "{objective:?}");
+        assert_eq!(starved.method, Method::CoreExact, "{objective:?}");
+        assert_eq!(starved.guarantee, Guarantee::Heuristic, "{objective:?}");
+        assert!(starved.density <= exact.density + 1e-9);
+        assert!(starved.density > 0.0);
+    }
 }
 
 /// The ISSUE-1 acceptance shape at test scale: 10 same-Ψ requests against

@@ -4,8 +4,8 @@
 //! the bounds imply.
 
 use dsd::core::{
-    core_app, core_exact, core_exact_with, decompose, densest_at_least_k, exact, inc_app,
-    oracle_for, peel_app, CoreExactConfig, Method,
+    core_app, core_exact, decompose, densest_at_least_k, exact, inc_app, oracle_for, peel_app,
+    CoreExactConfig, Method, Substrates,
 };
 use dsd::datasets::{dataset, er};
 use dsd::motif::Pattern;
@@ -162,7 +162,7 @@ fn prunings_are_semantically_transparent() {
         pruning3: false,
         ..CoreExactConfig::default()
     };
-    let (r, _) = core_exact_with(&g, &psi, none);
+    let (r, _) = Substrates::cold(&g, &psi).core_exact(none);
     assert!((r.density - reference).abs() < 1e-7);
 }
 

@@ -12,10 +12,12 @@
 //! Iteration counts honour the `DSD_PROP_ITERS` env knob (the nightly CI
 //! job runs the suites with elevated counts).
 
+use std::sync::Arc;
+
 use dsd::core::oracle::{CliqueOracle, DiamondOracle, GenericPatternOracle, StarOracle};
 use dsd::core::{
-    decompose, inc_app_from, peel_app_from, DensityOracle, DsdEngine, MaterializedOracle, Method,
-    Objective, Parallelism, StoreFallback,
+    decompose, DensityOracle, DsdEngine, MaterializedOracle, Method, Objective, Parallelism,
+    StoreFallback, Substrates,
 };
 use dsd::graph::{Graph, GraphBuilder, GraphUpdate, VertexId, VertexSet};
 use dsd::motif::Pattern;
@@ -118,8 +120,9 @@ fn materialized_matches_streaming_decomposition_and_apps() {
         let g = random_graph(&mut rng, 14, 30);
         for (psi, streaming) in oracle_pairs() {
             let mat = MaterializedOracle::with_policy(&psi, Parallelism::serial(), None);
-            let a = decompose(&g, &mat);
-            let b = decompose(&g, streaming.as_ref());
+            let sa = Substrates::cold(&g, &psi).with_oracle(Arc::new(mat));
+            let sb = Substrates::cold(&g, &psi).with_oracle(Arc::from(streaming));
+            let (a, b) = (sa.decomposition(), sb.decomposition());
             let label = format!("seed {seed} psi {}", psi.name());
             assert_eq!(a.core, b.core, "core numbers: {label}");
             assert_eq!(a.kmax, b.kmax, "kmax: {label}");
@@ -133,8 +136,8 @@ fn materialized_matches_streaming_decomposition_and_apps() {
             );
 
             // PeelApp is a projection of the decomposition.
-            let pa = peel_app_from(&a);
-            let pb = peel_app_from(&b);
+            let pa = sa.peel_app();
+            let pb = sb.peel_app();
             assert_eq!(pa.vertices, pb.vertices, "PeelApp: {label}");
             assert_eq!(
                 pa.density.to_bits(),
@@ -143,8 +146,8 @@ fn materialized_matches_streaming_decomposition_and_apps() {
             );
 
             // IncApp reads the max core and re-measures density.
-            let ia = inc_app_from(&g, &mat, &a);
-            let ib = inc_app_from(&g, streaming.as_ref(), &b);
+            let ia = sa.inc_app();
+            let ib = sb.inc_app();
             assert_eq!(ia.result.vertices, ib.result.vertices, "IncApp: {label}");
             assert_eq!(
                 ia.result.density.to_bits(),
@@ -153,20 +156,8 @@ fn materialized_matches_streaming_decomposition_and_apps() {
             );
 
             // CoreApp's top-down scan issues masked degree queries.
-            let ca = dsd::core::core_app_from(
-                &g,
-                &psi,
-                &mat,
-                dsd::core::approx::CORE_APP_DEFAULT_SEED,
-                None,
-            );
-            let cb = dsd::core::core_app_from(
-                &g,
-                &psi,
-                streaming.as_ref(),
-                dsd::core::approx::CORE_APP_DEFAULT_SEED,
-                None,
-            );
+            let ca = sa.core_app();
+            let cb = sb.core_app();
             assert_eq!(ca.result.vertices, cb.result.vertices, "CoreApp: {label}");
             assert_eq!(
                 ca.result.density.to_bits(),
