@@ -38,9 +38,11 @@
 //! [`GraphUpdate`]s and advances a *graph epoch*. It repairs the classical
 //! k-core order in place (the incremental maintenance of
 //! [`crate::dynamic`]) and each Ψ-oracle's instance store through its
-//! incidence CSR, falling back to drop-and-rebuild where no sound cheap
-//! repair exists; (k, Ψ)-core decompositions and cached flow networks
-//! always drop. Every request runs against a consistent [`GraphSnapshot`]
+//! incidence CSR when the batch merges into the CSR — at once, or at the
+//! next read when it follows an unread batch — falling back to
+//! drop-and-rebuild where no sound cheap repair exists; (k, Ψ)-core
+//! decompositions and cached flow networks always drop. Every request
+//! runs against a consistent [`GraphSnapshot`]
 //! and records its epoch in [`SolveStats::epoch`]; requests in flight
 //! during an update finish on their pre-update snapshot.
 //!
@@ -63,7 +65,7 @@
 //! assert!(top2.stats.substrate.decomposition_cache_hit);
 //! ```
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -259,13 +261,26 @@ pub fn pattern_key(psi: &Pattern) -> PatternKey {
     (psi.vertex_count(), psi.canonical_edges())
 }
 
-/// Batches with up to this many net edge changes ride the multi-edge
-/// delta-view fast path in [`DsdEngine::apply`] (when every cached oracle
-/// supports per-edge repair): the post-batch CSR merge is deferred to the
-/// next snapshot and Ψ-stores are repaired edge by edge against prefix
-/// overlay views. Past it, per-edge repair loses to one materialization
-/// plus the batched delta-enumeration repair.
-pub const MULTI_EDGE_DELTA_MAX: usize = 8;
+/// Base ceiling on the weighted repair cost of the net edge change a CSR
+/// merge carries the cached Ψ-stores across: past it, they drop for a
+/// lazy rebuild instead of being repaired in place.
+const REPAIR_MAX_BATCH: usize = 512;
+
+/// Weight of one inserted edge relative to one deleted edge in that cost:
+/// inserts delta-enumerate new instances, deletes only walk incidence.
+const REPAIR_INSERT_WEIGHT: usize = 2;
+
+/// Whether a net change of `inserted` + `deleted` edges is cheap enough
+/// to repair the cached stores in place. The ceiling grows by one
+/// [`REPAIR_MAX_BATCH`] per 32 MiB of `resident` store bytes, capped at
+/// 16x: the rebuild a repair avoids grows with the store.
+fn repairable_batch(inserted: usize, deleted: usize, resident: u64) -> bool {
+    let cost = inserted
+        .saturating_mul(REPAIR_INSERT_WEIGHT)
+        .saturating_add(deleted);
+    let steps = (resident / (32 << 20)).min(15) as usize;
+    cost <= REPAIR_MAX_BATCH * (steps + 1)
+}
 
 /// Process-unique engine ids, so a cross-engine ledger (the serve-layer
 /// governor) can key entries without holding engine references.
@@ -469,9 +484,15 @@ struct GraphState<'g> {
     slot: GraphSlot<'g>,
     /// Updates applied since `slot` was materialized. Non-empty only
     /// between an [`DsdEngine::apply`] and the next snapshot request —
-    /// queries always run on a fully materialized CSR.
+    /// queries always run on a fully materialized CSR. Cached Ψ-stores
+    /// describe `slot`; the merge repairs them with the overlay's net
+    /// change.
     pending: EdgeOverlay,
     epoch: u64,
+    /// The epoch of the latest snapshot handed out. Below `epoch`, the
+    /// last batch has not been read yet, so the next one joins it in the
+    /// overlay instead of merging.
+    read: AtomicU64,
 }
 
 /// A consistent, immutable view of the engine's graph at one epoch —
@@ -522,17 +543,24 @@ pub struct ApplyStats {
     /// repair), oracles drop only when in-place repair was refused.
     pub substrates_dropped: usize,
     /// Ψ-oracles whose instance store was repaired in place — the entry
-    /// survives the epoch bump, answer-identical to a cold rebuild.
+    /// survives the epoch bump, answer-identical to a cold rebuild. 0 when
+    /// the repair was left to the next snapshot
+    /// ([`ApplyStats::csr_deferred`]).
     pub substrates_repaired: usize,
-    /// Ψ-oracles dropped for lazy rebuild because no sound cheap repair
-    /// existed (prior streaming fallback, byte/capacity guard, batch over
-    /// the repair threshold). Subset of [`ApplyStats::substrates_dropped`].
+    /// Ψ-oracles dropped for a lazy rebuild on the next read: every cached
+    /// oracle when the batch was over the repair ceiling, otherwise each
+    /// one whose repair was refused (a prior build fell back to streaming,
+    /// or the repaired store would break the byte or capacity guard).
+    /// Subset of [`ApplyStats::substrates_dropped`].
     pub substrates_rebuilt: usize,
     /// Store rows tombstoned across every in-place repair of this batch.
     pub rows_tombstoned: usize,
-    /// Whether the batch stayed in the edge overlay: the single-update
-    /// fast path repaired the Ψ-stores against the overlay view and
-    /// deferred the O(n + m) CSR merge to the next graph snapshot.
+    /// Whether the batch stayed in the edge overlay, leaving the CSR merge
+    /// and any store repair to the next graph snapshot: the previous
+    /// batch had not been read yet (a burst), or no cached oracle held a
+    /// materialized instance store (a k-core-only engine, streaming
+    /// oracles only, or stores no query has built). Otherwise `apply`
+    /// merged the CSR and repaired the stores itself.
     pub csr_deferred: bool,
     /// Resident bytes released by the dropped Ψ-substrates (instance
     /// stores + decomposition arrays) — stale stores are never served
@@ -541,57 +569,6 @@ pub struct ApplyStats {
     pub bytes_freed: u64,
     /// Wall time of the batch.
     pub total_nanos: u128,
-}
-
-/// Knobs governing in-place Ψ-substrate repair in [`DsdEngine::apply`]
-/// (install with [`DsdEngine::with_repair_policy`]).
-///
-/// PR 8 hard-coded a 512-edge repair ceiling and a 1/4 dead-row compaction
-/// fraction; this costs them instead. The ceiling compares a **weighted**
-/// batch cost (inserts delta-enumerate new instances; deletes are pure
-/// incidence walks, so they weigh less) against a threshold that scales
-/// with the measured resident store bytes — the sharded rebuild a repair
-/// avoids grows with the store, so bigger stores tolerate bigger batches.
-/// Answers are identical for every setting; these trade repair latency
-/// against rebuild debt.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RepairPolicy {
-    /// Base ceiling on the weighted net batch cost (default 512, PR 8's
-    /// constant).
-    pub max_batch: usize,
-    /// Weight of one inserted edge relative to one deleted edge in the
-    /// batch cost (default 2).
-    pub insert_weight: usize,
-    /// Dead-row compaction fraction `(num, den)`: a repaired store
-    /// compacts once tombstoned rows exceed `num / den` of all rows
-    /// (default `(1, 4)`, the store's built-in constant).
-    pub compact_dead: (usize, usize),
-}
-
-impl Default for RepairPolicy {
-    fn default() -> Self {
-        RepairPolicy {
-            max_batch: 512,
-            insert_weight: 2,
-            compact_dead: (1, 4),
-        }
-    }
-}
-
-impl RepairPolicy {
-    /// Weighted cost of a net batch of `inserted` + `deleted` edges.
-    pub fn batch_cost(&self, inserted: usize, deleted: usize) -> usize {
-        inserted
-            .saturating_mul(self.insert_weight)
-            .saturating_add(deleted)
-    }
-
-    /// The effective repair ceiling given `resident` store bytes: one
-    /// extra [`Self::max_batch`] per 32 MiB resident, capped at 16x.
-    pub fn scaled_max_batch(&self, resident: u64) -> usize {
-        let steps = (resident / (32 << 20)).min(15) as usize;
-        self.max_batch.saturating_mul(steps + 1)
-    }
 }
 
 /// A long-lived query engine owning one graph plus its memoized substrates.
@@ -607,7 +584,6 @@ pub struct DsdEngine<'g> {
     state: RwLock<GraphState<'g>>,
     parallelism: Parallelism,
     substrate_budget: Option<u64>,
-    repair_policy: RepairPolicy,
     cache: RwLock<SubstrateCache>,
     /// Warm flow networks (take/put, epoch-keyed). Lock order: always
     /// after `cache` when both are held — `apply`, `key_bytes` and
@@ -639,10 +615,10 @@ impl<'g> DsdEngine<'g> {
                 slot,
                 pending: EdgeOverlay::default(),
                 epoch: 0,
+                read: AtomicU64::new(0),
             }),
             parallelism: Parallelism::serial(),
             substrate_budget: Some(DEFAULT_STORE_BUDGET),
-            repair_policy: RepairPolicy::default(),
             cache: RwLock::new(SubstrateCache::default()),
             networks: Mutex::new(NetworkCache::default()),
             counters: Mutex::new(EngineCacheStats::default()),
@@ -759,23 +735,6 @@ impl<'g> DsdEngine<'g> {
         self.substrate_budget
     }
 
-    /// Sets the in-place repair knobs (batch ceiling, insert weight,
-    /// compaction fraction). Answers are identical for every setting.
-    /// Default: [`RepairPolicy::default`].
-    pub fn with_repair_policy(mut self, policy: RepairPolicy) -> Self {
-        assert!(
-            policy.compact_dead.1 > 0,
-            "compaction fraction needs a nonzero denominator"
-        );
-        self.repair_policy = policy;
-        self
-    }
-
-    /// The engine's in-place repair knobs.
-    pub fn repair_policy(&self) -> RepairPolicy {
-        self.repair_policy
-    }
-
     /// Resident bytes currently held by the substrate cache: instance
     /// stores, decomposition arrays, plus cached flow networks, at the
     /// engine's current epoch.
@@ -792,14 +751,16 @@ impl<'g> DsdEngine<'g> {
 
     /// A consistent snapshot of the engine's graph at its current epoch.
     ///
-    /// When updates are pending (applied but not yet materialized), this
-    /// is the point where they get merged into a fresh CSR — the lazy
-    /// half of the rebuild-or-patch policy: a stream of updates with no
-    /// interleaved reads pays one materialization, not one per batch.
+    /// When updates are pending (applied but not yet merged), this is
+    /// where they merge into a fresh CSR and every cached Ψ-store is
+    /// repaired against their net effect: a burst of batches with no read
+    /// in between pays one merge and one repair per store, not one per
+    /// batch.
     pub fn graph(&self) -> GraphSnapshot<'g> {
         {
             let state = self.state.read().unwrap();
             if state.pending.is_empty() {
+                state.read.store(state.epoch, Ordering::Relaxed);
                 return GraphSnapshot {
                     slot: state.slot.clone(),
                     epoch: state.epoch,
@@ -807,15 +768,24 @@ impl<'g> DsdEngine<'g> {
             }
         }
         let mut state = self.state.write().unwrap();
+        let mut merged = None;
         if !state.pending.is_empty() {
-            let merged = DeltaGraph::new(state.slot.graph(), &state.pending).materialize();
-            state.slot = GraphSlot::Owned(Arc::new(merged));
-            state.pending = EdgeOverlay::default();
+            let mut cache = self.cache.write().unwrap();
+            let keys: Vec<PatternKey> = cache.oracles.keys().cloned().collect();
+            let mut stats = ApplyStats::default();
+            let released = merge_pending(&mut state, &mut cache, &mut stats);
+            merged = Some((released, keys, stats.bytes_freed));
         }
-        GraphSnapshot {
+        state.read.store(state.epoch, Ordering::Relaxed);
+        let snapshot = GraphSnapshot {
             slot: state.slot.clone(),
             epoch: state.epoch,
+        };
+        drop(state);
+        if let Some((released, keys, bytes_freed)) = merged {
+            self.report(released, &keys, snapshot.epoch, bytes_freed);
         }
+        snapshot
     }
 
     /// The engine's current graph epoch: 0 at construction, +1 per
@@ -836,30 +806,26 @@ impl<'g> DsdEngine<'g> {
     ///   edge, with the subcore traversal of [`crate::dynamic`] — unless
     ///   the batch is large enough that a from-scratch re-peel is cheaper,
     ///   in which case it is dropped and lazily rebuilt (rebuild-or-patch);
-    /// * **Ψ-oracles** are repaired in place through the instance store's
-    ///   incidence CSR (rows killed by removed edges tombstoned, instances
-    ///   created by inserted edges delta-enumerated and appended) —
-    ///   answer-identical to a cold rebuild — falling back to drop-and-
-    ///   rebuild when the batch is over the repair threshold, a prior
-    ///   build fell back to streaming, or the repaired store would break
-    ///   the byte budget;
-    /// * **(k, Ψ)-core decompositions** are always dropped on an
-    ///   effective batch: a peel order has no cheap repair, and a stale
-    ///   one would silently change answers (it rebuilds lazily from the
-    ///   repaired oracle);
-    /// * the **CSR** is materialized eagerly only when oracles are being
-    ///   batch-repaired (delta enumeration needs the post-batch
-    ///   adjacency); otherwise updates accumulate in an overlay and merge
-    ///   on the next snapshot, so an update-only stream pays one
-    ///   materialization. Single-edge batches whose cached oracles all
-    ///   support it repair against the overlay view itself
-    ///   ([`ApplyStats::csr_deferred`]), so even a repairing single-edge
-    ///   stream skips the per-batch merge. Small multi-edge batches (up
-    ///   to [`MULTI_EDGE_DELTA_MAX`] net changes) extend the same fast
-    ///   path by replaying the batch edge by edge against prefix overlay
-    ///   views — deletes first, then inserts in order, each insert added
-    ///   to the view *before* its repair so a clique spanning several
-    ///   inserted edges is discovered exactly once, at its last edge.
+    /// * **(k, Ψ)-core decompositions** and cached flow networks are
+    ///   always dropped on an effective batch: a peel order has no cheap
+    ///   repair, and a stale one would silently change answers (it
+    ///   rebuilds lazily from the repaired oracle);
+    /// * the batch joins the pending edge **overlay**. Ψ-stores are
+    ///   repaired in place when the overlay merges into a fresh CSR:
+    ///   rows killed by removed edges are tombstoned through the store's
+    ///   incidence CSR, and instances created by inserted edges are
+    ///   delta-enumerated and appended — answer-identical to a cold
+    ///   rebuild. A store is dropped for a lazy rebuild instead when the
+    ///   overlay is over the repair ceiling, a prior build fell back to
+    ///   streaming, or the repaired store would break the byte budget.
+    ///
+    /// The merge runs here when this is the first batch since the last
+    /// read and a cached oracle holds a materialized store, so
+    /// `ApplyStats` reports the repair. Otherwise
+    /// ([`ApplyStats::csr_deferred`]) it runs at the next snapshot,
+    /// [`Self::graph`]: a burst of batches with no read in between pays
+    /// one merge and one repair per store for the first batch, and one
+    /// more for all the others together.
     ///
     /// Updates are normalized to the batch's **net** effect first:
     /// opposing updates on the same edge cancel, so `inserted`/`deleted`
@@ -881,9 +847,10 @@ impl<'g> DsdEngine<'g> {
             slot,
             pending,
             epoch,
+            read,
         } = &mut *state;
         let base = slot.graph();
-        let had_pending = !pending.is_empty();
+        let unread = *read.get_mut() < *epoch;
 
         // Take the cached k-core out for patching; it goes back only if
         // the whole batch stays under the repair threshold.
@@ -893,10 +860,6 @@ impl<'g> DsdEngine<'g> {
             epoch: *epoch,
             ..ApplyStats::default()
         };
-        // Pre-batch overlay, kept aside so the multi-edge fast path can
-        // replay the batch's net effect edge by edge from the state the
-        // cached oracles actually describe (`base ⊕ pending_before`).
-        let pending_before = pending.clone();
         // Net toggles of this batch: an edge key is present iff the batch
         // changed it an odd number of times. The overlay already
         // self-reduces (insert + delete cancel), so effective updates on
@@ -929,19 +892,8 @@ impl<'g> DsdEngine<'g> {
                 }
             }
         }
-        let mut inserted: Vec<(VertexId, VertexId)> = Vec::new();
-        let mut removed: Vec<(VertexId, VertexId)> = Vec::new();
-        for (&key, &ins) in &toggles {
-            if ins {
-                inserted.push(key);
-            } else {
-                removed.push(key);
-            }
-        }
-        inserted.sort_unstable();
-        removed.sort_unstable();
-        stats.inserted = inserted.len();
-        stats.deleted = removed.len();
+        stats.inserted = toggles.values().filter(|&&ins| ins).count();
+        stats.deleted = toggles.len() - stats.inserted;
         stats.ignored = updates.len() - stats.inserted - stats.deleted;
 
         if stats.inserted + stats.deleted == 0 {
@@ -964,8 +916,8 @@ impl<'g> DsdEngine<'g> {
         // capacities of the old snapshot; any effective batch invalidates
         // them wholesale (unlike stores there is no in-place repair — a
         // changed graph changes the α-feasibility frontier itself). Keys
-        // that held networks must be re-reported on the repair path so a
-        // governor's ledger sheds their network bytes.
+        // that held networks are re-reported below so a governor's ledger
+        // sheds their network bytes.
         let network_keys: Vec<PatternKey> = {
             let mut networks = self.networks.lock().unwrap();
             stats.bytes_freed += networks.bytes();
@@ -976,253 +928,62 @@ impl<'g> DsdEngine<'g> {
         };
 
         // Every key that may sit in an observer's ledger at the old epoch;
-        // the repair path re-reports each one at the new epoch.
-        let mut ledger_keys: Vec<PatternKey> = Vec::new();
-        // Single net edge + every cached oracle repairable from the
-        // overlay view: keep the update in `pending` (skipping the
-        // O(n + m) CSR materialization single-edge streams otherwise pay
-        // per batch) and repair against the [`DeltaGraph`]. Sound even
-        // with pending updates at entry: the only way `pending` survives
-        // with oracles cached is a previous fast-path batch, whose
-        // repairs kept every oracle consistent with `base ⊕ pending`.
-        let single_edge = stats.inserted + stats.deleted == 1
-            && !cache.oracles.is_empty()
-            && cache.oracles.values().all(|o| o.single_edge_repairable());
-        // Small multi-edge batches reuse the same per-edge repair and the
-        // same soundness argument: the batch is replayed as a sequence of
-        // effective single-edge changes from `base ⊕ pending_before`, so
-        // every oracle stays consistent with `base ⊕ pending` without a
-        // CSR materialization.
-        let multi_edge = (2..=MULTI_EDGE_DELTA_MAX).contains(&(stats.inserted + stats.deleted))
-            && !cache.oracles.is_empty()
-            && cache.oracles.values().all(|o| o.single_edge_repairable());
-        // Batch-repair soundness needs oracles keyed to the bare `base`
-        // CSR — guaranteed when nothing was pending (oracles are built
-        // from materialized snapshots only). Fall back to the wholesale
-        // drop if that invariant ever stops holding rather than leaning
-        // on it. The ceiling is costed, not fixed: weighted batch shape
-        // against a threshold scaled by the resident store bytes.
-        let policy = self.repair_policy;
-        let resident: u64 = cache.oracles.values().map(|o| o.resident_bytes()).sum();
-        let wholesale = cache.oracles.is_empty()
-            || (had_pending && !single_edge && !multi_edge)
-            || policy.batch_cost(stats.inserted, stats.deleted) > policy.scaled_max_batch(resident);
-        if wholesale {
-            stats.substrates_dropped = cache.oracles.len() + cache.decompositions.len();
-            stats.substrates_rebuilt = cache.oracles.len();
-            stats.bytes_freed += cache_bytes(&cache);
-            cache.oracles.clear();
-            cache.decompositions.clear();
+        // each is re-reported at the new epoch.
+        let mut ledger_keys: Vec<PatternKey> = cache
+            .oracles
+            .keys()
+            .chain(cache.decompositions.keys())
+            .cloned()
+            .chain(network_keys)
+            .collect();
+        ledger_keys.sort_unstable();
+        ledger_keys.dedup();
+
+        // Decompositions always drop: a peel order has no cheap repair.
+        stats.substrates_dropped = cache.decompositions.len();
+        stats.bytes_freed += cache
+            .decompositions
+            .values()
+            .map(|d| d.bytes() as u64)
+            .sum::<u64>();
+        cache.decompositions.clear();
+
+        // Only a materialized store reads the merged adjacency; streaming
+        // oracles and stores no query has built are valid on any graph.
+        let stores = cache
+            .oracles
+            .values()
+            .any(|o| o.store_stats().is_some_and(|s| s.materialized));
+        let released = if unread || !stores {
+            stats.csr_deferred = true;
+            false
         } else {
-            ledger_keys = cache
-                .oracles
-                .keys()
-                .chain(cache.decompositions.keys())
-                .cloned()
-                .chain(network_keys)
-                .collect();
-            ledger_keys.sort_unstable();
-            ledger_keys.dedup();
-
-            // Decompositions always drop: a peel order has no cheap
-            // repair.
-            stats.substrates_dropped = cache.decompositions.len();
-            stats.bytes_freed += cache
-                .decompositions
-                .values()
-                .map(|d| d.bytes() as u64)
-                .sum::<u64>();
-            cache.decompositions.clear();
-
-            if single_edge {
-                // Fast path: adjacency reads go through the overlay view;
-                // the CSR merge is deferred to the next snapshot.
-                let insert = !inserted.is_empty();
-                let (u, v) = if insert { inserted[0] } else { removed[0] };
-                let view = DeltaGraph::new(base, pending);
-                stats.csr_deferred = true;
-                let keys: Vec<PatternKey> = cache.oracles.keys().cloned().collect();
-                for key in keys {
-                    let oracle = cache.oracles.get(&key).expect("key just listed");
-                    match oracle.repair_for_edge(view, insert, u, v) {
-                        SubstrateRepair::Keep => {}
-                        SubstrateRepair::Repaired(repaired, r) => {
-                            stats.substrates_repaired += 1;
-                            stats.rows_tombstoned += r.rows_tombstoned;
-                            cache.oracles.insert(key, repaired);
-                        }
-                        SubstrateRepair::Rebuild => {
-                            let old = cache.oracles.remove(&key).expect("key just listed");
-                            stats.bytes_freed += old.resident_bytes();
-                            stats.substrates_dropped += 1;
-                            stats.substrates_rebuilt += 1;
-                        }
-                    }
-                }
-                stats.total_nanos = t0.elapsed().as_nanos();
-                drop(cache);
-                drop(state);
-                for key in &ledger_keys {
-                    let bytes = self.key_bytes(key, stats.epoch);
-                    self.notify(|obs| obs.on_substrate_repaired(self.id, key, stats.epoch, bytes));
-                }
-                return stats;
-            }
-
-            if multi_edge {
-                // Multi-edge fast path: replay the net batch as effective
-                // single-edge repairs against prefix views of a scratch
-                // overlay, deferring the CSR merge exactly like the
-                // single-edge path. Deletes go first — a delete repair is
-                // a pure incidence walk, so one post-deletes view serves
-                // them all, and no surviving or fresh row can contain a
-                // deleted edge. Each insert is applied to the scratch
-                // *before* its view is built, so a new clique spanning
-                // several inserted edges is complete only at its last
-                // inserted edge's view and is appended exactly once. The
-                // final per-key call always sees the full post-batch view,
-                // keying the surviving store to the right fingerprint.
-                stats.csr_deferred = true;
-                let mut scratch = pending_before;
-                // Keys that survived with at least one Repaired verdict;
-                // a later Rebuild retracts membership, so each key counts
-                // at most once in `substrates_repaired`.
-                let mut repaired_keys: HashSet<PatternKey> = HashSet::new();
-                if !removed.is_empty() {
-                    for &(u, v) in &removed {
-                        let effective = scratch.apply(base, &GraphUpdate::Delete(u, v));
-                        debug_assert!(effective, "net deletes toggle the pre-batch overlay");
-                    }
-                    let view = DeltaGraph::new(base, &scratch);
-                    for &(u, v) in &removed {
-                        let keys: Vec<PatternKey> = cache.oracles.keys().cloned().collect();
-                        for key in keys {
-                            let oracle = cache.oracles.get(&key).expect("key just listed");
-                            match oracle.repair_for_edge(view, false, u, v) {
-                                SubstrateRepair::Keep => {}
-                                SubstrateRepair::Repaired(repaired, r) => {
-                                    stats.rows_tombstoned += r.rows_tombstoned;
-                                    repaired_keys.insert(key.clone());
-                                    cache.oracles.insert(key, repaired);
-                                }
-                                SubstrateRepair::Rebuild => {
-                                    let old = cache.oracles.remove(&key).expect("key just listed");
-                                    repaired_keys.remove(&key);
-                                    stats.bytes_freed += old.resident_bytes();
-                                    stats.substrates_dropped += 1;
-                                    stats.substrates_rebuilt += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-                for &(u, v) in &inserted {
-                    let effective = scratch.apply(base, &GraphUpdate::Insert(u, v));
-                    debug_assert!(effective, "net inserts toggle the pre-batch overlay");
-                    let view = DeltaGraph::new(base, &scratch);
-                    let keys: Vec<PatternKey> = cache.oracles.keys().cloned().collect();
-                    for key in keys {
-                        let oracle = cache.oracles.get(&key).expect("key just listed");
-                        match oracle.repair_for_edge(view, true, u, v) {
-                            SubstrateRepair::Keep => {}
-                            SubstrateRepair::Repaired(repaired, r) => {
-                                stats.rows_tombstoned += r.rows_tombstoned;
-                                repaired_keys.insert(key.clone());
-                                cache.oracles.insert(key, repaired);
-                            }
-                            SubstrateRepair::Rebuild => {
-                                let old = cache.oracles.remove(&key).expect("key just listed");
-                                repaired_keys.remove(&key);
-                                stats.bytes_freed += old.resident_bytes();
-                                stats.substrates_dropped += 1;
-                                stats.substrates_rebuilt += 1;
-                            }
-                        }
-                    }
-                }
-                debug_assert_eq!(
-                    DeltaGraph::new(base, &scratch).num_edges(),
-                    DeltaGraph::new(base, pending).num_edges(),
-                    "replayed scratch overlay must land on the post-batch graph"
-                );
-                stats.substrates_repaired += repaired_keys.len();
-                stats.total_nanos = t0.elapsed().as_nanos();
-                drop(cache);
-                drop(state);
-                for key in &ledger_keys {
-                    let bytes = self.key_bytes(key, stats.epoch);
-                    self.notify(|obs| obs.on_substrate_repaired(self.id, key, stats.epoch, bytes));
-                }
-                return stats;
-            }
-
-            // The general-pattern repair recounts touched rows in the
-            // mid graph (base minus removals); cliques never read it, so
-            // build it only when a non-clique key is cached and both edge
-            // directions moved.
-            let needs_mid = !inserted.is_empty()
-                && !removed.is_empty()
-                && cache
-                    .oracles
-                    .keys()
-                    .any(|(k, edges)| edges.len() * 2 != k * (k - 1));
-            let g_mid: Option<Graph> = if needs_mid {
-                let mut deletions = EdgeOverlay::default();
-                for &(u, v) in &removed {
-                    deletions.apply(base, &GraphUpdate::Delete(u, v));
-                }
-                Some(DeltaGraph::new(base, &deletions).materialize())
-            } else {
-                None
-            };
-            // Materialize the post-batch CSR in place — delta enumeration
-            // needs real adjacency, and the next snapshot would pay this
-            // merge anyway.
-            let g_new = Arc::new(DeltaGraph::new(base, pending).materialize());
-            *slot = GraphSlot::Owned(Arc::clone(&g_new));
-            *pending = EdgeOverlay::default();
-            let g_mid: &Graph = g_mid.as_ref().unwrap_or(&g_new);
-
-            let keys: Vec<PatternKey> = cache.oracles.keys().cloned().collect();
-            for key in keys {
-                let oracle = cache.oracles.get(&key).expect("key just listed");
-                match oracle.repair_for_update(&g_new, g_mid, &inserted, &removed) {
-                    SubstrateRepair::Keep => {}
-                    SubstrateRepair::Repaired(repaired, r) => {
-                        stats.substrates_repaired += 1;
-                        stats.rows_tombstoned += r.rows_tombstoned;
-                        cache.oracles.insert(key, repaired);
-                    }
-                    SubstrateRepair::Rebuild => {
-                        let old = cache.oracles.remove(&key).expect("key just listed");
-                        stats.bytes_freed += old.resident_bytes();
-                        stats.substrates_dropped += 1;
-                        stats.substrates_rebuilt += 1;
-                    }
-                }
-            }
-        }
+            merge_pending(&mut state, &mut cache, &mut stats)
+        };
 
         stats.total_nanos = t0.elapsed().as_nanos();
         // Release the state/cache locks before entering the observer (the
         // lock-order rule documented on `CacheObserver`).
         drop(cache);
         drop(state);
-        if wholesale {
-            if stats.bytes_freed > 0 || stats.substrates_dropped > 0 {
-                self.notify(|obs| obs.on_engine_release(self.id, stats.bytes_freed));
-            }
-        } else {
-            // Repair path: the ledger is *resized* per key at the new
-            // epoch instead of dropped wholesale — entries for repaired
-            // stores re-read their new footprint, entries for dropped
-            // halves re-read 0 and fall out.
-            for key in &ledger_keys {
-                let bytes = self.key_bytes(key, stats.epoch);
-                self.notify(|obs| obs.on_substrate_repaired(self.id, key, stats.epoch, bytes));
-            }
-        }
+        self.report(released, &ledger_keys, stats.epoch, stats.bytes_freed);
         stats
+    }
+
+    /// Tells the observer what an `apply` or a merge did to the cache: a
+    /// wholesale drop (`released`) releases every ledger entry of this
+    /// engine, anything else re-reads each of `keys` at the new epoch —
+    /// entries for repaired stores take their new footprint, entries for
+    /// dropped halves read 0 and fall out. Call with no engine lock held.
+    fn report(&self, released: bool, keys: &[PatternKey], epoch: u64, bytes_freed: u64) {
+        if released {
+            self.notify(|obs| obs.on_engine_release(self.id, bytes_freed));
+            return;
+        }
+        for key in keys {
+            let bytes = self.key_bytes(key, epoch);
+            self.notify(|obs| obs.on_substrate_repaired(self.id, key, epoch, bytes));
+        }
     }
 
     /// Starts building a request for pattern Ψ (defaults: Densest,
@@ -1311,7 +1072,6 @@ impl<'g> DsdEngine<'g> {
                     psi,
                     self.parallelism,
                     self.substrate_budget,
-                    Some(self.repair_policy.compact_dead),
                 ))
             },
             |cache, oracle| {
@@ -1673,6 +1433,71 @@ impl Drop for DsdEngine<'_> {
             }
         }
     }
+}
+
+/// Merges the pending overlay of `state` into a fresh CSR and carries
+/// every cached oracle across the overlay's net edge changes — one merge
+/// and one `repair_for_update` per oracle, however many batches the
+/// overlay holds. Sound because stores are built from merged snapshots
+/// only, so they describe the last merged CSR, and every change since
+/// that merge sits in the overlay. Every oracle is dropped instead when
+/// the net change is over the repair ceiling; returns whether that
+/// happened. Counts into `stats`.
+fn merge_pending(
+    state: &mut GraphState<'_>,
+    cache: &mut SubstrateCache,
+    stats: &mut ApplyStats,
+) -> bool {
+    let GraphState { slot, pending, .. } = state;
+    let base = slot.graph();
+    let (inserted, removed) = (pending.added_edge_list(), pending.removed_edge_list());
+    let resident: u64 = cache.oracles.values().map(|o| o.resident_bytes()).sum();
+    let released = !repairable_batch(inserted.len(), removed.len(), resident);
+    if released {
+        stats.substrates_dropped += cache.oracles.len();
+        stats.substrates_rebuilt += cache.oracles.len();
+        stats.bytes_freed += resident;
+        cache.oracles.clear();
+    }
+    // The general-pattern repair recounts touched rows in the mid graph
+    // (base minus removals); cliques never read it, so build it only when
+    // a non-clique store is cached and both edge directions moved.
+    let needs_mid = !inserted.is_empty()
+        && !removed.is_empty()
+        && cache.oracles.iter().any(|((k, edges), o)| {
+            edges.len() * 2 != k * (k - 1) && o.store_stats().is_some_and(|s| s.materialized)
+        });
+    let g_mid: Option<Graph> = needs_mid.then(|| {
+        let mut deletions = EdgeOverlay::default();
+        for &(u, v) in &removed {
+            deletions.apply(base, &GraphUpdate::Delete(u, v));
+        }
+        DeltaGraph::new(base, &deletions).materialize()
+    });
+    let g_new = Arc::new(DeltaGraph::new(base, pending).materialize());
+    *slot = GraphSlot::Owned(Arc::clone(&g_new));
+    *pending = EdgeOverlay::default();
+    let g_mid: &Graph = g_mid.as_ref().unwrap_or(&g_new);
+
+    let keys: Vec<PatternKey> = cache.oracles.keys().cloned().collect();
+    for key in keys {
+        let oracle = cache.oracles.get(&key).expect("key just listed");
+        match oracle.repair_for_update(&g_new, g_mid, &inserted, &removed) {
+            SubstrateRepair::Keep => {}
+            SubstrateRepair::Repaired(repaired, r) => {
+                stats.substrates_repaired += 1;
+                stats.rows_tombstoned += r.rows_tombstoned;
+                cache.oracles.insert(key, repaired);
+            }
+            SubstrateRepair::Rebuild => {
+                let old = cache.oracles.remove(&key).expect("key just listed");
+                stats.bytes_freed += old.resident_bytes();
+                stats.substrates_dropped += 1;
+                stats.substrates_rebuilt += 1;
+            }
+        }
+    }
+    released
 }
 
 /// Resident bytes of a substrate cache's droppable Ψ-substrates: instance

@@ -116,8 +116,7 @@ pub use dynamic::{repair_delete, repair_insert};
 pub use emcore::emcore_max_core;
 pub use engine::{
     pattern_key, ApplyStats, BoundRequest, CacheObserver, DsdEngine, DsdRequest, EngineCacheStats,
-    GraphSnapshot, Guarantee, Objective, Outcome, PatternKey, RepairPolicy, Solution, SolveStats,
-    MULTI_EDGE_DELTA_MAX,
+    GraphSnapshot, Guarantee, Objective, Outcome, PatternKey, Solution, SolveStats,
 };
 pub use exact::{exact, ExactOpts, ExactStats};
 pub use kcore::{k_core_decomposition, KCoreDecomposition};

@@ -34,7 +34,7 @@
 
 use std::sync::Arc;
 
-use dsd_graph::{DeltaGraph, Graph, VertexId, VertexSet};
+use dsd_graph::{Graph, VertexId, VertexSet};
 use dsd_motif::pattern::{Pattern, PatternKind};
 use dsd_motif::store::{InstanceStore, StoreBuildStats, StoreError, StoreRepairStats};
 use dsd_motif::{kclist, pattern_enum, special};
@@ -135,40 +135,6 @@ pub trait DensityOracle: Send + Sync {
         removed: &[(VertexId, VertexId)],
     ) -> SubstrateRepair {
         let _ = (g_new, g_mid, inserted, removed);
-        SubstrateRepair::Keep
-    }
-
-    /// Whether [`Self::repair_for_edge`] can carry this oracle across a
-    /// single edge update *without* a materialized post-update CSR. The
-    /// engine uses this to keep one-edge batches in the overlay: when every
-    /// cached oracle answers `true`, `apply` skips the O(n + m) CSR rebuild
-    /// entirely and repairs against the [`DeltaGraph`] view.
-    ///
-    /// Default: `true` — correct for every oracle that recomputes from the
-    /// `g` argument of each query (all the streaming oracles, whose
-    /// [`Self::repair_for_edge`] default keeps them as-is). Oracles holding
-    /// a graph-keyed materialization must override **both** methods
-    /// together (see [`MaterializedOracle`]), answering `false` for shapes
-    /// whose repair needs a real CSR.
-    fn single_edge_repairable(&self) -> bool {
-        true
-    }
-
-    /// Repairs the oracle across exactly one effective edge change,
-    /// reading adjacency only from the overlay `view` (= the post-update
-    /// graph). `insert` says whether `{u, v}` was inserted (else deleted).
-    ///
-    /// Default: [`SubstrateRepair::Keep`], matching the
-    /// [`Self::repair_for_update`] default and sound under the same
-    /// condition (the oracle holds no graph-keyed state).
-    fn repair_for_edge(
-        &self,
-        view: DeltaGraph<'_>,
-        insert: bool,
-        u: VertexId,
-        v: VertexId,
-    ) -> SubstrateRepair {
-        let _ = (view, insert, u, v);
         SubstrateRepair::Keep
     }
 }
@@ -530,9 +496,6 @@ pub struct MaterializedOracle {
     streaming: Box<dyn DensityOracle>,
     budget: Option<u64>,
     threads: usize,
-    /// Dead-row compaction fraction `(num, den)` handed to the store
-    /// (`None` = the store's built-in default).
-    compact: Option<(usize, usize)>,
     state: std::sync::OnceLock<StoreState>,
 }
 
@@ -559,19 +522,8 @@ impl MaterializedOracle {
             streaming: streaming_for(psi, parallelism),
             budget,
             threads: parallelism.threads(),
-            compact: None,
             state: std::sync::OnceLock::new(),
         }
-    }
-
-    /// Overrides the store's dead-row compaction fraction: repairs compact
-    /// once tombstoned rows exceed `num / den` of all rows. Answers are
-    /// identical for every setting; this trades repair latency spikes for
-    /// steady-state scan width.
-    pub fn with_compaction(mut self, num: usize, den: usize) -> Self {
-        assert!(den > 0, "compaction fraction needs a nonzero denominator");
-        self.compact = Some((num, den));
-        self
     }
 
     fn state(&self, g: &Graph) -> &StoreState {
@@ -585,20 +537,15 @@ impl MaterializedOracle {
             };
             let fingerprint = (g.num_vertices(), g.num_edges());
             match built {
-                Ok((mut store, build)) => {
-                    if let Some((num, den)) = self.compact {
-                        store.set_compaction_fraction(num, den);
-                    }
-                    StoreState {
-                        fingerprint,
-                        store: Some(store),
-                        stats: StoreStats {
-                            materialized: true,
-                            fallback: None,
-                            build,
-                        },
-                    }
-                }
+                Ok((store, build)) => StoreState {
+                    fingerprint,
+                    store: Some(store),
+                    stats: StoreStats {
+                        materialized: true,
+                        fallback: None,
+                        build,
+                    },
+                },
                 Err(e) => StoreState {
                     fingerprint,
                     store: None,
@@ -639,7 +586,6 @@ impl MaterializedOracle {
             streaming: streaming_for(&self.psi, Parallelism::new(self.threads)),
             budget: self.budget,
             threads: self.threads,
-            compact: self.compact,
             state: std::sync::OnceLock::new(),
         };
         let seeded = replacement.state.set(StoreState {
@@ -778,94 +724,6 @@ impl DensityOracle for MaterializedOracle {
         );
         SubstrateRepair::Repaired(Arc::new(replacement), repair)
     }
-
-    fn single_edge_repairable(&self) -> bool {
-        // Clique stores admit a pure-incidence delete walk and an
-        // insert enumeration anchored on the new edge; general-pattern
-        // repair needs the mid-batch graph, which this path never
-        // materializes.
-        matches!(self.psi.kind(), PatternKind::Clique(_))
-    }
-
-    fn repair_for_edge(
-        &self,
-        view: DeltaGraph<'_>,
-        insert: bool,
-        u: VertexId,
-        v: VertexId,
-    ) -> SubstrateRepair {
-        let PatternKind::Clique(h) = self.psi.kind() else {
-            return SubstrateRepair::Rebuild;
-        };
-        let state = match self.state.get() {
-            // Nothing materialized yet: the first query builds against
-            // whatever graph it sees.
-            None => return SubstrateRepair::Keep,
-            Some(s) => s,
-        };
-        let Some(store) = &state.store else {
-            return SubstrateRepair::Rebuild;
-        };
-        let mut store = store.clone();
-        let repair = if insert {
-            // Every new h-clique is {u, v} plus an (h-2)-clique inside
-            // their common neighbourhood. Read adjacency from the view:
-            // overlay edges among the commons are invisible to the base
-            // CSR.
-            let mut common: Vec<VertexId> = Vec::new();
-            view.for_each_neighbor_impl(u, |w| {
-                if w != v && view.has_edge(w, v) {
-                    common.push(w);
-                }
-            });
-            common.sort_unstable();
-            let mut fresh: Vec<VertexId> = Vec::new();
-            match h {
-                2 => {
-                    fresh.push(u.min(v));
-                    fresh.push(u.max(v));
-                }
-                3 => {
-                    for &w in &common {
-                        let mut row = [u, v, w];
-                        row.sort_unstable();
-                        fresh.extend_from_slice(&row);
-                    }
-                }
-                _ => {
-                    let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
-                    for (i, &a) in common.iter().enumerate() {
-                        for (j, &b) in common.iter().enumerate().skip(i + 1) {
-                            if view.has_edge(a, b) {
-                                edges.push((i as VertexId, j as VertexId));
-                            }
-                        }
-                    }
-                    let small = Graph::from_edges(common.len(), &edges);
-                    let small_alive = VertexSet::full(common.len());
-                    kclist::for_each_clique_within(&small, h - 2, &small_alive, |c| {
-                        let mut row: Vec<VertexId> = Vec::with_capacity(h);
-                        row.push(u);
-                        row.push(v);
-                        row.extend(c.iter().map(|&i| common[i as usize]));
-                        row.sort_unstable();
-                        fresh.extend_from_slice(&row);
-                    });
-                }
-            }
-            match store.repair_edge_insert_rows(fresh, self.budget) {
-                Ok(r) => r,
-                Err(_) => return SubstrateRepair::Rebuild,
-            }
-        } else {
-            // A row dies iff it contains both endpoints: a pure incidence
-            // walk, no adjacency reads at all.
-            store.repair_edge_delete(u, v)
-        };
-        let replacement =
-            self.seeded_replacement((view.num_vertices(), view.num_edges()), store, state.stats);
-        SubstrateRepair::Repaired(Arc::new(replacement), repair)
-    }
 }
 
 /// The streaming fallback for `psi` (see [`oracle_with_policy`]).
@@ -965,7 +823,7 @@ impl InstancePeeler for StorePeeler<'_> {
 /// Picks the cheapest sound oracle for `psi` with the default budget and
 /// no parallelism.
 pub fn oracle_for(psi: &Pattern) -> Box<dyn DensityOracle> {
-    oracle_with_policy(psi, Parallelism::serial(), Some(DEFAULT_STORE_BUDGET), None)
+    oracle_with_policy(psi, Parallelism::serial(), Some(DEFAULT_STORE_BUDGET))
 }
 
 /// The full oracle policy: h-cliques (h ≥ 3) and general patterns
@@ -974,14 +832,11 @@ pub fn oracle_for(psi: &Pattern) -> Box<dyn DensityOracle> {
 /// when the store would not fit; edges keep the direct neighbour rule (the
 /// store would just duplicate the graph's own CSR) and stars/diamonds keep
 /// their closed forms. Clique store builds and streaming clique degree
-/// passes shard across `parallelism`'s workers, and `compact` sets a
-/// materialized store's dead-row compaction fraction (`None` = the store
-/// default; the engine's [`crate::engine::RepairPolicy`] lands here).
+/// passes shard across `parallelism`'s workers.
 pub fn oracle_with_policy(
     psi: &Pattern,
     parallelism: Parallelism,
     budget: Option<u64>,
-    compact: Option<(usize, usize)>,
 ) -> Box<dyn DensityOracle> {
     match psi.kind() {
         PatternKind::Clique(2) if !parallelism.is_serial() => {
@@ -989,11 +844,7 @@ pub fn oracle_with_policy(
         }
         PatternKind::Clique(2) => Box::new(CliqueOracle::new(2)),
         PatternKind::Clique(_) | PatternKind::General => {
-            let mut oracle = MaterializedOracle::with_policy(psi, parallelism, budget);
-            if let Some((num, den)) = compact {
-                oracle = oracle.with_compaction(num, den);
-            }
-            Box::new(oracle)
+            Box::new(MaterializedOracle::with_policy(psi, parallelism, budget))
         }
         PatternKind::Star(x) => Box::new(StarOracle::new(x)),
         PatternKind::Diamond => Box::new(DiamondOracle),

@@ -16,9 +16,9 @@
 //!   to a full [`GraphBuilder`] rebuild.
 //!
 //! The intended lifecycle (what `dsd-core`'s engine does): accumulate
-//! updates in an overlay, repair incremental substrates against the
-//! [`DeltaGraph`] view after each edge, and materialize lazily — only when
-//! a reader actually needs a CSR snapshot.
+//! updates in an overlay, repair the incremental k-core order against the
+//! [`DeltaGraph`] view after each edge, and materialize only when a reader
+//! actually needs a CSR — a Ψ-store repair or the next snapshot.
 //!
 //! ```
 //! use dsd_graph::{DeltaGraph, EdgeOverlay, Graph, GraphUpdate};
@@ -133,6 +133,17 @@ impl EdgeOverlay {
         self.added_edges + self.removed_edges
     }
 
+    /// The edges added relative to the base, each once as `(u, v)` with
+    /// `u < v`, sorted.
+    pub fn added_edge_list(&self) -> Vec<(VertexId, VertexId)> {
+        edge_list(&self.added)
+    }
+
+    /// The base edges removed, each once as `(u, v)` with `u < v`, sorted.
+    pub fn removed_edge_list(&self) -> Vec<(VertexId, VertexId)> {
+        edge_list(&self.removed)
+    }
+
     /// Applies one update on top of `base ⊕ self`. Returns whether the
     /// update was effective (`false` for no-ops: self-loops, out-of-range
     /// endpoints, inserting a present edge, deleting an absent one).
@@ -197,6 +208,15 @@ impl EdgeOverlay {
     fn removed_at(&self, v: VertexId) -> &[VertexId] {
         self.removed.get(&v).map(Vec::as_slice).unwrap_or(&[])
     }
+}
+
+fn edge_list(map: &HashMap<VertexId, Vec<VertexId>>) -> Vec<(VertexId, VertexId)> {
+    let mut edges: Vec<(VertexId, VertexId)> = map
+        .iter()
+        .flat_map(|(&u, vs)| vs.iter().filter(move |&&v| u < v).map(move |&v| (u, v)))
+        .collect();
+    edges.sort_unstable();
+    edges
 }
 
 fn insert_sorted(map: &mut HashMap<VertexId, Vec<VertexId>>, key: VertexId, value: VertexId) {
@@ -278,9 +298,10 @@ impl<'a> DeltaGraph<'a> {
     /// Materializes the combined view into a plain [`Graph`].
     ///
     /// The rebuild-or-patch policy: overlays smaller than half the base
-    /// edge count are **patched** — per-vertex three-way merges of the
-    /// sorted base/added/removed lists into fresh CSR arrays, one linear
-    /// pass with no global sort; larger overlays **rebuild** through
+    /// edge count are **patched** into fresh CSR arrays with no global
+    /// sort — each run of vertices the overlay leaves alone is one slice
+    /// copy, and only touched vertices pay a three-way merge of their
+    /// sorted base/added/removed lists; larger overlays **rebuild** through
     /// [`GraphBuilder`] (whose sort-based path wins once most of the
     /// adjacency changes anyway).
     pub fn materialize(&self) -> Graph {
@@ -299,25 +320,32 @@ impl<'a> DeltaGraph<'a> {
             }
             return b.build();
         }
-        // Patch: merge each vertex's sorted lists directly into new CSR
-        // arrays.
+        // Patch: copy each run of untouched vertices with one slice copy
+        // and shifted offsets; merge only the vertices the overlay touches.
         let n = self.num_vertices();
         let m = self.num_edges();
+        let (base_offsets, base_adj) = self.base.csr_parts();
+        let mut touched: Vec<VertexId> = self.overlay.added.keys().copied().collect();
+        touched.extend(self.overlay.removed.keys().copied());
+        touched.sort_unstable();
+        touched.dedup();
         let mut offsets = Vec::with_capacity(n + 1);
         let mut adj = Vec::with_capacity(2 * m);
         offsets.push(0usize);
-        for v in 0..n as VertexId {
+        let mut next = 0usize;
+        for t in touched.into_iter().map(|t| t as usize).chain([n]) {
+            let (start, at) = (base_offsets[next], adj.len());
+            offsets.extend(base_offsets[next + 1..=t].iter().map(|&o| o - start + at));
+            adj.extend_from_slice(&base_adj[start..base_offsets[t]]);
+            if t == n {
+                break;
+            }
+            let v = t as VertexId;
             let removed = self.overlay.removed_at(v);
-            let added = self.overlay.added_at(v);
-            let mut add_it = added.iter().copied().peekable();
+            let mut add_it = self.overlay.added_at(v).iter().copied().peekable();
             for &u in self.base.neighbors(v) {
-                while let Some(&a) = add_it.peek() {
-                    if a < u {
-                        adj.push(a);
-                        add_it.next();
-                    } else {
-                        break;
-                    }
+                while let Some(a) = add_it.next_if(|&a| a < u) {
+                    adj.push(a);
                 }
                 if removed.binary_search(&u).is_err() {
                     adj.push(u);
@@ -325,6 +353,7 @@ impl<'a> DeltaGraph<'a> {
             }
             adj.extend(add_it);
             offsets.push(adj.len());
+            next = t + 1;
         }
         debug_assert_eq!(adj.len(), 2 * m);
         Graph::from_csr_parts(offsets, adj, m)
@@ -402,44 +431,99 @@ mod tests {
         assert_eq!(sorted_neighbors(&view, 0), vec![2, 3]);
     }
 
+    /// Applies `updates` to `g` through an overlay, mirrored on a plain
+    /// edge set, and checks the view and `materialize` against a
+    /// from-scratch build of the mirror. Returns the overlay's size.
+    fn check_against_scratch(g: &Graph, updates: &[GraphUpdate]) -> usize {
+        let n = g.num_vertices();
+        let mut ov = EdgeOverlay::default();
+        let mut edges: std::collections::BTreeSet<(VertexId, VertexId)> = g.edges().collect();
+        for &update in updates {
+            let effective = ov.apply(g, &update);
+            let (u, v) = update.endpoints();
+            let key = (u.min(v), u.max(v));
+            let expect = match update {
+                GraphUpdate::Insert(..) => u != v && edges.insert(key),
+                GraphUpdate::Delete(..) => edges.remove(&key),
+            };
+            assert_eq!(effective, expect, "effectiveness mirror diverged");
+        }
+        let view = DeltaGraph::new(g, &ov);
+        let materialized = view.materialize();
+        let edge_list: Vec<_> = edges.iter().copied().collect();
+        let expect = Graph::from_edges(n, &edge_list);
+        assert_eq!(materialized, expect, "materialize != from-scratch");
+        assert_eq!(view.num_edges(), expect.num_edges());
+        let before: std::collections::BTreeSet<_> = g.edges().collect();
+        let added: Vec<_> = edges.difference(&before).copied().collect();
+        let removed: Vec<_> = before.difference(&edges).copied().collect();
+        assert_eq!(ov.added_edge_list(), added, "added edge list");
+        assert_eq!(ov.removed_edge_list(), removed, "removed edge list");
+        for v in 0..n as VertexId {
+            assert_eq!(view.degree(v), expect.degree(v), "degree of {v}");
+            assert_eq!(
+                sorted_neighbors(&view, v),
+                expect.neighbors(v).to_vec(),
+                "neighbours of {v}"
+            );
+        }
+        ov.len()
+    }
+
     #[test]
     fn materialize_matches_rebuild_from_scratch() {
         let mut rng = XorShift::new(0xDE17A);
+        // Small dense bases with 12 random updates: mostly the rebuild
+        // branch.
         for _ in 0..60 {
             let g = rng.random_graph(2, 14, 30);
+            let n = g.num_vertices() as u64;
+            let updates: Vec<GraphUpdate> = (0..12)
+                .map(|_| {
+                    let u = (rng.next() % n) as VertexId;
+                    let v = (rng.next() % n) as VertexId;
+                    if rng.next().is_multiple_of(2) {
+                        GraphUpdate::Insert(u, v)
+                    } else {
+                        GraphUpdate::Delete(u, v)
+                    }
+                })
+                .collect();
+            check_against_scratch(&g, &updates);
+        }
+        // Sparse bases of n ≈ 200 with 1–4 updates: the patch branch. The
+        // updates favour the ends of its run copies — vertex 0, vertex
+        // n − 1 and isolated vertices.
+        for _ in 0..60 {
+            let g = rng.random_graph(190, 210, 2);
             let n = g.num_vertices();
-            let mut ov = EdgeOverlay::default();
-            let mut edges: std::collections::BTreeSet<(VertexId, VertexId)> = g.edges().collect();
-            for _ in 0..12 {
-                let u = (rng.next() % n as u64) as VertexId;
-                let v = (rng.next() % n as u64) as VertexId;
-                let update = if rng.next().is_multiple_of(2) {
-                    GraphUpdate::Insert(u, v)
+            let isolated: Vec<VertexId> = g.vertices().filter(|&v| g.degree(v) == 0).collect();
+            let endpoint = |rng: &mut XorShift| -> VertexId {
+                match rng.next() % 4 {
+                    0 => 0,
+                    1 => n as VertexId - 1,
+                    2 if !isolated.is_empty() => {
+                        isolated[(rng.next() % isolated.len() as u64) as usize]
+                    }
+                    _ => (rng.next() % n as u64) as VertexId,
+                }
+            };
+            let count = 1 + rng.next() % 4;
+            let mut updates = Vec::new();
+            for _ in 0..count {
+                let u = endpoint(&mut rng);
+                let nbrs = g.neighbors(u);
+                updates.push(if nbrs.is_empty() || rng.next().is_multiple_of(2) {
+                    GraphUpdate::Insert(u, endpoint(&mut rng))
                 } else {
-                    GraphUpdate::Delete(u, v)
-                };
-                let effective = ov.apply(&g, &update);
-                let key = (u.min(v), u.max(v));
-                let expect = match update {
-                    GraphUpdate::Insert(..) => u != v && edges.insert(key),
-                    GraphUpdate::Delete(..) => edges.remove(&key),
-                };
-                assert_eq!(effective, expect, "effectiveness mirror diverged");
+                    GraphUpdate::Delete(u, nbrs[(rng.next() % nbrs.len() as u64) as usize])
+                });
             }
-            let view = DeltaGraph::new(&g, &ov);
-            let materialized = view.materialize();
-            let edge_list: Vec<_> = edges.iter().copied().collect();
-            let expect = Graph::from_edges(n, &edge_list);
-            assert_eq!(materialized, expect, "materialize != from-scratch");
-            assert_eq!(view.num_edges(), expect.num_edges());
-            for v in 0..n as VertexId {
-                assert_eq!(view.degree(v), expect.degree(v), "degree of {v}");
-                assert_eq!(
-                    sorted_neighbors(&view, v),
-                    expect.neighbors(v).to_vec(),
-                    "neighbours of {v}"
-                );
-            }
+            let touched = check_against_scratch(&g, &updates);
+            assert!(
+                touched * 2 < g.num_edges(),
+                "sparse input left the patch branch"
+            );
         }
     }
 

@@ -53,6 +53,12 @@ impl Graph {
         Graph { offsets, adj, m }
     }
 
+    /// The raw CSR arrays `(offsets, adj)`, for the run copies of
+    /// [`crate::DeltaGraph::materialize`].
+    pub(crate) fn csr_parts(&self) -> (&[usize], &[VertexId]) {
+        (&self.offsets, &self.adj)
+    }
+
     /// An empty graph with `n` isolated vertices.
     pub fn empty(n: usize) -> Self {
         Graph {

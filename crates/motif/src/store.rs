@@ -29,13 +29,15 @@
 //! reported as typed [`StoreError`]s so callers can fall back to streaming
 //! oracles instead of silently truncating indices.
 //!
-//! Stores are also **repairable**: an edge batch against the stored graph
-//! tombstones the rows a removed edge kills (found through the incidence
-//! CSR — no re-enumeration) and appends only the instances an inserted
-//! edge creates (delta enumeration rooted at the touched endpoints), so a
-//! warm substrate survives updates at per-edge cost instead of re-paying
-//! the full build. See [`InstanceStore::repair_cliques`] and
-//! [`InstanceStore::repair_pattern`].
+//! Stores are also **repairable** across an edge batch, through one entry
+//! per pattern family: [`InstanceStore::repair_cliques`] and
+//! [`InstanceStore::repair_pattern`]. Both read the merged post-batch CSR.
+//! A removed edge tombstones the rows it kills, found through the
+//! incidence CSR with no re-enumeration (general-pattern rows it touches
+//! are recounted instead). An inserted edge appends only the instances it
+//! creates, by delta enumeration rooted at its endpoints. A warm substrate
+//! thus survives updates at per-edge cost instead of re-paying the full
+//! build.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -127,10 +129,9 @@ pub struct StoreRepairStats {
     pub repair_nanos: u128,
 }
 
-/// Default compaction policy: a repair physically drops tombstoned rows
-/// once `dead_rows / rows > COMPACT_DEAD_NUM / COMPACT_DEAD_DEN`; below
-/// that, tombstones are carried and queries skip them through the mask.
-/// Per-store override: [`InstanceStore::set_compaction_fraction`].
+/// Compaction policy: a repair physically drops tombstoned rows once
+/// `dead_rows / rows > COMPACT_DEAD_NUM / COMPACT_DEAD_DEN`; below that,
+/// tombstones are carried and queries skip them through the mask.
 pub const COMPACT_DEAD_NUM: usize = 1;
 /// See [`COMPACT_DEAD_NUM`].
 pub const COMPACT_DEAD_DEN: usize = 4;
@@ -155,13 +156,6 @@ pub struct InstanceStore {
     dead: Vec<bool>,
     /// Number of `true` entries in `dead`.
     dead_rows: usize,
-    /// Compaction fraction for this store: repairs compact once
-    /// `dead_rows · compact_den > rows · compact_num`. Defaults to
-    /// [`COMPACT_DEAD_NUM`] / [`COMPACT_DEAD_DEN`]; the engine costs it
-    /// against measured store size (big stores tolerate a higher dead
-    /// fraction before a full rewrite pays off).
-    compact_num: usize,
-    compact_den: usize,
 }
 
 /// Shared row caps for a build: u32-indexing capacity and the byte budget.
@@ -500,8 +494,6 @@ impl InstanceStore {
             inc_rows: Vec::new(),
             dead: Vec::new(),
             dead_rows: 0,
-            compact_num: COMPACT_DEAD_NUM,
-            compact_den: COMPACT_DEAD_DEN,
         };
         store.rebuild_incidence();
         let build_nanos = t0.elapsed().as_nanos();
@@ -890,70 +882,13 @@ impl InstanceStore {
     /// (a pure-deletion repair keeps the CSR — dead rows stay indexed
     /// and queries skip them through the mask).
     fn settle(&mut self, stats: &mut StoreRepairStats) {
-        if self.dead_rows > 0 && self.dead_rows * self.compact_den > self.rows() * self.compact_num
+        if self.dead_rows > 0 && self.dead_rows * COMPACT_DEAD_DEN > self.rows() * COMPACT_DEAD_NUM
         {
             self.compact();
             stats.compacted = true;
         } else if stats.rows_appended > 0 {
             self.rebuild_incidence();
         }
-    }
-
-    /// Overrides the compaction fraction for this store: repairs compact
-    /// once `dead_rows / rows > num / den`. Default
-    /// [`COMPACT_DEAD_NUM`] / [`COMPACT_DEAD_DEN`]. The engine's repair
-    /// policy costs this against measured store size — a large resident
-    /// store tolerates a higher dead fraction before the full column
-    /// rewrite of a compaction pays for itself.
-    pub fn set_compaction_fraction(&mut self, num: usize, den: usize) {
-        assert!(den > 0, "compaction fraction needs a nonzero denominator");
-        self.compact_num = num;
-        self.compact_den = den;
-    }
-
-    /// The compaction fraction `(num, den)` currently in force.
-    pub fn compaction_fraction(&self) -> (usize, usize) {
-        (self.compact_num, self.compact_den)
-    }
-
-    /// Single-edge **deletion** repair for clique stores: tombstones every
-    /// live row containing `{u, v}` through the incidence CSR, touching no
-    /// graph adjacency at all — which is what lets the engine's
-    /// single-update fast path skip the post-batch CSR materialization.
-    /// Sound only for unweighted clique stores (a clique dies iff it
-    /// contains both endpoints); weighted pattern stores need the recount
-    /// of [`InstanceStore::repair_pattern`].
-    pub fn repair_edge_delete(&mut self, u: VertexId, v: VertexId) -> StoreRepairStats {
-        debug_assert!(self.weights.is_none(), "edge-delete repair is clique-only");
-        let t0 = Instant::now();
-        let mut stats = StoreRepairStats {
-            rows_tombstoned: self.tombstone_rows_with_edge(u, v),
-            ..StoreRepairStats::default()
-        };
-        self.settle(&mut stats);
-        stats.repair_nanos = t0.elapsed().as_nanos();
-        stats
-    }
-
-    /// Single-edge **insertion** repair: appends pre-enumerated rows
-    /// (id-sorted, mutually distinct, each containing both inserted
-    /// endpoints — so none can collide with a surviving row) under the
-    /// same caps as a build. The caller enumerates the rows from its own
-    /// (overlay) view of the updated graph; the store never reads
-    /// adjacency.
-    pub fn repair_edge_insert_rows(
-        &mut self,
-        fresh_members: Vec<VertexId>,
-        budget: Option<u64>,
-    ) -> Result<StoreRepairStats, StoreError> {
-        let t0 = Instant::now();
-        let mut stats = StoreRepairStats::default();
-        let caps = RowCaps::new(self.inc_offsets.len() - 1, self.psi_size, 0, budget);
-        caps.check_base()?;
-        self.append_rows(fresh_members, None, &caps, &mut stats)?;
-        self.settle(&mut stats);
-        stats.repair_nanos = t0.elapsed().as_nanos();
-        Ok(stats)
     }
 
     /// Physically drops tombstoned rows and rebuilds the incidence CSR.

@@ -279,7 +279,7 @@ fn parse_update_directive(tokens: &[&str]) -> Result<(String, Vec<GraphUpdate>),
 fn print_update(name: &str, st: &ApplyStats) {
     println!(
         "updated {name}: +{} -{} (~{} no-ops), epoch {}, k-core {}, \
-         substrates {} repaired / {} rebuilt",
+         substrates {} repaired / {} rebuilt{}",
         st.inserted,
         st.deleted,
         st.ignored,
@@ -291,6 +291,11 @@ fn print_update(name: &str, st: &ApplyStats) {
         },
         st.substrates_repaired,
         st.substrates_rebuilt,
+        if st.csr_deferred {
+            " (merge deferred to the next query)"
+        } else {
+            ""
+        },
     );
 }
 

@@ -15,9 +15,9 @@
 //!   same weights, same incidence CSR — for any worker count;
 //! * end-to-end decompositions (core numbers, kmax, peel order, ρ′
 //!   bits) agree across kernels, shard counts, and the streaming path;
-//! * the engine's single-edge fast path (repair against the overlay
-//!   view, CSR merge deferred) answers bit-identically to a cold
-//!   rebuild.
+//! * the engine's one `apply` repair path (every cached Ψ-store repaired
+//!   on the merged post-batch CSR, whatever the batch size) answers
+//!   bit-identically to a cold rebuild.
 //!
 //! Kernel selection uses the explicit constructor
 //! ([`CliqueLister::with_bitset`]) rather than the `DSD_NO_BITSET` env
@@ -29,11 +29,12 @@
 //! nightly CI runs this suite at 5000 iterations.
 
 use std::collections::{BTreeSet, HashSet};
+use std::sync::Arc;
 
 use dsd::core::oracle::{CliqueOracle, GenericPatternOracle};
 use dsd::core::{
     decompose, CliqueCoreDecomposition, DensityOracle, DsdEngine, DsdRequest, MaterializedOracle,
-    Method, Parallelism, Solution,
+    Method, Parallelism, Solution, SubstrateGovernor,
 };
 use dsd::graph::{Graph, GraphUpdate, VertexId, VertexSet};
 use dsd::motif::kclist::{CliqueLister, CliqueScratch};
@@ -351,100 +352,164 @@ fn decompositions_invariant_across_enumeration_paths() {
     }
 }
 
-/// The engine's single-edge fast path: repairs against the overlay view
-/// with the CSR merge deferred, stays bit-identical to a cold rebuild
-/// across chained single-edge batches, and a following multi-edge batch
-/// (which forces the wholesale path) still answers correctly.
+/// Draws a batch of `size` distinct net edge changes against `edges` and
+/// applies it to the mirror: alternately a delete (when an edge is left)
+/// and an insert, so batches of two or more mix both directions.
+fn mixed_batch(
+    rng: &mut StdRng,
+    n: usize,
+    edges: &mut BTreeSet<(VertexId, VertexId)>,
+    size: usize,
+    delete_first: bool,
+) -> Vec<GraphUpdate> {
+    let mut batch = Vec::with_capacity(size);
+    let mut touched: HashSet<(VertexId, VertexId)> = HashSet::new();
+    while batch.len() < size {
+        let delete = (batch.len() % 2 == 0) == delete_first && !edges.is_empty();
+        let key = if delete {
+            *edges.iter().nth(rng.gen_range(0..edges.len())).unwrap()
+        } else {
+            let u = rng.gen_range(0..n as VertexId);
+            let v = rng.gen_range(0..n as VertexId);
+            if u == v {
+                continue;
+            }
+            (u.min(v), u.max(v))
+        };
+        if !touched.insert(key) {
+            continue;
+        }
+        if delete {
+            edges.remove(&key);
+            batch.push(GraphUpdate::Delete(key.0, key.1));
+        } else if edges.insert(key) {
+            batch.push(GraphUpdate::Insert(key.0, key.1));
+        }
+    }
+    batch
+}
+
+/// The engine's one store repair, run when the pending overlay merges:
+/// one engine caching a triangle, a 4-clique and a c3-star store repairs
+/// all three inside `apply` for every batch that follows a read — chained
+/// mixed batches of 1, 4 and 32 edges — and answers bit-identically to a
+/// cold engine after each. A second engine with the same stores takes
+/// each batch one edge at a time with no read in between: only the first
+/// edge repairs inside `apply`, the rest stay pending, and the next read
+/// repairs once for their net change. The merge always stays pending on
+/// engines with no Ψ-store cached: one holding just the k-core order, and
+/// one holding streaming oracles (edge, two-star), which carry over every
+/// batch.
 #[test]
-fn single_edge_fast_path_defers_csr_and_stays_bit_identical() {
+fn every_batch_repairs_every_cached_store_on_the_merged_csr() {
     let iters = prop_iters(4);
     let mut rng = StdRng::seed_from_u64(0x15E9_0004);
+    let patterns = [Pattern::triangle(), Pattern::clique(4), Pattern::c3_star()];
+    let requests: Vec<DsdRequest> = patterns
+        .iter()
+        .map(|psi| DsdRequest::new(psi).method(Method::CoreExact))
+        .collect();
+    let streaming_requests = [Pattern::edge(), Pattern::two_star()]
+        .map(|psi| DsdRequest::new(&psi).method(Method::CoreExact));
     for iter in 0..iters {
-        let n = rng.gen_range(12usize..=18);
+        let n = rng.gen_range(20usize..=26);
         let mut edges: BTreeSet<(VertexId, VertexId)> = BTreeSet::new();
         for u in 0..n as VertexId {
             for v in (u + 1)..n as VertexId {
-                if rng.gen_bool(0.3) {
+                if rng.gen_bool(0.35) {
                     edges.insert((u, v));
                 }
             }
         }
         let base: Vec<_> = edges.iter().copied().collect();
         let engine = DsdEngine::new(Graph::from_edges(n, &base));
-        let psi = Pattern::triangle();
-        let req = DsdRequest::new(&psi).method(Method::CoreExact);
-        engine.solve(&req); // warm the Ψ-substrate cache
-
-        // Chained single-edge batches: every one must take the fast path.
-        let mut deferred = 0usize;
-        for round in 0..3 {
-            let update = loop {
-                let u = rng.gen_range(0u32..n as u32);
-                let v = rng.gen_range(0u32..n as u32);
-                if u == v {
-                    continue;
-                }
-                let key = (u.min(v), u.max(v));
-                if round % 2 == 0 {
-                    if edges.insert(key) {
-                        break GraphUpdate::Insert(key.0, key.1);
-                    }
-                } else if edges.remove(&key) {
-                    break GraphUpdate::Delete(key.0, key.1);
-                }
-            };
-            let stats = engine.apply(&[update]);
-            assert!(
-                stats.csr_deferred,
-                "iter {iter}, round {round}: single-edge batch must defer the CSR merge"
-            );
-            deferred += 1;
-
-            let now: Vec<_> = edges.iter().copied().collect();
-            let cold = DsdEngine::new(Graph::from_edges(n, &now));
-            assert_solutions_identical(
-                &format!("iter {iter}, round {round}"),
-                &engine.solve(&req),
-                &cold.solve(&req),
-            );
+        let kcore_only = DsdEngine::new(Graph::from_edges(n, &base));
+        let streaming = DsdEngine::new(Graph::from_edges(n, &base));
+        let burst = Arc::new(DsdEngine::new(Graph::from_edges(n, &base)));
+        let governor = SubstrateGovernor::new(None);
+        governor.attach(&burst);
+        let reconciled = |ctx: &str| {
+            let (ledger, actual) = governor.reconcile();
+            assert_eq!(ledger, actual, "{ctx}: governor ledger drifted");
+        };
+        for req in &requests {
+            engine.solve(req); // cache the three Ψ-stores
+            burst.solve(req);
         }
-        assert_eq!(deferred, 3);
-
-        // A small mixed multi-edge batch also rides the delta-view fast
-        // path now (deletes replayed first, then inserts against prefix
-        // views) and must still agree with a cold engine bit for bit.
-        let mut batch = Vec::new();
-        for step in 0..4 {
-            let u = rng.gen_range(0u32..n as u32);
-            let v = rng.gen_range(0u32..n as u32);
-            if u == v {
-                continue;
-            }
-            let key = (u.min(v), u.max(v));
-            if step == 0 {
-                // Bias one delete into the batch when possible.
-                if edges.remove(&key) {
-                    batch.push(GraphUpdate::Delete(key.0, key.1));
-                    continue;
-                }
-            }
-            if edges.insert(key) {
-                batch.push(GraphUpdate::Insert(key.0, key.1));
-            }
+        kcore_only.kcore_order();
+        for req in &streaming_requests {
+            streaming.solve(req);
         }
-        if batch.len() >= 2 {
+
+        for (round, &size) in [1usize, 4, 32, 1, 32, 4].iter().enumerate() {
+            let ctx = format!("iter {iter}, round {round}, batch of {size}");
+            let batch = mixed_batch(&mut rng, n, &mut edges, size, round % 2 == 0);
             let stats = engine.apply(&batch);
-            assert!(
-                stats.csr_deferred,
-                "iter {iter}: small multi-edge batch must defer the CSR merge"
+            assert_eq!(stats.inserted + stats.deleted, size, "{ctx}: effective");
+            assert_eq!(
+                stats.substrates_repaired,
+                patterns.len(),
+                "{ctx}: every cached store repairs in place"
             );
+            assert_eq!(stats.substrates_rebuilt, 0, "{ctx}: no rebuild");
+            assert!(!stats.csr_deferred, "{ctx}: a repair merges the CSR");
+
+            let applied = kcore_only.apply(&batch);
+            assert!(applied.csr_deferred, "{ctx}: k-core only defers the merge");
+            assert!(applied.kcore_patched, "{ctx}: k-core patched");
+
+            for (i, update) in batch.iter().enumerate() {
+                let applied = burst.apply(std::slice::from_ref(update));
+                let repaired = if i == 0 { patterns.len() } else { 0 };
+                assert_eq!(applied.substrates_repaired, repaired, "{ctx}, edge {i}");
+                assert_eq!(applied.substrates_rebuilt, 0, "{ctx}, edge {i}");
+                assert_eq!(applied.csr_deferred, i > 0, "{ctx}, edge {i}");
+                reconciled(&format!("{ctx}, edge {i}"));
+            }
+            burst.graph(); // merges the pending edges, repairing the stores
+            reconciled(&format!("{ctx}, merge"));
+
+            // Split in two, so the second half lands on pending updates.
+            for half in batch.chunks(size.div_ceil(2)) {
+                let applied = streaming.apply(half);
+                assert!(applied.csr_deferred, "{ctx}: streaming defers the merge");
+                assert_eq!(applied.substrates_repaired, 0, "{ctx}: no store");
+                assert_eq!(applied.substrates_rebuilt, 0, "{ctx}: oracles kept");
+            }
+
             let now: Vec<_> = edges.iter().copied().collect();
-            let cold = DsdEngine::new(Graph::from_edges(n, &now));
-            assert_solutions_identical(
-                &format!("iter {iter}, multi-edge"),
-                &engine.solve(&req),
-                &cold.solve(&req),
-            );
+            let cold_graph = Graph::from_edges(n, &now);
+            assert_eq!(*kcore_only.graph(), cold_graph, "{ctx}: deferred merge");
+            let cold = DsdEngine::new(cold_graph);
+            for req in &streaming_requests {
+                let warm = streaming.solve(req);
+                assert!(
+                    warm.stats.substrate.oracle_cache_hit,
+                    "{ctx}, {}: streaming oracle carried over",
+                    req.psi().name()
+                );
+                assert_solutions_identical(
+                    &format!("{ctx}, {}", req.psi().name()),
+                    &warm,
+                    &cold.solve(req),
+                );
+            }
+            for (psi, req) in patterns.iter().zip(&requests) {
+                let expect = cold.solve(req);
+                for (name, warm) in [("per batch", &engine), ("burst", &burst)] {
+                    let warm = warm.solve(req);
+                    assert!(
+                        warm.stats.substrate.oracle_cache_hit,
+                        "{ctx}, {}, {name}: served from the repaired store",
+                        psi.name()
+                    );
+                    assert_solutions_identical(
+                        &format!("{ctx}, {}, {name}", psi.name()),
+                        &warm,
+                        &expect,
+                    );
+                }
+            }
         }
     }
 }
