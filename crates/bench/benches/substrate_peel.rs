@@ -14,8 +14,9 @@
 //! Per-piece ablations (reported, and bit-identity asserted against the
 //! default path):
 //!
-//! * `DSD_NO_BITSET=1` — merge-only kClist kernels, isolating the
-//!   word-packed bitset intersection win;
+//! * merge-only vs bitset kClist kernels — one full enumeration each
+//!   through `CliqueLister::with_bitset`, isolating the word-packed bitset
+//!   intersection win (degree vectors asserted equal);
 //! * serial store build — isolating the sharded-build win;
 //! * 1 vs 4 threads on a general-pattern store build, isolating the
 //!   parallel pattern enumeration win.
@@ -31,7 +32,8 @@ use std::time::{Duration, Instant};
 use dsd_core::oracle::{CliqueOracle, GenericPatternOracle, MaterializedOracle};
 use dsd_core::{decompose, CliqueCoreDecomposition, DensityOracle, Parallelism};
 use dsd_datasets::dataset;
-use dsd_motif::Pattern;
+use dsd_graph::{Graph, VertexId, VertexSet};
+use dsd_motif::{CliqueLister, CliqueScratch, Pattern};
 
 fn check_identical(a: &CliqueCoreDecomposition, b: &CliqueCoreDecomposition, ctx: &str) {
     assert_eq!(a.core, b.core, "{ctx}: core numbers diverged");
@@ -42,6 +44,26 @@ fn check_identical(a: &CliqueCoreDecomposition, b: &CliqueCoreDecomposition, ctx
         b.best_density.to_bits(),
         "{ctx}: rho' diverged"
     );
+}
+
+/// One full h-clique enumeration of `g` through one kClist kernel: the
+/// per-vertex clique degrees, and the enumeration's wall time (the lister's
+/// out-CSR build excluded).
+fn kernel_degrees(g: &Graph, h: usize, bitset: bool) -> (Vec<u64>, Duration) {
+    let alive = VertexSet::full(g.num_vertices());
+    let lister = CliqueLister::with_bitset(g, h, &alive, bitset);
+    let mut scratch = CliqueScratch::default();
+    let mut deg = vec![0u64; g.num_vertices()];
+    let t = Instant::now();
+    for v in alive.iter() {
+        lister.for_each_rooted_until(v, &mut scratch, &mut |clique: &[VertexId]| {
+            for &member in clique {
+                deg[member as usize] += 1;
+            }
+            true
+        });
+    }
+    (deg, t.elapsed())
 }
 
 fn main() {
@@ -89,14 +111,10 @@ fn main() {
         }
         let (store_dec, stats) = store_outcome.unwrap();
 
-        // Bitset-intersection ablation: merge-only kernels everywhere.
-        std::env::set_var("DSD_NO_BITSET", "1");
-        let merge_oracle = MaterializedOracle::with_policy(&psi, Parallelism::new(4), None);
-        let t = Instant::now();
-        let merge_dec = decompose(&g, &merge_oracle);
-        let merge_store = t.elapsed();
-        std::env::remove_var("DSD_NO_BITSET");
-        check_identical(&merge_dec, &store_dec, &format!("h = {h}, DSD_NO_BITSET"));
+        // Bitset-intersection ablation: one enumeration per kernel.
+        let (merge_deg, merge_enum) = kernel_degrees(&g, h, false);
+        let (bitset_deg, bitset_enum) = kernel_degrees(&g, h, true);
+        assert_eq!(merge_deg, bitset_deg, "h = {h}: kernel degrees diverged");
 
         // Serial-build ablation (reported, not asserted on time).
         let serial_oracle = MaterializedOracle::with_policy(&psi, Parallelism::serial(), None);
@@ -132,9 +150,10 @@ fn main() {
             streaming.as_secs_f64() / store.as_secs_f64()
         );
         println!(
-            "  store peel (no bitset):    {:>9.1} ms ({:.2}x)",
-            merge_store.as_secs_f64() * 1e3,
-            streaming.as_secs_f64() / merge_store.as_secs_f64()
+            "  enumeration merge-only / bitset: {:.1} / {:.1} ms ({:.2}x)",
+            merge_enum.as_secs_f64() * 1e3,
+            bitset_enum.as_secs_f64() * 1e3,
+            merge_enum.as_secs_f64() / bitset_enum.as_secs_f64()
         );
         println!(
             "  store peel (serial build): {:>9.1} ms ({:.2}x)",

@@ -201,7 +201,7 @@ mod tests {
     use super::*;
     use crate::clique_core::decompose;
     use crate::exact::exact;
-    use crate::oracle::{oracle_for, ParallelCliqueOracle};
+    use crate::oracle::{oracle_for, CliqueOracle};
     use crate::Parallelism;
 
     fn planted() -> Graph {
@@ -262,7 +262,7 @@ mod tests {
         for h in 2..=4usize {
             let seq = inc_app(&g, &Pattern::clique(h));
             for threads in [1, 2, 4] {
-                let oracle = ParallelCliqueOracle::new(h, Parallelism::new(threads));
+                let oracle = CliqueOracle::with_parallelism(h, Parallelism::new(threads));
                 let par = decompose(&g, &oracle);
                 assert_eq!(par.kmax, seq.kmax, "h {h} threads {threads}");
                 let mut core = par.max_core().to_vec();

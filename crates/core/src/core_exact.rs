@@ -67,10 +67,6 @@ pub struct CoreExactConfig {
     pub pruning2: bool,
     /// Pruning3: component-local α-search stopping gap.
     pub pruning3: bool,
-    /// Parametric flow reuse across probes (GGT-style resolve from the
-    /// checkpointed lower-bound flow). On by default; disable for the
-    /// from-scratch-per-probe ablation (`exact_probes` bench).
-    pub parametric: bool,
     /// Extra α-search stopping tolerance on α (the effective gap is
     /// `max(Lemma-12 gap, tolerance)`; `None` keeps the certified-exact
     /// default).
@@ -88,7 +84,6 @@ impl Default for CoreExactConfig {
             pruning1: true,
             pruning2: true,
             pruning3: true,
-            parametric: true,
             tolerance: None,
             step_budget: None,
         }
@@ -144,7 +139,6 @@ struct ComponentProbe<'a> {
     psi: &'a Pattern,
     oracle: &'a dyn DensityOracle,
     dec: &'a CliqueCoreDecomposition,
-    parametric: bool,
     comp: Vec<VertexId>,
     comp_k: u64,
     net: DensityNetwork,
@@ -194,7 +188,6 @@ impl DecisionProbe for ComponentProbe<'_> {
                 let outgrown = std::mem::replace(&mut self.net, fresh);
                 release_network(&self.comp, outgrown, self.lender);
                 self.comp = shrunk;
-                self.net.set_warm_start(self.parametric);
             }
             self.comp_k = ak;
         }
@@ -314,8 +307,7 @@ impl Substrates<'_> {
                 },
                 config.tolerance,
             );
-            let mut net = acquire_network(g, &comp, psi, true, oracle, lender);
-            net.set_warm_start(config.parametric);
+            let net = acquire_network(g, &comp, psi, true, oracle, lender);
             // Witness seed: a warm network's best certified witness is a real
             // subgraph at this epoch, so the search may start from it.
             if let Some((w, rho)) = net.witness() {
@@ -330,7 +322,6 @@ impl Substrates<'_> {
                 psi,
                 oracle,
                 dec,
-                parametric: config.parametric,
                 comp,
                 comp_k,
                 net,

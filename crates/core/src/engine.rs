@@ -68,7 +68,7 @@
 use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 use dsd_graph::{DeltaGraph, EdgeOverlay, Graph, GraphUpdate, VertexId};
@@ -949,7 +949,8 @@ impl<'g> DsdEngine<'g> {
         cache.decompositions.clear();
 
         // Only a materialized store reads the merged adjacency; streaming
-        // oracles and stores no query has built are valid on any graph.
+        // oracles are valid on any graph, and the deferred merge swaps
+        // stores no query has built for fresh twins.
         let stores = cache
             .oracles
             .values()
@@ -1423,14 +1424,16 @@ impl Answer {
 impl Drop for DsdEngine<'_> {
     /// Tells the observer the engine's whole cache footprint is gone, so a
     /// governed catalog dropping an engine (eviction, shutdown) never
-    /// leaks its bytes in the global ledger.
+    /// leaks its bytes in the global ledger. Poisoned locks are recovered,
+    /// not unwrapped: a panic here would abort a thread already unwinding.
     fn drop(&mut self) {
-        let bytes =
-            cache_bytes(self.cache.get_mut().unwrap()) + self.networks.get_mut().unwrap().bytes();
-        if bytes > 0 {
-            if let Some(obs) = self.observer.get_mut().unwrap().as_deref() {
-                obs.on_engine_release(self.id, bytes);
-            }
+        let (cache, networks) = (self.cache.get_mut(), self.networks.get_mut());
+        let cache = cache.unwrap_or_else(PoisonError::into_inner);
+        let bytes = cache_bytes(cache) + networks.unwrap_or_else(PoisonError::into_inner).bytes();
+        let observer = self.observer.get_mut();
+        match observer.unwrap_or_else(PoisonError::into_inner) {
+            Some(obs) if bytes > 0 => obs.on_engine_release(self.id, bytes),
+            _ => {}
         }
     }
 }
@@ -1484,6 +1487,9 @@ fn merge_pending(
         let oracle = cache.oracles.get(&key).expect("key just listed");
         match oracle.repair_for_update(&g_new, g_mid, &inserted, &removed) {
             SubstrateRepair::Keep => {}
+            SubstrateRepair::Replaced(fresh) => {
+                cache.oracles.insert(key, fresh);
+            }
             SubstrateRepair::Repaired(repaired, r) => {
                 stats.substrates_repaired += 1;
                 stats.rows_tombstoned += r.rows_tombstoned;
@@ -1825,6 +1831,51 @@ mod tests {
             s.stats.substrate.decomposition_cache_hit,
             "no-op batch must not drop warm substrates"
         );
+    }
+
+    /// An oracle no query has built yet is swapped for a fresh one at the
+    /// CSR merge: a request still running on the pre-update snapshot may
+    /// hold the old `Arc` and build its store against the old graph, and
+    /// that store must not be served at the new epoch.
+    #[test]
+    fn unbuilt_oracle_held_across_a_merge_is_not_served_stale() {
+        let g = Graph::from_edges(6, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (3, 4), (4, 5)]);
+        let engine = DsdEngine::new(g);
+        let psi = Pattern::triangle();
+        let old = engine.graph();
+        let (held, _) = engine.oracle(&psi, &pattern_key(&psi), old.epoch());
+        assert!(held.store_stats().is_none(), "nothing built yet");
+
+        engine.apply(&[GraphUpdate::Insert(2, 3)]);
+        let merged = engine.graph();
+        assert_eq!(merged.epoch(), 1);
+        // The in-flight request builds its store on the old snapshot.
+        assert_eq!(held.store(&old).expect("store builds").total_instances(), 2);
+
+        let warm = engine.request(&psi).method(Method::CoreExact).solve();
+        let cold = DsdEngine::new(Graph::clone(&merged))
+            .request(&psi)
+            .method(Method::CoreExact)
+            .solve();
+        assert_eq!(cold.density, 1.0, "K4 on {{0, 1, 2, 3}}");
+        assert_eq!(warm.vertices, cold.vertices);
+        assert_eq!(warm.density.to_bits(), cold.density.to_bits());
+    }
+
+    /// Dropping an engine whose cache lock a panic poisoned releases its
+    /// footprint instead of panicking again.
+    #[test]
+    fn drop_recovers_a_poisoned_cache_lock() {
+        let g = Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
+        let engine = DsdEngine::new(g);
+        engine.warm(&Pattern::triangle());
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _cache = engine.cache.write().unwrap();
+            panic!("poison the substrate cache lock");
+        }));
+        assert!(poisoned.is_err());
+        assert!(engine.cache.is_poisoned());
+        drop(engine);
     }
 
     /// Borrowed engines copy on write: the first effective apply detaches

@@ -8,8 +8,8 @@
 //! enumeration the dominant cost of both, the default oracle for cliques
 //! (h ≥ 3) and general patterns is the [`MaterializedOracle`]: it
 //! enumerates the instance set **once** into a u32-indexed
-//! [`InstanceStore`] (CSR-of-members + CSR-of-incidence, built in parallel
-//! for cliques, sharded by degeneracy-ordered root) and answers every
+//! [`InstanceStore`] (CSR-of-members + CSR-of-incidence, built on
+//! `dsd-motif`'s sharded enumeration driver) and answers every
 //! degree, count, and decrement query from the columns. Peel loops get an
 //! [`InstancePeeler`] with alive-count-per-row bookkeeping, making a full
 //! decomposition O(total memberships) after the single enumeration pass.
@@ -20,7 +20,8 @@
 //! kClist re-enumeration for cliques, anchored backtracking for general
 //! patterns — which are always available as:
 //!
-//! * h-cliques → kClist enumeration (`dsd-motif::kclist`);
+//! * h-cliques → kClist enumeration (`dsd-motif::kclist`), whose degree
+//!   pass shards across the same workers ([`CliqueOracle`]);
 //! * x-stars and diamonds → Appendix-D closed forms (`dsd-motif::special`);
 //! * anything else → symmetry-broken backtracking enumeration
 //!   (`dsd-motif::pattern_enum`).
@@ -125,8 +126,9 @@ pub trait DensityOracle: Send + Sync {
     /// Default: [`SubstrateRepair::Keep`] — correct for every oracle that
     /// recomputes from the `g` argument of each query, which is all the
     /// streaming oracles. Oracles holding a graph-keyed materialization
-    /// must override and either return a repaired replacement or request
-    /// a rebuild (see [`MaterializedOracle`]).
+    /// must override and return a repaired replacement, a fresh twin
+    /// (nothing built yet), or request a rebuild (see
+    /// [`MaterializedOracle`]).
     fn repair_for_update(
         &self,
         g_new: &Graph,
@@ -141,9 +143,14 @@ pub trait DensityOracle: Send + Sync {
 
 /// Outcome of [`DensityOracle::repair_for_update`].
 pub enum SubstrateRepair {
-    /// The oracle is valid as-is on the new graph (streaming oracles, or
-    /// a store-backed oracle nothing has materialized yet).
+    /// The oracle is valid as-is on the new graph (streaming oracles).
     Keep,
+    /// A fresh unbuilt twin to cache in place of a store-backed oracle
+    /// nothing has materialized yet. Keeping the old one would be unsound:
+    /// a request still running on the pre-update snapshot may hold it and
+    /// build its store against the old graph; swapping it out keeps that
+    /// build private to the old `Arc`.
+    Replaced(Arc<dyn DensityOracle>),
     /// A repaired replacement oracle, answer-identical to a cold rebuild
     /// on the new graph, plus the repair's instrumentation.
     Repaired(Arc<dyn DensityOracle>, StoreRepairStats),
@@ -190,15 +197,30 @@ pub struct StoreStats {
 }
 
 /// h-clique oracle backed by kClist re-enumeration (the streaming path).
+///
+/// Its bulk degree pass shards across `threads` workers (Section 6.3's
+/// parallelizability remark); decrements stay sequential because peeling
+/// is inherently ordered. Edge (h = 2) degrees and counts skip kClist and
+/// read restricted degrees straight off the CSR.
 pub struct CliqueOracle {
     h: usize,
+    threads: usize,
 }
 
 impl CliqueOracle {
-    /// Oracle for the h-clique, `h >= 2`.
+    /// Serial oracle for the h-clique, `h >= 2`.
     pub fn new(h: usize) -> Self {
+        Self::with_parallelism(h, Parallelism::serial())
+    }
+
+    /// Oracle for the h-clique, `h >= 2`, whose degree passes shard
+    /// across `parallelism`'s workers.
+    pub fn with_parallelism(h: usize, parallelism: Parallelism) -> Self {
         assert!(h >= 2, "h-clique density needs h >= 2");
-        CliqueOracle { h }
+        CliqueOracle {
+            h,
+            threads: parallelism.threads(),
+        }
     }
 }
 
@@ -208,7 +230,10 @@ impl DensityOracle for CliqueOracle {
     }
 
     fn degrees(&self, g: &Graph, alive: &VertexSet) -> Vec<u64> {
-        kclist::clique_degrees_within(g, self.h, alive)
+        if self.h == 2 {
+            return edge_degrees(g, alive);
+        }
+        dsd_motif::clique_degrees_parallel_within(g, self.h, alive, self.threads)
     }
 
     fn removal_decrements(
@@ -256,6 +281,16 @@ impl DensityOracle for CliqueOracle {
     }
 }
 
+/// Edge degrees in `g[alive]`: each alive vertex's restricted degree (0
+/// outside `alive`).
+fn edge_degrees(g: &Graph, alive: &VertexSet) -> Vec<u64> {
+    let mut deg = vec![0u64; g.num_vertices()];
+    for v in alive.iter() {
+        deg[v as usize] = alive.restricted_degree(g, v) as u64;
+    }
+    deg
+}
+
 /// Edges of `g[alive]`: half the sum of alive vertices' restricted
 /// degrees.
 fn edge_count_within(g: &Graph, alive: &VertexSet) -> u64 {
@@ -281,66 +316,12 @@ struct EdgePeeler<'a> {
 
 impl InstancePeeler for EdgePeeler<'_> {
     fn degrees(&self) -> Vec<u64> {
-        let mut deg = vec![0u64; self.g.num_vertices()];
-        for v in self.alive.iter() {
-            deg[v as usize] = self.alive.restricted_degree(self.g, v) as u64;
-        }
-        deg
+        edge_degrees(self.g, &self.alive)
     }
 
     fn remove(&mut self, v: VertexId, sink: &mut dyn FnMut(VertexId, u64)) {
         edge_losses(self.g, &self.alive, v, sink);
         self.alive.remove(v);
-    }
-}
-
-/// h-clique oracle whose bulk degree pass runs on multiple threads
-/// (Section 6.3's parallelizability remark; decremental updates stay
-/// sequential because peeling is inherently ordered).
-pub struct ParallelCliqueOracle {
-    inner: CliqueOracle,
-    threads: usize,
-}
-
-impl ParallelCliqueOracle {
-    /// Oracle for the h-clique using the configured workers for degree
-    /// passes.
-    pub fn new(h: usize, parallelism: Parallelism) -> Self {
-        ParallelCliqueOracle {
-            inner: CliqueOracle::new(h),
-            threads: parallelism.threads(),
-        }
-    }
-}
-
-impl DensityOracle for ParallelCliqueOracle {
-    fn psi_size(&self) -> usize {
-        self.inner.h
-    }
-
-    fn degrees(&self, g: &Graph, alive: &VertexSet) -> Vec<u64> {
-        dsd_motif::clique_degrees_parallel_within(g, self.inner.h, alive, self.threads)
-    }
-
-    fn removal_decrements(
-        &self,
-        g: &Graph,
-        alive: &VertexSet,
-        v: VertexId,
-    ) -> Vec<(VertexId, u64)> {
-        self.inner.removal_decrements(g, alive, v)
-    }
-
-    fn count(&self, g: &Graph, alive: &VertexSet) -> u64 {
-        self.inner.count(g, alive)
-    }
-
-    fn peeler<'a>(
-        &'a self,
-        g: &'a Graph,
-        alive: &VertexSet,
-    ) -> Option<Box<dyn InstancePeeler + 'a>> {
-        self.inner.peeler(g, alive)
     }
 }
 
@@ -509,13 +490,14 @@ struct StoreState {
 
 impl MaterializedOracle {
     /// Store-backed oracle for `psi` with the default budget, building
-    /// clique stores serially.
+    /// its store serially.
     pub fn new(psi: &Pattern) -> Self {
         Self::with_policy(psi, Parallelism::serial(), Some(DEFAULT_STORE_BUDGET))
     }
 
-    /// Store-backed oracle with an explicit worker count (clique store
-    /// builds shard across them) and byte budget (`None` = unlimited).
+    /// Store-backed oracle with an explicit worker count (store builds
+    /// and streaming clique degree passes shard across them) and byte
+    /// budget (`None` = unlimited).
     pub fn with_policy(psi: &Pattern, parallelism: Parallelism, budget: Option<u64>) -> Self {
         MaterializedOracle {
             psi: psi.clone(),
@@ -568,6 +550,11 @@ impl MaterializedOracle {
         state
     }
 
+    /// A fresh, unbuilt oracle with this one's pattern and policy.
+    fn twin(&self) -> MaterializedOracle {
+        Self::with_policy(&self.psi, Parallelism::new(self.threads), self.budget)
+    }
+
     /// A fresh oracle pre-seeded with a repaired store, keyed to the
     /// post-update graph's `fingerprint`. `stats` is the predecessor's
     /// accounting; the size columns are refreshed from the store.
@@ -581,13 +568,7 @@ impl MaterializedOracle {
         stats.build.rows = store.rows();
         stats.build.memberships = store.memberships();
         stats.build.bytes = store.bytes();
-        let replacement = MaterializedOracle {
-            psi: self.psi.clone(),
-            streaming: streaming_for(&self.psi, Parallelism::new(self.threads)),
-            budget: self.budget,
-            threads: self.threads,
-            state: std::sync::OnceLock::new(),
-        };
+        let replacement = self.twin();
         let seeded = replacement.state.set(StoreState {
             fingerprint,
             store: Some(store),
@@ -686,11 +667,10 @@ impl DensityOracle for MaterializedOracle {
         inserted: &[(VertexId, VertexId)],
         removed: &[(VertexId, VertexId)],
     ) -> SubstrateRepair {
-        let state = match self.state.get() {
-            // Nothing materialized yet: the first query will build against
-            // the new graph anyway.
-            None => return SubstrateRepair::Keep,
-            Some(s) => s,
+        let Some(state) = self.state.get() else {
+            // Nothing materialized yet: hand the cache a fresh twin, so a
+            // build still running on the old snapshot stays private.
+            return SubstrateRepair::Replaced(Arc::new(self.twin()));
         };
         let Some(store) = &state.store else {
             // A prior build fell back to streaming; the fallback verdict
@@ -729,10 +709,7 @@ impl DensityOracle for MaterializedOracle {
 /// The streaming fallback for `psi` (see [`oracle_with_policy`]).
 fn streaming_for(psi: &Pattern, parallelism: Parallelism) -> Box<dyn DensityOracle> {
     match psi.kind() {
-        PatternKind::Clique(h) if !parallelism.is_serial() => {
-            Box::new(ParallelCliqueOracle::new(h, parallelism))
-        }
-        PatternKind::Clique(h) => Box::new(CliqueOracle::new(h)),
+        PatternKind::Clique(h) => Box::new(CliqueOracle::with_parallelism(h, parallelism)),
         PatternKind::Star(x) => Box::new(StarOracle::new(x)),
         PatternKind::Diamond => Box::new(DiamondOracle),
         PatternKind::General => Box::new(GenericPatternOracle::new(psi)),
@@ -839,15 +816,10 @@ pub fn oracle_with_policy(
     budget: Option<u64>,
 ) -> Box<dyn DensityOracle> {
     match psi.kind() {
-        PatternKind::Clique(2) if !parallelism.is_serial() => {
-            Box::new(ParallelCliqueOracle::new(2, parallelism))
-        }
-        PatternKind::Clique(2) => Box::new(CliqueOracle::new(2)),
-        PatternKind::Clique(_) | PatternKind::General => {
+        PatternKind::Clique(3..) | PatternKind::General => {
             Box::new(MaterializedOracle::with_policy(psi, parallelism, budget))
         }
-        PatternKind::Star(x) => Box::new(StarOracle::new(x)),
-        PatternKind::Diamond => Box::new(DiamondOracle),
+        _ => streaming_for(psi, parallelism),
     }
 }
 
@@ -921,7 +893,7 @@ mod tests {
     }
 
     #[test]
-    fn edge_count_matches_kclist_on_random_alive_sets() {
+    fn edge_count_and_degrees_match_kclist_on_random_alive_sets() {
         let mut rng = dsd_graph::testing::XorShift::new(0xE6E5);
         let oracle = CliqueOracle::new(2);
         for _ in 0..64 {
@@ -937,6 +909,10 @@ mod tests {
                 assert_eq!(
                     oracle.count(&g, &set),
                     kclist::count_cliques_within(&g, 2, &set)
+                );
+                assert_eq!(
+                    oracle.degrees(&g, &set),
+                    kclist::clique_degrees_within(&g, 2, &set)
                 );
             }
         }
@@ -1066,7 +1042,7 @@ mod tests {
             ("edge", Box::new(CliqueOracle::new(2))),
             (
                 "edge parallel",
-                Box::new(ParallelCliqueOracle::new(2, Parallelism::new(2))),
+                Box::new(CliqueOracle::with_parallelism(2, Parallelism::new(2))),
             ),
             ("2-star", Box::new(StarOracle::new(2))),
             ("3-star", Box::new(StarOracle::new(3))),

@@ -2,10 +2,13 @@
 //! spawns threads.
 //!
 //! Before this type existed, every parallel entry point grew its own
-//! ad-hoc `threads: usize` argument (`ParallelCliqueOracle`, bench
-//! drivers), so the CLI, the benches, and a batch executor could silently
-//! disagree about how many workers a process runs. `Parallelism` is that number, validated once: construct it at the
-//! edge (CLI flag, engine config), pass it down.
+//! ad-hoc `threads: usize` argument (oracles, bench drivers), so the CLI,
+//! the benches, and a batch executor could silently disagree about how
+//! many workers a process runs. `Parallelism` is that number, validated
+//! once: construct it at the edge (CLI flag, engine config), pass it down
+//! to the oracles ([`crate::oracle::CliqueOracle::with_parallelism`],
+//! [`crate::oracle::MaterializedOracle::with_policy`]), which shard their
+//! enumeration passes across it.
 
 /// Worker-count configuration for parallel substrate passes (instance-store
 /// builds, h-clique degree passes).

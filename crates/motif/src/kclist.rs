@@ -13,7 +13,11 @@
 //! intersected with `u64` AND + `count_ones` and iterated by
 //! `trailing_zeros`. Both kernels emit the same cliques in the same order;
 //! the crossover is a pure throughput decision (see
-//! [`CliqueLister::with_bitset`], env toggle `DSD_NO_BITSET`).
+//! [`CliqueLister::with_bitset`]).
+//!
+//! [`CliqueLister`] is the one kClist recursion: the serial listers here,
+//! the parallel degree pass and the sharded clique-store build all drive
+//! it, one root at a time (see [`crate::parallel`]).
 
 use dsd_graph::{degeneracy_order, Graph, VertexId, VertexSet};
 
@@ -22,8 +26,7 @@ use dsd_graph::{degeneracy_order, Graph, VertexId, VertexSet};
 /// `v`'s out-list. One allocation instead of one `Vec` per vertex — the
 /// per-vertex headers and heap scatter of the old `Vec<Vec<_>>` shape were
 /// a measurable slice of every cold enumeration (and of every rebuild an
-/// eviction forces). Shared by the sequential listers here, the parallel
-/// degree pass, and the sharded store build.
+/// eviction forces).
 pub(crate) struct OutCsr {
     offsets: Vec<usize>,
     targets: Vec<VertexId>,
@@ -76,7 +79,7 @@ pub struct CliqueScratch {
 /// `universe[b]` is an out-neighbour of `universe[j]`. An intersection is
 /// then a word-wise AND — the level-1 intersection is the row itself.
 #[derive(Default)]
-pub(crate) struct RootBitmap {
+struct RootBitmap {
     words: usize,
     universe: Vec<VertexId>,
     rows: Vec<u64>,
@@ -85,13 +88,13 @@ pub(crate) struct RootBitmap {
 impl RootBitmap {
     /// The root's id-sorted out-list the bitmaps are indexed by.
     #[inline]
-    pub(crate) fn universe(&self) -> &[VertexId] {
+    fn universe(&self) -> &[VertexId] {
         &self.universe
     }
 
     /// The adjacency bitmap of `universe[j]` restricted to the universe.
     #[inline]
-    pub(crate) fn row(&self, j: usize) -> &[u64] {
+    fn row(&self, j: usize) -> &[u64] {
         &self.rows[j * self.words..(j + 1) * self.words]
     }
 
@@ -99,7 +102,7 @@ impl RootBitmap {
     /// Cost: one two-pointer merge of each candidate's out-list against the
     /// universe — the same work the merge kernel's first level does, here
     /// paid once and amortized over every deeper intersection.
-    pub(crate) fn build(&mut self, out: &OutCsr, root: VertexId) {
+    fn build(&mut self, out: &OutCsr, root: VertexId) {
         self.universe.clear();
         self.universe.extend_from_slice(out.row(root));
         let d = self.universe.len();
@@ -131,7 +134,7 @@ impl RootBitmap {
 
     /// Writes the all-ones candidate mask for the full universe into `buf`
     /// (the last word trimmed to the universe length).
-    pub(crate) fn full_mask(&self, buf: &mut Vec<u64>) {
+    fn full_mask(&self, buf: &mut Vec<u64>) {
         buf.clear();
         buf.resize(self.words, !0u64);
         let d = self.universe.len();
@@ -145,7 +148,7 @@ impl RootBitmap {
 
 /// Roots below this out-degree always take the merge kernel: a bitmap
 /// smaller than one word can't beat a short two-pointer merge.
-pub(crate) const BITSET_MIN_UNIVERSE: usize = 64;
+const BITSET_MIN_UNIVERSE: usize = 64;
 
 /// The per-root crossover: bitmaps win when the merge kernel's level-1
 /// work (each candidate's out-list merged against the universe, capped at
@@ -178,17 +181,16 @@ pub struct CliqueLister {
 }
 
 impl CliqueLister {
-    /// Builds the shared context for h-cliques of `g[alive]`, `h >= 2`.
-    /// The bitset kernel is armed unless `DSD_NO_BITSET` is set in the
-    /// environment (read once here, per lister).
+    /// Builds the shared context for h-cliques of `g[alive]`, `h >= 2`,
+    /// with the bitset kernel armed past the per-root crossover.
     pub fn new(g: &Graph, h: usize, alive: &VertexSet) -> Self {
-        Self::with_bitset(g, h, alive, std::env::var_os("DSD_NO_BITSET").is_none())
+        Self::with_bitset(g, h, alive, true)
     }
 
-    /// [`CliqueLister::new`] with the bitset kernel forced on or off,
-    /// overriding the `DSD_NO_BITSET` toggle — what the differential suite
-    /// uses. Emitted cliques and their order are identical either way;
-    /// this is a throughput knob only.
+    /// [`CliqueLister::new`] with the bitset kernel allowed (`true`, the
+    /// default) or forced off — what the differential suite and the
+    /// merge-only ablation use. Emitted cliques and their order are
+    /// identical either way.
     pub fn with_bitset(g: &Graph, h: usize, alive: &VertexSet, bitset: bool) -> Self {
         assert!(h >= 2, "CliqueLister needs h >= 2");
         CliqueLister {
@@ -253,40 +255,21 @@ pub fn for_each_clique_within<F: FnMut(&[VertexId])>(
     alive: &VertexSet,
     mut f: F,
 ) {
-    for_each_clique_within_until(g, h, alive, |clique| {
-        f(clique);
-        true
-    });
-}
-
-/// Abortable form of [`for_each_clique_within`]: the sink returns `false`
-/// to stop the enumeration (budget-capped store builds use this). Returns
-/// `false` iff the sink aborted.
-pub fn for_each_clique_within_until<F: FnMut(&[VertexId]) -> bool>(
-    g: &Graph,
-    h: usize,
-    alive: &VertexSet,
-    mut f: F,
-) -> bool {
     assert!(h >= 1, "clique size must be at least 1");
     if h == 1 {
-        let mut buf = [0 as VertexId];
         for v in alive.iter() {
-            buf[0] = v;
-            if !f(&buf) {
-                return false;
-            }
+            f(&[v]);
         }
-        return true;
+        return;
     }
     let lister = CliqueLister::new(g, h, alive);
     let mut scratch = CliqueScratch::default();
     for v in alive.iter() {
-        if !lister.for_each_rooted_until(v, &mut scratch, &mut f) {
-            return false;
-        }
+        lister.for_each_rooted_until(v, &mut scratch, &mut |clique| {
+            f(clique);
+            true
+        });
     }
-    true
 }
 
 fn rec<F: FnMut(&[VertexId]) -> bool>(
@@ -397,9 +380,8 @@ fn rec_bitset<F: FnMut(&[VertexId]) -> bool>(
     true
 }
 
-/// Intersects two id-sorted slices into `out`. Shared with the parallel
-/// degree pass.
-pub(crate) fn intersect_sorted(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
+/// Intersects two id-sorted slices into `out`.
+fn intersect_sorted(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
@@ -433,15 +415,10 @@ pub fn clique_degrees(g: &Graph, h: usize) -> Vec<u64> {
 }
 
 /// Clique-degrees restricted to the subgraph induced by `alive` (vertices
-/// outside `alive` report 0).
+/// outside `alive` report 0): the one-thread call of
+/// [`crate::clique_degrees_parallel_within`].
 pub fn clique_degrees_within(g: &Graph, h: usize, alive: &VertexSet) -> Vec<u64> {
-    let mut deg = vec![0u64; g.num_vertices()];
-    for_each_clique_within(g, h, alive, |clique| {
-        for &v in clique {
-            deg[v as usize] += 1;
-        }
-    });
-    deg
+    crate::parallel::clique_degrees_parallel_within(g, h, alive, 1)
 }
 
 /// Enumerates the h-cliques that contain `v` and whose other members are all
@@ -454,7 +431,7 @@ pub fn for_each_clique_containing<F: FnMut(&[VertexId])>(
     h: usize,
     v: VertexId,
     alive: &VertexSet,
-    mut f: F,
+    f: F,
 ) {
     assert!(h >= 2, "a clique containing v needs h >= 2");
     // (h-1)-cliques inside G[N(v) ∩ alive].
@@ -464,23 +441,7 @@ pub fn for_each_clique_containing<F: FnMut(&[VertexId])>(
         .copied()
         .filter(|&u| alive.contains(u))
         .collect();
-    if nbrs.len() + 1 < h {
-        return;
-    }
-    if h == 2 {
-        for &u in &nbrs {
-            f(&[u]);
-        }
-        return;
-    }
-    let sub = dsd_graph::InducedSubgraph::new(g, &nbrs);
-    let mut mapped = vec![0 as VertexId; h - 1];
-    for_each_clique(&sub.graph, h - 1, |clique| {
-        for (slot, &u) in mapped.iter_mut().zip(clique) {
-            *slot = sub.to_parent(u);
-        }
-        f(&mapped);
-    });
+    for_each_clique_among(g, h - 1, &nbrs, f);
 }
 
 /// Enumerates the h-cliques that contain the edge `{u, v}` of `g` and
@@ -495,34 +456,35 @@ pub fn for_each_clique_containing_edge<F: FnMut(&[VertexId])>(
     u: VertexId,
     v: VertexId,
     alive: &VertexSet,
-    mut f: F,
+    f: F,
 ) {
     assert!(h >= 2, "a clique containing an edge needs h >= 2");
-    if h == 2 {
-        // The edge itself is the clique; no other members.
-        f(&[]);
-        return;
-    }
     let mut common: Vec<VertexId> = Vec::new();
-    intersect_sorted(g.neighbors(u), g.neighbors(v), &mut common);
-    common.retain(|&w| alive.contains(w));
-    if common.len() + 2 < h {
-        return;
+    if h > 2 {
+        intersect_sorted(g.neighbors(u), g.neighbors(v), &mut common);
+        common.retain(|&w| alive.contains(w));
     }
-    if h == 3 {
-        for &w in &common {
-            f(&[w]);
+    for_each_clique_among(g, h - 2, &common, f);
+}
+
+/// Lists the k-cliques of `g[among]` (`among` id-sorted) in parent ids,
+/// each once; `k = 0` lists the one empty clique.
+fn for_each_clique_among<F: FnMut(&[VertexId])>(g: &Graph, k: usize, among: &[VertexId], mut f: F) {
+    match k {
+        0 => f(&[]),
+        1 => among.iter().for_each(|&u| f(&[u])),
+        _ if among.len() < k => {}
+        _ => {
+            let sub = dsd_graph::InducedSubgraph::new(g, among);
+            let mut mapped = vec![0 as VertexId; k];
+            for_each_clique(&sub.graph, k, |clique| {
+                for (slot, &u) in mapped.iter_mut().zip(clique) {
+                    *slot = sub.to_parent(u);
+                }
+                f(&mapped);
+            });
         }
-        return;
     }
-    let sub = dsd_graph::InducedSubgraph::new(g, &common);
-    let mut mapped = vec![0 as VertexId; h - 2];
-    for_each_clique(&sub.graph, h - 2, |clique| {
-        for (slot, &w) in mapped.iter_mut().zip(clique) {
-            *slot = sub.to_parent(w);
-        }
-        f(&mapped);
-    });
 }
 
 #[cfg(test)]

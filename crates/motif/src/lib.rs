@@ -16,7 +16,13 @@
 //!   once), per-vertex pattern-degrees, and
 //!   instance grouping by vertex set (for the `construct+` flow network);
 //! * [`special`] — the Appendix-D fast paths for star and diamond (4-cycle)
-//!   pattern degrees and decremental updates.
+//!   pattern degrees and decremental updates;
+//! * [`store`] — the columnar [`InstanceStore`] that materializes every
+//!   instance once, with in-place repair across edge batches;
+//! * [`parallel`] — the one sharded enumeration driver: store builds and
+//!   the parallel clique-degree pass run [`CliqueLister`] (or the pattern
+//!   search) over strided root shards, one shard inline on the calling
+//!   thread.
 //!
 //! ```
 //! use dsd_graph::{Graph, VertexSet};
@@ -41,15 +47,13 @@ pub mod store;
 
 pub use kclist::{
     clique_degrees, clique_degrees_within, count_cliques, count_cliques_within, for_each_clique,
-    for_each_clique_containing, for_each_clique_within, for_each_clique_within_until, CliqueLister,
-    CliqueScratch,
+    for_each_clique_containing, for_each_clique_within, CliqueLister, CliqueScratch,
 };
 pub use parallel::{clique_degrees_parallel, clique_degrees_parallel_within};
 pub use pattern::{Pattern, PatternKind};
 pub use pattern_enum::{
-    count_instances, for_each_instance_containing, for_each_instance_until,
-    for_each_owned_instance_until, group_instances, instances, instances_containing,
-    pattern_degrees, InstanceGroup, PatternInstance,
+    count_instances, for_each_instance_containing, for_each_owned_instance_until, group_instances,
+    instances, instances_containing, pattern_degrees, InstanceGroup, PatternInstance,
 };
 pub use store::{InstanceStore, StoreBuildStats, StoreError};
 

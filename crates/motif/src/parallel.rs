@@ -1,146 +1,208 @@
-//! Parallel clique-degree computation.
+//! The sharded enumeration driver, and the parallel clique-degree pass.
 //!
 //! Section 6.3 of the paper notes that its approximation solutions
 //! parallelize because the underlying (k, Ψ)-core machinery does: the
-//! dominant cost is the initial clique-degree pass, and the kClist
-//! recursion is embarrassingly parallel over root vertices (every clique
-//! is discovered exactly once, from its lowest-ranked member). This module
-//! implements that over std's scoped threads: the degeneracy DAG is
-//! built once and shared read-only; each worker owns a root range and a
-//! private degree accumulator, merged at the end.
+//! dominant cost is Ψ-instance enumeration, and both enumerators are
+//! embarrassingly parallel over root vertices. kClist discovers every
+//! clique exactly once, from its lowest-ranked member, and the
+//! symmetry-broken pattern search places every instance's pivot on exactly
+//! one vertex. So every parallel Ψ pass — the clique and pattern store
+//! builds and [`clique_degrees_parallel_within`] — hands disjoint root
+//! sets to one crate-private driver, `for_each_shard`: each shard owns a
+//! private output, and the outputs are merged at the end. Store builds
+//! share one `RowQuota`, so their row cap is exact for every shard count.
 
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
 use dsd_graph::{Graph, VertexId, VertexSet};
 
-use crate::kclist::{bitset_worthwhile, build_out_csr, intersect_sorted, OutCsr, RootBitmap};
+use crate::kclist::{CliqueLister, CliqueScratch};
 
-fn rec_degrees(
-    out: &OutCsr,
-    clique: &mut Vec<VertexId>,
-    cand: Vec<VertexId>,
-    h: usize,
-    pool: &mut Vec<Vec<VertexId>>,
-    deg: &mut [u64],
-) {
-    if clique.len() + 1 == h {
-        // Each completed clique credits every member once.
-        for &member in clique.iter() {
-            deg[member as usize] += cand.len() as u64;
-        }
-        for &u in &cand {
-            deg[u as usize] += 1;
-        }
-        return;
+/// Runs `work` once per shard and returns the shard outputs in shard
+/// order. Shard `t` of `shards` gets the strided slice `roots[t]`,
+/// `roots[t + shards]`, …: root costs are skewed (hubs first in id order
+/// would imbalance contiguous chunks; striding mixes them). `shards` is
+/// clamped by [`shard_count`]. One shard runs inline on the calling thread
+/// over `roots` itself; more run on scoped threads, each collecting its
+/// own slice.
+pub(crate) fn for_each_shard<T: Send>(
+    roots: &[VertexId],
+    shards: usize,
+    work: impl Fn(&[VertexId]) -> T + Sync,
+) -> Vec<T> {
+    let shards = shard_count(shards, roots.len());
+    if shards == 1 {
+        return vec![work(roots)];
     }
-    if clique.len() + cand.len() < h {
-        return;
+    let work = &work;
+    thread::scope(|scope| {
+        let handles: Vec<_> = (0..shards)
+            .map(|t| {
+                scope.spawn(move || {
+                    let mine: Vec<VertexId> =
+                        roots.iter().copied().skip(t).step_by(shards).collect();
+                    work(&mine)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|hnd| hnd.join().expect("enumeration shard panicked"))
+            .collect()
+    })
+}
+
+/// Runs a store build's enumeration on [`for_each_shard`] under one shared
+/// [`RowQuota`] of `max_rows` rows: `work` emits its shard's rows into a
+/// column of its own, admitting each through the shard's [`ShardQuota`].
+/// Returns the columns concatenated in shard order (a single column moved,
+/// not copied), or `None` when the rows do not fit.
+pub(crate) fn collect_capped<T: Copy + Send>(
+    roots: &[VertexId],
+    shards: usize,
+    max_rows: u64,
+    work: impl Fn(&[VertexId], &mut ShardQuota<'_>) -> Vec<T> + Sync,
+) -> Option<Vec<T>> {
+    let shards = shard_count(shards, roots.len());
+    let quota = RowQuota::new(max_rows, shards);
+    let mut columns = for_each_shard(roots, shards, |mine| work(mine, &mut quota.shard()));
+    if quota.refused() {
+        return None;
     }
-    for &u in cand.iter() {
-        let mut next = pool.pop().unwrap_or_default();
-        next.clear();
-        intersect_sorted(&cand, out.row(u), &mut next);
-        if clique.len() + 1 + next.len() >= h {
-            clique.push(u);
-            rec_degrees(out, clique, std::mem::take(&mut next), h, pool, deg);
-            clique.pop();
+    Some(match columns.len() {
+        1 => columns.pop().expect("one shard"),
+        _ => columns.concat(),
+    })
+}
+
+/// The shard count [`for_each_shard`] runs for `threads` workers over
+/// `roots` roots: `threads` clamped to `1..=roots` (1 when there are none).
+pub(crate) fn shard_count(threads: usize, roots: usize) -> usize {
+    threads.clamp(1, roots.max(1))
+}
+
+/// A store build's row cap, shared by its shards: admissions stop at
+/// exactly `max_rows`, and a build is refused iff its rows do not fit, for
+/// every shard count.
+///
+/// Shards reserve rows in chunks of `min(chunk, remaining)` — one lock per
+/// chunk, not per row — and hand unused rows back when they finish. A
+/// shard that finds the cap used up waits for rows to come back, and is
+/// refused only once every other shard has finished or is waiting too, so
+/// no row stays stranded.
+pub(crate) struct RowQuota {
+    max_rows: u64,
+    chunk: u64,
+    shards: usize,
+    state: Mutex<QuotaState>,
+    wake: Condvar,
+}
+
+#[derive(Default)]
+struct QuotaState {
+    /// Rows reserved by shards.
+    taken: u64,
+    /// Shards that have finished or are waiting for rows.
+    idle: usize,
+    refused: bool,
+}
+
+impl RowQuota {
+    /// A quota of `max_rows` rows for exactly `shards` shards, each
+    /// admitting through one [`Self::shard`] handle. Chunks shrink when the cap is tight, so a small quota is
+    /// still shared across shards.
+    fn new(max_rows: u64, shards: usize) -> Self {
+        RowQuota {
+            max_rows,
+            chunk: 4_096u64.min((max_rows / shards.max(1) as u64).max(1)),
+            shards: shards.max(1),
+            state: Mutex::default(),
+            wake: Condvar::new(),
         }
-        pool.push(next);
+    }
+
+    /// One shard's admission handle; dropping it hands the unused rows
+    /// back and marks the shard finished.
+    fn shard(&self) -> ShardQuota<'_> {
+        ShardQuota {
+            quota: self,
+            left: 0,
+        }
+    }
+
+    /// Whether any shard was refused a row.
+    fn refused(&self) -> bool {
+        self.lock().refused
+    }
+
+    fn lock(&self) -> MutexGuard<'_, QuotaState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Reserves the next chunk, waiting while another running shard may
+    /// still hand rows back; 0 means the rows do not fit.
+    fn reserve(&self) -> u64 {
+        let mut state = self.lock();
+        while state.taken == self.max_rows {
+            if state.idle + 1 == self.shards {
+                state.refused = true;
+                return 0;
+            }
+            state.idle += 1;
+            state = self
+                .wake
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+            state.idle -= 1;
+        }
+        let got = self.chunk.min(self.max_rows - state.taken);
+        state.taken += got;
+        got
     }
 }
 
-/// The bitset twin of [`rec_degrees`] for roots past the density
-/// crossover: candidate sets are word masks over the root's universe,
-/// intersections are `u64` AND + `count_ones`, and completed cliques
-/// credit their members by popcount. Same degree totals as the merge
-/// kernel exactly (both count the same clique set).
-fn rec_degrees_bitset(
-    bm: &RootBitmap,
-    clique: &mut Vec<VertexId>,
-    cand: Vec<u64>,
-    cand_count: usize,
-    h: usize,
-    pool: &mut Vec<Vec<u64>>,
-    deg: &mut [u64],
-) {
-    if clique.len() + 1 == h {
-        for &member in clique.iter() {
-            deg[member as usize] += cand_count as u64;
-        }
-        for (w, &word) in cand.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let j = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                deg[bm.universe()[j] as usize] += 1;
+/// A shard's admissions against a shared [`RowQuota`].
+pub(crate) struct ShardQuota<'q> {
+    quota: &'q RowQuota,
+    /// Rows reserved but not yet admitted.
+    left: u64,
+}
+
+impl ShardQuota<'_> {
+    /// Admits one row; `false` means the rows do not fit and the shard
+    /// must stop.
+    #[inline]
+    pub(crate) fn admit(&mut self) -> bool {
+        if self.left == 0 {
+            self.left = self.quota.reserve();
+            if self.left == 0 {
+                return false;
             }
         }
-        return;
-    }
-    if clique.len() + cand_count < h {
-        return;
-    }
-    for (w, &word) in cand.iter().enumerate() {
-        let mut bits = word;
-        while bits != 0 {
-            let j = w * 64 + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let mut next = pool.pop().unwrap_or_default();
-            next.clear();
-            next.resize(cand.len(), 0);
-            let row = bm.row(j);
-            let mut cnt = 0usize;
-            for k in 0..cand.len() {
-                let x = cand[k] & row[k];
-                cnt += x.count_ones() as usize;
-                next[k] = x;
-            }
-            if clique.len() + 1 + cnt >= h {
-                clique.push(bm.universe()[j]);
-                rec_degrees_bitset(bm, clique, std::mem::take(&mut next), cnt, h, pool, deg);
-                clique.pop();
-            }
-            pool.push(next);
-        }
+        self.left -= 1;
+        true
     }
 }
 
-/// One root's degree pass, dispatching between the merge and bitset
-/// kernels by the same per-root crossover the sequential lister uses.
-#[allow(clippy::too_many_arguments)]
-fn root_degrees(
-    out: &OutCsr,
-    v: VertexId,
-    h: usize,
-    bitset: bool,
-    clique: &mut Vec<VertexId>,
-    pool: &mut Vec<Vec<VertexId>>,
-    bm: &mut RootBitmap,
-    word_pool: &mut Vec<Vec<u64>>,
-    deg: &mut [u64],
-) {
-    let row = out.row(v);
-    clique.push(v);
-    if bitset && h >= 3 && bitset_worthwhile(out, row) {
-        let cand_count = row.len();
-        bm.build(out, v);
-        let mut cand = word_pool.pop().unwrap_or_default();
-        bm.full_mask(&mut cand);
-        rec_degrees_bitset(bm, clique, cand, cand_count, h, word_pool, deg);
-    } else {
-        rec_degrees(out, clique, row.to_vec(), h, pool, deg);
+impl Drop for ShardQuota<'_> {
+    fn drop(&mut self) {
+        let mut state = self.quota.lock();
+        state.taken -= self.left;
+        state.idle += 1;
+        self.quota.wake.notify_all();
     }
-    clique.pop();
 }
 
 /// Parallel [`crate::clique_degrees`]: identical output, `threads` workers.
-///
-/// Falls back to a single-threaded pass for `threads <= 1`.
 pub fn clique_degrees_parallel(g: &Graph, h: usize, threads: usize) -> Vec<u64> {
     clique_degrees_parallel_within(g, h, &VertexSet::full(g.num_vertices()), threads)
 }
 
-/// Alive-restricted variant of [`clique_degrees_parallel`].
+/// Alive-restricted variant of [`clique_degrees_parallel`]: kClist sharded
+/// by root over `for_each_shard`, each shard crediting the members of
+/// every clique it lists into a private degree vector. Graphs under 256
+/// vertices, and `threads <= 1`, run as one shard on the calling thread.
 pub fn clique_degrees_parallel_within(
     g: &Graph,
     h: usize,
@@ -156,49 +218,24 @@ pub fn clique_degrees_parallel_within(
         }
         return deg;
     }
-    if threads <= 1 || n < 256 {
-        return crate::kclist::clique_degrees_within(g, h, alive);
-    }
-    let out = build_out_csr(g, alive);
-    let bitset = std::env::var_os("DSD_NO_BITSET").is_none();
+    let lister = CliqueLister::new(g, h, alive);
     let roots: Vec<VertexId> = alive.iter().collect();
-    // Static interleaved partition: root costs are skewed (hubs first in id
-    // order would imbalance contiguous chunks; striding mixes them).
-    let results = thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let out = &out;
-            let roots = &roots;
-            handles.push(scope.spawn(move || {
-                let mut deg = vec![0u64; n];
-                let mut clique = Vec::with_capacity(h);
-                let mut pool: Vec<Vec<VertexId>> = Vec::new();
-                let mut bm = RootBitmap::default();
-                let mut word_pool: Vec<Vec<u64>> = Vec::new();
-                for &v in roots.iter().skip(t).step_by(threads) {
-                    root_degrees(
-                        out,
-                        v,
-                        h,
-                        bitset,
-                        &mut clique,
-                        &mut pool,
-                        &mut bm,
-                        &mut word_pool,
-                        &mut deg,
-                    );
+    let shards = if n < 256 { 1 } else { threads };
+    let mut partials = for_each_shard(&roots, shards, |mine| {
+        let mut deg = vec![0u64; n];
+        let mut scratch = CliqueScratch::default();
+        for &v in mine {
+            lister.for_each_rooted_until(v, &mut scratch, &mut |clique| {
+                for &member in clique {
+                    deg[member as usize] += 1;
                 }
-                deg
-            }));
+                true
+            });
         }
-        handles
-            .into_iter()
-            .map(|hnd| hnd.join().expect("worker panicked"))
-            .collect::<Vec<_>>()
+        deg
     });
-
-    let mut total = vec![0u64; n];
-    for local in results {
+    let mut total = partials.pop().expect("at least one shard");
+    for local in partials {
         for (acc, x) in total.iter_mut().zip(local) {
             *acc += x;
         }
@@ -209,7 +246,7 @@ pub fn clique_degrees_parallel_within(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kclist::clique_degrees_within;
+    use crate::kclist::{bitset_worthwhile, build_out_csr, clique_degrees_within};
     use dsd_graph::GraphBuilder;
 
     fn random_graph(seed: u64, n: usize, percent: u64) -> Graph {
@@ -258,7 +295,7 @@ mod tests {
 
     #[test]
     fn dense_roots_cross_bitset_threshold_and_match() {
-        // Dense enough that high-degree roots take rec_degrees_bitset.
+        // Dense enough that high-degree roots take the bitset kernel.
         let g = random_graph(11, 220, 450);
         let alive = VertexSet::full(220);
         let out = build_out_csr(&g, &alive);
@@ -267,7 +304,7 @@ mod tests {
             "test graph too sparse to exercise the bitset kernel"
         );
         for h in 3..=4usize {
-            // Merge-kernel reference, independent of the env toggle.
+            // Merge-kernel reference.
             let lister = crate::kclist::CliqueLister::with_bitset(&g, h, &alive, false);
             let mut scratch = crate::kclist::CliqueScratch::default();
             let mut seq = vec![0u64; 220];
@@ -299,5 +336,54 @@ mod tests {
         let g = random_graph(7, 300, 10);
         let deg = clique_degrees_parallel(&g, 1, 4);
         assert!(deg.iter().all(|&d| d == 1));
+    }
+
+    #[test]
+    fn row_quota_admits_exactly_the_cap_under_skew() {
+        // One root per shard, naming how many rows that shard emits. The
+        // light shards hold most of a chunk each, which the heavy shard
+        // needs to fit, and keep it until another shard is waiting for
+        // rows or done: rows handed back must reach a waiting shard.
+        let needs: Vec<VertexId> = vec![1, 5_000, 9];
+        let total = 5_010u64;
+        for threads in [1, 3] {
+            for (max_rows, fits) in [(total, true), (total - 1, false)] {
+                let admitted = Mutex::new(0u64);
+                let column = collect_capped(&needs, threads, max_rows, |mine, cap| {
+                    let mut rows = 0u64;
+                    'emit: for &need in mine {
+                        for _ in 0..need {
+                            if !cap.admit() {
+                                break 'emit;
+                            }
+                            rows += 1;
+                        }
+                    }
+                    if mine.len() == 1 && rows < 100 {
+                        while cap.quota.lock().idle == 0 {
+                            thread::yield_now();
+                        }
+                    }
+                    *admitted.lock().unwrap() += rows;
+                    vec![rows]
+                });
+                let ctx = format!("max_rows {max_rows}, threads {threads}");
+                assert_eq!(column.is_some(), fits, "{ctx}");
+                assert_eq!(admitted.into_inner().unwrap(), total.min(max_rows), "{ctx}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_shard_runs_on_the_calling_thread() {
+        let caller = thread::current().id();
+        let roots: Vec<VertexId> = (0..10).collect();
+        let ran = for_each_shard(&roots, 1, |mine| (thread::current().id(), mine.len()));
+        assert_eq!(ran, vec![(caller, 10)]);
+        let strided = for_each_shard(&roots, 3, |mine| mine.to_vec());
+        assert_eq!(
+            strided,
+            vec![vec![0, 3, 6, 9], vec![1, 4, 7], vec![2, 5, 8]]
+        );
     }
 }

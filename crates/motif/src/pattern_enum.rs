@@ -340,26 +340,12 @@ fn canonical_instance(p: &Pattern, image: &[VertexId]) -> PatternInstance {
     PatternInstance { vertices, edges }
 }
 
-/// Visits every **distinct** pattern instance of `g[alive]` exactly once
-/// (instances are identified by their canonical edge set, per Definition
-/// 8), handing the sink the id-sorted member list. The sink returns
-/// `false` to abort; the call then returns `false`.
-///
+/// One shard of a distinct-instance enumeration: visits exactly the
+/// instances whose symmetry-broken embedding places the pivot (first
+/// search position) in `first`, handing the sink the id-sorted member
+/// list. The sink returns `false` to abort; the call then returns `false`.
 /// This is the emission API the columnar instance store builds on: no
 /// intermediate `Vec<Vec<VertexId>>` and no dedup state.
-pub fn for_each_instance_until<F: FnMut(&[VertexId]) -> bool>(
-    g: &Graph,
-    p: &Pattern,
-    alive: &VertexSet,
-    f: &mut F,
-) -> bool {
-    for_each_sorted_until(g, p, alive, Roots::All, f)
-}
-
-/// One shard of a parallel distinct-instance enumeration: visits exactly
-/// the instances whose symmetry-broken embedding places the pivot (first
-/// search position) in `first`, handing the sink id-sorted member lists.
-/// The sink returns `false` to abort; the call then returns `false`.
 ///
 /// That pivot image is the minimum image over the pivot's automorphism
 /// orbit — the same vertex whichever shard looks — so shards over
@@ -372,19 +358,8 @@ pub fn for_each_owned_instance_until<F: FnMut(&[VertexId]) -> bool>(
     first: &[VertexId],
     f: &mut F,
 ) -> bool {
-    for_each_sorted_until(g, p, alive, Roots::Among(first), f)
-}
-
-/// Emits each surviving embedding's member list, id-sorted.
-fn for_each_sorted_until<F: FnMut(&[VertexId]) -> bool>(
-    g: &Graph,
-    p: &Pattern,
-    alive: &VertexSet,
-    roots: Roots<'_>,
-    f: &mut F,
-) -> bool {
     let mut members: Vec<VertexId> = Vec::with_capacity(p.vertex_count());
-    for_each_embedding_until(g, p, alive, roots, |image| {
+    for_each_embedding_until(g, p, alive, Roots::Among(first), |image| {
         members.clear();
         members.extend_from_slice(image);
         members.sort_unstable();
@@ -747,11 +722,10 @@ mod tests {
         let g = b.build();
         let alive = full(&g);
         for p in Pattern::figure7() {
-            let mut serial: Vec<Vec<VertexId>> = Vec::new();
-            for_each_instance_until(&g, &p, &alive, &mut |m| {
-                serial.push(m.to_vec());
-                true
-            });
+            let mut serial: Vec<Vec<VertexId>> = instances(&g, &p, &alive)
+                .into_iter()
+                .map(|inst| inst.vertices)
+                .collect();
             serial.sort();
             let roots: Vec<VertexId> = alive.iter().collect();
             for shards in [1usize, 2, 3, 5] {

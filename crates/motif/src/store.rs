@@ -13,21 +13,23 @@
 //!   (offsets + row ids, both `u32`).
 //!
 //! Degrees, counts and peel decrements then become linear scans over these
-//! columns instead of repeated subgraph matching. h-clique stores are
-//! built in parallel, sharded by degeneracy-ordered root vertex (every
-//! clique is discovered exactly once, from its lowest-ranked member), with
-//! per-worker columns concatenated at the end. General-pattern stores
-//! shard the same way over first-position candidates (see
-//! [`crate::for_each_owned_instance_until`]): symmetry breaking reaches
-//! each instance through one embedding, whose pivot lands in exactly one
-//! worker's candidate set, so the per-worker columns concatenate without
-//! cross-shard dedup and the grouped result is bit-identical to the serial
-//! pass for every worker count.
+//! columns instead of repeated subgraph matching. Both builders run on the
+//! sharded enumeration driver of [`crate::parallel`], one code path for
+//! every worker count (one shard runs inline on the calling thread).
+//! h-clique stores shard [`CliqueLister`] by degeneracy-ordered root
+//! vertex (every clique is discovered exactly once, from its lowest-ranked
+//! member). General-pattern stores shard over first-position candidates
+//! (see [`crate::for_each_owned_instance_until`]): symmetry breaking
+//! reaches each instance through one embedding, whose pivot lands in
+//! exactly one shard, so the shard columns concatenate without cross-shard
+//! dedup and the grouped result is bit-identical for every worker count.
 //!
 //! Row and membership counts are guarded against `u32` overflow, and an
 //! optional byte budget aborts oversized builds mid-enumeration — both
 //! reported as typed [`StoreError`]s so callers can fall back to streaming
-//! oracles instead of silently truncating indices.
+//! oracles instead of silently truncating indices. The shards share one
+//! row cap, exact for every shard count: a build is refused iff its rows
+//! do not fit.
 //!
 //! Stores are also **repairable** across an edge batch, through one entry
 //! per pattern family: [`InstanceStore::repair_cliques`] and
@@ -41,13 +43,12 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::thread;
 use std::time::Instant;
 
 use dsd_graph::{Graph, InducedSubgraph, VertexId, VertexSet};
 
 use crate::kclist::{CliqueLister, CliqueScratch};
+use crate::parallel::{collect_capped, shard_count};
 use crate::pattern::Pattern;
 use crate::pattern_enum;
 
@@ -258,95 +259,26 @@ impl InstanceStore {
         let csr_nanos = t0.elapsed().as_nanos();
         let enum_t0 = Instant::now();
 
-        let shards = threads.max(1).min(roots.len().max(1));
-        let (members, overflowed) = if shards <= 1 {
+        let shards = shard_count(threads, roots.len());
+        let members = collect_capped(&roots, shards, max_rows, |mine, cap| {
             let mut members: Vec<VertexId> = Vec::new();
             let mut scratch = CliqueScratch::default();
             let mut row = [0 as VertexId; 16];
-            let mut rows = 0u64;
-            let mut over = false;
-            'roots: for &v in &roots {
+            for &v in mine {
                 let done = lister.for_each_rooted_until(v, &mut scratch, &mut |clique| {
-                    if rows >= max_rows {
-                        over = true;
+                    if !cap.admit() {
                         return false;
                     }
-                    rows += 1;
                     push_sorted_row(&mut members, clique, &mut row);
                     true
                 });
                 if !done {
-                    break 'roots;
+                    break;
                 }
             }
-            (members, over)
-        } else {
-            // Each worker owns a strided root range (hub costs are skewed;
-            // striding mixes them) and a private column. The caps are
-            // enforced through a shared counter, but workers reserve row
-            // quota in chunks — one RMW per `ROW_CHUNK` emissions, not per
-            // clique — so the hot loop doesn't ping-pong a cache line.
-            // Quota is handed out as `min(chunk, remaining)`, so total
-            // admissions never exceed `max_rows` exactly as in the serial
-            // path (a shard may strand an unused partial chunk, which only
-            // makes the cap marginally conservative).
-            const ROW_CHUNK: u64 = 4_096;
-            // Shrink chunks when the cap is tight, so a small quota is
-            // still shared fairly across shards instead of being claimed
-            // whole by the first reservation.
-            let chunk = ROW_CHUNK.min((max_rows / shards as u64).max(1));
-            let total_rows = AtomicU64::new(0);
-            let shard_outputs = thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(shards);
-                for t in 0..shards {
-                    let lister = &lister;
-                    let roots = &roots;
-                    let total_rows = &total_rows;
-                    handles.push(scope.spawn(move || {
-                        let mut members: Vec<VertexId> = Vec::new();
-                        let mut scratch = CliqueScratch::default();
-                        let mut row = [0 as VertexId; 16];
-                        let mut over = false;
-                        let mut quota = 0u64;
-                        'roots: for &v in roots.iter().skip(t).step_by(shards) {
-                            let done =
-                                lister.for_each_rooted_until(v, &mut scratch, &mut |clique| {
-                                    if quota == 0 {
-                                        let start = total_rows.fetch_add(chunk, Ordering::Relaxed);
-                                        if start >= max_rows {
-                                            over = true;
-                                            return false;
-                                        }
-                                        quota = chunk.min(max_rows - start);
-                                    }
-                                    quota -= 1;
-                                    push_sorted_row(&mut members, clique, &mut row);
-                                    true
-                                });
-                            if !done {
-                                break 'roots;
-                            }
-                        }
-                        (members, over)
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .map(|hnd| hnd.join().expect("store shard panicked"))
-                    .collect::<Vec<_>>()
-            });
-            let over = shard_outputs.iter().any(|(_, over)| *over);
-            let total: usize = shard_outputs.iter().map(|(m, _)| m.len()).sum();
-            let mut members = Vec::with_capacity(total);
-            for (shard, _) in shard_outputs {
-                members.extend_from_slice(&shard);
-            }
-            (members, over)
-        };
-
-        if overflowed {
-            return Err(caps.error_at(max_rows));
-        }
+            members
+        })
+        .ok_or_else(|| caps.error_at(max_rows))?;
         let enum_nanos = enum_t0.elapsed().as_nanos();
         // Clique vertex sets are unique: no grouping pass, unit weights.
         let instances = (members.len() / h) as u64;
@@ -361,7 +293,7 @@ impl InstanceStore {
     /// instance sets with no cross-shard dedup, and the grouping pass
     /// sorts rows by content, so the finished store is **bit-identical**
     /// for every worker count. Rows sharing a vertex set are merged into
-    /// one weighted row. `threads = 1` is the serial reference path.
+    /// one weighted row. `threads = 1` runs one shard on the calling thread.
     pub fn pattern(
         g: &Graph,
         psi: &Pattern,
@@ -378,7 +310,7 @@ impl InstanceStore {
         let max_rows = caps.max_rows();
 
         let roots: Vec<VertexId> = alive.iter().collect();
-        let shards = threads.max(1).min(roots.len().max(1));
+        let shards = shard_count(threads, roots.len());
         let enum_t0 = Instant::now();
         // Compile the search plans here, not in a worker: a worker would
         // allocate the pattern's long-lived memo in its own malloc arena,
@@ -386,78 +318,20 @@ impl InstanceStore {
         // raises peak RSS across repeated builds.
         psi.plans();
 
-        let (members, overflowed) = if shards <= 1 {
+        // Symmetry breaking makes shard outputs disjoint, so the columns
+        // concatenate with no dedup pass.
+        let members = collect_capped(&roots, shards, max_rows, |firsts, cap| {
             let mut members: Vec<VertexId> = Vec::new();
-            let mut rows = 0u64;
-            let mut over = false;
-            pattern_enum::for_each_instance_until(g, psi, alive, &mut |inst| {
-                if rows >= max_rows {
-                    over = true;
+            pattern_enum::for_each_owned_instance_until(g, psi, alive, firsts, &mut |inst| {
+                if !cap.admit() {
                     return false;
                 }
-                rows += 1;
                 members.extend_from_slice(inst);
                 true
             });
-            (members, over)
-        } else {
-            // Mirror of the sharded clique build: strided first-position
-            // candidates (hub costs are skewed; striding mixes them),
-            // per-worker columns, chunked row quota off one shared
-            // counter. Symmetry breaking makes shard outputs disjoint, so
-            // the columns concatenate with no dedup pass.
-            const ROW_CHUNK: u64 = 4_096;
-            let chunk = ROW_CHUNK.min((max_rows / shards as u64).max(1));
-            let total_rows = AtomicU64::new(0);
-            let shard_outputs = thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(shards);
-                for t in 0..shards {
-                    let roots = &roots;
-                    let total_rows = &total_rows;
-                    handles.push(scope.spawn(move || {
-                        let firsts: Vec<VertexId> =
-                            roots.iter().copied().skip(t).step_by(shards).collect();
-                        let mut members: Vec<VertexId> = Vec::new();
-                        let mut over = false;
-                        let mut quota = 0u64;
-                        pattern_enum::for_each_owned_instance_until(
-                            g,
-                            psi,
-                            alive,
-                            &firsts,
-                            &mut |inst| {
-                                if quota == 0 {
-                                    let start = total_rows.fetch_add(chunk, Ordering::Relaxed);
-                                    if start >= max_rows {
-                                        over = true;
-                                        return false;
-                                    }
-                                    quota = chunk.min(max_rows - start);
-                                }
-                                quota -= 1;
-                                members.extend_from_slice(inst);
-                                true
-                            },
-                        );
-                        (members, over)
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .map(|hnd| hnd.join().expect("pattern shard panicked"))
-                    .collect::<Vec<_>>()
-            });
-            let over = shard_outputs.iter().any(|(_, over)| *over);
-            let total: usize = shard_outputs.iter().map(|(m, _)| m.len()).sum();
-            let mut members = Vec::with_capacity(total);
-            for (shard, _) in shard_outputs {
-                members.extend_from_slice(&shard);
-            }
-            (members, over)
-        };
-        if overflowed {
-            return Err(caps.error_at(max_rows));
-        }
+            members
+        })
+        .ok_or_else(|| caps.error_at(max_rows))?;
         let enum_nanos = enum_t0.elapsed().as_nanos();
         let instances = (members.len() / k) as u64;
 
@@ -1151,6 +1025,67 @@ mod tests {
         // Pattern path hits the same guard.
         let err = InstanceStore::pattern(&g, &Pattern::two_star(), &alive, 1, Some(1_500));
         assert!(matches!(err, Err(StoreError::BudgetExceeded { .. })));
+    }
+
+    /// The shards share one row cap, so the budget boundary is the same for
+    /// every shard count: a budget of exactly the instance count builds
+    /// the same rows on 1 and 4 shards, and one row less refuses both.
+    #[test]
+    fn row_cap_is_exact_for_every_shard_count() {
+        let n = 300;
+        let g = random_graph(5, n, 60);
+        let alive = VertexSet::full(n);
+        let psi = Pattern::two_triangle();
+        // The budget whose `max_rows` is exactly `rows`.
+        let budget_for = |k: usize, rows: u64| {
+            let caps = RowCaps::new(n, k, 4 * k as u64, None);
+            let budget = caps.base_bytes + rows * caps.bytes_per_row;
+            assert_eq!(
+                RowCaps::new(n, k, 4 * k as u64, Some(budget)).max_rows(),
+                rows
+            );
+            budget
+        };
+        let cliques = kclist::count_cliques(&g, 3);
+        let instances = count_instances(&g, &psi, &alive);
+        assert!(cliques > 1_000 && instances > 1_000, "cap must span chunks");
+        let (clique_budget, pattern_budget) = (budget_for(3, cliques), budget_for(4, instances));
+        let sorted_rows = |store: &InstanceStore| {
+            let mut rows: Vec<Vec<VertexId>> = (0..store.rows())
+                .map(|r| store.members(r).to_vec())
+                .collect();
+            rows.sort_unstable();
+            rows
+        };
+        let mut reference = None;
+        for threads in [1, 4] {
+            let (clique_store, stats) =
+                InstanceStore::cliques(&g, 3, &alive, threads, Some(clique_budget))
+                    .expect("clique rows fit the cap");
+            assert_eq!(stats.shards, threads);
+            let (pattern_store, _) =
+                InstanceStore::pattern(&g, &psi, &alive, threads, Some(pattern_budget))
+                    .expect("pattern instances fit the cap");
+            assert_eq!(clique_store.total_instances(), cliques);
+            assert_eq!(pattern_store.total_instances(), instances);
+            let rows = (
+                sorted_rows(&clique_store),
+                pattern_store.members,
+                pattern_store.weights,
+            );
+            match &reference {
+                None => reference = Some(rows),
+                Some(reference) => assert_eq!(&rows, reference, "threads = {threads}"),
+            }
+            assert!(matches!(
+                InstanceStore::cliques(&g, 3, &alive, threads, Some(clique_budget - 1)),
+                Err(StoreError::BudgetExceeded { .. })
+            ));
+            assert!(matches!(
+                InstanceStore::pattern(&g, &psi, &alive, threads, Some(pattern_budget - 1)),
+                Err(StoreError::BudgetExceeded { .. })
+            ));
+        }
     }
 
     #[test]

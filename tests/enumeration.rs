@@ -20,10 +20,8 @@
 //!   bit-identically to a cold rebuild.
 //!
 //! Kernel selection uses the explicit constructor
-//! ([`CliqueLister::with_bitset`]) rather than the `DSD_NO_BITSET` env
-//! toggle: tests in one binary run concurrently and env vars are
-//! process-global. Shard counts are the `threads` argument of
-//! [`InstanceStore::pattern`].
+//! ([`CliqueLister::with_bitset`]). Shard counts are the `threads`
+//! argument of [`InstanceStore::pattern`].
 //!
 //! Iteration counts honour `DSD_PROP_ITERS` like `tests/dynamic.rs`;
 //! nightly CI runs this suite at 5000 iterations.
