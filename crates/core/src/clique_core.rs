@@ -19,10 +19,12 @@
 //! order against a reference heap peel on small inputs, which streams the
 //! stateless `removal_decrements` and so also referees every peeler.
 //!
-//! The decomposition simultaneously tracks the densest *residual* subgraph
-//! seen while peeling — this is the ρ′ of Pruning1 **and** exactly the
-//! subgraph `PeelApp` (Algorithm 2) returns, so `peel.rs` and `approx.rs`
-//! are thin wrappers over this engine.
+//! The decomposition also records the instance count μ of every residual
+//! graph (`residual_mu`). The densest residual graph — the ρ′ of Pruning1
+//! **and** exactly the subgraph `PeelApp` (Algorithm 2) returns, so
+//! `peel.rs` and `approx.rs` are thin wrappers over this engine — is a
+//! scan of that profile, and so is the greedy DalkS answer (the densest
+//! residual graph with at least k vertices) in `size_constrained.rs`.
 
 use dsd_graph::{Graph, VertexId, VertexSet};
 
@@ -40,11 +42,13 @@ pub struct CliqueCoreDecomposition {
     /// Vertices in removal (peel) order; the residual graph after `i`
     /// removals is `peel_order[i..]`.
     pub peel_order: Vec<VertexId>,
-    /// Initial instance-degrees `deg(v, Ψ)` in the decomposed subgraph.
-    pub degrees: Vec<u64>,
     /// Total instances `μ` of the decomposed subgraph.
     pub mu: u64,
-    /// Index into `peel_order` of the densest residual graph (ρ′ tracking).
+    /// The residual μ profile: `residual_mu[i]` is the number of instances
+    /// left after `i` removals, so it has `|peel_order| + 1` entries, the
+    /// first is `mu` and the last is 0.
+    pub residual_mu: Vec<u64>,
+    /// Index into `peel_order` of the densest residual graph.
     best_suffix: usize,
     /// ρ′ — the highest density among all residual graphs.
     pub best_density: f64,
@@ -73,10 +77,52 @@ impl CliqueCoreDecomposition {
         self.peel_order[self.best_suffix..].to_vec()
     }
 
+    /// The densest residual graph with at least `min_len` vertices, as
+    /// `(i, ρ)`: the suffix `peel_order[i..]` and its density. Ties keep
+    /// the earliest (largest) residual graph. `None` when `min_len` is 0
+    /// or exceeds the number of peeled vertices.
+    pub fn densest_suffix(&self, min_len: usize) -> Option<(usize, f64)> {
+        densest_suffix(&self.residual_mu, min_len)
+    }
+
     /// Approximate resident heap bytes (for substrate-cache accounting).
     pub fn bytes(&self) -> usize {
-        8 * self.core.len() + 4 * self.peel_order.len() + 8 * self.degrees.len()
+        8 * self.core.len() + 4 * self.peel_order.len() + 8 * self.residual_mu.len()
     }
+}
+
+/// First strict maximum of `residual_mu[i] / (n − i)` over the residual
+/// graphs with at least `min_len` of the `n = residual_mu.len() − 1`
+/// peeled vertices.
+fn densest_suffix(residual_mu: &[u64], min_len: usize) -> Option<(usize, f64)> {
+    let n = residual_mu.len() - 1;
+    if min_len == 0 || min_len > n {
+        return None;
+    }
+    let mut best = (0, residual_mu[0] as f64 / n as f64);
+    for (i, &mu) in residual_mu.iter().enumerate().take(n - min_len + 1).skip(1) {
+        let density = mu as f64 / (n - i) as f64;
+        if density > best.1 {
+            best = (i, density);
+        }
+    }
+    Some(best)
+}
+
+/// The oracle's own peeler over `g[alive]` when it offers one, else the
+/// streaming adapter over per-call `removal_decrements`.
+pub(crate) fn peeler_for<'a>(
+    g: &'a Graph,
+    oracle: &'a dyn DensityOracle,
+    alive: &VertexSet,
+) -> Box<dyn InstancePeeler + 'a> {
+    oracle.peeler(g, alive).unwrap_or_else(|| {
+        Box::new(StreamingPeeler {
+            g,
+            oracle,
+            live: alive.clone(),
+        })
+    })
 }
 
 /// Streaming decrement adapter: drives the shared peel loop through
@@ -112,17 +158,12 @@ pub fn decompose_within(
     oracle: &dyn DensityOracle,
     alive: &VertexSet,
 ) -> CliqueCoreDecomposition {
-    let dec = match oracle.peeler(g, alive) {
-        Some(mut peeler) => peel(g.num_vertices(), alive, oracle.psi_size(), peeler.as_mut()),
-        None => {
-            let mut streaming = StreamingPeeler {
-                g,
-                oracle,
-                live: alive.clone(),
-            };
-            peel(g.num_vertices(), alive, oracle.psi_size(), &mut streaming)
-        }
-    };
+    let dec = peel(
+        g.num_vertices(),
+        alive,
+        oracle.psi_size(),
+        peeler_for(g, oracle, alive).as_mut(),
+    );
     // The bucket queue pops min-degree ties in a different order than the
     // old lazy heap; core numbers are tie-break invariant, which debug
     // builds verify against a reference heap peel on small inputs.
@@ -145,9 +186,8 @@ fn peel(
     peeler: &mut dyn InstancePeeler,
 ) -> CliqueCoreDecomposition {
     let mut live = alive.clone();
-    let degrees = peeler.degrees();
-    let mut deg = degrees.clone();
-    let mu_total: u64 = degrees.iter().sum::<u64>() / psi_size as u64;
+    let mut deg = peeler.degrees();
+    let mu_total: u64 = deg.iter().sum::<u64>() / psi_size as u64;
 
     let max_deg = live.iter().map(|v| deg[v as usize]).max().unwrap_or(0);
     let mut queue = PeelQueue::new(max_deg);
@@ -160,12 +200,8 @@ fn peel(
     let mut running_k = 0u64;
     let mut kmax = 0u64;
     let mut mu = mu_total;
-    let mut best_suffix = 0usize;
-    let mut best_density = if live.is_empty() {
-        0.0
-    } else {
-        mu as f64 / live.len() as f64
-    };
+    let mut residual_mu = Vec::with_capacity(live.len() + 1);
+    residual_mu.push(mu);
 
     while let Some((d, v)) = queue.pop() {
         if !live.contains(v) || d != deg[v as usize] {
@@ -185,26 +221,18 @@ fn peel(
         mu -= d;
         live.remove(v);
         peel_order.push(v);
-
-        // ρ′ tracking over the residual graph.
-        if !live.is_empty() {
-            let density = mu as f64 / live.len() as f64;
-            if density > best_density {
-                best_density = density;
-                best_suffix = peel_order.len();
-            }
-        }
+        residual_mu.push(mu);
     }
     debug_assert_eq!(mu, 0, "all instances must be accounted for");
-    // `peel_order[best_suffix..]` only covers removed vertices; since we
-    // peel to exhaustion, every vertex ends up in `peel_order`, so suffixes
-    // are complete residual graphs.
+    // We peel to exhaustion, so every vertex ends up in `peel_order` and
+    // its suffixes are complete residual graphs.
+    let (best_suffix, best_density) = densest_suffix(&residual_mu, 1).unwrap_or((0, 0.0));
     CliqueCoreDecomposition {
         core,
         kmax,
         peel_order,
-        degrees,
         mu: mu_total,
+        residual_mu,
         best_suffix,
         best_density,
     }
@@ -371,6 +399,7 @@ mod tests {
         assert_eq!(dec.kmax, 0);
         assert_eq!(dec.mu, 0);
         assert_eq!(dec.peel_order.len(), 3);
+        assert_eq!(dec.residual_mu, vec![0; 4]);
         assert_eq!(dec.best_density, 0.0);
     }
 

@@ -68,7 +68,7 @@
 use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 use dsd_graph::{DeltaGraph, EdgeOverlay, Graph, GraphUpdate, VertexId};
@@ -285,6 +285,7 @@ fn repairable_batch(inserted: usize, deleted: usize, resident: u64) -> bool {
 /// Process-unique engine ids, so a cross-engine ledger (the serve-layer
 /// governor) can key entries without holding engine references.
 static ENGINE_IDS: AtomicU64 = AtomicU64::new(1);
+static LENDER_IDS: AtomicU64 = AtomicU64::new(1);
 
 /// Receiver for engine substrate-cache events, implemented by the serving
 /// layer's byte governor ([`crate::serve::SubstrateGovernor`]).
@@ -346,10 +347,10 @@ struct SubstrateCache {
 /// all) and pay only the parametric resolve, never re-constructing from
 /// instances. Entries are keyed by `(canonical Ψ, member/pinned-set
 /// fingerprint)` so the full-graph network, each located-core component,
-/// and each Q-anchored query network get their own slot. Take/put
-/// semantics (an entry is *removed* while lent) keep concurrent requests
-/// on the same key safe: the loser of the race simply builds fresh and
-/// the last `put` back wins the slot.
+/// and each Q-anchored query network get their own slot. An entry is
+/// *removed* while lent, and a concurrent request on a lent key waits for
+/// it to come back rather than building a duplicate: the duplicate cost a
+/// full network build and, once the two `put`s raced, was dropped again.
 #[derive(Default)]
 struct NetworkCache {
     /// Graph epoch the cached networks were solved against; mismatched
@@ -359,6 +360,9 @@ struct NetworkCache {
     /// (recorded once so the eviction ledger stays stable while the
     /// network sits untouched in the cache).
     entries: HashMap<(PatternKey, u64), (DensityNetwork, usize)>,
+    /// Keys lent out (or being built) at `epoch`, with the id of the
+    /// [`EngineLender`] that holds each.
+    lent: HashMap<(PatternKey, u64), u64>,
 }
 
 impl NetworkCache {
@@ -392,19 +396,48 @@ struct EngineLender<'a, 'g> {
     engine: &'a DsdEngine<'g>,
     key: PatternKey,
     epoch: u64,
+    /// Distinguishes this request's lent keys from other requests'.
+    id: u64,
+}
+
+impl<'a, 'g> EngineLender<'a, 'g> {
+    fn new(engine: &'a DsdEngine<'g>, key: PatternKey, epoch: u64) -> Self {
+        EngineLender {
+            engine,
+            key,
+            epoch,
+            id: LENDER_IDS.fetch_add(1, Ordering::Relaxed),
+        }
+    }
 }
 
 impl NetworkLender for EngineLender<'_, '_> {
     fn take(&self, members: &[VertexId], pinned: &[VertexId]) -> Option<DensityNetwork> {
-        let fp = member_fingerprint(members, pinned);
-        let entry = {
-            let mut cache = self.engine.networks.lock().unwrap();
-            if cache.epoch == self.epoch {
-                cache.entries.remove(&(self.key.clone(), fp))
-            } else {
-                None
+        let slot = (self.key.clone(), member_fingerprint(members, pinned));
+        let mut cache = self.engine.networks.lock().unwrap();
+        // A key lent to another request comes back with its `put` (or the
+        // holder's drop). Holders only ever wait for strictly smaller
+        // member sets (a shrinking component), so waits cannot cycle. A
+        // key this request already holds is built fresh, as before.
+        let entry = loop {
+            if cache.epoch != self.epoch {
+                break None;
+            }
+            if let Some(entry) = cache.entries.remove(&slot) {
+                cache.lent.insert(slot, self.id);
+                break Some(entry);
+            }
+            match cache.lent.get(&slot) {
+                Some(&holder) if holder != self.id => {
+                    cache = self.engine.network_returned.wait(cache).unwrap();
+                }
+                _ => {
+                    cache.lent.insert(slot, self.id);
+                    break None;
+                }
             }
         };
+        drop(cache);
         match entry {
             Some((mut net, _)) => {
                 // Zero the probe ledger so this request's SolveStats
@@ -422,15 +455,40 @@ impl NetworkLender for EngineLender<'_, '_> {
     }
 
     fn put(&self, members: &[VertexId], pinned: &[VertexId], net: DensityNetwork) {
-        let fp = member_fingerprint(members, pinned);
+        let slot = (self.key.clone(), member_fingerprint(members, pinned));
         let bytes = net.bytes();
         let mut cache = self.engine.networks.lock().unwrap();
-        if cache.epoch == self.epoch {
-            cache.entries.insert((self.key.clone(), fp), (net, bytes));
+        if cache.lent.get(&slot) == Some(&self.id) {
+            cache.lent.remove(&slot);
         }
         // A stale put (the graph moved on mid-solve) just drops the
         // network — it was solved against a snapshot nobody will ask
         // about again.
+        if cache.epoch == self.epoch {
+            cache.entries.insert(slot, (net, bytes));
+        }
+        drop(cache);
+        self.engine.network_returned.notify_all();
+    }
+}
+
+impl Drop for EngineLender<'_, '_> {
+    /// Releases every key this request still holds (a search that stopped
+    /// early, or a panic), so no waiter blocks on a network that is not
+    /// coming back.
+    fn drop(&mut self) {
+        let mut cache = self
+            .engine
+            .networks
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let held = cache.lent.len();
+        cache.lent.retain(|_, holder| *holder != self.id);
+        let released = cache.lent.len() != held;
+        drop(cache);
+        if released {
+            self.engine.network_returned.notify_all();
+        }
     }
 }
 
@@ -589,6 +647,8 @@ pub struct DsdEngine<'g> {
     /// after `cache` when both are held — `apply`, `key_bytes` and
     /// `evict_substrate` follow it; the lender takes only this lock.
     networks: Mutex<NetworkCache>,
+    /// Signalled whenever a lent network key is released.
+    network_returned: Condvar,
     counters: Mutex<EngineCacheStats>,
     observer: RwLock<Option<Arc<dyn CacheObserver>>>,
 }
@@ -621,6 +681,7 @@ impl<'g> DsdEngine<'g> {
             substrate_budget: Some(DEFAULT_STORE_BUDGET),
             cache: RwLock::new(SubstrateCache::default()),
             networks: Mutex::new(NetworkCache::default()),
+            network_returned: Condvar::new(),
             counters: Mutex::new(EngineCacheStats::default()),
             observer: RwLock::new(None),
         }
@@ -923,9 +984,12 @@ impl<'g> DsdEngine<'g> {
             stats.bytes_freed += networks.bytes();
             let keys = networks.entries.keys().map(|(k, _)| k.clone()).collect();
             networks.entries.clear();
+            networks.lent.clear();
             networks.epoch = *epoch;
             keys
         };
+        // Requests waiting on a lent key now see the new epoch and build.
+        self.network_returned.notify_all();
 
         // Every key that may sit in an observer's ledger at the old epoch;
         // each is re-reported at the new epoch.
@@ -1206,11 +1270,7 @@ impl<'g> DsdEngine<'g> {
         let query = matches!(req.objective, Objective::WithQuery(_));
         let edge = Pattern::edge();
         let psi = if query { &edge } else { &req.psi };
-        let lender = EngineLender {
-            engine: self,
-            key: pattern_key(psi),
-            epoch,
-        };
+        let lender = EngineLender::new(self, pattern_key(psi), epoch);
         // DalkS and DamkS build their exact attempt's networks fresh and
         // leave the network cache alone.
         let lends = !matches!(

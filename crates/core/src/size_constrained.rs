@@ -20,22 +20,32 @@
 //!   in general but admits a 1/3-approximation by greedy peeling
 //!   (Andersen & Chellapilla 2009): peel minimum-degree vertices and
 //!   return the best residual graph among those with at least `k`
-//!   vertices. The machinery is exactly Algorithm 3's peel with a
-//!   different density tracker, so the fallback replays the shared
-//!   decomposition's peel order; the same schedule generalizes to any Ψ
-//!   (with the guarantee proved for edges).
+//!   vertices. That peel is Algorithm 3's, and the shared decomposition
+//!   records the instance count of every residual graph
+//!   ([`CliqueCoreDecomposition::residual_mu`]), so the fallback is one
+//!   O(n) scan of that profile
+//!   ([`CliqueCoreDecomposition::densest_suffix`]) with no re-peel. The
+//!   same schedule generalizes to any Ψ (with the guarantee proved for
+//!   edges).
 //! * **at-most-k** (DamkS) is as hard as densest-k-subgraph; the fallback
 //!   is the natural core-guided greedy heuristic the paper's framework
-//!   suggests — locate the best core, then trim minimum-degree vertices
-//!   to size — with no approximation claim.
+//!   suggests — start from PeelApp's densest residual graph, then trim
+//!   minimum-degree vertices to size ([`greedy_trim`]) — with no
+//!   approximation claim. The trim is its own peel, not a profile scan:
+//!   it pops the smallest id among the minimum-degree vertices, a tie
+//!   order the decomposition's bucket queue does not promise.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use dsd_graph::{Graph, VertexId, VertexSet};
 use dsd_motif::pattern::PatternKind;
 use dsd_motif::Pattern;
 
 use crate::alpha_search::ExactStats;
-use crate::clique_core::CliqueCoreDecomposition;
+use crate::clique_core::{peeler_for, CliqueCoreDecomposition};
 use crate::core_exact::CoreExactConfig;
+use crate::oracle::DensityOracle;
 use crate::substrates::Substrates;
 use crate::types::DsdResult;
 
@@ -71,9 +81,9 @@ pub fn densest_at_least_k(g: &Graph, psi: &Pattern, k: usize) -> Option<DsdResul
 impl Substrates<'_> {
     /// [`densest_at_least_k`] on this context's substrates: tries the
     /// exact fast path (a `CoreExact` α-search under `config`), then falls
-    /// back to replaying the decomposition's peel order without
-    /// re-peeling. Returns `None` when `k` is 0 or exceeds the vertex
-    /// count, before reading any substrate.
+    /// back to scanning the decomposition's residual μ profile. Returns
+    /// `None` when `k` is 0 or exceeds the vertex count, before reading
+    /// any substrate.
     pub fn densest_at_least_k(
         &self,
         k: usize,
@@ -84,7 +94,7 @@ impl Substrates<'_> {
         if k > n || k == 0 {
             return None;
         }
-        let (oracle, dec) = (self.oracle(), self.decomposition());
+        let dec = self.decomposition();
         // Exact fast path (clique Ψ): the unconstrained optimum bounds the
         // constrained one from above and is feasible when it meets the floor.
         // Skipped outright when the located core (which contains the CDS,
@@ -103,40 +113,11 @@ impl Substrates<'_> {
             stats = ces.exact;
         }
         // Residual graphs are suffixes of the peel order; the feasible ones
-        // are those with ≥ k vertices, i.e. the first n−k+1 suffixes.
-        let order = &dec.peel_order;
-        let mut best: Option<(f64, usize)> = None;
-        // Recompute μ along the peel by replaying degree-at-removal sums:
-        // μ_suffix(i) = μ − Σ_{j<i} deg_at_removal(j). The decomposition
-        // doesn't store deg-at-removal, so rebuild densities directly —
-        // starting from the initial degrees the decomposition already
-        // computed (a full oracle degree pass is the dominant cost here).
-        let mut alive = VertexSet::full(n);
-        let mut deg = dec.degrees.clone();
-        let mut mu: u64 = dec.mu;
-        // Indexed loop: `i` is simultaneously a position in `order` and the
-        // number of peeled vertices, so enumerate() would obscure the math.
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..=n.saturating_sub(k) {
-            let size = n - i;
-            if size >= k && size > 0 {
-                let rho = mu as f64 / size as f64;
-                if best.map(|(b, _)| rho > b).unwrap_or(true) {
-                    best = Some((rho, i));
-                }
-            }
-            if i == n - k {
-                break;
-            }
-            let v = order[i];
-            for (u, amount) in oracle.removal_decrements(g, &alive, v) {
-                deg[u as usize] -= amount.min(deg[u as usize]);
-            }
-            mu -= deg[v as usize].min(mu);
-            alive.remove(v);
-        }
-        let (rho, suffix) = best?;
-        let mut vertices: Vec<VertexId> = order[suffix..].to_vec();
+        // are the first n−k+1. Only TopK residual rounds decompose less than
+        // the whole graph, and they never ask for DalkS.
+        debug_assert_eq!(dec.peel_order.len(), n, "DalkS needs a whole-graph peel");
+        let (suffix, rho) = dec.densest_suffix(k)?;
+        let mut vertices: Vec<VertexId> = dec.peel_order[suffix..].to_vec();
         vertices.sort_unstable();
         Some(SizeConstrainedOutcome {
             result: DsdResult {
@@ -202,42 +183,73 @@ impl Substrates<'_> {
         // Start from the densest residual graph (PeelApp's S*), the best
         // unconstrained greedy answer, then trim.
         let start = self.decomposition().best_residual();
-        let n = g.num_vertices();
-        let mut alive = VertexSet::from_members(n, &start);
-        let mut deg = oracle.degrees(g, &alive);
-        let mut mu: u64 = deg.iter().sum::<u64>() / psi.vertex_count() as u64;
-        let mut best: Option<(f64, Vec<VertexId>)> = None;
-        loop {
-            if alive.len() <= k && !alive.is_empty() {
-                let rho = mu as f64 / alive.len() as f64;
-                if best.as_ref().map(|(b, _)| rho > *b).unwrap_or(true) {
-                    best = Some((rho, alive.to_vec()));
-                }
-            }
-            if alive.len() <= 1 {
-                break;
-            }
-            let v = alive
-                .iter()
-                .min_by_key(|&v| deg[v as usize])
-                .expect("non-empty");
-            for (u, amount) in oracle.removal_decrements(g, &alive, v) {
-                deg[u as usize] -= amount.min(deg[u as usize]);
-            }
-            mu -= deg[v as usize].min(mu);
-            alive.remove(v);
-        }
-        let (rho, mut vertices) = best?;
-        vertices.sort_unstable();
-        Some(SizeConstrainedOutcome {
-            result: DsdResult {
-                vertices,
-                density: rho,
-            },
+        greedy_trim(g, oracle, &start, k).map(|result| SizeConstrainedOutcome {
+            result,
             exact: false,
             stats,
         })
     }
+}
+
+/// DamkS's greedy fallback: peels minimum-degree vertices of `g[start]`
+/// one at a time, down to a single vertex, and returns the densest
+/// intermediate set with at most `k` vertices (the earliest on ties).
+/// Among minimum-degree vertices the smallest id goes first. `None` when
+/// `start` is empty or `k` is 0.
+pub fn greedy_trim(
+    g: &Graph,
+    oracle: &dyn DensityOracle,
+    start: &[VertexId],
+    k: usize,
+) -> Option<DsdResult> {
+    let n = g.num_vertices();
+    let mut alive = VertexSet::from_members(n, start);
+    let mut peeler = peeler_for(g, oracle, &alive);
+    let mut deg = peeler.degrees();
+    let mut mu: u64 = deg.iter().sum::<u64>() / oracle.psi_size() as u64;
+    // Lazy min-heap over (degree, id): the first entry that still matches
+    // its vertex's degree is the smallest id of minimum degree.
+    let mut heap: BinaryHeap<Reverse<(u64, VertexId)>> = alive
+        .iter()
+        .map(|v| Reverse((deg[v as usize], v)))
+        .collect();
+    let mut trimmed = Vec::with_capacity(alive.len());
+    let mut best: Option<(f64, usize)> = None;
+    loop {
+        if alive.len() <= k && !alive.is_empty() {
+            let rho = mu as f64 / alive.len() as f64;
+            if best.is_none_or(|(b, _)| rho > b) {
+                best = Some((rho, trimmed.len()));
+            }
+        }
+        if alive.len() <= 1 {
+            break;
+        }
+        let v = loop {
+            let Reverse((d, v)) = heap.pop().expect("every live vertex has a current entry");
+            if alive.contains(v) && d == deg[v as usize] {
+                break v;
+            }
+        };
+        peeler.remove(v, &mut |u, amount| {
+            debug_assert!(amount <= deg[u as usize], "decrement exceeds degree");
+            deg[u as usize] -= amount;
+            heap.push(Reverse((deg[u as usize], u)));
+        });
+        debug_assert!(deg[v as usize] <= mu, "degree exceeds instance count");
+        mu -= deg[v as usize];
+        alive.remove(v);
+        trimmed.push(v);
+    }
+    let (density, cut) = best?;
+    let mut kept = VertexSet::from_members(n, start);
+    for &v in &trimmed[..cut] {
+        kept.remove(v);
+    }
+    Some(DsdResult {
+        vertices: kept.to_vec(),
+        density,
+    })
 }
 
 #[cfg(test)]

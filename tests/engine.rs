@@ -494,3 +494,118 @@ fn top_k_witnesses_do_not_survive_an_update() {
     }
     assert!(changed >= 6, "only {changed} updates changed round 1");
 }
+
+/// Witness seeds only raise answers: a warm engine starts a tolerance or
+/// step-budget CoreExact search from the best witness its cached network
+/// certified earlier, so its answer is never less dense than a cold
+/// engine's answer to the same request. Each graph sees the knobbed
+/// requests in a random order, with an exact request at a random point.
+/// A zero budget stops before any network is borrowed, so it is unseeded.
+#[test]
+fn warm_witness_seeds_never_lower_a_knobbed_answer() {
+    #[derive(Clone, Copy, Debug)]
+    enum Knob {
+        Tolerance(f64),
+        Budget(usize),
+        Exact,
+    }
+    let request = |engine: &DsdEngine, psi: &Pattern, knob: Knob| {
+        let r = engine.request(psi).method(Method::CoreExact);
+        match knob {
+            Knob::Tolerance(t) => r.tolerance(t).solve(),
+            Knob::Budget(b) => r.step_budget(b).solve(),
+            Knob::Exact => r.solve(),
+        }
+    };
+    let mut rng = XorShift::new(0x5EED);
+    let mut lifted = 0;
+    for round in 0..6u64 {
+        let g = if round.is_multiple_of(2) {
+            two_blocks(&mut rng)
+        } else {
+            chung_lu::chung_lu_with_clique(300, 1_200, 2.5, 8, round)
+        };
+        for psi in [Pattern::edge(), Pattern::triangle()] {
+            let mut knobs = vec![
+                Knob::Tolerance(16.0),
+                Knob::Tolerance(4.0),
+                Knob::Tolerance(1.0),
+                Knob::Tolerance(0.25),
+                Knob::Tolerance(0.05),
+                Knob::Budget(0),
+                Knob::Budget(1),
+                Knob::Budget(2),
+                Knob::Budget(3),
+            ];
+            for i in (1..knobs.len()).rev() {
+                knobs.swap(i, (rng.next() % (i as u64 + 1)) as usize);
+            }
+            let at = (rng.next() % (knobs.len() as u64 + 1)) as usize;
+            knobs.insert(at, Knob::Exact);
+            let warm = DsdEngine::over(&g);
+            for knob in knobs {
+                let w = request(&warm, &psi, knob);
+                let c = request(&DsdEngine::over(&g), &psi, knob);
+                let label = format!("round {round} psi {} {knob:?}", psi.name());
+                assert!(
+                    w.density >= c.density,
+                    "{label}: warm {} < cold {}",
+                    w.density,
+                    c.density
+                );
+                lifted += usize::from(w.density > c.density);
+            }
+        }
+    }
+    // Loose tolerances stop a cold search at the located seed while a
+    // seeded warm one starts at the optimum: the property is not vacuous.
+    assert!(lifted > 0, "no warm answer was lifted by a witness seed");
+}
+
+/// Requests that race for one cached flow network share it: a request
+/// that finds the network lent out waits for it instead of building a
+/// duplicate, so four simultaneous cold-network solves build exactly the
+/// networks one serial solve builds, and answer bit-identically.
+#[test]
+fn racing_requests_build_each_network_once() {
+    let g = chung_lu::chung_lu_with_clique(2_000, 8_000, 2.5, 12, 3);
+    let psi = Pattern::triangle();
+    let solve = |engine: &DsdEngine| engine.request(&psi).method(Method::CoreExact).solve();
+
+    let serial = DsdEngine::over(&g);
+    serial.warm(&psi);
+    let reference = solve(&serial);
+    let (builds, reuses) = {
+        let stats = serial.cache_stats();
+        (stats.network_misses, stats.network_hits)
+    };
+    assert!(builds > 0, "the reference solve must build a network");
+
+    let engine = DsdEngine::over(&g);
+    engine.warm(&psi);
+    let barrier = std::sync::Barrier::new(4);
+    let answers: Vec<Solution> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                s.spawn(|| {
+                    barrier.wait();
+                    solve(&engine)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("solve panicked"))
+            .collect()
+    });
+    let stats = engine.cache_stats();
+    assert_eq!(stats.network_misses, builds, "duplicate network builds");
+    assert_eq!(
+        stats.network_hits,
+        4 * reuses + 3 * builds,
+        "every racer but the builder reused the networks"
+    );
+    for (i, a) in answers.iter().enumerate() {
+        assert_identical(a, &reference, &format!("racer {i}"));
+    }
+}

@@ -1,0 +1,300 @@
+//! Differential suite for the size-constrained greedy fallbacks.
+//!
+//! DalkS's greedy answer is the densest residual graph of the (k, Ψ)-core
+//! peel with at least k vertices. The decomposition records the instance
+//! count of every residual graph (`residual_mu`), and the fallback scans
+//! that profile. DamkS trims PeelApp's densest residual graph with a lazy
+//! heap peel. This suite pins both against the straightforward
+//! implementations they replaced, kept here as references:
+//!
+//! * the profile scan equals a replay of the peel order through the
+//!   stateless `removal_decrements`, in vertices and density bits, for
+//!   every k;
+//! * the recorded profile equals the replayed one, starts at μ and ends
+//!   at 0, and ρ′ / `best_residual()` equal the replay's in-loop tracking;
+//! * the heap trim equals a linear minimum-degree scan, for every k;
+//! * the engine's `densest_at_least_k` / `densest_at_most_k` fallbacks
+//!   return exactly the reference answers.
+//!
+//! Graphs are seeded Erdős–Rényi and Chung–Lu graphs; Ψ covers the edge,
+//! triangle, 4-clique, 2-star, diamond and a general pattern (the
+//! 2-triangle), for which the greedy fallback is the only path. The
+//! references stream decrements from each pattern's streaming oracle,
+//! while the engine side runs its default (store-backed where it applies)
+//! oracle.
+//!
+//! Iteration counts honour `DSD_PROP_ITERS` like `tests/enumeration.rs`;
+//! nightly CI runs this suite with elevated iterations.
+
+use dsd::core::oracle::{
+    oracle_for, CliqueOracle, DiamondOracle, GenericPatternOracle, StarOracle,
+};
+use dsd::core::size_constrained::greedy_trim;
+use dsd::core::{CoreExactConfig, DensityOracle, Substrates};
+use dsd::datasets::{chung_lu::chung_lu, er::er};
+use dsd::graph::{Graph, VertexId, VertexSet};
+use dsd::motif::Pattern;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Iteration knob: `DSD_PROP_ITERS` overrides, `default` otherwise.
+fn prop_iters(default: usize) -> usize {
+    std::env::var("DSD_PROP_ITERS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default)
+}
+
+/// The Ψ menu with each pattern's streaming oracle.
+fn oracle_pairs() -> Vec<(Pattern, Box<dyn DensityOracle>)> {
+    vec![
+        (Pattern::edge(), Box::new(CliqueOracle::new(2))),
+        (Pattern::triangle(), Box::new(CliqueOracle::new(3))),
+        (Pattern::clique(4), Box::new(CliqueOracle::new(4))),
+        (Pattern::two_star(), Box::new(StarOracle::new(2))),
+        (Pattern::diamond(), Box::new(DiamondOracle)),
+        (
+            Pattern::two_triangle(),
+            Box::new(GenericPatternOracle::new(&Pattern::two_triangle())),
+        ),
+    ]
+}
+
+/// Alternates a dense-ish G(n, p) and a heavy-tailed Chung–Lu graph.
+fn random_graph(rng: &mut StdRng, iteration: usize) -> (Graph, String) {
+    let n = rng.gen_range(6..=24);
+    let seed = rng.gen::<u64>();
+    if iteration.is_multiple_of(2) {
+        let p = rng.gen_range(0.15f64..0.5);
+        (er(n, p, seed), format!("ER(n={n}, p={p:.2}, seed={seed})"))
+    } else {
+        let m = rng.gen_range(n..=4 * n);
+        (
+            chung_lu(n, m, 2.5, seed),
+            format!("Chung-Lu(n={n}, m~{m}, seed={seed})"),
+        )
+    }
+}
+
+/// The peel order's residual μ profile, replayed through `removal_decrements`
+/// from the initial degrees: entry `i` is the instance count after `i`
+/// removals.
+fn replayed_profile(g: &Graph, oracle: &dyn DensityOracle, order: &[VertexId]) -> Vec<u64> {
+    let mut alive = VertexSet::full(g.num_vertices());
+    let mut deg = oracle.degrees(g, &alive);
+    let mut mu = deg.iter().sum::<u64>() / oracle.psi_size() as u64;
+    let mut profile = vec![mu];
+    for &v in order {
+        for (u, amount) in oracle.removal_decrements(g, &alive, v) {
+            deg[u as usize] -= amount.min(deg[u as usize]);
+        }
+        mu -= deg[v as usize].min(mu);
+        alive.remove(v);
+        profile.push(mu);
+    }
+    profile
+}
+
+/// ρ′ as the peel used to track it in-loop: the first strict maximum over
+/// the non-empty residual graphs, as `(suffix, density)`.
+fn in_loop_best(profile: &[u64]) -> (usize, f64) {
+    let n = profile.len() - 1;
+    let mut best_suffix = 0;
+    let mut best_density = if n == 0 {
+        0.0
+    } else {
+        profile[0] as f64 / n as f64
+    };
+    for (i, &mu) in profile.iter().enumerate().skip(1) {
+        let live = n - i;
+        if live > 0 {
+            let density = mu as f64 / live as f64;
+            if density > best_density {
+                best_density = density;
+                best_suffix = i;
+            }
+        }
+    }
+    (best_suffix, best_density)
+}
+
+/// The DalkS fallback as a replay of the peel order: recompute μ along the
+/// peel with `removal_decrements` and keep the first strict maximum among
+/// the residual graphs with at least `k` vertices.
+fn replayed_at_least_k(
+    g: &Graph,
+    oracle: &dyn DensityOracle,
+    order: &[VertexId],
+    k: usize,
+) -> Option<(Vec<VertexId>, f64)> {
+    let n = g.num_vertices();
+    if k > n || k == 0 {
+        return None;
+    }
+    let mut best: Option<(f64, usize)> = None;
+    let mut alive = VertexSet::full(n);
+    let mut deg = oracle.degrees(g, &alive);
+    let mut mu = deg.iter().sum::<u64>() / oracle.psi_size() as u64;
+    for (i, &v) in order.iter().enumerate().take(n - k + 1) {
+        let rho = mu as f64 / (n - i) as f64;
+        if best.is_none_or(|(b, _)| rho > b) {
+            best = Some((rho, i));
+        }
+        for (u, amount) in oracle.removal_decrements(g, &alive, v) {
+            deg[u as usize] -= amount.min(deg[u as usize]);
+        }
+        mu -= deg[v as usize].min(mu);
+        alive.remove(v);
+    }
+    let (rho, suffix) = best?;
+    let mut vertices = order[suffix..].to_vec();
+    vertices.sort_unstable();
+    Some((vertices, rho))
+}
+
+/// The DamkS trim as a linear scan: remove the first minimum-degree vertex
+/// in ascending id order until one vertex is left, keeping the first
+/// strict maximum among the sets with at most `k` vertices.
+fn linear_trim(
+    g: &Graph,
+    oracle: &dyn DensityOracle,
+    start: &[VertexId],
+    k: usize,
+) -> Option<(Vec<VertexId>, f64)> {
+    let mut alive = VertexSet::from_members(g.num_vertices(), start);
+    let mut deg = oracle.degrees(g, &alive);
+    let mut mu = deg.iter().sum::<u64>() / oracle.psi_size() as u64;
+    let mut best: Option<(f64, Vec<VertexId>)> = None;
+    loop {
+        if alive.len() <= k && !alive.is_empty() {
+            let rho = mu as f64 / alive.len() as f64;
+            if best.as_ref().is_none_or(|(b, _)| rho > *b) {
+                best = Some((rho, alive.to_vec()));
+            }
+        }
+        if alive.len() <= 1 {
+            break;
+        }
+        let v = alive
+            .iter()
+            .min_by_key(|&v| deg[v as usize])
+            .expect("non-empty");
+        for (u, amount) in oracle.removal_decrements(g, &alive, v) {
+            deg[u as usize] -= amount.min(deg[u as usize]);
+        }
+        mu -= deg[v as usize].min(mu);
+        alive.remove(v);
+    }
+    best.map(|(rho, vertices)| (vertices, rho))
+}
+
+fn assert_same(got: Option<(Vec<VertexId>, f64)>, want: Option<(Vec<VertexId>, f64)>, what: &str) {
+    match (got, want) {
+        (Some((gv, gr)), Some((wv, wr))) => {
+            assert_eq!(gv, wv, "{what}: vertices");
+            assert_eq!(gr.to_bits(), wr.to_bits(), "{what}: density bits");
+        }
+        (got, want) => assert_eq!(got.is_some(), want.is_some(), "{what}: presence"),
+    }
+}
+
+/// The recorded profile, ρ′ and every DalkS scan equal the replay.
+#[test]
+fn profile_scan_matches_replayed_peel() {
+    let iters = prop_iters(12);
+    let mut rng = StdRng::seed_from_u64(0x5E1F_DA1C);
+    for it in 0..iters {
+        let (g, label) = random_graph(&mut rng, it);
+        let n = g.num_vertices();
+        for (psi, streaming) in oracle_pairs() {
+            let ctx = format!("{label} psi {}", psi.name());
+            let s = Substrates::cold(&g, &psi);
+            let dec = s.decomposition();
+            assert_eq!(dec.peel_order.len(), n, "{ctx}: whole-graph peel");
+
+            let profile = replayed_profile(&g, streaming.as_ref(), &dec.peel_order);
+            assert_eq!(dec.residual_mu, profile, "{ctx}: residual mu profile");
+            assert_eq!(dec.residual_mu[0], dec.mu, "{ctx}: profile starts at mu");
+            assert_eq!(dec.residual_mu[n], 0, "{ctx}: profile ends at 0");
+
+            let (suffix, best) = in_loop_best(&profile);
+            assert_eq!(
+                dec.best_density.to_bits(),
+                best.to_bits(),
+                "{ctx}: rho' bits"
+            );
+            assert_eq!(
+                dec.best_residual(),
+                dec.peel_order[suffix..].to_vec(),
+                "{ctx}: best residual"
+            );
+
+            for k in 1..=n {
+                let scan = dec.densest_suffix(k).map(|(i, rho)| {
+                    let mut vs = dec.peel_order[i..].to_vec();
+                    vs.sort_unstable();
+                    (vs, rho)
+                });
+                let want = replayed_at_least_k(&g, streaming.as_ref(), &dec.peel_order, k);
+                assert_same(scan, want.clone(), &format!("{ctx} scan k={k}"));
+
+                let o = s
+                    .densest_at_least_k(k, CoreExactConfig::default())
+                    .expect("1 <= k <= n");
+                if !o.exact {
+                    let got = Some((o.result.vertices, o.result.density));
+                    assert_same(got, want, &format!("{ctx} DalkS fallback k={k}"));
+                }
+            }
+            assert!(dec.densest_suffix(0).is_none(), "{ctx}: k = 0");
+            assert!(dec.densest_suffix(n + 1).is_none(), "{ctx}: k > n");
+        }
+    }
+}
+
+/// The heap trim equals the linear scan from PeelApp's S* and from the
+/// whole vertex set (more degree ties), for every k.
+#[test]
+fn heap_trim_matches_linear_trim() {
+    let iters = prop_iters(12);
+    let mut rng = StdRng::seed_from_u64(0x7819_DA3C);
+    for it in 0..iters {
+        let (g, label) = random_graph(&mut rng, it);
+        let n = g.num_vertices();
+        let all: Vec<VertexId> = g.vertices().collect();
+        for (psi, streaming) in oracle_pairs() {
+            let ctx = format!("{label} psi {}", psi.name());
+            let s = Substrates::cold(&g, &psi);
+            let start = s.decomposition().best_residual();
+            let engine_oracle = oracle_for(&psi);
+            for k in 1..=n {
+                for (from, set) in [("S*", &start), ("V", &all)] {
+                    let want = linear_trim(&g, streaming.as_ref(), set, k);
+                    for (side, oracle) in [
+                        ("streaming", streaming.as_ref()),
+                        ("engine", engine_oracle.as_ref()),
+                    ] {
+                        let got = greedy_trim(&g, oracle, set, k).map(|r| (r.vertices, r.density));
+                        assert_same(
+                            got,
+                            want.clone(),
+                            &format!("{ctx} {side} trim from {from} k={k}"),
+                        );
+                    }
+                }
+                let o = s
+                    .densest_at_most_k(k, CoreExactConfig::default())
+                    .expect("k >= 1");
+                if !o.exact {
+                    let got = Some((o.result.vertices, o.result.density));
+                    let want = linear_trim(&g, streaming.as_ref(), &start, k);
+                    assert_same(got, want, &format!("{ctx} DamkS fallback k={k}"));
+                }
+            }
+            assert!(
+                greedy_trim(&g, streaming.as_ref(), &start, 0).is_none(),
+                "{ctx}: k = 0"
+            );
+        }
+    }
+}

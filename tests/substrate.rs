@@ -109,9 +109,10 @@ fn materialized_matches_streaming_degrees_and_decrements() {
     }
 }
 
-/// Full decompositions — core numbers, kmax, peel order, μ, ρ′ — and the
-/// approximation results derived from them are bit-identical across the
-/// store-backed peeler and the streaming decrement path.
+/// Full decompositions — core numbers, kmax, peel order, μ, the residual μ
+/// profile, ρ′ — and the approximation results derived from them are
+/// bit-identical across the store-backed peeler and the streaming
+/// decrement path.
 #[test]
 fn materialized_matches_streaming_decomposition_and_apps() {
     let iters = prop_iters(20);
@@ -127,7 +128,7 @@ fn materialized_matches_streaming_decomposition_and_apps() {
             assert_eq!(a.core, b.core, "core numbers: {label}");
             assert_eq!(a.kmax, b.kmax, "kmax: {label}");
             assert_eq!(a.peel_order, b.peel_order, "peel order: {label}");
-            assert_eq!(a.degrees, b.degrees, "initial degrees: {label}");
+            assert_eq!(a.residual_mu, b.residual_mu, "residual mu profile: {label}");
             assert_eq!(a.mu, b.mu, "mu: {label}");
             assert_eq!(
                 a.best_density.to_bits(),
