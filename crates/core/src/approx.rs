@@ -13,6 +13,7 @@ use dsd_graph::{Graph, VertexId, VertexSet};
 use dsd_motif::binomial;
 use dsd_motif::pattern::{Pattern, PatternKind};
 
+use crate::clique_core::peeler_for;
 use crate::oracle::{density, DensityOracle};
 use crate::substrates::Substrates;
 use crate::types::DsdResult;
@@ -126,7 +127,10 @@ fn core_app_seeded(s: &Substrates, seed: usize) -> ApproxResult {
     loop {
         let members = &order[..w_len];
         let mut alive = VertexSet::from_members(n, members);
-        let mut deg = oracle.degrees(g, &alive);
+        // One peeler per frontier: its store alive-counts or closed-form
+        // scratch carry across every removal of the cascade.
+        let mut peeler = peeler_for(g, oracle, &alive);
+        let mut deg = peeler.degrees();
         // Onion peel of G[W] from the running kmax upwards (Algorithm 6
         // lines 7-14). We restart at `kmax` rather than the paper's
         // `kmax + 1`: growing W can grow the (kmax, Ψ)-core without raising
@@ -142,13 +146,14 @@ fn core_app_seeded(s: &Substrates, seed: usize) -> ApproxResult {
                 if !alive.contains(v) {
                     continue;
                 }
-                for (u, amount) in oracle.removal_decrements(g, &alive, v) {
+                peeler.remove(v, &mut |u, amount| {
                     let du = &mut deg[u as usize];
-                    *du -= amount.min(*du);
-                    if *du < k && alive.contains(u) {
+                    debug_assert!(alive.contains(u) && amount <= *du);
+                    *du -= amount;
+                    if *du < k {
                         queue.push(u);
                     }
-                }
+                });
                 alive.remove(v);
             }
             if alive.is_empty() {

@@ -35,13 +35,13 @@
 //! many named graphs from one process, see [`crate::serve::DsdServer`].
 //!
 //! The graph is **not** frozen: [`DsdEngine::apply`] takes a batch of
-//! [`GraphUpdate`]s and advances a *graph epoch*. It repairs the classical
-//! k-core order in place (the incremental maintenance of
-//! [`crate::dynamic`]) and each Ψ-oracle's instance store through its
-//! incidence CSR when the batch merges into the CSR — at once, or at the
-//! next read when it follows an unread batch — falling back to
-//! drop-and-rebuild where no sound cheap repair exists; (k, Ψ)-core
-//! decompositions and cached flow networks always drop. Every request
+//! [`GraphUpdate`]s and advances a *graph epoch*. One rule covers every
+//! cached substrate: each Ψ-oracle's instance store is repaired in place
+//! through its incidence CSR when the batch merges into the CSR — at
+//! once, or at the next read when it follows an unread batch — falling
+//! back to drop-and-rebuild where no sound cheap repair exists; the
+//! classical k-core order, (k, Ψ)-core decompositions and cached flow
+//! networks drop and rebuild lazily on their next read. Every request
 //! runs against a consistent [`GraphSnapshot`]
 //! and records its epoch in [`SolveStats::epoch`]; requests in flight
 //! during an update finish on their pre-update snapshot.
@@ -77,7 +77,6 @@ use dsd_motif::Pattern;
 use crate::alpha_search::ExactStats;
 use crate::clique_core::{decompose, CliqueCoreDecomposition};
 use crate::core_exact::CoreExactConfig;
-use crate::dynamic::{repair_delete, repair_insert};
 use crate::exact::ExactOpts;
 use crate::flownet::{DensityNetwork, Fnv, NetworkLender};
 use crate::kcore::{k_core_decomposition, KCoreDecomposition};
@@ -296,33 +295,29 @@ static LENDER_IDS: AtomicU64 = AtomicU64::new(1);
 /// [`DsdEngine::evict_substrate`] (which takes the cache write lock) from
 /// inside a callback. The reverse order — engine lock held while entering
 /// the observer — never happens.
+///
+/// The callbacks carry no byte counts: a footprint read by the engine
+/// could go stale before the observer books it, so an observer keeping an
+/// exact ledger reads the footprint itself inside its own critical
+/// section (the governor's `key_bytes` read).
 pub trait CacheObserver: Send + Sync {
-    /// A request touched the substrate entry `(engine, key)` at `epoch`;
-    /// at notification time its cache-resident footprint was `bytes` (0
-    /// when the epoch moved on before accounting — the entry is already
-    /// gone). The value is advisory: it can go stale between the engine's
-    /// read and the observer's bookkeeping, so an implementation keeping
-    /// an exact ledger should re-read the footprint itself inside its own
-    /// critical section. `hit` reports whether the request was served
-    /// from cache.
-    fn on_substrate_used(&self, engine: u64, key: &PatternKey, epoch: u64, bytes: u64, hit: bool);
+    /// A request touched the substrate entry `(engine, key)` at `epoch`.
+    /// `hit` reports whether the request was served from cache.
+    fn on_substrate_used(&self, engine: u64, key: &PatternKey, epoch: u64, hit: bool);
 
-    /// The engine released `bytes` of cache-resident substrates wholesale:
-    /// an [`DsdEngine::apply`] epoch bump, or the engine dropping. Every
-    /// ledger entry for this engine is now stale.
-    fn on_engine_release(&self, engine: u64, bytes: u64);
+    /// The engine released its cache-resident substrates wholesale: a CSR
+    /// merge over the repair ceiling, or the engine dropping. Every ledger entry for this engine is now stale.
+    fn on_engine_release(&self, engine: u64);
 
     /// An [`DsdEngine::apply`] batch carried the substrate entry
     /// `(engine, key)` across an epoch bump by in-place repair: the entry
     /// now lives at `epoch` (the *new* epoch) with a possibly changed
-    /// footprint, advisorily `bytes` at notification time (0 when the
-    /// entry was dropped rather than repaired — e.g. its decomposition
-    /// half, which always drops). A ledger-keeping observer should
-    /// *resize* its entry in place — not drop it wholesale — re-reading
-    /// the authoritative footprint inside its own critical section, as
-    /// with [`Self::on_substrate_used`]. Default: no-op.
-    fn on_substrate_repaired(&self, engine: u64, key: &PatternKey, epoch: u64, bytes: u64) {
-        let _ = (engine, key, epoch, bytes);
+    /// footprint (none when the entry was dropped rather than repaired —
+    /// e.g. its decomposition half, which always drops). A ledger-keeping
+    /// observer should *resize* its entry in place, not drop it
+    /// wholesale. Default: no-op.
+    fn on_substrate_repaired(&self, engine: u64, key: &PatternKey, epoch: u64) {
+        let _ = (engine, key, epoch);
     }
 }
 
@@ -592,10 +587,6 @@ pub struct ApplyStats {
     /// No-op updates: duplicate inserts, deletes of absent edges,
     /// self-loops, out-of-range endpoints.
     pub ignored: usize,
-    /// Whether the cached classical k-core order was repaired in place
-    /// (`false` when it was absent, or dropped for a batch too large for
-    /// per-edge repair to win).
-    pub kcore_patched: bool,
     /// Ψ-substrates dropped (oracles + decompositions): decompositions
     /// always drop on an effective batch (peel order has no cheap
     /// repair), oracles drop only when in-place repair was refused.
@@ -740,9 +731,9 @@ impl<'g> DsdEngine<'g> {
 
     /// Cache-resident bytes of the entry for `key`, observed at `epoch`
     /// (0 when the cache has moved to a different epoch or holds nothing
-    /// for the key). The governor re-reads this under its own lock when
+    /// for the key). The governor reads this under its own lock when
     /// ledgering, so a record is always fresh relative to its own
-    /// evictions (an engine-side pre-read could go stale in between).
+    /// evictions.
     pub(crate) fn key_bytes(&self, key: &PatternKey, epoch: u64) -> u64 {
         let cache = self.cache.read().unwrap();
         if cache.epoch != epoch {
@@ -833,9 +824,8 @@ impl<'g> DsdEngine<'g> {
         if !state.pending.is_empty() {
             let mut cache = self.cache.write().unwrap();
             let keys: Vec<PatternKey> = cache.oracles.keys().cloned().collect();
-            let mut stats = ApplyStats::default();
-            let released = merge_pending(&mut state, &mut cache, &mut stats);
-            merged = Some((released, keys, stats.bytes_freed));
+            let released = merge_pending(&mut state, &mut cache, &mut ApplyStats::default());
+            merged = Some((released, keys));
         }
         state.read.store(state.epoch, Ordering::Relaxed);
         let snapshot = GraphSnapshot {
@@ -843,8 +833,8 @@ impl<'g> DsdEngine<'g> {
             epoch: state.epoch,
         };
         drop(state);
-        if let Some((released, keys, bytes_freed)) = merged {
-            self.report(released, &keys, snapshot.epoch, bytes_freed);
+        if let Some((released, keys)) = merged {
+            self.report(released, &keys, snapshot.epoch);
         }
         snapshot
     }
@@ -863,14 +853,12 @@ impl<'g> DsdEngine<'g> {
     /// Applies a batch of edge updates, advancing the graph epoch and
     /// reconciling every cached substrate:
     ///
-    /// * the **classical k-core order** is repaired in place, edge by
-    ///   edge, with the subcore traversal of [`crate::dynamic`] — unless
-    ///   the batch is large enough that a from-scratch re-peel is cheaper,
-    ///   in which case it is dropped and lazily rebuilt (rebuild-or-patch);
-    /// * **(k, Ψ)-core decompositions** and cached flow networks are
-    ///   always dropped on an effective batch: a peel order has no cheap
-    ///   repair, and a stale one would silently change answers (it
-    ///   rebuilds lazily from the repaired oracle);
+    /// * the **classical k-core order**, **(k, Ψ)-core decompositions**
+    ///   and cached flow networks are dropped on an effective batch, and
+    ///   each rebuilds once on its next read from the merged snapshot (a
+    ///   decomposition from the repaired oracle). A peel order has no
+    ///   repair cheaper than that rebuild, and a stale one would silently
+    ///   change answers;
     /// * the batch joins the pending edge **overlay**. Ψ-stores are
     ///   repaired in place when the overlay merges into a fresh CSR:
     ///   rows killed by removed edges are tombstoned through the store's
@@ -895,12 +883,6 @@ impl<'g> DsdEngine<'g> {
     /// `[+{u,v}, -{u,v}]`) keeps the epoch and every warm substrate.
     /// Requests already in flight keep their pre-update snapshot.
     pub fn apply(&self, updates: &[GraphUpdate]) -> ApplyStats {
-        /// Batches beyond this many effective updates drop the k-core
-        /// order instead of repairing per edge: each repair can touch a
-        /// whole subcore, so at some batch size one bucket re-peel of the
-        /// final graph is cheaper than the sum of traversals.
-        const KCORE_PATCH_MAX_BATCH: usize = 4_096;
-
         let t0 = Instant::now();
         let mut state = self.state.write().unwrap();
         let mut cache = self.cache.write().unwrap();
@@ -913,10 +895,6 @@ impl<'g> DsdEngine<'g> {
         let base = slot.graph();
         let unread = *read.get_mut() < *epoch;
 
-        // Take the cached k-core out for patching; it goes back only if
-        // the whole batch stays under the repair threshold.
-        let mut kcore = cache.kcore.take();
-
         let mut stats = ApplyStats {
             epoch: *epoch,
             ..ApplyStats::default()
@@ -926,31 +904,15 @@ impl<'g> DsdEngine<'g> {
         // self-reduces (insert + delete cancel), so effective updates on
         // one key strictly alternate and a remove-or-insert suffices.
         let mut toggles: HashMap<(VertexId, VertexId), bool> = HashMap::new();
-        let mut effective = 0usize;
         for update in updates {
             if !pending.apply(base, update) {
                 continue;
             }
-            effective += 1;
             let (u, v) = update.endpoints();
             let key = (u.min(v), u.max(v));
             let insert = matches!(update, GraphUpdate::Insert(..));
             if toggles.remove(&key).is_none() {
                 toggles.insert(key, insert);
-            }
-            if effective > KCORE_PATCH_MAX_BATCH {
-                // The threshold counts *effective* updates — no-ops cost
-                // nothing, and replayed idempotent streams are mostly
-                // no-ops. Past it, one re-peel beats the repair sum.
-                kcore = None;
-            }
-            if let Some(kc) = &mut kcore {
-                let view = DeltaGraph::new(base, pending);
-                let kc = Arc::make_mut(kc);
-                match update {
-                    GraphUpdate::Insert(..) => repair_insert(&view, kc, u, v),
-                    GraphUpdate::Delete(..) => repair_delete(&view, kc, u, v),
-                }
             }
         }
         stats.inserted = toggles.values().filter(|&&ins| ins).count();
@@ -959,10 +921,8 @@ impl<'g> DsdEngine<'g> {
 
         if stats.inserted + stats.deleted == 0 {
             // Net no-op batch (pure no-ops, or opposing updates that
-            // cancelled): the graph is unchanged, and so is the patched
-            // k-core — each cancelling pair's repairs are exact inverses
-            // through the same overlay states. Keep epoch and substrates.
-            cache.kcore = kcore;
+            // cancelled): the graph is unchanged. Keep epoch and
+            // substrates.
             stats.total_nanos = t0.elapsed().as_nanos();
             return stats;
         }
@@ -970,8 +930,10 @@ impl<'g> DsdEngine<'g> {
         *epoch += 1;
         stats.epoch = *epoch;
         cache.epoch = *epoch;
-        stats.kcore_patched = kcore.is_some();
-        cache.kcore = kcore;
+        // The classical k-core order drops like every derived substrate
+        // without an in-place repair; the next read rebuilds it once on
+        // the merged snapshot.
+        cache.kcore = None;
 
         // Cached flow networks bind the exact member sets and arc
         // capacities of the old snapshot; any effective batch invalidates
@@ -1031,24 +993,25 @@ impl<'g> DsdEngine<'g> {
         // lock-order rule documented on `CacheObserver`).
         drop(cache);
         drop(state);
-        self.report(released, &ledger_keys, stats.epoch, stats.bytes_freed);
+        self.report(released, &ledger_keys, stats.epoch);
         stats
     }
 
     /// Tells the observer what an `apply` or a merge did to the cache: a
     /// wholesale drop (`released`) releases every ledger entry of this
-    /// engine, anything else re-reads each of `keys` at the new epoch —
+    /// engine, anything else reports each of `keys` at the new epoch —
     /// entries for repaired stores take their new footprint, entries for
-    /// dropped halves read 0 and fall out. Call with no engine lock held.
-    fn report(&self, released: bool, keys: &[PatternKey], epoch: u64, bytes_freed: u64) {
-        if released {
-            self.notify(|obs| obs.on_engine_release(self.id, bytes_freed));
-            return;
-        }
-        for key in keys {
-            let bytes = self.key_bytes(key, epoch);
-            self.notify(|obs| obs.on_substrate_repaired(self.id, key, epoch, bytes));
-        }
+    /// dropped halves fall out. Call with no engine lock held.
+    fn report(&self, released: bool, keys: &[PatternKey], epoch: u64) {
+        self.notify(|obs| {
+            if released {
+                obs.on_engine_release(self.id);
+            } else {
+                for key in keys {
+                    obs.on_substrate_repaired(self.id, key, epoch);
+                }
+            }
+        });
     }
 
     /// Starts building a request for pattern Ψ (defaults: Densest,
@@ -1076,9 +1039,9 @@ impl<'g> DsdEngine<'g> {
     }
 
     /// The memoized classical k-core order of the current snapshot,
-    /// building it if absent. After an [`Self::apply`] batch that patched
-    /// the order, this returns the repaired decomposition without a
-    /// rebuild — the serving-side view of incremental maintenance.
+    /// building it if absent. An effective [`Self::apply`] batch drops
+    /// the order, so the first read after it re-peels the merged snapshot
+    /// once; later reads at the same epoch are cache hits.
     pub fn kcore_order(&self) -> Arc<KCoreDecomposition> {
         let snap = self.graph();
         self.kcore(&snap, snap.epoch()).0
@@ -1398,15 +1361,14 @@ impl<'g> DsdEngine<'g> {
         stats.total_nanos = t0.elapsed().as_nanos();
         // Ledger the touched substrate entry with the governor (if any).
         // The query variant's entry holds its pinned networks; the
-        // classical k-core order it reads is repaired in place and never
-        // evicted.
+        // classical k-core order it reads is not ledgered and never
+        // evicted (an update drops it, the next read rebuilds it).
         let hit = if query {
             stats.substrate.kcore_cache_hit
         } else {
             stats.substrate.oracle_cache_hit
         };
-        let bytes = self.key_bytes(&lender.key, epoch);
-        self.notify(|obs| obs.on_substrate_used(self.id, &lender.key, epoch, bytes, hit));
+        self.notify(|obs| obs.on_substrate_used(self.id, &lender.key, epoch, hit));
         Solution {
             vertices,
             density,
@@ -1484,16 +1446,13 @@ impl Answer {
 impl Drop for DsdEngine<'_> {
     /// Tells the observer the engine's whole cache footprint is gone, so a
     /// governed catalog dropping an engine (eviction, shutdown) never
-    /// leaks its bytes in the global ledger. Poisoned locks are recovered,
-    /// not unwrapped: a panic here would abort a thread already unwinding.
+    /// leaks its bytes, or its evicted-key marks, in the global ledger. A
+    /// poisoned lock is recovered, not unwrapped: a panic here would abort
+    /// a thread already unwinding.
     fn drop(&mut self) {
-        let (cache, networks) = (self.cache.get_mut(), self.networks.get_mut());
-        let cache = cache.unwrap_or_else(PoisonError::into_inner);
-        let bytes = cache_bytes(cache) + networks.unwrap_or_else(PoisonError::into_inner).bytes();
         let observer = self.observer.get_mut();
-        match observer.unwrap_or_else(PoisonError::into_inner) {
-            Some(obs) if bytes > 0 => obs.on_engine_release(self.id, bytes),
-            _ => {}
+        if let Some(obs) = observer.unwrap_or_else(PoisonError::into_inner) {
+            obs.on_engine_release(self.id);
         }
     }
 }
@@ -1801,12 +1760,12 @@ mod tests {
         assert_eq!((stats.network_misses, stats.network_hits), (1, 2));
     }
 
-    /// `apply` bumps the epoch, patches the cached k-core in place,
-    /// repairs the Ψ-oracle's store through its incidence CSR, and drops
-    /// only the decomposition, so post-update answers match a cold engine
-    /// over the updated graph.
+    /// `apply` bumps the epoch, drops the cached k-core and the
+    /// decomposition, and repairs the Ψ-oracle's store through its
+    /// incidence CSR, so post-update answers match a cold engine over the
+    /// updated graph. A net no-op batch keeps the k-core.
     #[test]
-    fn apply_updates_patch_kcore_and_invalidate_psi_substrates() {
+    fn apply_updates_drop_kcore_and_repair_psi_stores() {
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (0, 3), (2, 3), (3, 4), (4, 5)]);
         let engine = DsdEngine::new(g.clone());
         let psi = Pattern::triangle();
@@ -1831,24 +1790,24 @@ mod tests {
         assert_eq!(stats.inserted, 1);
         assert_eq!(stats.deleted, 1);
         assert_eq!(stats.ignored, 1);
-        assert!(stats.kcore_patched);
         assert_eq!(stats.substrates_dropped, 1, "decomposition only");
         assert_eq!(stats.substrates_repaired, 1, "oracle repaired in place");
         assert_eq!(stats.substrates_rebuilt, 0);
         assert_eq!(stats.rows_tombstoned, 1, "triangle 0-2-3 died with {{0,3}}");
         assert_eq!(engine.epoch(), 1);
 
-        // The patched k-core is served as a cache hit at the new epoch —
-        // no rebuild — and matches a cold engine bit for bit.
+        // The dropped k-core rebuilds once on the first read at the new
+        // epoch, and the answer matches a cold engine bit for bit.
         let updated = engine
             .request(&psi)
             .objective(Objective::WithQuery(vec![4]))
             .solve();
         assert_eq!(updated.stats.epoch, 1);
-        assert!(updated.stats.substrate.kcore_cache_hit);
-        assert_eq!(engine.cache_stats().kcore_builds, 1);
+        assert!(!updated.stats.substrate.kcore_cache_hit);
+        assert_eq!(engine.cache_stats().kcore_builds, 2);
 
         let fresh = Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]);
+        let scratch = k_core_decomposition(&fresh);
         let cold = DsdEngine::new(fresh);
         let expect = cold
             .request(&psi)
@@ -1856,6 +1815,16 @@ mod tests {
             .solve();
         assert_eq!(updated.vertices, expect.vertices);
         assert_eq!(updated.density.to_bits(), expect.density.to_bits());
+
+        // The rebuilt order is the merged snapshot's, and a net no-op
+        // batch keeps it: no rebuild on the next read.
+        let kcore = engine.kcore_order();
+        assert_eq!(kcore.core, scratch.core);
+        assert_eq!(kcore.kmax, scratch.kmax);
+        let noop = engine.apply(&[GraphUpdate::Insert(0, 4), GraphUpdate::Delete(0, 4)]);
+        assert_eq!((noop.epoch, noop.ignored), (1, 2));
+        assert!(Arc::ptr_eq(&engine.kcore_order(), &kcore));
+        assert_eq!(engine.cache_stats().kcore_builds, 2);
 
         // The decomposition rebuilds once at the new epoch, but the
         // repaired oracle is served as a cache hit — no store rebuild.

@@ -4,9 +4,10 @@
 //! as the source of the `γ(v, Ψ) = C(x, h−1)` upper bounds in CoreApp
 //! (Algorithm 6 line 1), and as the substrate for the EMcore baseline.
 //!
-//! Under edge updates the decomposition is repaired in place instead of
-//! re-peeled — see [`crate::dynamic`] for the single-edge subcore repair
-//! and `DsdEngine::apply` for the batch rebuild-or-patch policy.
+//! Every use reads one snapshot's decomposition, so under edge updates
+//! the engine keeps no repair for it: an effective `DsdEngine::apply` batch
+//! drops the cached order, and the next read re-peels the merged snapshot
+//! once.
 
 use dsd_graph::{Graph, VertexId, VertexSet};
 

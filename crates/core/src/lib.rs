@@ -84,7 +84,6 @@ pub mod bucket_queue;
 pub mod budget;
 pub mod clique_core;
 pub mod core_exact;
-pub mod dynamic;
 pub mod emcore;
 pub mod engine;
 pub mod exact;
@@ -112,7 +111,6 @@ pub use clique_core::{decompose, CliqueCoreDecomposition};
 pub use core_exact::{core_exact, CoreExactConfig, CoreExactStats};
 pub use dsd_graph::GraphUpdate;
 pub use dsd_motif::store::StoreBuildStats;
-pub use dynamic::{repair_delete, repair_insert};
 pub use emcore::emcore_max_core;
 pub use engine::{
     pattern_key, ApplyStats, BoundRequest, CacheObserver, DsdEngine, DsdRequest, EngineCacheStats,

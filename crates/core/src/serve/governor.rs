@@ -221,15 +221,63 @@ impl SubstrateGovernor {
         state.peak = state.peak.max(state.total);
         deferred
     }
+
+    /// Ledgers `(engine, key)` at `epoch` and enforces the budget. The
+    /// footprint is read inside the governor's critical section: a value
+    /// read outside could go stale against this governor's own concurrent
+    /// evictions (record-after-evict would resurrect a dead entry), while
+    /// a read under the governor lock cannot, because evictions only
+    /// happen under it too. A footprint of 0 (streaming-only substrate,
+    /// a dropped cache half, or an epoch that moved on) removes the entry.
+    /// `used` stamps the entry most-recently-used; a repair keeps an
+    /// existing entry's stamp. Returns the engine handles whose drop must
+    /// wait until the caller releases its guard.
+    fn record(
+        &self,
+        state: &mut GovState,
+        engine: u64,
+        key: &PatternKey,
+        epoch: u64,
+        used: bool,
+    ) -> Vec<Arc<DsdEngine<'static>>> {
+        state.tick += 1;
+        let tick = state.tick;
+        let handle = state.engines.get(&engine).and_then(Weak::upgrade);
+        let bytes = handle.as_ref().map_or(0, |e| e.key_bytes(key, epoch));
+        let ledger_key = (engine, key.clone());
+        if bytes == 0 {
+            if let Some(old) = state.entries.remove(&ledger_key) {
+                state.total -= old.bytes;
+            }
+        } else {
+            let last_used = match state.entries.get(&ledger_key) {
+                Some(e) if !used => e.last_used,
+                _ => tick,
+            };
+            let old = state.entries.insert(
+                ledger_key,
+                Entry {
+                    epoch,
+                    bytes,
+                    last_used,
+                },
+            );
+            state.total += bytes;
+            if let Some(old) = old {
+                state.total -= old.bytes;
+                debug_assert!(old.epoch <= epoch, "engine epochs only advance");
+            }
+        }
+        let mut deferred = self.enforce(state);
+        deferred.extend(handle);
+        deferred
+    }
 }
 
 impl CacheObserver for SubstrateGovernor {
-    fn on_substrate_used(&self, engine: u64, key: &PatternKey, epoch: u64, _bytes: u64, hit: bool) {
-        let mut deferred;
-        {
+    fn on_substrate_used(&self, engine: u64, key: &PatternKey, epoch: u64, hit: bool) {
+        let deferred = {
             let mut state = self.state.lock().unwrap();
-            state.tick += 1;
-            let tick = state.tick;
             if hit {
                 state.hits += 1;
             } else {
@@ -238,88 +286,25 @@ impl CacheObserver for SubstrateGovernor {
                     state.rebuilds += 1;
                 }
             }
-            // Re-read the footprint inside the critical section: the
-            // engine-side value can go stale against this governor's own
-            // concurrent evictions (record-after-evict would resurrect a
-            // dead entry); a read under the governor lock cannot, because
-            // evictions only happen under it too.
-            let handle = state.engines.get(&engine).and_then(Weak::upgrade);
-            let bytes = handle.as_ref().map_or(0, |e| e.key_bytes(key, epoch));
-            let ledger_key = (engine, key.clone());
-            if bytes == 0 {
-                // Nothing cache-resident for this key (streaming-only
-                // substrate, or the epoch moved on before accounting).
-                if let Some(old) = state.entries.remove(&ledger_key) {
-                    state.total -= old.bytes;
-                }
-            } else {
-                let old = state.entries.insert(
-                    ledger_key,
-                    Entry {
-                        epoch,
-                        bytes,
-                        last_used: tick,
-                    },
-                );
-                state.total += bytes;
-                if let Some(old) = old {
-                    state.total -= old.bytes;
-                    debug_assert!(old.epoch <= epoch, "engine epochs only advance");
-                }
-            }
-            deferred = self.enforce(&mut state);
-            deferred.extend(handle);
-        }
+            self.record(&mut state, engine, key, epoch, true)
+        };
         drop(deferred);
     }
 
-    fn on_substrate_repaired(&self, engine: u64, key: &PatternKey, epoch: u64, _bytes: u64) {
-        let mut deferred;
-        {
+    fn on_substrate_repaired(&self, engine: u64, key: &PatternKey, epoch: u64) {
+        // A repair is cache maintenance, not a request: the hit, miss and
+        // rebuild counters stay untouched.
+        let deferred = {
             let mut state = self.state.lock().unwrap();
-            state.tick += 1;
-            let tick = state.tick;
-            // Resize the entry in place at the new epoch — a repair is
-            // cache maintenance, not a request, so hit/miss/rebuild
-            // counters stay untouched and an already-ledgered entry keeps
-            // its LRU stamp. As in `on_substrate_used`, the footprint is
-            // re-read inside the critical section; 0 means the key's
-            // cache half was dropped rather than repaired (e.g. the
-            // decomposition) and the entry falls out.
-            let handle = state.engines.get(&engine).and_then(Weak::upgrade);
-            let bytes = handle.as_ref().map_or(0, |e| e.key_bytes(key, epoch));
-            let ledger_key = (engine, key.clone());
-            if bytes == 0 {
-                if let Some(old) = state.entries.remove(&ledger_key) {
-                    state.total -= old.bytes;
-                }
-            } else {
-                let last_used = state.entries.get(&ledger_key).map_or(tick, |e| e.last_used);
-                let old = state.entries.insert(
-                    ledger_key,
-                    Entry {
-                        epoch,
-                        bytes,
-                        last_used,
-                    },
-                );
-                state.total += bytes;
-                if let Some(old) = old {
-                    state.total -= old.bytes;
-                    debug_assert!(old.epoch <= epoch, "engine epochs only advance");
-                }
-            }
-            deferred = self.enforce(&mut state);
-            deferred.extend(handle);
-        }
+            self.record(&mut state, engine, key, epoch, false)
+        };
         drop(deferred);
     }
 
-    fn on_engine_release(&self, engine: u64, _bytes: u64) {
+    fn on_engine_release(&self, engine: u64) {
         let mut state = self.state.lock().unwrap();
-        // Every ledger entry for this engine is gone wholesale (epoch
-        // bump or engine drop) — the per-entry bytes are authoritative,
-        // the reported sum is advisory.
+        // Every ledger entry for this engine is gone wholesale (a batch
+        // over the repair ceiling, or the engine dropping).
         let stale: Vec<(u64, PatternKey)> = state
             .entries
             .keys()

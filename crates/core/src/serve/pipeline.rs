@@ -571,8 +571,8 @@ fn run_job(shared: &Shared, dispatched: Dispatched) {
                 }
                 // Pin the substrate entry this query is about to use so
                 // the LRU doesn't thrash it mid-request. The query
-                // variant runs on the (in-place-repaired, unevicted)
-                // classical k-core order and needs no pin; its cached
+                // variant runs on the classical k-core order, which the
+                // governor never evicts, and needs no pin; its cached
                 // flow network is take/put (out of the cache while
                 // lent), so eviction can never touch it mid-request.
                 let _lease: Option<SubstrateLease> =

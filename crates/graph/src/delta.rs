@@ -7,18 +7,15 @@
 //! * [`GraphUpdate`] — one edge insertion or deletion;
 //! * [`EdgeOverlay`] — an accumulated batch of effective updates, stored
 //!   as per-vertex sorted add/remove lists;
-//! * [`DeltaGraph`] — a read view of `base ⊕ overlay` (degrees, neighbour
-//!   iteration, edge probes) that incremental algorithms run against
-//!   *without* rebuilding the CSR;
-//! * [`DeltaGraph::materialize`] — the rebuild-or-patch policy that turns
-//!   the view back into a plain [`Graph`]: small overlays are merged into
-//!   the existing CSR arrays in one linear pass, large overlays fall back
-//!   to a full [`GraphBuilder`] rebuild.
+//! * [`DeltaGraph`] — `base ⊕ overlay`, pending its merge;
+//! * [`DeltaGraph::materialize`] — the merge, with a rebuild-or-patch
+//!   policy that turns the pair back into a plain [`Graph`]: small
+//!   overlays are merged into the existing CSR arrays in one linear pass,
+//!   large overlays fall back to a full [`GraphBuilder`] rebuild.
 //!
 //! The intended lifecycle (what `dsd-core`'s engine does): accumulate
-//! updates in an overlay, repair the incremental k-core order against the
-//! [`DeltaGraph`] view after each edge, and materialize only when a reader
-//! actually needs a CSR — a Ψ-store repair or the next snapshot.
+//! updates in an overlay and materialize only when a reader actually
+//! needs a CSR — a Ψ-store repair or the next snapshot.
 //!
 //! ```
 //! use dsd_graph::{DeltaGraph, EdgeOverlay, Graph, GraphUpdate};
@@ -31,10 +28,10 @@
 //!
 //! let view = DeltaGraph::new(&base, &overlay);
 //! assert_eq!(view.num_edges(), 3);
-//! assert!(view.has_edge(2, 3));
-//! assert!(!view.has_edge(0, 1));
 //!
 //! let g = view.materialize();
+//! assert!(g.has_edge(2, 3));
+//! assert!(!g.has_edge(0, 1));
 //! assert_eq!(g.neighbors(2), &[0, 1, 3]);
 //! ```
 
@@ -62,37 +59,6 @@ impl GraphUpdate {
     pub fn endpoints(&self) -> (VertexId, VertexId) {
         match *self {
             GraphUpdate::Insert(u, v) | GraphUpdate::Delete(u, v) => (u, v),
-        }
-    }
-}
-
-/// Read access to an adjacency structure — the slice of the [`Graph`] API
-/// that incremental maintenance algorithms need, implemented by both the
-/// plain CSR and the [`DeltaGraph`] overlay view. Neighbour iteration is
-/// statically dispatched (the per-edge inner loop of the k-core repairs).
-pub trait AdjacencyView {
-    /// Number of vertices.
-    fn num_vertices(&self) -> usize;
-
-    /// Degree of `v`.
-    fn degree(&self, v: VertexId) -> usize;
-
-    /// Calls `f` once per neighbour of `v`, in unspecified order.
-    fn for_each_neighbor<F: FnMut(VertexId)>(&self, v: VertexId, f: F);
-}
-
-impl AdjacencyView for Graph {
-    fn num_vertices(&self) -> usize {
-        Graph::num_vertices(self)
-    }
-
-    fn degree(&self, v: VertexId) -> usize {
-        Graph::degree(self, v)
-    }
-
-    fn for_each_neighbor<F: FnMut(VertexId)>(&self, v: VertexId, mut f: F) {
-        for &u in self.neighbors(v) {
-            f(u);
         }
     }
 }
@@ -239,12 +205,8 @@ fn contains_sorted(map: &HashMap<VertexId, Vec<VertexId>>, key: VertexId, value:
         .is_some_and(|list| list.binary_search(&value).is_ok())
 }
 
-/// A read view of `base ⊕ overlay`: adjacency with the overlay's adds and
-/// removes spliced in, without rebuilding the CSR.
-///
-/// Neighbour iteration visits the surviving base neighbours (sorted)
-/// followed by the added neighbours (sorted) — the combined order is *not*
-/// globally sorted, which the incremental algorithms don't need.
+/// `base ⊕ overlay`: a CSR plus the overlay of edge updates applied since
+/// it was built, merged into a fresh CSR by [`DeltaGraph::materialize`].
 #[derive(Clone, Copy)]
 pub struct DeltaGraph<'a> {
     base: &'a Graph,
@@ -272,18 +234,10 @@ impl<'a> DeltaGraph<'a> {
         self.base.num_edges() + self.overlay.added_edges - self.overlay.removed_edges
     }
 
-    /// Degree of `v` in the combined view.
-    pub fn degree(&self, v: VertexId) -> usize {
-        self.base.degree(v) + self.overlay.added_at(v).len() - self.overlay.removed_at(v).len()
-    }
-
-    /// Whether `{u, v}` is present in the combined view.
-    pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        self.overlay.edge_present(self.base, u, v)
-    }
-
-    /// Calls `f` once per neighbour of `v` in the combined view.
-    pub fn for_each_neighbor_impl<F: FnMut(VertexId)>(&self, v: VertexId, mut f: F) {
+    /// Calls `f` once per neighbour of `v` in the combined view: the
+    /// surviving base neighbours, then the added ones (each run sorted,
+    /// the whole not).
+    fn for_each_neighbor<F: FnMut(VertexId)>(&self, v: VertexId, mut f: F) {
         let removed = self.overlay.removed_at(v);
         for &u in self.base.neighbors(v) {
             if removed.is_empty() || removed.binary_search(&u).is_err() {
@@ -312,7 +266,7 @@ impl<'a> DeltaGraph<'a> {
             // Rebuild: collect the surviving edge list and sort once.
             let mut b = GraphBuilder::with_capacity(self.num_vertices(), self.num_edges());
             for v in 0..self.num_vertices() as VertexId {
-                self.for_each_neighbor_impl(v, &mut |u| {
+                self.for_each_neighbor(v, |u| {
                     if v < u {
                         b.add_edge(v, u);
                     }
@@ -360,20 +314,6 @@ impl<'a> DeltaGraph<'a> {
     }
 }
 
-impl AdjacencyView for DeltaGraph<'_> {
-    fn num_vertices(&self) -> usize {
-        DeltaGraph::num_vertices(self)
-    }
-
-    fn degree(&self, v: VertexId) -> usize {
-        DeltaGraph::degree(self, v)
-    }
-
-    fn for_each_neighbor<F: FnMut(VertexId)>(&self, v: VertexId, f: F) {
-        self.for_each_neighbor_impl(v, f);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,13 +322,6 @@ mod tests {
     fn base() -> Graph {
         // Triangle 0-1-2, pendant 3 on 0, isolated 4.
         Graph::from_edges(5, &[(0, 1), (1, 2), (0, 2), (0, 3)])
-    }
-
-    fn sorted_neighbors(view: &DeltaGraph<'_>, v: VertexId) -> Vec<VertexId> {
-        let mut out = Vec::new();
-        view.for_each_neighbor_impl(v, &mut |u| out.push(u));
-        out.sort_unstable();
-        out
     }
 
     #[test]
@@ -415,7 +348,7 @@ mod tests {
     }
 
     #[test]
-    fn view_reflects_overlay() {
+    fn merge_reflects_overlay() {
         let g = base();
         let mut ov = EdgeOverlay::default();
         ov.apply(&g, &GraphUpdate::Insert(2, 3));
@@ -423,17 +356,17 @@ mod tests {
         ov.apply(&g, &GraphUpdate::Delete(0, 1));
         let view = DeltaGraph::new(&g, &ov);
         assert_eq!(view.num_edges(), 5);
-        assert_eq!(view.degree(0), 2);
-        assert_eq!(view.degree(3), 3);
-        assert!(view.has_edge(3, 4));
-        assert!(!view.has_edge(0, 1));
-        assert_eq!(sorted_neighbors(&view, 3), vec![0, 2, 4]);
-        assert_eq!(sorted_neighbors(&view, 0), vec![2, 3]);
+        let merged = view.materialize();
+        assert_eq!(merged.num_edges(), 5);
+        assert!(merged.has_edge(3, 4));
+        assert!(!merged.has_edge(0, 1));
+        assert_eq!(merged.neighbors(3), &[0, 2, 4]);
+        assert_eq!(merged.neighbors(0), &[2, 3]);
     }
 
     /// Applies `updates` to `g` through an overlay, mirrored on a plain
-    /// edge set, and checks the view and `materialize` against a
-    /// from-scratch build of the mirror. Returns the overlay's size.
+    /// edge set, and checks `materialize` against a from-scratch build of
+    /// the mirror. Returns the overlay's size.
     fn check_against_scratch(g: &Graph, updates: &[GraphUpdate]) -> usize {
         let n = g.num_vertices();
         let mut ov = EdgeOverlay::default();
@@ -459,14 +392,6 @@ mod tests {
         let removed: Vec<_> = before.difference(&edges).copied().collect();
         assert_eq!(ov.added_edge_list(), added, "added edge list");
         assert_eq!(ov.removed_edge_list(), removed, "removed edge list");
-        for v in 0..n as VertexId {
-            assert_eq!(view.degree(v), expect.degree(v), "degree of {v}");
-            assert_eq!(
-                sorted_neighbors(&view, v),
-                expect.neighbors(v).to_vec(),
-                "neighbours of {v}"
-            );
-        }
         ov.len()
     }
 

@@ -12,8 +12,8 @@
 //! * [`InducedSubgraph`] — materialized induced subgraphs with old/new id
 //!   maps, used when an algorithm recurses into a core or a component;
 //! * [`delta`] — dynamic edge updates: [`GraphUpdate`] batches accumulate
-//!   in an [`EdgeOverlay`], readable through a [`DeltaGraph`] view and
-//!   materialized back into a CSR with a rebuild-or-patch policy;
+//!   in an [`EdgeOverlay`], and a [`DeltaGraph`] merges them back into a
+//!   CSR with a rebuild-or-patch policy;
 //! * [`components`] — connected components;
 //! * [`order`] — degeneracy ordering and the oriented DAG used by the
 //!   k-clique listing algorithm of Danisch et al.;
@@ -42,7 +42,7 @@ pub mod testing;
 pub mod view;
 
 pub use components::{connected_components, connected_components_within, ConnectedComponents};
-pub use delta::{AdjacencyView, DeltaGraph, EdgeOverlay, GraphUpdate};
+pub use delta::{DeltaGraph, EdgeOverlay, GraphUpdate};
 pub use graph::{Graph, GraphBuilder, VertexId};
 pub use order::{degeneracy_order, DegeneracyOrder};
 pub use view::{InducedSubgraph, VertexSet};

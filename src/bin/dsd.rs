@@ -47,7 +47,7 @@
 //!
 //! Jobs stream into per-graph admission queues in file order. An `update`
 //! barriers only its own graph's queue: requests above it see the old
-//! graph, requests below it the new one (incremental k-core repair, epoch
+//! graph, requests below it the new one (in-place Ψ-store repair, epoch
 //! bump, no re-registration), while other graphs' traffic flows on.
 //! Re-registering a name first waits out everything queued above it.
 //! `--workers` (also spelled `--threads`, default 2) threads pull across
@@ -183,13 +183,20 @@ fn load_graph(path: &str) -> Result<Graph, String> {
 /// Parses one `req <graph> [flags...]` directive into a routed request.
 fn parse_req_directive(tokens: &[&str]) -> Result<DsdRequest, String> {
     let graph = tokens.first().ok_or("req needs a graph name")?;
+    Ok(parse_request_flags(&tokens[1..])?.on(*graph))
+}
+
+/// Parses the request flags `--psi`, `--method`, `--objective`,
+/// `--tolerance`, `--budget` and `--query` into a request, shared by
+/// `dsd <file>` and the `req` directive.
+fn parse_request_flags(tokens: &[&str]) -> Result<DsdRequest, String> {
     let mut psi = Pattern::edge();
     let mut objective = Objective::Densest;
     let mut method = Method::Auto;
     let mut tolerance: Option<f64> = None;
     let mut budget: Option<usize> = None;
 
-    let mut it = tokens[1..].iter();
+    let mut it = tokens.iter();
     while let Some(&flag) = it.next() {
         let mut value = || -> Result<&str, String> {
             it.next().copied().ok_or(format!("{flag} needs a value"))
@@ -231,10 +238,7 @@ fn parse_req_directive(tokens: &[&str]) -> Result<DsdRequest, String> {
             other => return Err(format!("unknown req flag {other:?}")),
         }
     }
-    let mut req = DsdRequest::new(&psi)
-        .on(*graph)
-        .objective(objective)
-        .method(method);
+    let mut req = DsdRequest::new(&psi).objective(objective).method(method);
     if let Some(t) = tolerance {
         req = req.tolerance(t);
     }
@@ -278,17 +282,12 @@ fn parse_update_directive(tokens: &[&str]) -> Result<(String, Vec<GraphUpdate>),
 
 fn print_update(name: &str, st: &ApplyStats) {
     println!(
-        "updated {name}: +{} -{} (~{} no-ops), epoch {}, k-core {}, \
+        "updated {name}: +{} -{} (~{} no-ops), epoch {}, \
          substrates {} repaired / {} rebuilt{}",
         st.inserted,
         st.deleted,
         st.ignored,
         st.epoch,
-        if st.kcore_patched {
-            "patched"
-        } else {
-            "deferred rebuild"
-        },
         st.substrates_repaired,
         st.substrates_rebuilt,
         if st.csr_deferred {
@@ -587,11 +586,7 @@ fn main() -> ExitCode {
         return run_requests(mode, &args[1..]);
     }
     let mut file: Option<&str> = None;
-    let mut psi = Pattern::edge();
-    let mut method = Method::Auto;
-    let mut objective = Objective::Densest;
-    let mut tolerance: Option<f64> = None;
-    let mut budget: Option<usize> = None;
+    let mut request_flags: Vec<&str> = Vec::new();
     let mut threads = 1usize;
     let mut substrate_budget: Option<Option<u64>> = None;
     let mut stats = false;
@@ -599,54 +594,11 @@ fn main() -> ExitCode {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--psi" => match it.next().and_then(|s| parse_pattern(s)) {
-                Some(p) => psi = p,
-                None => {
-                    eprintln!("unknown pattern");
-                    return usage();
-                }
-            },
-            "--method" => match it.next().and_then(|s| parse_method(s)) {
-                Some(m) => method = m,
-                None => {
-                    eprintln!("unknown method");
-                    return usage();
-                }
-            },
-            "--objective" => match it.next().and_then(|s| parse_objective(s)) {
-                Some(o) => objective = o,
-                None => {
-                    eprintln!("unknown objective");
-                    return usage();
-                }
-            },
-            "--tolerance" => match it.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(t) if t >= 0.0 => tolerance = Some(t),
-                _ => {
-                    eprintln!("bad --tolerance");
-                    return usage();
-                }
-            },
-            "--budget" => match it.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(b) => budget = Some(b),
-                None => {
-                    eprintln!("bad --budget");
-                    return usage();
-                }
-            },
-            "--query" => match it.next() {
-                Some(list) => {
-                    let parsed: Result<Vec<u32>, _> = list.split(',').map(str::parse).collect();
-                    match parsed {
-                        Ok(vs) if !vs.is_empty() => objective = Objective::WithQuery(vs),
-                        _ => {
-                            eprintln!("bad --query list");
-                            return usage();
-                        }
-                    }
-                }
-                None => return usage(),
-            },
+            flag @ ("--psi" | "--method" | "--objective" | "--tolerance" | "--budget"
+            | "--query") => {
+                request_flags.push(flag);
+                request_flags.extend(it.next().map(String::as_str));
+            }
             "--threads" => match it.next().and_then(|s| s.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => threads = n,
                 _ => {
@@ -668,6 +620,13 @@ fn main() -> ExitCode {
             _ => return usage(),
         }
     }
+    let request = match parse_request_flags(&request_flags) {
+        Ok(req) => req,
+        Err(e) => {
+            eprintln!("{e}");
+            return usage();
+        }
+    };
     let Some(path) = file else { return usage() };
     let g = match load_graph(path) {
         Ok(g) => g,
@@ -691,7 +650,8 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    if matches!(objective, Objective::WithQuery(_)) && psi.vertex_count() != 2 {
+    let psi = request.psi();
+    if matches!(request.objective_ref(), Objective::WithQuery(_)) && psi.vertex_count() != 2 {
         eprintln!(
             "note: --query computes edge density (Section 6.3 variant); --psi {} is ignored",
             psi.name()
@@ -701,21 +661,10 @@ fn main() -> ExitCode {
     if let Some(b) = substrate_budget {
         engine = engine.with_substrate_budget(b);
     }
-    let engine = engine;
-    let mut request = engine
-        .request(&psi)
-        .objective(objective.clone())
-        .method(method);
-    if let Some(t) = tolerance {
-        request = request.tolerance(t);
-    }
-    if let Some(b) = budget {
-        request = request.step_budget(b);
-    }
-    let solution = request.solve();
+    let solution = engine.solve(&request);
 
     if solution.outcome == Outcome::Invalid {
-        eprintln!("invalid request: {objective:?}");
+        eprintln!("invalid request: {:?}", solution.objective);
         return ExitCode::FAILURE;
     }
     // The query variant is defined on edge density regardless of Ψ — label

@@ -44,8 +44,8 @@
 //!
 //! Graphs are not frozen: [`DsdEngine::apply`] (and
 //! [`DsdServer::submit_update`] for named graphs) absorbs
-//! [`GraphUpdate`](graph::GraphUpdate) batches in place — incremental
-//! k-core repair, conservative Ψ-substrate invalidation, lazy CSR
+//! [`GraphUpdate`](graph::GraphUpdate) batches in place — in-place
+//! Ψ-store repair, lazy rebuilds of every other substrate, lazy CSR
 //! materialization — bumping a graph epoch that every solution reports
 //! in its stats.
 //!

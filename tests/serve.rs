@@ -328,9 +328,8 @@ struct Gate {
 }
 
 impl CacheObserver for Gate {
-    fn on_substrate_used(&self, engine: u64, key: &PatternKey, epoch: u64, bytes: u64, hit: bool) {
-        self.governor
-            .on_substrate_used(engine, key, epoch, bytes, hit);
+    fn on_substrate_used(&self, engine: u64, key: &PatternKey, epoch: u64, hit: bool) {
+        self.governor.on_substrate_used(engine, key, epoch, hit);
         let held = self.hold.lock().unwrap().take();
         if let Some((arrived, release)) = held {
             arrived.send(()).unwrap();
@@ -338,13 +337,12 @@ impl CacheObserver for Gate {
         }
     }
 
-    fn on_engine_release(&self, engine: u64, bytes: u64) {
-        self.governor.on_engine_release(engine, bytes);
+    fn on_engine_release(&self, engine: u64) {
+        self.governor.on_engine_release(engine);
     }
 
-    fn on_substrate_repaired(&self, engine: u64, key: &PatternKey, epoch: u64, bytes: u64) {
-        self.governor
-            .on_substrate_repaired(engine, key, epoch, bytes);
+    fn on_substrate_repaired(&self, engine: u64, key: &PatternKey, epoch: u64) {
+        self.governor.on_substrate_repaired(engine, key, epoch);
     }
 }
 
