@@ -22,6 +22,21 @@
 //! one probe, and a near-optimal seed witness is certified by the
 //! α-search's witness jump one probe later.
 //!
+//! **Located region.** Everything before the per-component loop — kmax
+//! and ρ′, the seed answer, the lower bound `l`, the located level `k″`
+//! and the located core's components with their members' core numbers —
+//! is one immutable `LocatedRegion` record, the *locate* step. The
+//! *search* step reads only the record, so the Pruning3 shrinks filter
+//! the record's components instead of the decomposition. The record
+//! depends on nothing but the graph epoch, the vertex set searched (the
+//! whole graph, or a TopK residual) and the Pruning1/2 switches —
+//! tolerance, step budget and Pruning3 only steer the search — so a
+//! context with a lender keeps it beside the component networks it leads
+//! to, and a warm repeat skips the seed density, the component scans and,
+//! for a residual round, the peel. Answers and flow counters are the ones
+//! a fresh locate gives, because the search consumes exactly what the
+//! locate step computed.
+//!
 //! **Witness seed.** A component network borrowed warm from the engine's
 //! cache remembers the densest witness an earlier search on it certified
 //! ([`DensityNetwork::witness`]). CoreExact raises the answer and `l` to
@@ -44,6 +59,8 @@
 //! with the ρ′/ρ″-achieving subgraph so the optimum is returned even when
 //! no strictly-denser subgraph exists (`S = {s}` everywhere).
 
+use std::borrow::Cow;
+use std::sync::Arc;
 use std::time::Instant;
 
 use dsd_graph::{connected_components_within, Graph, VertexId};
@@ -52,7 +69,7 @@ use dsd_motif::Pattern;
 use crate::alpha_search::{alpha_search, effective_gap, DecisionProbe, ExactStats, FirstProbe};
 use crate::clique_core::CliqueCoreDecomposition;
 use crate::exact::{acquire_network, release_network};
-use crate::flownet::{DensityNetwork, NetworkLender};
+use crate::flownet::{DensityNetwork, Located, NetworkLender, RegionKey};
 use crate::oracle::{member_density, DensityOracle};
 use crate::substrates::Substrates;
 use crate::types::DsdResult;
@@ -120,13 +137,152 @@ fn ceil_k(x: f64) -> u64 {
     }
 }
 
-/// Intersects `members` with the `(k, Ψ)`-core (by global core numbers).
-fn restrict_to_core(members: &[VertexId], dec: &CliqueCoreDecomposition, k: u64) -> Vec<VertexId> {
-    members
-        .iter()
-        .copied()
-        .filter(|&v| dec.core[v as usize] >= k)
-        .collect()
+/// CoreExact's located region: everything Algorithm 4 computes before
+/// its per-component loop (lines 1–5 with Pruning1–2 and Lemma 7). It
+/// depends only on the graph epoch, the vertex set searched and the
+/// Pruning1/2 switches, so the engine keeps it beside the component
+/// networks it leads to (see the module docs).
+#[derive(Debug)]
+pub(crate) struct LocatedRegion {
+    kmax: u64,
+    rho_prime: f64,
+    /// The seed answer (the ρ′-, ρ″- or max-core subgraph) and its
+    /// density.
+    seed: Vec<VertexId>,
+    seed_rho: f64,
+    /// The lower bound after Pruning1/2.
+    l: f64,
+    k_loc: u64,
+    located_size: usize,
+    /// The located core's connected components, in search order.
+    components: Vec<LocatedComponent>,
+}
+
+/// One connected component of the located core, with its members' core
+/// numbers for the Pruning3 shrinks.
+#[derive(Debug)]
+struct LocatedComponent {
+    /// Ascending.
+    members: Vec<VertexId>,
+    /// `core[i]` is the (k, Ψ)-core number of `members[i]`.
+    core: Vec<u64>,
+}
+
+impl LocatedComponent {
+    /// The component's members in the `(k, Ψ)`-core.
+    fn restrict(&self, k: u64) -> Vec<VertexId> {
+        self.members
+            .iter()
+            .zip(&self.core)
+            .filter(|&(_, &c)| c >= k)
+            .map(|(&v, _)| v)
+            .collect()
+    }
+}
+
+impl LocatedRegion {
+    /// Locates the CDS in `dec` (Algorithm 4 lines 1–5).
+    fn locate(
+        g: &Graph,
+        oracle: &dyn DensityOracle,
+        dec: &CliqueCoreDecomposition,
+        size: f64,
+        config: CoreExactConfig,
+    ) -> Self {
+        if dec.kmax == 0 {
+            return LocatedRegion {
+                kmax: 0,
+                rho_prime: dec.best_density,
+                seed: Vec::new(),
+                seed_rho: 0.0,
+                l: 0.0,
+                k_loc: 0,
+                located_size: 0,
+                components: Vec::new(),
+            };
+        }
+
+        // Lower bound and initial answer. Theorem 1 guarantees the (kmax,
+        // Ψ)-core achieves at least kmax/|VΨ|; Pruning1 may beat it with the
+        // ρ′-achieving residual graph.
+        let kmax_bound = dec.kmax as f64 / size;
+        let (mut best_vs, mut best_rho) = {
+            let core_vs = dec.max_core().to_vec();
+            let core_rho = member_density(oracle, g, &core_vs);
+            if config.pruning1 && dec.best_density > core_rho {
+                (dec.best_residual(), dec.best_density)
+            } else {
+                (core_vs, core_rho)
+            }
+        };
+        let mut l = if config.pruning1 {
+            dec.best_density.max(kmax_bound)
+        } else {
+            kmax_bound
+        };
+
+        // Step 2: locate the CDS in the (k″, Ψ)-core.
+        let mut k_loc = ceil_k(l).max(1);
+        let mut core_set = dec.core_set(k_loc);
+        if config.pruning2 {
+            // ρ″: densest connected component of the located core.
+            let ccs = connected_components_within(g, &core_set);
+            let mut rho2 = 0.0f64;
+            let mut rho2_vs: Vec<VertexId> = Vec::new();
+            for members in ccs.all_members() {
+                let rho = member_density(oracle, g, &members);
+                if rho > rho2 {
+                    rho2 = rho;
+                    rho2_vs = members;
+                }
+            }
+            if rho2 > best_rho {
+                best_rho = rho2;
+                best_vs = rho2_vs;
+            }
+            if rho2 > l {
+                l = rho2;
+            }
+            let k2 = ceil_k(rho2);
+            if k2 > k_loc {
+                k_loc = k2;
+                core_set = dec.core_set(k_loc);
+            }
+        }
+        let components = connected_components_within(g, &core_set)
+            .all_members()
+            .into_iter()
+            .map(|members| LocatedComponent {
+                core: members.iter().map(|&v| dec.core[v as usize]).collect(),
+                members,
+            })
+            .collect();
+        LocatedRegion {
+            kmax: dec.kmax,
+            rho_prime: dec.best_density,
+            seed: best_vs,
+            seed_rho: best_rho,
+            l,
+            k_loc,
+            located_size: core_set.len(),
+            components,
+        }
+    }
+
+    /// Resident heap bytes of the record.
+    pub(crate) fn bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.seed.len() * std::mem::size_of::<VertexId>()
+            + self
+                .components
+                .iter()
+                .map(|c| {
+                    std::mem::size_of::<LocatedComponent>()
+                        + c.members.len() * std::mem::size_of::<VertexId>()
+                        + c.core.len() * std::mem::size_of::<u64>()
+                })
+                .sum::<usize>()
+    }
 }
 
 /// The per-component probe of CoreExact's α-search (Algorithm 4 lines
@@ -138,8 +294,10 @@ struct ComponentProbe<'a> {
     g: &'a Graph,
     psi: &'a Pattern,
     oracle: &'a dyn DensityOracle,
-    dec: &'a CliqueCoreDecomposition,
-    comp: Vec<VertexId>,
+    /// The located component this search started from.
+    located: &'a LocatedComponent,
+    /// Its members in the `(comp_k, Ψ)`-core.
+    comp: Cow<'a, [VertexId]>,
     comp_k: u64,
     net: DensityNetwork,
     best_rho: &'a mut f64,
@@ -176,7 +334,7 @@ impl DecisionProbe for ComponentProbe<'_> {
         // a deeper core and rebuild smaller.
         let ak = ceil_k(alpha);
         if ak > self.comp_k {
-            let shrunk = restrict_to_core(&self.comp, self.dec, ak);
+            let shrunk = self.located.restrict(ak);
             if shrunk.len() < self.comp.len() && shrunk.len() >= self.psi.vertex_count() {
                 self.retired_flow += self.net.probe_stats();
                 // Slice the shrunk component's network out of the store
@@ -187,7 +345,7 @@ impl DecisionProbe for ComponentProbe<'_> {
                     acquire_network(self.g, &shrunk, self.psi, true, self.oracle, self.lender);
                 let outgrown = std::mem::replace(&mut self.net, fresh);
                 release_network(&self.comp, outgrown, self.lender);
-                self.comp = shrunk;
+                self.comp = Cow::Owned(shrunk);
             }
             self.comp_k = ak;
         }
@@ -203,97 +361,48 @@ impl Substrates<'_> {
     /// Runs CoreExact (cliques) / CorePExact (general patterns) with the
     /// given configuration on this context's oracle and decomposition.
     ///
-    /// Every component network (including Pruning3's shrink restarts) is
-    /// borrowed from the context's lender when one is warm and returned
-    /// afterwards, so repeat requests on an unchanged graph skip
-    /// construction entirely.
+    /// The located region is the lender's record when one is resident
+    /// (see the module docs). Every component network (including
+    /// Pruning3's shrink restarts) is borrowed from the context's lender
+    /// when one is warm and returned afterwards, so repeat requests on an
+    /// unchanged graph skip location and construction entirely.
     pub fn core_exact(&self, config: CoreExactConfig) -> (DsdResult, CoreExactStats) {
         let t_total = Instant::now();
         let (g, psi, oracle, lender) = (self.graph(), self.pattern(), self.oracle(), self.lender());
-        let dec = self.decomposition();
-        let size = psi.vertex_count() as f64;
+        let region = self.located_region(config);
         let mut stats = CoreExactStats {
             decomposition_nanos: self.decomposition_nanos(),
-            kmax: dec.kmax,
-            rho_prime: dec.best_density,
+            kmax: region.kmax,
+            rho_prime: region.rho_prime,
             ..CoreExactStats::default()
         };
 
-        if dec.kmax == 0 {
+        if region.kmax == 0 {
             stats.total_nanos = t_total.elapsed().as_nanos();
             return (DsdResult::empty(), stats);
         }
-
-        // Lower bound and initial answer. Theorem 1 guarantees the (kmax,
-        // Ψ)-core achieves at least kmax/|VΨ|; Pruning1 may beat it with the
-        // ρ′-achieving residual graph.
-        let kmax_bound = dec.kmax as f64 / size;
-        let mut best_vs: Vec<VertexId>;
-        let mut best_rho: f64;
-        {
-            let core_vs = dec.max_core().to_vec();
-            let core_rho = member_density(oracle, g, &core_vs);
-            if config.pruning1 && dec.best_density > core_rho {
-                best_vs = dec.best_residual();
-                best_rho = dec.best_density;
-            } else {
-                best_vs = core_vs;
-                best_rho = core_rho;
-            }
-        }
-        let mut l = if config.pruning1 {
-            dec.best_density.max(kmax_bound)
-        } else {
-            kmax_bound
-        };
-
-        // Step 2: locate the CDS in the (k″, Ψ)-core.
-        let mut k_loc = ceil_k(l).max(1);
-        let mut core_set = dec.core_set(k_loc);
-        if config.pruning2 {
-            // ρ″: densest connected component of the located core.
-            let ccs = connected_components_within(g, &core_set);
-            let mut rho2 = 0.0f64;
-            let mut rho2_vs: Vec<VertexId> = Vec::new();
-            for members in ccs.all_members() {
-                let rho = member_density(oracle, g, &members);
-                if rho > rho2 {
-                    rho2 = rho;
-                    rho2_vs = members;
-                }
-            }
-            if rho2 > best_rho {
-                best_rho = rho2;
-                best_vs = rho2_vs;
-            }
-            if rho2 > l {
-                l = rho2;
-            }
-            let k2 = ceil_k(rho2);
-            if k2 > k_loc {
-                k_loc = k2;
-                core_set = dec.core_set(k_loc);
-            }
-        }
-        stats.located_k = k_loc;
-        stats.located_size = core_set.len();
+        let mut best_vs = region.seed.clone();
+        let mut best_rho = region.seed_rho;
+        let mut l = region.l;
+        stats.located_k = region.k_loc;
+        stats.located_size = region.located_size;
 
         // Step 3: per-component α-search on shrinking networks, all riding
         // the shared loop with one probe budget across components.
-        let u_global = dec.kmax as f64;
+        let u_global = region.kmax as f64;
         stats.exact.initial_bounds = (l, u_global);
         let budget = config.step_budget.unwrap_or(usize::MAX);
-        let ccs = connected_components_within(g, &core_set);
-        for mut comp in ccs.all_members() {
+        for located in &region.components {
             if stats.exact.iterations >= budget {
                 stats.exact.budget_exhausted = true;
                 break;
             }
             // Line 6: if l has outgrown the located core level, shrink first.
-            let mut comp_k = k_loc;
+            let mut comp = Cow::Borrowed(located.members.as_slice());
+            let mut comp_k = region.k_loc;
             let lk = ceil_k(l);
             if lk > comp_k {
-                comp = restrict_to_core(&comp, dec, lk);
+                comp = Cow::Owned(located.restrict(lk));
                 comp_k = lk;
             }
             if comp.len() < psi.vertex_count() {
@@ -321,7 +430,7 @@ impl Substrates<'_> {
                 g,
                 psi,
                 oracle,
-                dec,
+                located,
                 comp,
                 comp_k,
                 net,
@@ -356,6 +465,33 @@ impl Substrates<'_> {
             },
             stats,
         )
+    }
+
+    /// This context's located region: the lender's record, or a fresh one
+    /// located in the decomposition.
+    fn located_region(&self, config: CoreExactConfig) -> Arc<LocatedRegion> {
+        // The whole graph's decomposition is an engine substrate: read it on
+        // a record hit too (an `Arc` clone), so kmax and the substrate
+        // accounting do not depend on the record. A residual round peels
+        // only on a miss.
+        let removed = self.removed();
+        if removed.is_empty() {
+            self.decomposition();
+        }
+        let key = RegionKey::Core {
+            removed,
+            pruning1: config.pruning1,
+            pruning2: config.pruning2,
+        };
+        let locate = || {
+            let (g, psi, oracle) = (self.graph(), self.pattern(), self.oracle());
+            let size = psi.vertex_count() as f64;
+            LocatedRegion::locate(g, oracle, self.decomposition(), size, config)
+        };
+        match self.located(&key, || Located::Core(Arc::new(locate()))) {
+            Located::Core(region) => region,
+            Located::Query(_) => unreachable!("a lender answers a core key with a core record"),
+        }
     }
 }
 

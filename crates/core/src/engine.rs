@@ -13,8 +13,11 @@
 //!
 //! The engine owns the graph and memoizes all three, keyed by Ψ's canonical
 //! form (isomorphic patterns share one entry), plus the solved flow
-//! networks of the exact searches, so a request workload pays each
-//! substrate once instead of once per call.
+//! networks of the exact searches and the located regions that lead to
+//! them (CoreExact's located core per residual vertex set, the query
+//! variant's anchored core per Q), so a request workload pays each
+//! substrate, and each locate step, once per graph epoch instead of once
+//! per call.
 //!
 //! Every request runs through one skeleton, [`DsdEngine::solve`]: it opens
 //! a [`Substrates`] context over the caches, dispatches on
@@ -78,7 +81,7 @@ use crate::alpha_search::ExactStats;
 use crate::clique_core::{decompose, CliqueCoreDecomposition};
 use crate::core_exact::CoreExactConfig;
 use crate::exact::ExactOpts;
-use crate::flownet::{DensityNetwork, Fnv, NetworkLender};
+use crate::flownet::{DensityNetwork, Fnv, Located, NetworkLender, RegionKey};
 use crate::kcore::{k_core_decomposition, KCoreDecomposition};
 use crate::oracle::{
     oracle_with_policy, DensityOracle, StoreStats, SubstrateRepair, DEFAULT_STORE_BUDGET,
@@ -246,6 +249,13 @@ pub struct EngineCacheStats {
     /// fresh network. Every miss on a cacheable path later `put`s the
     /// network back, so misses bound the cache's entry churn.
     pub network_misses: usize,
+    /// Located-region records served from the network cache: a CoreExact
+    /// round or a query that skipped its locate step (the residual peel,
+    /// the Q-pinned peel and the component scans) and went straight to
+    /// the α-search.
+    pub located_hits: usize,
+    /// Located-region records computed and kept for the next request.
+    pub located_misses: usize,
 }
 
 /// Cache key for a pattern: vertex count + the canonical edge list under
@@ -346,6 +356,12 @@ struct SubstrateCache {
 /// *removed* while lent, and a concurrent request on a lent key waits for
 /// it to come back rather than building a duplicate: the duplicate cost a
 /// full network build and, once the two `put`s raced, was dropped again.
+///
+/// Beside the networks it keeps the located-region records that lead to
+/// them ([`Located`]): CoreExact's located core per (Ψ, removed set,
+/// Pruning1/2) and the query variant's anchored core per (Q). A record is
+/// shared, never lent. Records are charged, evicted and dropped at an
+/// epoch bump exactly like the networks, under the same Ψ key.
 #[derive(Default)]
 struct NetworkCache {
     /// Graph epoch the cached networks were solved against; mismatched
@@ -358,25 +374,79 @@ struct NetworkCache {
     /// Keys lent out (or being built) at `epoch`, with the id of the
     /// [`EngineLender`] that holds each.
     lent: HashMap<(PatternKey, u64), u64>,
+    /// Located-region records at `epoch`, keyed by `(canonical Ψ, region
+    /// fingerprint)`, with their byte footprint.
+    records: HashMap<(PatternKey, u64), (Located, usize)>,
 }
 
 impl NetworkCache {
+    /// Resident bytes of the cached networks and records.
     fn bytes(&self) -> u64 {
-        self.entries.values().map(|(_, b)| *b as u64).sum()
+        let networks: u64 = self.entries.values().map(|(_, b)| *b as u64).sum();
+        let records: u64 = self.records.values().map(|(_, b)| *b as u64).sum();
+        networks + records
+    }
+
+    /// Resident bytes of the networks and records under Ψ key `key`.
+    fn key_bytes(&self, key: &PatternKey) -> u64 {
+        let networks: u64 = self
+            .entries
+            .iter()
+            .filter(|((k, _), _)| k == key)
+            .map(|(_, (_, bytes))| *bytes as u64)
+            .sum();
+        let records: u64 = self
+            .records
+            .iter()
+            .filter(|((k, _), _)| k == key)
+            .map(|(_, (_, bytes))| *bytes as u64)
+            .sum();
+        networks + records
+    }
+}
+
+/// Hashes one ascending vertex set, length first, in place.
+fn write_set(h: &mut Fnv, set: &[VertexId]) {
+    debug_assert!(
+        set.is_sorted(),
+        "network and record keys hash ascending vertex sets"
+    );
+    h.write_u64(set.len() as u64);
+    for &v in set {
+        h.write_u64(v as u64);
     }
 }
 
 /// Stable fingerprint of a network's member (and pinned-query) vertex
-/// sets — the second half of a [`NetworkCache`] key. Order-insensitive:
-/// callers pass sets, and e.g. a query's pin list arrives in user order.
+/// sets — the second half of a [`NetworkCache`] network key. Both sets
+/// arrive ascending: component members, `InducedSubgraph::orig`, the
+/// whole vertex range and the normalised query all are.
 fn member_fingerprint(members: &[VertexId], pinned: &[VertexId]) -> u64 {
     let mut h = Fnv::new();
-    for set in [members, pinned] {
-        let mut sorted: Vec<VertexId> = set.to_vec();
-        sorted.sort_unstable();
-        h.write_u64(sorted.len() as u64);
-        for v in sorted {
-            h.write_u64(v as u64);
+    write_set(&mut h, members);
+    write_set(&mut h, pinned);
+    h.finish()
+}
+
+/// Stable fingerprint of a located region — the second half of a
+/// [`NetworkCache`] record key. The leading tag keeps the two kinds of
+/// record apart.
+fn region_fingerprint(key: &RegionKey<'_>) -> u64 {
+    let mut h = Fnv::new();
+    match *key {
+        RegionKey::Core {
+            removed,
+            pruning1,
+            pruning2,
+        } => {
+            h.write_u64(1);
+            h.write_u64(pruning1 as u64);
+            h.write_u64(pruning2 as u64);
+            write_set(&mut h, removed);
+        }
+        RegionKey::Query(query) => {
+            h.write_u64(2);
+            write_set(&mut h, query);
         }
     }
     h.finish()
@@ -464,6 +534,38 @@ impl NetworkLender for EngineLender<'_, '_> {
         }
         drop(cache);
         self.engine.network_returned.notify_all();
+    }
+
+    fn located(&self, key: &RegionKey<'_>) -> Option<Located> {
+        let slot = (self.key.clone(), region_fingerprint(key));
+        let record = {
+            let cache = self.engine.networks.lock().unwrap();
+            if cache.epoch != self.epoch {
+                None
+            } else {
+                cache
+                    .records
+                    .get(&slot)
+                    .map(|(record, _)| record.clone())
+                    .filter(|record| record.answers(key))
+            }
+        };
+        self.engine.count(|c| match record {
+            Some(_) => c.located_hits += 1,
+            None => c.located_misses += 1,
+        });
+        record
+    }
+
+    fn keep_located(&self, key: &RegionKey<'_>, record: Located) {
+        let slot = (self.key.clone(), region_fingerprint(key));
+        let bytes = record.bytes();
+        let mut cache = self.engine.networks.lock().unwrap();
+        // Like a stale put, a record located on a snapshot the graph has
+        // moved on from is dropped.
+        if cache.epoch == self.epoch {
+            cache.records.insert(slot, (record, bytes));
+        }
     }
 }
 
@@ -714,18 +816,14 @@ impl<'g> DsdEngine<'g> {
         if let Some(dec) = cache.decompositions.remove(key) {
             freed += dec.bytes() as u64;
         }
-        // Cached flow networks ride the same eviction unit: they are
-        // derived from this key's substrates and cheaper to rebuild than
-        // the store, so they never outlive it in the ledger.
+        // Cached flow networks and their located-region records ride the
+        // same eviction unit: they are derived from this key's substrates
+        // and cheaper to rebuild than the store, so they never outlive it
+        // in the ledger.
         let mut networks = self.networks.lock().unwrap();
-        networks.entries.retain(|(k, _), (_, bytes)| {
-            if k == key {
-                freed += *bytes as u64;
-                false
-            } else {
-                true
-            }
-        });
+        freed += networks.key_bytes(key);
+        networks.entries.retain(|(k, _), _| k != key);
+        networks.records.retain(|(k, _), _| k != key);
         freed
     }
 
@@ -745,13 +843,8 @@ impl<'g> DsdEngine<'g> {
             .get(key)
             .map_or(0, |d| d.bytes() as u64);
         let networks = self.networks.lock().unwrap();
-        let nets: u64 = if networks.epoch == epoch {
-            networks
-                .entries
-                .iter()
-                .filter(|((k, _), _)| k == key)
-                .map(|(_, (_, bytes))| *bytes as u64)
-                .sum()
+        let nets = if networks.epoch == epoch {
+            networks.key_bytes(key)
         } else {
             0
         };
@@ -795,8 +888,9 @@ impl<'g> DsdEngine<'g> {
         cache_bytes(&cache) + self.networks.lock().unwrap().bytes()
     }
 
-    /// Resident bytes of the cached flow networks alone (a subset of
-    /// [`Self::substrate_bytes`]) — the CLI's network-cache report.
+    /// Resident bytes of the cached flow networks and their located-region
+    /// records alone (a subset of [`Self::substrate_bytes`]) — the CLI's
+    /// network-cache report.
     pub fn network_bytes(&self) -> u64 {
         self.networks.lock().unwrap().bytes()
     }
@@ -936,17 +1030,23 @@ impl<'g> DsdEngine<'g> {
         cache.kcore = None;
 
         // Cached flow networks bind the exact member sets and arc
-        // capacities of the old snapshot; any effective batch invalidates
-        // them wholesale (unlike stores there is no in-place repair — a
-        // changed graph changes the α-feasibility frontier itself). Keys
-        // that held networks are re-reported below so a governor's ledger
-        // sheds their network bytes.
+        // capacities of the old snapshot, and their located-region records
+        // its cores; any effective batch invalidates both wholesale (unlike
+        // stores there is no in-place repair — a changed graph changes the
+        // α-feasibility frontier itself). Keys that held either are
+        // re-reported below so a governor's ledger sheds their bytes.
         let network_keys: Vec<PatternKey> = {
             let mut networks = self.networks.lock().unwrap();
             stats.bytes_freed += networks.bytes();
-            let keys = networks.entries.keys().map(|(k, _)| k.clone()).collect();
+            let keys = networks
+                .entries
+                .keys()
+                .chain(networks.records.keys())
+                .map(|(k, _)| k.clone())
+                .collect();
             networks.entries.clear();
             networks.lent.clear();
+            networks.records.clear();
             networks.epoch = *epoch;
             keys
         };
@@ -1919,5 +2019,138 @@ mod tests {
         assert_eq!(g.num_edges(), 1, "borrowed base graph is untouched");
         let s = engine.request(&Pattern::triangle()).solve();
         assert_eq!(s.vertices, vec![0, 1, 2]);
+    }
+
+    /// Forwards flow networks to the engine's lender but keeps no
+    /// located-region records, so every request locates afresh.
+    struct RecordlessLender<'a>(&'a dyn NetworkLender);
+
+    impl NetworkLender for RecordlessLender<'_> {
+        fn take(&self, members: &[VertexId], pinned: &[VertexId]) -> Option<DensityNetwork> {
+            self.0.take(members, pinned)
+        }
+
+        fn put(&self, members: &[VertexId], pinned: &[VertexId], net: DensityNetwork) {
+            self.0.put(members, pinned, net);
+        }
+
+        fn located(&self, _: &RegionKey<'_>) -> Option<Located> {
+            None
+        }
+
+        fn keep_located(&self, _: &RegionKey<'_>, _: Located) {}
+    }
+
+    /// Runs `objective`'s CoreExact-family search on `engine`'s caches and
+    /// networks, without records: the subgraphs found and the search
+    /// stats.
+    fn without_records(
+        engine: &DsdEngine<'_>,
+        psi: &Pattern,
+        objective: &Objective,
+    ) -> (Vec<DsdResult>, ExactStats) {
+        let snap = engine.graph();
+        let edge = Pattern::edge();
+        let psi = match objective {
+            Objective::WithQuery(_) => &edge,
+            _ => psi,
+        };
+        let lender = EngineLender::new(engine, pattern_key(psi), snap.epoch());
+        let recordless = RecordlessLender(&lender);
+        let s = Substrates::cached(&snap, psi, &lender, Some(&recordless));
+        let config = CoreExactConfig::default();
+        match objective {
+            Objective::Densest => {
+                let (r, stats) = s.core_exact(config);
+                (vec![r], stats.exact)
+            }
+            Objective::TopK(k) => {
+                let scan = s.top_k(*k, config).expect("k > 0");
+                (scan.subgraphs, scan.exact)
+            }
+            Objective::WithQuery(q) => {
+                let (r, stats) = s.densest_with_query(q).expect("a valid query");
+                (vec![r], stats)
+            }
+            _ => unreachable!("only CoreExact-family objectives keep records"),
+        }
+    }
+
+    /// Two random blocks (0..40 at 30%, 40..80 at 20%) and a few bridges,
+    /// so TopK's later rounds locate in a residual core of their own.
+    fn two_blocks(seed: u64) -> Graph {
+        let mut rng = dsd_graph::testing::XorShift::new(seed);
+        let mut edges = Vec::new();
+        for (block, percent) in [(0u32..40, 30), (40..80, 20)] {
+            for u in block.clone() {
+                for v in (u + 1)..block.end {
+                    if rng.next() % 100 < percent {
+                        edges.push((u, v));
+                    }
+                }
+            }
+        }
+        for _ in 0..4 {
+            edges.push(((rng.next() % 40) as u32, 40 + (rng.next() % 40) as u32));
+        }
+        Graph::from_edges(80, &edges)
+    }
+
+    /// A located-region record changes nothing but the work skipped. An
+    /// engine serving Densest, TopK(3) and WithQuery from its records —
+    /// the round that locates, the warm repeat that hits, and the round
+    /// after an update — returns the answers, density bits, probes,
+    /// augment work and network-node series of an engine that locates on
+    /// every request.
+    #[test]
+    fn located_records_leave_answers_and_flow_counters_unchanged() {
+        for seed in [3, 17] {
+            let g = two_blocks(seed);
+            let hub = g.vertices().max_by_key(|&v| g.degree(v)).unwrap();
+            let query = vec![hub, 79];
+            let kept = DsdEngine::new(g.clone());
+            let recordless = DsdEngine::new(g.clone());
+            for round in 0..4 {
+                if round == 2 {
+                    let (u, v) = g.edges().nth(seed as usize).unwrap();
+                    for engine in [&kept, &recordless] {
+                        engine.apply(&[GraphUpdate::Delete(u, v), GraphUpdate::Insert(0, 79)]);
+                    }
+                }
+                for psi in [Pattern::edge(), Pattern::triangle()] {
+                    let objectives = [
+                        Objective::Densest,
+                        Objective::TopK(3),
+                        Objective::WithQuery(query.clone()),
+                    ];
+                    for objective in objectives {
+                        let label =
+                            format!("seed {seed} round {round} {} {objective:?}", psi.name());
+                        let got = kept
+                            .request(&psi)
+                            .objective(objective.clone())
+                            .method(Method::CoreExact)
+                            .solve();
+                        let (subgraphs, stats) = without_records(&recordless, &psi, &objective);
+                        let found: Vec<DsdResult> =
+                            subgraphs.into_iter().filter(|r| !r.is_empty()).collect();
+                        assert_eq!(got.subgraphs.len(), found.len(), "{label}");
+                        for (a, b) in got.subgraphs.iter().zip(&found) {
+                            assert_eq!(a.vertices, b.vertices, "{label}");
+                            assert_eq!(a.density.to_bits(), b.density.to_bits(), "{label}");
+                        }
+                        assert_eq!(got.stats.flow_iterations, stats.iterations, "{label}");
+                        assert_eq!(got.stats.flow_augment_work, stats.augment_work, "{label}");
+                        assert_eq!(got.stats.flow_resolve_hits, stats.resolve_hits, "{label}");
+                        assert_eq!(got.stats.network_nodes, stats.network_nodes, "{label}");
+                    }
+                }
+            }
+            let (with, without) = (kept.cache_stats(), recordless.cache_stats());
+            assert!(with.located_hits > 0 && with.located_misses > 0);
+            assert_eq!((without.located_hits, without.located_misses), (0, 0));
+            assert_eq!(with.network_hits, without.network_hits);
+            assert_eq!(with.network_misses, without.network_misses);
+        }
     }
 }

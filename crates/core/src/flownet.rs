@@ -63,12 +63,19 @@
 //! fences the reuse accounting between borrowing requests. A network also
 //! remembers the densest witness its probes certified
 //! ([`DensityNetwork::witness`]), which the next search over the same
-//! members starts from.
+//! members starts from. The lender also keeps the located-region records
+//! (`Located`) that lead a search to its networks, so a repeat request
+//! skips its locate step too.
+
+use std::sync::Arc;
 
 use dsd_flow::{min_cut_source_side, EdgeId, FlowNetwork, NodeId, ParametricSolver, ResolveStats};
 use dsd_graph::{Graph, InducedSubgraph, VertexId, VertexSet};
 use dsd_motif::store::InstanceStore;
 use dsd_motif::{kclist, pattern_enum, Pattern};
+
+use crate::core_exact::LocatedRegion;
+use crate::query::AnchoredRegion;
 
 /// A parametric checkpoint: the network's flow state right after a probe
 /// at `alpha`, restorable for any later probe with α ≥ `alpha`.
@@ -211,11 +218,11 @@ impl DensityNetwork {
     pub fn bytes(&self) -> usize {
         // Two edge records per pair — forward and reverse, or the two
         // arcs of a folded pair (`Edge {to: u32, cap: f64, flow: f64}`
-        // pads to 24 bytes) — plus one u32 adjacency-list slot each, plus
-        // a Vec header per node.
+        // pads to 24 bytes) — plus one u32 CSR arc slot each, plus one
+        // u32 CSR offset per node.
         let raw_edges = 2 * self.net.num_edges();
         let mut bytes = raw_edges * (24 + std::mem::size_of::<EdgeId>())
-            + self.net.num_nodes() * std::mem::size_of::<Vec<EdgeId>>()
+            + self.net.num_nodes() * std::mem::size_of::<u32>()
             + self.members.len() * std::mem::size_of::<VertexId>()
             + self.alpha_edges.len() * std::mem::size_of::<(EdgeId, f64)>();
         if let Some((vs, _)) = &self.witness {
@@ -430,12 +437,60 @@ impl Fnv {
     }
 }
 
+/// What a located-region record answers for, beside the request's Ψ key.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum RegionKey<'a> {
+    /// CoreExact over the graph minus `removed` (ascending; empty for the
+    /// whole graph, TopK's answers so far for a residual round) under the
+    /// Pruning1/2 switches — the only inputs of the locate step besides
+    /// the graph epoch.
+    Core {
+        removed: &'a [VertexId],
+        pruning1: bool,
+        pruning2: bool,
+    },
+    /// The query variant's anchored region for the normalised query.
+    Query(&'a [VertexId]),
+}
+
+/// An immutable located-region record: what a search's locate step
+/// handed its α-search, kept beside the flow networks it leads to.
+#[derive(Clone, Debug)]
+pub(crate) enum Located {
+    /// CoreExact's located core ([`RegionKey::Core`]).
+    Core(Arc<LocatedRegion>),
+    /// The query variant's Q-anchored core ([`RegionKey::Query`]).
+    Query(Arc<AnchoredRegion>),
+}
+
+impl Located {
+    /// Resident heap bytes of the record.
+    pub(crate) fn bytes(&self) -> usize {
+        match self {
+            Located::Core(region) => region.bytes(),
+            Located::Query(region) => region.bytes(),
+        }
+    }
+
+    /// Whether this record answers `key`'s kind of request.
+    pub(crate) fn answers(&self, key: &RegionKey<'_>) -> bool {
+        matches!(
+            (self, key),
+            (Located::Core(_), RegionKey::Core { .. }) | (Located::Query(_), RegionKey::Query(_))
+        )
+    }
+}
+
 /// A pool lending out already-built [`DensityNetwork`]s, keyed by the
 /// member set (and pinned query set) the network was built over — the
 /// engine's epoch-keyed network cache implements this. `take` transfers
 /// ownership to the borrower (concurrent requests each get their own
 /// network or a miss, never a shared one); `put` returns it for the next
 /// request once the borrower's α-search is done.
+///
+/// The pool also keeps the [`Located`] records that lead to those
+/// networks. Records are immutable and shared, so they need no lending:
+/// two racing misses each compute one, and the copies are identical.
 pub(crate) trait NetworkLender {
     /// Removes and returns the cached network for `(members, pinned)`,
     /// if one is resident. Implementations reset its probe accounting
@@ -444,6 +499,12 @@ pub(crate) trait NetworkLender {
 
     /// Returns a network to the pool under `(members, pinned)`.
     fn put(&self, members: &[VertexId], pinned: &[VertexId], net: DensityNetwork);
+
+    /// The record kept under `key`, if one is resident.
+    fn located(&self, key: &RegionKey<'_>) -> Option<Located>;
+
+    /// Keeps `record` under `key` for the next request.
+    fn keep_located(&self, key: &RegionKey<'_>, record: Located);
 }
 
 /// Builds the `construct+`-shaped network (Algorithm 7) for the store's Ψ
@@ -502,7 +563,7 @@ pub fn build_store_network(
 
     let s: NodeId = 0;
     let t: NodeId = (n + rows.len() + 1) as NodeId;
-    let mut net = FlowNetwork::new(n + rows.len() + 2);
+    let mut net = FlowNetwork::with_capacity(n + rows.len() + 2, 2 * n + rows.len() * size);
     let mut alpha_edges = Vec::with_capacity(n);
     for (v, &dv) in deg.iter().enumerate() {
         let node = (v + 1) as NodeId;
@@ -685,7 +746,8 @@ pub fn build_pattern_network(
 
     let s: NodeId = 0;
     let t: NodeId = (n + units.len() + 1) as NodeId;
-    let mut net = FlowNetwork::new(n + units.len() + 2);
+    let arcs: usize = units.iter().map(|(vs, _)| vs.len()).sum();
+    let mut net = FlowNetwork::with_capacity(n + units.len() + 2, 2 * n + arcs);
     let mut alpha_edges = Vec::with_capacity(n);
     for (v, &dv) in deg.iter().enumerate() {
         let node = (v + 1) as NodeId;

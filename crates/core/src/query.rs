@@ -27,13 +27,23 @@
 //! when ρ_Q = x/2 (e.g. Q inside a regular component): the seed cut at
 //! x/2 — the minimal densest Q-subgraph — has density exactly x/2, no
 //! probe strictly beats it, and the seed is the bisection's answer too.
+//!
+//! **Steps 1–3 run once per (graph epoch, Q).** Their result — l, the
+//! gap, kmax and the anchored core's members — is an immutable
+//! `AnchoredRegion` record that the engine keeps beside the pinned network
+//! it leads to. A warm repeat of the same query skips the core-order read,
+//! the pinned peel and the O(n) member scan, and only builds the small
+//! induced subgraph its probes score witnesses on.
+
+use std::sync::Arc;
 
 use dsd_graph::{Graph, InducedSubgraph, VertexId, VertexSet};
 use dsd_motif::Pattern;
 
 use crate::alpha_search::{alpha_search, density_gap, DecisionProbe, ExactStats, FirstProbe};
 use crate::bucket_queue::PeelQueue;
-use crate::flownet::{build_query_network, DensityNetwork};
+use crate::flownet::{build_query_network, DensityNetwork, Located, RegionKey};
+use crate::kcore::KCoreDecomposition;
 use crate::substrates::Substrates;
 use crate::types::DsdResult;
 
@@ -107,37 +117,30 @@ fn pinned_peel(g: &Graph, is_query: &[bool]) -> (Vec<usize>, f64) {
     (core, best)
 }
 
-impl Substrates<'_> {
-    /// The densest edge-density subgraph containing all of `query`, plus
-    /// the α-search instrumentation, located in this context's classical
-    /// core order. Ψ plays no part: the variant is defined for edge
-    /// density. Returns `None` when `query` is empty or contains
-    /// out-of-range vertices.
-    ///
-    /// The pinned network is borrowed from the context's lender — keyed by
-    /// the anchored-core member set *and* the pinned query set — when a
-    /// warm one is resident, and returned afterwards. The query is
-    /// normalised (sorted, duplicates dropped) first, so `[a, b]`,
-    /// `[b, a]` and `[a, a, b]` share one answer and one cached network;
-    /// the pinned peel re-derives the same member set on an unchanged
-    /// graph, so repeat queries warm-resolve.
-    pub fn densest_with_query(&self, query: &[VertexId]) -> Option<(DsdResult, ExactStats)> {
-        let (g, lender) = (self.graph(), self.lender());
-        let n = g.num_vertices();
-        if query.is_empty() || query.iter().any(|&q| q as usize >= n) {
-            return None;
-        }
-        let cores = self.kcore();
-        let mut query = query.to_vec();
-        query.sort_unstable();
-        query.dedup();
+/// The query variant's located region for one normalised Q (steps 1–3
+/// of the module docs): the search's lower bound and gap, kmax, and the
+/// Q-anchored ⌈l⌉-core the pinned network covers. It depends only on the
+/// graph epoch and Q, so the engine keeps it beside the pinned network.
+#[derive(Debug)]
+pub(crate) struct AnchoredRegion {
+    l: f64,
+    gap: f64,
+    kmax: u32,
+    /// The anchored core, ascending; it contains Q.
+    members: Vec<VertexId>,
+}
+
+impl AnchoredRegion {
+    /// Steps 1–3 for the normalised `query` on this epoch's classical
+    /// core order `cores`.
+    fn locate(g: &Graph, cores: &KCoreDecomposition, query: &[VertexId]) -> Self {
         let x = query
             .iter()
             .map(|&q| cores.core[q as usize])
             .min()
             .expect("query non-empty");
-        let mut is_query = vec![false; n];
-        for &q in &query {
+        let mut is_query = vec![false; g.num_vertices()];
+        for &q in query {
             is_query[q as usize] = true;
         }
         let (anchored_core, peel_bound) = pinned_peel(g, &is_query);
@@ -154,17 +157,60 @@ impl Substrates<'_> {
         );
         let l = (peel_bound - gap / 2.0).max(x as f64 / 2.0);
         let k = l.ceil() as usize;
-        let members: Vec<VertexId> = g
+        let members = g
             .vertices()
             .filter(|&v| anchored_core[v as usize] >= k)
             .collect();
-        let sub = InducedSubgraph::new(g, &members);
-        let local_query: Vec<VertexId> = sub
-            .orig
+        AnchoredRegion {
+            l,
+            gap,
+            kmax: cores.kmax,
+            members,
+        }
+    }
+
+    /// Resident heap bytes of the record.
+    pub(crate) fn bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + self.members.len() * std::mem::size_of::<VertexId>()
+    }
+}
+
+impl Substrates<'_> {
+    /// The densest edge-density subgraph containing all of `query`, plus
+    /// the α-search instrumentation, located in this context's classical
+    /// core order. Ψ plays no part: the variant is defined for edge
+    /// density. Returns `None` when `query` is empty or contains
+    /// out-of-range vertices.
+    ///
+    /// The query is normalised (sorted, duplicates dropped) first, so
+    /// `[a, b]`, `[b, a]` and `[a, a, b]` share one answer, one located
+    /// region and one cached network. The anchored region is the lender's
+    /// record when one is resident, so a repeat query reads neither the
+    /// core order nor the graph outside it. The pinned network is borrowed
+    /// from the lender — keyed by the anchored-core member set *and* the
+    /// pinned query set — when a warm one is resident, and returned
+    /// afterwards, so repeat queries warm-resolve.
+    pub fn densest_with_query(&self, query: &[VertexId]) -> Option<(DsdResult, ExactStats)> {
+        let (g, lender) = (self.graph(), self.lender());
+        let n = g.num_vertices();
+        if query.is_empty() || query.iter().any(|&q| q as usize >= n) {
+            return None;
+        }
+        let mut query = query.to_vec();
+        query.sort_unstable();
+        query.dedup();
+        let region = match self.located(&RegionKey::Query(&query), || {
+            Located::Query(Arc::new(AnchoredRegion::locate(g, self.kcore(), &query)))
+        }) {
+            Located::Query(region) => region,
+            Located::Core(_) => unreachable!("a lender answers a query key with a query record"),
+        };
+        let (l, gap) = (region.l, region.gap);
+        let sub = InducedSubgraph::new(g, &region.members);
+        let local_query: Vec<VertexId> = query
             .iter()
-            .enumerate()
-            .filter(|(_, &v)| is_query[v as usize])
-            .map(|(i, _)| i as VertexId)
+            .filter_map(|q| sub.orig.binary_search(q).ok())
+            .map(|i| i as VertexId)
             .collect();
         debug_assert_eq!(local_query.len(), query.len());
 
@@ -172,7 +218,7 @@ impl Substrates<'_> {
         // sequence. The seed cut at l is a Q-containing answer in its own
         // right (the answer itself when ρ_Q = x/2) and checkpoints the
         // parametric chain — every later probe has α ≥ l.
-        let u = cores.kmax as f64;
+        let u = region.kmax as f64;
         let mut stats = ExactStats {
             initial_bounds: (l, u),
             ..ExactStats::default()

@@ -46,7 +46,7 @@ struct Entry {
 struct GovState {
     /// Engines under governance, by id. `Weak`: the governor must never
     /// keep an evicted engine alive (its `Drop` is what reports the
-    /// bytes back).
+    /// bytes back). Dead handles are shed on every `attach` and release.
     engines: HashMap<u64, Weak<DsdEngine<'static>>>,
     /// The ledger: cache-resident bytes per `(engine, canonical Ψ)`.
     entries: HashMap<(u64, PatternKey), Entry>,
@@ -122,6 +122,7 @@ impl SubstrateGovernor {
     pub fn attach(self: &Arc<Self>, engine: &Arc<DsdEngine<'static>>) {
         {
             let mut state = self.state.lock().unwrap();
+            state.shed_dead_engines();
             state.engines.insert(engine.id(), Arc::downgrade(engine));
         }
         engine.set_cache_observer(Some(Arc::clone(self) as Arc<dyn CacheObserver>));
@@ -316,6 +317,18 @@ impl CacheObserver for SubstrateGovernor {
             state.total -= entry.bytes;
         }
         state.evicted.retain(|(id, _)| *id != engine);
+        // A dropping engine's strong count is already 0 here, so this
+        // sheds its handle; an over-ceiling merge keeps a live one.
+        state.shed_dead_engines();
+    }
+}
+
+impl GovState {
+    /// Forgets engines that have dropped. Every reader already treats a
+    /// dead handle as absent, so this only bounds the map by the live
+    /// catalog.
+    fn shed_dead_engines(&mut self) {
+        self.engines.retain(|_, engine| engine.strong_count() > 0);
     }
 }
 
@@ -335,5 +348,41 @@ impl Drop for SubstrateLease {
                 state.pins.remove(&self.key);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dsd_graph::Graph;
+
+    /// Re-registering or evicting governed graphs must not grow the
+    /// engine map: it holds exactly the live engines.
+    #[test]
+    fn engine_map_holds_only_live_engines() {
+        let governor = SubstrateGovernor::new(None);
+        let keep: Vec<_> = (0..3)
+            .map(|_| Arc::new(DsdEngine::new(Graph::empty(2))))
+            .collect();
+        for engine in &keep {
+            governor.attach(engine);
+        }
+        for _ in 0..100 {
+            let engine = Arc::new(DsdEngine::new(Graph::from_edges(3, &[(0, 1), (1, 2)])));
+            governor.attach(&engine);
+        }
+        let engines = |g: &SubstrateGovernor| {
+            let mut ids: Vec<u64> = g.state.lock().unwrap().engines.keys().copied().collect();
+            ids.sort_unstable();
+            ids
+        };
+        let mut live: Vec<u64> = keep.iter().map(|e| e.id()).collect();
+        live.sort_unstable();
+        assert_eq!(engines(&governor), live);
+        // A live engine's release (an over-ceiling merge) keeps its handle.
+        governor.on_engine_release(keep[0].id());
+        assert_eq!(engines(&governor), live);
+        drop(keep);
+        assert!(engines(&governor).is_empty());
     }
 }

@@ -44,12 +44,12 @@ use std::cell::{Cell, OnceCell};
 use std::sync::Arc;
 use std::time::Instant;
 
-use dsd_graph::Graph;
+use dsd_graph::{Graph, VertexId, VertexSet};
 use dsd_motif::Pattern;
 
-use crate::clique_core::{decompose, CliqueCoreDecomposition};
+use crate::clique_core::{decompose, decompose_within, CliqueCoreDecomposition};
 use crate::engine::SubstrateUse;
-use crate::flownet::NetworkLender;
+use crate::flownet::{Located, NetworkLender, RegionKey};
 use crate::kcore::{k_core_decomposition, KCoreDecomposition};
 use crate::oracle::{oracle_for, DensityOracle, StoreStats};
 
@@ -72,6 +72,14 @@ pub(crate) trait SubstrateSource {
     fn kcore(&self, g: &Graph) -> (Arc<KCoreDecomposition>, bool);
 }
 
+/// The residual vertex set of a TopK round: `alive` is the graph minus
+/// `removed` (ascending), the answers of the earlier rounds.
+#[derive(Clone, Copy)]
+struct Residual<'a> {
+    alive: &'a VertexSet,
+    removed: &'a [VertexId],
+}
+
 /// The substrates of one graph and one pattern Ψ, each acquired the first
 /// time an algorithm reads it (see the module docs).
 ///
@@ -81,6 +89,7 @@ pub struct Substrates<'a> {
     g: &'a Graph,
     psi: &'a Pattern,
     source: Option<&'a dyn SubstrateSource>,
+    residual: Option<Residual<'a>>,
     lender: Option<&'a dyn NetworkLender>,
     oracle: OnceCell<Arc<dyn DensityOracle>>,
     decomposition: OnceCell<Arc<CliqueCoreDecomposition>>,
@@ -97,6 +106,7 @@ impl<'a> Substrates<'a> {
             g,
             psi,
             source: None,
+            residual: None,
             lender: None,
             oracle: OnceCell::new(),
             decomposition: OnceCell::new(),
@@ -131,16 +141,44 @@ impl<'a> Substrates<'a> {
         }
     }
 
-    /// A context over the same graph, Ψ, oracle and lender whose
-    /// decomposition is `dec` — TopK's residual rounds, which decompose
-    /// `g[alive]` on the parent graph.
-    pub(crate) fn with_decomposition(&self, dec: CliqueCoreDecomposition) -> Substrates<'a> {
+    /// A context over the same graph, Ψ, oracle and lender for the
+    /// residual vertex set `alive`, the graph minus `removed` (ascending)
+    /// — TopK's residual rounds. Its decomposition is `g[alive]`'s on the
+    /// parent graph, peeled on first read, so a round whose located region
+    /// is on record never peels.
+    pub(crate) fn residual<'b>(
+        &'b self,
+        alive: &'b VertexSet,
+        removed: &'b [VertexId],
+    ) -> Substrates<'b> {
         Substrates {
             oracle: OnceCell::from(Arc::clone(self.oracle_arc())),
-            decomposition: OnceCell::from(Arc::new(dec)),
+            residual: Some(Residual { alive, removed }),
             lender: self.lender,
             ..Substrates::cold(self.g, self.psi)
         }
+    }
+
+    /// The vertices this context's graph lacks from the engine's graph:
+    /// empty except in a TopK residual round, which always lacks the
+    /// earlier rounds' answers.
+    pub(crate) fn removed(&self) -> &'a [VertexId] {
+        self.residual.map_or(&[], |r| r.removed)
+    }
+
+    /// The located-region record for `key`: the lender's when it keeps
+    /// one, else `locate()`'s, kept for the next request. Without a lender
+    /// every call locates.
+    pub(crate) fn located(&self, key: &RegionKey<'_>, locate: impl FnOnce() -> Located) -> Located {
+        let Some(lender) = self.lender else {
+            return locate();
+        };
+        if let Some(record) = lender.located(key) {
+            return record;
+        }
+        let record = locate();
+        lender.keep_located(key, record.clone());
+        record
     }
 
     /// The graph.
@@ -169,7 +207,8 @@ impl<'a> Substrates<'a> {
         })
     }
 
-    /// The (k, Ψ)-core decomposition of the graph.
+    /// The (k, Ψ)-core decomposition of the graph (of the residual vertex
+    /// set, in a TopK residual round).
     pub fn decomposition(&self) -> &CliqueCoreDecomposition {
         self.decomposition.get_or_init(|| {
             let oracle = self.oracle();
@@ -182,7 +221,10 @@ impl<'a> Substrates<'a> {
                 }
                 None => {
                     let t = Instant::now();
-                    let dec = decompose(self.g, oracle);
+                    let dec = match self.residual {
+                        Some(r) => decompose_within(self.g, oracle, r.alive),
+                        None => decompose(self.g, oracle),
+                    };
                     self.decomposition_nanos.set(t.elapsed().as_nanos());
                     Arc::new(dec)
                 }

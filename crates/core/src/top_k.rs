@@ -9,21 +9,27 @@
 //! non-increasing density.
 //!
 //! Every round is CoreExact over the parent graph. Round 0 uses the
-//! context's (possibly warm) decomposition; round r ≥ 1 decomposes the
-//! residual vertex set `g[alive]` through the same oracle — so a
-//! materialized instance store is peeled under the `alive` mask instead
-//! of being re-enumerated on a copy — and locates its answer in a core of
-//! that decomposition (Lemma 7). Component networks are keyed by parent
+//! context's (possibly warm) decomposition; round r ≥ 1 locates its
+//! answer in a core of the residual vertex set `g[alive]`'s decomposition
+//! (Lemma 7), peeled through the same oracle — so a materialized instance
+//! store is peeled under the `alive` mask instead of being re-enumerated
+//! on a copy.
+//!
+//! **Residual rounds decompose only on a miss.** A round's located region
+//! depends only on the graph epoch and the vertices removed so far, so a
+//! lender keeps it as a record keyed by the removed set (see
+//! [`mod@crate::core_exact`]'s located region). A warm repeat finds every
+//! round's record, skips the residual peel and the component scans, and
+//! goes straight to the α-search. Component networks are keyed by parent
 //! vertex ids, so residual rounds borrow from and return to the same
 //! network cache as round 0: a repeat request finds every round's
 //! networks warm, together with the witnesses they certified (see
 //! [`mod@crate::core_exact`]'s witness seed).
 
-use dsd_graph::{Graph, VertexSet};
+use dsd_graph::{Graph, VertexId, VertexSet};
 use dsd_motif::Pattern;
 
 use crate::alpha_search::ExactStats;
-use crate::clique_core::decompose_within;
 use crate::core_exact::CoreExactConfig;
 use crate::substrates::Substrates;
 use crate::types::DsdResult;
@@ -55,11 +61,11 @@ impl Substrates<'_> {
     /// `None` when `k` is 0.
     ///
     /// Round 0 runs CoreExact on this context's decomposition of the whole
-    /// graph. Each later round decomposes the residual vertex set through
-    /// the same oracle on the parent graph and runs on this context with
-    /// that decomposition swapped in. Every round's component networks are
-    /// borrowed from and returned to the context's lender under their
-    /// parent-id member sets.
+    /// graph. Each later round runs on a residual context over the same
+    /// oracle and lender, which decomposes the residual vertex set on the
+    /// parent graph only when the round's located region is not on record.
+    /// Every round's component networks are borrowed from and returned to
+    /// the context's lender under their parent-id member sets.
     pub fn top_k(&self, k: usize, config: CoreExactConfig) -> Option<TopKScan> {
         if k == 0 {
             return None;
@@ -67,18 +73,17 @@ impl Substrates<'_> {
         let g = self.graph();
         let mut out = Vec::with_capacity(k);
         let mut alive = VertexSet::full(g.num_vertices());
+        // The answers so far, ascending: the residual round's record key.
+        let mut removed: Vec<VertexId> = Vec::new();
         let mut exact = ExactStats::default();
         for round in 0..k {
-            let residual;
-            let s = if round == 0 {
-                self
+            let (found, stats) = if round == 0 {
+                self.core_exact(config)
             } else if alive.len() < self.pattern().vertex_count() {
                 break;
             } else {
-                residual = self.with_decomposition(decompose_within(g, self.oracle(), &alive));
-                &residual
+                self.residual(&alive, &removed).core_exact(config)
             };
-            let (found, stats) = s.core_exact(config);
             exact.merge(&stats.exact);
             if found.vertices.is_empty() {
                 break;
@@ -86,6 +91,8 @@ impl Substrates<'_> {
             for &v in &found.vertices {
                 alive.remove(v);
             }
+            removed.extend_from_slice(&found.vertices);
+            removed.sort_unstable();
             out.push(found);
         }
         Some(TopKScan {

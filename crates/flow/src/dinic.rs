@@ -11,7 +11,7 @@
 //! from the residual network — the cheap half of the parametric max-flow
 //! scheme (Gallo–Grigoriadis–Tarjan) driving the α-search framework.
 
-use crate::network::{EdgeId, FlowNetwork, NodeId, EPS};
+use crate::network::{push_flow, Adjacency, Edge, EdgeId, FlowNetwork, NodeId, EPS};
 
 /// Dinic max-flow solver. Stateless between runs; scratch buffers are kept
 /// to amortize allocations across the many min-cut probes of a binary
@@ -30,9 +30,9 @@ impl Dinic {
         Self::default()
     }
 
-    fn bfs(&mut self, net: &FlowNetwork, s: NodeId, t: NodeId) -> bool {
+    fn bfs(&mut self, adj: &Adjacency, edges: &[Edge], s: NodeId, t: NodeId) -> bool {
         self.level.clear();
-        self.level.resize(net.num_nodes(), -1);
+        self.level.resize(adj.num_nodes(), -1);
         self.queue.clear();
         self.queue.push(s);
         self.level[s as usize] = 0;
@@ -40,9 +40,9 @@ impl Dinic {
         while qi < self.queue.len() {
             let v = self.queue[qi];
             qi += 1;
-            for &eid in net.out_edges(v) {
+            for &eid in adj.row(v) {
                 self.work += 1;
-                let e = net.edge(eid);
+                let e = &edges[eid as usize];
                 if e.residual() > EPS && self.level[e.to as usize] < 0 {
                     self.level[e.to as usize] = self.level[v as usize] + 1;
                     self.queue.push(e.to);
@@ -52,21 +52,22 @@ impl Dinic {
         self.level[t as usize] >= 0
     }
 
-    fn dfs(&mut self, net: &mut FlowNetwork, v: NodeId, t: NodeId, f: f64) -> f64 {
+    fn dfs(&mut self, adj: &Adjacency, edges: &mut [Edge], v: NodeId, t: NodeId, f: f64) -> f64 {
         if v == t {
             return f;
         }
-        while self.iter[v as usize] < net.out_edges(v).len() {
-            let eid: EdgeId = net.out_edges(v)[self.iter[v as usize]];
+        let row = adj.row(v);
+        while self.iter[v as usize] < row.len() {
+            let eid: EdgeId = row[self.iter[v as usize]];
             self.work += 1;
             let (to, residual) = {
-                let e = net.edge(eid);
+                let e = &edges[eid as usize];
                 (e.to, e.residual())
             };
             if residual > EPS && self.level[to as usize] == self.level[v as usize] + 1 {
-                let d = self.dfs(net, to, t, f.min(residual));
+                let d = self.dfs(adj, edges, to, t, f.min(residual));
                 if d > EPS {
-                    net.push(eid, d);
+                    push_flow(edges, eid, d);
                     return d;
                 }
             }
@@ -78,12 +79,13 @@ impl Dinic {
     /// Augments to a maximum flow from whatever (feasible) flow the
     /// network currently carries; returns the amount added by this call.
     fn augment(&mut self, net: &mut FlowNetwork, s: NodeId, t: NodeId) -> f64 {
+        let (adj, edges) = net.arena_mut();
         let mut total = 0.0;
-        while self.bfs(net, s, t) {
+        while self.bfs(adj, edges, s, t) {
             self.iter.clear();
-            self.iter.resize(net.num_nodes(), 0);
+            self.iter.resize(adj.num_nodes(), 0);
             loop {
-                let f = self.dfs(net, s, t, f64::INFINITY);
+                let f = self.dfs(adj, edges, s, t, f64::INFINITY);
                 if f <= EPS {
                     break;
                 }

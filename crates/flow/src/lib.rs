@@ -6,8 +6,9 @@
 //! 4, 7, 8). This crate provides:
 //!
 //! * [`FlowNetwork`] — an arena of paired forward/residual edges with `f64`
-//!   capacities (α is a dyadic rational, so capacities are fractional);
-//!   antiparallel arcs can share one folded pair;
+//!   capacities (α is a dyadic rational, so capacities are fractional)
+//!   and a CSR adjacency built on first read; antiparallel arcs can share
+//!   one folded pair;
 //! * [`dinic::Dinic`] — BFS-layered blocking-flow solver, with a warm
 //!   [`Dinic::resolve`] for monotone capacity bumps;
 //! * [`ParametricSolver`] — drives one [`Dinic`] across a probe sequence

@@ -1,4 +1,17 @@
 //! Flow network arena.
+//!
+//! Edges live in one `Vec<Edge>` of paired records, and the per-node
+//! adjacency is one CSR (`offsets` + `arcs`) built on the first adjacency
+//! read — a solver run, [`FlowNetwork::out_edges`] or
+//! [`crate::min_cut_source_side`] — and dropped by the next
+//! [`FlowNetwork::add_edge`]. The build is a stable counting sort of the
+//! arc ids by tail (`edges[a ^ 1].to`), so each node's arcs sit in
+//! ascending id order: the order the arcs were added in, which is what
+//! fixes Dinic's traversal. A CSR costs 4 B per node and 4 B per arc; a
+//! `Vec` per node would add a 24 B header, a heap chunk and doubling slack
+//! per node.
+
+use std::sync::OnceLock;
 
 /// Node identifier inside a [`FlowNetwork`].
 pub type NodeId = u32;
@@ -30,7 +43,68 @@ impl Edge {
     }
 }
 
-/// A directed flow network stored as an edge arena with per-node adjacency.
+/// The per-node adjacency of a [`FlowNetwork`] in CSR form: the arcs
+/// leaving node `v` are `arcs[offsets[v]..offsets[v + 1]]`, ascending.
+#[derive(Clone, Debug)]
+pub(crate) struct Adjacency {
+    offsets: Vec<u32>,
+    arcs: Vec<EdgeId>,
+}
+
+impl Adjacency {
+    /// Counting sort of the arc ids by tail, stable, so every row is in
+    /// ascending arc-id order.
+    fn build(edges: &[Edge], num_nodes: usize) -> Self {
+        let mut offsets = vec![0u32; num_nodes + 1];
+        for pair in edges.chunks_exact(2) {
+            // Arc `2k` leaves `pair[1].to`, its twin `2k + 1` leaves `pair[0].to`.
+            offsets[pair[1].to as usize + 1] += 1;
+            offsets[pair[0].to as usize + 1] += 1;
+        }
+        for v in 0..num_nodes {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut next = offsets[..num_nodes].to_vec();
+        let mut arcs = vec![0; edges.len()];
+        for a in 0..edges.len() {
+            let tail = edges[a ^ 1].to as usize;
+            arcs[next[tail] as usize] = a as EdgeId;
+            next[tail] += 1;
+        }
+        Adjacency { offsets, arcs }
+    }
+
+    /// Number of nodes.
+    #[inline]
+    pub(crate) fn num_nodes(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Arc ids leaving `v`, ascending.
+    #[inline]
+    pub(crate) fn row(&self, v: NodeId) -> &[EdgeId] {
+        let v = v as usize;
+        &self.arcs[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+    }
+}
+
+/// Pushes `amount` along arc `e` of `edges` and pulls it back on `e ^ 1`
+/// (see [`FlowNetwork::push`]).
+#[inline]
+pub(crate) fn push_flow(edges: &mut [Edge], e: EdgeId, amount: f64) {
+    debug_assert!(!amount.is_nan(), "edge {e}: pushing NaN flow");
+    let edge = &mut edges[e as usize];
+    edge.flow += amount;
+    debug_assert!(
+        edge.residual() >= -1e-9 * edge.cap.abs().max(edge.flow.abs()).max(1.0),
+        "edge {e}: flow {} overruns capacity {}",
+        edge.flow,
+        edge.cap
+    );
+    edges[(e ^ 1) as usize].flow -= amount;
+}
+
+/// A directed flow network stored as an edge arena with a CSR adjacency.
 ///
 /// Every [`add_edge`](FlowNetwork::add_edge) inserts a forward edge and a
 /// zero-capacity reverse edge at ids `2k` / `2k + 1`, or a folded pair
@@ -40,11 +114,16 @@ impl Edge {
 /// (`flow(e) = −flow(e ^ 1)`), so a folded pair carries one net flow in
 /// `[−cap(e ^ 1), cap(e)]` and needs half the records and adjacency slots
 /// of two separately added antiparallel edges.
+///
+/// The adjacency is built on the first read after the last edge was added
+/// (see the module docs); adding edges after a read is allowed and
+/// rebuilds it on the next one.
 #[derive(Clone, Debug, Default)]
 pub struct FlowNetwork {
     edges: Vec<Edge>,
-    /// `head[v]` = edge ids leaving `v`.
-    head: Vec<Vec<EdgeId>>,
+    num_nodes: usize,
+    /// Arc ids leaving each node, built lazily from `edges`.
+    adjacency: OnceLock<Adjacency>,
 }
 
 impl FlowNetwork {
@@ -55,7 +134,8 @@ impl FlowNetwork {
     pub fn new(n: usize) -> Self {
         FlowNetwork {
             edges: Vec::new(),
-            head: vec![Vec::new(); n],
+            num_nodes: n,
+            adjacency: OnceLock::new(),
         }
     }
 
@@ -69,7 +149,7 @@ impl FlowNetwork {
     /// Number of nodes.
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.head.len()
+        self.num_nodes
     }
 
     /// Number of edge pairs (a folded antiparallel pair counts once).
@@ -81,6 +161,12 @@ impl FlowNetwork {
     /// Adds a directed edge `from → to` with the given capacity and returns
     /// its id. Negative capacities are clamped to zero.
     pub fn add_edge(&mut self, from: NodeId, to: NodeId, cap: f64) -> EdgeId {
+        assert!(
+            (from as usize) < self.num_nodes && (to as usize) < self.num_nodes,
+            "edge {from}→{to} outside a {}-node network",
+            self.num_nodes
+        );
+        self.adjacency.take();
         let id = self.edges.len() as EdgeId;
         self.edges.push(Edge {
             to,
@@ -92,8 +178,6 @@ impl FlowNetwork {
             cap: 0.0,
             flow: 0.0,
         });
-        self.head[from as usize].push(id);
-        self.head[to as usize].push(id + 1);
         id
     }
 
@@ -114,10 +198,35 @@ impl FlowNetwork {
         &self.edges[e as usize]
     }
 
-    /// Edge ids leaving `v` (forward and residual alike).
+    /// Edge ids leaving `v` (forward and residual alike), ascending.
     #[inline]
     pub fn out_edges(&self, v: NodeId) -> &[EdgeId] {
-        &self.head[v as usize]
+        self.adjacency().row(v)
+    }
+
+    /// The CSR adjacency, built on the first read since the last
+    /// [`add_edge`](Self::add_edge).
+    fn adjacency(&self) -> &Adjacency {
+        self.adjacency
+            .get_or_init(|| Adjacency::build(&self.edges, self.num_nodes))
+    }
+
+    /// The adjacency and the edge records, borrowed apart so a solver can
+    /// push flow while it walks the arcs — the adjacency is read once per
+    /// solver run, never per arc. The first call after the last
+    /// [`add_edge`](Self::add_edge) also trims the edge arena's growth
+    /// slack, since networks are built before they are solved.
+    pub(crate) fn arena_mut(&mut self) -> (&Adjacency, &mut [Edge]) {
+        if self.adjacency.get().is_none() {
+            self.edges.shrink_to_fit();
+        }
+        let FlowNetwork {
+            edges,
+            num_nodes,
+            adjacency,
+        } = self;
+        let adjacency = adjacency.get_or_init(|| Adjacency::build(edges, *num_nodes));
+        (adjacency, edges)
     }
 
     /// Replaces the capacity of edge `e`.
@@ -148,16 +257,7 @@ impl FlowNetwork {
     /// bound that keeps the net flow within `[−cap(e ^ 1), cap(e)]`.
     #[inline]
     pub fn push(&mut self, e: EdgeId, amount: f64) {
-        debug_assert!(!amount.is_nan(), "edge {e}: pushing NaN flow");
-        let edge = &mut self.edges[e as usize];
-        edge.flow += amount;
-        debug_assert!(
-            edge.residual() >= -1e-9 * edge.cap.abs().max(edge.flow.abs()).max(1.0),
-            "edge {e}: flow {} overruns capacity {}",
-            edge.flow,
-            edge.cap
-        );
-        self.edges[(e ^ 1) as usize].flow -= amount;
+        push_flow(&mut self.edges, e, amount);
     }
 
     /// Iterates the edge pairs as `(from, forward, back)`: `forward` is the
@@ -315,6 +415,23 @@ mod tests {
         let mut net = FlowNetwork::new(2);
         let e = net.add_edge_pair(0, 1, 3.0, 5.0);
         net.push(e ^ 1, 6.0);
+    }
+
+    /// The CSR adjacency lists each node's arcs in the order they were
+    /// added, and an edge added after a read shows up in the next one.
+    #[test]
+    fn adjacency_follows_edges_added_after_a_read() {
+        let mut net = FlowNetwork::new(3);
+        let a = net.add_edge(0, 1, 1.0);
+        let b = net.add_edge_pair(2, 0, 2.0, 3.0);
+        assert_eq!(net.out_edges(0), &[a, b ^ 1]);
+        assert_eq!(net.out_edges(2), &[b]);
+        let c = net.add_edge(0, 2, 4.0);
+        assert_eq!(net.out_edges(0), &[a, b ^ 1, c]);
+        assert_eq!(net.out_edges(2), &[b, c ^ 1]);
+        assert_eq!(net.out_edges(1), &[a ^ 1]);
+        let flow = crate::Dinic::new().max_flow(&mut net, 0, 2);
+        assert_eq!(flow, 7.0);
     }
 
     #[test]

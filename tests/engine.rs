@@ -609,3 +609,81 @@ fn racing_requests_build_each_network_once() {
         assert_identical(a, &reference, &format!("racer {i}"));
     }
 }
+
+/// Located-region records live for one graph epoch. On an engine with
+/// warm substrates, the first Densest, TopK(3) or WithQuery locates its
+/// region and keeps it (a miss per CoreExact round, or per query); the
+/// repeat finds every record. Both rounds return a cold engine's answer,
+/// and the first also its flow counters. After an update the next request
+/// misses again and matches a cold engine over the updated graph.
+#[test]
+fn located_regions_are_kept_for_one_epoch() {
+    let g = chung_lu::chung_lu_with_clique(600, 2_400, 2.5, 10, 7);
+    let hub = g.vertices().max_by_key(|&v| g.degree(v)).unwrap();
+    let psi = Pattern::triangle();
+    let requests = [
+        (psi.clone(), Objective::Densest),
+        (psi.clone(), Objective::TopK(3)),
+        (Pattern::edge(), Objective::WithQuery(vec![hub, 599])),
+    ];
+    let solve = |engine: &DsdEngine, (psi, objective): &(Pattern, Objective)| {
+        engine
+            .request(psi)
+            .objective(objective.clone())
+            .method(Method::CoreExact)
+            .solve()
+    };
+    let assert_same_search = |a: &Solution, b: &Solution, label: &str| {
+        assert_identical(a, b, label);
+        assert_eq!(a.stats.flow_iterations, b.stats.flow_iterations, "{label}");
+        assert_eq!(
+            a.stats.flow_augment_work, b.stats.flow_augment_work,
+            "{label}"
+        );
+        assert_eq!(a.stats.network_nodes, b.stats.network_nodes, "{label}");
+    };
+    // One CoreExact round per subgraph found, plus the round that found
+    // nothing when the scan ran out early; one locate per query.
+    let located = |s: &Solution| match s.objective {
+        Objective::TopK(k) => s.subgraphs.len().min(k - 1) + 1,
+        _ => 1,
+    };
+    let deleted = [GraphUpdate::Delete(
+        g.edges().next().unwrap().0,
+        g.edges().next().unwrap().1,
+    )];
+    let updated = without(&g, &deleted);
+    for request in &requests {
+        let label = format!("{:?}", request.1);
+        let engine = DsdEngine::new(g.clone());
+        engine.warm(&request.0);
+        let cold = solve(&DsdEngine::new(g.clone()), request);
+
+        let first = solve(&engine, request);
+        let after_first = engine.cache_stats();
+        assert_same_search(&first, &cold, &format!("{label} first"));
+        assert_eq!(after_first.located_hits, 0, "{label}");
+        assert_eq!(after_first.located_misses, located(&first), "{label}");
+
+        let repeat = solve(&engine, request);
+        let after_repeat = engine.cache_stats();
+        assert_identical(&repeat, &cold, &format!("{label} repeat"));
+        assert_eq!(after_repeat.located_hits, located(&first), "{label}");
+        assert_eq!(after_repeat.located_misses, after_first.located_misses);
+
+        engine.apply(&deleted);
+        let after = solve(&engine, request);
+        let stats = engine.cache_stats();
+        assert_same_search(
+            &after,
+            &solve(&DsdEngine::new(updated.clone()), request),
+            &format!("{label} after update"),
+        );
+        assert_eq!(stats.located_hits, after_repeat.located_hits, "{label}");
+        assert_eq!(
+            stats.located_misses,
+            after_repeat.located_misses + located(&after),
+            "{label}"
+        );
+    }
+}

@@ -12,8 +12,8 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dsd::core::{
-    CacheObserver, DsdEngine, DsdRequest, DsdServer, Method, PatternKey, ServeConfig, ServeError,
-    ServeOutcome, Solution, SubstrateGovernor, Ticket,
+    CacheObserver, DsdEngine, DsdRequest, DsdServer, Method, Objective, PatternKey, ServeConfig,
+    ServeError, ServeOutcome, Solution, SubstrateGovernor, Ticket,
 };
 use dsd::graph::{Graph, GraphBuilder, GraphUpdate, VertexId};
 use dsd::motif::Pattern;
@@ -317,6 +317,68 @@ fn governor_ledger_tracks_updates_evict_and_engine_drop() {
         "evicting never lowers the peak"
     );
     governor.debug_assert_reconciled();
+}
+
+/// Located-region records are ledgered and evicted with their Ψ key:
+/// after warm TopK and WithQuery traffic the governor's ledger matches the
+/// engines' summed bytes, and it still does when a one-byte budget makes
+/// the governor evict each key (networks, records and all) as soon as the
+/// next key lands.
+#[test]
+fn governor_ledgers_and_evicts_located_records() {
+    let mut rng = StdRng::seed_from_u64(0x10CA7E);
+    let graphs = [
+        random_graph(&mut rng, 40, 50),
+        random_graph(&mut rng, 40, 50),
+    ];
+    let traffic = |name: &str| {
+        [
+            DsdRequest::new(&Pattern::triangle())
+                .on(name)
+                .objective(Objective::TopK(2)),
+            DsdRequest::new(&Pattern::edge())
+                .on(name)
+                .objective(Objective::TopK(2)),
+            DsdRequest::new(&Pattern::edge())
+                .on(name)
+                .objective(Objective::WithQuery(vec![0, 7])),
+        ]
+    };
+    for budget in [None, Some(1)] {
+        let server = DsdServer::new(ServeConfig {
+            workers: 0,
+            substrate_budget: budget,
+            ..ServeConfig::default()
+        });
+        let governor = Arc::clone(server.governor());
+        let engines: Vec<_> = ["a", "b"]
+            .iter()
+            .zip(&graphs)
+            .map(|(name, g)| server.register(*name, g.clone()))
+            .collect();
+        for round in 0..3 {
+            for name in ["a", "b"] {
+                for req in traffic(name) {
+                    let ticket = server
+                        .submit(req.method(Method::CoreExact))
+                        .expect("admitted");
+                    assert!(server.step(), "the submitted job is dispatchable");
+                    ticket.wait().expect("registered");
+                    let (ledger, actual) = governor.reconcile();
+                    assert_eq!(ledger, actual, "budget {budget:?} round {round} on {name}");
+                }
+            }
+        }
+        let hits: usize = engines.iter().map(|e| e.cache_stats().located_hits).sum();
+        match budget {
+            None => {
+                assert!(hits > 0, "warm repeats find their records");
+                assert!(engines.iter().all(|e| e.network_bytes() > 0));
+            }
+            Some(_) => assert!(governor.stats().evictions > 0, "a 1-byte budget must evict"),
+        }
+        governor.debug_assert_reconciled();
+    }
 }
 
 /// A cache observer that forwards to the governor and holds the first
