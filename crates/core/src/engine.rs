@@ -29,25 +29,29 @@
 //! [`crate::densest_subgraph`] is the one free function that goes through
 //! a throwaway engine.
 //!
-//! The engine is `Send + Sync`: the substrate cache sits behind an
-//! [`RwLock`] with double-checked build-once locking, so N threads warming
-//! the same Ψ pay exactly one decomposition build (the losers of the race
-//! block on the write lock and then hit the cache), while disjoint warm
-//! requests share the read lock and proceed concurrently. Share an engine
-//! across threads with [`std::sync::Arc`] or scoped borrows; for serving
-//! many named graphs from one process, see [`crate::serve::DsdServer`].
+//! The engine is `Send + Sync`. Each graph version is one immutable
+//! *epoch*, published behind an [`Arc`]: a request clones the current
+//! epoch once and reads and builds only inside it. An epoch gives each Ψ
+//! key one slot whose oracle and decomposition are build-once cells, so N
+//! threads warming the same Ψ pay exactly one decomposition build (the
+//! losers wait on that key's cell, then read it as a hit), while requests
+//! for other keys never wait on it. Share an engine across threads with
+//! [`std::sync::Arc`] or scoped borrows; for serving many named graphs
+//! from one process, see [`crate::serve::DsdServer`].
 //!
 //! The graph is **not** frozen: [`DsdEngine::apply`] takes a batch of
-//! [`GraphUpdate`]s and advances a *graph epoch*. One rule covers every
-//! cached substrate: each Ψ-oracle's instance store is repaired in place
+//! [`GraphUpdate`]s and advances the *graph epoch*. It stages the next
+//! epoch off to the side and publishes it with one pointer swap, so a
+//! panic before the swap publishes nothing. The new epoch starts empty
+//! but for the Ψ-oracles: each instance store is repaired in place
 //! through its incidence CSR when the batch merges into the CSR — at
-//! once, or at the next read when it follows an unread batch — falling
-//! back to drop-and-rebuild where no sound cheap repair exists; the
-//! classical k-core order, (k, Ψ)-core decompositions and cached flow
-//! networks drop and rebuild lazily on their next read. Every request
-//! runs against a consistent [`GraphSnapshot`]
-//! and records its epoch in [`SolveStats::epoch`]; requests in flight
-//! during an update finish on their pre-update snapshot.
+//! once, or at the next snapshot when it follows an unread batch —
+//! falling back to drop-and-rebuild where no sound cheap repair exists.
+//! (k, Ψ)-core decompositions, the classical k-core order and flow
+//! networks rebuild lazily on their next read. Every request runs
+//! against a consistent [`GraphSnapshot`] and records its epoch in
+//! [`SolveStats::epoch`]; requests in flight during an update finish on
+//! the epoch they hold, and whatever they build dies with it.
 //!
 //! ```
 //! use dsd_core::engine::{DsdEngine, Objective};
@@ -70,8 +74,8 @@
 
 use std::collections::HashMap;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
 use dsd_graph::{DeltaGraph, EdgeOverlay, Graph, GraphUpdate, VertexId};
@@ -300,11 +304,12 @@ static LENDER_IDS: AtomicU64 = AtomicU64::new(1);
 /// layer's byte governor ([`crate::serve::SubstrateGovernor`]).
 ///
 /// Call discipline (what keeps this deadlock-free): the engine invokes
-/// these callbacks only *after* releasing its own state/cache locks, while
-/// an implementation is allowed to call back into
-/// [`DsdEngine::evict_substrate`] (which takes the cache write lock) from
-/// inside a callback. The reverse order — engine lock held while entering
-/// the observer — never happens.
+/// these callbacks only *after* releasing every lock of its own — the
+/// writer mutex, the current-epoch pointer, slot maps and network pools —
+/// while an implementation is allowed to call back into
+/// [`DsdEngine::evict_substrate`] (which takes the current epoch's
+/// slot-map lock) from inside a callback. The reverse order — engine lock
+/// held while entering the observer — never happens.
 ///
 /// The callbacks carry no byte counts: a footprint read by the engine
 /// could go stale before the observer books it, so an observer keeping an
@@ -334,75 +339,155 @@ pub trait CacheObserver: Send + Sync {
 /// `(substrate, cache_hit)` pair.
 type Cached<T> = (T, bool);
 
-#[derive(Default)]
-struct SubstrateCache {
-    /// Graph epoch the cached substrates belong to. Lookups and inserts
-    /// from a request working on a different snapshot are skipped, so a
-    /// concurrent [`DsdEngine::apply`] can never mix substrates across
-    /// graph versions.
-    epoch: u64,
-    oracles: HashMap<PatternKey, Arc<dyn DensityOracle>>,
-    decompositions: HashMap<PatternKey, Arc<CliqueCoreDecomposition>>,
-    kcore: Option<Arc<KCoreDecomposition>>,
+/// `(Ψ key, oracle)` pairs carried from one epoch into the next.
+type Oracles = Vec<(PatternKey, Arc<dyn DensityOracle>)>;
+
+/// One graph version and everything derived from it. A request clones
+/// the engine's current `Arc<Epoch>` once and reads and builds only in
+/// it, so it never mixes substrates across versions, and what it builds
+/// after an update dies with the version it holds.
+struct Epoch<'g> {
+    /// Effective batches applied before this version.
+    number: u64,
+    graph: GraphSlot<'g>,
+    /// `false` while batches of this epoch still sit in the writer's
+    /// overlay: `graph` is then the last merged CSR, and the next snapshot
+    /// merges them and publishes the servable twin (see
+    /// [`DsdEngine::merge`]). Requests only ever run on merged epochs.
+    merged: bool,
+    /// Set by the first snapshot handed out. A batch applied to an unread
+    /// epoch joins the overlay instead of merging.
+    read: AtomicBool,
+    /// One slot per Ψ key; an eviction removes a slot whole.
+    slots: RwLock<HashMap<PatternKey, Arc<KeySlot>>>,
+    kcore: OnceLock<Arc<KCoreDecomposition>>,
 }
 
-/// Epoch-keyed cache of solved [`DensityNetwork`]s — the third substrate
-/// tier, below the oracle and decomposition: repeat exact/top-k/query
-/// requests on an unchanged graph borrow a warm network (flow state and
-/// all) and pay only the parametric resolve, never re-constructing from
-/// instances. Entries are keyed by `(canonical Ψ, member/pinned-set
-/// fingerprint)` so the full-graph network, each located-core component,
-/// and each Q-anchored query network get their own slot. An entry is
-/// *removed* while lent, and a concurrent request on a lent key waits for
-/// it to come back rather than building a duplicate: the duplicate cost a
-/// full network build and, once the two `put`s raced, was dropped again.
+impl<'g> Epoch<'g> {
+    /// A fresh, unread epoch whose slots hold only the carried `oracles`.
+    fn new(number: u64, graph: GraphSlot<'g>, merged: bool, oracles: Oracles) -> Self {
+        Epoch {
+            number,
+            graph,
+            merged,
+            read: AtomicBool::new(false),
+            slots: RwLock::new(carrying(oracles)),
+            kcore: OnceLock::new(),
+        }
+    }
+
+    /// The slot for `key`, created empty on first use.
+    fn slot(&self, key: &PatternKey) -> Arc<KeySlot> {
+        if let Some(slot) = self.slots.read().unwrap().get(key) {
+            return Arc::clone(slot);
+        }
+        Arc::clone(self.slots.write().unwrap().entry(key.clone()).or_default())
+    }
+
+    /// `bytes` summed over every slot.
+    fn sum(&self, bytes: fn(&KeySlot) -> u64) -> u64 {
+        self.slots
+            .read()
+            .unwrap()
+            .values()
+            .map(|slot| bytes(slot))
+            .sum()
+    }
+
+    /// Swaps every slot for one holding only its oracle and returns the
+    /// replaced slots: dropping them drops this epoch's decompositions,
+    /// networks and records, which the oracles alone can rebuild.
+    fn strip(&self) -> HashMap<PatternKey, Arc<KeySlot>> {
+        let mut slots = self.slots.write().unwrap();
+        let kept = carrying(carried(&slots));
+        std::mem::replace(&mut *slots, kept)
+    }
+}
+
+/// Fresh slots holding only `oracles`.
+fn carrying(oracles: Oracles) -> HashMap<PatternKey, Arc<KeySlot>> {
+    let slot = |oracle| {
+        let slot = KeySlot::default();
+        let _ = slot.oracle.set(oracle);
+        Arc::new(slot)
+    };
+    oracles
+        .into_iter()
+        .map(|(key, oracle)| (key, slot(oracle)))
+        .collect()
+}
+
+/// The built oracles among `slots`.
+fn carried(slots: &HashMap<PatternKey, Arc<KeySlot>>) -> Oracles {
+    slots
+        .iter()
+        .filter_map(|(key, slot)| Some((key.clone(), Arc::clone(slot.oracle.get()?))))
+        .collect()
+}
+
+/// What one Ψ key derives from one epoch's graph: the density oracle and
+/// the (k, Ψ)-core decomposition, each built once, and the network pool.
+#[derive(Default)]
+struct KeySlot {
+    oracle: OnceLock<Arc<dyn DensityOracle>>,
+    decomposition: OnceLock<Arc<CliqueCoreDecomposition>>,
+    pool: Mutex<Pool>,
+    /// Signalled whenever a lent network key is released.
+    returned: Condvar,
+}
+
+impl KeySlot {
+    /// Resident bytes of the cached networks and records.
+    fn network_bytes(&self) -> u64 {
+        let pool = self.pool.lock().unwrap();
+        let networks = pool.entries.values().map(|(_, bytes)| *bytes as u64);
+        networks
+            .chain(pool.records.values().map(|(_, bytes)| *bytes as u64))
+            .sum()
+    }
+
+    /// Resident bytes of what an epoch bump drops: the decomposition
+    /// arrays, networks and records.
+    fn derived_bytes(&self) -> u64 {
+        let dec = self.decomposition.get().map_or(0, |d| d.bytes() as u64);
+        dec + self.network_bytes()
+    }
+
+    /// Resident bytes of the slot: the instance store (via
+    /// [`DensityOracle::resident_bytes`]) plus [`Self::derived_bytes`].
+    fn bytes(&self) -> u64 {
+        self.oracle.get().map_or(0, |o| o.resident_bytes()) + self.derived_bytes()
+    }
+}
+
+/// One key's solved [`DensityNetwork`]s — the third substrate tier, below
+/// the oracle and decomposition: repeat exact/top-k/query requests on an
+/// unchanged graph borrow a warm network (flow state and all) and pay
+/// only the parametric resolve, never re-constructing from instances.
+/// Networks are keyed by their member/pinned-set fingerprint, so the
+/// full-graph network, each located-core component, and each Q-anchored
+/// query network get their own entry. An entry is *removed* while lent,
+/// and a concurrent request on a lent key waits for it to come back
+/// rather than building a duplicate: the duplicate cost a full network
+/// build and, once the two `put`s raced, was dropped again.
 ///
 /// Beside the networks it keeps the located-region records that lead to
-/// them ([`Located`]): CoreExact's located core per (Ψ, removed set,
+/// them ([`Located`]): CoreExact's located core per (removed set,
 /// Pruning1/2) and the query variant's anchored core per (Q). A record is
-/// shared, never lent. Records are charged, evicted and dropped at an
-/// epoch bump exactly like the networks, under the same Ψ key.
+/// shared, never lent. Records are charged, evicted and dropped exactly
+/// like the networks, with their Ψ key.
 #[derive(Default)]
-struct NetworkCache {
-    /// Graph epoch the cached networks were solved against; mismatched
-    /// takes and puts are skipped, exactly like [`SubstrateCache::epoch`].
-    epoch: u64,
+struct Pool {
     /// Lent-out-able networks plus their byte footprint at insert time
     /// (recorded once so the eviction ledger stays stable while the
-    /// network sits untouched in the cache).
-    entries: HashMap<(PatternKey, u64), (DensityNetwork, usize)>,
-    /// Keys lent out (or being built) at `epoch`, with the id of the
+    /// network sits untouched in the pool).
+    entries: HashMap<u64, (DensityNetwork, usize)>,
+    /// Fingerprints lent out (or being built), with the id of the
     /// [`EngineLender`] that holds each.
-    lent: HashMap<(PatternKey, u64), u64>,
-    /// Located-region records at `epoch`, keyed by `(canonical Ψ, region
-    /// fingerprint)`, with their byte footprint.
-    records: HashMap<(PatternKey, u64), (Located, usize)>,
-}
-
-impl NetworkCache {
-    /// Resident bytes of the cached networks and records.
-    fn bytes(&self) -> u64 {
-        let networks: u64 = self.entries.values().map(|(_, b)| *b as u64).sum();
-        let records: u64 = self.records.values().map(|(_, b)| *b as u64).sum();
-        networks + records
-    }
-
-    /// Resident bytes of the networks and records under Ψ key `key`.
-    fn key_bytes(&self, key: &PatternKey) -> u64 {
-        let networks: u64 = self
-            .entries
-            .iter()
-            .filter(|((k, _), _)| k == key)
-            .map(|(_, (_, bytes))| *bytes as u64)
-            .sum();
-        let records: u64 = self
-            .records
-            .iter()
-            .filter(|((k, _), _)| k == key)
-            .map(|(_, (_, bytes))| *bytes as u64)
-            .sum();
-        networks + records
-    }
+    lent: HashMap<u64, u64>,
+    /// Located-region records by region fingerprint, with their byte
+    /// footprint.
+    records: HashMap<u64, (Located, usize)>,
 }
 
 /// Hashes one ascending vertex set, length first, in place.
@@ -418,7 +503,7 @@ fn write_set(h: &mut Fnv, set: &[VertexId]) {
 }
 
 /// Stable fingerprint of a network's member (and pinned-query) vertex
-/// sets — the second half of a [`NetworkCache`] network key. Both sets
+/// sets — the key of a network in its [`Pool`]. Both sets
 /// arrive ascending: component members, `InducedSubgraph::orig`, the
 /// whole vertex range and the normalised query all are.
 fn member_fingerprint(members: &[VertexId], pinned: &[VertexId]) -> u64 {
@@ -428,9 +513,8 @@ fn member_fingerprint(members: &[VertexId], pinned: &[VertexId]) -> u64 {
     h.finish()
 }
 
-/// Stable fingerprint of a located region — the second half of a
-/// [`NetworkCache`] record key. The leading tag keeps the two kinds of
-/// record apart.
+/// Stable fingerprint of a located region — the key of a record in its
+/// [`Pool`]. The leading tag keeps the two kinds of record apart.
 fn region_fingerprint(key: &RegionKey<'_>) -> u64 {
     let mut h = Fnv::new();
     match *key {
@@ -452,57 +536,64 @@ fn region_fingerprint(key: &RegionKey<'_>) -> u64 {
     h.finish()
 }
 
-/// The engine side of one request's [`Substrates`] context, for one
-/// `(Ψ key, snapshot epoch)`: it takes the oracle, the decomposition and
-/// the classical k-core order from the engine's epoch-keyed caches, and
-/// lends flow networks from its [`NetworkCache`]. Lives on the stack of
+/// The engine side of one request's [`Substrates`] context, for one Ψ key
+/// on one epoch: it takes the oracle and the decomposition from the key's
+/// slot and the classical k-core order from the epoch, and lends flow
+/// networks from the slot's [`Pool`]. Lives on the stack of
 /// [`DsdEngine::solve`].
 struct EngineLender<'a, 'g> {
     engine: &'a DsdEngine<'g>,
+    /// The snapshot this request answers on.
+    epoch: Arc<Epoch<'g>>,
     key: PatternKey,
-    epoch: u64,
+    slot: Arc<KeySlot>,
     /// Distinguishes this request's lent keys from other requests'.
     id: u64,
 }
 
 impl<'a, 'g> EngineLender<'a, 'g> {
-    fn new(engine: &'a DsdEngine<'g>, key: PatternKey, epoch: u64) -> Self {
+    /// A lender for `key` on the engine's current snapshot.
+    fn new(engine: &'a DsdEngine<'g>, key: PatternKey) -> Self {
+        let epoch = engine.snapshot();
+        let slot = epoch.slot(&key);
         EngineLender {
             engine,
-            key,
             epoch,
+            key,
+            slot,
             id: LENDER_IDS.fetch_add(1, Ordering::Relaxed),
         }
+    }
+
+    fn graph(&self) -> &Graph {
+        self.epoch.graph.graph()
     }
 }
 
 impl NetworkLender for EngineLender<'_, '_> {
     fn take(&self, members: &[VertexId], pinned: &[VertexId]) -> Option<DensityNetwork> {
-        let slot = (self.key.clone(), member_fingerprint(members, pinned));
-        let mut cache = self.engine.networks.lock().unwrap();
+        let print = member_fingerprint(members, pinned);
+        let mut pool = self.slot.pool.lock().unwrap();
         // A key lent to another request comes back with its `put` (or the
         // holder's drop). Holders only ever wait for strictly smaller
         // member sets (a shrinking component), so waits cannot cycle. A
         // key this request already holds is built fresh, as before.
         let entry = loop {
-            if cache.epoch != self.epoch {
-                break None;
-            }
-            if let Some(entry) = cache.entries.remove(&slot) {
-                cache.lent.insert(slot, self.id);
+            if let Some(entry) = pool.entries.remove(&print) {
+                pool.lent.insert(print, self.id);
                 break Some(entry);
             }
-            match cache.lent.get(&slot) {
+            match pool.lent.get(&print) {
                 Some(&holder) if holder != self.id => {
-                    cache = self.engine.network_returned.wait(cache).unwrap();
+                    pool = self.slot.returned.wait(pool).unwrap();
                 }
                 _ => {
-                    cache.lent.insert(slot, self.id);
+                    pool.lent.insert(print, self.id);
                     break None;
                 }
             }
         };
-        drop(cache);
+        drop(pool);
         match entry {
             Some((mut net, _)) => {
                 // Zero the probe ledger so this request's SolveStats
@@ -520,36 +611,27 @@ impl NetworkLender for EngineLender<'_, '_> {
     }
 
     fn put(&self, members: &[VertexId], pinned: &[VertexId], net: DensityNetwork) {
-        let slot = (self.key.clone(), member_fingerprint(members, pinned));
+        let print = member_fingerprint(members, pinned);
         let bytes = net.bytes();
-        let mut cache = self.engine.networks.lock().unwrap();
-        if cache.lent.get(&slot) == Some(&self.id) {
-            cache.lent.remove(&slot);
+        let mut pool = self.slot.pool.lock().unwrap();
+        if pool.lent.get(&print) == Some(&self.id) {
+            pool.lent.remove(&print);
         }
-        // A stale put (the graph moved on mid-solve) just drops the
-        // network — it was solved against a snapshot nobody will ask
-        // about again.
-        if cache.epoch == self.epoch {
-            cache.entries.insert(slot, (net, bytes));
-        }
-        drop(cache);
-        self.engine.network_returned.notify_all();
+        pool.entries.insert(print, (net, bytes));
+        drop(pool);
+        self.slot.returned.notify_all();
     }
 
     fn located(&self, key: &RegionKey<'_>) -> Option<Located> {
-        let slot = (self.key.clone(), region_fingerprint(key));
-        let record = {
-            let cache = self.engine.networks.lock().unwrap();
-            if cache.epoch != self.epoch {
-                None
-            } else {
-                cache
-                    .records
-                    .get(&slot)
-                    .map(|(record, _)| record.clone())
-                    .filter(|record| record.answers(key))
-            }
-        };
+        let record = self
+            .slot
+            .pool
+            .lock()
+            .unwrap()
+            .records
+            .get(&region_fingerprint(key))
+            .map(|(record, _)| record.clone())
+            .filter(|record| record.answers(key));
         self.engine.count(|c| match record {
             Some(_) => c.located_hits += 1,
             None => c.located_misses += 1,
@@ -558,14 +640,10 @@ impl NetworkLender for EngineLender<'_, '_> {
     }
 
     fn keep_located(&self, key: &RegionKey<'_>, record: Located) {
-        let slot = (self.key.clone(), region_fingerprint(key));
         let bytes = record.bytes();
-        let mut cache = self.engine.networks.lock().unwrap();
-        // Like a stale put, a record located on a snapshot the graph has
-        // moved on from is dropped.
-        if cache.epoch == self.epoch {
-            cache.records.insert(slot, (record, bytes));
-        }
+        let mut pool = self.slot.pool.lock().unwrap();
+        pool.records
+            .insert(region_fingerprint(key), (record, bytes));
     }
 }
 
@@ -574,24 +652,24 @@ impl Drop for EngineLender<'_, '_> {
     /// early, or a panic), so no waiter blocks on a network that is not
     /// coming back.
     fn drop(&mut self) {
-        let mut cache = self
-            .engine
-            .networks
+        let mut pool = self
+            .slot
+            .pool
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let held = cache.lent.len();
-        cache.lent.retain(|_, holder| *holder != self.id);
-        let released = cache.lent.len() != held;
-        drop(cache);
+        let held = pool.lent.len();
+        pool.lent.retain(|_, holder| *holder != self.id);
+        let released = pool.lent.len() != held;
+        drop(pool);
         if released {
-            self.engine.network_returned.notify_all();
+            self.slot.returned.notify_all();
         }
     }
 }
 
 impl SubstrateSource for EngineLender<'_, '_> {
     fn oracle(&self, psi: &Pattern) -> Cached<Arc<dyn DensityOracle>> {
-        self.engine.oracle(psi, &self.key, self.epoch)
+        self.engine.oracle(&self.slot, psi)
     }
 
     fn decomposition(
@@ -599,11 +677,11 @@ impl SubstrateSource for EngineLender<'_, '_> {
         g: &Graph,
         oracle: &dyn DensityOracle,
     ) -> (Arc<CliqueCoreDecomposition>, bool, u128) {
-        self.engine.decomposition(&self.key, g, self.epoch, oracle)
+        self.engine.decomposition(&self.slot, g, oracle)
     }
 
     fn kcore(&self, g: &Graph) -> Cached<Arc<KCoreDecomposition>> {
-        self.engine.kcore(g, self.epoch)
+        self.engine.kcore(&self.epoch, g)
     }
 }
 
@@ -630,24 +708,6 @@ impl<'g> Clone for GraphSlot<'g> {
             GraphSlot::Owned(g) => GraphSlot::Owned(Arc::clone(g)),
         }
     }
-}
-
-/// Mutable graph state behind the engine's state lock: the last
-/// materialized CSR, the overlay of updates applied since then, and the
-/// version counter.
-struct GraphState<'g> {
-    slot: GraphSlot<'g>,
-    /// Updates applied since `slot` was materialized. Non-empty only
-    /// between an [`DsdEngine::apply`] and the next snapshot request —
-    /// queries always run on a fully materialized CSR. Cached Ψ-stores
-    /// describe `slot`; the merge repairs them with the overlay's net
-    /// change.
-    pending: EdgeOverlay,
-    epoch: u64,
-    /// The epoch of the latest snapshot handed out. Below `epoch`, the
-    /// last batch has not been read yet, so the next one joins it in the
-    /// overlay instead of merging.
-    read: AtomicU64,
 }
 
 /// A consistent, immutable view of the engine's graph at one epoch —
@@ -732,16 +792,18 @@ pub struct ApplyStats {
 /// ([`DsdEngine::over`]); owning engines are `DsdEngine<'static>`.
 pub struct DsdEngine<'g> {
     id: u64,
-    state: RwLock<GraphState<'g>>,
+    /// The published epoch. Its critical sections are a clone and a
+    /// pointer swap, which leave it valid even if a panic poisons it.
+    current: RwLock<Arc<Epoch<'g>>>,
+    /// Serialises [`Self::apply`] and [`Self::merge`], and holds the
+    /// overlay of updates not yet merged into the current epoch's CSR
+    /// (non-empty only while that epoch is unmerged). The stored Ψ-oracles
+    /// describe that CSR; the merge repairs them with the overlay's net
+    /// change. Only a commit changes it, so a panic that poisons it leaves
+    /// it valid.
+    writer: Mutex<EdgeOverlay>,
     parallelism: Parallelism,
     substrate_budget: Option<u64>,
-    cache: RwLock<SubstrateCache>,
-    /// Warm flow networks (take/put, epoch-keyed). Lock order: always
-    /// after `cache` when both are held — `apply`, `key_bytes` and
-    /// `evict_substrate` follow it; the lender takes only this lock.
-    networks: Mutex<NetworkCache>,
-    /// Signalled whenever a lent network key is released.
-    network_returned: Condvar,
     counters: Mutex<EngineCacheStats>,
     observer: RwLock<Option<Arc<dyn CacheObserver>>>,
 }
@@ -762,19 +824,15 @@ impl<'g> DsdEngine<'g> {
     }
 
     fn with_slot(slot: GraphSlot<'g>) -> Self {
+        // The first batch merges at once, as if this epoch had been read.
+        let epoch = Epoch::new(0, slot, true, Vec::new());
+        epoch.read.store(true, Ordering::Relaxed);
         DsdEngine {
             id: ENGINE_IDS.fetch_add(1, Ordering::Relaxed),
-            state: RwLock::new(GraphState {
-                slot,
-                pending: EdgeOverlay::default(),
-                epoch: 0,
-                read: AtomicU64::new(0),
-            }),
+            current: RwLock::new(Arc::new(epoch)),
+            writer: Mutex::new(EdgeOverlay::default()),
             parallelism: Parallelism::serial(),
             substrate_budget: Some(DEFAULT_STORE_BUDGET),
-            cache: RwLock::new(SubstrateCache::default()),
-            networks: Mutex::new(NetworkCache::default()),
-            network_returned: Condvar::new(),
             counters: Mutex::new(EngineCacheStats::default()),
             observer: RwLock::new(None),
         }
@@ -794,61 +852,37 @@ impl<'g> DsdEngine<'g> {
     }
 
     fn notify(&self, f: impl FnOnce(&dyn CacheObserver)) {
-        let guard = self.observer.read().unwrap();
+        let guard = self.observer.read().unwrap_or_else(PoisonError::into_inner);
         if let Some(obs) = guard.as_deref() {
             f(obs);
         }
     }
 
-    /// Drops the cached Ψ-substrates (oracle + decomposition) for one
-    /// canonical key, returning the cache-resident bytes released. The
-    /// eviction hook of the serve-layer governor: in-flight requests that
-    /// already cloned the `Arc`s finish unaffected — eviction only severs
-    /// the cache's reference, so the bytes are reclaimed once the last
-    /// snapshot-holder drops. Does *not* notify the observer (the governor
-    /// is the caller and updates its own ledger).
+    /// Drops the cached Ψ-substrates (oracle, decomposition, flow networks
+    /// and located-region records) for one canonical key, returning the
+    /// cache-resident bytes released. The eviction hook of the serve-layer
+    /// governor: in-flight requests that already hold the key's slot
+    /// finish unaffected — eviction only severs the epoch's reference, so
+    /// the bytes are reclaimed once the last holder drops. Does *not*
+    /// notify the observer (the governor is the caller and updates its own
+    /// ledger).
     pub fn evict_substrate(&self, key: &PatternKey) -> u64 {
-        let mut cache = self.cache.write().unwrap();
-        let mut freed = 0u64;
-        if let Some(oracle) = cache.oracles.remove(key) {
-            freed += oracle.resident_bytes();
-        }
-        if let Some(dec) = cache.decompositions.remove(key) {
-            freed += dec.bytes() as u64;
-        }
-        // Cached flow networks and their located-region records ride the
-        // same eviction unit: they are derived from this key's substrates
-        // and cheaper to rebuild than the store, so they never outlive it
-        // in the ledger.
-        let mut networks = self.networks.lock().unwrap();
-        freed += networks.key_bytes(key);
-        networks.entries.retain(|(k, _), _| k != key);
-        networks.records.retain(|(k, _), _| k != key);
-        freed
+        let slot = self.current().slots.write().unwrap().remove(key);
+        slot.map_or(0, |slot| slot.bytes())
     }
 
     /// Cache-resident bytes of the entry for `key`, observed at `epoch`
-    /// (0 when the cache has moved to a different epoch or holds nothing
+    /// (0 when the engine has moved to a different epoch or holds nothing
     /// for the key). The governor reads this under its own lock when
     /// ledgering, so a record is always fresh relative to its own
     /// evictions.
     pub(crate) fn key_bytes(&self, key: &PatternKey, epoch: u64) -> u64 {
-        let cache = self.cache.read().unwrap();
-        if cache.epoch != epoch {
+        let current = self.current();
+        if current.number != epoch {
             return 0;
         }
-        let store = cache.oracles.get(key).map_or(0, |o| o.resident_bytes());
-        let dec = cache
-            .decompositions
-            .get(key)
-            .map_or(0, |d| d.bytes() as u64);
-        let networks = self.networks.lock().unwrap();
-        let nets = if networks.epoch == epoch {
-            networks.key_bytes(key)
-        } else {
-            0
-        };
-        store + dec + nets
+        let slot = current.slots.read().unwrap().get(key).cloned();
+        slot.map_or(0, |slot| slot.bytes())
     }
 
     /// Sets the worker count used for parallelizable substrate passes
@@ -884,15 +918,67 @@ impl<'g> DsdEngine<'g> {
     /// stores, decomposition arrays, plus cached flow networks, at the
     /// engine's current epoch.
     pub fn substrate_bytes(&self) -> u64 {
-        let cache = self.cache.read().unwrap();
-        cache_bytes(&cache) + self.networks.lock().unwrap().bytes()
+        self.current().sum(KeySlot::bytes)
     }
 
     /// Resident bytes of the cached flow networks and their located-region
     /// records alone (a subset of [`Self::substrate_bytes`]) — the CLI's
     /// network-cache report.
     pub fn network_bytes(&self) -> u64 {
-        self.networks.lock().unwrap().bytes()
+        self.current().sum(KeySlot::network_bytes)
+    }
+
+    /// The published epoch, merged or not.
+    fn current(&self) -> Arc<Epoch<'g>> {
+        let current = self.current.read().unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(&current)
+    }
+
+    /// Makes `next` the current epoch. The superseded one drops outside
+    /// the pointer lock, or with the last request still holding it.
+    fn publish(&self, next: Arc<Epoch<'g>>) {
+        let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
+        let _superseded = std::mem::replace(&mut *current, next);
+        drop(current);
+    }
+
+    /// The current epoch as a request reads it: merged (see
+    /// [`Self::merge`]) and marked read.
+    fn snapshot(&self) -> Arc<Epoch<'g>> {
+        let current = self.current();
+        let epoch = if current.merged {
+            current
+        } else {
+            self.merge()
+        };
+        if !epoch.read.load(Ordering::Relaxed) {
+            epoch.read.store(true, Ordering::Relaxed);
+        }
+        epoch
+    }
+
+    /// Merges the pending overlay into a fresh CSR, carries every stored
+    /// Ψ-oracle across its net change and publishes the merged twin of the
+    /// current epoch: a burst of batches with no read in between pays one
+    /// merge and one repair per store. A panicking repair publishes
+    /// nothing and keeps the overlay, so the next snapshot retries.
+    fn merge(&self) -> Arc<Epoch<'g>> {
+        let mut report = Report::new(self);
+        let mut pending = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let current = self.current();
+        if current.merged {
+            // Another snapshot merged it first.
+            return current;
+        }
+        let oracles = carried(&current.slots.read().unwrap());
+        report.keys = oracles.iter().map(|(key, _)| key.clone()).collect();
+        let stats = &mut ApplyStats::default();
+        let (merged, released) = merge_pending(&current, current.number, &pending, oracles, stats);
+        *pending = EdgeOverlay::default();
+        let merged = Arc::new(merged);
+        self.publish(Arc::clone(&merged));
+        report.released = released;
+        merged
     }
 
     /// A consistent snapshot of the engine's graph at its current epoch.
@@ -903,40 +989,17 @@ impl<'g> DsdEngine<'g> {
     /// in between pays one merge and one repair per store, not one per
     /// batch.
     pub fn graph(&self) -> GraphSnapshot<'g> {
-        {
-            let state = self.state.read().unwrap();
-            if state.pending.is_empty() {
-                state.read.store(state.epoch, Ordering::Relaxed);
-                return GraphSnapshot {
-                    slot: state.slot.clone(),
-                    epoch: state.epoch,
-                };
-            }
+        let epoch = self.snapshot();
+        GraphSnapshot {
+            slot: epoch.graph.clone(),
+            epoch: epoch.number,
         }
-        let mut state = self.state.write().unwrap();
-        let mut merged = None;
-        if !state.pending.is_empty() {
-            let mut cache = self.cache.write().unwrap();
-            let keys: Vec<PatternKey> = cache.oracles.keys().cloned().collect();
-            let released = merge_pending(&mut state, &mut cache, &mut ApplyStats::default());
-            merged = Some((released, keys));
-        }
-        state.read.store(state.epoch, Ordering::Relaxed);
-        let snapshot = GraphSnapshot {
-            slot: state.slot.clone(),
-            epoch: state.epoch,
-        };
-        drop(state);
-        if let Some((released, keys)) = merged {
-            self.report(released, &keys, snapshot.epoch);
-        }
-        snapshot
     }
 
     /// The engine's current graph epoch: 0 at construction, +1 per
     /// effective [`DsdEngine::apply`] batch.
     pub fn epoch(&self) -> u64 {
-        self.state.read().unwrap().epoch
+        self.current().number
     }
 
     /// Cumulative cache accounting across all requests so far.
@@ -948,7 +1011,7 @@ impl<'g> DsdEngine<'g> {
     /// reconciling every cached substrate:
     ///
     /// * the **classical k-core order**, **(k, Ψ)-core decompositions**
-    ///   and cached flow networks are dropped on an effective batch, and
+    ///   and cached flow networks do not carry into the new epoch, and
     ///   each rebuilds once on its next read from the merged snapshot (a
     ///   decomposition from the repaired oracle). A peel order has no
     ///   repair cheaper than that rebuild, and a stale one would silently
@@ -976,21 +1039,19 @@ impl<'g> DsdEngine<'g> {
     /// [`ApplyStats::ignored`], and a net-empty batch (e.g.
     /// `[+{u,v}, -{u,v}]`) keeps the epoch and every warm substrate.
     /// Requests already in flight keep their pre-update snapshot.
+    ///
+    /// The next epoch is staged off to the side and published with one
+    /// pointer swap. A panic before it (a faulty repair) publishes
+    /// nothing: the epoch stays, and the graph keeps answering as before.
     pub fn apply(&self, updates: &[GraphUpdate]) -> ApplyStats {
         let t0 = Instant::now();
-        let mut state = self.state.write().unwrap();
-        let mut cache = self.cache.write().unwrap();
-        let GraphState {
-            slot,
-            pending,
-            epoch,
-            read,
-        } = &mut *state;
-        let base = slot.graph();
-        let unread = *read.get_mut() < *epoch;
+        let mut report = Report::new(self);
+        let mut pending = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let current = self.current();
+        let base = current.graph.graph();
 
         let mut stats = ApplyStats {
-            epoch: *epoch,
+            epoch: current.number,
             ..ApplyStats::default()
         };
         // Net toggles of this batch: an edge key is present iff the batch
@@ -1020,98 +1081,46 @@ impl<'g> DsdEngine<'g> {
             stats.total_nanos = t0.elapsed().as_nanos();
             return stats;
         }
+        stats.epoch = current.number + 1;
 
-        *epoch += 1;
-        stats.epoch = *epoch;
-        cache.epoch = *epoch;
-        // The classical k-core order drops like every derived substrate
-        // without an in-place repair; the next read rebuilds it once on
-        // the merged snapshot.
-        cache.kcore = None;
-
-        // Cached flow networks bind the exact member sets and arc
-        // capacities of the old snapshot, and their located-region records
-        // its cores; any effective batch invalidates both wholesale (unlike
-        // stores there is no in-place repair — a changed graph changes the
-        // α-feasibility frontier itself). Keys that held either are
-        // re-reported below so a governor's ledger sheds their bytes.
-        let network_keys: Vec<PatternKey> = {
-            let mut networks = self.networks.lock().unwrap();
-            stats.bytes_freed += networks.bytes();
-            let keys = networks
-                .entries
-                .keys()
-                .chain(networks.records.keys())
-                .map(|(k, _)| k.clone())
-                .collect();
-            networks.entries.clear();
-            networks.lent.clear();
-            networks.records.clear();
-            networks.epoch = *epoch;
-            keys
-        };
-        // Requests waiting on a lent key now see the new epoch and build.
-        self.network_returned.notify_all();
-
-        // Every key that may sit in an observer's ledger at the old epoch;
-        // each is re-reported at the new epoch.
-        let mut ledger_keys: Vec<PatternKey> = cache
-            .oracles
-            .keys()
-            .chain(cache.decompositions.keys())
-            .cloned()
-            .chain(network_keys)
-            .collect();
-        ledger_keys.sort_unstable();
-        ledger_keys.dedup();
-
-        // Decompositions always drop: a peel order has no cheap repair.
-        stats.substrates_dropped = cache.decompositions.len();
-        stats.bytes_freed += cache
-            .decompositions
+        // The superseded graph's decompositions, flow networks and
+        // located-region records leave the engine's reach here, before any
+        // repair, so none is alive while stores are repaired: a changed
+        // graph changes the α-feasibility frontier itself, and a peel
+        // order has no cheap repair. Every key that held anything is
+        // re-reported, so a governor's ledger sheds their bytes — at the
+        // new epoch, or at the old one if a repair panics.
+        let stripped = current.strip();
+        report.keys = stripped.keys().cloned().collect();
+        stats.substrates_dropped = stripped
             .values()
-            .map(|d| d.bytes() as u64)
-            .sum::<u64>();
-        cache.decompositions.clear();
+            .filter(|slot| slot.decomposition.get().is_some())
+            .count();
+        stats.bytes_freed = stripped.values().map(|slot| slot.derived_bytes()).sum();
+        let oracles = carried(&stripped);
+        drop(stripped);
 
         // Only a materialized store reads the merged adjacency; streaming
         // oracles are valid on any graph, and the deferred merge swaps
         // stores no query has built for fresh twins.
-        let stores = cache
-            .oracles
-            .values()
-            .any(|o| o.store_stats().is_some_and(|s| s.materialized));
-        let released = if unread || !stores {
+        let stores = oracles
+            .iter()
+            .any(|(_, o)| o.store_stats().is_some_and(|s| s.materialized));
+        let next = if !current.read.load(Ordering::Relaxed) || !stores {
             stats.csr_deferred = true;
-            false
+            Epoch::new(stats.epoch, current.graph.clone(), false, oracles)
         } else {
-            merge_pending(&mut state, &mut cache, &mut stats)
+            // A read epoch is merged, so the overlay held only this batch;
+            // taking it leaves the writer as it was if the repair panics.
+            let batch = std::mem::take(&mut *pending);
+            let (merged, released) =
+                merge_pending(&current, stats.epoch, &batch, oracles, &mut stats);
+            report.released = released;
+            merged
         };
-
+        self.publish(Arc::new(next));
         stats.total_nanos = t0.elapsed().as_nanos();
-        // Release the state/cache locks before entering the observer (the
-        // lock-order rule documented on `CacheObserver`).
-        drop(cache);
-        drop(state);
-        self.report(released, &ledger_keys, stats.epoch);
         stats
-    }
-
-    /// Tells the observer what an `apply` or a merge did to the cache: a
-    /// wholesale drop (`released`) releases every ledger entry of this
-    /// engine, anything else reports each of `keys` at the new epoch —
-    /// entries for repaired stores take their new footprint, entries for
-    /// dropped halves fall out. Call with no engine lock held.
-    fn report(&self, released: bool, keys: &[PatternKey], epoch: u64) {
-        self.notify(|obs| {
-            if released {
-                obs.on_engine_release(self.id);
-            } else {
-                for key in keys {
-                    obs.on_substrate_repaired(self.id, key, epoch);
-                }
-            }
-        });
     }
 
     /// Starts building a request for pattern Ψ (defaults: Densest,
@@ -1131,10 +1140,10 @@ impl<'g> DsdEngine<'g> {
     /// nanoseconds (0 when it was already cached — including when another
     /// thread won the build race and this call only waited for it).
     pub fn warm(&self, psi: &Pattern) -> u128 {
-        let snap = self.graph();
-        let key = pattern_key(psi);
-        let (oracle, _) = self.oracle(psi, &key, snap.epoch());
-        let (_, _, nanos) = self.decomposition(&key, &snap, snap.epoch(), oracle.as_ref());
+        let epoch = self.snapshot();
+        let slot = epoch.slot(&pattern_key(psi));
+        let (oracle, _) = self.oracle(&slot, psi);
+        let (_, _, nanos) = self.decomposition(&slot, epoch.graph.graph(), oracle.as_ref());
         nanos
     }
 
@@ -1143,69 +1152,24 @@ impl<'g> DsdEngine<'g> {
     /// the order, so the first read after it re-peels the merged snapshot
     /// once; later reads at the same epoch are cache hits.
     pub fn kcore_order(&self) -> Arc<KCoreDecomposition> {
-        let snap = self.graph();
-        self.kcore(&snap, snap.epoch()).0
+        let epoch = self.snapshot();
+        self.kcore(&epoch, epoch.graph.graph()).0
     }
 
     fn count(&self, bump: impl FnOnce(&mut EngineCacheStats)) {
         bump(&mut self.counters.lock().unwrap());
     }
 
-    /// Double-checked build-once lookup in the substrate cache at `epoch`.
-    /// The fast path shares a read lock; a miss upgrades to the write lock
-    /// and re-checks, then builds while holding it. That is the build-once
-    /// guarantee: concurrent requests for the same entry block until the
-    /// winner's build lands, then read it as a hit — N threads pay one
-    /// build. (Requests for *already-cached* substrates also wait out the
-    /// build; a serving workload warms its patterns up front, so the write
-    /// lock is cold-start-only.) Cache traffic is epoch-guarded: a request
-    /// racing an [`Self::apply`] keeps its own snapshot consistent by
-    /// building privately instead of touching the newer epoch's cache. The
-    /// bool reports a hit.
-    fn memoized<T: Clone>(
-        &self,
-        epoch: u64,
-        get: impl Fn(&SubstrateCache) -> Option<T>,
-        build: impl FnOnce() -> T,
-        put: impl FnOnce(&mut SubstrateCache, T),
-    ) -> Cached<T> {
-        let lookup = |cache: &SubstrateCache| (cache.epoch == epoch).then(|| get(cache)).flatten();
-        if let Some(hit) = lookup(&self.cache.read().unwrap()) {
-            return (hit, true);
-        }
-        let mut cache = self.cache.write().unwrap();
-        if let Some(hit) = lookup(&cache) {
-            return (hit, true);
-        }
-        let built = build();
-        if cache.epoch == epoch {
-            put(&mut cache, built.clone());
-        }
-        (built, false)
-    }
-
-    /// The memoized density oracle for Ψ (canonical key `key`) at graph
-    /// epoch `epoch`. The bool reports a cache hit.
-    fn oracle(
-        &self,
-        psi: &Pattern,
-        key: &PatternKey,
-        epoch: u64,
-    ) -> Cached<Arc<dyn DensityOracle>> {
-        let (oracle, hit) = self.memoized(
-            epoch,
-            |cache| cache.oracles.get(key).cloned(),
-            || {
-                Arc::from(oracle_with_policy(
-                    psi,
-                    self.parallelism,
-                    self.substrate_budget,
-                ))
-            },
-            |cache, oracle| {
-                cache.oracles.insert(key.clone(), oracle);
-            },
-        );
+    /// The memoized density oracle for Ψ in `slot`. The bool reports a
+    /// cache hit.
+    fn oracle(&self, slot: &KeySlot, psi: &Pattern) -> Cached<Arc<dyn DensityOracle>> {
+        let (oracle, hit) = memoized(&slot.oracle, || {
+            Arc::from(oracle_with_policy(
+                psi,
+                self.parallelism,
+                self.substrate_budget,
+            ))
+        });
         self.count(|c| match hit {
             true => c.oracle_hits += 1,
             false => c.oracle_builds += 1,
@@ -1213,30 +1177,22 @@ impl<'g> DsdEngine<'g> {
         (oracle, hit)
     }
 
-    /// The memoized (k, Ψ)-core decomposition of `g` (the snapshot at
-    /// `epoch`) through `oracle`. The bool reports a cache hit; the u128
-    /// is the build time paid by *this* call (0 on a hit).
+    /// The memoized (k, Ψ)-core decomposition in `slot` of `g` (the slot's
+    /// epoch graph) through `oracle`. The bool reports a cache hit; the
+    /// u128 is the build time paid by *this* call (0 on a hit).
     fn decomposition(
         &self,
-        key: &PatternKey,
+        slot: &KeySlot,
         g: &Graph,
-        epoch: u64,
         oracle: &dyn DensityOracle,
     ) -> (Arc<CliqueCoreDecomposition>, bool, u128) {
         let mut nanos = 0;
-        let (dec, hit) = self.memoized(
-            epoch,
-            |cache| cache.decompositions.get(key).cloned(),
-            || {
-                let t = Instant::now();
-                let dec = Arc::new(decompose(g, oracle));
-                nanos = t.elapsed().as_nanos();
-                dec
-            },
-            |cache, dec| {
-                cache.decompositions.insert(key.clone(), dec);
-            },
-        );
+        let (dec, hit) = memoized(&slot.decomposition, || {
+            let t = Instant::now();
+            let dec = Arc::new(decompose(g, oracle));
+            nanos = t.elapsed().as_nanos();
+            dec
+        });
         self.count(|c| match hit {
             true => c.decomposition_hits += 1,
             false => c.decomposition_builds += 1,
@@ -1244,15 +1200,10 @@ impl<'g> DsdEngine<'g> {
         (dec, hit, nanos)
     }
 
-    /// The memoized classical k-core order of `g` (the snapshot at
-    /// `epoch`). The bool reports a cache hit.
-    fn kcore(&self, g: &Graph, epoch: u64) -> Cached<Arc<KCoreDecomposition>> {
-        let (kcore, hit) = self.memoized(
-            epoch,
-            |cache| cache.kcore.clone(),
-            || Arc::new(k_core_decomposition(g)),
-            |cache, kcore| cache.kcore = Some(kcore),
-        );
+    /// The memoized classical k-core order of `g`, `epoch`'s graph. The
+    /// bool reports a cache hit.
+    fn kcore(&self, epoch: &Epoch<'_>, g: &Graph) -> Cached<Arc<KCoreDecomposition>> {
+        let (kcore, hit) = memoized(&epoch.kcore, || Arc::new(k_core_decomposition(g)));
         self.count(|c| match hit {
             true => c.kcore_hits += 1,
             false => c.kcore_builds += 1,
@@ -1275,7 +1226,7 @@ impl<'g> DsdEngine<'g> {
     /// Note the warm/cold split makes Auto's choice depend on cache state:
     /// under concurrent execution, pin an explicit method when bit-for-bit
     /// reproducibility across runs matters (see `serve::DsdServer`).
-    fn auto_method(&self, psi: &Pattern, key: &PatternKey, snap: &GraphSnapshot<'_>) -> Method {
+    fn auto_method(psi: &Pattern, lender: &EngineLender<'_, '_>) -> Method {
         /// Located-core size above which warm flow probes are judged too
         /// expensive for an auto-selected request.
         const WARM_FLOW_VERTEX_CAP: usize = 20_000;
@@ -1283,21 +1234,13 @@ impl<'g> DsdEngine<'g> {
         /// enumeration + decomposition cost of the exact path.
         const COLD_EXACT_WORK_CAP: usize = 1_000_000;
 
-        let cached: Option<Arc<CliqueCoreDecomposition>> = {
-            let cache = self.cache.read().unwrap();
-            if cache.epoch == snap.epoch() {
-                cache.decompositions.get(key).cloned()
-            } else {
-                None
-            }
-        };
-        if let Some(dec) = cached {
+        if let Some(dec) = lender.slot.decomposition.get() {
             if dec.kmax == 0 {
                 return Method::PeelApp;
             }
             // Same location rule CoreExact itself applies (Lemma 7 on the
             // Pruning1 lower bound), via the shared bounds helpers.
-            let bounds = crate::bounds::density_bounds(&dec, psi.vertex_count(), true);
+            let bounds = crate::bounds::density_bounds(dec, psi.vertex_count(), true);
             let k_loc = bounds.locate_k.max(1);
             let located = dec.core_set(k_loc).len();
             if located <= WARM_FLOW_VERTEX_CAP {
@@ -1305,7 +1248,12 @@ impl<'g> DsdEngine<'g> {
             } else {
                 Method::PeelApp
             }
-        } else if snap.num_edges().saturating_mul(psi.vertex_count()) <= COLD_EXACT_WORK_CAP {
+        } else if lender
+            .graph()
+            .num_edges()
+            .saturating_mul(psi.vertex_count())
+            <= COLD_EXACT_WORK_CAP
+        {
             Method::CoreExact
         } else {
             Method::CoreApp
@@ -1325,15 +1273,14 @@ impl<'g> DsdEngine<'g> {
     /// nothing.
     pub fn solve(&self, req: &DsdRequest) -> Solution {
         let t0 = Instant::now();
-        let snap = self.graph();
-        let epoch = snap.epoch();
         // The query variant is defined for edge density whatever the
         // request's Ψ: it runs, caches its pinned networks and ledgers
         // under the edge key.
         let query = matches!(req.objective, Objective::WithQuery(_));
         let edge = Pattern::edge();
         let psi = if query { &edge } else { &req.psi };
-        let lender = EngineLender::new(self, pattern_key(psi), epoch);
+        let lender = EngineLender::new(self, pattern_key(psi));
+        let epoch = lender.epoch.number;
         // DalkS and DamkS build their exact attempt's networks fresh and
         // leave the network cache alone.
         let lends = !matches!(
@@ -1341,7 +1288,7 @@ impl<'g> DsdEngine<'g> {
             Objective::AtLeastK(_) | Objective::AtMostK(_)
         );
         let s = Substrates::cached(
-            &snap,
+            lender.graph(),
             psi,
             &lender,
             lends.then_some(&lender as &dyn NetworkLender),
@@ -1355,7 +1302,7 @@ impl<'g> DsdEngine<'g> {
         let answer = match &req.objective {
             Objective::Densest => {
                 let method = match req.method {
-                    Method::Auto => self.auto_method(psi, &lender.key, &snap),
+                    Method::Auto => Self::auto_method(psi, &lender),
                     m => m,
                 };
                 let ratio = Cert::Ratio(1.0 / psi.vertex_count() as f64);
@@ -1557,36 +1504,97 @@ impl Drop for DsdEngine<'_> {
     }
 }
 
-/// Merges the pending overlay of `state` into a fresh CSR and carries
-/// every cached oracle across the overlay's net edge changes — one merge
-/// and one `repair_for_update` per oracle, however many batches the
-/// overlay holds. Sound because stores are built from merged snapshots
-/// only, so they describe the last merged CSR, and every change since
-/// that merge sits in the overlay. Every oracle is dropped instead when
+/// Builds once, in `cell`: concurrent requests for the same entry block
+/// until the winner's build lands, then read it as a hit — N threads pay
+/// one build, and requests for other cells never wait on it. The bool
+/// reports a hit.
+fn memoized<T: Clone>(cell: &OnceLock<T>, build: impl FnOnce() -> T) -> Cached<T> {
+    let mut hit = true;
+    let value = cell.get_or_init(|| {
+        hit = false;
+        build()
+    });
+    (value.clone(), hit)
+}
+
+/// The observer call an [`DsdEngine::apply`] or [`DsdEngine::merge`]
+/// owes, made when it drops — declared before the writer guard, so after
+/// every engine lock is released, and also when a repair unwinds. A
+/// wholesale drop (`released`) releases every ledger entry of the engine;
+/// otherwise each of `keys` is re-reported at the epoch current by then
+/// (the new one, or the old one after a panic): entries for repaired
+/// stores take their new footprint, entries for dropped halves fall out.
+struct Report<'a, 'g> {
+    engine: &'a DsdEngine<'g>,
+    released: bool,
+    keys: Vec<PatternKey>,
+}
+
+impl<'a, 'g> Report<'a, 'g> {
+    fn new(engine: &'a DsdEngine<'g>) -> Self {
+        Report {
+            engine,
+            released: false,
+            keys: Vec::new(),
+        }
+    }
+}
+
+impl Drop for Report<'_, '_> {
+    fn drop(&mut self) {
+        if !self.released && self.keys.is_empty() {
+            return;
+        }
+        let engine = self.engine;
+        let epoch = engine.current().number;
+        engine.notify(|obs| {
+            if self.released {
+                obs.on_engine_release(engine.id);
+            } else {
+                for key in &self.keys {
+                    obs.on_substrate_repaired(engine.id, key, epoch);
+                }
+            }
+        });
+    }
+}
+
+/// Stages the merged epoch `number`: merges `pending` into a fresh CSR
+/// over `from`'s and carries `from`'s `oracles` across the overlay's net
+/// edge changes — one merge and one `repair_for_update` per oracle,
+/// however many batches the overlay holds. Sound because stores are built
+/// from merged snapshots only, so they describe `from`'s CSR, and every
+/// change since sits in the overlay. Every oracle is dropped instead when
 /// the net change is over the repair ceiling; returns whether that
 /// happened. Counts into `stats`.
-fn merge_pending(
-    state: &mut GraphState<'_>,
-    cache: &mut SubstrateCache,
+///
+/// `from` lets go of each oracle once its repair returns, so no more than
+/// one store is ever held twice; a panicking repair leaves it the oracles
+/// not repaired yet.
+fn merge_pending<'g>(
+    from: &Epoch<'_>,
+    number: u64,
+    pending: &EdgeOverlay,
+    mut oracles: Oracles,
     stats: &mut ApplyStats,
-) -> bool {
-    let GraphState { slot, pending, .. } = state;
-    let base = slot.graph();
+) -> (Epoch<'g>, bool) {
+    let base = from.graph.graph();
     let (inserted, removed) = (pending.added_edge_list(), pending.removed_edge_list());
-    let resident: u64 = cache.oracles.values().map(|o| o.resident_bytes()).sum();
+    let resident: u64 = oracles.iter().map(|(_, o)| o.resident_bytes()).sum();
     let released = !repairable_batch(inserted.len(), removed.len(), resident);
     if released {
-        stats.substrates_dropped += cache.oracles.len();
-        stats.substrates_rebuilt += cache.oracles.len();
+        stats.substrates_dropped += oracles.len();
+        stats.substrates_rebuilt += oracles.len();
         stats.bytes_freed += resident;
-        cache.oracles.clear();
+        oracles.clear();
+        from.slots.write().unwrap().clear();
     }
     // The general-pattern repair recounts touched rows in the mid graph
     // (base minus removals); cliques never read it, so build it only when
     // a non-clique store is cached and both edge directions moved.
     let needs_mid = !inserted.is_empty()
         && !removed.is_empty()
-        && cache.oracles.iter().any(|((k, edges), o)| {
+        && oracles.iter().any(|((k, edges), o)| {
             edges.len() * 2 != k * (k - 1) && o.store_stats().is_some_and(|s| s.materialized)
         });
     let g_mid: Option<Graph> = needs_mid.then(|| {
@@ -1597,45 +1605,29 @@ fn merge_pending(
         DeltaGraph::new(base, &deletions).materialize()
     });
     let g_new = Arc::new(DeltaGraph::new(base, pending).materialize());
-    *slot = GraphSlot::Owned(Arc::clone(&g_new));
-    *pending = EdgeOverlay::default();
     let g_mid: &Graph = g_mid.as_ref().unwrap_or(&g_new);
 
-    let keys: Vec<PatternKey> = cache.oracles.keys().cloned().collect();
-    for key in keys {
-        let oracle = cache.oracles.get(&key).expect("key just listed");
-        match oracle.repair_for_update(&g_new, g_mid, &inserted, &removed) {
-            SubstrateRepair::Keep => {}
-            SubstrateRepair::Replaced(fresh) => {
-                cache.oracles.insert(key, fresh);
-            }
+    let mut carried = Vec::with_capacity(oracles.len());
+    for (key, oracle) in oracles {
+        let repair = oracle.repair_for_update(&g_new, g_mid, &inserted, &removed);
+        from.slots.write().unwrap().remove(&key);
+        match repair {
+            SubstrateRepair::Keep => carried.push((key, oracle)),
+            SubstrateRepair::Replaced(fresh) => carried.push((key, fresh)),
             SubstrateRepair::Repaired(repaired, r) => {
                 stats.substrates_repaired += 1;
                 stats.rows_tombstoned += r.rows_tombstoned;
-                cache.oracles.insert(key, repaired);
+                carried.push((key, repaired));
             }
             SubstrateRepair::Rebuild => {
-                let old = cache.oracles.remove(&key).expect("key just listed");
-                stats.bytes_freed += old.resident_bytes();
+                stats.bytes_freed += oracle.resident_bytes();
                 stats.substrates_dropped += 1;
                 stats.substrates_rebuilt += 1;
             }
         }
     }
-    released
-}
-
-/// Resident bytes of a substrate cache's droppable Ψ-substrates: instance
-/// stores (via [`DensityOracle::resident_bytes`]) plus decomposition
-/// arrays.
-fn cache_bytes(cache: &SubstrateCache) -> u64 {
-    let store_bytes: u64 = cache.oracles.values().map(|o| o.resident_bytes()).sum();
-    let dec_bytes: u64 = cache
-        .decompositions
-        .values()
-        .map(|d| d.bytes() as u64)
-        .sum();
-    store_bytes + dec_bytes
+    let merged = Epoch::new(number, GraphSlot::Owned(g_new), true, carried);
+    (merged, released)
 }
 
 /// Copies an α-search's instrumentation into a request's [`SolveStats`].
@@ -1796,8 +1788,11 @@ impl<'e, 'g> BoundRequest<'e, 'g> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::oracle::InstancePeeler;
+    use dsd_graph::VertexSet;
+    use dsd_motif::store::InstanceStore;
 
     /// The serving layer's whole premise, checked at compile time.
     #[test]
@@ -1972,7 +1967,7 @@ mod tests {
         let engine = DsdEngine::new(g);
         let psi = Pattern::triangle();
         let old = engine.graph();
-        let (held, _) = engine.oracle(&psi, &pattern_key(&psi), old.epoch());
+        let (held, _) = engine.oracle(&engine.snapshot().slot(&pattern_key(&psi)), &psi);
         assert!(held.store_stats().is_none(), "nothing built yet");
 
         engine.apply(&[GraphUpdate::Insert(2, 3)]);
@@ -1991,20 +1986,145 @@ mod tests {
         assert_eq!(warm.density.to_bits(), cold.density.to_bits());
     }
 
-    /// Dropping an engine whose cache lock a panic poisoned releases its
-    /// footprint instead of panicking again.
+    /// Dropping an engine whose cache-observer lock a panic poisoned
+    /// releases its footprint instead of panicking again.
     #[test]
     fn drop_recovers_a_poisoned_cache_lock() {
         let g = Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
         let engine = DsdEngine::new(g);
         engine.warm(&Pattern::triangle());
         let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _cache = engine.cache.write().unwrap();
-            panic!("poison the substrate cache lock");
+            let _observer = engine.observer.write().unwrap();
+            panic!("poison the cache-observer lock");
         }));
         assert!(poisoned.is_err());
-        assert!(engine.cache.is_poisoned());
+        assert!(engine.observer.is_poisoned());
         drop(engine);
+    }
+
+    /// A real oracle for Ψ that reports a materialized store, so `apply`
+    /// repairs it, and panics in that repair; everything else delegates.
+    pub(crate) struct RepairPanics(pub(crate) Arc<dyn DensityOracle>);
+
+    impl RepairPanics {
+        /// Wraps the oracle an engine would build for `psi`.
+        pub(crate) fn oracle(psi: &Pattern) -> Arc<dyn DensityOracle> {
+            let inner = oracle_with_policy(psi, Parallelism::serial(), Some(DEFAULT_STORE_BUDGET));
+            Arc::new(RepairPanics(Arc::from(inner)))
+        }
+    }
+
+    impl DensityOracle for RepairPanics {
+        fn psi_size(&self) -> usize {
+            self.0.psi_size()
+        }
+
+        fn degrees(&self, g: &Graph, alive: &VertexSet) -> Vec<u64> {
+            self.0.degrees(g, alive)
+        }
+
+        fn removal_decrements(
+            &self,
+            g: &Graph,
+            alive: &VertexSet,
+            v: VertexId,
+        ) -> Vec<(VertexId, u64)> {
+            self.0.removal_decrements(g, alive, v)
+        }
+
+        fn count(&self, g: &Graph, alive: &VertexSet) -> u64 {
+            self.0.count(g, alive)
+        }
+
+        fn peeler<'a>(
+            &'a self,
+            g: &'a Graph,
+            alive: &VertexSet,
+        ) -> Option<Box<dyn InstancePeeler + 'a>> {
+            self.0.peeler(g, alive)
+        }
+
+        fn store_stats(&self) -> Option<StoreStats> {
+            Some(StoreStats {
+                materialized: true,
+                ..StoreStats::default()
+            })
+        }
+
+        fn resident_bytes(&self) -> u64 {
+            self.0.resident_bytes()
+        }
+
+        fn store(&self, g: &Graph) -> Option<&InstanceStore> {
+            self.0.store(g)
+        }
+
+        fn repair_for_update(
+            &self,
+            _: &Graph,
+            _: &Graph,
+            _: &[(VertexId, VertexId)],
+            _: &[(VertexId, VertexId)],
+        ) -> SubstrateRepair {
+            panic!("injected repair fault");
+        }
+    }
+
+    impl DsdEngine<'_> {
+        /// Puts `oracle` in Ψ's slot of the current epoch, in place of the
+        /// one the engine would build.
+        pub(crate) fn install_oracle(&self, psi: &Pattern, oracle: Arc<dyn DensityOracle>) {
+            let slot = self.current().slot(&pattern_key(psi));
+            assert!(slot.oracle.set(oracle).is_ok(), "Ψ's oracle is built");
+        }
+    }
+
+    /// A panicking `apply` publishes nothing. When the repair of a stored
+    /// oracle panics, the epoch stays, requests answer bit-identically to
+    /// a cold engine over the old graph, and once the faulty oracle is
+    /// evicted the same batch commits and answers like a cold engine over
+    /// the new graph.
+    #[test]
+    fn a_panicking_repair_publishes_nothing() {
+        let edges = [(0, 1), (1, 2), (0, 2), (0, 3), (2, 3), (3, 4), (4, 5)];
+        let g = Graph::from_edges(6, &edges);
+        let psi = Pattern::triangle();
+        let requests = [
+            DsdRequest::new(&psi).method(Method::CoreExact),
+            DsdRequest::new(&psi).objective(Objective::TopK(2)),
+            DsdRequest::new(&psi).objective(Objective::WithQuery(vec![5])),
+        ];
+        let assert_answers = |engine: &DsdEngine<'_>, g: &Graph, epoch: u64| {
+            let cold = DsdEngine::over(g);
+            for req in &requests {
+                let (got, want) = (engine.solve(req), cold.solve(req));
+                assert_eq!(got.stats.epoch, epoch);
+                assert_eq!(got.subgraphs.len(), want.subgraphs.len());
+                for (a, b) in got.subgraphs.iter().zip(&want.subgraphs) {
+                    assert_eq!(a.vertices, b.vertices, "{req:?}");
+                    assert_eq!(a.density.to_bits(), b.density.to_bits(), "{req:?}");
+                }
+            }
+        };
+
+        let engine = DsdEngine::new(g.clone());
+        engine.install_oracle(&psi, RepairPanics::oracle(&psi));
+        assert_answers(&engine, &g, 0);
+        let batch = [GraphUpdate::Insert(1, 3), GraphUpdate::Delete(3, 4)];
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.apply(&batch);
+        }));
+        assert!(failed.is_err(), "the repair panics");
+        assert_eq!(engine.epoch(), 0);
+        assert_answers(&engine, &g, 0);
+
+        assert!(engine.evict_substrate(&pattern_key(&psi)) > 0);
+        let stats = engine.apply(&batch);
+        assert_eq!((stats.epoch, stats.inserted, stats.deleted), (1, 1, 1));
+        let mut updated = edges.to_vec();
+        updated.retain(|&e| e != (3, 4));
+        updated.push((1, 3));
+        assert_answers(&engine, &Graph::from_edges(6, &updated), 1);
     }
 
     /// Borrowed engines copy on write: the first effective apply detaches
@@ -2049,15 +2169,14 @@ mod tests {
         psi: &Pattern,
         objective: &Objective,
     ) -> (Vec<DsdResult>, ExactStats) {
-        let snap = engine.graph();
         let edge = Pattern::edge();
         let psi = match objective {
             Objective::WithQuery(_) => &edge,
             _ => psi,
         };
-        let lender = EngineLender::new(engine, pattern_key(psi), snap.epoch());
+        let lender = EngineLender::new(engine, pattern_key(psi));
         let recordless = RecordlessLender(&lender);
-        let s = Substrates::cached(&snap, psi, &lender, Some(&recordless));
+        let s = Substrates::cached(lender.graph(), psi, &lender, Some(&recordless));
         let config = CoreExactConfig::default();
         match objective {
             Objective::Densest => {

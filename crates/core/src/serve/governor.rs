@@ -19,9 +19,11 @@
 //! thrashes an entry mid-request (the "epoch lease" — safety never
 //! depends on it, residency does).
 //!
-//! Lock order: the governor may take an engine's cache lock (via
-//! `evict_substrate`) while holding its own mutex; engines never enter
-//! the governor while holding their locks (see [`CacheObserver`]). One
+//! Lock order: the governor may take an engine's current-epoch pointer
+//! and slot-map locks (via `evict_substrate` and the `key_bytes` read)
+//! while holding its own mutex; engines never enter the governor while
+//! holding any lock of their own — not even the writer mutex an update
+//! holds while it stages the next epoch (see [`CacheObserver`]). One
 //! subtlety is handled explicitly: upgrading a [`Weak`] engine handle
 //! inside the governor's critical section could make this thread the
 //! *last* strong reference — dropping it would run the engine's `Drop`,

@@ -27,9 +27,11 @@
 //!   (the answer then degrades to [`crate::Guarantee::Heuristic`], never
 //!   to a wrong density).
 
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -97,6 +99,10 @@ pub enum ServeError {
     DeadlineExceeded,
     /// The server shut down before the job ran.
     ShutDown,
+    /// The job panicked; the message is the panic's. The graph keeps
+    /// serving: an engine publishes an update's epoch only once the whole
+    /// update has succeeded.
+    Internal(String),
 }
 
 impl fmt::Display for ServeError {
@@ -113,6 +119,7 @@ impl fmt::Display for ServeError {
             }
             ServeError::DeadlineExceeded => write!(f, "deadline passed before dispatch"),
             ServeError::ShutDown => write!(f, "server shut down before the job ran"),
+            ServeError::Internal(message) => write!(f, "job panicked: {message}"),
         }
     }
 }
@@ -472,8 +479,11 @@ impl DsdServer {
         }
         self.shared.work.notify_all();
         self.shared.idle.notify_all();
+        // Jobs catch their own panics, so a worker that still panicked
+        // has nothing left to report; this also runs in `Drop`, where a
+        // second panic would abort.
         for worker in self.workers.drain(..) {
-            worker.join().expect("serve worker panicked");
+            let _ = worker.join();
         }
     }
 }
@@ -543,7 +553,8 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Executes one dispatched job and settles the pipeline bookkeeping.
+/// Executes one dispatched job and settles the pipeline bookkeeping. A
+/// panicking job fails with [`ServeError::Internal`].
 fn run_job(shared: &Shared, dispatched: Dispatched) {
     let Dispatched {
         job:
@@ -556,70 +567,168 @@ fn run_job(shared: &Shared, dispatched: Dispatched) {
         engine,
         generation,
     } = dispatched;
-    let is_update = matches!(kind, JobKind::Update(_));
     let expired = deadline.is_some_and(|d| Instant::now() > d);
+    let settle = Settle {
+        shared,
+        graph,
+        generation,
+        update: matches!(kind, JobKind::Update(_)),
+        expired,
+    };
 
     let result = if expired {
         Err(ServeError::DeadlineExceeded)
     } else {
-        match kind {
-            JobKind::Query(mut req) => {
-                let cap = shared.config.deadline_step_budget;
-                if deadline.is_some() && cap > 0 {
-                    let cap = req.step_budget_limit().map_or(cap, |b| b.min(cap));
-                    req = req.step_budget(cap);
-                }
-                // Pin the substrate entry this query is about to use so
-                // the LRU doesn't thrash it mid-request. The query
-                // variant runs on the classical k-core order, which the
-                // governor never evicts, and needs no pin; its cached
-                // flow network is take/put (out of the cache while
-                // lent), so eviction can never touch it mid-request.
-                let _lease: Option<SubstrateLease> =
-                    (!matches!(req.objective_ref(), Objective::WithQuery(_)))
-                        .then(|| shared.governor.lease(engine.id(), pattern_key(req.psi())));
-                Ok(ServeOutcome::Solved(Box::new(engine.solve(&req))))
-            }
-            JobKind::Update(updates) => Ok(ServeOutcome::Updated(engine.apply(&updates))),
-        }
+        // Unwind safety: a query only fills build-once caches of the epoch
+        // it holds, and an update publishes its epoch in one swap at the
+        // end, so a panic leaves the engine as it was.
+        panic::catch_unwind(AssertUnwindSafe(|| {
+            execute(shared, &engine, kind, deadline)
+        }))
+        .map_err(|panic| ServeError::Internal(panic_message(panic)))
     };
     // Dropped outside the state lock: if the graph was evicted or
     // replaced meanwhile, this is the engine's last holder.
     drop(engine);
-
-    let mut state = shared.state.lock().unwrap();
-    state.in_flight -= 1;
-    if expired {
-        state.shed_deadline += 1;
-    } else {
-        state.completed += 1;
-    }
-    // Settle only on the registration the job ran against: after an
-    // evict or re-register the name may hold a new entry that never
-    // counted this job.
-    if let Some(entry) = state
-        .graphs
-        .get_mut(&graph)
-        .filter(|entry| entry.generation == generation)
-    {
-        if is_update {
-            entry.update_running = false;
-        } else {
-            entry.running_queries -= 1;
-        }
-    }
-    // Finishing can unblock a barriered update (or the jobs behind one);
-    // wake the pool to re-scan.
-    if state.queued > 0 {
-        shared.work.notify_all();
-    }
-    notify_if_idle(shared, &state);
-    drop(state);
+    drop(settle);
     let _ = tx.send(result);
+}
+
+/// Runs one job that is still within its deadline.
+fn execute(
+    shared: &Shared,
+    engine: &DsdEngine<'static>,
+    kind: JobKind,
+    deadline: Option<Instant>,
+) -> ServeOutcome {
+    match kind {
+        JobKind::Query(mut req) => {
+            let cap = shared.config.deadline_step_budget;
+            if deadline.is_some() && cap > 0 {
+                let cap = req.step_budget_limit().map_or(cap, |b| b.min(cap));
+                req = req.step_budget(cap);
+            }
+            // Pin the substrate entry this query is about to use so
+            // the LRU doesn't thrash it mid-request. The query
+            // variant runs on the classical k-core order, which the
+            // governor never evicts, and needs no pin; its cached
+            // flow network is take/put (out of the cache while
+            // lent), so eviction can never touch it mid-request.
+            let _lease: Option<SubstrateLease> =
+                (!matches!(req.objective_ref(), Objective::WithQuery(_)))
+                    .then(|| shared.governor.lease(engine.id(), pattern_key(req.psi())));
+            ServeOutcome::Solved(Box::new(engine.solve(&req)))
+        }
+        JobKind::Update(updates) => ServeOutcome::Updated(engine.apply(&updates)),
+    }
+}
+
+/// The text of a caught panic.
+fn panic_message(panic: Box<dyn Any + Send>) -> String {
+    match panic.downcast::<String>() {
+        Ok(message) => *message,
+        Err(panic) => match panic.downcast_ref::<&str>() {
+            Some(message) => message.to_string(),
+            None => "non-string panic payload".to_string(),
+        },
+    }
+}
+
+/// Settles one dispatched job's pipeline bookkeeping when dropped — also
+/// when the job unwinds — so its graph's queue and [`DsdServer::drain`]
+/// never wait on a job that is gone.
+struct Settle<'a> {
+    shared: &'a Shared,
+    graph: String,
+    generation: u64,
+    update: bool,
+    expired: bool,
+}
+
+impl Drop for Settle<'_> {
+    fn drop(&mut self) {
+        let shared = self.shared;
+        let mut state = shared.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.in_flight -= 1;
+        if self.expired {
+            state.shed_deadline += 1;
+        } else {
+            state.completed += 1;
+        }
+        // Settle only on the registration the job ran against: after an
+        // evict or re-register the name may hold a new entry that never
+        // counted this job.
+        if let Some(entry) = state
+            .graphs
+            .get_mut(&self.graph)
+            .filter(|entry| entry.generation == self.generation)
+        {
+            if self.update {
+                entry.update_running = false;
+            } else {
+                entry.running_queries -= 1;
+            }
+        }
+        // Finishing can unblock a barriered update (or the jobs behind one);
+        // wake the pool to re-scan.
+        if state.queued > 0 {
+            shared.work.notify_all();
+        }
+        notify_if_idle(shared, &state);
+    }
 }
 
 fn notify_if_idle(shared: &Shared, state: &PipeState) {
     if state.queued == 0 && state.in_flight == 0 {
         shared.idle.notify_all();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::tests::RepairPanics;
+    use crate::Method;
+    use dsd_motif::Pattern;
+
+    /// A job that panics fails alone: the update whose repair panics
+    /// returns [`ServeError::Internal`], the next query on that graph is
+    /// answered on the epoch it had, and `drain` returns.
+    #[test]
+    fn a_panicking_update_fails_its_job_and_keeps_the_graph_serving() {
+        let server = DsdServer::new(ServeConfig {
+            workers: 0,
+            ..ServeConfig::default()
+        });
+        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (0, 3), (2, 3), (3, 4), (4, 5)]);
+        let psi = Pattern::triangle();
+        let engine = server.register("g", g.clone());
+        engine.install_oracle(&psi, RepairPanics::oracle(&psi));
+        let query = || DsdRequest::new(&psi).on("g").method(Method::CoreExact);
+        // Asserts each job dispatches, so a wedged queue fails the test
+        // instead of hanging it.
+        let run = |ticket: Result<Ticket, ServeError>| {
+            let ticket = ticket.expect("admitted");
+            assert!(server.step(), "the submitted job is dispatchable");
+            ticket.wait()
+        };
+
+        run(server.submit(query())).expect("the warm-up query is answered");
+        let update = run(server.submit_update("g", vec![GraphUpdate::Insert(1, 3)]));
+        assert!(
+            matches!(&update, Err(ServeError::Internal(m)) if m == "injected repair fault"),
+            "{update:?}"
+        );
+        let answered = run(server.submit(query()))
+            .expect("the graph keeps serving")
+            .solution()
+            .expect("a query");
+        let cold = DsdEngine::new(g).solve(&query());
+        assert_eq!(answered.stats.epoch, 0);
+        assert_eq!(answered.vertices, cold.vertices);
+        assert_eq!(answered.density.to_bits(), cold.density.to_bits());
+        let stats = server.stats();
+        assert_eq!((stats.in_flight, stats.queued, stats.completed), (0, 0, 3));
+        server.drain();
     }
 }

@@ -2,11 +2,24 @@
 //! objective, the `Method::Auto` approximation-guarantee property, cache
 //! accounting, and the repeated-query substrate-reuse speedup.
 
-use dsd::core::{core_exact, peel_app, DsdEngine, Guarantee, Method, Objective, Outcome, Solution};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Barrier, Mutex};
+
+use dsd::core::{
+    core_exact, peel_app, DsdEngine, DsdRequest, Guarantee, Method, Objective, Outcome, Solution,
+};
 use dsd::datasets::chung_lu;
 use dsd::graph::testing::XorShift;
 use dsd::graph::{Graph, GraphUpdate};
 use dsd::motif::Pattern;
+
+/// Iteration knob: `DSD_PROP_ITERS` overrides, `default` otherwise.
+fn prop_iters(default: usize) -> usize {
+    std::env::var("DSD_PROP_ITERS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default)
+}
 
 /// A graph with enough structure that every objective has a non-trivial
 /// answer: K6 + triangle fringe + chain.
@@ -686,4 +699,114 @@ fn located_regions_are_kept_for_one_epoch() {
             "{label}"
         );
     }
+}
+
+/// Solves that race `apply` each answer on the epoch they report. Two
+/// reader threads solve CoreExact, TopK and WithQuery while a writer
+/// applies a seeded sequence of batches, and every `Solution` equals, bit
+/// for bit, a cold engine's over the graph at its `stats.epoch`, replayed
+/// serially beforehand. The writer waits for a solve to finish after each
+/// batch, so solves straddle eager and deferred merges alike.
+#[test]
+fn solves_racing_applies_answer_on_their_own_epoch() {
+    let g = chung_lu::chung_lu_with_clique(300, 1_200, 2.5, 8, 5);
+    let n = g.num_vertices() as u64;
+    let hub = g.vertices().max_by_key(|&v| g.degree(v)).unwrap();
+    let requests = [
+        DsdRequest::new(&Pattern::triangle()).method(Method::CoreExact),
+        DsdRequest::new(&Pattern::triangle()).objective(Objective::TopK(2)),
+        DsdRequest::new(&Pattern::edge()).objective(Objective::WithQuery(vec![hub, 299])),
+    ];
+    let cold = |g: Graph| -> Vec<Solution> {
+        let engine = DsdEngine::new(g);
+        requests.iter().map(|req| engine.solve(req)).collect()
+    };
+
+    // The serial replay: `expected[e][r]` answers request `r` at epoch `e`.
+    let mut rng = XorShift::new(0x2ACE);
+    let serial = DsdEngine::new(g.clone());
+    let mut batches = Vec::new();
+    let mut expected = vec![cold(g.clone())];
+    for _ in 0..prop_iters(12) {
+        let snap = serial.graph();
+        let batch: Vec<GraphUpdate> = (0..4)
+            .map(|_| {
+                let (u, v) = ((rng.next() % n) as u32, (rng.next() % n) as u32);
+                match snap.has_edge(u, v) {
+                    true => GraphUpdate::Delete(u, v),
+                    false => GraphUpdate::Insert(u, v),
+                }
+            })
+            .collect();
+        if serial.apply(&batch).epoch as usize == expected.len() {
+            expected.push(cold(Graph::clone(&serial.graph())));
+        }
+        batches.push(batch);
+    }
+
+    let engine = DsdEngine::new(g);
+    let start = Barrier::new(3);
+    let (solved, readers, done) = (
+        AtomicUsize::new(0),
+        AtomicUsize::new(2),
+        AtomicBool::new(false),
+    );
+    let mismatches = Mutex::new(Vec::new());
+    /// Counts a reader out when it stops, panicking or not, so the writer
+    /// never waits on a solve that will not come.
+    struct Leaving<'a>(&'a AtomicUsize);
+    impl Drop for Leaving<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+    std::thread::scope(|s| {
+        for reader in 0..2 {
+            let (engine, requests, expected) = (&engine, &requests, &expected);
+            let (start, solved, readers, done) = (&start, &solved, &readers, &done);
+            let mismatches = &mismatches;
+            s.spawn(move || {
+                let _leaving = Leaving(readers);
+                start.wait();
+                for i in reader.. {
+                    let last = done.load(Ordering::SeqCst);
+                    let r = i % requests.len();
+                    let got = engine.solve(&requests[r]);
+                    let want = &expected[got.stats.epoch as usize][r];
+                    let same = got.vertices == want.vertices
+                        && got.density.to_bits() == want.density.to_bits()
+                        && got.subgraphs.len() == want.subgraphs.len()
+                        && got.subgraphs.iter().zip(&want.subgraphs).all(|(a, b)| {
+                            a.vertices == b.vertices && a.density.to_bits() == b.density.to_bits()
+                        });
+                    if !same {
+                        let epoch = got.stats.epoch;
+                        mismatches
+                            .lock()
+                            .unwrap()
+                            .push(format!("request {r} at epoch {epoch}"));
+                    }
+                    solved.fetch_add(1, Ordering::SeqCst);
+                    if last {
+                        break;
+                    }
+                }
+            });
+        }
+        s.spawn(|| {
+            start.wait();
+            for batch in &batches {
+                let before = solved.load(Ordering::SeqCst);
+                engine.apply(batch);
+                while solved.load(Ordering::SeqCst) == before && readers.load(Ordering::SeqCst) > 0
+                {
+                    std::thread::yield_now();
+                }
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+    });
+    assert_eq!(mismatches.into_inner().unwrap(), Vec::<String>::new());
+    assert_eq!(engine.epoch() as usize, expected.len() - 1);
+    assert!(solved.into_inner() >= batches.len());
 }
