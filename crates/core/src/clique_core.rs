@@ -57,13 +57,21 @@ pub struct CliqueCoreDecomposition {
 impl CliqueCoreDecomposition {
     /// The (k, Ψ)-core as a vertex set (vertices with core number ≥ k).
     pub fn core_set(&self, k: u64) -> VertexSet {
-        let mut s = VertexSet::empty(self.core.len());
-        for &v in &self.peel_order {
-            if self.core[v as usize] >= k {
-                s.insert(v);
-            }
-        }
-        s
+        VertexSet::from_members(self.core.len(), self.core_suffix(k))
+    }
+
+    /// The (k, Ψ)-core as a suffix of the peel order, found by binary
+    /// search: a vertex's core number is the running maximum of the
+    /// removal degrees when it is peeled, so core numbers never decrease
+    /// along `peel_order`. The suffix is in peel order, not ascending.
+    pub fn core_suffix(&self, k: u64) -> &[VertexId] {
+        let core = |v: &VertexId| self.core[*v as usize];
+        debug_assert!(
+            self.peel_order.is_sorted_by_key(core),
+            "core numbers never decrease along the peel order"
+        );
+        let start = self.peel_order.partition_point(|v| core(v) < k);
+        &self.peel_order[start..]
     }
 
     /// The (kmax, Ψ)-core.

@@ -63,7 +63,7 @@ use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
-use dsd_graph::{connected_components_within, Graph, VertexId};
+use dsd_graph::{components_among, Graph, VertexId};
 use dsd_motif::Pattern;
 
 use crate::alpha_search::{alpha_search, effective_gap, DecisionProbe, ExactStats, FirstProbe};
@@ -127,6 +127,13 @@ pub struct CoreExactStats {
     pub located_k: u64,
     /// Vertices in the located core.
     pub located_size: usize,
+}
+
+/// `vs`, sorted ascending.
+fn ascending(vs: &[VertexId]) -> Vec<VertexId> {
+    let mut vs = vs.to_vec();
+    vs.sort_unstable();
+    vs
 }
 
 fn ceil_k(x: f64) -> u64 {
@@ -207,7 +214,7 @@ impl LocatedRegion {
         // ρ′-achieving residual graph.
         let kmax_bound = dec.kmax as f64 / size;
         let (mut best_vs, mut best_rho) = {
-            let core_vs = dec.max_core().to_vec();
+            let core_vs = ascending(dec.core_suffix(dec.kmax));
             let core_rho = member_density(oracle, g, &core_vs);
             if config.pruning1 && dec.best_density > core_rho {
                 (dec.best_residual(), dec.best_density)
@@ -221,16 +228,18 @@ impl LocatedRegion {
             kmax_bound
         };
 
-        // Step 2: locate the CDS in the (k″, Ψ)-core.
+        // Step 2: locate the CDS in the (k″, Ψ)-core. The core is a suffix
+        // of the peel order, so this step reads only the located core and
+        // its edges, never the whole graph.
         let mut k_loc = ceil_k(l).max(1);
-        let mut core_set = dec.core_set(k_loc);
+        let mut core_vs = ascending(dec.core_suffix(k_loc));
+        let mut ccs = components_among(g, &core_vs);
         if config.pruning2 {
             // ρ″: densest connected component of the located core.
-            let ccs = connected_components_within(g, &core_set);
             let mut rho2 = 0.0f64;
-            let mut rho2_vs: Vec<VertexId> = Vec::new();
-            for members in ccs.all_members() {
-                let rho = member_density(oracle, g, &members);
+            let mut rho2_vs: &[VertexId] = &[];
+            for members in &ccs {
+                let rho = member_density(oracle, g, members);
                 if rho > rho2 {
                     rho2 = rho;
                     rho2_vs = members;
@@ -238,7 +247,7 @@ impl LocatedRegion {
             }
             if rho2 > best_rho {
                 best_rho = rho2;
-                best_vs = rho2_vs;
+                best_vs = rho2_vs.to_vec();
             }
             if rho2 > l {
                 l = rho2;
@@ -246,11 +255,11 @@ impl LocatedRegion {
             let k2 = ceil_k(rho2);
             if k2 > k_loc {
                 k_loc = k2;
-                core_set = dec.core_set(k_loc);
+                core_vs = ascending(dec.core_suffix(k_loc));
+                ccs = components_among(g, &core_vs);
             }
         }
-        let components = connected_components_within(g, &core_set)
-            .all_members()
+        let components = ccs
             .into_iter()
             .map(|members| LocatedComponent {
                 core: members.iter().map(|&v| dec.core[v as usize]).collect(),
@@ -264,7 +273,7 @@ impl LocatedRegion {
             seed_rho: best_rho,
             l,
             k_loc,
-            located_size: core_set.len(),
+            located_size: core_vs.len(),
             components,
         }
     }

@@ -42,16 +42,20 @@
 //! The graph is **not** frozen: [`DsdEngine::apply`] takes a batch of
 //! [`GraphUpdate`]s and advances the *graph epoch*. It stages the next
 //! epoch off to the side and publishes it with one pointer swap, so a
-//! panic before the swap publishes nothing. The new epoch starts empty
-//! but for the Ψ-oracles: each instance store is repaired in place
-//! through its incidence CSR when the batch merges into the CSR — at
-//! once, or at the next snapshot when it follows an unread batch —
-//! falling back to drop-and-rebuild where no sound cheap repair exists.
-//! (k, Ψ)-core decompositions, the classical k-core order and flow
-//! networks rebuild lazily on their next read. Every request runs
-//! against a consistent [`GraphSnapshot`] and records its epoch in
+//! panic before the swap publishes nothing. The new epoch starts with the
+//! Ψ-oracles and the flow networks the batch left valid: each instance
+//! store is repaired in place through its incidence CSR when the batch
+//! merges into the CSR — at once, or at the next snapshot when it follows
+//! an unread batch — falling back to drop-and-rebuild where no sound
+//! cheap repair exists. A pooled network over members M carries over,
+//! reset to a fresh build, when no changed edge has both endpoints in M
+//! and its Ψ's oracle was kept or repaired in place: it reads only
+//! `G[M]`, so it equals a rebuild on the new graph. (k, Ψ)-core
+//! decompositions, located-region records, the classical k-core order and
+//! every other network rebuild lazily on their next read. Every request
+//! runs against a consistent [`GraphSnapshot`] and records its epoch in
 //! [`SolveStats::epoch`]; requests in flight during an update finish on
-//! the epoch they hold, and whatever they build dies with it.
+//! the epoch they hold, and whatever they build or borrow dies with it.
 //!
 //! ```
 //! use dsd_core::engine::{DsdEngine, Objective};
@@ -339,8 +343,21 @@ pub trait CacheObserver: Send + Sync {
 /// `(substrate, cache_hit)` pair.
 type Cached<T> = (T, bool);
 
-/// `(Ψ key, oracle)` pairs carried from one epoch into the next.
-type Oracles = Vec<(PatternKey, Arc<dyn DensityOracle>)>;
+/// What one Ψ key carries from one epoch into the next: its oracle, when
+/// built, and the pooled networks the update left valid, each reset to a
+/// fresh build and filed under its fingerprint.
+struct Carry {
+    key: PatternKey,
+    oracle: Option<Arc<dyn DensityOracle>>,
+    networks: Vec<(u64, Pooled)>,
+}
+
+impl Carry {
+    /// Resident bytes of the carried networks.
+    fn network_bytes(&self) -> u64 {
+        self.networks.iter().map(|(_, net)| net.bytes as u64).sum()
+    }
+}
 
 /// One graph version and everything derived from it. A request clones
 /// the engine's current `Arc<Epoch>` once and reads and builds only in
@@ -364,14 +381,14 @@ struct Epoch<'g> {
 }
 
 impl<'g> Epoch<'g> {
-    /// A fresh, unread epoch whose slots hold only the carried `oracles`.
-    fn new(number: u64, graph: GraphSlot<'g>, merged: bool, oracles: Oracles) -> Self {
+    /// A fresh, unread epoch whose slots hold only what is `carried`.
+    fn new(number: u64, graph: GraphSlot<'g>, merged: bool, carried: Vec<Carry>) -> Self {
         Epoch {
             number,
             graph,
             merged,
             read: AtomicBool::new(false),
-            slots: RwLock::new(carrying(oracles)),
+            slots: RwLock::new(carrying(carried)),
             kcore: OnceLock::new(),
         }
     }
@@ -395,33 +412,66 @@ impl<'g> Epoch<'g> {
     }
 
     /// Swaps every slot for one holding only its oracle and returns the
-    /// replaced slots: dropping them drops this epoch's decompositions,
-    /// networks and records, which the oracles alone can rebuild.
+    /// replaced slots, networks and all: a request still running on this
+    /// epoch builds afresh from here on, and nothing it builds or returns
+    /// reaches the next epoch.
     fn strip(&self) -> HashMap<PatternKey, Arc<KeySlot>> {
         let mut slots = self.slots.write().unwrap();
-        let kept = carrying(carried(&slots));
-        std::mem::replace(&mut *slots, kept)
+        let oracles = slots
+            .iter()
+            .filter_map(|(key, slot)| {
+                Some(Carry {
+                    key: key.clone(),
+                    oracle: Some(Arc::clone(slot.oracle.get()?)),
+                    networks: Vec::new(),
+                })
+            })
+            .collect();
+        std::mem::replace(&mut *slots, carrying(oracles))
     }
 }
 
-/// Fresh slots holding only `oracles`.
-fn carrying(oracles: Oracles) -> HashMap<PatternKey, Arc<KeySlot>> {
-    let slot = |oracle| {
-        let slot = KeySlot::default();
-        let _ = slot.oracle.set(oracle);
-        Arc::new(slot)
-    };
-    oracles
+/// Fresh slots holding only what is `carried`.
+fn carrying(carried: Vec<Carry>) -> HashMap<PatternKey, Arc<KeySlot>> {
+    carried
         .into_iter()
-        .map(|(key, oracle)| (key, slot(oracle)))
+        .map(|carry| {
+            let mut slot = KeySlot::default();
+            if let Some(oracle) = carry.oracle {
+                let _ = slot.oracle.set(oracle);
+            }
+            slot.pool.get_mut().unwrap().entries.extend(carry.networks);
+            (carry.key, Arc::new(slot))
+        })
         .collect()
 }
 
-/// The built oracles among `slots`.
-fn carried(slots: &HashMap<PatternKey, Arc<KeySlot>>) -> Oracles {
+/// What `slots` carry into an epoch after the net edge changes `toggled`:
+/// each key's oracle, when built, and the pooled networks `toggled` leaves
+/// untouched, moved out of the pools and reset to fresh builds. Every
+/// other network drops here; a key left with neither is skipped.
+fn carried(
+    slots: &HashMap<PatternKey, Arc<KeySlot>>,
+    toggled: &[(VertexId, VertexId)],
+) -> Vec<Carry> {
     slots
         .iter()
-        .filter_map(|(key, slot)| Some((key.clone(), Arc::clone(slot.oracle.get()?))))
+        .filter_map(|(key, slot)| {
+            let oracle = slot.oracle.get().cloned();
+            let mut pool = slot.pool.lock().unwrap();
+            let networks: Vec<(u64, Pooled)> = pool
+                .entries
+                .drain()
+                .filter(|(_, net)| net.untouched_by(toggled))
+                .map(|(print, net)| (print, net.reset()))
+                .collect();
+            drop(pool);
+            (oracle.is_some() || !networks.is_empty()).then(|| Carry {
+                key: key.clone(),
+                oracle,
+                networks,
+            })
+        })
         .collect()
 }
 
@@ -440,14 +490,14 @@ impl KeySlot {
     /// Resident bytes of the cached networks and records.
     fn network_bytes(&self) -> u64 {
         let pool = self.pool.lock().unwrap();
-        let networks = pool.entries.values().map(|(_, bytes)| *bytes as u64);
+        let networks = pool.entries.values().map(|net| net.bytes as u64);
         networks
             .chain(pool.records.values().map(|(_, bytes)| *bytes as u64))
             .sum()
     }
 
-    /// Resident bytes of what an epoch bump drops: the decomposition
-    /// arrays, networks and records.
+    /// Resident bytes of what an epoch bump drops or resets: the
+    /// decomposition arrays, networks and records.
     fn derived_bytes(&self) -> u64 {
         let dec = self.decomposition.get().map_or(0, |d| d.bytes() as u64);
         dec + self.network_bytes()
@@ -464,30 +514,99 @@ impl KeySlot {
 /// the oracle and decomposition: repeat exact/top-k/query requests on an
 /// unchanged graph borrow a warm network (flow state and all) and pay
 /// only the parametric resolve, never re-constructing from instances.
-/// Networks are keyed by their member/pinned-set fingerprint, so the
-/// full-graph network, each located-core component, and each Q-anchored
-/// query network get their own entry. An entry is *removed* while lent,
-/// and a concurrent request on a lent key waits for it to come back
-/// rather than building a duplicate: the duplicate cost a full network
-/// build and, once the two `put`s raced, was dropped again.
+/// Networks are filed under their member/pinned-set fingerprint, with the
+/// sets themselves beside them, so the full-graph network, each
+/// located-core component, and each Q-anchored query network get their
+/// own entry, and a fingerprint collision reads as a miss. An entry is
+/// *removed* while lent, and a concurrent request on a lent key waits for
+/// it to come back rather than building a duplicate: the duplicate cost a
+/// full network build and, once the two `put`s raced, was dropped again.
+///
+/// A pool belongs to one epoch, but its networks need not die with it:
+/// `apply` carries each one whose members hold no changed edge into the
+/// next epoch's pool, reset to a fresh build (see [`DsdEngine::apply`]).
+/// A network lent out at that moment returns to the old pool and dies
+/// with it.
 ///
 /// Beside the networks it keeps the located-region records that lead to
 /// them ([`Located`]): CoreExact's located core per (removed set,
 /// Pruning1/2) and the query variant's anchored core per (Q). A record is
-/// shared, never lent. Records are charged, evicted and dropped exactly
-/// like the networks, with their Ψ key.
+/// shared, never lent. Records are charged and evicted like the networks,
+/// with their Ψ key, and every effective update drops them.
 #[derive(Default)]
 struct Pool {
-    /// Lent-out-able networks plus their byte footprint at insert time
-    /// (recorded once so the eviction ledger stays stable while the
-    /// network sits untouched in the pool).
-    entries: HashMap<u64, (DensityNetwork, usize)>,
+    /// Lent-out-able networks by fingerprint.
+    entries: HashMap<u64, Pooled>,
     /// Fingerprints lent out (or being built), with the id of the
     /// [`EngineLender`] that holds each.
     lent: HashMap<u64, u64>,
     /// Located-region records by region fingerprint, with their byte
     /// footprint.
     records: HashMap<u64, (Located, usize)>,
+}
+
+impl Pool {
+    /// Files `net`, built over `members` and `pinned`, under `print`.
+    fn insert(
+        &mut self,
+        print: u64,
+        members: &[VertexId],
+        pinned: &[VertexId],
+        net: DensityNetwork,
+    ) {
+        let pooled = Pooled::new(members.to_vec(), pinned.to_vec(), net);
+        self.entries.insert(print, pooled);
+    }
+
+    /// Removes the network filed under `print` for exactly `members` and
+    /// `pinned`. Another pair filed under the same print — a fingerprint
+    /// collision — stays where it is, and the lookup is a miss.
+    fn remove(&mut self, print: u64, members: &[VertexId], pinned: &[VertexId]) -> Option<Pooled> {
+        let entry = self.entries.get(&print)?;
+        if entry.members != members || entry.pinned != pinned {
+            return None;
+        }
+        self.entries.remove(&print)
+    }
+}
+
+/// A pooled network with the member and pinned sets it was built over.
+struct Pooled {
+    /// Ascending, like `pinned`.
+    members: Vec<VertexId>,
+    pinned: Vec<VertexId>,
+    net: DensityNetwork,
+    /// Footprint of the network and its key sets, recorded at insert time
+    /// so the eviction ledger stays stable while the network sits
+    /// untouched in the pool.
+    bytes: usize,
+}
+
+impl Pooled {
+    fn new(members: Vec<VertexId>, pinned: Vec<VertexId>, net: DensityNetwork) -> Self {
+        let keys = (members.len() + pinned.len()) * std::mem::size_of::<VertexId>();
+        Pooled {
+            bytes: net.bytes() + keys,
+            members,
+            pinned,
+            net,
+        }
+    }
+
+    /// Whether no edge of `toggled` has both endpoints among the members:
+    /// the network reads only the subgraph they induce, so it is then
+    /// still valid.
+    fn untouched_by(&self, toggled: &[(VertexId, VertexId)]) -> bool {
+        let member = |v: VertexId| self.members.binary_search(&v).is_ok();
+        !toggled.iter().any(|&(u, v)| member(u) && member(v))
+    }
+
+    /// The same network, reset to the state of a fresh build.
+    fn reset(self) -> Self {
+        let mut net = self.net;
+        net.reset();
+        Pooled::new(self.members, self.pinned, net)
+    }
 }
 
 /// Hashes one ascending vertex set, length first, in place.
@@ -579,9 +698,14 @@ impl NetworkLender for EngineLender<'_, '_> {
         // member sets (a shrinking component), so waits cannot cycle. A
         // key this request already holds is built fresh, as before.
         let entry = loop {
-            if let Some(entry) = pool.entries.remove(&print) {
-                pool.lent.insert(print, self.id);
-                break Some(entry);
+            if pool.entries.contains_key(&print) {
+                // Another pair filed under this print is a fingerprint
+                // collision: a miss, and this request builds afresh.
+                let entry = pool.remove(print, members, pinned);
+                if entry.is_some() {
+                    pool.lent.insert(print, self.id);
+                }
+                break entry;
             }
             match pool.lent.get(&print) {
                 Some(&holder) if holder != self.id => {
@@ -595,7 +719,7 @@ impl NetworkLender for EngineLender<'_, '_> {
         };
         drop(pool);
         match entry {
-            Some((mut net, _)) => {
+            Some(Pooled { mut net, .. }) => {
                 // Zero the probe ledger so this request's SolveStats
                 // report only its own resolves, not the whole history of
                 // the cached network.
@@ -612,12 +736,11 @@ impl NetworkLender for EngineLender<'_, '_> {
 
     fn put(&self, members: &[VertexId], pinned: &[VertexId], net: DensityNetwork) {
         let print = member_fingerprint(members, pinned);
-        let bytes = net.bytes();
         let mut pool = self.slot.pool.lock().unwrap();
         if pool.lent.get(&print) == Some(&self.id) {
             pool.lent.remove(&print);
         }
-        pool.entries.insert(print, (net, bytes));
+        pool.insert(print, members, pinned, net);
         drop(pool);
         self.slot.returned.notify_all();
     }
@@ -774,9 +897,12 @@ pub struct ApplyStats {
     /// merged the CSR and repaired the stores itself.
     pub csr_deferred: bool,
     /// Resident bytes released by the dropped Ψ-substrates (instance
-    /// stores + decomposition arrays) — stale stores are never served
-    /// across an epoch, so this is exactly the rebuild debt the batch
-    /// created. Repaired stores are not counted: they stay resident.
+    /// stores, decomposition arrays, flow networks and located-region
+    /// records, plus the checkpoints and witnesses of the networks carried
+    /// across)
+    /// — stale substrates are never served across an epoch, so this is
+    /// exactly the rebuild debt the batch created. Repaired stores and
+    /// carried network structure are not counted: they stay resident.
     pub bytes_freed: u64,
     /// Wall time of the batch.
     pub total_nanos: u128,
@@ -960,8 +1086,11 @@ impl<'g> DsdEngine<'g> {
     /// Merges the pending overlay into a fresh CSR, carries every stored
     /// Ψ-oracle across its net change and publishes the merged twin of the
     /// current epoch: a burst of batches with no read in between pays one
-    /// merge and one repair per store. A panicking repair publishes
-    /// nothing and keeps the overlay, so the next snapshot retries.
+    /// merge and one repair per store. The networks the unmerged epoch
+    /// holds were already filtered by each `apply` that put them there, so
+    /// they move across as they are, unless their oracle is not kept. A
+    /// panicking repair publishes nothing and keeps the overlay, so the
+    /// next snapshot retries (without those networks).
     fn merge(&self) -> Arc<Epoch<'g>> {
         let mut report = Report::new(self);
         let mut pending = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
@@ -970,10 +1099,10 @@ impl<'g> DsdEngine<'g> {
             // Another snapshot merged it first.
             return current;
         }
-        let oracles = carried(&current.slots.read().unwrap());
-        report.keys = oracles.iter().map(|(key, _)| key.clone()).collect();
+        let carried = carried(&current.slots.read().unwrap(), &[]);
+        report.keys = carried.iter().map(|carry| carry.key.clone()).collect();
         let stats = &mut ApplyStats::default();
-        let (merged, released) = merge_pending(&current, current.number, &pending, oracles, stats);
+        let (merged, released) = merge_pending(&current, current.number, &pending, carried, stats);
         *pending = EdgeOverlay::default();
         let merged = Arc::new(merged);
         self.publish(Arc::clone(&merged));
@@ -1011,11 +1140,18 @@ impl<'g> DsdEngine<'g> {
     /// reconciling every cached substrate:
     ///
     /// * the **classical k-core order**, **(k, Ψ)-core decompositions**
-    ///   and cached flow networks do not carry into the new epoch, and
+    ///   and located-region records do not carry into the new epoch, and
     ///   each rebuilds once on its next read from the merged snapshot (a
     ///   decomposition from the repaired oracle). A peel order has no
     ///   repair cheaper than that rebuild, and a stale one would silently
     ///   change answers;
+    /// * a cached **flow network** over members M carries into the new
+    ///   epoch when no net-changed edge has both endpoints in M and its
+    ///   Ψ-oracle is kept or repaired in place (so the next build would
+    ///   pick the same builder). It reads only `G[M]`, so it is still
+    ///   valid; it carries as structure only, reset to a fresh build, so
+    ///   the next search on it — answer and flow counters — equals one on
+    ///   a rebuilt network. Every other network drops;
     /// * the batch joins the pending edge **overlay**. Ψ-stores are
     ///   repaired in place when the overlay merges into a fresh CSR:
     ///   rows killed by removed edges are tombstoned through the store's
@@ -1083,38 +1219,43 @@ impl<'g> DsdEngine<'g> {
         }
         stats.epoch = current.number + 1;
 
-        // The superseded graph's decompositions, flow networks and
-        // located-region records leave the engine's reach here, before any
-        // repair, so none is alive while stores are repaired: a changed
-        // graph changes the α-feasibility frontier itself, and a peel
-        // order has no cheap repair. Every key that held anything is
-        // re-reported, so a governor's ledger sheds their bytes — at the
-        // new epoch, or at the old one if a repair panics.
+        // The superseded graph's decompositions and located-region records
+        // leave the engine's reach here, before any repair, so none is
+        // alive while stores are repaired: a peel order has no cheap
+        // repair, and a located region moves with it. Of the flow
+        // networks, only those over members no changed edge joins move on,
+        // reset to fresh builds; the rest drop with the records. Every key
+        // that held anything is re-reported, so a governor's ledger takes
+        // their new bytes — at the new epoch, or at the old one if a
+        // repair panics.
         let stripped = current.strip();
         report.keys = stripped.keys().cloned().collect();
         stats.substrates_dropped = stripped
             .values()
             .filter(|slot| slot.decomposition.get().is_some())
             .count();
-        stats.bytes_freed = stripped.values().map(|slot| slot.derived_bytes()).sum();
-        let oracles = carried(&stripped);
+        let derived: u64 = stripped.values().map(|slot| slot.derived_bytes()).sum();
+        let toggled: Vec<(VertexId, VertexId)> = toggles.into_keys().collect();
+        let carried = carried(&stripped, &toggled);
         drop(stripped);
+        stats.bytes_freed = derived - carried.iter().map(Carry::network_bytes).sum::<u64>();
 
         // Only a materialized store reads the merged adjacency; streaming
         // oracles are valid on any graph, and the deferred merge swaps
         // stores no query has built for fresh twins.
-        let stores = oracles
+        let stores = carried
             .iter()
-            .any(|(_, o)| o.store_stats().is_some_and(|s| s.materialized));
+            .filter_map(|c| c.oracle.as_ref())
+            .any(|o| o.store_stats().is_some_and(|s| s.materialized));
         let next = if !current.read.load(Ordering::Relaxed) || !stores {
             stats.csr_deferred = true;
-            Epoch::new(stats.epoch, current.graph.clone(), false, oracles)
+            Epoch::new(stats.epoch, current.graph.clone(), false, carried)
         } else {
             // A read epoch is merged, so the overlay held only this batch;
             // taking it leaves the writer as it was if the repair panics.
             let batch = std::mem::take(&mut *pending);
             let (merged, released) =
-                merge_pending(&current, stats.epoch, &batch, oracles, &mut stats);
+                merge_pending(&current, stats.epoch, &batch, carried, &mut stats);
             report.released = released;
             merged
         };
@@ -1242,7 +1383,7 @@ impl<'g> DsdEngine<'g> {
             // Pruning1 lower bound), via the shared bounds helpers.
             let bounds = crate::bounds::density_bounds(dec, psi.vertex_count(), true);
             let k_loc = bounds.locate_k.max(1);
-            let located = dec.core_set(k_loc).len();
+            let located = dec.core_suffix(k_loc).len();
             if located <= WARM_FLOW_VERTEX_CAP {
                 Method::CoreExact
             } else {
@@ -1560,13 +1701,20 @@ impl Drop for Report<'_, '_> {
 }
 
 /// Stages the merged epoch `number`: merges `pending` into a fresh CSR
-/// over `from`'s and carries `from`'s `oracles` across the overlay's net
-/// edge changes — one merge and one `repair_for_update` per oracle,
-/// however many batches the overlay holds. Sound because stores are built
-/// from merged snapshots only, so they describe `from`'s CSR, and every
-/// change since sits in the overlay. Every oracle is dropped instead when
-/// the net change is over the repair ceiling; returns whether that
-/// happened. Counts into `stats`.
+/// over `from`'s and carries `from`'s `carried` oracles across the
+/// overlay's net edge changes — one merge and one `repair_for_update` per
+/// oracle, however many batches the overlay holds. Sound because stores
+/// are built from merged snapshots only, so they describe `from`'s CSR,
+/// and every change since sits in the overlay. Every oracle and network
+/// is dropped instead when the net change is over the repair ceiling;
+/// returns whether that happened. Counts into `stats`.
+///
+/// The carried networks were already filtered by the batches they
+/// crossed. They move on beside an oracle kept or repaired in place, and
+/// beside none (the query variant's pinned networks, which read no
+/// oracle), and drop where the oracle is replaced or left to a rebuild:
+/// the next build may then pick another network builder, with other flow
+/// counters than the carried network's.
 ///
 /// `from` lets go of each oracle once its repair returns, so no more than
 /// one store is ever held twice; a panicking repair leaves it the oracles
@@ -1575,18 +1723,20 @@ fn merge_pending<'g>(
     from: &Epoch<'_>,
     number: u64,
     pending: &EdgeOverlay,
-    mut oracles: Oracles,
+    mut carried: Vec<Carry>,
     stats: &mut ApplyStats,
 ) -> (Epoch<'g>, bool) {
     let base = from.graph.graph();
     let (inserted, removed) = (pending.added_edge_list(), pending.removed_edge_list());
-    let resident: u64 = oracles.iter().map(|(_, o)| o.resident_bytes()).sum();
+    let oracles = || carried.iter().filter_map(|c| c.oracle.as_ref());
+    let resident: u64 = oracles().map(|o| o.resident_bytes()).sum();
     let released = !repairable_batch(inserted.len(), removed.len(), resident);
     if released {
-        stats.substrates_dropped += oracles.len();
-        stats.substrates_rebuilt += oracles.len();
-        stats.bytes_freed += resident;
-        oracles.clear();
+        let dropped = oracles().count();
+        stats.substrates_dropped += dropped;
+        stats.substrates_rebuilt += dropped;
+        stats.bytes_freed += resident + carried.iter().map(Carry::network_bytes).sum::<u64>();
+        carried.clear();
         from.slots.write().unwrap().clear();
     }
     // The general-pattern repair recounts touched rows in the mid graph
@@ -1594,8 +1744,12 @@ fn merge_pending<'g>(
     // a non-clique store is cached and both edge directions moved.
     let needs_mid = !inserted.is_empty()
         && !removed.is_empty()
-        && oracles.iter().any(|((k, edges), o)| {
-            edges.len() * 2 != k * (k - 1) && o.store_stats().is_some_and(|s| s.materialized)
+        && carried.iter().any(|c| {
+            let (k, edges) = &c.key;
+            edges.len() * 2 != k * (k - 1)
+                && c.oracle
+                    .as_ref()
+                    .is_some_and(|o| o.store_stats().is_some_and(|s| s.materialized))
         });
     let g_mid: Option<Graph> = needs_mid.then(|| {
         let mut deletions = EdgeOverlay::default();
@@ -1607,26 +1761,37 @@ fn merge_pending<'g>(
     let g_new = Arc::new(DeltaGraph::new(base, pending).materialize());
     let g_mid: &Graph = g_mid.as_ref().unwrap_or(&g_new);
 
-    let mut carried = Vec::with_capacity(oracles.len());
-    for (key, oracle) in oracles {
-        let repair = oracle.repair_for_update(&g_new, g_mid, &inserted, &removed);
-        from.slots.write().unwrap().remove(&key);
-        match repair {
-            SubstrateRepair::Keep => carried.push((key, oracle)),
-            SubstrateRepair::Replaced(fresh) => carried.push((key, fresh)),
-            SubstrateRepair::Repaired(repaired, r) => {
-                stats.substrates_repaired += 1;
-                stats.rows_tombstoned += r.rows_tombstoned;
-                carried.push((key, repaired));
-            }
-            SubstrateRepair::Rebuild => {
-                stats.bytes_freed += oracle.resident_bytes();
-                stats.substrates_dropped += 1;
-                stats.substrates_rebuilt += 1;
-            }
+    let mut next = Vec::with_capacity(carried.len());
+    for mut carry in carried {
+        if let Some(oracle) = carry.oracle.take() {
+            let repair = oracle.repair_for_update(&g_new, g_mid, &inserted, &removed);
+            from.slots.write().unwrap().remove(&carry.key);
+            carry.oracle = match repair {
+                SubstrateRepair::Keep => Some(oracle),
+                SubstrateRepair::Repaired(repaired, r) => {
+                    stats.substrates_repaired += 1;
+                    stats.rows_tombstoned += r.rows_tombstoned;
+                    Some(repaired)
+                }
+                SubstrateRepair::Replaced(fresh) => {
+                    stats.bytes_freed += carry.network_bytes();
+                    carry.networks.clear();
+                    Some(fresh)
+                }
+                SubstrateRepair::Rebuild => {
+                    stats.bytes_freed += oracle.resident_bytes() + carry.network_bytes();
+                    stats.substrates_dropped += 1;
+                    stats.substrates_rebuilt += 1;
+                    carry.networks.clear();
+                    None
+                }
+            };
+        }
+        if carry.oracle.is_some() || !carry.networks.is_empty() {
+            next.push(carry);
         }
     }
-    let merged = Epoch::new(number, GraphSlot::Owned(g_new), true, carried);
+    let merged = Epoch::new(number, GraphSlot::Owned(g_new), true, next);
     (merged, released)
 }
 
@@ -1790,6 +1955,8 @@ impl<'e, 'g> BoundRequest<'e, 'g> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::exact::build_network_for_with;
+    use crate::flownet::build_edge_network;
     use crate::oracle::InstancePeeler;
     use dsd_graph::VertexSet;
     use dsd_motif::store::InstanceStore;
@@ -1853,6 +2020,90 @@ pub(crate) mod tests {
         }
         let stats = engine.cache_stats();
         assert_eq!((stats.network_misses, stats.network_hits), (1, 2));
+    }
+
+    /// A pooled network is handed out only for the member and pinned sets
+    /// it was built over: a request whose sets hash to the print another
+    /// pair is filed under (a fingerprint collision) misses, and the filed
+    /// network stays pooled under its own sets.
+    #[test]
+    fn a_fingerprint_collision_reads_as_a_miss() {
+        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (0, 3), (2, 3), (3, 4), (4, 5)]);
+        let engine = DsdEngine::over(&g);
+        let lender = EngineLender::new(&engine, pattern_key(&Pattern::edge()));
+        let filed = [0, 1, 2, 3];
+        for (members, pinned) in [(&[3, 4, 5][..], &[][..]), (&filed[..], &[1][..])] {
+            // File `filed`'s network under the print the request hashes to.
+            let print = member_fingerprint(members, pinned);
+            let net = build_edge_network(&g, &filed);
+            lender
+                .slot
+                .pool
+                .lock()
+                .unwrap()
+                .insert(print, &filed, &[], net);
+            assert!(
+                lender.take(members, pinned).is_none(),
+                "{members:?} {pinned:?}"
+            );
+            let kept = lender.slot.pool.lock().unwrap().remove(print, &filed, &[]);
+            assert_eq!(kept.expect("still pooled").members, filed);
+        }
+        let stats = engine.cache_stats();
+        assert_eq!((stats.network_hits, stats.network_misses), (0, 2));
+    }
+
+    /// A network `apply` carries into the next epoch is a fresh build's
+    /// twin on the new graph: the same structure fingerprint, and a probe
+    /// on it does the same flow work. Only the network whose members the
+    /// batch misses is carried: the whole-graph `Exact` network and, after
+    /// a batch inside the located core, the core's network drop.
+    #[test]
+    fn a_carried_network_equals_a_fresh_build_on_the_new_epoch() {
+        // K5 on 0..5 with a path 5-6-7-8 hanging off it.
+        let mut edges = vec![(4, 5), (5, 6), (6, 7), (7, 8)];
+        for u in 0..5 {
+            edges.extend(((u + 1)..5).map(|v| (u, v)));
+        }
+        let engine = DsdEngine::new(Graph::from_edges(9, &edges));
+        let psi = Pattern::triangle();
+        for method in [Method::Exact, Method::CoreExact] {
+            let cds = engine.request(&psi).method(method).solve();
+            assert_eq!(cds.vertices, [0, 1, 2, 3, 4]);
+        }
+        let pooled = |engine: &DsdEngine<'static>| {
+            let epoch = engine.snapshot();
+            let slot = epoch.slot(&pattern_key(&psi));
+            let mut pool = slot.pool.lock().unwrap();
+            let entries: Vec<Pooled> = pool.entries.drain().map(|(_, net)| net).collect();
+            (epoch, entries)
+        };
+
+        // One endpoint in the core, or none: the core's network carries.
+        engine.apply(&[GraphUpdate::Insert(4, 6), GraphUpdate::Delete(6, 7)]);
+        let (epoch, mut carried) = pooled(&engine);
+        assert_eq!(
+            carried.len(),
+            1,
+            "the Exact network spans the changed edges"
+        );
+        let carried = &mut carried[0];
+        assert_eq!(carried.members, [0, 1, 2, 3, 4]);
+        let g = epoch.graph.graph();
+        let oracle = oracle_with_policy(&psi, Parallelism::serial(), Some(DEFAULT_STORE_BUDGET));
+        let mut fresh = build_network_for_with(g, &carried.members, &psi, true, oracle.as_ref());
+        let net = &mut carried.net;
+        assert_eq!(net.structure_fingerprint(), fresh.structure_fingerprint());
+        assert_eq!(net.bytes(), fresh.bytes());
+        for alpha in [1.5, 0.5, 2.5] {
+            assert_eq!(net.solve(alpha), fresh.solve(alpha), "α = {alpha}");
+        }
+        assert_eq!(net.probe_stats(), fresh.probe_stats());
+
+        // An edge inside the core: nothing carries.
+        engine.request(&psi).method(Method::CoreExact).solve();
+        engine.apply(&[GraphUpdate::Delete(0, 1)]);
+        assert!(pooled(&engine).1.is_empty());
     }
 
     /// `apply` bumps the epoch, drops the cached k-core and the

@@ -54,18 +54,25 @@
 //! the Gallo–Grigoriadis–Tarjan amortization \[29\] the paper cites as
 //! the classical EDS machinery.
 //!
-//! Networks also outlive a single α-search: the engine's epoch-keyed
-//! `NetworkCache` lends them out through the crate-private
-//! `NetworkLender` trait, so a repeat
-//! request on the same (graph, Ψ) epoch warm-resolves an already-built
-//! network. [`DensityNetwork::bytes`] reports their resident size for the
-//! serving layer's byte governor; [`DensityNetwork::reset_probe_stats`]
-//! fences the reuse accounting between borrowing requests. A network also
-//! remembers the densest witness its probes certified
-//! ([`DensityNetwork::witness`]), which the next search over the same
-//! members starts from. The lender also keeps the located-region records
-//! (`Located`) that lead a search to its networks, so a repeat request
-//! skips its locate step too.
+//! Networks also outlive a single α-search: each graph epoch of the
+//! engine keeps a network pool per Ψ and lends networks out through the
+//! crate-private `NetworkLender` trait, so a repeat request on the same
+//! (graph, Ψ) epoch warm-resolves an already-built network.
+//! [`DensityNetwork::bytes`] reports their resident size for the serving
+//! layer's byte governor; [`DensityNetwork::reset_probe_stats`] fences the
+//! reuse accounting between borrowing requests. A network also remembers
+//! the densest witness its probes certified ([`DensityNetwork::witness`]),
+//! which the next search over the same members starts from. The lender
+//! also keeps the located-region records (`Located`) that lead a search to
+//! its networks, so a repeat request skips its locate step too.
+//!
+//! A network over members M reads only `g[M]` (and the pinned set): every
+//! instance it holds lies inside M. So a graph update that changes no edge
+//! with both endpoints in M leaves it valid, and the engine carries it
+//! into the next epoch as structure only, reset to the state of a fresh
+//! build (`DensityNetwork::reset`). Units are minted in canonical order,
+//! so the carried network searches exactly like a rebuild on the new
+//! graph, flow counters included.
 
 use std::sync::Arc;
 
@@ -205,10 +212,27 @@ impl DensityNetwork {
     ///
     /// It is a real subgraph of the graph the network was built over, so
     /// its density is a valid lower bound for any later search over the
-    /// same members — and a cached network is dropped with its graph
-    /// epoch, so the witness never outlives the graph it was scored on.
+    /// same members. The engine resets a cached network that outlives an
+    /// update, witness included, so the witness never outlives the graph
+    /// epoch it was scored on.
     pub fn witness(&self) -> Option<(&[VertexId], f64)> {
         self.witness.as_ref().map(|(vs, rho)| (vs.as_slice(), *rho))
+    }
+
+    /// Returns the network to the state of a fresh build over the same
+    /// structure: a new solver, and no checkpoint, last α, probe baseline
+    /// or witness. The engine calls it on each network it carries into the
+    /// next graph epoch, so the first search there runs, and counts its
+    /// flow work, exactly like one on a rebuilt network. The flow values
+    /// and α-capacities are left as they are: with neither a primed solver
+    /// nor a checkpoint, the next probe sets every α-capacity and is a
+    /// cold solve, which zeroes the flow first.
+    pub(crate) fn reset(&mut self) {
+        self.last_alpha = None;
+        self.solver = ParametricSolver::new();
+        self.checkpoint = None;
+        self.stats_baseline = ResolveStats::default();
+        self.witness = None;
     }
 
     /// Estimated resident heap bytes of the network: the edge/adjacency
@@ -483,7 +507,7 @@ impl Located {
 
 /// A pool lending out already-built [`DensityNetwork`]s, keyed by the
 /// member set (and pinned query set) the network was built over — the
-/// engine's epoch-keyed network cache implements this. `take` transfers
+/// engine's per-epoch network pools implement this. `take` transfers
 /// ownership to the borrower (concurrent requests each get their own
 /// network or a miss, never a shared one); `put` returns it for the next
 /// request once the borrower's α-search is done.

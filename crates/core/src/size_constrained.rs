@@ -139,7 +139,7 @@ fn located_core_len(
     config: CoreExactConfig,
 ) -> usize {
     let bounds = crate::bounds::density_bounds(dec, psi.vertex_count(), config.pruning1);
-    dec.core_set(bounds.locate_k.max(1)).len()
+    dec.core_suffix(bounds.locate_k.max(1)).len()
 }
 
 /// Densest subgraph with **at most** `k` vertices (DamkS).

@@ -41,7 +41,9 @@ pub mod order;
 pub mod testing;
 pub mod view;
 
-pub use components::{connected_components, connected_components_within, ConnectedComponents};
+pub use components::{
+    components_among, connected_components, connected_components_within, ConnectedComponents,
+};
 pub use delta::{DeltaGraph, EdgeOverlay, GraphUpdate};
 pub use graph::{Graph, GraphBuilder, VertexId};
 pub use order::{degeneracy_order, DegeneracyOrder};

@@ -2,6 +2,7 @@
 //! objective, the `Method::Auto` approximation-guarantee property, cache
 //! accounting, and the repeated-query substrate-reuse speedup.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 
@@ -699,6 +700,184 @@ fn located_regions_are_kept_for_one_epoch() {
             "{label}"
         );
     }
+}
+
+/// The live edge list of a graph under test updates, so a burst of
+/// batches can be drawn without reading the engine in between.
+struct Mirror {
+    edges: Vec<(u32, u32)>,
+    index: HashMap<(u32, u32), usize>,
+}
+
+impl Mirror {
+    fn new(g: &Graph) -> Self {
+        let edges: Vec<(u32, u32)> = g.edges().collect();
+        let index = edges.iter().enumerate().map(|(i, &e)| (e, i)).collect();
+        Mirror { edges, index }
+    }
+
+    /// The update that toggles `{u, v}`, applied to the mirror.
+    fn toggle(&mut self, u: u32, v: u32) -> GraphUpdate {
+        let key = (u.min(v), u.max(v));
+        match self.index.remove(&key) {
+            Some(i) => {
+                self.edges.swap_remove(i);
+                if let Some(&moved) = self.edges.get(i) {
+                    self.index.insert(moved, i);
+                }
+                GraphUpdate::Delete(u, v)
+            }
+            None => {
+                self.index.insert(key, self.edges.len());
+                self.edges.push(key);
+                GraphUpdate::Insert(u, v)
+            }
+        }
+    }
+}
+
+/// Networks outlive the updates that miss them. A 14-clique planted on
+/// the hubs of a sparse random graph answers CoreExact for every Ψ, and
+/// the triangle and 4-clique answers span a few more hubs. Seeded batches
+/// land inside the clique (one clique edge deleted, or restored) or miss
+/// those answers: inserts and deletes, half each, away from them, plus
+/// one edge from an answer vertex to the rest of the graph, removed again
+/// by the next such batch. Some come in bursts of three with no read in
+/// between. After every batch, CoreExact Densest and TopK(2) for
+/// triangles and 4-cliques, edge Densest and a WithQuery anchored in the
+/// clique equal a cold engine's answers over the updated graph in order:
+/// vertices, density bits, and every flow counter. The triangle and
+/// 4-clique Densest solves take a carried network after a batch that
+/// missed the answers, and no Densest or WithQuery solve takes one after
+/// a batch inside the clique.
+#[test]
+fn carried_networks_search_like_rebuilt_ones() {
+    const CLIQUE: u32 = 14;
+    let g = chung_lu::chung_lu_with_clique(500, 2_000, 2.5, CLIQUE as usize, 29);
+    let n = g.num_vertices() as u64;
+    let requests = [
+        DsdRequest::new(&Pattern::triangle()),
+        DsdRequest::new(&Pattern::triangle()).objective(Objective::TopK(2)),
+        DsdRequest::new(&Pattern::clique(4)),
+        DsdRequest::new(&Pattern::clique(4)).objective(Objective::TopK(2)),
+        DsdRequest::new(&Pattern::edge()),
+        DsdRequest::new(&Pattern::edge()).objective(Objective::WithQuery(vec![2, 5])),
+    ]
+    .map(|req| req.method(Method::CoreExact));
+    // Requests whose every network spans the clique, and those of them
+    // whose located core is the clique alone.
+    let spans_clique = |r: usize| {
+        matches!(
+            requests[r].objective_ref(),
+            Objective::Densest | Objective::WithQuery(_)
+        )
+    };
+    let located_in_clique = |r: usize| spans_clique(r) && r < 4;
+
+    let engine = DsdEngine::new(g.clone());
+    let mut answers = vec![false; n as usize];
+    for (r, req) in requests.iter().enumerate() {
+        let solution = engine.solve(req);
+        if located_in_clique(r) {
+            for &v in &solution.vertices {
+                answers[v as usize] = true;
+            }
+        }
+    }
+    let outside = |v: u32| !answers[v as usize];
+    let mut mirror = Mirror::new(&g);
+    let mut rng = XorShift::new(0x0CA7_71ED);
+    let (mut broken, mut dangling) = (None, None);
+    let (mut missed, mut inside) = (0, 0);
+    for round in 0..prop_iters(16) {
+        // Two of three rounds miss the clique; every fourth is a burst.
+        let burst = if round % 4 == 3 { 3 } else { 1 };
+        let hits_clique = rng.next().is_multiple_of(3);
+        for b in 0..burst {
+            let mut batch = Vec::new();
+            while batch.len() < 3 {
+                let (u, v) = if rng.next().is_multiple_of(2) {
+                    mirror.edges[(rng.next() % mirror.edges.len() as u64) as usize]
+                } else {
+                    ((rng.next() % n) as u32, (rng.next() % n) as u32)
+                };
+                let absent = !mirror.index.contains_key(&(u.min(v), u.max(v)));
+                let repeat = batch.iter().any(|update: &GraphUpdate| {
+                    let (a, b) = update.endpoints();
+                    (a.min(b), a.max(b)) == (u.min(v), u.max(v))
+                });
+                // Inserts and deletes alternate, so the edge count holds.
+                if u != v && outside(u) && outside(v) && !repeat && absent == (batch.len() % 2 == 0)
+                {
+                    batch.push(mirror.toggle(u, v));
+                }
+            }
+            let (c, x) = dangling.take().unwrap_or_else(|| loop {
+                let c = (rng.next() % n) as u32;
+                let x = (rng.next() % n) as u32;
+                if !outside(c) && outside(x) && !mirror.index.contains_key(&(c.min(x), c.max(x))) {
+                    dangling = Some((c, x));
+                    break (c, x);
+                }
+            });
+            batch.push(mirror.toggle(c, x));
+            if hits_clique && b == burst - 1 {
+                let (u, v) = broken.take().unwrap_or_else(|| {
+                    let u = (rng.next() % CLIQUE as u64) as u32;
+                    let v = (u + 1 + (rng.next() % (CLIQUE as u64 - 1)) as u32) % CLIQUE;
+                    broken = Some((u, v));
+                    (u, v)
+                });
+                batch.push(mirror.toggle(u, v));
+            }
+            let stats = engine.apply(&batch);
+            assert_eq!(stats.inserted + stats.deleted, batch.len(), "round {round}");
+            assert_eq!(stats.csr_deferred, b > 0, "round {round} batch {b}");
+        }
+        let cold = DsdEngine::new(Graph::clone(&engine.graph()));
+        for (r, req) in requests.iter().enumerate() {
+            let label = format!(
+                "round {round} request {r} {:?} {}",
+                req.objective_ref(),
+                req.psi().name()
+            );
+            let before = engine.cache_stats().network_hits;
+            let got = engine.solve(req);
+            let hits = engine.cache_stats().network_hits - before;
+            let want = cold.solve(req);
+            assert_identical(&got, &want, &label);
+            assert_eq!(
+                got.stats.flow_iterations, want.stats.flow_iterations,
+                "{label}"
+            );
+            assert_eq!(
+                got.stats.flow_augment_work, want.stats.flow_augment_work,
+                "{label}"
+            );
+            assert_eq!(
+                got.stats.flow_resolve_hits, want.stats.flow_resolve_hits,
+                "{label}"
+            );
+            assert_eq!(got.stats.network_nodes, want.stats.network_nodes, "{label}");
+            if hits_clique && spans_clique(r) {
+                assert_eq!(
+                    hits, 0,
+                    "{label}: a network over a changed clique was carried"
+                );
+            }
+            if !hits_clique && located_in_clique(r) {
+                assert!(hits > 0, "{label}: the clique's network was not carried");
+            }
+        }
+        match hits_clique {
+            true => inside += 1,
+            false => missed += 1,
+        }
+    }
+    assert!(
+        missed > 0 && inside > 0,
+        "{missed} rounds missed the clique, {inside} hit it"
+    );
 }
 
 /// Solves that race `apply` each answer on the epoch they report. Two

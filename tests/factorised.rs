@@ -268,9 +268,10 @@ fn warm_network_cache_serves_repeat_solves() {
     }
 }
 
-/// Effective updates invalidate every cached network (the epoch key):
-/// post-update solves rebuild cold — no stale hit — and match a fresh
-/// engine over the updated graph bit for bit.
+/// An effective update drops every cached network whose member set holds
+/// a changed edge. The `Exact` network spans every vertex, so it always
+/// holds the changed edge: post-update solves rebuild cold — no stale
+/// hit — and match a fresh engine over the updated graph bit for bit.
 #[test]
 fn epoch_bump_invalidates_cached_networks() {
     let iters = prop_iters(3);

@@ -381,6 +381,110 @@ fn governor_ledgers_and_evicts_located_records() {
     }
 }
 
+/// An update that misses every cached region carries the networks into
+/// the next epoch, and the governor's ledger stays exact through it: the
+/// warm CoreExact and WithQuery traffic on graph a leaves networks and
+/// records behind, an edge between two isolated vertices changes none of
+/// them, and after the update — and again after the governor evicts a's
+/// entries with `evict_substrate` to make room for graph b — the ledger
+/// equals the engines' summed bytes. `ApplyStats::bytes_freed` is exactly
+/// what a's entries shrank by: the decompositions, the records and the
+/// carried networks' flow state (the stores neither grow nor shrink).
+#[test]
+fn governor_ledger_holds_across_a_carrying_update() {
+    let planted = dsd::datasets::chung_lu::chung_lu_with_clique(300, 1_200, 2.5, 10, 41);
+    let n = planted.num_vertices() as VertexId;
+    let edges: Vec<(VertexId, VertexId)> = planted.edges().collect();
+    let graph_a = Graph::from_edges(n as usize + 2, &edges);
+    let graph_b = Graph::from_edges(n as usize, &edges);
+    let traffic = |name: &str| {
+        [
+            DsdRequest::new(&Pattern::triangle()).on(name),
+            DsdRequest::new(&Pattern::edge()).on(name),
+            DsdRequest::new(&Pattern::edge())
+                .on(name)
+                .objective(Objective::WithQuery(vec![0, 1])),
+        ]
+        .map(|req| req.method(Method::CoreExact))
+    };
+    // The first pass is unbudgeted and measures what a and b hold; the
+    // second's budget leaves room for a and for b, but not for both.
+    let mut budget = None;
+    for pass in 0..2 {
+        let server = DsdServer::new(ServeConfig {
+            workers: 0,
+            substrate_budget: budget,
+            ..ServeConfig::default()
+        });
+        let governor = Arc::clone(server.governor());
+        let run = |ticket: Result<Ticket, ServeError>| {
+            let ticket = ticket.expect("admitted");
+            assert!(server.step(), "the submitted job is dispatchable");
+            ticket.wait().expect("registered")
+        };
+        let a = server.register("a", graph_a.clone());
+        for req in traffic("a") {
+            run(server.submit(req));
+        }
+        let (held, networks) = (a.substrate_bytes(), a.network_bytes());
+        assert!(networks > 0, "pass {pass}: a's traffic caches networks");
+
+        let update = vec![GraphUpdate::Insert(n, n + 1)];
+        let stats = match run(server.submit_update("a", update)) {
+            ServeOutcome::Updated(stats) => stats,
+            ServeOutcome::Solved(_) => unreachable!("an update answers with its stats"),
+        };
+        assert_eq!(stats.epoch, 1);
+        let carried = a.network_bytes();
+        assert!(carried > 0, "pass {pass}: the networks were carried");
+        assert_eq!(stats.bytes_freed, held - a.substrate_bytes(), "pass {pass}");
+        let (ledger, actual) = governor.reconcile();
+        assert_eq!(
+            ledger, actual,
+            "pass {pass}: ledger drifted after the update"
+        );
+
+        let hits = a.cache_stats().network_hits;
+        for req in traffic("a") {
+            run(server.submit(req));
+        }
+        assert!(
+            a.cache_stats().network_hits >= hits + 3,
+            "pass {pass}: warm after update"
+        );
+        let (ledger, actual) = governor.reconcile();
+        assert_eq!(
+            ledger, actual,
+            "pass {pass}: ledger drifted after re-warming a"
+        );
+        let a_bytes = a.substrate_bytes();
+
+        let b = server.register("b", graph_b.clone());
+        for req in traffic("b") {
+            run(server.submit(req));
+        }
+        let (ledger, actual) = governor.reconcile();
+        assert_eq!(
+            ledger, actual,
+            "pass {pass}: ledger drifted after b's traffic"
+        );
+        match budget {
+            None => budget = Some(a_bytes.max(b.substrate_bytes()) + 1),
+            Some(_) => {
+                assert!(
+                    governor.stats().evictions > 0,
+                    "a and b overflow the budget"
+                );
+                assert!(
+                    a.substrate_bytes() < a_bytes,
+                    "the governor evicted a's entries"
+                );
+            }
+        }
+        governor.debug_assert_reconciled();
+    }
+}
+
 /// A cache observer that forwards to the governor and holds the first
 /// request that reports a substrate use until the test releases it, so
 /// the test can act while that request is provably in flight.
