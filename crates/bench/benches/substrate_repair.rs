@@ -6,10 +6,8 @@
 //!
 //! * **repair** — the engine repairs the store in place on the merged
 //!   CSR: rows incident to a removed edge are tombstoned through the
-//!   incidence CSR, new triangles are enumerated from the inserted
-//!   edges' common neighborhoods and appended, and the serve governor's
-//!   ledger entry is resized in place (reconciled after every batch).
-//!   The stream is one burst with no read in between, so the first
+//!   incidence CSR, and new triangles are enumerated from the inserted
+//!   edges' common neighborhoods and appended. The stream is one burst with no read in between, so the first
 //!   `DsdEngine::apply` merges and repairs, the other 63 updates stay
 //!   pending, and the snapshot the next query takes merges and repairs
 //!   once for their net change;
@@ -23,18 +21,16 @@
 //!
 //! Asserted: the first update repairs in place inside `apply` and the
 //! others stay pending (never the rebuild fallback), the final query runs
-//! on the repaired store, the governor ledger reconciles after every
-//! batch and after the snapshot, the warm
-//! engine's final answer is bit-identical to a cold engine over the
-//! final graph, and repair is **≥ 10× faster** end to end.
+//! on the repaired store, the warm engine's final answer is bit-identical
+//! to a cold engine over the final graph, and repair is **≥ 10× faster**
+//! end to end.
 //!
 //! Run with: `cargo bench -p dsd-bench --bench substrate_repair`
 
 use std::collections::HashSet;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dsd_core::{DsdEngine, DsdRequest, Method, SubstrateGovernor};
+use dsd_core::{DsdEngine, DsdRequest, Method};
 use dsd_datasets::registry;
 use dsd_graph::{DeltaGraph, EdgeOverlay, Graph, GraphUpdate, VertexSet};
 use dsd_motif::store::InstanceStore;
@@ -85,13 +81,10 @@ fn main() {
     );
 
     // -- Repair arm: warm substrate, in-place repair per update ----------
-    let engine = Arc::new(DsdEngine::new(g.clone()));
-    let governor = SubstrateGovernor::new(None);
-    governor.attach(&engine);
+    let engine = DsdEngine::new(g.clone());
     let psi = Pattern::triangle();
     let req = DsdRequest::new(&psi).method(Method::CoreExact);
     let warm_solution = engine.solve(&req); // builds the substrate once
-    governor.debug_assert_reconciled();
 
     let mut repair_time = Duration::ZERO;
     for (i, update) in updates.iter().enumerate() {
@@ -110,15 +103,12 @@ fn main() {
             "the first update repairs in place, the rest stay pending"
         );
         assert_eq!(stats.substrates_rebuilt, 0, "no rebuild fallback");
-        // The ledger entry was resized in place, never dropped.
-        governor.debug_assert_reconciled();
     }
     // The snapshot merges the pending updates and repairs the store once.
     let t = Instant::now();
     let merged = engine.graph();
     repair_time += t.elapsed();
     drop(merged);
-    governor.debug_assert_reconciled();
     // Untimed: the maintenance comparison is store-repair vs store-rebuild;
     // the query itself costs the same on either arm.
     let repaired_solution = engine.solve(&req);

@@ -23,7 +23,7 @@
 //! a [`Substrates`] context over the caches, dispatches on
 //! `(Objective, Method)` to the algorithm's single entry point on that
 //! context, and builds the [`Solution`] envelope (flow counters, store
-//! accounting, kmax, the guarantee, the governor ledger call) in one
+//! accounting, kmax, the guarantee) in one
 //! place. The paper-named free functions (`core_exact(g, psi)` & co.) run
 //! the same entry points on a cold context with no engine at all;
 //! [`crate::densest_subgraph`] is the one free function that goes through
@@ -76,6 +76,7 @@
 //! assert!(top2.stats.substrate.decomposition_cache_hit);
 //! ```
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -269,8 +270,8 @@ pub struct EngineCacheStats {
 /// Cache key for a pattern: vertex count + the canonical edge list under
 /// vertex relabeling ([`Pattern::canonical_edges`]), so isomorphic
 /// patterns with different labelings share one cached substrate. This is
-/// also the unit the serving layer's substrate governor ledgers: one
-/// `(engine, PatternKey)` pair names one evictable cache entry.
+/// also the unit the serving layer's substrate governor evicts: one
+/// `(engine, PatternKey)` pair names one evictable cache slot.
 pub type PatternKey = (usize, Vec<(u8, u8)>);
 
 /// The canonical [`PatternKey`] for Ψ.
@@ -299,46 +300,10 @@ fn repairable_batch(inserted: usize, deleted: usize, resident: u64) -> bool {
     cost <= REPAIR_MAX_BATCH * (steps + 1)
 }
 
-/// Process-unique engine ids, so a cross-engine ledger (the serve-layer
-/// governor) can key entries without holding engine references.
+/// Process-unique engine ids, so the serve-layer governor can key its
+/// LRU stamps and pins without holding engine references.
 static ENGINE_IDS: AtomicU64 = AtomicU64::new(1);
 static LENDER_IDS: AtomicU64 = AtomicU64::new(1);
-
-/// Receiver for engine substrate-cache events, implemented by the serving
-/// layer's byte governor ([`crate::serve::SubstrateGovernor`]).
-///
-/// Call discipline (what keeps this deadlock-free): the engine invokes
-/// these callbacks only *after* releasing every lock of its own — the
-/// writer mutex, the current-epoch pointer, slot maps and network pools —
-/// while an implementation is allowed to call back into
-/// [`DsdEngine::evict_substrate`] (which takes the current epoch's
-/// slot-map lock) from inside a callback. The reverse order — engine lock
-/// held while entering the observer — never happens.
-///
-/// The callbacks carry no byte counts: a footprint read by the engine
-/// could go stale before the observer books it, so an observer keeping an
-/// exact ledger reads the footprint itself inside its own critical
-/// section (the governor's `key_bytes` read).
-pub trait CacheObserver: Send + Sync {
-    /// A request touched the substrate entry `(engine, key)` at `epoch`.
-    /// `hit` reports whether the request was served from cache.
-    fn on_substrate_used(&self, engine: u64, key: &PatternKey, epoch: u64, hit: bool);
-
-    /// The engine released its cache-resident substrates wholesale: a CSR
-    /// merge over the repair ceiling, or the engine dropping. Every ledger entry for this engine is now stale.
-    fn on_engine_release(&self, engine: u64);
-
-    /// An [`DsdEngine::apply`] batch carried the substrate entry
-    /// `(engine, key)` across an epoch bump by in-place repair: the entry
-    /// now lives at `epoch` (the *new* epoch) with a possibly changed
-    /// footprint (none when the entry was dropped rather than repaired —
-    /// e.g. its decomposition half, which always drops). A ledger-keeping
-    /// observer should *resize* its entry in place, not drop it
-    /// wholesale. Default: no-op.
-    fn on_substrate_repaired(&self, engine: u64, key: &PatternKey, epoch: u64) {
-        let _ = (engine, key, epoch);
-    }
-}
 
 /// `(substrate, cache_hit)` pair.
 type Cached<T> = (T, bool);
@@ -577,7 +542,7 @@ struct Pooled {
     pinned: Vec<VertexId>,
     net: DensityNetwork,
     /// Footprint of the network and its key sets, recorded at insert time
-    /// so the eviction ledger stays stable while the network sits
+    /// so the slot's byte count stays stable while the network sits
     /// untouched in the pool.
     bytes: usize,
 }
@@ -664,7 +629,6 @@ struct EngineLender<'a, 'g> {
     engine: &'a DsdEngine<'g>,
     /// The snapshot this request answers on.
     epoch: Arc<Epoch<'g>>,
-    key: PatternKey,
     slot: Arc<KeySlot>,
     /// Distinguishes this request's lent keys from other requests'.
     id: u64,
@@ -672,13 +636,12 @@ struct EngineLender<'a, 'g> {
 
 impl<'a, 'g> EngineLender<'a, 'g> {
     /// A lender for `key` on the engine's current snapshot.
-    fn new(engine: &'a DsdEngine<'g>, key: PatternKey) -> Self {
+    fn new(engine: &'a DsdEngine<'g>, key: &PatternKey) -> Self {
         let epoch = engine.snapshot();
-        let slot = epoch.slot(&key);
+        let slot = epoch.slot(key);
         EngineLender {
             engine,
             epoch,
-            key,
             slot,
             id: LENDER_IDS.fetch_add(1, Ordering::Relaxed),
         }
@@ -931,7 +894,6 @@ pub struct DsdEngine<'g> {
     parallelism: Parallelism,
     substrate_budget: Option<u64>,
     counters: Mutex<EngineCacheStats>,
-    observer: RwLock<Option<Arc<dyn CacheObserver>>>,
 }
 
 impl DsdEngine<'static> {
@@ -960,28 +922,13 @@ impl<'g> DsdEngine<'g> {
             parallelism: Parallelism::serial(),
             substrate_budget: Some(DEFAULT_STORE_BUDGET),
             counters: Mutex::new(EngineCacheStats::default()),
-            observer: RwLock::new(None),
         }
     }
 
     /// This engine's process-unique id — the stable half of the serving
-    /// layer's `(engine, Ψ)` ledger key.
+    /// layer's `(engine, Ψ)` eviction key.
     pub fn id(&self) -> u64 {
         self.id
-    }
-
-    /// Installs (or clears) the substrate-cache observer. At most one is
-    /// active; the serving layer's governor installs itself here when the
-    /// engine joins a governed catalog.
-    pub fn set_cache_observer(&self, observer: Option<Arc<dyn CacheObserver>>) {
-        *self.observer.write().unwrap() = observer;
-    }
-
-    fn notify(&self, f: impl FnOnce(&dyn CacheObserver)) {
-        let guard = self.observer.read().unwrap_or_else(PoisonError::into_inner);
-        if let Some(obs) = guard.as_deref() {
-            f(obs);
-        }
     }
 
     /// Drops the cached Ψ-substrates (oracle, decomposition, flow networks
@@ -989,26 +936,21 @@ impl<'g> DsdEngine<'g> {
     /// cache-resident bytes released. The eviction hook of the serve-layer
     /// governor: in-flight requests that already hold the key's slot
     /// finish unaffected — eviction only severs the epoch's reference, so
-    /// the bytes are reclaimed once the last holder drops. Does *not*
-    /// notify the observer (the governor is the caller and updates its own
-    /// ledger).
+    /// the bytes are reclaimed once the last holder drops.
     pub fn evict_substrate(&self, key: &PatternKey) -> u64 {
         let slot = self.current().slots.write().unwrap().remove(key);
         slot.map_or(0, |slot| slot.bytes())
     }
 
-    /// Cache-resident bytes of the entry for `key`, observed at `epoch`
-    /// (0 when the engine has moved to a different epoch or holds nothing
-    /// for the key). The governor reads this under its own lock when
-    /// ledgering, so a record is always fresh relative to its own
-    /// evictions.
-    pub(crate) fn key_bytes(&self, key: &PatternKey, epoch: u64) -> u64 {
-        let current = self.current();
-        if current.number != epoch {
-            return 0;
+    /// Calls `visit` with each Ψ key the current epoch holds a slot for,
+    /// and the slot's resident bytes: the serve-layer governor's fold.
+    /// The slot map stays read-locked meanwhile, so `visit` must not call
+    /// back into this engine.
+    pub(crate) fn visit_slots(&self, mut visit: impl FnMut(&PatternKey, u64)) {
+        let epoch = self.current();
+        for (key, slot) in epoch.slots.read().unwrap().iter() {
+            visit(key, slot.bytes());
         }
-        let slot = current.slots.read().unwrap().get(key).cloned();
-        slot.map_or(0, |slot| slot.bytes())
     }
 
     /// Sets the worker count used for parallelizable substrate passes
@@ -1092,7 +1034,6 @@ impl<'g> DsdEngine<'g> {
     /// panicking repair publishes nothing and keeps the overlay, so the
     /// next snapshot retries (without those networks).
     fn merge(&self) -> Arc<Epoch<'g>> {
-        let mut report = Report::new(self);
         let mut pending = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         let current = self.current();
         if current.merged {
@@ -1100,13 +1041,11 @@ impl<'g> DsdEngine<'g> {
             return current;
         }
         let carried = carried(&current.slots.read().unwrap(), &[]);
-        report.keys = carried.iter().map(|carry| carry.key.clone()).collect();
         let stats = &mut ApplyStats::default();
-        let (merged, released) = merge_pending(&current, current.number, &pending, carried, stats);
+        let merged = merge_pending(&current, current.number, &pending, carried, stats);
         *pending = EdgeOverlay::default();
         let merged = Arc::new(merged);
         self.publish(Arc::clone(&merged));
-        report.released = released;
         merged
     }
 
@@ -1181,7 +1120,6 @@ impl<'g> DsdEngine<'g> {
     /// nothing: the epoch stays, and the graph keeps answering as before.
     pub fn apply(&self, updates: &[GraphUpdate]) -> ApplyStats {
         let t0 = Instant::now();
-        let mut report = Report::new(self);
         let mut pending = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         let current = self.current();
         let base = current.graph.graph();
@@ -1224,12 +1162,8 @@ impl<'g> DsdEngine<'g> {
         // alive while stores are repaired: a peel order has no cheap
         // repair, and a located region moves with it. Of the flow
         // networks, only those over members no changed edge joins move on,
-        // reset to fresh builds; the rest drop with the records. Every key
-        // that held anything is re-reported, so a governor's ledger takes
-        // their new bytes — at the new epoch, or at the old one if a
-        // repair panics.
+        // reset to fresh builds; the rest drop with the records.
         let stripped = current.strip();
-        report.keys = stripped.keys().cloned().collect();
         stats.substrates_dropped = stripped
             .values()
             .filter(|slot| slot.decomposition.get().is_some())
@@ -1254,10 +1188,7 @@ impl<'g> DsdEngine<'g> {
             // A read epoch is merged, so the overlay held only this batch;
             // taking it leaves the writer as it was if the repair panics.
             let batch = std::mem::take(&mut *pending);
-            let (merged, released) =
-                merge_pending(&current, stats.epoch, &batch, carried, &mut stats);
-            report.released = released;
-            merged
+            merge_pending(&current, stats.epoch, &batch, carried, &mut stats)
         };
         self.publish(Arc::new(next));
         stats.total_nanos = t0.elapsed().as_nanos();
@@ -1414,13 +1345,9 @@ impl<'g> DsdEngine<'g> {
     /// nothing.
     pub fn solve(&self, req: &DsdRequest) -> Solution {
         let t0 = Instant::now();
-        // The query variant is defined for edge density whatever the
-        // request's Ψ: it runs, caches its pinned networks and ledgers
-        // under the edge key.
-        let query = matches!(req.objective, Objective::WithQuery(_));
-        let edge = Pattern::edge();
-        let psi = if query { &edge } else { &req.psi };
-        let lender = EngineLender::new(self, pattern_key(psi));
+        let (psi, key) = req.cache_key();
+        let psi = psi.as_ref();
+        let lender = EngineLender::new(self, &key);
         let epoch = lender.epoch.number;
         // DalkS and DamkS build their exact attempt's networks fresh and
         // leave the network cache alone.
@@ -1547,16 +1474,6 @@ impl<'g> DsdEngine<'g> {
             .map(|r| (r.vertices.clone(), r.density))
             .unwrap_or_default();
         stats.total_nanos = t0.elapsed().as_nanos();
-        // Ledger the touched substrate entry with the governor (if any).
-        // The query variant's entry holds its pinned networks; the
-        // classical k-core order it reads is not ledgered and never
-        // evicted (an update drops it, the next read rebuilds it).
-        let hit = if query {
-            stats.substrate.kcore_cache_hit
-        } else {
-            stats.substrate.oracle_cache_hit
-        };
-        self.notify(|obs| obs.on_substrate_used(self.id, &lender.key, epoch, hit));
         Solution {
             vertices,
             density,
@@ -1631,20 +1548,6 @@ impl Answer {
     }
 }
 
-impl Drop for DsdEngine<'_> {
-    /// Tells the observer the engine's whole cache footprint is gone, so a
-    /// governed catalog dropping an engine (eviction, shutdown) never
-    /// leaks its bytes, or its evicted-key marks, in the global ledger. A
-    /// poisoned lock is recovered, not unwrapped: a panic here would abort
-    /// a thread already unwinding.
-    fn drop(&mut self) {
-        let observer = self.observer.get_mut();
-        if let Some(obs) = observer.unwrap_or_else(PoisonError::into_inner) {
-            obs.on_engine_release(self.id);
-        }
-    }
-}
-
 /// Builds once, in `cell`: concurrent requests for the same entry block
 /// until the winner's build lands, then read it as a hit — N threads pay
 /// one build, and requests for other cells never wait on it. The bool
@@ -1658,56 +1561,14 @@ fn memoized<T: Clone>(cell: &OnceLock<T>, build: impl FnOnce() -> T) -> Cached<T
     (value.clone(), hit)
 }
 
-/// The observer call an [`DsdEngine::apply`] or [`DsdEngine::merge`]
-/// owes, made when it drops — declared before the writer guard, so after
-/// every engine lock is released, and also when a repair unwinds. A
-/// wholesale drop (`released`) releases every ledger entry of the engine;
-/// otherwise each of `keys` is re-reported at the epoch current by then
-/// (the new one, or the old one after a panic): entries for repaired
-/// stores take their new footprint, entries for dropped halves fall out.
-struct Report<'a, 'g> {
-    engine: &'a DsdEngine<'g>,
-    released: bool,
-    keys: Vec<PatternKey>,
-}
-
-impl<'a, 'g> Report<'a, 'g> {
-    fn new(engine: &'a DsdEngine<'g>) -> Self {
-        Report {
-            engine,
-            released: false,
-            keys: Vec::new(),
-        }
-    }
-}
-
-impl Drop for Report<'_, '_> {
-    fn drop(&mut self) {
-        if !self.released && self.keys.is_empty() {
-            return;
-        }
-        let engine = self.engine;
-        let epoch = engine.current().number;
-        engine.notify(|obs| {
-            if self.released {
-                obs.on_engine_release(engine.id);
-            } else {
-                for key in &self.keys {
-                    obs.on_substrate_repaired(engine.id, key, epoch);
-                }
-            }
-        });
-    }
-}
-
 /// Stages the merged epoch `number`: merges `pending` into a fresh CSR
 /// over `from`'s and carries `from`'s `carried` oracles across the
 /// overlay's net edge changes — one merge and one `repair_for_update` per
 /// oracle, however many batches the overlay holds. Sound because stores
 /// are built from merged snapshots only, so they describe `from`'s CSR,
 /// and every change since sits in the overlay. Every oracle and network
-/// is dropped instead when the net change is over the repair ceiling;
-/// returns whether that happened. Counts into `stats`.
+/// is dropped instead when the net change is over the repair ceiling.
+/// Counts into `stats`.
 ///
 /// The carried networks were already filtered by the batches they
 /// crossed. They move on beside an oracle kept or repaired in place, and
@@ -1725,13 +1586,12 @@ fn merge_pending<'g>(
     pending: &EdgeOverlay,
     mut carried: Vec<Carry>,
     stats: &mut ApplyStats,
-) -> (Epoch<'g>, bool) {
+) -> Epoch<'g> {
     let base = from.graph.graph();
     let (inserted, removed) = (pending.added_edge_list(), pending.removed_edge_list());
     let oracles = || carried.iter().filter_map(|c| c.oracle.as_ref());
     let resident: u64 = oracles().map(|o| o.resident_bytes()).sum();
-    let released = !repairable_batch(inserted.len(), removed.len(), resident);
-    if released {
+    if !repairable_batch(inserted.len(), removed.len(), resident) {
         let dropped = oracles().count();
         stats.substrates_dropped += dropped;
         stats.substrates_rebuilt += dropped;
@@ -1791,8 +1651,7 @@ fn merge_pending<'g>(
             next.push(carry);
         }
     }
-    let merged = Epoch::new(number, GraphSlot::Owned(g_new), true, next);
-    (merged, released)
+    Epoch::new(number, GraphSlot::Owned(g_new), true, next)
 }
 
 /// Copies an α-search's instrumentation into a request's [`SolveStats`].
@@ -1849,6 +1708,19 @@ impl DsdRequest {
     /// The request's pattern Ψ.
     pub fn psi(&self) -> &Pattern {
         &self.psi
+    }
+
+    /// The pattern [`DsdEngine::solve`] runs under, and its cache key: the
+    /// one slot the request reads and fills, which the serve pipeline pins
+    /// and settles. That is Ψ, except for the query variant, which is
+    /// defined for edge density whatever Ψ the request names.
+    pub(crate) fn cache_key(&self) -> (Cow<'_, Pattern>, PatternKey) {
+        let psi = match self.objective {
+            Objective::WithQuery(_) => Cow::Owned(Pattern::edge()),
+            _ => Cow::Borrowed(&self.psi),
+        };
+        let key = pattern_key(&psi);
+        (psi, key)
     }
 
     /// Sets the objective (default [`Objective::Densest`]).
@@ -2030,7 +1902,7 @@ pub(crate) mod tests {
     fn a_fingerprint_collision_reads_as_a_miss() {
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (0, 3), (2, 3), (3, 4), (4, 5)]);
         let engine = DsdEngine::over(&g);
-        let lender = EngineLender::new(&engine, pattern_key(&Pattern::edge()));
+        let lender = EngineLender::new(&engine, &pattern_key(&Pattern::edge()));
         let filed = [0, 1, 2, 3];
         for (members, pinned) in [(&[3, 4, 5][..], &[][..]), (&filed[..], &[1][..])] {
             // File `filed`'s network under the print the request hashes to.
@@ -2237,22 +2109,6 @@ pub(crate) mod tests {
         assert_eq!(warm.density.to_bits(), cold.density.to_bits());
     }
 
-    /// Dropping an engine whose cache-observer lock a panic poisoned
-    /// releases its footprint instead of panicking again.
-    #[test]
-    fn drop_recovers_a_poisoned_cache_lock() {
-        let g = Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
-        let engine = DsdEngine::new(g);
-        engine.warm(&Pattern::triangle());
-        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _observer = engine.observer.write().unwrap();
-            panic!("poison the cache-observer lock");
-        }));
-        assert!(poisoned.is_err());
-        assert!(engine.observer.is_poisoned());
-        drop(engine);
-    }
-
     /// A real oracle for Ψ that reports a materialized store, so `apply`
     /// repairs it, and panics in that repair; everything else delegates.
     pub(crate) struct RepairPanics(pub(crate) Arc<dyn DensityOracle>);
@@ -2420,14 +2276,11 @@ pub(crate) mod tests {
         psi: &Pattern,
         objective: &Objective,
     ) -> (Vec<DsdResult>, ExactStats) {
-        let edge = Pattern::edge();
-        let psi = match objective {
-            Objective::WithQuery(_) => &edge,
-            _ => psi,
-        };
-        let lender = EngineLender::new(engine, pattern_key(psi));
+        let req = DsdRequest::new(psi).objective(objective.clone());
+        let (psi, key) = req.cache_key();
+        let lender = EngineLender::new(engine, &key);
         let recordless = RecordlessLender(&lender);
-        let s = Substrates::cached(lender.graph(), psi, &lender, Some(&recordless));
+        let s = Substrates::cached(lender.graph(), &psi, &lender, Some(&recordless));
         let config = CoreExactConfig::default();
         match objective {
             Objective::Densest => {

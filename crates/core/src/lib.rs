@@ -113,8 +113,8 @@ pub use dsd_graph::GraphUpdate;
 pub use dsd_motif::store::StoreBuildStats;
 pub use emcore::emcore_max_core;
 pub use engine::{
-    pattern_key, ApplyStats, BoundRequest, CacheObserver, DsdEngine, DsdRequest, EngineCacheStats,
-    GraphSnapshot, Guarantee, Objective, Outcome, PatternKey, Solution, SolveStats,
+    pattern_key, ApplyStats, BoundRequest, DsdEngine, DsdRequest, EngineCacheStats, GraphSnapshot,
+    Guarantee, Objective, Outcome, PatternKey, Solution, SolveStats,
 };
 pub use exact::{exact, ExactOpts, ExactStats};
 pub use kcore::{k_core_decomposition, KCoreDecomposition};
@@ -127,8 +127,7 @@ pub use parallelism::Parallelism;
 pub use peel::peel_app;
 pub use query::densest_with_query;
 pub use serve::{
-    DsdServer, GovernorStats, ServeConfig, ServeError, ServeOutcome, ServeStats, SubstrateGovernor,
-    SubstrateLease, Ticket,
+    DsdServer, GovernorStats, ServeConfig, ServeError, ServeOutcome, ServeStats, Ticket,
 };
 pub use size_constrained::{densest_at_least_k, densest_at_most_k, SizeConstrainedOutcome};
 pub use substrates::Substrates;

@@ -98,7 +98,7 @@ pub trait DensityOracle: Send + Sync {
     /// Cache-resident bytes this oracle currently holds (the materialized
     /// instance store, for the store-backed oracle; 0 for pure streaming
     /// oracles). This is the quantity a serving-layer byte governor
-    /// ledgers: the oracle is a *droppable store handle* — releasing the
+    /// counts: the oracle is a *droppable store handle* — releasing the
     /// engine's reference frees these bytes once in-flight requests
     /// holding their own `Arc` finish, and later requests rebuild.
     fn resident_bytes(&self) -> u64 {

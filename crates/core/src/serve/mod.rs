@@ -9,11 +9,16 @@
 //!
 //! 1. **Unbounded memory.** Engine caches are grow-only between updates:
 //!    every (graph, Ψ) pair a workload ever touches stays resident. The
-//!    [`SubstrateGovernor`] puts one LRU byte budget over all engines —
+//!    substrate governor puts one LRU byte budget over all engines —
 //!    substrates are treated as the factorised materialized views they
 //!    are (expensive to build, cheap to share, first to evict under
 //!    pressure), and `Arc` reference counting makes eviction safe for
-//!    requests already holding the substrate.
+//!    requests already holding the substrate. After every job the
+//!    pipeline settles the governor: it folds the bytes each engine's
+//!    current epoch holds and evicts the least-recently-used unpinned
+//!    (graph, Ψ) keys while the total is over budget
+//!    ([`ServeStats::governor`] reports it). Engines never call out to
+//!    the serving layer.
 //! 2. **Unbounded latency.** One hot graph's update must not stall every
 //!    other graph, and a backlog must not grow without bound. The
 //!    pipeline gives each graph its own bounded FIFO (updates barrier
@@ -55,5 +60,5 @@
 mod governor;
 mod pipeline;
 
-pub use governor::{GovernorStats, SubstrateGovernor, SubstrateLease};
+pub use governor::GovernorStats;
 pub use pipeline::{DsdServer, ServeConfig, ServeError, ServeOutcome, ServeStats, Ticket};

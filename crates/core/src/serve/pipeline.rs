@@ -37,9 +37,9 @@ use std::time::{Duration, Instant};
 
 use dsd_graph::{Graph, GraphUpdate};
 
-use crate::engine::{pattern_key, ApplyStats, DsdEngine, DsdRequest, Objective, Solution};
+use crate::engine::{ApplyStats, DsdEngine, DsdRequest, Objective, PatternKey, Solution};
 use crate::oracle::DEFAULT_STORE_BUDGET;
-use crate::serve::governor::{GovernorStats, SubstrateGovernor, SubstrateLease};
+use crate::serve::governor::{GovernorStats, SubstrateGovernor};
 
 /// Sizing and policy knobs for a [`DsdServer`].
 #[derive(Clone, Debug)]
@@ -53,7 +53,10 @@ pub struct ServeConfig {
     /// [`ServeError::Overloaded`].
     pub queue_depth: usize,
     /// Global substrate byte budget enforced by the governor across every
-    /// registered engine (`None` = account but never evict).
+    /// registered engine (`None` = account but never evict). It bounds
+    /// the bytes settled after each served job; an engine solved or
+    /// warmed directly, outside the pipeline, is neither counted as a hit
+    /// or miss nor evicted until the next job settles.
     pub substrate_budget: Option<u64>,
     /// Per-engine instance-store byte budget for graphs registered on
     /// this server (`None` = unlimited, `Some(0)` = never materialize;
@@ -178,7 +181,7 @@ pub struct ServeStats {
     pub queued: usize,
     /// Jobs currently executing.
     pub in_flight: usize,
-    /// The governor's counters.
+    /// The governor's counters, with its footprint folded when read.
     pub governor: GovernorStats,
 }
 
@@ -273,8 +276,8 @@ impl DsdServer {
     /// Registers (or replaces) a graph and returns its engine. The engine
     /// is attached to the governor and gets its own FIFO queue. Replacing
     /// a graph moves its queued jobs onto the new engine; jobs already
-    /// running finish on the old one, whose bytes leave the governor's
-    /// ledger once the last of them drops it.
+    /// running finish on the old one, whose bytes the governor counts
+    /// until the last holder drops it.
     pub fn register(&self, name: impl Into<String>, graph: Graph) -> Arc<DsdEngine<'static>> {
         let name = name.into();
         let engine =
@@ -301,16 +304,15 @@ impl DsdServer {
             },
         );
         drop(state);
-        // Dropped outside the state lock: a replaced engine's Drop
-        // reports its bytes to the governor.
+        // Dropped outside the state lock: freeing a replaced engine's
+        // caches need not stall the pipeline.
         drop(replaced);
         engine
     }
 
     /// Removes a graph; returns whether it was present. Queued jobs for
-    /// it fail with [`ServeError::UnknownGraph`]; its engine's bytes
-    /// leave the governor's ledger once the last in-flight holder drops
-    /// it.
+    /// it fail with [`ServeError::UnknownGraph`]; the governor counts its
+    /// engine's bytes until the last in-flight holder drops it.
     pub fn evict(&self, name: &str) -> bool {
         let mut state = self.shared.state.lock().unwrap();
         let Some(mut entry) = state.graphs.remove(name) else {
@@ -347,7 +349,8 @@ impl DsdServer {
     }
 
     /// The governor enforcing the global substrate budget.
-    pub fn governor(&self) -> &Arc<SubstrateGovernor> {
+    #[cfg(test)]
+    pub(crate) fn governor(&self) -> &Arc<SubstrateGovernor> {
         &self.shared.governor
     }
 
@@ -429,9 +432,9 @@ impl DsdServer {
         true
     }
 
-    /// Blocks until every queued and in-flight job has completed, then
-    /// debug-asserts the governor's ledger against ground truth. With
-    /// `workers: 0` the calling thread runs the queued jobs itself.
+    /// Blocks until every queued and in-flight job has completed, each
+    /// with the governor settled. With `workers: 0` the calling thread
+    /// runs the queued jobs itself.
     pub fn drain(&self) {
         let pooled = !self.workers.is_empty();
         let mut state = self.shared.state.lock().unwrap();
@@ -454,8 +457,6 @@ impl DsdServer {
             };
             state = wake.wait(state).unwrap();
         }
-        drop(state);
-        self.shared.governor.debug_assert_reconciled();
     }
 
     /// Stops the pipeline: queued jobs fail with [`ServeError::ShutDown`],
@@ -553,8 +554,9 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Executes one dispatched job and settles the pipeline bookkeeping. A
-/// panicking job fails with [`ServeError::Internal`].
+/// Executes one dispatched job, then settles the governor and the
+/// pipeline bookkeeping before the ticket is answered. A panicking job
+/// fails with [`ServeError::Internal`].
 fn run_job(shared: &Shared, dispatched: Dispatched) {
     let Dispatched {
         job:
@@ -576,31 +578,40 @@ fn run_job(shared: &Shared, dispatched: Dispatched) {
         expired,
     };
 
-    let result = if expired {
-        Err(ServeError::DeadlineExceeded)
+    let (result, query) = if expired {
+        (Err(ServeError::DeadlineExceeded), None)
     } else {
         // Unwind safety: a query only fills build-once caches of the epoch
         // it holds, and an update publishes its epoch in one swap at the
         // end, so a panic leaves the engine as it was.
-        panic::catch_unwind(AssertUnwindSafe(|| {
+        match panic::catch_unwind(AssertUnwindSafe(|| {
             execute(shared, &engine, kind, deadline)
-        }))
-        .map_err(|panic| ServeError::Internal(panic_message(panic)))
+        })) {
+            Ok((outcome, query)) => (Ok(outcome), query),
+            Err(panic) => (Err(ServeError::Internal(panic_message(panic))), None),
+        }
     };
+    let id = engine.id();
     // Dropped outside the state lock: if the graph was evicted or
-    // replaced meanwhile, this is the engine's last holder.
+    // replaced meanwhile, this is the engine's last holder, and its bytes
+    // leave before the governor folds.
     drop(engine);
+    shared
+        .governor
+        .settle(query.map(|(key, hit)| (id, key, hit)));
     drop(settle);
     let _ = tx.send(result);
 }
 
-/// Runs one job that is still within its deadline.
+/// Runs one job that is still within its deadline. A query pins its
+/// [`DsdRequest::cache_key`] while it runs and returns it, with whether
+/// the substrate was cached, for the governor to settle.
 fn execute(
     shared: &Shared,
     engine: &DsdEngine<'static>,
     kind: JobKind,
     deadline: Option<Instant>,
-) -> ServeOutcome {
+) -> (ServeOutcome, Option<(PatternKey, bool)>) {
     match kind {
         JobKind::Query(mut req) => {
             let cap = shared.config.deadline_step_budget;
@@ -608,18 +619,19 @@ fn execute(
                 let cap = req.step_budget_limit().map_or(cap, |b| b.min(cap));
                 req = req.step_budget(cap);
             }
-            // Pin the substrate entry this query is about to use so
-            // the LRU doesn't thrash it mid-request. The query
-            // variant runs on the classical k-core order, which the
-            // governor never evicts, and needs no pin; its cached
-            // flow network is take/put (out of the cache while
-            // lent), so eviction can never touch it mid-request.
-            let _lease: Option<SubstrateLease> =
-                (!matches!(req.objective_ref(), Objective::WithQuery(_)))
-                    .then(|| shared.governor.lease(engine.id(), pattern_key(req.psi())));
-            ServeOutcome::Solved(Box::new(engine.solve(&req)))
+            let (_, key) = req.cache_key();
+            let _lease = shared.governor.lease(engine.id(), &key);
+            let solution = engine.solve(&req);
+            // The query variant reads no oracle: its hit is the classical
+            // k-core order's.
+            let substrate = &solution.stats.substrate;
+            let hit = match req.objective_ref() {
+                Objective::WithQuery(_) => substrate.kcore_cache_hit,
+                _ => substrate.oracle_cache_hit,
+            };
+            (ServeOutcome::Solved(Box::new(solution)), Some((key, hit)))
         }
-        JobKind::Update(updates) => ServeOutcome::Updated(engine.apply(&updates)),
+        JobKind::Update(updates) => (ServeOutcome::Updated(engine.apply(&updates)), None),
     }
 }
 
@@ -688,7 +700,9 @@ fn notify_if_idle(shared: &Shared, state: &PipeState) {
 mod tests {
     use super::*;
     use crate::engine::tests::RepairPanics;
+    use crate::oracle::{oracle_for, DensityOracle};
     use crate::Method;
+    use dsd_graph::{VertexId, VertexSet};
     use dsd_motif::Pattern;
 
     /// A job that panics fails alone: the update whose repair panics
@@ -730,5 +744,111 @@ mod tests {
         let stats = server.stats();
         assert_eq!((stats.in_flight, stats.queued, stats.completed), (0, 0, 3));
         server.drain();
+    }
+
+    /// A streaming oracle for Ψ whose first read blocks until the test
+    /// lets it go, so the query reading it provably stays in flight.
+    struct Held {
+        inner: Box<dyn DensityOracle>,
+        hold: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+    }
+
+    impl Held {
+        fn read(&self) -> &dyn DensityOracle {
+            let held = self.hold.lock().unwrap().take();
+            if let Some((arrived, release)) = held {
+                arrived.send(()).unwrap();
+                let _ = release.recv();
+            }
+            self.inner.as_ref()
+        }
+    }
+
+    impl DensityOracle for Held {
+        fn psi_size(&self) -> usize {
+            self.read().psi_size()
+        }
+
+        fn degrees(&self, g: &Graph, alive: &VertexSet) -> Vec<u64> {
+            self.read().degrees(g, alive)
+        }
+
+        fn removal_decrements(
+            &self,
+            g: &Graph,
+            alive: &VertexSet,
+            v: VertexId,
+        ) -> Vec<(VertexId, u64)> {
+            self.read().removal_decrements(g, alive, v)
+        }
+    }
+
+    /// A query still running on an evicted graph settles on the
+    /// registration it ran against, never on a newer one under the same
+    /// name: after evict + re-register, updates and queries on the new
+    /// graph dispatch normally. Driven with `workers: 0` and a deadline,
+    /// so a wedged queue fails the test instead of hanging it.
+    #[test]
+    fn reregistration_during_an_in_flight_query_keeps_the_new_queue_live() {
+        let server = Arc::new(DsdServer::new(ServeConfig {
+            workers: 0,
+            ..ServeConfig::default()
+        }));
+        let toy = Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (0, 3), (2, 3), (3, 4), (4, 5)]);
+        let psi = Pattern::triangle();
+        let old = server.register("g", toy.clone());
+        let (arrived_tx, arrived) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let held = Held {
+            inner: oracle_for(&psi),
+            hold: Mutex::new(Some((arrived_tx, release_rx))),
+        };
+        old.install_oracle(&psi, Arc::new(held));
+        let q = || DsdRequest::new(&psi).on("g").method(Method::CoreExact);
+
+        let first = server.submit(q()).unwrap();
+        let stepper = {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || server.step())
+        };
+        arrived.recv().expect("the query reached the engine");
+        assert_eq!(server.stats().in_flight, 1);
+        assert!(server.evict("g"));
+        server.register("g", toy);
+        drop(release);
+        assert!(
+            stepper
+                .join()
+                .expect("settling the old query must not panic"),
+            "the stepper ran the query"
+        );
+        let first = first.wait().unwrap().solution().unwrap();
+        assert_eq!((first.vertices.len(), first.stats.epoch), (4, 0));
+
+        let update = server
+            .submit_update("g", vec![GraphUpdate::Insert(3, 5)])
+            .unwrap();
+        let after = server.submit(q()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut outcomes = Vec::new();
+        for ticket in [update, after] {
+            let outcome = loop {
+                if let Some(outcome) = ticket.poll() {
+                    break outcome.expect("job ran");
+                }
+                assert!(
+                    Instant::now() < deadline,
+                    "the re-registered graph's queue is wedged: {:?}",
+                    server.stats()
+                );
+                server.step();
+            };
+            outcomes.push(outcome);
+        }
+        assert!(matches!(outcomes[0], ServeOutcome::Updated(_)));
+        let after = outcomes.pop().unwrap().solution().unwrap();
+        assert_eq!(after.stats.epoch, 1, "the query ran after the update");
+        let stats = server.stats();
+        assert_eq!((stats.queued, stats.in_flight), (0, 0));
     }
 }

@@ -53,11 +53,12 @@
 //! `--workers` (also spelled `--threads`, default 2) threads pull across
 //! graphs, sharing substrate work through each engine's build-once cache.
 //! `--budget` is a byte budget enforced *globally* by the substrate
-//! governor, which evicts least-recently-used (graph, Ψ) substrates and
-//! rebuilds them on demand; `--substrate-budget` caps each engine's
-//! instance store as above. `--queue-depth` bounds each graph's queue;
-//! when a queue fills, the command waits out its oldest pending job rather
-//! than dropping requests. `--deadline-ms` attaches a deadline to every
+//! governor: after every job it sums the bytes each graph's caches hold
+//! and, while over budget, evicts the least-recently-used (graph, Ψ)
+//! substrates, which rebuild on demand; `--substrate-budget` caps each
+//! engine's instance store as above. `--queue-depth` bounds each graph's
+//! queue; when a queue fills, the command waits out its oldest pending
+//! job rather than dropping requests. `--deadline-ms` attaches a deadline to every
 //! job (expired jobs are shed at dispatch) and `--deadline-probes`
 //! additionally clamps each deadlined query's α-search probe count.
 //!

@@ -27,12 +27,11 @@
 //! nightly CI runs this suite at 5000 iterations.
 
 use std::collections::{BTreeSet, HashSet};
-use std::sync::Arc;
 
 use dsd::core::oracle::{CliqueOracle, GenericPatternOracle};
 use dsd::core::{
     decompose, k_core_decomposition, CliqueCoreDecomposition, DensityOracle, DsdEngine, DsdRequest,
-    MaterializedOracle, Method, Parallelism, Solution, SubstrateGovernor,
+    MaterializedOracle, Method, Parallelism, Solution,
 };
 use dsd::graph::{Graph, GraphUpdate, VertexId, VertexSet};
 use dsd::motif::kclist::{CliqueLister, CliqueScratch};
@@ -424,13 +423,7 @@ fn every_batch_repairs_every_cached_store_on_the_merged_csr() {
         let engine = DsdEngine::new(Graph::from_edges(n, &base));
         let kcore_only = DsdEngine::new(Graph::from_edges(n, &base));
         let streaming = DsdEngine::new(Graph::from_edges(n, &base));
-        let burst = Arc::new(DsdEngine::new(Graph::from_edges(n, &base)));
-        let governor = SubstrateGovernor::new(None);
-        governor.attach(&burst);
-        let reconciled = |ctx: &str| {
-            let (ledger, actual) = governor.reconcile();
-            assert_eq!(ledger, actual, "{ctx}: governor ledger drifted");
-        };
+        let burst = DsdEngine::new(Graph::from_edges(n, &base));
         for req in &requests {
             engine.solve(req); // cache the three Ψ-stores
             burst.solve(req);
@@ -462,10 +455,8 @@ fn every_batch_repairs_every_cached_store_on_the_merged_csr() {
                 assert_eq!(applied.substrates_repaired, repaired, "{ctx}, edge {i}");
                 assert_eq!(applied.substrates_rebuilt, 0, "{ctx}, edge {i}");
                 assert_eq!(applied.csr_deferred, i > 0, "{ctx}, edge {i}");
-                reconciled(&format!("{ctx}, edge {i}"));
             }
             burst.graph(); // merges the pending edges, repairing the stores
-            reconciled(&format!("{ctx}, merge"));
 
             // Split in two, so the second half lands on pending updates.
             for half in batch.chunks(size.div_ceil(2)) {

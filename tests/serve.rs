@@ -1,19 +1,19 @@
 //! Serving-runtime tests: the admission-controlled pipeline is
 //! bit-identical to a synchronous replay, forced substrate evictions
-//! never corrupt in-flight requests, the governor's ledger never drifts
-//! from ground truth, and the shed paths (overload, deadline) are
-//! deterministic.
+//! never corrupt in-flight requests, the governor settles every job on
+//! the engines' own byte counts, and the shed paths (overload, deadline)
+//! are deterministic.
 //!
 //! Iteration counts honour the `DSD_PROP_ITERS` env knob (the nightly CI
 //! job runs the suites with elevated counts).
 
 use std::collections::VecDeque;
-use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use dsd::core::{
-    CacheObserver, DsdEngine, DsdRequest, DsdServer, Method, Objective, PatternKey, ServeConfig,
-    ServeError, ServeOutcome, Solution, SubstrateGovernor, Ticket,
+    DsdEngine, DsdRequest, DsdServer, GovernorStats, Method, Objective, ServeConfig, ServeError,
+    ServeOutcome, Solution, Ticket,
 };
 use dsd::graph::{Graph, GraphBuilder, GraphUpdate, VertexId};
 use dsd::motif::Pattern;
@@ -40,6 +40,27 @@ fn random_graph(rng: &mut StdRng, n_lo: usize, n_hi: usize) -> Graph {
         }
     }
     b.build()
+}
+
+/// The governor's stats after a job, checked against the engines: its
+/// resident bytes are the registered engines' summed `substrate_bytes()`,
+/// and under a `budget` they fit it unless a violation was counted.
+fn assert_settled(server: &DsdServer, budget: Option<u64>, ctx: &str) -> GovernorStats {
+    let governor = server.stats().governor;
+    let held: u64 = server
+        .list()
+        .iter()
+        .filter_map(|name| server.engine(name))
+        .map(|engine| engine.substrate_bytes())
+        .sum();
+    assert_eq!(governor.resident_bytes, held, "{ctx}: resident bytes");
+    if let Some(budget) = budget {
+        assert!(
+            governor.resident_bytes <= budget || governor.violations > 0,
+            "{ctx}: settled total over budget without a counted violation"
+        );
+    }
+    governor
 }
 
 /// One op of a mixed workload script, replayable both through the
@@ -212,11 +233,11 @@ fn forced_evictions_never_change_answers() {
                 ..ServeConfig::default()
             },
         );
-        let gov = server.governor().stats();
+        let gov = server.stats().governor;
         assert!(gov.evictions > 0, "a 1-byte budget must evict");
         assert!(
             gov.resident_bytes <= 1 || gov.violations > 0,
-            "settled ledger over budget without a counted violation"
+            "settled total over budget without a counted violation"
         );
     }
 }
@@ -269,9 +290,9 @@ fn concurrent_evict_substrate_never_corrupts_in_flight_solves() {
     });
 }
 
-/// The governor's ledger follows updates, `DsdServer::evict` and engine
-/// drop — reconciliation against summed `substrate_bytes()` holds at
-/// every quiescent point.
+/// The governor's footprint follows updates, `DsdServer::evict` and
+/// engine drop: after every job, and after the evict, it equals the
+/// registered engines' summed `substrate_bytes()`.
 #[test]
 fn governor_ledger_tracks_updates_evict_and_engine_drop() {
     let mut rng = StdRng::seed_from_u64(0x1ED6E2);
@@ -279,7 +300,6 @@ fn governor_ledger_tracks_updates_evict_and_engine_drop() {
         workers: 0,
         ..ServeConfig::default()
     });
-    let governor = Arc::clone(server.governor());
     server.register("a", random_graph(&mut rng, 20, 30));
     server.register("b", random_graph(&mut rng, 20, 30));
     let run = |ticket: Result<Ticket, ServeError>| {
@@ -292,38 +312,34 @@ fn governor_ledger_tracks_updates_evict_and_engine_drop() {
     for name in ["a", "b"] {
         run(server.submit(DsdRequest::new(&psi).on(name).method(Method::CoreExact)));
     }
-    let (ledger, actual) = governor.reconcile();
-    assert_eq!(ledger, actual, "ledger drifted after warmup");
-    assert!(ledger > 0, "triangle substrates occupy bytes");
+    let warm = assert_settled(&server, None, "after warmup");
+    assert!(warm.resident_bytes > 0, "triangle substrates occupy bytes");
     assert!(
-        governor.stats().peak_bytes >= ledger,
-        "peak tracks the settled ledger without a budget"
+        warm.peak_bytes >= warm.resident_bytes,
+        "peak tracks the settled total without a budget"
     );
 
-    // An update invalidates a's substrates; the apply hook reports it.
+    // An update invalidates a's substrates; the next fold sees it.
     run(server.submit_update("a", vec![GraphUpdate::Insert(0, 1)]));
-    let (ledger, actual) = governor.reconcile();
-    assert_eq!(ledger, actual, "ledger drifted after update");
+    assert_settled(&server, None, "after update");
 
     // Re-warm a, then evict it: the server held the only strong
-    // reference, so the engine drops here and reports its bytes.
+    // reference, so the engine drops here and its bytes leave the fold.
     run(server.submit(DsdRequest::new(&psi).on("a").method(Method::CoreExact)));
-    let (pre_evict, _) = governor.reconcile();
+    let pre_evict = assert_settled(&server, None, "after re-warming a").resident_bytes;
     assert!(server.evict("a"));
-    let (ledger, actual) = governor.reconcile();
-    assert_eq!(ledger, actual, "ledger drifted after evict + engine drop");
+    let evicted = assert_settled(&server, None, "after evict + engine drop");
     assert!(
-        governor.stats().peak_bytes >= pre_evict,
+        evicted.peak_bytes >= pre_evict,
         "evicting never lowers the peak"
     );
-    governor.debug_assert_reconciled();
 }
 
-/// Located-region records are ledgered and evicted with their Ψ key:
-/// after warm TopK and WithQuery traffic the governor's ledger matches the
-/// engines' summed bytes, and it still does when a one-byte budget makes
-/// the governor evict each key (networks, records and all) as soon as the
-/// next key lands.
+/// Located-region records are counted and evicted with their Ψ key:
+/// after every warm TopK and WithQuery job the governor's footprint
+/// matches the engines' summed bytes, and it still does when a one-byte
+/// budget makes the governor evict each key (networks, records and all)
+/// as soon as its job settles.
 #[test]
 fn governor_ledgers_and_evicts_located_records() {
     let mut rng = StdRng::seed_from_u64(0x10CA7E);
@@ -350,7 +366,6 @@ fn governor_ledgers_and_evicts_located_records() {
             substrate_budget: budget,
             ..ServeConfig::default()
         });
-        let governor = Arc::clone(server.governor());
         let engines: Vec<_> = ["a", "b"]
             .iter()
             .zip(&graphs)
@@ -364,8 +379,7 @@ fn governor_ledgers_and_evicts_located_records() {
                         .expect("admitted");
                     assert!(server.step(), "the submitted job is dispatchable");
                     ticket.wait().expect("registered");
-                    let (ledger, actual) = governor.reconcile();
-                    assert_eq!(ledger, actual, "budget {budget:?} round {round} on {name}");
+                    assert_settled(&server, budget, &format!("round {round} on {name}"));
                 }
             }
         }
@@ -375,18 +389,20 @@ fn governor_ledgers_and_evicts_located_records() {
                 assert!(hits > 0, "warm repeats find their records");
                 assert!(engines.iter().all(|e| e.network_bytes() > 0));
             }
-            Some(_) => assert!(governor.stats().evictions > 0, "a 1-byte budget must evict"),
+            Some(_) => assert!(
+                server.stats().governor.evictions > 0,
+                "a 1-byte budget must evict"
+            ),
         }
-        governor.debug_assert_reconciled();
     }
 }
 
 /// An update that misses every cached region carries the networks into
-/// the next epoch, and the governor's ledger stays exact through it: the
-/// warm CoreExact and WithQuery traffic on graph a leaves networks and
+/// the next epoch, and the governor's footprint stays exact through it:
+/// the warm CoreExact and WithQuery traffic on graph a leaves networks and
 /// records behind, an edge between two isolated vertices changes none of
 /// them, and after the update — and again after the governor evicts a's
-/// entries with `evict_substrate` to make room for graph b — the ledger
+/// keys with `evict_substrate` to make room for graph b — the footprint
 /// equals the engines' summed bytes. `ApplyStats::bytes_freed` is exactly
 /// what a's entries shrank by: the decompositions, the records and the
 /// carried networks' flow state (the stores neither grow nor shrink).
@@ -416,7 +432,6 @@ fn governor_ledger_holds_across_a_carrying_update() {
             substrate_budget: budget,
             ..ServeConfig::default()
         });
-        let governor = Arc::clone(server.governor());
         let run = |ticket: Result<Ticket, ServeError>| {
             let ticket = ticket.expect("admitted");
             assert!(server.step(), "the submitted job is dispatchable");
@@ -438,11 +453,7 @@ fn governor_ledger_holds_across_a_carrying_update() {
         let carried = a.network_bytes();
         assert!(carried > 0, "pass {pass}: the networks were carried");
         assert_eq!(stats.bytes_freed, held - a.substrate_bytes(), "pass {pass}");
-        let (ledger, actual) = governor.reconcile();
-        assert_eq!(
-            ledger, actual,
-            "pass {pass}: ledger drifted after the update"
-        );
+        assert_settled(&server, budget, &format!("pass {pass}: after the update"));
 
         let hits = a.cache_stats().network_hits;
         for req in traffic("a") {
@@ -452,132 +463,25 @@ fn governor_ledger_holds_across_a_carrying_update() {
             a.cache_stats().network_hits >= hits + 3,
             "pass {pass}: warm after update"
         );
-        let (ledger, actual) = governor.reconcile();
-        assert_eq!(
-            ledger, actual,
-            "pass {pass}: ledger drifted after re-warming a"
-        );
+        assert_settled(&server, budget, &format!("pass {pass}: after re-warming a"));
         let a_bytes = a.substrate_bytes();
 
         let b = server.register("b", graph_b.clone());
         for req in traffic("b") {
             run(server.submit(req));
         }
-        let (ledger, actual) = governor.reconcile();
-        assert_eq!(
-            ledger, actual,
-            "pass {pass}: ledger drifted after b's traffic"
-        );
+        let settled = assert_settled(&server, budget, &format!("pass {pass}: after b's traffic"));
         match budget {
             None => budget = Some(a_bytes.max(b.substrate_bytes()) + 1),
             Some(_) => {
-                assert!(
-                    governor.stats().evictions > 0,
-                    "a and b overflow the budget"
-                );
+                assert!(settled.evictions > 0, "a and b overflow the budget");
                 assert!(
                     a.substrate_bytes() < a_bytes,
                     "the governor evicted a's entries"
                 );
             }
         }
-        governor.debug_assert_reconciled();
     }
-}
-
-/// A cache observer that forwards to the governor and holds the first
-/// request that reports a substrate use until the test releases it, so
-/// the test can act while that request is provably in flight.
-struct Gate {
-    governor: Arc<SubstrateGovernor>,
-    hold: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
-}
-
-impl CacheObserver for Gate {
-    fn on_substrate_used(&self, engine: u64, key: &PatternKey, epoch: u64, hit: bool) {
-        self.governor.on_substrate_used(engine, key, epoch, hit);
-        let held = self.hold.lock().unwrap().take();
-        if let Some((arrived, release)) = held {
-            arrived.send(()).unwrap();
-            let _ = release.recv();
-        }
-    }
-
-    fn on_engine_release(&self, engine: u64) {
-        self.governor.on_engine_release(engine);
-    }
-
-    fn on_substrate_repaired(&self, engine: u64, key: &PatternKey, epoch: u64) {
-        self.governor.on_substrate_repaired(engine, key, epoch);
-    }
-}
-
-/// A query still running on an evicted graph settles on the registration
-/// it ran against, never on a newer one under the same name: after
-/// evict + re-register, updates and queries on the new graph dispatch
-/// normally. Driven with `workers: 0` and a deadline, so a wedged queue
-/// fails the test instead of hanging it.
-#[test]
-fn reregistration_during_an_in_flight_query_keeps_the_new_queue_live() {
-    let server = Arc::new(DsdServer::new(ServeConfig {
-        workers: 0,
-        ..ServeConfig::default()
-    }));
-    let toy = Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (0, 3), (2, 3), (3, 4), (4, 5)]);
-    let old = server.register("g", toy.clone());
-    let (arrived_tx, arrived) = mpsc::channel();
-    let (release, release_rx) = mpsc::channel();
-    old.set_cache_observer(Some(Arc::new(Gate {
-        governor: Arc::clone(server.governor()),
-        hold: Mutex::new(Some((arrived_tx, release_rx))),
-    })));
-    let psi = Pattern::triangle();
-    let q = || DsdRequest::new(&psi).on("g").method(Method::CoreExact);
-
-    let first = server.submit(q()).unwrap();
-    let stepper = {
-        let server = Arc::clone(&server);
-        std::thread::spawn(move || server.step())
-    };
-    arrived.recv().expect("the query reached the engine");
-    assert_eq!(server.stats().in_flight, 1);
-    assert!(server.evict("g"));
-    server.register("g", toy);
-    drop(release);
-    assert!(
-        stepper
-            .join()
-            .expect("settling the old query must not panic"),
-        "the stepper ran the query"
-    );
-    let first = first.wait().unwrap().solution().unwrap();
-    assert_eq!((first.vertices.len(), first.stats.epoch), (4, 0));
-
-    let update = server
-        .submit_update("g", vec![GraphUpdate::Insert(3, 5)])
-        .unwrap();
-    let after = server.submit(q()).unwrap();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let mut outcomes = Vec::new();
-    for ticket in [update, after] {
-        let outcome = loop {
-            if let Some(outcome) = ticket.poll() {
-                break outcome.expect("job ran");
-            }
-            assert!(
-                Instant::now() < deadline,
-                "the re-registered graph's queue is wedged: {:?}",
-                server.stats()
-            );
-            server.step();
-        };
-        outcomes.push(outcome);
-    }
-    assert!(matches!(outcomes[0], ServeOutcome::Updated(_)));
-    let after = outcomes.pop().unwrap().solution().unwrap();
-    assert_eq!(after.stats.epoch, 1, "the query ran after the update");
-    let stats = server.stats();
-    assert_eq!((stats.queued, stats.in_flight), (0, 0));
 }
 
 /// `drain` on a server with no worker pool runs the queued jobs on the

@@ -7,15 +7,17 @@
 //! to a cold engine rebuilt from scratch over the materialized graph —
 //! across edge, clique, star, diamond, and general Ψ. Companion tests
 //! pin the typed fallback (repair growth past the store budget rebuilds
-//! instead) and the serve governor's ledger (resized in place on repair,
-//! reconciled after every batch).
+//! instead) and a served graph repaired in place under the governor,
+//! with and without a budget that evicts its store after every job.
 //!
 //! Iteration counts honour `DSD_PROP_ITERS` like `tests/dynamic.rs`.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
-use dsd::core::{DsdEngine, DsdRequest, Method, Solution, SubstrateGovernor};
+use dsd::core::{
+    DsdEngine, DsdRequest, DsdServer, Method, ServeConfig, ServeError, ServeOutcome, Solution,
+    Ticket,
+};
 use dsd::graph::{Graph, GraphUpdate, VertexId};
 use dsd::motif::Pattern;
 use rand::rngs::StdRng;
@@ -178,42 +180,58 @@ fn repair_growth_past_budget_falls_back_to_rebuild() {
     assert_bit_identical("post-fallback", &warm.solve(&req), &cold.solve(&req));
 }
 
-/// Satellite: the governor's ledger entry for a repaired substrate is
-/// resized in place (never dropped through `on_engine_release`), so
-/// reconciliation against summed `substrate_bytes()` holds after every
-/// repairing batch — with an unlimited budget and with a 1-byte budget
-/// whose enforcement evicts the entry the moment it lands.
+/// Satellite: a served graph whose triangle store is repaired in place
+/// answers bit-identically to a cold engine after every repairing batch,
+/// with an unlimited budget and with a 1-byte budget whose settlement
+/// evicts the store the moment each job lands. After every job the
+/// governor's resident bytes are the engine's own.
 #[test]
 fn governor_ledger_reconciles_after_in_place_repair() {
     for budget in [None, Some(1u64)] {
         let mut rng = StdRng::seed_from_u64(0x60_7E4A);
         let (n, mut edges) = random_base(&mut rng);
         let edge_list: Vec<_> = edges.iter().copied().collect();
-        let engine = Arc::new(DsdEngine::new(Graph::from_edges(n, &edge_list)));
-        let governor = SubstrateGovernor::new(budget);
-        governor.attach(&engine);
+        let server = DsdServer::new(ServeConfig {
+            workers: 0,
+            substrate_budget: budget,
+            ..ServeConfig::default()
+        });
+        let engine = server.register("g", Graph::from_edges(n, &edge_list));
+        let req = DsdRequest::new(&Pattern::triangle())
+            .on("g")
+            .method(Method::CoreExact);
+        let run = |ticket: Result<Ticket, ServeError>, ctx: &str| {
+            let ticket = ticket.expect("admitted");
+            assert!(server.step(), "{ctx}: the job is dispatchable");
+            let outcome = ticket.wait().expect("served");
+            let governor = server.stats().governor;
+            assert_eq!(governor.resident_bytes, engine.substrate_bytes(), "{ctx}");
+            assert!(
+                budget.is_none_or(|b| governor.resident_bytes <= b || governor.violations > 0),
+                "{ctx}: settled over budget without a counted violation"
+            );
+            outcome
+        };
 
-        engine
-            .request(&Pattern::triangle())
-            .method(Method::CoreExact)
-            .solve();
-        governor.debug_assert_reconciled();
-
+        run(server.submit(req.clone()), "warm-up");
         let mut repaired = 0usize;
-        for _ in 0..4 {
+        for round in 0..4 {
             let batch = mixed_batch(&mut rng, n, &mut edges);
             if batch.is_empty() {
                 continue;
             }
-            let stats = engine.apply(&batch);
-            repaired += stats.substrates_repaired;
-            governor.debug_assert_reconciled();
-            // Keep the substrate warm for the next round's repair.
-            engine
-                .request(&Pattern::triangle())
-                .method(Method::CoreExact)
-                .solve();
-            governor.debug_assert_reconciled();
+            let ctx = format!("budget {budget:?}, round {round}");
+            match run(server.submit_update("g", batch), &ctx) {
+                ServeOutcome::Updated(stats) => repaired += stats.substrates_repaired,
+                ServeOutcome::Solved(_) => unreachable!("an update answers with its stats"),
+            }
+            // Keeps the substrate warm for the next round's repair.
+            let warm = run(server.submit(req.clone()), &ctx)
+                .solution()
+                .expect("a query");
+            let edge_list: Vec<_> = edges.iter().copied().collect();
+            let cold = DsdEngine::new(Graph::from_edges(n, &edge_list)).solve(&req);
+            assert_bit_identical(&ctx, &warm, &cold);
         }
         if budget.is_none() {
             assert!(repaired > 0, "unbudgeted runs must exercise repair");
