@@ -19,9 +19,11 @@
 //!
 //! Asserted: bit-identical answers across all three executions,
 //! decomposition builds (read from the engines' cache stats) == distinct
-//! (graph, Ψ) pairs (4), and **≥ 3× end-to-end speedup** for the 8-worker
-//! server over unbatched serial. The speedup is algorithmic (28 of 32
-//! requests skip their substrate build), so it holds on any core count.
+//! (graph, cache key) pairs (6: the two patterns, plus the edge key the
+//! query variant runs on and reads its core numbers from), and **≥ 3×
+//! end-to-end speedup** for the 8-worker server over unbatched serial.
+//! The speedup is algorithmic (26 of 32 requests skip their substrate
+//! build), so it holds on any core count.
 //!
 //! A second, multicore-only comparison (8-worker vs 1-worker server) is
 //! always printed and asserted when `DSD_SCALING_ASSERT=1` and the host
@@ -195,11 +197,12 @@ fn main() {
     }
 
     // Each server pays exactly one decomposition build per distinct
-    // (graph, Ψ): 2 graphs x 2 patterns.
+    // (graph, cache key): 2 graphs x (2 patterns + the query variant's
+    // edge key).
     for builds in [builds1, builds8] {
         assert_eq!(
-            builds, 4,
-            "substrate builds must equal the distinct (graph, Ψ) count"
+            builds, 6,
+            "substrate builds must equal the distinct (graph, cache key) count"
         );
     }
 

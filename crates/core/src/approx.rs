@@ -79,7 +79,7 @@ impl Substrates<'_> {
     /// The γ(v, Ψ) upper bound of Algorithm 6 line 1.
     ///
     /// * Cliques: `γ(v) = C(x, h−1)` with `x` the classical core number
-    ///   (from this context's k-core order) — a sound bound on the
+    ///   (from the edge pattern's decomposition) — a sound bound on the
     ///   clique-*core* number (the min-degree vertex of the (k, Ψ)-core
     ///   has classical degree ≥ its clique count's support).
     /// * Stars / diamond: the Appendix-D closed forms make the *exact*
@@ -89,10 +89,10 @@ impl Substrates<'_> {
     pub fn gamma_bounds(&self) -> Vec<u64> {
         match self.pattern().kind() {
             PatternKind::Clique(h) => self
-                .kcore()
+                .edge_cores()
                 .core
                 .iter()
-                .map(|&x| binomial(x as u64, h as u64 - 1))
+                .map(|&x| binomial(x, h as u64 - 1))
                 .collect(),
             _ => {
                 let g = self.graph();

@@ -2,16 +2,17 @@
 //!
 //! The paper frames CDS/PDS discovery as a *query workload*: the same graph
 //! is probed repeatedly with different patterns Ψ, objectives, and methods.
-//! Every algorithm in this crate leans on one of three expensive substrates:
+//! Every algorithm in this crate leans on two expensive substrates:
 //!
 //! * the **density oracle** for Ψ (which for general patterns materializes
 //!   the full instance list once — Algorithm 7's `construct+` precondition);
 //! * the **(k, Ψ)-core decomposition** (Algorithm 3) — the dominant cost of
-//!   `CoreExact`, `PeelApp`, `IncApp`, DalkS and DamkS alike;
-//! * the **classical k-core order** — the γ bounds of `CoreApp`
-//!   (Algorithm 6) and the Section-6.3 query variant's locator.
+//!   `CoreExact`, `PeelApp`, `IncApp`, DalkS and DamkS alike. The edge
+//!   key's decomposition holds the classical core numbers, which the γ
+//!   bounds of `CoreApp` (Algorithm 6) and the Section-6.3 query variant's
+//!   locator read.
 //!
-//! The engine owns the graph and memoizes all three, keyed by Ψ's canonical
+//! The engine owns the graph and memoizes both, keyed by Ψ's canonical
 //! form (isomorphic patterns share one entry), plus the solved flow
 //! networks of the exact searches and the located regions that lead to
 //! them (CoreExact's located core per residual vertex set, the query
@@ -51,11 +52,11 @@
 //! reset to a fresh build, when no changed edge has both endpoints in M
 //! and its Ψ's oracle was kept or repaired in place: it reads only
 //! `G[M]`, so it equals a rebuild on the new graph. (k, Ψ)-core
-//! decompositions, located-region records, the classical k-core order and
-//! every other network rebuild lazily on their next read. Every request
-//! runs against a consistent [`GraphSnapshot`] and records its epoch in
-//! [`SolveStats::epoch`]; requests in flight during an update finish on
-//! the epoch they hold, and whatever they build or borrow dies with it.
+//! decompositions, located-region records and every other network rebuild
+//! lazily on their next read. Every request runs against a consistent
+//! [`GraphSnapshot`] and records its epoch in [`SolveStats::epoch`];
+//! requests in flight during an update finish on the epoch they hold, and
+//! whatever they build or borrow dies with it.
 //!
 //! ```
 //! use dsd_core::engine::{DsdEngine, Objective};
@@ -91,7 +92,6 @@ use crate::clique_core::{decompose, CliqueCoreDecomposition};
 use crate::core_exact::CoreExactConfig;
 use crate::exact::ExactOpts;
 use crate::flownet::{DensityNetwork, Fnv, Located, NetworkLender, RegionKey};
-use crate::kcore::{k_core_decomposition, KCoreDecomposition};
 use crate::oracle::{
     oracle_with_policy, DensityOracle, StoreStats, SubstrateRepair, DEFAULT_STORE_BUDGET,
 };
@@ -150,11 +150,13 @@ pub enum Guarantee {
 pub struct SubstrateUse {
     /// The Ψ density oracle came out of the engine cache.
     pub oracle_cache_hit: bool,
-    /// The (k, Ψ)-core decomposition came out of the engine cache.
+    /// The (k, Ψ)-core decomposition came out of the engine cache
+    /// (`false` also when the method never needed it).
     pub decomposition_cache_hit: bool,
-    /// The classical k-core order came out of the engine cache (`false`
-    /// also when the method never needed it).
-    pub kcore_cache_hit: bool,
+    /// A located-region record answered the request's locate step, so it
+    /// may have read no substrate at all (a repeat of the query variant):
+    /// the serve governor counts this, like an oracle hit, as a hit.
+    pub(crate) located_hit: bool,
 }
 
 /// Always-populated instrumentation carried by every [`Solution`].
@@ -246,10 +248,6 @@ pub struct EngineCacheStats {
     pub decomposition_hits: usize,
     /// (k, Ψ)-core decomposition cold builds.
     pub decomposition_builds: usize,
-    /// Classical k-core cache hits.
-    pub kcore_hits: usize,
-    /// Classical k-core cold builds.
-    pub kcore_builds: usize,
     /// Flow networks served warm from the network cache (the α-search
     /// skipped construction entirely and only paid the parametric
     /// resolve).
@@ -342,7 +340,6 @@ struct Epoch<'g> {
     read: AtomicBool,
     /// One slot per Ψ key; an eviction removes a slot whole.
     slots: RwLock<HashMap<PatternKey, Arc<KeySlot>>>,
-    kcore: OnceLock<Arc<KCoreDecomposition>>,
 }
 
 impl<'g> Epoch<'g> {
@@ -354,7 +351,6 @@ impl<'g> Epoch<'g> {
             merged,
             read: AtomicBool::new(false),
             slots: RwLock::new(carrying(carried)),
-            kcore: OnceLock::new(),
         }
     }
 
@@ -622,8 +618,8 @@ fn region_fingerprint(key: &RegionKey<'_>) -> u64 {
 
 /// The engine side of one request's [`Substrates`] context, for one Ψ key
 /// on one epoch: it takes the oracle and the decomposition from the key's
-/// slot and the classical k-core order from the epoch, and lends flow
-/// networks from the slot's [`Pool`]. Lives on the stack of
+/// slot, the classical core numbers from the edge key's slot, and lends
+/// flow networks from the slot's [`Pool`]. Lives on the stack of
 /// [`DsdEngine::solve`].
 struct EngineLender<'a, 'g> {
     engine: &'a DsdEngine<'g>,
@@ -766,8 +762,8 @@ impl SubstrateSource for EngineLender<'_, '_> {
         self.engine.decomposition(&self.slot, g, oracle)
     }
 
-    fn kcore(&self, g: &Graph) -> Cached<Arc<KCoreDecomposition>> {
-        self.engine.kcore(&self.epoch, g)
+    fn edge_cores(&self) -> Arc<CliqueCoreDecomposition> {
+        self.engine.decomposed(&self.epoch, &Pattern::edge()).0
     }
 }
 
@@ -855,9 +851,9 @@ pub struct ApplyStats {
     /// Whether the batch stayed in the edge overlay, leaving the CSR merge
     /// and any store repair to the next graph snapshot: the previous
     /// batch had not been read yet (a burst), or no cached oracle held a
-    /// materialized instance store (a k-core-only engine, streaming
-    /// oracles only, or stores no query has built). Otherwise `apply`
-    /// merged the CSR and repaired the stores itself.
+    /// materialized instance store (streaming oracles only, such as the
+    /// edge key's, or stores no query has built). Otherwise `apply` merged
+    /// the CSR and repaired the stores itself.
     pub csr_deferred: bool,
     /// Resident bytes released by the dropped Ψ-substrates (instance
     /// stores, decomposition arrays, flow networks and located-region
@@ -1078,12 +1074,12 @@ impl<'g> DsdEngine<'g> {
     /// Applies a batch of edge updates, advancing the graph epoch and
     /// reconciling every cached substrate:
     ///
-    /// * the **classical k-core order**, **(k, Ψ)-core decompositions**
-    ///   and located-region records do not carry into the new epoch, and
-    ///   each rebuilds once on its next read from the merged snapshot (a
-    ///   decomposition from the repaired oracle). A peel order has no
-    ///   repair cheaper than that rebuild, and a stale one would silently
-    ///   change answers;
+    /// * **(k, Ψ)-core decompositions**, the edge key's classical core
+    ///   numbers among them, and located-region records do not carry into
+    ///   the new epoch, and each rebuilds once on its next read from the
+    ///   merged snapshot (a decomposition from the repaired oracle). A
+    ///   peel order has no repair cheaper than that rebuild, and a stale
+    ///   one would silently change answers;
     /// * a cached **flow network** over members M carries into the new
     ///   epoch when no net-changed edge has both endpoints in M and its
     ///   Ψ-oracle is kept or repaired in place (so the next build would
@@ -1212,20 +1208,7 @@ impl<'g> DsdEngine<'g> {
     /// nanoseconds (0 when it was already cached — including when another
     /// thread won the build race and this call only waited for it).
     pub fn warm(&self, psi: &Pattern) -> u128 {
-        let epoch = self.snapshot();
-        let slot = epoch.slot(&pattern_key(psi));
-        let (oracle, _) = self.oracle(&slot, psi);
-        let (_, _, nanos) = self.decomposition(&slot, epoch.graph.graph(), oracle.as_ref());
-        nanos
-    }
-
-    /// The memoized classical k-core order of the current snapshot,
-    /// building it if absent. An effective [`Self::apply`] batch drops
-    /// the order, so the first read after it re-peels the merged snapshot
-    /// once; later reads at the same epoch are cache hits.
-    pub fn kcore_order(&self) -> Arc<KCoreDecomposition> {
-        let epoch = self.snapshot();
-        self.kcore(&epoch, epoch.graph.graph()).0
+        self.decomposed(&self.snapshot(), psi).2
     }
 
     fn count(&self, bump: impl FnOnce(&mut EngineCacheStats)) {
@@ -1272,15 +1255,17 @@ impl<'g> DsdEngine<'g> {
         (dec, hit, nanos)
     }
 
-    /// The memoized classical k-core order of `g`, `epoch`'s graph. The
-    /// bool reports a cache hit.
-    fn kcore(&self, epoch: &Epoch<'_>, g: &Graph) -> Cached<Arc<KCoreDecomposition>> {
-        let (kcore, hit) = memoized(&epoch.kcore, || Arc::new(k_core_decomposition(g)));
-        self.count(|c| match hit {
-            true => c.kcore_hits += 1,
-            false => c.kcore_builds += 1,
-        });
-        (kcore, hit)
+    /// The memoized (k, Ψ)-core decomposition of `epoch`'s graph in Ψ's
+    /// slot, through the slot's memoized oracle, as [`Self::decomposition`]
+    /// reports it.
+    fn decomposed(
+        &self,
+        epoch: &Epoch<'g>,
+        psi: &Pattern,
+    ) -> (Arc<CliqueCoreDecomposition>, bool, u128) {
+        let slot = epoch.slot(&pattern_key(psi));
+        let (oracle, _) = self.oracle(&slot, psi);
+        self.decomposition(&slot, epoch.graph.graph(), oracle.as_ref())
     }
 
     /// `Method::Auto`'s cost-based selector.
@@ -1434,12 +1419,12 @@ impl<'g> DsdEngine<'g> {
                 Answer::sized(s.densest_at_most_k(*k, config), Cert::Heuristic)
             }
             Objective::WithQuery(q) => match s.densest_with_query(q) {
-                Some((r, es)) => Answer {
+                Some((r, es, kmax)) => Answer {
                     method: Method::Exact,
                     subgraphs: Some(vec![r]),
                     cert: Cert::Exact,
                     search: es,
-                    kmax: Some(s.kcore().kmax as u64),
+                    kmax: Some(kmax),
                 },
                 None => Answer::invalid(Method::Exact),
             },
@@ -1513,7 +1498,7 @@ struct Answer {
     search: ExactStats,
     /// kmax when the arm read it from somewhere other than the (k, Ψ)-core
     /// decomposition: CoreApp's top-down scan, or the query variant's
-    /// classical core order.
+    /// located region.
     kmax: Option<u64>,
 }
 
@@ -1978,24 +1963,32 @@ pub(crate) mod tests {
         assert!(pooled(&engine).1.is_empty());
     }
 
-    /// `apply` bumps the epoch, drops the cached k-core and the
-    /// decomposition, and repairs the Ψ-oracle's store through its
-    /// incidence CSR, so post-update answers match a cold engine over the
-    /// updated graph. A net no-op batch keeps the k-core.
+    /// `apply` bumps the epoch, drops every decomposition — the edge key's
+    /// classical core numbers among them — and repairs the Ψ-oracle's
+    /// store through its incidence CSR, so post-update answers match a
+    /// cold engine over the updated graph. A net no-op batch keeps the
+    /// core numbers.
     #[test]
     fn apply_updates_drop_kcore_and_repair_psi_stores() {
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (0, 3), (2, 3), (3, 4), (4, 5)]);
         let engine = DsdEngine::new(g.clone());
         let psi = Pattern::triangle();
+        let query = |engine: &DsdEngine<'_>, q: VertexId| {
+            engine
+                .request(&psi)
+                .objective(Objective::WithQuery(vec![q]))
+                .solve()
+        };
+        let edge_cores = |engine: &DsdEngine<'_>| {
+            let slot = engine.snapshot().slot(&pattern_key(&Pattern::edge()));
+            Arc::clone(slot.decomposition.get().expect("edge cores built"))
+        };
 
-        // Warm all three substrates at epoch 0.
+        // Warm the triangle key and the edge key at epoch 0.
         let warm = engine.request(&psi).method(Method::CoreExact).solve();
         assert_eq!(warm.stats.epoch, 0);
-        let anchored = engine
-            .request(&psi)
-            .objective(Objective::WithQuery(vec![4]))
-            .solve();
-        assert_eq!(engine.cache_stats().kcore_builds, 1);
+        let anchored = query(&engine, 4);
+        assert_eq!(engine.cache_stats().decomposition_builds, 2);
         assert!(anchored.vertices.contains(&4));
 
         // Densify the tail: 3-4-5 becomes a triangle hanging off the core.
@@ -2008,41 +2001,41 @@ pub(crate) mod tests {
         assert_eq!(stats.inserted, 1);
         assert_eq!(stats.deleted, 1);
         assert_eq!(stats.ignored, 1);
-        assert_eq!(stats.substrates_dropped, 1, "decomposition only");
+        assert_eq!(stats.substrates_dropped, 2, "the two decompositions");
         assert_eq!(stats.substrates_repaired, 1, "oracle repaired in place");
         assert_eq!(stats.substrates_rebuilt, 0);
         assert_eq!(stats.rows_tombstoned, 1, "triangle 0-2-3 died with {{0,3}}");
         assert_eq!(engine.epoch(), 1);
 
-        // The dropped k-core rebuilds once on the first read at the new
-        // epoch, and the answer matches a cold engine bit for bit.
-        let updated = engine
-            .request(&psi)
-            .objective(Objective::WithQuery(vec![4]))
-            .solve();
+        // The dropped core numbers rebuild once on the first read at the
+        // new epoch, and the answer matches a cold engine bit for bit.
+        let updated = query(&engine, 4);
         assert_eq!(updated.stats.epoch, 1);
-        assert!(!updated.stats.substrate.kcore_cache_hit);
-        assert_eq!(engine.cache_stats().kcore_builds, 2);
+        assert!(!updated.stats.substrate.decomposition_cache_hit);
+        assert_eq!(engine.cache_stats().decomposition_builds, 3);
 
         let fresh = Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]);
-        let scratch = k_core_decomposition(&fresh);
+        let scratch = crate::kcore::k_core_decomposition(&fresh);
         let cold = DsdEngine::new(fresh);
-        let expect = cold
-            .request(&psi)
-            .objective(Objective::WithQuery(vec![4]))
-            .solve();
+        let expect = query(&cold, 4);
         assert_eq!(updated.vertices, expect.vertices);
         assert_eq!(updated.density.to_bits(), expect.density.to_bits());
+        assert_eq!(updated.stats.kmax, Some(scratch.kmax as u64));
 
-        // The rebuilt order is the merged snapshot's, and a net no-op
-        // batch keeps it: no rebuild on the next read.
-        let kcore = engine.kcore_order();
-        assert_eq!(kcore.core, scratch.core);
-        assert_eq!(kcore.kmax, scratch.kmax);
+        // The rebuilt core numbers are the merged snapshot's, and a net
+        // no-op batch keeps them: another query reads them as a hit.
+        let cores = edge_cores(&engine);
+        let classical: Vec<u64> = scratch.core.iter().map(|&c| c as u64).collect();
+        assert_eq!((&cores.core, cores.kmax), (&classical, scratch.kmax as u64));
         let noop = engine.apply(&[GraphUpdate::Insert(0, 4), GraphUpdate::Delete(0, 4)]);
         assert_eq!((noop.epoch, noop.ignored), (1, 2));
-        assert!(Arc::ptr_eq(&engine.kcore_order(), &kcore));
-        assert_eq!(engine.cache_stats().kcore_builds, 2);
+        let other = query(&engine, 0);
+        assert!(other.stats.substrate.decomposition_cache_hit);
+        assert!(Arc::ptr_eq(&edge_cores(&engine), &cores));
+        assert_eq!(engine.cache_stats().decomposition_builds, 3);
+        let expect = query(&cold, 0);
+        assert_eq!(other.vertices, expect.vertices);
+        assert_eq!(other.density.to_bits(), expect.density.to_bits());
 
         // The decomposition rebuilds once at the new epoch, but the
         // repaired oracle is served as a cache hit — no store rebuild.
@@ -2052,10 +2045,74 @@ pub(crate) mod tests {
             cds.stats.substrate.oracle_cache_hit,
             "repaired oracle survives the epoch bump"
         );
-        assert_eq!(engine.cache_stats().oracle_builds, 1);
+        assert_eq!(engine.cache_stats().oracle_builds, 2, "triangle and edge");
         let expect_cds = cold.request(&psi).method(Method::CoreExact).solve();
         assert_eq!(cds.vertices, expect_cds.vertices);
         assert_eq!(cds.density.to_bits(), expect_cds.density.to_bits());
+    }
+
+    /// A warm repeat of the query variant is answered from its located
+    /// record: it reads no decomposition, and reports the record's kmax.
+    #[test]
+    fn a_repeated_query_reads_no_decomposition() {
+        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (0, 3), (2, 3), (3, 4), (4, 5)]);
+        let engine = DsdEngine::new(g.clone());
+        let req = DsdRequest::new(&Pattern::edge()).objective(Objective::WithQuery(vec![5]));
+        let first = engine.solve(&req);
+        let before = engine.cache_stats();
+        let repeat = engine.solve(&req);
+        let after = engine.cache_stats();
+        assert_eq!(after.located_hits, before.located_hits + 1);
+        assert_eq!(
+            (after.decomposition_hits, after.decomposition_builds),
+            (before.decomposition_hits, before.decomposition_builds)
+        );
+        let kmax = crate::kcore::k_core_decomposition(&g).kmax as u64;
+        assert_eq!(
+            (first.stats.kmax, repeat.stats.kmax),
+            (Some(kmax), Some(kmax))
+        );
+        assert_eq!(repeat.vertices, first.vertices);
+        assert_eq!(repeat.density.to_bits(), first.density.to_bits());
+        assert!(!first.stats.substrate.located_hit && repeat.stats.substrate.located_hit);
+    }
+
+    /// The classical core numbers live in the edge key's slot, so they are
+    /// counted in its bytes and go with its eviction: the next query
+    /// rebuilds them, and a triangle CoreApp reads them from there.
+    #[test]
+    fn the_core_numbers_are_budgeted_with_the_edge_key() {
+        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (0, 3), (2, 3), (3, 4), (4, 5)]);
+        let engine = DsdEngine::new(g.clone());
+        let req = DsdRequest::new(&Pattern::triangle()).objective(Objective::WithQuery(vec![4]));
+        let first = engine.solve(&req);
+        let edge = pattern_key(&Pattern::edge());
+        let cores = decompose(
+            &g,
+            oracle_with_policy(&Pattern::edge(), Parallelism::serial(), None).as_ref(),
+        );
+        let freed = engine.evict_substrate(&edge);
+        assert!(freed >= cores.bytes() as u64, "{freed} < {}", cores.bytes());
+        assert_eq!(engine.substrate_bytes(), 0);
+        let builds = engine.cache_stats().decomposition_builds;
+        let again = engine.solve(&req);
+        assert_eq!(engine.cache_stats().decomposition_builds, builds + 1);
+        let used = again.stats.substrate;
+        assert!(!used.oracle_cache_hit && !used.located_hit);
+        assert_eq!(again.vertices, first.vertices);
+        assert_eq!(again.density.to_bits(), first.density.to_bits());
+
+        let before = engine.cache_stats();
+        let approx = engine
+            .request(&Pattern::triangle())
+            .method(Method::CoreApp)
+            .solve();
+        let after = engine.cache_stats();
+        assert_eq!(after.decomposition_hits, before.decomposition_hits + 1);
+        assert_eq!(after.decomposition_builds, before.decomposition_builds);
+        let cold = crate::approx::core_app(&g, &Pattern::triangle());
+        assert_eq!(approx.vertices, cold.result.vertices);
+        assert_eq!(approx.stats.kmax, Some(cold.kmax));
     }
 
     /// A batch of pure no-ops leaves epoch and substrates untouched.
@@ -2292,7 +2349,7 @@ pub(crate) mod tests {
                 (scan.subgraphs, scan.exact)
             }
             Objective::WithQuery(q) => {
-                let (r, stats) = s.densest_with_query(q).expect("a valid query");
+                let (r, stats, _) = s.densest_with_query(q).expect("a valid query");
                 (vec![r], stats)
             }
             _ => unreachable!("only CoreExact-family objectives keep records"),

@@ -24,8 +24,8 @@
 //! | DalkS / DamkS (extension) | [`size_constrained::densest_at_least_k`] / [`size_constrained::densest_at_most_k`] | [`Substrates::densest_at_least_k`] / [`Substrates::densest_at_most_k`] | exact or approx |
 //!
 //! Every algorithm has one entry point, a method on a [`Substrates`]
-//! context, which acquires the oracle, the (k, Ψ)-core decomposition and
-//! the classical k-core order the first time the algorithm reads them.
+//! context, which acquires the oracle and the (k, Ψ)-core decomposition
+//! the first time the algorithm reads them.
 //! The cold calls are one-liners over [`Substrates::cold`]; pass one
 //! context to several entries to share its substrates.
 //!
@@ -33,8 +33,7 @@
 //!
 //! Query *workloads* go through [`engine::DsdEngine`], which owns the
 //! graph and memoizes the expensive substrates (Ψ-instance lists, (k,
-//! Ψ)-core decompositions, the classical k-core order, solved flow
-//! networks) across requests:
+//! Ψ)-core decompositions, solved flow networks) across requests:
 //!
 //! ```
 //! use dsd_core::engine::{DsdEngine, Objective};

@@ -31,9 +31,9 @@
 //! **Steps 1–3 run once per (graph epoch, Q).** Their result — l, the
 //! gap, kmax and the anchored core's members — is an immutable
 //! `AnchoredRegion` record that the engine keeps beside the pinned network
-//! it leads to. A warm repeat of the same query skips the core-order read,
-//! the pinned peel and the O(n) member scan, and only builds the small
-//! induced subgraph its probes score witnesses on.
+//! it leads to. A warm repeat of the same query skips the core-number read
+//! (kmax comes from the record), the pinned peel and the O(n) member scan,
+//! and only builds the small induced subgraph its probes score witnesses on.
 
 use std::sync::Arc;
 
@@ -43,18 +43,17 @@ use dsd_motif::Pattern;
 use crate::alpha_search::{alpha_search, density_gap, DecisionProbe, ExactStats, FirstProbe};
 use crate::bucket_queue::PeelQueue;
 use crate::flownet::{build_query_network, DensityNetwork, Located, RegionKey};
-use crate::kcore::KCoreDecomposition;
 use crate::substrates::Substrates;
 use crate::types::DsdResult;
 
 /// Finds the densest (edge-density) subgraph containing all of `query`,
-/// building the classical core order cold.
+/// peeling the classical core numbers cold.
 ///
 /// Returns `None` when `query` is empty or contains out-of-range vertices.
 pub fn densest_with_query(g: &Graph, query: &[VertexId]) -> Option<DsdResult> {
     Substrates::cold(g, &Pattern::edge())
         .densest_with_query(query)
-        .map(|(r, _)| r)
+        .map(|(r, ..)| r)
 }
 
 /// The pinned-network probe: the min cut always keeps Q on the source
@@ -125,15 +124,16 @@ fn pinned_peel(g: &Graph, is_query: &[bool]) -> (Vec<usize>, f64) {
 pub(crate) struct AnchoredRegion {
     l: f64,
     gap: f64,
-    kmax: u32,
+    kmax: u64,
     /// The anchored core, ascending; it contains Q.
     members: Vec<VertexId>,
 }
 
 impl AnchoredRegion {
-    /// Steps 1–3 for the normalised `query` on this epoch's classical
-    /// core order `cores`.
-    fn locate(g: &Graph, cores: &KCoreDecomposition, query: &[VertexId]) -> Self {
+    /// Steps 1–3 for the normalised `query` on `s`'s graph, located in
+    /// its classical core numbers (the edge pattern's decomposition).
+    fn locate(s: &Substrates, query: &[VertexId]) -> Self {
+        let (g, cores) = (s.graph(), s.edge_cores());
         let x = query
             .iter()
             .map(|&q| cores.core[q as usize])
@@ -177,20 +177,20 @@ impl AnchoredRegion {
 
 impl Substrates<'_> {
     /// The densest edge-density subgraph containing all of `query`, plus
-    /// the α-search instrumentation, located in this context's classical
-    /// core order. Ψ plays no part: the variant is defined for edge
-    /// density. Returns `None` when `query` is empty or contains
-    /// out-of-range vertices.
+    /// the α-search instrumentation and the graph's classical kmax,
+    /// located in this context's classical core numbers. Ψ plays no part:
+    /// the variant is defined for edge density. Returns `None` when
+    /// `query` is empty or contains out-of-range vertices.
     ///
     /// The query is normalised (sorted, duplicates dropped) first, so
     /// `[a, b]`, `[b, a]` and `[a, a, b]` share one answer, one located
     /// region and one cached network. The anchored region is the lender's
     /// record when one is resident, so a repeat query reads neither the
-    /// core order nor the graph outside it. The pinned network is borrowed
+    /// core numbers nor the graph outside it. The pinned network is borrowed
     /// from the lender — keyed by the anchored-core member set *and* the
     /// pinned query set — when a warm one is resident, and returned
     /// afterwards, so repeat queries warm-resolve.
-    pub fn densest_with_query(&self, query: &[VertexId]) -> Option<(DsdResult, ExactStats)> {
+    pub fn densest_with_query(&self, query: &[VertexId]) -> Option<(DsdResult, ExactStats, u64)> {
         let (g, lender) = (self.graph(), self.lender());
         let n = g.num_vertices();
         if query.is_empty() || query.iter().any(|&q| q as usize >= n) {
@@ -200,7 +200,7 @@ impl Substrates<'_> {
         query.sort_unstable();
         query.dedup();
         let region = match self.located(&RegionKey::Query(&query), || {
-            Located::Query(Arc::new(AnchoredRegion::locate(g, self.kcore(), &query)))
+            Located::Query(Arc::new(AnchoredRegion::locate(self, &query)))
         }) {
             Located::Query(region) => region,
             Located::Core(_) => unreachable!("a lender answers a query key with a query record"),
@@ -260,6 +260,7 @@ impl Substrates<'_> {
                 vertices,
             },
             stats,
+            region.kmax,
         ))
     }
 }
@@ -288,7 +289,9 @@ mod tests {
 
     /// The query variant on a cold context, with its search stats.
     fn with_stats(g: &Graph, query: &[VertexId]) -> Option<(DsdResult, ExactStats)> {
-        Substrates::cold(g, &Pattern::edge()).densest_with_query(query)
+        Substrates::cold(g, &Pattern::edge())
+            .densest_with_query(query)
+            .map(|(r, stats, _)| (r, stats))
     }
 
     /// Two cliques joined by a path: K5 {0..4} — 5-6 — K4 {7..10}.

@@ -12,6 +12,12 @@
 //! copy of any size, so updates, merges and dropped engines need no
 //! bookkeeping here: their bytes enter or leave at the next fold.
 //!
+//! A job stamps only its own key, but it may fill another: a CoreApp
+//! request for an h-clique with h ≥ 3 reads the classical core numbers
+//! from the edge key's slot. That slot is counted and evictable like any
+//! other, and, unstamped, it is evicted first under pressure, as are keys
+//! warmed outside the pipeline.
+//!
 //! Substrates are the factorised materialized views of the serving layer:
 //! expensive to build, cheap to share, and — because every consumer holds
 //! its own `Arc` — always safe to drop from the cache. Eviction severs
@@ -297,22 +303,52 @@ mod tests {
     }
 
     /// The query variant runs on the edge key whatever Ψ it names, so
-    /// that is the key its job pins and settles.
+    /// that is the key its job pins and settles. A warm repeat, answered
+    /// from its located record, is a hit; once the governor evicts the
+    /// edge key, the next repeat is a miss and a rebuild.
     #[test]
     fn the_query_variant_settles_under_the_edge_key() {
+        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]);
+        let query = DsdRequest::new(&Pattern::triangle()).objective(Objective::WithQuery(vec![3]));
+        let densest = DsdRequest::new(&Pattern::triangle()).method(Method::CoreExact);
+        let held = |req: &DsdRequest| {
+            let engine = DsdEngine::new(g.clone());
+            engine.solve(req);
+            engine.substrate_bytes()
+        };
+        // Room for either key, not both.
+        let budget = held(&query).max(held(&densest));
         let server = DsdServer::new(ServeConfig {
             workers: 0,
+            substrate_budget: Some(budget),
             ..ServeConfig::default()
         });
-        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]);
-        let engine = server.register("g", g);
-        let req = DsdRequest::new(&Pattern::triangle()).objective(Objective::WithQuery(vec![3]));
-        let ticket = server.submit(req.on("g")).expect("admitted");
-        assert!(server.step(), "the submitted job is dispatchable");
-        ticket.wait().expect("served");
-        let state = server.governor().state.lock().unwrap();
-        let stamped: Vec<&SlotKey> = state.stamps.keys().collect();
-        assert_eq!(stamped, [&(engine.id(), pattern_key(&Pattern::edge()))]);
+        let engine = server.register("g", g.clone());
+        let run = |req: &DsdRequest| {
+            let ticket = server.submit(req.clone().on("g")).expect("admitted");
+            assert!(server.step(), "the submitted job is dispatchable");
+            ticket.wait().expect("served");
+            server.stats().governor
+        };
+        let counts = |s: GovernorStats| (s.hits, s.misses, s.rebuilds, s.evictions);
+
+        assert_eq!(counts(run(&query)), (0, 1, 0, 0), "cold");
+        {
+            let state = server.governor().state.lock().unwrap();
+            let stamped: Vec<&SlotKey> = state.stamps.keys().collect();
+            assert_eq!(stamped, [&(engine.id(), pattern_key(&Pattern::edge()))]);
+        }
+        assert_eq!(counts(run(&query)), (1, 1, 0, 0), "a warm repeat hits");
+        assert_eq!(
+            counts(run(&densest)),
+            (1, 2, 0, 1),
+            "the edge key is evicted"
+        );
+        assert_eq!(
+            counts(run(&query)),
+            (1, 3, 1, 2),
+            "the repeat after the eviction misses and rebuilds"
+        );
     }
 
     /// The LRU policy, through a pool-less server: two engines over one

@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 
 use dsd_graph::{Graph, GraphUpdate};
 
-use crate::engine::{ApplyStats, DsdEngine, DsdRequest, Objective, PatternKey, Solution};
+use crate::engine::{ApplyStats, DsdEngine, DsdRequest, PatternKey, Solution};
 use crate::oracle::DEFAULT_STORE_BUDGET;
 use crate::serve::governor::{GovernorStats, SubstrateGovernor};
 
@@ -622,13 +622,8 @@ fn execute(
             let (_, key) = req.cache_key();
             let _lease = shared.governor.lease(engine.id(), &key);
             let solution = engine.solve(&req);
-            // The query variant reads no oracle: its hit is the classical
-            // k-core order's.
-            let substrate = &solution.stats.substrate;
-            let hit = match req.objective_ref() {
-                Objective::WithQuery(_) => substrate.kcore_cache_hit,
-                _ => substrate.oracle_cache_hit,
-            };
+            let used = solution.stats.substrate;
+            let hit = used.oracle_cache_hit || used.located_hit;
             (ServeOutcome::Solved(Box::new(solution)), Some((key, hit)))
         }
         JobKind::Update(updates) => (ServeOutcome::Updated(engine.apply(&updates)), None),

@@ -4,11 +4,11 @@
 //! substrates, then locate the answer inside a core (Algorithms 4–6,
 //! Lemma 7). A [`Substrates`] value is that acquire step, written once. It
 //! holds the graph, Ψ and an optional flow-network lender, and acquires
-//! each of three substrates the first time an algorithm reads it:
+//! each of two substrates the first time an algorithm reads it:
 //!
 //! * the **density oracle** for Ψ;
-//! * the **(k, Ψ)-core decomposition** (Algorithm 3);
-//! * the **classical k-core order** (CoreApp's γ bounds, the Section-6.3
+//! * the **(k, Ψ)-core decomposition** (Algorithm 3). The edge pattern's
+//!   holds the classical core numbers (CoreApp's γ bounds, the Section-6.3
 //!   query variant).
 //!
 //! [`Substrates::cold`] builds each substrate on first use. The engine's
@@ -45,12 +45,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dsd_graph::{Graph, VertexId, VertexSet};
-use dsd_motif::Pattern;
+use dsd_motif::pattern::{Pattern, PatternKind};
 
 use crate::clique_core::{decompose, decompose_within, CliqueCoreDecomposition};
 use crate::engine::SubstrateUse;
 use crate::flownet::{Located, NetworkLender, RegionKey};
-use crate::kcore::{k_core_decomposition, KCoreDecomposition};
 use crate::oracle::{oracle_for, DensityOracle, StoreStats};
 
 /// Where an engine-backed [`Substrates`] acquires a substrate it has not
@@ -68,8 +67,8 @@ pub(crate) trait SubstrateSource {
         oracle: &dyn DensityOracle,
     ) -> (Arc<CliqueCoreDecomposition>, bool, u128);
 
-    /// The classical k-core order of `g`.
-    fn kcore(&self, g: &Graph) -> (Arc<KCoreDecomposition>, bool);
+    /// The edge pattern's decomposition of the graph: its core numbers.
+    fn edge_cores(&self) -> Arc<CliqueCoreDecomposition>;
 }
 
 /// The residual vertex set of a TopK round: `alive` is the graph minus
@@ -93,7 +92,6 @@ pub struct Substrates<'a> {
     lender: Option<&'a dyn NetworkLender>,
     oracle: OnceCell<Arc<dyn DensityOracle>>,
     decomposition: OnceCell<Arc<CliqueCoreDecomposition>>,
-    kcore: OnceCell<Arc<KCoreDecomposition>>,
     used: Cell<SubstrateUse>,
     decomposition_nanos: Cell<u128>,
 }
@@ -110,7 +108,6 @@ impl<'a> Substrates<'a> {
             lender: None,
             oracle: OnceCell::new(),
             decomposition: OnceCell::new(),
-            kcore: OnceCell::new(),
             used: Cell::new(SubstrateUse::default()),
             decomposition_nanos: Cell::new(0),
         }
@@ -174,6 +171,7 @@ impl<'a> Substrates<'a> {
             return locate();
         };
         if let Some(record) = lender.located(key) {
+            self.note(|u| u.located_hit = true);
             return record;
         }
         let record = locate();
@@ -210,6 +208,10 @@ impl<'a> Substrates<'a> {
     /// The (k, Ψ)-core decomposition of the graph (of the residual vertex
     /// set, in a TopK residual round).
     pub fn decomposition(&self) -> &CliqueCoreDecomposition {
+        self.decomposition_arc()
+    }
+
+    fn decomposition_arc(&self) -> &Arc<CliqueCoreDecomposition> {
         self.decomposition.get_or_init(|| {
             let oracle = self.oracle();
             match self.source {
@@ -232,16 +234,16 @@ impl<'a> Substrates<'a> {
         })
     }
 
-    /// The classical k-core order of the graph.
-    pub(crate) fn kcore(&self) -> &KCoreDecomposition {
-        self.kcore.get_or_init(|| match self.source {
-            Some(source) => {
-                let (kcore, hit) = source.kcore(self.g);
-                self.note(|u| u.kcore_cache_hit = hit);
-                kcore
-            }
-            None => Arc::new(k_core_decomposition(self.g)),
-        })
+    /// The classical core numbers: the edge pattern's decomposition, this
+    /// context's own when Ψ is the edge, else the engine's or a cold peel.
+    pub(crate) fn edge_cores(&self) -> Arc<CliqueCoreDecomposition> {
+        if self.psi.kind() == PatternKind::Clique(2) {
+            return Arc::clone(self.decomposition_arc());
+        }
+        match self.source {
+            Some(source) => source.edge_cores(),
+            None => Arc::new(decompose(self.g, oracle_for(&Pattern::edge()).as_ref())),
+        }
     }
 
     /// The flow-network lender exact searches borrow from, if any.

@@ -13,8 +13,8 @@
 //! # Quickstart
 //!
 //! The engine is the primary API: it owns a graph, memoizes the expensive
-//! substrates (Ψ-instance lists, (k, Ψ)-core decompositions, the classical
-//! k-core order), and answers every objective through one [`Solution`]
+//! substrates (Ψ-instance lists, (k, Ψ)-core decompositions), and answers
+//! every objective through one [`Solution`]
 //! shape:
 //!
 //! ```

@@ -2,13 +2,13 @@
 //!
 //! The contract under test: a long-lived engine that absorbs edge updates
 //! through `DsdEngine::apply` / `DsdServer::submit_update` (in-place
-//! Ψ-store repair, lazy rebuilds of the classical k-core order, the
-//! decompositions and the flow networks, lazy CSR materialization)
-//! answers **every** query bit-identically to a fresh engine built from
-//! scratch over the materialized graph. The harness drives seeded random
-//! update/query interleavings and cross-checks each query, CoreApp and
-//! the query variant among them — the two readers of the rebuilt k-core
-//! order.
+//! Ψ-store repair, lazy rebuilds of the decompositions and the flow
+//! networks, lazy CSR materialization) answers **every** query
+//! bit-identically to a fresh engine built from scratch over the
+//! materialized graph. The harness drives seeded random update/query
+//! interleavings and cross-checks each query, CoreApp and the query
+//! variant among them — the two readers of the classical core numbers,
+//! which the edge key's decomposition rebuilds.
 //!
 //! Iteration counts honour the `DSD_PROP_ITERS` env knob (the nightly CI
 //! job runs the suites with elevated counts); the defaults keep the

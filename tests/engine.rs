@@ -116,14 +116,15 @@ fn triangle_free() -> Graph {
     Graph::from_edges(9, &edges)
 }
 
-/// The substrates a triangle request that ran `method` reads: (oracle,
-/// (k, Ψ)-core decomposition, classical k-core order).
-fn reads(objective: &Objective, method: Method) -> (bool, bool, bool) {
+/// The substrates of its own key a warm repeat of a triangle request that
+/// ran `method` reads: (oracle, (k, Ψ)-core decomposition). A repeat of
+/// the query variant is answered from its located record and reads
+/// neither; CoreApp reads the classical core numbers from the edge key.
+fn reads(objective: &Objective, method: Method) -> (bool, bool) {
     match (objective, method) {
-        (Objective::WithQuery(_), _) => (false, false, true),
-        (_, Method::Exact) => (true, false, false),
-        (_, Method::CoreApp) => (true, false, true),
-        _ => (true, true, false),
+        (Objective::WithQuery(_), _) => (false, false),
+        (_, Method::Exact | Method::CoreApp) => (true, false),
+        _ => (true, true),
     }
 }
 
@@ -201,7 +202,8 @@ fn every_method_returns_populated_solution() {
     for (g, rows) in cases {
         for (objective, method, ran, outcome, guarantee, subgraphs) in rows {
             let engine = DsdEngine::over(&g);
-            let (oracle, dec, kcore) = reads(&objective, ran);
+            let (oracle, dec) = reads(&objective, ran);
+            let query = matches!(objective, O::WithQuery(_));
             for warm in [false, true] {
                 let s = engine
                     .request(&psi)
@@ -218,17 +220,13 @@ fn every_method_returns_populated_solution() {
                 assert_eq!(s.subgraphs.len(), subgraphs, "{label}");
                 assert_eq!(
                     s.stats.kmax.is_some(),
-                    (oracle && ran != M::Exact) || kcore,
+                    (oracle && ran != M::Exact) || query,
                     "{label}"
                 );
                 let hits = s.stats.substrate;
                 assert_eq!(
-                    (
-                        hits.oracle_cache_hit,
-                        hits.decomposition_cache_hit,
-                        hits.kcore_cache_hit
-                    ),
-                    (warm && oracle, warm && dec, warm && kcore),
+                    (hits.oracle_cache_hit, hits.decomposition_cache_hit),
+                    (warm && oracle, warm && dec),
                     "{label}"
                 );
             }
@@ -413,7 +411,6 @@ fn invalid_requests_are_reported() {
     }
     // Invalid requests are rejected before any substrate is built.
     assert_eq!(engine.cache_stats().decomposition_builds, 0);
-    assert_eq!(engine.cache_stats().kcore_builds, 0);
 }
 
 /// An owning engine behaves like a borrowing one.

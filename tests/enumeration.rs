@@ -31,7 +31,7 @@ use std::collections::{BTreeSet, HashSet};
 use dsd::core::oracle::{CliqueOracle, GenericPatternOracle};
 use dsd::core::{
     decompose, k_core_decomposition, CliqueCoreDecomposition, DensityOracle, DsdEngine, DsdRequest,
-    MaterializedOracle, Method, Parallelism, Solution,
+    MaterializedOracle, Method, Objective, Parallelism, Solution,
 };
 use dsd::graph::{Graph, GraphUpdate, VertexId, VertexSet};
 use dsd::motif::kclist::{CliqueLister, CliqueScratch};
@@ -394,10 +394,10 @@ fn mixed_batch(
 /// each batch one edge at a time with no read in between: only the first
 /// edge repairs inside `apply`, the rest stay pending, and the next read
 /// repairs once for their net change. The merge always stays pending on
-/// engines with no Ψ-store cached: one holding just the k-core order,
-/// which every batch drops and the next read rebuilds from the merged
-/// snapshot, and one holding streaming oracles (edge, two-star), which
-/// carry over every batch.
+/// engines with no Ψ-store cached: one holding just the edge key, whose
+/// decomposition (the classical core numbers) every batch drops and the
+/// next read rebuilds from the merged snapshot, and one holding streaming
+/// oracles (edge, two-star), which carry over every batch.
 #[test]
 fn every_batch_repairs_every_cached_store_on_the_merged_csr() {
     let iters = prop_iters(4);
@@ -421,14 +421,14 @@ fn every_batch_repairs_every_cached_store_on_the_merged_csr() {
         }
         let base: Vec<_> = edges.iter().copied().collect();
         let engine = DsdEngine::new(Graph::from_edges(n, &base));
-        let kcore_only = DsdEngine::new(Graph::from_edges(n, &base));
+        let edge_only = DsdEngine::new(Graph::from_edges(n, &base));
         let streaming = DsdEngine::new(Graph::from_edges(n, &base));
         let burst = DsdEngine::new(Graph::from_edges(n, &base));
         for req in &requests {
             engine.solve(req); // cache the three Ψ-stores
             burst.solve(req);
         }
-        kcore_only.kcore_order();
+        edge_only.warm(&Pattern::edge());
         for req in &streaming_requests {
             streaming.solve(req);
         }
@@ -446,8 +446,11 @@ fn every_batch_repairs_every_cached_store_on_the_merged_csr() {
             assert_eq!(stats.substrates_rebuilt, 0, "{ctx}: no rebuild");
             assert!(!stats.csr_deferred, "{ctx}: a repair merges the CSR");
 
-            let applied = kcore_only.apply(&batch);
-            assert!(applied.csr_deferred, "{ctx}: k-core only defers the merge");
+            let applied = edge_only.apply(&batch);
+            assert!(
+                applied.csr_deferred,
+                "{ctx}: the edge key alone defers the merge"
+            );
 
             for (i, update) in batch.iter().enumerate() {
                 let applied = burst.apply(std::slice::from_ref(update));
@@ -468,12 +471,27 @@ fn every_batch_repairs_every_cached_store_on_the_merged_csr() {
 
             let now: Vec<_> = edges.iter().copied().collect();
             let cold_graph = Graph::from_edges(n, &now);
-            assert_eq!(*kcore_only.graph(), cold_graph, "{ctx}: deferred merge");
-            let kcore = kcore_only.kcore_order();
+            assert_eq!(*edge_only.graph(), cold_graph, "{ctx}: deferred merge");
             let scratch = k_core_decomposition(&cold_graph);
-            assert_eq!(kcore.core, scratch.core, "{ctx}: k-core rebuilt");
-            assert_eq!(kcore.kmax, scratch.kmax, "{ctx}: kmax rebuilt");
             let cold = DsdEngine::new(cold_graph);
+            let query = (round % n) as VertexId;
+            for req in [
+                DsdRequest::new(&Pattern::edge()).objective(Objective::WithQuery(vec![query])),
+                DsdRequest::new(&Pattern::edge()).method(Method::CoreApp),
+            ] {
+                let label = format!("{ctx}, {:?}", req.objective_ref());
+                let warm = edge_only.solve(&req);
+                assert_solutions_identical(&label, &warm, &cold.solve(&req));
+                assert_eq!(
+                    warm.stats.kmax,
+                    Some(scratch.kmax as u64),
+                    "{label}: kmax rebuilt"
+                );
+                if req.method_choice() == Method::CoreApp {
+                    let max_core = scratch.max_core().to_vec();
+                    assert_eq!(warm.vertices, max_core, "{label}: k-core rebuilt");
+                }
+            }
             for req in &streaming_requests {
                 let warm = streaming.solve(req);
                 assert!(

@@ -2,8 +2,11 @@
 //! theorems must hold on arbitrary graphs. Driven by a deterministic
 //! xorshift seed loop (no crates.io access in the container).
 
+use dsd::core::clique_core::decompose_within;
+use dsd::core::kcore::k_core_decomposition_within;
 use dsd::core::{
-    core_app, core_exact, decompose, density, inc_app, nucleus_decomposition, oracle_for, peel_app,
+    core_app, core_exact, decompose, density, inc_app, k_core_decomposition, nucleus_decomposition,
+    oracle_for, peel_app, CliqueCoreDecomposition, KCoreDecomposition,
 };
 use dsd::graph::testing::XorShift;
 use dsd::graph::VertexSet;
@@ -117,11 +120,22 @@ fn core_structure() {
     }
 }
 
+/// Whether the classical (Batagelj–Zaversnik) decomposition has the core
+/// numbers and kmax of the edge pattern's peel.
+fn same_cores(classical: &KCoreDecomposition, peeled: &CliqueCoreDecomposition) -> bool {
+    let core: Vec<u64> = classical.core.iter().map(|&c| c as u64).collect();
+    core == peeled.core && classical.kmax as u64 == peeled.kmax
+}
+
 /// The AND-style nucleus decomposition converges to the same core numbers
-/// as the peel decomposition, for every clique size.
+/// as the peel decomposition, for every clique size. At h = 2 the
+/// classical k-core kernel matches the peel too, on the whole graph and on
+/// a random induced subgraph: it is the referee the engine's classical
+/// core numbers (the edge peel) are held to.
 #[test]
 fn nucleus_equals_peel_decomposition() {
     let mut rng = XorShift::new(0x91C1);
+    let mut pick = XorShift::new(0xA11E);
     for _ in 0..48 {
         let g = rng.random_graph(2, 10, 45);
         for h in 2..=4usize {
@@ -129,6 +143,22 @@ fn nucleus_equals_peel_decomposition() {
             let oracle = oracle_for(&Pattern::clique(h));
             let dec = decompose(&g, oracle.as_ref());
             assert_eq!(&nuc.core, &dec.core, "h = {h}");
+            if h == 2 {
+                assert!(same_cores(&k_core_decomposition(&g), &dec));
+                let mut alive = VertexSet::full(g.num_vertices());
+                for v in g.vertices() {
+                    if pick.next().is_multiple_of(3) {
+                        alive.remove(v);
+                    }
+                }
+                let within = decompose_within(&g, oracle.as_ref(), &alive);
+                let classical = k_core_decomposition_within(&g, &alive);
+                assert!(
+                    same_cores(&classical, &within),
+                    "alive {:?}",
+                    alive.to_vec()
+                );
+            }
         }
     }
 }
