@@ -15,9 +15,22 @@
 //! reused across removals). Only streaming h-cliques (h ≥ 3) and general
 //! patterns — the budget-fallback paths — re-enumerate through per-call
 //! `removal_decrements`. Every path drives the same loop, so their outputs
-//! are bit-identical; debug builds additionally cross-check the bucket
-//! order against a reference heap peel on small inputs, which streams the
-//! stateless `removal_decrements` and so also referees every peeler.
+//! are bit-identical.
+//!
+//! **Only Ψ-incident vertices are peeled one by one.** A vertex in no
+//! instance (Ψ-degree 0) would pop first from the LIFO bucket 0, in
+//! descending id order, and decrement nobody when removed. The loop
+//! appends all of them to the peel order in one step instead — core 0,
+//! the residual μ unchanged — with no queue entry and no
+//! [`InstancePeeler::remove`] call (the peeler contract allows it), and
+//! scans for ρ′ only from the end of that prefix. Beyond a few O(n)
+//! array passes, a decomposition then costs O(Ψ-incident vertices +
+//! memberships): on sparse graphs most vertices lie in no triangle or
+//! larger clique. Debug builds replay the plain loop (every vertex queued
+//! and removed) on small inputs and require the whole decomposition to
+//! match, and cross-check core numbers against a reference heap peel,
+//! which streams the stateless `removal_decrements` and so also referees
+//! every peeler.
 //!
 //! The decomposition also records the instance count μ of every residual
 //! graph (`residual_mu`). The densest residual graph — the ρ′ of Pruning1
@@ -90,7 +103,7 @@ impl CliqueCoreDecomposition {
     /// the earliest (largest) residual graph. `None` when `min_len` is 0
     /// or exceeds the number of peeled vertices.
     pub fn densest_suffix(&self, min_len: usize) -> Option<(usize, f64)> {
-        densest_suffix(&self.residual_mu, min_len)
+        densest_suffix(&self.residual_mu, 0, min_len)
     }
 
     /// Approximate resident heap bytes (for substrate-cache accounting).
@@ -100,16 +113,17 @@ impl CliqueCoreDecomposition {
 }
 
 /// First strict maximum of `residual_mu[i] / (n − i)` over the residual
-/// graphs with at least `min_len` of the `n = residual_mu.len() − 1`
-/// peeled vertices.
-fn densest_suffix(residual_mu: &[u64], min_len: usize) -> Option<(usize, f64)> {
+/// graphs `i ≥ from` with at least `min_len` of the
+/// `n = residual_mu.len() − 1` peeled vertices.
+fn densest_suffix(residual_mu: &[u64], from: usize, min_len: usize) -> Option<(usize, f64)> {
     let n = residual_mu.len() - 1;
-    if min_len == 0 || min_len > n {
+    if min_len == 0 || from + min_len > n {
         return None;
     }
-    let mut best = (0, residual_mu[0] as f64 / n as f64);
-    for (i, &mu) in residual_mu.iter().enumerate().take(n - min_len + 1).skip(1) {
-        let density = mu as f64 / (n - i) as f64;
+    let density = |i: usize| residual_mu[i] as f64 / (n - i) as f64;
+    let mut best = (from, density(from));
+    for i in from + 1..=n - min_len {
+        let density = density(i);
         if density > best.1 {
             best = (i, density);
         }
@@ -172,11 +186,19 @@ pub fn decompose_within(
         oracle.psi_size(),
         peeler_for(g, oracle, alive).as_mut(),
     );
-    // The bucket queue pops min-degree ties in a different order than the
-    // old lazy heap; core numbers are tie-break invariant, which debug
-    // builds verify against a reference heap peel on small inputs.
+    // Debug builds referee small inputs twice: the plain loop (every
+    // vertex queued and removed, no bulk prefix) must reproduce the whole
+    // decomposition, and a reference heap peel — whose ties pop in another
+    // order — the tie-break-invariant core numbers.
     #[cfg(debug_assertions)]
     if g.num_vertices() <= 96 {
+        let plain = plain_peel(
+            g.num_vertices(),
+            alive,
+            oracle.psi_size(),
+            peeler_for(g, oracle, alive).as_mut(),
+        );
+        assert_same_decomposition(&dec, &plain, "bulk-prefix peel vs plain loop");
         debug_assert_eq!(
             dec.core,
             reference_heap_core(g, oracle, alive),
@@ -186,8 +208,91 @@ pub fn decompose_within(
     dec
 }
 
-/// The shared peel loop: one [`PeelQueue`] over any decrement engine.
+/// The shared peel loop: one [`PeelQueue`] over any decrement engine,
+/// holding only the Ψ-incident vertices (see the module docs).
 fn peel(
+    n: usize,
+    alive: &VertexSet,
+    psi_size: usize,
+    peeler: &mut dyn InstancePeeler,
+) -> CliqueCoreDecomposition {
+    let mut live = alive.clone();
+    let mut deg = peeler.degrees();
+    // Degrees are 0 outside `alive`, so one pass over them finds μ and
+    // the bucket range.
+    let (sum, max_deg) = deg
+        .iter()
+        .fold((0u64, 0u64), |(sum, max), &d| (sum + d, max.max(d)));
+    let mu_total = sum / psi_size as u64;
+
+    // The Ψ-isolated prefix: the plain loop pops bucket 0 first, last in
+    // first out over ascending pushes, and its removals decrement nobody.
+    let mut peel_order = Vec::with_capacity(live.len());
+    let mut queue = PeelQueue::new(max_deg);
+    for v in live.iter() {
+        match deg[v as usize] {
+            0 => peel_order.push(v),
+            d => queue.push(d, v),
+        }
+    }
+    peel_order.reverse();
+    let prefix = peel_order.len();
+
+    let mut core = vec![0u64; n];
+    let mut running_k = 0u64;
+    let mut kmax = 0u64;
+    let mut mu = mu_total;
+    let mut residual_mu = Vec::with_capacity(live.len() + 1);
+    residual_mu.resize(prefix + 1, mu);
+
+    while let Some((d, v)) = queue.pop() {
+        if !live.contains(v) || d != deg[v as usize] {
+            continue; // stale queue entry
+        }
+        // Peel v: its clique-core number is the running-max threshold.
+        running_k = running_k.max(d);
+        core[v as usize] = running_k;
+        kmax = kmax.max(running_k);
+
+        // Instances through v die; decrement co-members (Alg. 3 lines 6-9).
+        // A co-member has positive degree, so no prefix vertex is hit.
+        peeler.remove(v, &mut |u, amount| {
+            debug_assert!(live.contains(u) && u != v && deg[u as usize] > 0);
+            deg[u as usize] -= amount.min(deg[u as usize]);
+            queue.push(deg[u as usize], u);
+        });
+        mu -= d;
+        live.remove(v);
+        peel_order.push(v);
+        residual_mu.push(mu);
+    }
+    debug_assert_eq!(mu, 0, "all instances must be accounted for");
+    debug_assert_eq!(peel_order.len(), alive.len(), "every vertex is peeled");
+    // Along the prefix μ stays and the residual graph shrinks, so when
+    // μ > 0 densities rise strictly there and the first strict maximum
+    // lies at or after its end. With μ = 0 every density is 0 and the
+    // first residual graph wins.
+    let (best_suffix, best_density) = if mu_total == 0 {
+        (0, 0.0)
+    } else {
+        densest_suffix(&residual_mu, prefix, 1).expect("μ > 0 leaves a Ψ-incident vertex")
+    };
+    CliqueCoreDecomposition {
+        core,
+        kmax,
+        peel_order,
+        mu: mu_total,
+        residual_mu,
+        best_suffix,
+        best_density,
+    }
+}
+
+/// The plain peel loop: every vertex of `alive` queued and removed through
+/// the peeler, ρ′ scanned from the first residual graph. It is [`peel`]
+/// without the bulk prefix, kept as the debug-build and test referee.
+#[cfg(any(test, debug_assertions))]
+fn plain_peel(
     n: usize,
     alive: &VertexSet,
     psi_size: usize,
@@ -205,24 +310,16 @@ fn peel(
 
     let mut core = vec![0u64; n];
     let mut peel_order = Vec::with_capacity(live.len());
-    let mut running_k = 0u64;
-    let mut kmax = 0u64;
-    let mut mu = mu_total;
-    let mut residual_mu = Vec::with_capacity(live.len() + 1);
-    residual_mu.push(mu);
-
+    let (mut running_k, mut kmax, mut mu) = (0u64, 0u64, mu_total);
+    let mut residual_mu = vec![mu];
     while let Some((d, v)) = queue.pop() {
         if !live.contains(v) || d != deg[v as usize] {
-            continue; // stale queue entry
+            continue;
         }
-        // Peel v: its clique-core number is the running-max threshold.
         running_k = running_k.max(d);
         core[v as usize] = running_k;
         kmax = kmax.max(running_k);
-
-        // Instances through v die; decrement co-members (Alg. 3 lines 6-9).
         peeler.remove(v, &mut |u, amount| {
-            debug_assert!(live.contains(u) && u != v);
             deg[u as usize] -= amount.min(deg[u as usize]);
             queue.push(deg[u as usize], u);
         });
@@ -231,10 +328,7 @@ fn peel(
         peel_order.push(v);
         residual_mu.push(mu);
     }
-    debug_assert_eq!(mu, 0, "all instances must be accounted for");
-    // We peel to exhaustion, so every vertex ends up in `peel_order` and
-    // its suffixes are complete residual graphs.
-    let (best_suffix, best_density) = densest_suffix(&residual_mu, 1).unwrap_or((0, 0.0));
+    let (best_suffix, best_density) = densest_suffix(&residual_mu, 0, 1).unwrap_or((0, 0.0));
     CliqueCoreDecomposition {
         core,
         kmax,
@@ -244,6 +338,29 @@ fn peel(
         best_suffix,
         best_density,
     }
+}
+
+/// Panics unless two decompositions agree field by field, ρ′ to the bit.
+#[cfg(any(test, debug_assertions))]
+fn assert_same_decomposition(
+    got: &CliqueCoreDecomposition,
+    want: &CliqueCoreDecomposition,
+    ctx: &str,
+) {
+    assert_eq!(got.peel_order, want.peel_order, "{ctx}: peel order");
+    assert_eq!(got.core, want.core, "{ctx}: core numbers");
+    assert_eq!(got.kmax, want.kmax, "{ctx}: kmax");
+    assert_eq!(got.mu, want.mu, "{ctx}: μ");
+    assert_eq!(
+        got.residual_mu, want.residual_mu,
+        "{ctx}: residual μ profile"
+    );
+    assert_eq!(got.best_suffix, want.best_suffix, "{ctx}: best suffix");
+    assert_eq!(
+        got.best_density.to_bits(),
+        want.best_density.to_bits(),
+        "{ctx}: ρ′ bits"
+    );
 }
 
 /// The pre-bucket-queue peel (lazy binary min-heap over `(deg, v)`), kept
@@ -282,7 +399,11 @@ fn reference_heap_core(g: &Graph, oracle: &dyn DensityOracle, alive: &VertexSet)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::{density, oracle_for};
+    use crate::oracle::{density, oracle_for, oracle_with_policy, SubstrateRepair};
+    use crate::parallelism::Parallelism;
+    use dsd_graph::testing::XorShift;
+    use dsd_graph::GraphBuilder;
+    use dsd_motif::pattern::PatternKind;
     use dsd_motif::Pattern;
 
     /// Figure 3(b)'s graph: 4-clique {A,B,C,D}, triangle {D,E,F}, edge
@@ -435,5 +556,170 @@ mod tests {
         // Without A the 4-clique degenerates to a triangle {B,C,D}.
         assert_eq!(dec.kmax, 1);
         assert_eq!(dec.core[0], 0);
+    }
+
+    /// A graph with every shape the bulk prefix meets: a dense cluster
+    /// (cliques, diamonds), sparse random edges, pendant trees (in no
+    /// triangle) and isolated vertices. `n` is drawn from `lo..=hi`.
+    fn mixed_graph(rng: &mut XorShift, lo: usize, hi: usize) -> Graph {
+        let n = lo + (rng.next() as usize) % (hi - lo + 1);
+        let mut b = GraphBuilder::new(n);
+        let cluster = 4 + (rng.next() as usize) % 8;
+        for u in 0..cluster as VertexId {
+            for v in u + 1..cluster as VertexId {
+                if rng.next() % 100 < 75 {
+                    b.add_edge(u, v);
+                }
+            }
+        }
+        let sparse = n * 3 / 5;
+        for _ in 0..sparse {
+            let u = (rng.next() as usize % sparse) as VertexId;
+            let v = (rng.next() as usize % sparse) as VertexId;
+            b.add_edge(u, v);
+        }
+        // Pendant trees; the last tenth stays isolated.
+        for v in sparse..n - n / 10 {
+            let u = (rng.next() as usize % v) as VertexId;
+            b.add_edge(u, v as VertexId);
+        }
+        b.build()
+    }
+
+    /// Every Ψ shape with its own peeler, plus the streaming fallback
+    /// (byte budget 0) for the store-backed ones.
+    fn oracles() -> Vec<(String, Box<dyn DensityOracle>)> {
+        let mut out: Vec<(String, Box<dyn DensityOracle>)> = Vec::new();
+        for psi in [
+            Pattern::edge(),
+            Pattern::two_star(),
+            Pattern::three_star(),
+            Pattern::diamond(),
+            Pattern::triangle(),
+            Pattern::clique(4),
+            Pattern::two_triangle(),
+        ] {
+            out.push((psi.name().to_string(), oracle_for(&psi)));
+            if matches!(psi.kind(), PatternKind::Clique(3..) | PatternKind::General) {
+                let streaming = oracle_with_policy(&psi, Parallelism::serial(), Some(0));
+                out.push((format!("{} streaming", psi.name()), streaming));
+            }
+        }
+        out
+    }
+
+    /// Runs the bulk-prefix peel and the plain loop on fresh peelers and
+    /// requires equal decompositions; returns the prefix length.
+    fn check(g: &Graph, oracle: &dyn DensityOracle, alive: &VertexSet, ctx: &str) -> usize {
+        let n = g.num_vertices();
+        let psi = oracle.psi_size();
+        let fast = peel(n, alive, psi, peeler_for(g, oracle, alive).as_mut());
+        let plain = plain_peel(n, alive, psi, peeler_for(g, oracle, alive).as_mut());
+        assert_same_decomposition(&fast, &plain, ctx);
+        assert_same_decomposition(&decompose_within(g, oracle, alive), &plain, ctx);
+        let deg = oracle.degrees(g, alive);
+        alive.iter().filter(|&v| deg[v as usize] == 0).count()
+    }
+
+    fn random_subset(rng: &mut XorShift, n: usize) -> VertexSet {
+        let members: Vec<VertexId> = (0..n as VertexId).filter(|_| rng.next() % 10 < 7).collect();
+        VertexSet::from_members(n, &members)
+    }
+
+    /// The bulk prefix changes no field of the decomposition: seeded
+    /// graphs, every peeler, whole and random `alive` sets, empty ones,
+    /// and Ψ-free graphs (μ = 0).
+    #[test]
+    fn bulk_prefix_peel_matches_the_plain_loop() {
+        let mut rng = XorShift::new(0x51ce);
+        let mut prefixed = 0;
+        for round in 0..12 {
+            // Small graphs also arm `decompose_within`'s own referee.
+            let (lo, hi) = if round % 3 == 2 { (200, 400) } else { (20, 90) };
+            let g = mixed_graph(&mut rng, lo, hi);
+            let n = g.num_vertices();
+            for (name, oracle) in oracles() {
+                let oracle = oracle.as_ref();
+                let ctx = format!("round {round} {name}");
+                let prefix = check(&g, oracle, &VertexSet::full(n), &ctx);
+                if prefix >= 2 && oracle.count(&g, &VertexSet::full(n)) > 0 {
+                    prefixed += 1;
+                }
+                let subset = random_subset(&mut rng, n);
+                check(&g, oracle, &subset, &format!("{ctx} subset"));
+                check(&g, oracle, &VertexSet::empty(n), &format!("{ctx} empty"));
+            }
+        }
+        assert!(prefixed > 60, "the prefix must be exercised ({prefixed})");
+        // μ = 0: a forest and an edgeless graph.
+        let forest = Graph::from_edges(9, &[(0, 1), (1, 2), (1, 3), (4, 5), (5, 6)]);
+        for g in [forest, Graph::empty(4)] {
+            for (name, oracle) in oracles() {
+                let full = VertexSet::full(g.num_vertices());
+                if oracle.count(&g, &full) == 0 {
+                    check(&g, oracle.as_ref(), &full, &format!("μ = 0 {name}"));
+                }
+            }
+        }
+    }
+
+    /// Stores repaired by an update carry tombstoned rows, which every
+    /// peel must skip; the bulk prefix must still match the plain loop.
+    #[test]
+    fn bulk_prefix_peel_matches_the_plain_loop_on_repaired_stores() {
+        let mut rng = XorShift::new(0x7a11);
+        let mut tombstoned = 0;
+        for round in 0..8 {
+            let g = mixed_graph(&mut rng, 30, 90);
+            let n = g.num_vertices();
+            let edges: Vec<(VertexId, VertexId)> = g.edges().collect();
+            // Delete one cluster edge (killing a few cliques, too few
+            // for the repair to compact them away) and insert a few.
+            let cluster: Vec<_> = edges.iter().copied().filter(|&(_, v)| v < 12).collect();
+            let removed = vec![cluster[rng.next() as usize % cluster.len()]];
+            let inserted: Vec<_> = (0..3)
+                .map(|i| (20 + i, 21 + i + (rng.next() % 5) as VertexId))
+                .filter(|e| !edges.contains(e))
+                .collect();
+            for psi in [
+                Pattern::triangle(),
+                Pattern::clique(4),
+                Pattern::two_triangle(),
+            ] {
+                // General patterns recount against the pre-insert graph,
+                // so they take deletions only.
+                let inserted: &[(VertexId, VertexId)] = match psi.kind() {
+                    PatternKind::General => &[],
+                    _ => &inserted,
+                };
+                let mut nb = GraphBuilder::new(n);
+                for (u, v) in edges.iter().filter(|e| !removed.contains(e)) {
+                    nb.add_edge(*u, *v);
+                }
+                for &(u, v) in inserted {
+                    nb.add_edge(u, v);
+                }
+                let g_new = nb.build();
+                let oracle = oracle_for(&psi);
+                assert!(oracle.store(&g).is_some(), "the store materializes");
+                let SubstrateRepair::Repaired(repaired, _) =
+                    oracle.repair_for_update(&g_new, &g_new, inserted, &removed)
+                else {
+                    panic!("{}: a store repairs in place", psi.name());
+                };
+                let store = repaired.store(&g_new).expect("repaired store");
+                if store.tombstoned_rows() > 0 {
+                    tombstoned += 1;
+                }
+                let ctx = format!("round {round} repaired {}", psi.name());
+                check(&g_new, repaired.as_ref(), &VertexSet::full(n), &ctx);
+                let subset = random_subset(&mut rng, n);
+                check(&g_new, repaired.as_ref(), &subset, &format!("{ctx} subset"));
+            }
+        }
+        assert!(
+            tombstoned >= 8,
+            "repairs must tombstone rows ({tombstoned})"
+        );
     }
 }

@@ -164,6 +164,31 @@ pub enum SubstrateRepair {
 ///
 /// Not `Sync`: a peeler is owned by a single decomposition and mutates its
 /// alive-count bookkeeping as vertices are removed.
+///
+/// **Contract: a vertex in no live instance may be dropped without
+/// [`Self::remove`], and this changes no later decrement.** The
+/// (k, Ψ)-core peel relies on it to skip every Ψ-isolated vertex. A
+/// peeler's reported losses are exact instance counts over the vertices it
+/// still holds, and it reports no zero loss. If `P` is a set of vertices
+/// in no instance of the peeled subgraph `g[alive]`, and `L` is the set of
+/// vertices not yet removed, then `g[L ∪ P]` has exactly the instances of
+/// `g[L]`: an instance through a vertex of `P` would be one of `g[alive]`
+/// too. So every later loss is the same with or without `P`, and no
+/// vertex of `P` is ever reported. Per peeler:
+///
+/// * the store peeler keeps a per-row count of un-removed members, and a
+///   row decrements only when it was live (all `|VΨ|` members present). A
+///   row through a `P` vertex was never live, since its weight would give
+///   that vertex a positive degree, so keeping its count one higher never
+///   makes it live;
+/// * the edge peeler reports each un-removed neighbour, and a `P` vertex
+///   has no neighbour in `alive`;
+/// * the star and diamond peelers evaluate the Appendix-D kernels over the
+///   vertices they hold, with alive degrees or alive-only adjacency kept
+///   consistent with that set, and their tallies drop zero amounts;
+/// * the streaming adapter asks `removal_decrements` on its held set,
+///   which enumerates instances (or live store rows) through the removed
+///   vertex and so never meets a `P` vertex.
 pub trait InstancePeeler {
     /// Initial degrees of the peeled subgraph (0 outside it).
     fn degrees(&self) -> Vec<u64>;
