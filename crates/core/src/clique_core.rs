@@ -36,15 +36,20 @@
 //! graph (`residual_mu`). The densest residual graph — the ρ′ of Pruning1
 //! **and** exactly the subgraph `PeelApp` (Algorithm 2) returns, so
 //! `peel.rs` and `approx.rs` are thin wrappers over this engine — is a
-//! scan of that profile, and so is the greedy DalkS answer (the densest
-//! residual graph with at least k vertices) in `size_constrained.rs`.
+//! scan of that profile. The scan keeps where its running density maximum
+//! strictly rises, as runs of consecutive indices, so the greedy DalkS
+//! answer (the densest residual graph with at least k vertices) in
+//! `size_constrained.rs` is a binary search in those runs, not another
+//! scan.
 
 use dsd_graph::{Graph, VertexId, VertexSet};
 
 use crate::bucket_queue::PeelQueue;
 use crate::oracle::{DensityOracle, InstancePeeler};
 
-/// Result of a (k, Ψ)-core decomposition of `g[alive]`.
+/// Result of a (k, Ψ)-core decomposition of `g[alive]`: core numbers,
+/// the peel order, its residual μ profile, and the running density maxima
+/// along it, which answer [`Self::densest_suffix`] in O(log n).
 #[derive(Clone, Debug)]
 pub struct CliqueCoreDecomposition {
     /// `core[v]` = clique-core number `core_G(v, Ψ)` (0 outside the
@@ -61,8 +66,16 @@ pub struct CliqueCoreDecomposition {
     /// left after `i` removals, so it has `|peel_order| + 1` entries, the
     /// first is `mu` and the last is 0.
     pub residual_mu: Vec<u64>,
-    /// Index into `peel_order` of the densest residual graph.
-    best_suffix: usize,
+    /// The running density maxima of the ρ′ scan — the indices `i` into
+    /// `peel_order` whose residual density strictly exceeds that of every
+    /// residual graph before them — as ascending maximal runs
+    /// `(first, last)` of consecutive indices. The first run starts at 0,
+    /// and the last index of the last run is the densest residual graph.
+    /// Densities often rise at step after step (all along the Ψ-isolated
+    /// prefix when μ > 0, and for cliques typically up to ρ′), so runs are
+    /// few: one for triangles and 4-cliques on warm-serve's n = 8 000
+    /// graphs, a few hundred for edges. Empty only with no vertex.
+    record_runs: Vec<(u32, u32)>,
     /// ρ′ — the highest density among all residual graphs.
     pub best_density: f64,
 }
@@ -95,40 +108,109 @@ impl CliqueCoreDecomposition {
     /// The densest residual subgraph seen during peeling — PeelApp's `S*`
     /// and the source of the ρ′ lower bound (Pruning1).
     pub fn best_residual(&self) -> Vec<VertexId> {
-        self.peel_order[self.best_suffix..].to_vec()
+        let best_suffix = self.record_runs.last().map_or(0, |&(_, i)| i as usize);
+        self.peel_order[best_suffix..].to_vec()
     }
 
     /// The densest residual graph with at least `min_len` vertices, as
     /// `(i, ρ)`: the suffix `peel_order[i..]` and its density. Ties keep
     /// the earliest (largest) residual graph. `None` when `min_len` is 0
     /// or exceeds the number of peeled vertices.
+    ///
+    /// A lookup in the ρ′ scan's running maxima, O(log n): the first
+    /// strict maximum over the residual graphs `0..=j`, `j = n − min_len`,
+    /// is the last record at or before `j` — `j` itself inside a run,
+    /// else the end of the last run before it.
     pub fn densest_suffix(&self, min_len: usize) -> Option<(usize, f64)> {
-        densest_suffix(&self.residual_mu, 0, min_len)
+        let n = self.peel_order.len();
+        if min_len == 0 || min_len > n {
+            return None;
+        }
+        let j = n - min_len;
+        let at = self.record_runs.partition_point(|&(first, _)| {
+            #[cfg(test)]
+            count_profile_read();
+            first as usize <= j
+        });
+        // The first run starts at 0, so `at ≥ 1`.
+        let (_, last) = self.record_runs[at - 1];
+        let i = j.min(last as usize);
+        #[cfg(test)]
+        count_profile_read();
+        Some((i, residual_density(&self.residual_mu, i)))
     }
 
     /// Approximate resident heap bytes (for substrate-cache accounting).
     pub fn bytes(&self) -> usize {
-        8 * self.core.len() + 4 * self.peel_order.len() + 8 * self.residual_mu.len()
+        8 * self.core.len()
+            + 4 * self.peel_order.len()
+            + 8 * self.residual_mu.len()
+            + 8 * self.record_runs.len()
     }
 }
 
-/// First strict maximum of `residual_mu[i] / (n − i)` over the residual
-/// graphs `i ≥ from` with at least `min_len` of the
-/// `n = residual_mu.len() − 1` peeled vertices.
-fn densest_suffix(residual_mu: &[u64], from: usize, min_len: usize) -> Option<(usize, f64)> {
+/// Density `residual_mu[i] / (n − i)` of the residual graph after `i` of
+/// the `n = residual_mu.len() − 1` removals (`i < n`).
+fn residual_density(residual_mu: &[u64], i: usize) -> f64 {
+    residual_mu[i] as f64 / (residual_mu.len() - 1 - i) as f64
+}
+
+/// The ρ′ scan over the non-empty residual graphs: the runs of
+/// [`CliqueCoreDecomposition::record_runs`] and the density of their last
+/// index (0 with no residual graph). The caller vouches that densities
+/// rise strictly along the first `rising` residual graphs, which are then
+/// recorded without being scanned.
+fn record_runs(residual_mu: &[u64], rising: usize) -> (Vec<(u32, u32)>, f64) {
+    let mut runs: Vec<(u32, u32)> = Vec::new();
+    let mut best = f64::NEG_INFINITY;
+    if rising > 0 {
+        runs.push((0, rising as u32 - 1));
+        best = residual_density(residual_mu, rising - 1);
+    }
+    for i in rising..residual_mu.len() - 1 {
+        let density = residual_density(residual_mu, i);
+        if density > best {
+            best = density;
+            match runs.last_mut() {
+                Some(run) if run.1 + 1 == i as u32 => run.1 = i as u32,
+                _ => runs.push((i as u32, i as u32)),
+            }
+        }
+    }
+    let best = if runs.is_empty() { 0.0 } else { best };
+    (runs, best)
+}
+
+/// The O(n) form of [`CliqueCoreDecomposition::densest_suffix`]: the first
+/// strict maximum of the residual densities over the residual graphs with
+/// at least `min_len` vertices, scanned from the first. Kept as the
+/// debug-build and test referee of the lookup.
+#[cfg(any(test, debug_assertions))]
+fn scan_densest_suffix(residual_mu: &[u64], min_len: usize) -> Option<(usize, f64)> {
     let n = residual_mu.len() - 1;
-    if min_len == 0 || from + min_len > n {
+    if min_len == 0 || min_len > n {
         return None;
     }
-    let density = |i: usize| residual_mu[i] as f64 / (n - i) as f64;
-    let mut best = (from, density(from));
-    for i in from + 1..=n - min_len {
-        let density = density(i);
+    let mut best = (0, residual_density(residual_mu, 0));
+    for i in 1..=n - min_len {
+        let density = residual_density(residual_mu, i);
         if density > best.1 {
             best = (i, density);
         }
     }
     Some(best)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Profile entries (record runs and μ values) this thread's
+    /// `densest_suffix` lookups have read.
+    static PROFILE_READS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+fn count_profile_read() {
+    PROFILE_READS.with(|reads| reads.set(reads.get() + 1));
 }
 
 /// The oracle's own peeler over `g[alive]` when it offers one, else the
@@ -186,12 +268,14 @@ pub fn decompose_within(
         oracle.psi_size(),
         peeler_for(g, oracle, alive).as_mut(),
     );
-    // Debug builds referee small inputs twice: the plain loop (every
-    // vertex queued and removed, no bulk prefix) must reproduce the whole
-    // decomposition, and a reference heap peel — whose ties pop in another
-    // order — the tie-break-invariant core numbers.
+    // Debug builds referee small inputs three times: every
+    // `densest_suffix` lookup must equal the O(n) profile scan, the plain
+    // loop (every vertex queued and removed, no bulk prefix) must
+    // reproduce the whole decomposition, and a reference heap peel — whose
+    // ties pop in another order — the tie-break-invariant core numbers.
     #[cfg(debug_assertions)]
     if g.num_vertices() <= 96 {
+        assert_lookups_match_scan(&dec, "bulk-prefix peel");
         let plain = plain_peel(
             g.num_vertices(),
             alive,
@@ -269,21 +353,18 @@ fn peel(
     debug_assert_eq!(mu, 0, "all instances must be accounted for");
     debug_assert_eq!(peel_order.len(), alive.len(), "every vertex is peeled");
     // Along the prefix μ stays and the residual graph shrinks, so when
-    // μ > 0 densities rise strictly there and the first strict maximum
-    // lies at or after its end. With μ = 0 every density is 0 and the
-    // first residual graph wins.
-    let (best_suffix, best_density) = if mu_total == 0 {
-        (0, 0.0)
-    } else {
-        densest_suffix(&residual_mu, prefix, 1).expect("μ > 0 leaves a Ψ-incident vertex")
-    };
+    // μ > 0 densities rise strictly there and the scan starts at its end.
+    // With μ = 0 every density is 0: the scan records the first residual
+    // graph only.
+    let rising = if mu_total == 0 { 0 } else { prefix };
+    let (record_runs, best_density) = record_runs(&residual_mu, rising);
     CliqueCoreDecomposition {
         core,
         kmax,
         peel_order,
         mu: mu_total,
         residual_mu,
-        best_suffix,
+        record_runs,
         best_density,
     }
 }
@@ -328,14 +409,14 @@ fn plain_peel(
         peel_order.push(v);
         residual_mu.push(mu);
     }
-    let (best_suffix, best_density) = densest_suffix(&residual_mu, 0, 1).unwrap_or((0, 0.0));
+    let (record_runs, best_density) = record_runs(&residual_mu, 0);
     CliqueCoreDecomposition {
         core,
         kmax,
         peel_order,
         mu: mu_total,
         residual_mu,
-        best_suffix,
+        record_runs,
         best_density,
     }
 }
@@ -355,12 +436,40 @@ fn assert_same_decomposition(
         got.residual_mu, want.residual_mu,
         "{ctx}: residual μ profile"
     );
-    assert_eq!(got.best_suffix, want.best_suffix, "{ctx}: best suffix");
+    assert_eq!(
+        got.record_runs, want.record_runs,
+        "{ctx}: running density maxima"
+    );
     assert_eq!(
         got.best_density.to_bits(),
         want.best_density.to_bits(),
         "{ctx}: ρ′ bits"
     );
+}
+
+/// Panics unless every `densest_suffix` lookup of `dec` equals the O(n)
+/// profile scan, density to the bit, and ρ′ equals the unconstrained one.
+#[cfg(any(test, debug_assertions))]
+fn assert_lookups_match_scan(dec: &CliqueCoreDecomposition, ctx: &str) {
+    for min_len in 0..=dec.peel_order.len() + 1 {
+        assert_eq!(
+            bits(dec.densest_suffix(min_len)),
+            bits(scan_densest_suffix(&dec.residual_mu, min_len)),
+            "{ctx}: lookup vs scan for ≥ {min_len} vertices"
+        );
+    }
+    let unconstrained = scan_densest_suffix(&dec.residual_mu, 1).map_or(0.0, |(_, rho)| rho);
+    assert_eq!(
+        dec.best_density.to_bits(),
+        unconstrained.to_bits(),
+        "{ctx}: ρ′ vs scan"
+    );
+}
+
+/// A suffix answer with its density as bits, for exact comparison.
+#[cfg(any(test, debug_assertions))]
+fn bits(answer: Option<(usize, f64)>) -> Option<(usize, u64)> {
+    answer.map(|(i, rho)| (i, rho.to_bits()))
 }
 
 /// The pre-bucket-queue peel (lazy binary min-heap over `(deg, v)`), kept
@@ -615,6 +724,7 @@ mod tests {
         let psi = oracle.psi_size();
         let fast = peel(n, alive, psi, peeler_for(g, oracle, alive).as_mut());
         let plain = plain_peel(n, alive, psi, peeler_for(g, oracle, alive).as_mut());
+        assert_lookups_match_scan(&fast, ctx);
         assert_same_decomposition(&fast, &plain, ctx);
         assert_same_decomposition(&decompose_within(g, oracle, alive), &plain, ctx);
         let deg = oracle.degrees(g, alive);
@@ -659,6 +769,45 @@ mod tests {
                 if oracle.count(&g, &full) == 0 {
                     check(&g, oracle.as_ref(), &full, &format!("μ = 0 {name}"));
                 }
+            }
+        }
+    }
+
+    /// `densest_suffix` is a lookup in the ρ′ scan's running maxima, not
+    /// a profile scan: on an n = 4 096 decomposition every answer reads
+    /// O(log n) profile entries, for k on both sides of the Ψ-isolated
+    /// prefix boundary, and equals the O(n) scan to the bit.
+    #[test]
+    fn densest_suffix_reads_logarithmically_many_profile_entries() {
+        let mut rng = XorShift::new(0x10c5);
+        let g = mixed_graph(&mut rng, 4096, 4096);
+        let n = g.num_vertices();
+        let bound = 2 * (usize::BITS - n.leading_zeros()) as usize + 2;
+        for psi in [Pattern::edge(), Pattern::triangle()] {
+            let oracle = oracle_for(&psi);
+            let dec = decompose(&g, oracle.as_ref());
+            let full = VertexSet::full(n);
+            let prefix = oracle
+                .degrees(&g, &full)
+                .iter()
+                .filter(|&&d| d == 0)
+                .count();
+            assert!(dec.mu > 0 && prefix > 0, "{}: μ and a prefix", psi.name());
+            for k in [1, 2, 32, n / 2, n - prefix, n - prefix + 1, n] {
+                PROFILE_READS.with(|reads| reads.set(0));
+                let got = dec.densest_suffix(k);
+                let reads = PROFILE_READS.with(|reads| reads.get());
+                assert!(
+                    reads <= bound,
+                    "{} k = {k}: {reads} profile reads (bound {bound})",
+                    psi.name()
+                );
+                assert_eq!(
+                    bits(got),
+                    bits(scan_densest_suffix(&dec.residual_mu, k)),
+                    "{} k = {k}",
+                    psi.name()
+                );
             }
         }
     }

@@ -570,7 +570,8 @@ impl Pooled {
     }
 }
 
-/// Hashes one ascending vertex set, length first, in place.
+/// Hashes one ascending vertex set, length first, in place, one mixing
+/// step per id.
 fn write_set(h: &mut Fnv, set: &[VertexId]) {
     debug_assert!(
         set.is_sorted(),
@@ -578,7 +579,7 @@ fn write_set(h: &mut Fnv, set: &[VertexId]) {
     );
     h.write_u64(set.len() as u64);
     for &v in set {
-        h.write_u64(v as u64);
+        h.write_id(v);
     }
 }
 

@@ -445,6 +445,8 @@ impl DensityNetwork {
 pub(crate) struct Fnv(u64);
 
 impl Fnv {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
     pub(crate) fn new() -> Self {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
@@ -452,8 +454,16 @@ impl Fnv {
     pub(crate) fn write_u64(&mut self, x: u64) {
         for byte in x.to_le_bytes() {
             self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            self.0 = self.0.wrapping_mul(Self::PRIME);
         }
+    }
+
+    /// Mixes in one vertex id in a single step — FNV-1a over the whole
+    /// 32-bit word instead of byte by byte, for keys that hash thousands
+    /// of ids per request.
+    pub(crate) fn write_id(&mut self, v: VertexId) {
+        self.0 ^= v as u64;
+        self.0 = self.0.wrapping_mul(Self::PRIME);
     }
 
     pub(crate) fn finish(&self) -> u64 {

@@ -22,11 +22,12 @@
 //!   return the best residual graph among those with at least `k`
 //!   vertices. That peel is Algorithm 3's, and the shared decomposition
 //!   records the instance count of every residual graph
-//!   ([`CliqueCoreDecomposition::residual_mu`]), so the fallback is one
-//!   O(n) scan of that profile
-//!   ([`CliqueCoreDecomposition::densest_suffix`]) with no re-peel. The
-//!   same schedule generalizes to any Ψ (with the guarantee proved for
-//!   edges).
+//!   ([`CliqueCoreDecomposition::residual_mu`]) and where the running
+//!   maximum of their densities rises, so the fallback is an O(log n)
+//!   lookup ([`CliqueCoreDecomposition::densest_suffix`]) with no re-peel
+//!   and no profile scan; only copying and sorting the answer is linear
+//!   in its size. The same schedule generalizes to any Ψ (with the
+//!   guarantee proved for edges).
 //! * **at-most-k** (DamkS) is as hard as densest-k-subgraph; the fallback
 //!   is the natural core-guided greedy heuristic the paper's framework
 //!   suggests — start from PeelApp's densest residual graph, then trim
@@ -81,7 +82,8 @@ pub fn densest_at_least_k(g: &Graph, psi: &Pattern, k: usize) -> Option<DsdResul
 impl Substrates<'_> {
     /// [`densest_at_least_k`] on this context's substrates: tries the
     /// exact fast path (a `CoreExact` α-search under `config`), then falls
-    /// back to scanning the decomposition's residual μ profile. Returns
+    /// back to looking the answer up in the decomposition's running
+    /// density maxima. Returns
     /// `None` when `k` is 0 or exceeds the vertex count, before reading
     /// any substrate.
     pub fn densest_at_least_k(

@@ -2,14 +2,18 @@
 //!
 //! DalkS's greedy answer is the densest residual graph of the (k, Ψ)-core
 //! peel with at least k vertices. The decomposition records the instance
-//! count of every residual graph (`residual_mu`), and the fallback scans
-//! that profile. DamkS trims PeelApp's densest residual graph with a lazy
-//! heap peel. This suite pins both against the straightforward
+//! count of every residual graph (`residual_mu`) and the running maxima of
+//! its densities, and the fallback looks the answer up in them. DamkS
+//! trims PeelApp's densest residual graph with a lazy heap peel. This
+//! suite pins both against the straightforward
 //! implementations they replaced, kept here as references:
 //!
-//! * the profile scan equals a replay of the peel order through the
+//! * the profile lookup equals a replay of the peel order through the
 //!   stateless `removal_decrements`, in vertices and density bits, for
-//!   every k;
+//!   every k — on whole graphs, on TopK-style residual vertex sets, on
+//!   graphs without a single instance (μ = 0), and on repaired stores
+//!   carrying tombstoned rows — with k on both sides of the Ψ-isolated
+//!   prefix boundary;
 //! * the recorded profile equals the replayed one, starts at μ and ends
 //!   at 0, and ρ′ / `best_residual()` equal the replay's in-loop tracking;
 //! * the heap trim equals a linear minimum-degree scan, for every k;
@@ -26,11 +30,14 @@
 //! Iteration counts honour `DSD_PROP_ITERS` like `tests/enumeration.rs`;
 //! nightly CI runs this suite with elevated iterations.
 
+use std::sync::Arc;
+
+use dsd::core::clique_core::decompose_within;
 use dsd::core::oracle::{
-    oracle_for, CliqueOracle, DiamondOracle, GenericPatternOracle, StarOracle,
+    oracle_for, CliqueOracle, DiamondOracle, GenericPatternOracle, StarOracle, SubstrateRepair,
 };
 use dsd::core::size_constrained::greedy_trim;
-use dsd::core::{CoreExactConfig, DensityOracle, Substrates};
+use dsd::core::{CliqueCoreDecomposition, CoreExactConfig, DensityOracle, Substrates};
 use dsd::datasets::{chung_lu::chung_lu, er::er};
 use dsd::graph::{Graph, VertexId, VertexSet};
 use dsd::motif::Pattern;
@@ -76,11 +83,16 @@ fn random_graph(rng: &mut StdRng, iteration: usize) -> (Graph, String) {
     }
 }
 
-/// The peel order's residual μ profile, replayed through `removal_decrements`
-/// from the initial degrees: entry `i` is the instance count after `i`
-/// removals.
-fn replayed_profile(g: &Graph, oracle: &dyn DensityOracle, order: &[VertexId]) -> Vec<u64> {
-    let mut alive = VertexSet::full(g.num_vertices());
+/// The peel order's residual μ profile over `g[alive]`, replayed through
+/// `removal_decrements` from the initial degrees: entry `i` is the
+/// instance count after `i` removals.
+fn replayed_profile(
+    g: &Graph,
+    oracle: &dyn DensityOracle,
+    alive: &VertexSet,
+    order: &[VertexId],
+) -> Vec<u64> {
+    let mut alive = alive.clone();
     let mut deg = oracle.degrees(g, &alive);
     let mut mu = deg.iter().sum::<u64>() / oracle.psi_size() as u64;
     let mut profile = vec![mu];
@@ -118,21 +130,22 @@ fn in_loop_best(profile: &[u64]) -> (usize, f64) {
     (best_suffix, best_density)
 }
 
-/// The DalkS fallback as a replay of the peel order: recompute μ along the
-/// peel with `removal_decrements` and keep the first strict maximum among
-/// the residual graphs with at least `k` vertices.
+/// The DalkS fallback as a replay of the peel order of `g[alive]`:
+/// recompute μ along the peel with `removal_decrements` and keep the first
+/// strict maximum among the residual graphs with at least `k` vertices.
 fn replayed_at_least_k(
     g: &Graph,
     oracle: &dyn DensityOracle,
+    alive: &VertexSet,
     order: &[VertexId],
     k: usize,
 ) -> Option<(Vec<VertexId>, f64)> {
-    let n = g.num_vertices();
+    let n = alive.len();
     if k > n || k == 0 {
         return None;
     }
     let mut best: Option<(f64, usize)> = None;
-    let mut alive = VertexSet::full(n);
+    let mut alive = alive.clone();
     let mut deg = oracle.degrees(g, &alive);
     let mut mu = deg.iter().sum::<u64>() / oracle.psi_size() as u64;
     for (i, &v) in order.iter().enumerate().take(n - k + 1) {
@@ -203,6 +216,9 @@ fn assert_same(got: Option<(Vec<VertexId>, f64)>, want: Option<(Vec<VertexId>, f
 fn profile_scan_matches_replayed_peel() {
     let iters = prop_iters(12);
     let mut rng = StdRng::seed_from_u64(0x5E1F_DA1C);
+    // The repairs draw from their own stream, so the graphs stay put.
+    let mut repair_rng = StdRng::seed_from_u64(0x7E9A_12ED);
+    let mut tally = Coverage::default();
     for it in 0..iters {
         let (g, label) = random_graph(&mut rng, it);
         let n = g.num_vertices();
@@ -212,7 +228,8 @@ fn profile_scan_matches_replayed_peel() {
             let dec = s.decomposition();
             assert_eq!(dec.peel_order.len(), n, "{ctx}: whole-graph peel");
 
-            let profile = replayed_profile(&g, streaming.as_ref(), &dec.peel_order);
+            let full = VertexSet::full(n);
+            let profile = replayed_profile(&g, streaming.as_ref(), &full, &dec.peel_order);
             assert_eq!(dec.residual_mu, profile, "{ctx}: residual mu profile");
             assert_eq!(dec.residual_mu[0], dec.mu, "{ctx}: profile starts at mu");
             assert_eq!(dec.residual_mu[n], 0, "{ctx}: profile ends at 0");
@@ -235,7 +252,7 @@ fn profile_scan_matches_replayed_peel() {
                     vs.sort_unstable();
                     (vs, rho)
                 });
-                let want = replayed_at_least_k(&g, streaming.as_ref(), &dec.peel_order, k);
+                let want = replayed_at_least_k(&g, streaming.as_ref(), &full, &dec.peel_order, k);
                 assert_same(scan, want.clone(), &format!("{ctx} scan k={k}"));
 
                 let o = s
@@ -248,7 +265,151 @@ fn profile_scan_matches_replayed_peel() {
             }
             assert!(dec.densest_suffix(0).is_none(), "{ctx}: k = 0");
             assert!(dec.densest_suffix(n + 1).is_none(), "{ctx}: k > n");
+
+            // TopK's residual rounds peel the graph minus the answers so
+            // far; PeelApp's S* stands in for the first answer.
+            let mut residual = full.clone();
+            for v in dec.best_residual() {
+                residual.remove(v);
+            }
+            let engine_oracle = oracle_for(&psi);
+            let within = decompose_within(&g, engine_oracle.as_ref(), &residual);
+            let residual_ctx = format!("{ctx} residual");
+            let straddled =
+                check_lookups(&g, streaming.as_ref(), &residual, &within, &residual_ctx);
+            tally.straddled += usize::from(straddled);
+
+            // A repaired store: one edge out, one in, re-peeled through the
+            // repaired oracle (clique and general-pattern stores).
+            if let Some((g_new, repaired)) = repaired_oracle(&g, &psi, &mut repair_rng) {
+                let s = Substrates::cold(&g_new, &psi).with_oracle(Arc::clone(&repaired));
+                let store = repaired.store(&g_new).expect("repaired store");
+                tally.tombstoned += usize::from(store.tombstoned_rows() > 0);
+                let ctx = format!("{ctx} repaired");
+                let straddled =
+                    check_lookups(&g_new, streaming.as_ref(), &full, s.decomposition(), &ctx);
+                tally.straddled += usize::from(straddled);
+                check_fallbacks(&g_new, streaming.as_ref(), &s, &ctx);
+            }
         }
+    }
+    // μ = 0: a forest has no triangle, 4-clique, diamond or 2-triangle,
+    // and an edgeless graph no instance at all.
+    let forest = Graph::from_edges(9, &[(0, 1), (1, 2), (1, 3), (4, 5), (5, 6)]);
+    for g in [forest, Graph::empty(5)] {
+        let full = VertexSet::full(g.num_vertices());
+        for (psi, streaming) in oracle_pairs() {
+            let s = Substrates::cold(&g, &psi);
+            if s.decomposition().mu > 0 {
+                continue;
+            }
+            tally.mu_zero += 1;
+            let ctx = format!("mu = 0 psi {}", psi.name());
+            check_lookups(&g, streaming.as_ref(), &full, s.decomposition(), &ctx);
+            check_fallbacks(&g, streaming.as_ref(), &s, &ctx);
+        }
+    }
+    assert!(
+        tally.straddled >= iters && tally.tombstoned >= iters / 2 && tally.mu_zero >= 6,
+        "coverage: {tally:?}"
+    );
+}
+
+/// How often the extended profile checks met each case they cover.
+#[derive(Debug, Default)]
+struct Coverage {
+    /// Decompositions with μ > 0 and a Ψ-isolated prefix, whose every-k
+    /// check puts k on both sides of the prefix boundary.
+    straddled: usize,
+    /// Repaired stores carrying tombstoned rows.
+    tombstoned: usize,
+    /// Instance-free graphs.
+    mu_zero: usize,
+}
+
+/// Requires `dec`, a decomposition of `g[alive]`, to match the replay of
+/// its peel order: the profile, ρ′ and S*, and the lookup for every k
+/// (and none for k = 0 or k > |alive|). Returns whether the peel had a
+/// Ψ-isolated prefix and μ > 0, so that the k loop crossed the prefix
+/// boundary.
+fn check_lookups(
+    g: &Graph,
+    streaming: &dyn DensityOracle,
+    alive: &VertexSet,
+    dec: &CliqueCoreDecomposition,
+    ctx: &str,
+) -> bool {
+    let n = alive.len();
+    assert_eq!(dec.peel_order.len(), n, "{ctx}: every alive vertex peeled");
+    let profile = replayed_profile(g, streaming, alive, &dec.peel_order);
+    assert_eq!(dec.residual_mu, profile, "{ctx}: residual mu profile");
+    let (suffix, best) = in_loop_best(&profile);
+    assert_eq!(
+        dec.best_density.to_bits(),
+        best.to_bits(),
+        "{ctx}: rho' bits"
+    );
+    assert_eq!(
+        dec.best_residual(),
+        dec.peel_order[suffix..].to_vec(),
+        "{ctx}: best residual"
+    );
+    for k in 0..=n + 1 {
+        let lookup = dec.densest_suffix(k).map(|(i, rho)| {
+            let mut vs = dec.peel_order[i..].to_vec();
+            vs.sort_unstable();
+            (vs, rho)
+        });
+        let want = replayed_at_least_k(g, streaming, alive, &dec.peel_order, k);
+        assert_same(lookup, want, &format!("{ctx} lookup k={k}"));
+    }
+    let deg = streaming.degrees(g, alive);
+    let prefix = alive.iter().filter(|&v| deg[v as usize] == 0).count();
+    dec.mu > 0 && prefix > 0
+}
+
+/// The engine's DalkS fallback on `s` answers the replay for every k.
+fn check_fallbacks(g: &Graph, streaming: &dyn DensityOracle, s: &Substrates<'_>, ctx: &str) {
+    let n = g.num_vertices();
+    let (full, order) = (VertexSet::full(n), &s.decomposition().peel_order);
+    for k in 1..=n {
+        let o = s
+            .densest_at_least_k(k, CoreExactConfig::default())
+            .expect("1 <= k <= n");
+        if !o.exact {
+            let want = replayed_at_least_k(g, streaming, &full, order, k);
+            let got = Some((o.result.vertices, o.result.density));
+            assert_same(got, want, &format!("{ctx} DalkS fallback k={k}"));
+        }
+    }
+}
+
+/// `g` with one random edge removed and one absent edge inserted, and
+/// `psi`'s store-backed oracle repaired in place across that batch —
+/// `None` when `psi` keeps no store or the graph has no edge to remove.
+fn repaired_oracle(
+    g: &Graph,
+    psi: &Pattern,
+    rng: &mut StdRng,
+) -> Option<(Graph, Arc<dyn DensityOracle>)> {
+    let n = g.num_vertices() as VertexId;
+    let edges: Vec<(VertexId, VertexId)> = g.edges().collect();
+    if edges.is_empty() {
+        return None;
+    }
+    let removed = [edges[rng.gen_range(0..edges.len())]];
+    let absent = (0..n)
+        .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+        .find(|&(u, v)| !g.has_edge(u, v));
+    let inserted: Vec<_> = absent.into_iter().collect();
+    let kept: Vec<_> = edges.iter().copied().filter(|e| *e != removed[0]).collect();
+    let g_mid = Graph::from_edges(n as usize, &kept);
+    let g_new = Graph::from_edges(n as usize, &[kept, inserted.clone()].concat());
+    let oracle = oracle_for(psi);
+    oracle.store(g)?;
+    match oracle.repair_for_update(&g_new, &g_mid, &inserted, &removed) {
+        SubstrateRepair::Repaired(repaired, _) => Some((g_new, repaired)),
+        _ => None,
     }
 }
 
