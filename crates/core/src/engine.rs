@@ -453,7 +453,7 @@ impl KeySlot {
         let pool = self.pool.lock().unwrap();
         let networks = pool.entries.values().map(|net| net.bytes as u64);
         networks
-            .chain(pool.records.values().map(|(_, bytes)| *bytes as u64))
+            .chain(pool.records.values().map(|kept| kept.bytes as u64))
             .sum()
     }
 
@@ -491,9 +491,10 @@ impl KeySlot {
 ///
 /// Beside the networks it keeps the located-region records that lead to
 /// them ([`Located`]): CoreExact's located core per (removed set,
-/// Pruning1/2) and the query variant's anchored core per (Q). A record is
-/// shared, never lent. Records are charged and evicted like the networks,
-/// with their Ψ key, and every effective update drops them.
+/// Pruning1/2) and the query variant's anchored core per (Q), each with
+/// its key, so a fingerprint collision reads as a miss here too. A
+/// record is shared, never lent. Records are charged and evicted like
+/// the networks, with their Ψ key, and every effective update drops them.
 #[derive(Default)]
 struct Pool {
     /// Lent-out-able networks by fingerprint.
@@ -501,9 +502,8 @@ struct Pool {
     /// Fingerprints lent out (or being built), with the id of the
     /// [`EngineLender`] that holds each.
     lent: HashMap<u64, u64>,
-    /// Located-region records by region fingerprint, with their byte
-    /// footprint.
-    records: HashMap<u64, (Located, usize)>,
+    /// Located-region records by region fingerprint.
+    records: HashMap<u64, Kept>,
 }
 
 impl Pool {
@@ -570,6 +570,48 @@ impl Pooled {
     }
 }
 
+/// A located-region record with the [`RegionKey`] it was kept under.
+struct Kept {
+    /// `RegionKey::Core`'s Pruning1/2 switches; `None` for a query key.
+    pruning: Option<(bool, bool)>,
+    /// The removed set or the normalised query.
+    set: Vec<VertexId>,
+    record: Located,
+    /// Footprint of the record and its key set.
+    bytes: usize,
+}
+
+impl Kept {
+    fn new(key: &RegionKey<'_>, record: Located) -> Self {
+        let (pruning, set) = region_parts(key);
+        Kept {
+            bytes: record.bytes() + std::mem::size_of_val(set),
+            pruning,
+            set: set.to_vec(),
+            record,
+        }
+    }
+
+    /// Whether this record was kept under exactly `key`: another key
+    /// with the same fingerprint is a collision, and the lookup misses.
+    fn answers(&self, key: &RegionKey<'_>) -> bool {
+        (self.pruning, &self.set[..]) == region_parts(key)
+    }
+}
+
+/// What a [`RegionKey`] holds: the Pruning1/2 switches of a core key
+/// (`None` for a query key) and its vertex set.
+fn region_parts<'k>(key: &RegionKey<'k>) -> (Option<(bool, bool)>, &'k [VertexId]) {
+    match *key {
+        RegionKey::Core {
+            removed,
+            pruning1,
+            pruning2,
+        } => (Some((pruning1, pruning2)), removed),
+        RegionKey::Query(query) => (None, query),
+    }
+}
+
 /// Hashes one ascending vertex set, length first, in place, one mixing
 /// step per id.
 fn write_set(h: &mut Fnv, set: &[VertexId]) {
@@ -598,22 +640,16 @@ fn member_fingerprint(members: &[VertexId], pinned: &[VertexId]) -> u64 {
 /// [`Pool`]. The leading tag keeps the two kinds of record apart.
 fn region_fingerprint(key: &RegionKey<'_>) -> u64 {
     let mut h = Fnv::new();
-    match *key {
-        RegionKey::Core {
-            removed,
-            pruning1,
-            pruning2,
-        } => {
+    let (pruning, set) = region_parts(key);
+    match pruning {
+        Some((pruning1, pruning2)) => {
             h.write_u64(1);
             h.write_u64(pruning1 as u64);
             h.write_u64(pruning2 as u64);
-            write_set(&mut h, removed);
         }
-        RegionKey::Query(query) => {
-            h.write_u64(2);
-            write_set(&mut h, query);
-        }
+        None => h.write_u64(2),
     }
+    write_set(&mut h, set);
     h.finish()
 }
 
@@ -713,8 +749,8 @@ impl NetworkLender for EngineLender<'_, '_> {
             .unwrap()
             .records
             .get(&region_fingerprint(key))
-            .map(|(record, _)| record.clone())
-            .filter(|record| record.answers(key));
+            .filter(|kept| kept.answers(key))
+            .map(|kept| kept.record.clone());
         self.engine.count(|c| match record {
             Some(_) => c.located_hits += 1,
             None => c.located_misses += 1,
@@ -723,10 +759,9 @@ impl NetworkLender for EngineLender<'_, '_> {
     }
 
     fn keep_located(&self, key: &RegionKey<'_>, record: Located) {
-        let bytes = record.bytes();
+        let kept = Kept::new(key, record);
         let mut pool = self.slot.pool.lock().unwrap();
-        pool.records
-            .insert(region_fingerprint(key), (record, bytes));
+        pool.records.insert(region_fingerprint(key), kept);
     }
 }
 
@@ -1909,6 +1944,62 @@ pub(crate) mod tests {
         }
         let stats = engine.cache_stats();
         assert_eq!((stats.network_hits, stats.network_misses), (0, 2));
+    }
+
+    /// A located-region record answers only the key it was kept under: a
+    /// request whose key hashes to the print the record is filed under (a
+    /// fingerprint collision) misses, whether it differs in the removed
+    /// set, a Pruning switch or its kind.
+    #[test]
+    fn a_located_record_collision_reads_as_a_miss() {
+        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (0, 3), (2, 3), (3, 4), (4, 5)]);
+        let engine = DsdEngine::over(&g);
+        let psi = Pattern::edge();
+        let cds = engine.request(&psi).method(Method::CoreExact).solve();
+        assert_eq!(cds.vertices, [0, 1, 2, 3]);
+        let lender = EngineLender::new(&engine, &pattern_key(&psi));
+        let (print, pruning, set) = {
+            let pool = lender.slot.pool.lock().unwrap();
+            assert_eq!(pool.records.len(), 1);
+            let (&print, kept) = pool.records.iter().next().unwrap();
+            (print, kept.pruning.expect("a core key"), kept.set.clone())
+        };
+        let filed = RegionKey::Core {
+            removed: &set,
+            pruning1: pruning.0,
+            pruning2: pruning.1,
+        };
+        let before = engine.cache_stats();
+        let others = [
+            RegionKey::Core {
+                removed: &[5],
+                pruning1: pruning.0,
+                pruning2: pruning.1,
+            },
+            RegionKey::Core {
+                removed: &set,
+                pruning1: !pruning.0,
+                pruning2: pruning.1,
+            },
+            RegionKey::Query(&set),
+        ];
+        for other in others {
+            // File the record under the print `other` hashes to.
+            {
+                let mut pool = lender.slot.pool.lock().unwrap();
+                let kept = pool.records.remove(&print).expect("still kept");
+                pool.records.insert(region_fingerprint(&other), kept);
+            }
+            assert!(lender.located(&other).is_none(), "{other:?}");
+            let mut pool = lender.slot.pool.lock().unwrap();
+            let kept = pool.records.remove(&region_fingerprint(&other)).unwrap();
+            assert!(kept.answers(&filed));
+            pool.records.insert(print, kept);
+        }
+        assert!(lender.located(&filed).is_some());
+        let after = engine.cache_stats();
+        assert_eq!(after.located_misses - before.located_misses, 3);
+        assert_eq!(after.located_hits - before.located_hits, 1);
     }
 
     /// A network `apply` carries into the next epoch is a fresh build's

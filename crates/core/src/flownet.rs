@@ -505,14 +505,6 @@ impl Located {
             Located::Query(region) => region.bytes(),
         }
     }
-
-    /// Whether this record answers `key`'s kind of request.
-    pub(crate) fn answers(&self, key: &RegionKey<'_>) -> bool {
-        matches!(
-            (self, key),
-            (Located::Core(_), RegionKey::Core { .. }) | (Located::Query(_), RegionKey::Query(_))
-        )
-    }
 }
 
 /// A pool lending out already-built [`DensityNetwork`]s, keyed by the

@@ -857,19 +857,13 @@ pub fn density(oracle: &dyn DensityOracle, g: &Graph, alive: &VertexSet) -> f64 
     }
 }
 
-/// [`density`] of the subgraph induced by a member list. A store counts
-/// the members' own rows ([`InstanceStore::count_among`]) rather than
-/// scanning every row.
+/// [`density`] of the subgraph induced by a member list.
 pub(crate) fn member_density(oracle: &dyn DensityOracle, g: &Graph, members: &[VertexId]) -> f64 {
-    let alive = VertexSet::from_members(g.num_vertices(), members);
-    if alive.is_empty() {
-        return 0.0;
-    }
-    let count = match oracle.store(g) {
-        Some(store) if members.len() == alive.len() => store.count_among(members, &alive),
-        _ => oracle.count(g, &alive),
-    };
-    count as f64 / alive.len() as f64
+    density(
+        oracle,
+        g,
+        &VertexSet::from_members(g.num_vertices(), members),
+    )
 }
 
 #[cfg(test)]

@@ -498,35 +498,6 @@ impl InstanceStore {
             .sum()
     }
 
-    /// [`Self::count_within`] for an `alive` set also given as its member
-    /// list (any order, no repeats), counted member-locally: each live row
-    /// once, from its smallest member, through the members' incidence
-    /// lists. When those lists together outgrow the row count (hub-heavy
-    /// sets) it scans the rows instead, so it never costs more than
-    /// [`Self::count_within`] beyond summing the list lengths.
-    pub fn count_among(&self, members: &[VertexId], alive: &VertexSet) -> u64 {
-        debug_assert_eq!(members.len(), alive.len(), "`members` lists `alive`");
-        debug_assert_eq!(
-            self.inc_rows.len(),
-            self.members.len(),
-            "the incidence CSR indexes every row"
-        );
-        let incident: usize = members.iter().map(|&v| self.incidence(v).len()).sum();
-        if incident > self.rows() {
-            return self.count_within(alive);
-        }
-        let mut count = 0;
-        for &v in members {
-            for &row in self.incidence(v) {
-                let row = row as usize;
-                if self.members(row)[0] == v && self.row_live(row, alive) {
-                    count += self.weight(row);
-                }
-            }
-        }
-        count
-    }
-
     /// Repairs an h-clique store in place across an edge batch. `g` is
     /// the **post-batch** graph; `inserted` / `removed` are the net edge
     /// changes (no key in both, endpoints within the stored vertex
@@ -1223,88 +1194,6 @@ mod tests {
             }
         }
         (inserted, removed)
-    }
-
-    /// The member-local count equals the row scan on seeded member sets:
-    /// small ones walk their incidence lists, hub-heavy and large ones
-    /// fall back to the scan. Clique stores, weighted pattern stores and
-    /// stores repaired with tombstoned rows.
-    #[test]
-    fn member_local_count_matches_the_row_scan() {
-        let mut state = 0x00c0_ffeeu64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state as usize
-        };
-        let (mut walked, mut scanned, mut tombstoned) = (0, 0, 0);
-        for (seed, n, per_mille) in [(7, 80, 150), (31, 50, 300)] {
-            // Vertex 0 is a hub adjacent to every other vertex.
-            let mut b = GraphBuilder::new(n);
-            for (u, v) in edges_of(&random_graph(seed, n, per_mille)) {
-                b.add_edge(u, v);
-            }
-            for v in 1..n as VertexId {
-                b.add_edge(0, v);
-            }
-            let g = b.build();
-            let full = VertexSet::full(n);
-            let mut stores = Vec::new();
-            for h in 2..=4 {
-                stores.push(InstanceStore::cliques(&g, h, &full, 1, None).unwrap().0);
-            }
-            for psi in [Pattern::two_star(), Pattern::diamond()] {
-                stores.push(InstanceStore::pattern(&g, &psi, &full, 1, None).unwrap().0);
-            }
-            // Two non-hub edges removed: too few dead rows to compact.
-            let removed: EdgeList = edges_of(&g)
-                .into_iter()
-                .filter(|&(u, _)| u != 0)
-                .take(2)
-                .collect();
-            let g_new = with_batch(&g, &[], &removed);
-            for h in 3..=4 {
-                let (mut store, _) = InstanceStore::cliques(&g, h, &full, 1, None).unwrap();
-                store
-                    .repair_cliques(&g_new, &[], &removed, &full, None)
-                    .unwrap();
-                stores.push(store);
-            }
-            for store in &stores {
-                if store.tombstoned_rows() > 0 {
-                    tombstoned += 1;
-                }
-                for round in 0..40 {
-                    let size = 1 + next() % if round % 4 == 0 { n } else { 8 };
-                    let mut picked: Vec<VertexId> =
-                        (0..size).map(|_| (next() % n) as VertexId).collect();
-                    if round % 3 == 0 {
-                        picked.push(0);
-                    }
-                    let alive = VertexSet::from_members(n, &picked);
-                    // Any order: descending ids.
-                    let mut members = alive.to_vec();
-                    members.reverse();
-                    let incident: usize = members.iter().map(|&v| store.incidence(v).len()).sum();
-                    if incident > store.rows() {
-                        scanned += 1;
-                    } else {
-                        walked += 1;
-                    }
-                    assert_eq!(
-                        store.count_among(&members, &alive),
-                        store.count_within(&alive),
-                        "seed {seed}, psi size {}, members {members:?}",
-                        store.psi_size()
-                    );
-                }
-            }
-        }
-        assert!(
-            walked >= 200 && scanned >= 50 && tombstoned >= 4,
-            "walked {walked}, scanned {scanned}, tombstoned {tombstoned}"
-        );
     }
 
     #[test]
