@@ -6,14 +6,9 @@
 //! graphs with degeneracy `c`, out-neighbourhoods have size ≤ `c`, which is
 //! what makes 5- and 6-clique listing feasible on sparse skewed graphs.
 //!
-//! Candidate intersection — the inner loop of the recursion — runs on one
-//! of two kernels chosen per root: the classic two-pointer merge over
-//! id-sorted out-lists, or, for dense high-degeneracy roots where merging
-//! dominates, word-packed bitmaps over the root's candidate universe
-//! intersected with `u64` AND + `count_ones` and iterated by
-//! `trailing_zeros`. Both kernels emit the same cliques in the same order;
-//! the crossover is a pure throughput decision (see
-//! [`CliqueLister::with_bitset`]).
+//! Candidate intersection — the inner loop of the recursion — is a
+//! two-pointer merge over id-sorted out-lists, so every level visits its
+//! candidates in ascending id order.
 //!
 //! [`CliqueLister`] is the one kClist recursion: the serial listers here,
 //! the parallel degree pass and the sharded clique-store build all drive
@@ -27,7 +22,7 @@ use dsd_graph::{degeneracy_order, Graph, VertexId, VertexSet};
 /// per-vertex headers and heap scatter of the old `Vec<Vec<_>>` shape were
 /// a measurable slice of every cold enumeration (and of every rebuild an
 /// eviction forces).
-pub(crate) struct OutCsr {
+struct OutCsr {
     offsets: Vec<usize>,
     targets: Vec<VertexId>,
 }
@@ -35,14 +30,14 @@ pub(crate) struct OutCsr {
 impl OutCsr {
     /// The id-sorted out-neighbours of `v` (empty outside `alive`).
     #[inline]
-    pub(crate) fn row(&self, v: VertexId) -> &[VertexId] {
+    fn row(&self, v: VertexId) -> &[VertexId] {
         &self.targets[self.offsets[v as usize]..self.offsets[v as usize + 1]]
     }
 }
 
 /// Materializes the [`OutCsr`] for `g[alive]`, so intersections are linear
 /// merges over contiguous memory.
-pub(crate) fn build_out_csr(g: &Graph, alive: &VertexSet) -> OutCsr {
+fn build_out_csr(g: &Graph, alive: &VertexSet) -> OutCsr {
     let dag = degeneracy_order(g);
     let n = g.num_vertices();
     let mut offsets = vec![0usize; n + 1];
@@ -59,110 +54,12 @@ pub(crate) fn build_out_csr(g: &Graph, alive: &VertexSet) -> OutCsr {
 }
 
 /// Reusable per-worker scratch for [`CliqueLister`] traversals: the chain
-/// under construction, a pool of candidate buffers for the merge kernel,
-/// and the root bitmap + word-buffer pool for the bitset kernel, so sharded
-/// enumeration allocates nothing per clique.
+/// under construction and a pool of candidate buffers for the merge's
+/// intersections.
 #[derive(Default)]
 pub struct CliqueScratch {
     clique: Vec<VertexId>,
     pool: Vec<Vec<VertexId>>,
-    bitmap: RootBitmap,
-    word_pool: Vec<Vec<u64>>,
-}
-
-/// Word-packed adjacency bitmaps over one root's out-list universe.
-///
-/// Local index = position in the root's id-sorted out-list, so ascending
-/// bit order is ascending id order and the bitset recursion emits cliques
-/// in exactly the sequence the merge recursion does. `rows` is one `u64`
-/// matrix: row `j` marks, for each universe position `b`, whether
-/// `universe[b]` is an out-neighbour of `universe[j]`. An intersection is
-/// then a word-wise AND — the level-1 intersection is the row itself.
-#[derive(Default)]
-struct RootBitmap {
-    words: usize,
-    universe: Vec<VertexId>,
-    rows: Vec<u64>,
-}
-
-impl RootBitmap {
-    /// The root's id-sorted out-list the bitmaps are indexed by.
-    #[inline]
-    fn universe(&self) -> &[VertexId] {
-        &self.universe
-    }
-
-    /// The adjacency bitmap of `universe[j]` restricted to the universe.
-    #[inline]
-    fn row(&self, j: usize) -> &[u64] {
-        &self.rows[j * self.words..(j + 1) * self.words]
-    }
-
-    /// (Re)builds the bitmaps for `root`'s universe, reusing the buffers.
-    /// Cost: one two-pointer merge of each candidate's out-list against the
-    /// universe — the same work the merge kernel's first level does, here
-    /// paid once and amortized over every deeper intersection.
-    fn build(&mut self, out: &OutCsr, root: VertexId) {
-        self.universe.clear();
-        self.universe.extend_from_slice(out.row(root));
-        let d = self.universe.len();
-        self.words = d.div_ceil(64);
-        self.rows.clear();
-        self.rows.resize(d * self.words, 0);
-        let RootBitmap {
-            words,
-            universe,
-            rows,
-        } = self;
-        for (i, &u) in universe.iter().enumerate() {
-            let row = &mut rows[i * *words..(i + 1) * *words];
-            let urow = out.row(u);
-            let (mut a, mut b) = (0usize, 0usize);
-            while a < urow.len() && b < universe.len() {
-                match urow[a].cmp(&universe[b]) {
-                    std::cmp::Ordering::Less => a += 1,
-                    std::cmp::Ordering::Greater => b += 1,
-                    std::cmp::Ordering::Equal => {
-                        row[b / 64] |= 1 << (b % 64);
-                        a += 1;
-                        b += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Writes the all-ones candidate mask for the full universe into `buf`
-    /// (the last word trimmed to the universe length).
-    fn full_mask(&self, buf: &mut Vec<u64>) {
-        buf.clear();
-        buf.resize(self.words, !0u64);
-        let d = self.universe.len();
-        if !d.is_multiple_of(64) {
-            if let Some(last) = buf.last_mut() {
-                *last = (1u64 << (d % 64)) - 1;
-            }
-        }
-    }
-}
-
-/// Roots below this out-degree always take the merge kernel: a bitmap
-/// smaller than one word can't beat a short two-pointer merge.
-const BITSET_MIN_UNIVERSE: usize = 64;
-
-/// The per-root crossover: bitmaps win when the merge kernel's level-1
-/// work (each candidate's out-list merged against the universe, capped at
-/// the universe size) comfortably exceeds the word-wise cost of building
-/// and ANDing the bitmaps. The 2x margin keeps sparse roots — where the
-/// merge touches a handful of elements — on the cheaper two-pointer path.
-pub(crate) fn bitset_worthwhile(out: &OutCsr, universe: &[VertexId]) -> bool {
-    let d = universe.len();
-    if d < BITSET_MIN_UNIVERSE {
-        return false;
-    }
-    let words = d.div_ceil(64);
-    let merge_cost: usize = universe.iter().map(|&u| out.row(u).len().min(d)).sum();
-    merge_cost >= 2 * d * words
 }
 
 /// A shareable h-clique enumeration context: the degeneracy-oriented DAG's
@@ -177,26 +74,15 @@ pub(crate) fn bitset_worthwhile(out: &OutCsr, universe: &[VertexId]) -> bool {
 pub struct CliqueLister {
     h: usize,
     out: OutCsr,
-    bitset: bool,
 }
 
 impl CliqueLister {
-    /// Builds the shared context for h-cliques of `g[alive]`, `h >= 2`,
-    /// with the bitset kernel armed past the per-root crossover.
+    /// Builds the shared context for h-cliques of `g[alive]`, `h >= 2`.
     pub fn new(g: &Graph, h: usize, alive: &VertexSet) -> Self {
-        Self::with_bitset(g, h, alive, true)
-    }
-
-    /// [`CliqueLister::new`] with the bitset kernel allowed (`true`, the
-    /// default) or forced off — what the differential suite and the
-    /// merge-only ablation use. Emitted cliques and their order are
-    /// identical either way.
-    pub fn with_bitset(g: &Graph, h: usize, alive: &VertexSet, bitset: bool) -> Self {
         assert!(h >= 2, "CliqueLister needs h >= 2");
         CliqueLister {
             h,
             out: build_out_csr(g, alive),
-            bitset,
         }
     }
 
@@ -211,31 +97,14 @@ impl CliqueLister {
     ) -> bool {
         scratch.clique.clear();
         scratch.clique.push(root);
-        let row = self.out.row(root);
-        if self.bitset && self.h >= 3 && bitset_worthwhile(&self.out, row) {
-            let cand_count = row.len();
-            scratch.bitmap.build(&self.out, root);
-            let mut cand = scratch.word_pool.pop().unwrap_or_default();
-            scratch.bitmap.full_mask(&mut cand);
-            rec_bitset(
-                &scratch.bitmap,
-                &mut scratch.clique,
-                cand,
-                cand_count,
-                self.h,
-                &mut scratch.word_pool,
-                f,
-            )
-        } else {
-            rec(
-                &self.out,
-                &mut scratch.clique,
-                row.to_vec(),
-                self.h,
-                &mut scratch.pool,
-                f,
-            )
-        }
+        rec(
+            &self.out,
+            &mut scratch.clique,
+            self.out.row(root).to_vec(),
+            self.h,
+            &mut scratch.pool,
+            f,
+        )
     }
 }
 
@@ -311,70 +180,6 @@ fn rec<F: FnMut(&[VertexId]) -> bool>(
         pool.push(next);
         if !keep {
             return false;
-        }
-    }
-    true
-}
-
-/// The bitset twin of [`rec`]: `cand` is a word mask over the root's
-/// universe (`cand_count` set bits), intersections are word-wise AND with
-/// `count_ones` accumulating the survivor count for the same
-/// not-enough-candidates prune, and leaves walk set bits by
-/// `trailing_zeros` — ascending local index, i.e. ascending id, so the
-/// emission sequence is bit-identical to the merge kernel's.
-fn rec_bitset<F: FnMut(&[VertexId]) -> bool>(
-    bm: &RootBitmap,
-    clique: &mut Vec<VertexId>,
-    cand: Vec<u64>,
-    cand_count: usize,
-    h: usize,
-    pool: &mut Vec<Vec<u64>>,
-    f: &mut F,
-) -> bool {
-    if clique.len() + 1 == h {
-        for (w, &word) in cand.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let j = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                clique.push(bm.universe()[j]);
-                let keep = f(clique);
-                clique.pop();
-                if !keep {
-                    return false;
-                }
-            }
-        }
-        return true;
-    }
-    if clique.len() + cand_count < h {
-        return true; // not enough candidates left
-    }
-    for (w, &word) in cand.iter().enumerate() {
-        let mut bits = word;
-        while bits != 0 {
-            let j = w * 64 + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let mut next = pool.pop().unwrap_or_default();
-            next.clear();
-            next.resize(cand.len(), 0);
-            let row = bm.row(j);
-            let mut cnt = 0usize;
-            for k in 0..cand.len() {
-                let x = cand[k] & row[k];
-                cnt += x.count_ones() as usize;
-                next[k] = x;
-            }
-            let mut keep = true;
-            if clique.len() + 1 + cnt >= h {
-                clique.push(bm.universe()[j]);
-                keep = rec_bitset(bm, clique, std::mem::take(&mut next), cnt, h, pool, f);
-                clique.pop();
-            }
-            pool.push(next);
-            if !keep {
-                return false;
-            }
         }
     }
     true
@@ -661,68 +466,6 @@ mod tests {
         let g = k(3);
         assert_eq!(count_cliques(&g, 4), 0);
         assert_eq!(count_cliques(&g, 10), 0);
-    }
-
-    #[test]
-    fn bitset_kernel_matches_merge_kernel_exactly() {
-        // Dense enough that high-degree roots cross the bitset threshold.
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let n = 160usize;
-        let mut b = GraphBuilder::new(n);
-        for u in 0..n as u32 {
-            for v in (u + 1)..n as u32 {
-                if next() % 100 < 55 {
-                    b.add_edge(u, v);
-                }
-            }
-        }
-        let g = b.build();
-        let alive = VertexSet::full(n);
-        for h in 3..=4 {
-            let merge = CliqueLister::with_bitset(&g, h, &alive, false);
-            let bits = CliqueLister::with_bitset(&g, h, &alive, true);
-            assert!(
-                alive
-                    .iter()
-                    .any(|v| bitset_worthwhile(&bits.out, bits.out.row(v))),
-                "test graph too sparse to exercise the bitset kernel"
-            );
-            let mut sm = CliqueScratch::default();
-            let mut sb = CliqueScratch::default();
-            let mut seq_m: Vec<Vec<VertexId>> = Vec::new();
-            let mut seq_b: Vec<Vec<VertexId>> = Vec::new();
-            for v in alive.iter() {
-                merge.for_each_rooted_until(v, &mut sm, &mut |c: &[VertexId]| {
-                    seq_m.push(c.to_vec());
-                    true
-                });
-                bits.for_each_rooted_until(v, &mut sb, &mut |c: &[VertexId]| {
-                    seq_b.push(c.to_vec());
-                    true
-                });
-            }
-            assert!(!seq_m.is_empty(), "h = {h}");
-            assert_eq!(seq_m, seq_b, "emission sequence differs at h = {h}");
-
-            // Abort semantics match too: stop after 500 cliques.
-            let cap = 500.min(seq_m.len());
-            let mut got = 0usize;
-            for v in alive.iter() {
-                if !bits.for_each_rooted_until(v, &mut sb, &mut |_: &[VertexId]| {
-                    got += 1;
-                    got < cap
-                }) {
-                    break;
-                }
-            }
-            assert_eq!(got, cap, "abort after {cap} cliques, h = {h}");
-        }
     }
 
     #[test]

@@ -246,7 +246,7 @@ pub fn clique_degrees_parallel_within(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kclist::{bitset_worthwhile, build_out_csr, clique_degrees_within};
+    use crate::kclist::clique_degrees_within;
     use dsd_graph::GraphBuilder;
 
     fn random_graph(seed: u64, n: usize, percent: u64) -> Graph {
@@ -294,18 +294,13 @@ mod tests {
     }
 
     #[test]
-    fn dense_roots_cross_bitset_threshold_and_match() {
-        // Dense enough that high-degree roots take the bitset kernel.
+    fn dense_roots_match_sharded_and_serial() {
+        // Dense enough that roots' out-lists run past 64 vertices.
         let g = random_graph(11, 220, 450);
         let alive = VertexSet::full(220);
-        let out = build_out_csr(&g, &alive);
-        assert!(
-            alive.iter().any(|v| bitset_worthwhile(&out, out.row(v))),
-            "test graph too sparse to exercise the bitset kernel"
-        );
         for h in 3..=4usize {
-            // Merge-kernel reference.
-            let lister = crate::kclist::CliqueLister::with_bitset(&g, h, &alive, false);
+            // Serial reference: one lister over every root.
+            let lister = crate::kclist::CliqueLister::new(&g, h, &alive);
             let mut scratch = crate::kclist::CliqueScratch::default();
             let mut seq = vec![0u64; 220];
             for v in alive.iter() {

@@ -102,9 +102,9 @@ pub struct StoreBuildStats {
     pub build_nanos: u128,
     /// Worker shards used by the enumeration (1 = serial).
     pub shards: usize,
-    /// Phase split: nanos building the degeneracy-DAG out-CSR (and, for
-    /// bitset roots, contributing context shared by every worker). 0 for
-    /// general patterns, which enumerate straight off the graph CSR.
+    /// Phase split: nanos building the degeneracy-DAG out-CSR that every
+    /// worker shares. 0 for general patterns, which enumerate straight off
+    /// the graph CSR.
     pub csr_build_nanos: u128,
     /// Phase split: nanos inside enumeration — intersections + emission
     /// into per-worker columns, including the shard concatenation (wall

@@ -1,11 +1,11 @@
 //! Differential suite for enumeration invariance (ISSUE 9).
 //!
-//! The hardware-speed enumeration work swapped kernels and added
-//! sharding underneath every Ψ-instance pass; this suite pins the
-//! contract that none of it is observable:
+//! Sharding and symmetry breaking run underneath every Ψ-instance pass;
+//! this suite pins the contract that none of it is observable:
 //!
-//! * the word-packed **bitset** kClist kernel and the sorted-**merge**
-//!   kernel emit the same cliques in the same order, root by root;
+//! * the kClist lister emits, root by root in ascending order, exactly
+//!   the h-cliques of a plain backtracking reference, on sparse graphs and
+//!   on dense ones whose roots have out-lists of 64 vertices and more;
 //! * **symmetry-broken** pattern enumeration reaches each instance
 //!   exactly once: instances, anchored instances, counts and degrees
 //!   equal a plain backtracking reference that deduplicates every
@@ -14,14 +14,12 @@
 //!   bit-identical to the serial build — same rows in the same order,
 //!   same weights, same incidence CSR — for any worker count;
 //! * end-to-end decompositions (core numbers, kmax, peel order, ρ′
-//!   bits) agree across kernels, shard counts, and the streaming path;
+//!   bits) agree across shard counts and the streaming path;
 //! * the engine's one `apply` repair path (every cached Ψ-store repaired
 //!   on the merged post-batch CSR, whatever the batch size) answers
 //!   bit-identically to a cold rebuild.
 //!
-//! Kernel selection uses the explicit constructor
-//! ([`CliqueLister::with_bitset`]). Shard counts are the `threads`
-//! argument of [`InstanceStore::pattern`].
+//! Shard counts are the `threads` argument of [`InstanceStore::pattern`].
 //!
 //! Iteration counts honour `DSD_PROP_ITERS` like `tests/dynamic.rs`;
 //! nightly CI runs this suite at 5000 iterations.
@@ -33,7 +31,7 @@ use dsd::core::{
     decompose, k_core_decomposition, CliqueCoreDecomposition, DensityOracle, DsdEngine, DsdRequest,
     MaterializedOracle, Method, Objective, Parallelism, Solution,
 };
-use dsd::graph::{Graph, GraphUpdate, VertexId, VertexSet};
+use dsd::graph::{degeneracy_order, Graph, GraphUpdate, VertexId, VertexSet};
 use dsd::motif::kclist::{CliqueLister, CliqueScratch};
 use dsd::motif::store::InstanceStore;
 use dsd::motif::{
@@ -50,8 +48,7 @@ fn prop_iters(default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// G(n, p) with the given bounds — dense enough settings push roots past
-/// the bitset crossover, sparse ones stay on the merge kernel.
+/// G(n, p) with the given bounds.
 fn random_graph(rng: &mut StdRng, n_lo: usize, n_hi: usize, p_lo: f64, p_hi: f64) -> Graph {
     let n = rng.gen_range(n_lo..=n_hi);
     let p = rng.gen_range(p_lo..p_hi);
@@ -64,22 +61,6 @@ fn random_graph(rng: &mut StdRng, n_lo: usize, n_hi: usize, p_lo: f64, p_hi: f64
         }
     }
     Graph::from_edges(n, &edges)
-}
-
-/// Every h-clique of `g` through the chosen kernel, in emission order
-/// (roots ascending, members in rank order within each root).
-fn cliques_with_kernel(g: &Graph, h: usize, bitset: bool) -> Vec<Vec<VertexId>> {
-    let alive = VertexSet::full(g.num_vertices());
-    let lister = CliqueLister::with_bitset(g, h, &alive, bitset);
-    let mut scratch = CliqueScratch::default();
-    let mut out = Vec::new();
-    for v in 0..g.num_vertices() as VertexId {
-        lister.for_each_rooted_until(v, &mut scratch, &mut |c| {
-            out.push(c.to_vec());
-            true
-        });
-    }
-    out
 }
 
 /// Row-order fingerprint of a store: members per row, weights, the
@@ -246,32 +227,92 @@ fn symmetry_broken_enumeration_matches_dedup_reference() {
     }
 }
 
-/// Bitset and merge kernels must emit identical cliques in identical
-/// order — per root, across sparse and crossover-dense graphs.
+/// Test-only clique reference: plain backtracking over ascending ids,
+/// each clique grown by every later neighbour of its last member that is
+/// adjacent to all the others. Sorted member lists, in lexicographic order.
+/// `reference_instances` finds each h-clique h! times and hashes every
+/// embedding, which took 7–22 s per dense graph at h = 4 in a release
+/// build on a 2-vCPU machine, so it referees the sparse graphs only.
+fn reference_cliques(g: &Graph, h: usize) -> Vec<Vec<VertexId>> {
+    fn extend(g: &Graph, h: usize, clique: &mut Vec<VertexId>, out: &mut Vec<Vec<VertexId>>) {
+        if clique.len() == h {
+            out.push(clique.clone());
+            return;
+        }
+        let last = *clique.last().expect("a root is placed first");
+        for &cand in g.neighbors(last).iter().filter(|&&u| u > last) {
+            if clique.iter().all(|&u| g.has_edge(u, cand)) {
+                clique.push(cand);
+                extend(g, h, clique, out);
+                clique.pop();
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for root in g.vertices() {
+        extend(g, h, &mut vec![root], &mut out);
+    }
+    out
+}
+
+/// The kClist lister must emit exactly the h-cliques of the plain
+/// backtracking references, each from one root and the roots in ascending
+/// order, on sparse graphs and on dense ones whose degeneracy-DAG
+/// out-lists reach 64 vertices.
 #[test]
-fn bitset_and_merge_kernels_emit_identical_cliques() {
+fn clique_lister_matches_reference_on_sparse_and_dense_roots() {
     let iters = prop_iters(8);
     let mut rng = StdRng::seed_from_u64(0x15E9_0001);
+    let mut deepest = 0;
     for iter in 0..iters {
-        // Alternate sparse (merge-only) and dense (bitset fires past the
-        // 64-neighbour crossover) shapes so both kernels and the
-        // per-root dispatch boundary are exercised.
-        let g = if iter % 2 == 0 {
+        let sparse = iter % 2 == 0;
+        let g = if sparse {
             random_graph(&mut rng, 30, 60, 0.05, 0.2)
         } else {
             random_graph(&mut rng, 130, 170, 0.45, 0.6)
         };
-        for h in [3usize, 4, 5] {
-            let merge = cliques_with_kernel(&g, h, false);
-            let bitset = cliques_with_kernel(&g, h, true);
-            assert_eq!(
-                merge,
-                bitset,
-                "iter {iter}, h = {h}: kernels diverged (n = {})",
-                g.num_vertices()
+        let n = g.num_vertices();
+        deepest = deepest.max(degeneracy_order(&g).degeneracy);
+        let alive = VertexSet::full(n);
+        for h in [3usize, 4] {
+            let lister = CliqueLister::new(&g, h, &alive);
+            let mut scratch = CliqueScratch::default();
+            let mut roots = Vec::new();
+            let mut listed = Vec::new();
+            for v in 0..n as VertexId {
+                lister.for_each_rooted_until(v, &mut scratch, &mut |c| {
+                    roots.push(c[0]);
+                    let mut clique = c.to_vec();
+                    clique.sort_unstable();
+                    listed.push(clique);
+                    true
+                });
+            }
+            assert!(
+                roots.is_sorted(),
+                "iter {iter}, h = {h}: roots out of order"
             );
+            listed.sort_unstable();
+            assert_eq!(
+                listed,
+                reference_cliques(&g, h),
+                "iter {iter}, h = {h} (n = {n})"
+            );
+            if sparse {
+                let embedded: Vec<Vec<VertexId>> =
+                    reference_instances(&g, &Pattern::clique(h), &alive, None)
+                        .into_iter()
+                        .map(|inst| inst.vertices)
+                        .collect();
+                assert_eq!(listed, embedded, "iter {iter}, h = {h}: embeddings");
+            }
         }
     }
+    // The maximum DAG out-degree is the degeneracy.
+    assert!(
+        iters < 2 || deepest >= 64,
+        "no dense graph reached out-lists of 64 (degeneracy {deepest})"
+    );
 }
 
 /// Sharded general-pattern stores must be bit-identical to the serial
