@@ -18,17 +18,25 @@
 //! * 1 vs 4 threads on a general-pattern store build, isolating the
 //!   parallel pattern enumeration win.
 //!
+//! A diamond arm times the 4-cycle store on the same As-Caida stand-in —
+//! walk, build and peel — against the closed-form `DiamondOracle` peel,
+//! and checks on a 4-cycle-rich G(n, p) that the cost rule refuses the
+//! store and the seeded closed form it falls back to decomposes the same.
+//!
 //! Core numbers, kmax, peel order, and ρ′ must be bit-identical across
-//! every configuration, and the default store path must hold the
-//! aggregate floor below against streaming.
+//! every configuration, and the default store paths must hold the floors
+//! below against streaming.
 //!
 //! Run with: `cargo bench -p dsd-bench --bench substrate_peel`
 
 use std::time::{Duration, Instant};
 
-use dsd_core::oracle::{CliqueOracle, GenericPatternOracle, MaterializedOracle};
+use dsd_core::oracle::{
+    CliqueOracle, DiamondOracle, GenericPatternOracle, MaterializedOracle, StoreFallback,
+};
 use dsd_core::{decompose, CliqueCoreDecomposition, DensityOracle, Parallelism};
-use dsd_datasets::dataset;
+use dsd_datasets::{dataset, er::er};
+use dsd_graph::Graph;
 use dsd_motif::Pattern;
 
 fn check_identical(a: &CliqueCoreDecomposition, b: &CliqueCoreDecomposition, ctx: &str) {
@@ -216,5 +224,83 @@ fn main() {
         speedup >= 0.75,
         "materialized decomposition must stay within 4/3 of streaming \
          re-enumeration (measured {speedup:.2}x)"
+    );
+
+    diamond_arm(&g);
+}
+
+/// Best-of-3 decomposition time of `g` through a fresh oracle per repeat
+/// (so a store build is always timed), with the last run's decomposition
+/// and oracle.
+fn best_of_3<O: DensityOracle>(
+    g: &Graph,
+    oracle: impl Fn() -> O,
+) -> (Duration, CliqueCoreDecomposition, O) {
+    let mut best = Duration::MAX;
+    let mut last = None;
+    for _ in 0..3 {
+        let oracle = oracle();
+        let t = Instant::now();
+        let dec = decompose(g, &oracle);
+        best = best.min(t.elapsed());
+        last = Some((dec, oracle));
+    }
+    let (dec, oracle) = last.expect("three runs");
+    (best, dec, oracle)
+}
+
+/// The diamond arm: the 4-cycle store — the rank-ordered walk that lists
+/// it, its build and the columnar peel — against the closed-form peel on
+/// the As-Caida stand-in, where the cost rule keeps the store; then a
+/// 4-cycle-rich G(n, p), where the rule refuses it.
+fn diamond_arm(g: &Graph) {
+    let psi = Pattern::diamond();
+    let store_oracle = || MaterializedOracle::with_policy(&psi, Parallelism::new(4), None);
+    let (closed, closed_dec, _) = best_of_3(g, || DiamondOracle);
+    let (store, store_dec, oracle) = best_of_3(g, store_oracle);
+    check_identical(&closed_dec, &store_dec, "diamond store vs closed form");
+    let stats = oracle.store_stats().expect("the diamond store was tried");
+    assert!(stats.materialized, "the cost rule keeps the As-Caida store");
+    let speedup = closed.as_secs_f64() / store.as_secs_f64();
+    println!(
+        "\ndiamond: {} cycles in {} rows ({:.1} KiB, built {:.1} ms: rank lists \
+         {:.2} ms, enumerate {:.2} ms, assemble {:.2} ms)",
+        stats.build.instances,
+        stats.build.rows,
+        stats.build.bytes as f64 / 1024.0,
+        stats.build.build_nanos as f64 / 1e6,
+        stats.build.csr_build_nanos as f64 / 1e6,
+        stats.build.enumerate_nanos as f64 / 1e6,
+        stats.build.assemble_nanos as f64 / 1e6,
+    );
+    println!(
+        "  closed-form peel: {:>9.1} ms\n  store peel:       {:>9.1} ms ({speedup:.2}x)",
+        closed.as_secs_f64() * 1e3,
+        store.as_secs_f64() * 1e3,
+    );
+
+    // Past the cost rule: the store is refused and the closed form,
+    // seeded with the walk's degrees, decomposes bit-identically.
+    let rich = er(800, 0.05, 7);
+    let (_, closed_dec, _) = best_of_3(&rich, || DiamondOracle);
+    let (fallback, fallback_dec, oracle) = best_of_3(&rich, store_oracle);
+    check_identical(
+        &closed_dec,
+        &fallback_dec,
+        "diamond fallback vs closed form",
+    );
+    let stats = oracle.store_stats().expect("the diamond store was tried");
+    assert_eq!(stats.fallback, Some(StoreFallback::Cost), "G(800, 0.05)");
+    println!(
+        "  G(800, 0.05): store refused by the cost rule, seeded closed form {:.1} ms",
+        fallback.as_secs_f64() * 1e3
+    );
+
+    // Measured 1.49–2.27x over 11 runs on two cores (median 1.59x); armed
+    // at 1.1x, a quarter under the lowest run (1.12x) rounded down.
+    assert!(
+        speedup >= 1.1,
+        "the diamond store must hold its 1.1x floor against the closed form \
+         (measured {speedup:.2}x)"
     );
 }

@@ -82,8 +82,9 @@ impl Substrates<'_> {
     ///   (from the edge pattern's decomposition) — a sound bound on the
     ///   clique-*core* number (the min-degree vertex of the (k, Ψ)-core
     ///   has classical degree ≥ its clique count's support).
-    /// * Stars / diamond: the Appendix-D closed forms make the *exact*
-    ///   degree as cheap as any bound, so γ = deg.
+    /// * Stars / diamond: the Appendix-D closed forms (or, for diamonds
+    ///   whose store the cost rule keeps, the store's columns) make the
+    ///   *exact* degree as cheap as any bound, so γ = deg.
     /// * General patterns: γ = exact degree via enumeration (the same cost
     ///   PeelApp pays up front).
     pub fn gamma_bounds(&self) -> Vec<u64> {

@@ -10,12 +10,13 @@
 //! Decrements come from the oracle's [`InstancePeeler`] whenever it offers
 //! one: store-backed when the Ψ-substrate is materialized (per-row
 //! alive-member counts make each removal O(memberships touched) — the
-//! whole decomposition is then one columnar pass over the instance store),
-//! or a closed-form peeler for edges, stars and diamonds (dense scratch
-//! reused across removals). Only streaming h-cliques (h ≥ 3) and general
-//! patterns — the budget-fallback paths — re-enumerate through per-call
-//! `removal_decrements`. Every path drives the same loop, so their outputs
-//! are bit-identical.
+//! whole decomposition is then one columnar pass over the instance store;
+//! diamonds too, wherever the cost rule keeps their store), or a
+//! closed-form peeler for edges, stars and the diamonds it refuses (dense
+//! scratch reused across removals). Only streaming h-cliques (h ≥ 3) and
+//! general patterns — the budget-fallback paths — re-enumerate through
+//! per-call `removal_decrements`. Every path drives the same loop, so
+//! their outputs are bit-identical.
 //!
 //! **Only Ψ-incident vertices are peeled one by one.** A vertex in no
 //! instance (Ψ-degree 0) would pop first from the LIFO bucket 0, in
@@ -696,7 +697,9 @@ mod tests {
     }
 
     /// Every Ψ shape with its own peeler, plus the streaming fallback
-    /// (byte budget 0) for the store-backed ones.
+    /// (byte budget 0) for the store-backed ones. The diamond oracle keeps
+    /// its store or falls back to the seeded closed form by the cost rule,
+    /// graph by graph; the budget-0 one always falls back.
     fn oracles() -> Vec<(String, Box<dyn DensityOracle>)> {
         let mut out: Vec<(String, Box<dyn DensityOracle>)> = Vec::new();
         for psi in [
@@ -709,7 +712,10 @@ mod tests {
             Pattern::two_triangle(),
         ] {
             out.push((psi.name().to_string(), oracle_for(&psi)));
-            if matches!(psi.kind(), PatternKind::Clique(3..) | PatternKind::General) {
+            if matches!(
+                psi.kind(),
+                PatternKind::Clique(3..) | PatternKind::Diamond | PatternKind::General
+            ) {
                 let streaming = oracle_with_policy(&psi, Parallelism::serial(), Some(0));
                 out.push((format!("{} streaming", psi.name()), streaming));
             }

@@ -184,9 +184,11 @@ pub struct SolveStats {
     /// Substrate cache accounting.
     pub substrate: SubstrateUse,
     /// Instance-store accounting for the request's Ψ-oracle: rows, bytes,
-    /// build time, and whether materialization fell back to streaming.
-    /// `None` when the request never consulted a store-capable oracle
-    /// (stars, diamonds, edges, the query variant).
+    /// build time, and whether materialization fell back to streaming
+    /// (for diamonds also by the cost rule,
+    /// [`crate::oracle::StoreFallback::Cost`]). `None` when the request
+    /// never consulted a store-capable oracle (stars, edges, the query
+    /// variant).
     pub store: Option<StoreStats>,
     /// Graph epoch this request was answered against: 0 for a graph that
     /// has never been updated, bumped by every effective

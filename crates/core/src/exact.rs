@@ -140,7 +140,12 @@ impl Substrates<'_> {
         let members: Vec<VertexId> = g.vertices().collect();
         // Store-built (construct+-shaped) when the oracle materialized;
         // otherwise PExact's ungrouped Algorithm-8 network — construct+
-        // grouping without a store belongs to CorePExact.
+        // grouping without a store belongs to CorePExact. Diamonds whose
+        // store the cost rule keeps take the store-built network too, as
+        // general patterns do: the same answers as the ungrouped network,
+        // with other flow counters (CoreExact's were already grouped, so
+        // its counters do not change). A warm diamond engine repairs that
+        // store on `apply` through `InstanceStore::repair_pattern`.
         let mut net = acquire_network(g, &members, psi, false, oracle, lender);
         let mut probe = NetworkProbe::new(&mut net, g, oracle);
         let outcome = alpha_search(

@@ -22,16 +22,25 @@
 //!
 //! * h-cliques → kClist enumeration (`dsd-motif::kclist`), whose degree
 //!   pass shards across the same workers ([`CliqueOracle`]);
-//! * x-stars and diamonds → Appendix-D closed forms (`dsd-motif::special`);
+//! * x-stars and diamonds → Appendix-D closed forms (`dsd-motif::special`;
+//!   a refused diamond store seeds its peel with the degrees its walk
+//!   counted);
 //! * anything else → symmetry-broken backtracking enumeration
 //!   (`dsd-motif::pattern_enum`).
 //!
-//! Edges, stars and diamonds never materialize: a store would only repeat
-//! the graph's CSR (edges) or cost more than the closed forms. Their peels
-//! still get a stateful [`InstancePeeler`] — the edge rule (each alive
-//! neighbour loses one), the star kernel over maintained alive degrees,
-//! the diamond two-pass wedge walk — with dense scratch reused across
-//! removals, so a removal allocates nothing.
+//! Diamonds materialize where the store costs less than their closed
+//! form: one rank-ordered 4-cycle walk counts the cycles and lists them
+//! ([`InstanceStore::four_cycles_within`]), and the store is kept while its
+//! rows stay under `Σ d(v)² / `[`DIAMOND_ROW_COST`], the wedge steps one
+//! closed-form peel pass may walk. Past that the oracle answers from the
+//! closed form, its peel seeded with the degrees the walk counted
+//! ([`StoreFallback::Cost`]). Edges and stars never materialize: a store
+//! would only repeat the graph's CSR (edges) or cost more than the closed
+//! form. Their peels, and a diamond peel past the cost rule, still get a
+//! stateful [`InstancePeeler`] — the edge rule (each alive neighbour loses
+//! one), the star kernel over maintained alive degrees, the diamond
+//! two-pass wedge walk — with dense scratch reused across removals, so a
+//! removal allocates nothing.
 
 use std::sync::Arc;
 
@@ -41,6 +50,18 @@ use dsd_motif::store::{InstanceStore, StoreBuildStats, StoreError, StoreRepairSt
 use dsd_motif::{kclist, pattern_enum, special};
 
 use crate::parallelism::Parallelism;
+
+/// The diamond cost rule's constant `K`: a 4-cycle store is kept while
+/// its rows (cycles, before grouping) number at most `Σ d(v)² / K`, with
+/// `d` the degrees of the graph it is built for. `Σ d(v)²` bounds the
+/// wedge steps of one closed-form peel pass (each removal walks its
+/// neighbours' lists), and `K` is what one stored row costs in those steps
+/// — listing it, building its incidence and peeling it — measured where
+/// the two paths break even: near 1/28 rows per `Σ d²` on Chung–Lu graphs
+/// and 1/40 on G(n, p) (EXPERIMENTS.md, "Diamonds on the instance
+/// store"). `K` takes the stricter, so a kept store wins on both. A
+/// constant, not an option.
+pub const DIAMOND_ROW_COST: u64 = 40;
 
 /// Default byte budget for instance materialization: stores past this
 /// size fall back to streaming oracles (override per engine with
@@ -206,6 +227,9 @@ pub enum StoreFallback {
     Budget,
     /// The instance set overflows u32 indexing.
     Capacity,
+    /// The closed form is cheaper than the store: diamonds with more
+    /// 4-cycles than `Σ d(v)² / `[`DIAMOND_ROW_COST`].
+    Cost,
 }
 
 /// Instance-store accounting surfaced through [`DensityOracle::store_stats`]
@@ -399,7 +423,9 @@ impl InstancePeeler for special::StarPeel<'_> {
     }
 }
 
-/// Diamond (4-cycle) oracle using the Appendix-D grouping.
+/// Diamond (4-cycle) oracle using the Appendix-D grouping: the streaming
+/// fallback of the store-backed diamond oracle, which [`oracle_with_policy`]
+/// hands out.
 pub struct DiamondOracle;
 
 impl DensityOracle for DiamondOracle {
@@ -510,7 +536,20 @@ struct StoreState {
     fingerprint: (usize, usize),
     /// `None` when the build fell back to streaming.
     store: Option<InstanceStore>,
+    /// A refused diamond store's walk: the whole graph's diamond degrees,
+    /// which seed the closed-form peel.
+    degrees: Option<Vec<u64>>,
     stats: StoreStats,
+}
+
+impl StoreState {
+    /// The degrees a refused walk counted, when `alive` is the whole graph
+    /// they were counted on.
+    fn seeded(&self, alive: &VertexSet) -> Option<&[u64]> {
+        self.degrees
+            .as_deref()
+            .filter(|degrees| alive.len() == degrees.len())
+    }
 }
 
 impl MaterializedOracle {
@@ -536,31 +575,49 @@ impl MaterializedOracle {
     fn state(&self, g: &Graph) -> &StoreState {
         let state = self.state.get_or_init(|| {
             let alive = VertexSet::full(g.num_vertices());
+            // A refusal: why (no store error for the diamond cost rule),
+            // and the degrees a refused diamond walk counted.
             let built = match self.psi.kind() {
                 PatternKind::Clique(h) => {
                     InstanceStore::cliques(g, h, &alive, self.threads, self.budget)
+                        .map_err(|e| (Some(e), None))
                 }
-                _ => InstanceStore::pattern(g, &self.psi, &alive, self.threads, self.budget),
+                PatternKind::Diamond => {
+                    let squares: u64 = g.vertices().map(|v| (g.degree(v) as u64).pow(2)).sum();
+                    InstanceStore::four_cycles_within(
+                        g,
+                        &alive,
+                        self.threads,
+                        self.budget,
+                        squares / DIAMOND_ROW_COST,
+                    )
+                    .map_err(|refusal| (refusal.error, Some(refusal.degrees)))
+                }
+                _ => InstanceStore::pattern(g, &self.psi, &alive, self.threads, self.budget)
+                    .map_err(|e| (Some(e), None)),
             };
             let fingerprint = (g.num_vertices(), g.num_edges());
             match built {
                 Ok((store, build)) => StoreState {
                     fingerprint,
                     store: Some(store),
+                    degrees: None,
                     stats: StoreStats {
                         materialized: true,
                         fallback: None,
                         build,
                     },
                 },
-                Err(e) => StoreState {
+                Err((error, degrees)) => StoreState {
                     fingerprint,
                     store: None,
+                    degrees,
                     stats: StoreStats {
                         materialized: false,
-                        fallback: Some(match e {
-                            StoreError::BudgetExceeded { .. } => StoreFallback::Budget,
-                            StoreError::CapacityExceeded { .. } => StoreFallback::Capacity,
+                        fallback: Some(match error {
+                            Some(StoreError::BudgetExceeded { .. }) => StoreFallback::Budget,
+                            Some(StoreError::CapacityExceeded { .. }) => StoreFallback::Capacity,
+                            None => StoreFallback::Cost,
                         }),
                         build: StoreBuildStats::default(),
                     },
@@ -597,6 +654,7 @@ impl MaterializedOracle {
         let seeded = replacement.state.set(StoreState {
             fingerprint,
             store: Some(store),
+            degrees: None,
             stats,
         });
         debug_assert!(seeded.is_ok(), "fresh OnceLock accepts the seed");
@@ -610,9 +668,11 @@ impl DensityOracle for MaterializedOracle {
     }
 
     fn degrees(&self, g: &Graph, alive: &VertexSet) -> Vec<u64> {
-        match &self.state(g).store {
-            Some(store) => store.degrees_within(alive),
-            None => self.streaming.degrees(g, alive),
+        let state = self.state(g);
+        match (&state.store, state.seeded(alive)) {
+            (Some(store), _) => store.degrees_within(alive),
+            (None, Some(degrees)) => degrees.to_vec(),
+            (None, None) => self.streaming.degrees(g, alive),
         }
     }
 
@@ -653,21 +713,32 @@ impl DensityOracle for MaterializedOracle {
     }
 
     fn count(&self, g: &Graph, alive: &VertexSet) -> u64 {
-        match &self.state(g).store {
-            Some(store) => store.count_within(alive),
-            None => self.streaming.count(g, alive),
+        let state = self.state(g);
+        match (&state.store, state.seeded(alive)) {
+            (Some(store), _) => store.count_within(alive),
+            (None, Some(degrees)) => degrees.iter().sum::<u64>() / self.psi_size() as u64,
+            (None, None) => self.streaming.count(g, alive),
         }
     }
 
+    /// The store's peeler; without a store, the streaming oracle's own,
+    /// except that a refused diamond walk seeds the closed-form peel of
+    /// the whole graph with the degrees it counted.
     fn peeler<'a>(
         &'a self,
         g: &'a Graph,
         alive: &VertexSet,
     ) -> Option<Box<dyn InstancePeeler + 'a>> {
-        self.state(g)
-            .store
-            .as_ref()
-            .map(|store| Box::new(StorePeeler::new(store, alive)) as Box<dyn InstancePeeler + 'a>)
+        let state = self.state(g);
+        match (&state.store, state.seeded(alive)) {
+            (Some(store), _) => Some(Box::new(StorePeeler::new(store, alive))),
+            (None, Some(degrees)) => Some(Box::new(special::DiamondPeel::with_degrees(
+                g,
+                alive,
+                degrees.to_vec(),
+            ))),
+            (None, None) => self.streaming.peeler(g, alive),
+        }
     }
 
     fn store_stats(&self) -> Option<StoreStats> {
@@ -675,10 +746,11 @@ impl DensityOracle for MaterializedOracle {
     }
 
     fn resident_bytes(&self) -> u64 {
-        self.state
-            .get()
-            .and_then(|s| s.store.as_ref())
-            .map_or(0, |store| store.bytes() as u64)
+        self.state.get().map_or(0, |s| {
+            let store = s.store.as_ref().map_or(0, InstanceStore::bytes);
+            let degrees = s.degrees.as_ref().map_or(0, |d| 8 * d.len());
+            (store + degrees) as u64
+        })
     }
 
     fn store(&self, g: &Graph) -> Option<&InstanceStore> {
@@ -828,12 +900,13 @@ pub fn oracle_for(psi: &Pattern) -> Box<dyn DensityOracle> {
     oracle_with_policy(psi, Parallelism::serial(), Some(DEFAULT_STORE_BUDGET))
 }
 
-/// The full oracle policy: h-cliques (h ≥ 3) and general patterns
-/// materialize an [`InstanceStore`] capped at `budget` bytes (`None` =
-/// unlimited, `Some(0)` = never materialize), falling back to streaming
-/// when the store would not fit; edges keep the direct neighbour rule (the
-/// store would just duplicate the graph's own CSR) and stars/diamonds keep
-/// their closed forms. Clique store builds and streaming clique degree
+/// The full oracle policy: h-cliques (h ≥ 3), diamonds and general
+/// patterns materialize an [`InstanceStore`] capped at `budget` bytes
+/// (`None` = unlimited, `Some(0)` = never materialize), falling back to
+/// streaming when the store would not fit — diamonds also when the
+/// closed form is cheaper ([`DIAMOND_ROW_COST`]); edges keep the direct
+/// neighbour rule (the store would just duplicate the graph's own CSR)
+/// and stars their closed forms. Store builds and streaming clique degree
 /// passes shard across `parallelism`'s workers.
 pub fn oracle_with_policy(
     psi: &Pattern,
@@ -841,7 +914,7 @@ pub fn oracle_with_policy(
     budget: Option<u64>,
 ) -> Box<dyn DensityOracle> {
     match psi.kind() {
-        PatternKind::Clique(3..) | PatternKind::General => {
+        PatternKind::Clique(3..) | PatternKind::Diamond | PatternKind::General => {
             Box::new(MaterializedOracle::with_policy(psi, parallelism, budget))
         }
         _ => streaming_for(psi, parallelism),
@@ -974,10 +1047,24 @@ mod tests {
         }
     }
 
+    /// `g` plus a pendant star whose hub's squared degree alone pays
+    /// [`DIAMOND_ROW_COST`] for every 4-cycle of `g`, so the cost rule
+    /// keeps the diamond store.
+    fn diamond_store_graph(g: &Graph) -> Graph {
+        let cycles = pattern_enum::count_instances(g, &Pattern::diamond(), &full(g));
+        let leaves = ((DIAMOND_ROW_COST * cycles) as f64).sqrt().ceil() as usize;
+        dsd_graph::testing::with_pendant_star(g, leaves)
+    }
+
     #[test]
     fn materialized_oracle_matches_streaming_everywhere() {
-        let g = wheel6();
         for p in Pattern::figure7() {
+            // The wheel's Σ d² is too small for its 4-cycles under the
+            // cost rule; a pendant star keeps the diamond store.
+            let g = match p.kind() {
+                PatternKind::Diamond => diamond_store_graph(&wheel6()),
+                _ => wheel6(),
+            };
             let mat = MaterializedOracle::new(&p);
             let stream = GenericPatternOracle::new(&p);
             let mut alive = full(&g);
@@ -1092,6 +1179,64 @@ mod tests {
         assert!(GenericPatternOracle::new(&Pattern::c3_star())
             .peeler(&g, &full(&g))
             .is_none());
+    }
+
+    /// Both sides of the diamond cost rule: a graph whose Σ d² pays for
+    /// its 4-cycles keeps the store, a dense one falls back to the closed
+    /// form seeded with the walk's degrees, and each decomposition — of
+    /// the whole graph and of a random `alive` set — equals the closed
+    /// form's field by field, at 1 and 2 workers.
+    #[test]
+    fn diamond_cost_rule_keeps_or_refuses_the_store() {
+        let mut rng = dsd_graph::testing::XorShift::new(0xD1A3);
+        let psi = Pattern::diamond();
+        let (mut kept, mut refused) = (0, 0);
+        for round in 0..8 {
+            let percent = 20 + rng.next() % 20;
+            let dense = rng.random_graph(30, 60, percent);
+            let g = match round % 2 {
+                0 => diamond_store_graph(&dense),
+                _ => dense,
+            };
+            let squares: u64 = g.vertices().map(|v| (g.degree(v) as u64).pow(2)).sum();
+            let cycles = pattern_enum::count_instances(&g, &psi, &full(&g));
+            let mut subset = full(&g);
+            for v in g.vertices() {
+                if rng.next() % 10 < 3 {
+                    subset.remove(v);
+                }
+            }
+            for threads in [1, 2] {
+                let oracle = oracle_with_policy(&psi, Parallelism::new(threads), None);
+                for alive in [full(&g), subset.clone()] {
+                    let ctx = format!("round {round}, threads {threads}, |alive| {}", alive.len());
+                    let got = crate::clique_core::decompose_within(&g, oracle.as_ref(), &alive);
+                    let want = crate::clique_core::decompose_within(&g, &DiamondOracle, &alive);
+                    assert_eq!(got.core, want.core, "{ctx}");
+                    assert_eq!(got.kmax, want.kmax, "{ctx}");
+                    assert_eq!(got.peel_order, want.peel_order, "{ctx}");
+                    assert_eq!(got.mu, want.mu, "{ctx}");
+                    assert_eq!(got.residual_mu, want.residual_mu, "{ctx}");
+                    assert_eq!(got.best_density.to_bits(), want.best_density.to_bits());
+                    assert_eq!(got.best_residual(), want.best_residual(), "{ctx}");
+                    assert_eq!(oracle.count(&g, &alive), DiamondOracle.count(&g, &alive));
+                }
+                let stats = oracle
+                    .store_stats()
+                    .expect("the diamond oracle tried a store");
+                if cycles <= squares / DIAMOND_ROW_COST {
+                    assert!(stats.materialized, "round {round}");
+                    assert_eq!(stats.build.instances, cycles);
+                    kept += 1;
+                } else {
+                    assert!(!stats.materialized, "round {round}");
+                    assert_eq!(stats.fallback, Some(StoreFallback::Cost));
+                    assert!(oracle.store(&g).is_none());
+                    refused += 1;
+                }
+            }
+        }
+        assert!(kept >= 4 && refused >= 4, "kept {kept}, refused {refused}");
     }
 
     #[test]

@@ -48,6 +48,26 @@ impl XorShift {
     }
 }
 
+/// `g` plus a pendant star: a new hub joined to vertex 0 and to `leaves`
+/// new leaves. The star closes no cycle, so it adds no instance of any
+/// pattern with a cycle; it only adds degree (the hub's grows with
+/// `leaves`).
+pub fn with_pendant_star(g: &Graph, leaves: usize) -> Graph {
+    let n = g.num_vertices();
+    let hub = n as u32;
+    let mut b = GraphBuilder::new(n + 1 + leaves);
+    for (u, v) in g.edges() {
+        b.add_edge(u, v);
+    }
+    if n > 0 {
+        b.add_edge(0, hub);
+    }
+    for leaf in 0..leaves as u32 {
+        b.add_edge(hub, hub + 1 + leaf);
+    }
+    b.build()
+}
+
 #[cfg(test)]
 mod tests {
     use super::XorShift;

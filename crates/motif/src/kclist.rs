@@ -55,7 +55,8 @@ fn build_out_csr(g: &Graph, alive: &VertexSet) -> OutCsr {
 
 /// Reusable per-worker scratch for [`CliqueLister`] traversals: the chain
 /// under construction and a pool of candidate buffers for the merge's
-/// intersections.
+/// intersections. Every buffer returns to the pool after its subtree, so
+/// after the first few roots a traversal allocates nothing.
 #[derive(Default)]
 pub struct CliqueScratch {
     clique: Vec<VertexId>,
@@ -100,7 +101,7 @@ impl CliqueLister {
         rec(
             &self.out,
             &mut scratch.clique,
-            self.out.row(root).to_vec(),
+            self.out.row(root),
             self.h,
             &mut scratch.pool,
             f,
@@ -141,16 +142,21 @@ pub fn for_each_clique_within<F: FnMut(&[VertexId])>(
     }
 }
 
+/// The merge recursion: extends `clique` by every candidate in `cand`
+/// (the out-neighbours of every member so far, id-sorted). Each level's
+/// intersections go into buffers taken from `pool` and handed back after
+/// their subtree, so a traversal allocates only while the pool grows to
+/// its depth.
 fn rec<F: FnMut(&[VertexId]) -> bool>(
     out: &OutCsr,
     clique: &mut Vec<VertexId>,
-    cand: Vec<VertexId>,
+    cand: &[VertexId],
     h: usize,
     pool: &mut Vec<Vec<VertexId>>,
     f: &mut F,
 ) -> bool {
     if clique.len() + 1 == h {
-        for &u in &cand {
+        for &u in cand {
             clique.push(u);
             let keep = f(clique);
             clique.pop();
@@ -170,11 +176,11 @@ fn rec<F: FnMut(&[VertexId]) -> bool>(
         // produced exactly once, in rank order.
         let mut next = pool.pop().unwrap_or_default();
         next.clear();
-        intersect_sorted(&cand, out.row(u), &mut next);
+        intersect_sorted(cand, out.row(u), &mut next);
         let mut keep = true;
         if clique.len() + 1 + next.len() >= h {
             clique.push(u);
-            keep = rec(out, clique, std::mem::take(&mut next), h, pool, f);
+            keep = rec(out, clique, &next, h, pool, f);
             clique.pop();
         }
         pool.push(next);

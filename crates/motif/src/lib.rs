@@ -16,7 +16,8 @@
 //!   once), per-vertex pattern-degrees, and
 //!   instance grouping by vertex set (for the `construct+` flow network);
 //! * [`special`] — the Appendix-D fast paths for star and diamond (4-cycle)
-//!   pattern degrees and decremental updates;
+//!   pattern degrees and decremental updates, and the rank-ordered 4-cycle
+//!   walk that both counts diamond degrees and lists the cycles;
 //! * [`store`] — the columnar [`InstanceStore`] that materializes every
 //!   instance once, with in-place repair across edge batches;
 //! * [`parallel`] — the one sharded enumeration driver: store builds and
@@ -55,7 +56,7 @@ pub use pattern_enum::{
     count_instances, for_each_instance_containing, for_each_owned_instance_until, group_instances,
     instances, instances_containing, pattern_degrees, InstanceGroup, PatternInstance,
 };
-pub use store::{InstanceStore, StoreBuildStats, StoreError};
+pub use store::{FourCycleRefusal, InstanceStore, StoreBuildStats, StoreError};
 
 /// Binomial coefficient `C(n, k)` saturating at `u64::MAX`.
 ///

@@ -6,7 +6,8 @@
 //! embarrassingly parallel over root vertices. kClist discovers every
 //! clique exactly once, from its lowest-ranked member, and the
 //! symmetry-broken pattern search places every instance's pivot on exactly
-//! one vertex. So every parallel Ψ pass — the clique and pattern store
+//! one vertex, and the 4-cycle walk finds every cycle once, from its
+//! top. So every parallel Ψ pass — the clique, pattern and 4-cycle store
 //! builds and [`clique_degrees_parallel_within`] — hands disjoint root
 //! sets to one crate-private driver, `for_each_shard`: each shard owns a
 //! private output, and the outputs are merged at the end. Store builds
@@ -54,26 +55,40 @@ pub(crate) fn for_each_shard<T: Send>(
 }
 
 /// Runs a store build's enumeration on [`for_each_shard`] under one shared
-/// [`RowQuota`] of `max_rows` rows: `work` emits its shard's rows into a
-/// column of its own, admitting each through the shard's [`ShardQuota`].
-/// Returns the columns concatenated in shard order (a single column moved,
-/// not copied), or `None` when the rows do not fit.
+/// [`RowQuota`] of `max_rows` rows: `work` admits each of its shard's rows
+/// through the shard's [`ShardQuota`]. Returns the shard outputs in shard
+/// order, and whether the rows fit.
+pub(crate) fn run_capped<T: Send>(
+    roots: &[VertexId],
+    shards: usize,
+    max_rows: u64,
+    work: impl Fn(&[VertexId], &mut ShardQuota<'_>) -> T + Sync,
+) -> (Vec<T>, bool) {
+    let shards = shard_count(shards, roots.len());
+    let quota = RowQuota::new(max_rows, shards);
+    let outputs = for_each_shard(roots, shards, |mine| work(mine, &mut quota.shard()));
+    (outputs, !quota.refused())
+}
+
+/// [`run_capped`] for builds whose shards emit one column each: returns
+/// the columns concatenated in shard order, or `None` when the rows do not
+/// fit.
 pub(crate) fn collect_capped<T: Copy + Send>(
     roots: &[VertexId],
     shards: usize,
     max_rows: u64,
     work: impl Fn(&[VertexId], &mut ShardQuota<'_>) -> Vec<T> + Sync,
 ) -> Option<Vec<T>> {
-    let shards = shard_count(shards, roots.len());
-    let quota = RowQuota::new(max_rows, shards);
-    let mut columns = for_each_shard(roots, shards, |mine| work(mine, &mut quota.shard()));
-    if quota.refused() {
-        return None;
-    }
-    Some(match columns.len() {
+    let (columns, fits) = run_capped(roots, shards, max_rows, work);
+    fits.then(|| concat(columns))
+}
+
+/// The shard columns in shard order: a single column moved, not copied.
+pub(crate) fn concat<T: Copy>(mut columns: Vec<Vec<T>>) -> Vec<T> {
+    match columns.len() {
         1 => columns.pop().expect("one shard"),
         _ => columns.concat(),
-    })
+    }
 }
 
 /// The shard count [`for_each_shard`] runs for `threads` workers over
@@ -145,7 +160,10 @@ impl RowQuota {
     fn reserve(&self) -> u64 {
         let mut state = self.lock();
         while state.taken == self.max_rows {
-            if state.idle + 1 == self.shards {
+            // A refused build stays refused: a shard that walks on after
+            // its refusal (the 4-cycle walk still counts degrees) is not
+            // idle, and must not keep the others waiting.
+            if state.refused || state.idle + 1 == self.shards {
                 state.refused = true;
                 return 0;
             }

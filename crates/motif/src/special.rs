@@ -16,6 +16,12 @@
 //! dense scratch (for stars the alive degrees, for diamonds alive-only
 //! adjacency lists) across every removal of one peel, so a removal
 //! allocates nothing.
+//!
+//! Diamond degrees come from one [`FourCycleWalk`], which finds every
+//! 4-cycle once from its top and can also list them: the instance store's
+//! 4-cycle build runs the same walk, and where the store costs less than
+//! the closed-form peel (`dsd_core::oracle::DIAMOND_ROW_COST`), diamonds
+//! peel from the store instead of the kernels here.
 
 use std::collections::HashMap;
 
@@ -209,73 +215,230 @@ pub fn star_decrements(
 /// Diamond (4-cycle) pattern-degrees of all vertices (Appendix D.2.1):
 /// `deg(v) = Σ_{w ≠ v} C(|N(v) ∩ N(w)|, 2)` over alive vertices.
 ///
-/// Computed cycle by cycle instead, each 4-cycle found once from its
-/// highest-ranked vertex in (degree, id) order (Chiba–Nishizeki): from a
-/// top `t`, walk the wedges `t–a–w` with `a` and `w` ranked below `t`,
-/// count them per far end `w`, and each pair of wedges to `w` is one
-/// cycle. `t` and `w` gain `C(c_w, 2)`; a second pass over the same wedges
-/// gives each middle `a` the `c_w − 1` cycles it shares with `w`. With
-/// neighbour lists sorted by rank every walk is a list prefix, and a hub's
-/// long list is only walked from the few vertices ranked above it.
+/// The count-only call of the [`FourCycleWalk`], every top walked in turn.
 pub fn diamond_degrees(g: &Graph, alive: &VertexSet) -> Vec<u64> {
-    let mut by_rank: Vec<VertexId> = alive.iter().collect();
-    by_rank.sort_unstable_by_key(|&v| (g.degree(v), v));
-    let mut rank = vec![0u32; g.num_vertices()];
-    for (r, &v) in by_rank.iter().enumerate() {
-        rank[v as usize] = r as u32;
+    let walk = FourCycleWalk::new(g, alive);
+    let mut scratch = FourCycleScratch::default();
+    let mut deg = vec![0u64; walk.tops()];
+    for t in 0..walk.tops() as u32 {
+        walk.walk_top(t, &mut scratch, &mut deg, None);
     }
-    // Alive neighbours by rank, each list ascending.
-    let mut start = Vec::with_capacity(by_rank.len() + 1);
-    let mut lower: Vec<u32> = Vec::new();
-    for &v in &by_rank {
-        start.push(lower.len());
-        let from = lower.len();
-        lower.extend(
-            g.neighbors(v)
+    walk.by_vertex(&deg, g.num_vertices())
+}
+
+/// The rank-ordered 4-cycle walk over `g[alive]` (Chiba–Nishizeki), which
+/// both counts diamond degrees and lists the cycles.
+///
+/// Every 4-cycle is found once, from its highest-ranked vertex in
+/// (degree, id) order — its *top* `t`: walk the wedges `t–a–w` with `a`
+/// and `w` ranked below `t`, count them per far end `w`, and each pair of
+/// wedges to `w` is one cycle, `w` opposite `t` and the two wedges'
+/// middles closing it. `t` and `w` gain `C(c_w, 2)`; a second pass over the
+/// same wedges gives each middle `a` the `c_w − 1` cycles it shares with
+/// `w`, and hands each far end with `c_w ≥ 2` to the caller with its
+/// middles — the *wedge group* `(t, w)`, whose `C(c_w, 2)` cycles are its
+/// middles' pairs. With neighbour lists sorted by rank every walk is a list
+/// prefix, and a hub's long list is only walked from the few vertices
+/// ranked above it. Tops are independent, so they shard across workers.
+///
+/// Vertices are named by rank inside the walk: [`Self::vertex`] maps a
+/// rank back to its vertex.
+pub struct FourCycleWalk {
+    /// Alive vertices in ascending (degree, id) order: rank → vertex.
+    by_rank: Vec<VertexId>,
+    /// `lower[start[r]..start[r + 1]]`: the ranks of rank `r`'s alive
+    /// neighbours, ascending.
+    start: Vec<usize>,
+    lower: Vec<u32>,
+}
+
+/// Where [`FourCycleWalk::walk_top`] hands each wedge group: its far end
+/// and its middles, as ranks.
+pub type WedgeGroups<'a> = &'a mut dyn FnMut(u32, &[u32]);
+
+/// Per-worker scratch for [`FourCycleWalk::walk_top`]: wedge counts per
+/// far end and the middles of each wedge group, reused across tops.
+#[derive(Default)]
+pub struct FourCycleScratch {
+    count: Vec<u32>,
+    touched: Vec<u32>,
+    /// Group listing: where each far end's middles go in `middles`.
+    slot: Vec<u32>,
+    middles: Vec<u32>,
+}
+
+impl FourCycleWalk {
+    /// Ranks the alive vertices of `g` and sorts their alive neighbour
+    /// lists by rank.
+    pub fn new(g: &Graph, alive: &VertexSet) -> Self {
+        // A counting sort by degree; ids ascend within a degree.
+        let mut first = vec![0usize; g.max_degree() + 2];
+        for v in alive.iter() {
+            first[g.degree(v) + 1] += 1;
+        }
+        for d in 1..first.len() {
+            first[d] += first[d - 1];
+        }
+        let mut by_rank: Vec<VertexId> = vec![0; alive.len()];
+        for v in alive.iter() {
+            let at = &mut first[g.degree(v)];
+            by_rank[*at] = v;
+            *at += 1;
+        }
+        let mut rank = vec![0u32; g.num_vertices()];
+        for (r, &v) in by_rank.iter().enumerate() {
+            rank[v as usize] = r as u32;
+        }
+        let mut start = Vec::with_capacity(by_rank.len() + 1);
+        start.push(0);
+        for &v in &by_rank {
+            let alive_degree = g
+                .neighbors(v)
                 .iter()
                 .filter(|&&u| alive.contains(u))
-                .map(|&u| rank[u as usize]),
-        );
-        lower[from..].sort_unstable();
+                .count();
+            start.push(start[start.len() - 1] + alive_degree);
+        }
+        // Each rank appends itself to its neighbours' lists in ascending
+        // rank order, so every list comes out sorted with no sort.
+        let mut lower = vec![0u32; start[by_rank.len()]];
+        let mut fill: Vec<usize> = start[..by_rank.len()].to_vec();
+        for (r, &v) in by_rank.iter().enumerate() {
+            for &u in g.neighbors(v) {
+                if alive.contains(u) {
+                    let at = &mut fill[rank[u as usize] as usize];
+                    lower[*at] = r as u32;
+                    *at += 1;
+                }
+            }
+        }
+        FourCycleWalk {
+            by_rank,
+            start,
+            lower,
+        }
     }
-    start.push(lower.len());
-    let below = |r: u32, top: u32| {
-        let list = &lower[start[r as usize]..start[r as usize + 1]];
-        &list[..list.partition_point(|&x| x < top)]
-    };
 
-    let mut deg = vec![0u64; by_rank.len()];
-    let mut count = vec![0u32; by_rank.len()];
-    let mut touched: Vec<u32> = Vec::new();
-    for t in 0..by_rank.len() as u32 {
-        for &a in below(t, t) {
-            for &w in below(a, t) {
+    /// Number of ranks (alive vertices), each a possible top.
+    pub fn tops(&self) -> usize {
+        self.by_rank.len()
+    }
+
+    /// The vertex of rank `r`.
+    #[inline]
+    pub fn vertex(&self, r: u32) -> VertexId {
+        self.by_rank[r as usize]
+    }
+
+    /// Rank-indexed values laid out by vertex id over `n` vertices (0 for
+    /// vertices outside the walk).
+    pub fn by_vertex(&self, by_rank: &[u64], n: usize) -> Vec<u64> {
+        let mut out = vec![0u64; n];
+        for (&v, &x) in self.by_rank.iter().zip(by_rank) {
+            out[v as usize] = x;
+        }
+        out
+    }
+
+    /// Whether ranks `r` and `s` are adjacent.
+    #[inline]
+    pub fn adjacent(&self, r: u32, s: u32) -> bool {
+        self.lower[self.start[r as usize]..self.start[r as usize + 1]]
+            .binary_search(&s)
+            .is_ok()
+    }
+
+    /// The ranks below `top` among rank `r`'s neighbours.
+    #[inline]
+    fn below(&self, r: u32, top: u32) -> &[u32] {
+        let list = &self.lower[self.start[r as usize]..self.start[r as usize + 1]];
+        &list[..list.partition_point(|&x| x < top)]
+    }
+
+    /// Walks the cycles whose top is rank `t`: adds each one's degree
+    /// contributions to `deg` (rank-indexed, saturating), hands every
+    /// wedge group `(t, w)` to `group` as `(w, middles)` — far ends in
+    /// first-wedge order, middles ascending by rank — and returns how many
+    /// cycles `t` tops.
+    pub fn walk_top(
+        &self,
+        t: u32,
+        scratch: &mut FourCycleScratch,
+        deg: &mut [u64],
+        mut group: Option<WedgeGroups<'_>>,
+    ) -> u64 {
+        let tops = self.tops();
+        let FourCycleScratch {
+            count,
+            touched,
+            slot,
+            middles,
+        } = scratch;
+        if count.len() < tops {
+            count.resize(tops, 0);
+        }
+        for &a in self.below(t, t) {
+            for &w in self.below(a, t) {
                 if count[w as usize] == 0 {
                     touched.push(w);
                 }
                 count[w as usize] += 1;
             }
         }
-        for &a in below(t, t) {
-            let shared: u64 = below(a, t)
-                .iter()
-                .map(|&w| count[w as usize] as u64 - 1)
-                .sum();
+        let listing = group.is_some();
+        if listing {
+            // Lay the groups out back to back, in first-wedge order.
+            if slot.len() < tops {
+                slot.resize(tops, 0);
+            }
+            let mut at = 0u32;
+            for &w in touched.iter() {
+                let c = count[w as usize];
+                if c >= 2 {
+                    slot[w as usize] = at;
+                    at += c;
+                }
+            }
+            middles.resize(at as usize, 0);
+        }
+        for &a in self.below(t, t) {
+            let mut shared = 0u64;
+            for &w in self.below(a, t) {
+                let c = count[w as usize];
+                shared += c as u64 - 1;
+                if listing && c >= 2 {
+                    middles[slot[w as usize] as usize] = a;
+                    slot[w as usize] += 1;
+                }
+            }
             deg[a as usize] = deg[a as usize].saturating_add(shared);
         }
-        for &w in &touched {
-            let cycles = binomial(count[w as usize] as u64, 2);
-            deg[t as usize] = deg[t as usize].saturating_add(cycles);
-            deg[w as usize] = deg[w as usize].saturating_add(cycles);
+        let mut from = 0usize;
+        let mut all = 0u64;
+        for &w in touched.iter() {
+            let c = count[w as usize];
             count[w as usize] = 0;
+            if c >= 2 {
+                let cycles = pairs(c as usize);
+                all += cycles;
+                deg[w as usize] = deg[w as usize].saturating_add(cycles);
+                if let Some(group) = group.as_mut() {
+                    group(w, &middles[from..from + c as usize]);
+                }
+                from += c as usize;
+            }
         }
+        deg[t as usize] = deg[t as usize].saturating_add(all);
         touched.clear();
+        all
     }
-    let mut out = vec![0u64; g.num_vertices()];
-    for (r, &v) in by_rank.iter().enumerate() {
-        out[v as usize] = deg[r];
-    }
-    out
+}
+
+/// `C(c, 2)`: the cycles of a wedge group with `c` middles.
+#[inline]
+pub(crate) fn pairs(c: usize) -> u64 {
+    let c = c as u64;
+    c * c.saturating_sub(1) / 2
 }
 
 /// The diamond decrement kernel (Appendix D.2.2), as a two-pass wedge
@@ -391,10 +554,19 @@ impl<'g> StarPeel<'g> {
 /// across removals. A removal costs the kernel's two wedge walks over
 /// alive vertices (a hub's list shrinks as its neighbours peel away) plus
 /// one pass to drop the removed vertex, and allocates nothing.
+///
+/// This closed form is the diamond oracle's streaming path: diamonds
+/// peel from a materialized 4-cycle store where the store costs less
+/// (see `dsd_core::oracle::DIAMOND_ROW_COST`), and here otherwise —
+/// seeded through [`Self::with_degrees`] with the degrees the refused
+/// store build's walk already counted.
 #[derive(Clone, Debug)]
 pub struct DiamondPeel<'g> {
     g: &'g Graph,
     alive: VertexSet,
+    /// Degrees of `g[alive]` handed in by [`Self::with_degrees`], until
+    /// the first removal.
+    seeded: Option<Vec<u64>>,
     /// `adj[start[u]..start[u] + len[u]]`: the alive neighbours of `u`.
     start: Vec<usize>,
     len: Vec<u32>,
@@ -420,6 +592,7 @@ impl<'g> DiamondPeel<'g> {
         DiamondPeel {
             g,
             alive: alive.clone(),
+            seeded: None,
             start,
             len,
             adj,
@@ -428,15 +601,31 @@ impl<'g> DiamondPeel<'g> {
         }
     }
 
+    /// Starts a diamond peel of `g[alive]` whose degrees were already
+    /// counted: `degrees` must equal [`diamond_degrees`]`(g, alive)`, and
+    /// [`Self::degrees`] hands them back until the first removal instead
+    /// of walking the cycles again.
+    pub fn with_degrees(g: &'g Graph, alive: &VertexSet, degrees: Vec<u64>) -> Self {
+        debug_assert_eq!(degrees, diamond_degrees(g, alive), "seeded degrees");
+        DiamondPeel {
+            seeded: Some(degrees),
+            ..Self::new(g, alive)
+        }
+    }
+
     /// Diamond-degrees of the current (un-removed) subgraph.
     pub fn degrees(&self) -> Vec<u64> {
-        diamond_degrees(self.g, &self.alive)
+        match &self.seeded {
+            Some(degrees) => degrees.clone(),
+            None => diamond_degrees(self.g, &self.alive),
+        }
     }
 
     /// Removes `v` (still un-removed), handing `sink` each other vertex's
     /// loss in ascending vertex order.
     pub fn remove(&mut self, v: VertexId, sink: &mut dyn FnMut(VertexId, u64)) {
         debug_assert!(self.alive.contains(v), "vertex already removed");
+        self.seeded = None;
         let (start, len, adj) = (&self.start, &self.len, &self.adj);
         let neighbors = |u: VertexId| {
             let s = start[u as usize];

@@ -18,7 +18,10 @@
 //! every worker count (one shard runs inline on the calling thread).
 //! h-clique stores shard [`CliqueLister`] by degeneracy-ordered root
 //! vertex (every clique is discovered exactly once, from its lowest-ranked
-//! member). General-pattern stores shard over first-position candidates
+//! member). 4-cycle stores shard the [`FourCycleWalk`] by top (every cycle
+//! is found once, from its highest-ranked member, which also tops every
+//! other cycle on its vertex set). General-pattern stores shard over
+//! first-position candidates
 //! (see [`crate::for_each_owned_instance_until`]): symmetry breaking
 //! reaches each instance through one embedding, whose pivot lands in
 //! exactly one shard, so the shard columns concatenate without cross-shard
@@ -48,9 +51,10 @@ use std::time::Instant;
 use dsd_graph::{Graph, InducedSubgraph, VertexId, VertexSet};
 
 use crate::kclist::{CliqueLister, CliqueScratch};
-use crate::parallel::{collect_capped, shard_count};
+use crate::parallel::{collect_capped, concat, run_capped, shard_count};
 use crate::pattern::Pattern;
 use crate::pattern_enum;
+use crate::special::{pairs, FourCycleScratch, FourCycleWalk};
 
 /// Why a store build was refused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -87,6 +91,19 @@ impl fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
+/// A 4-cycle store that [`InstanceStore::four_cycles_within`] refused,
+/// with what its walk counted anyway.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FourCycleRefusal {
+    /// The store error when the cycles overflow `u32` indexing or the
+    /// byte budget; `None` when only the caller's row limit refused them.
+    pub error: Option<StoreError>,
+    /// Every 4-cycle of `g[alive]`.
+    pub instances: u64,
+    /// The diamond degree of every vertex (0 outside `alive`).
+    pub degrees: Vec<u64>,
+}
+
 /// Instrumentation for one store build.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreBuildStats {
@@ -103,8 +120,9 @@ pub struct StoreBuildStats {
     /// Worker shards used by the enumeration (1 = serial).
     pub shards: usize,
     /// Phase split: nanos building the degeneracy-DAG out-CSR that every
-    /// worker shares. 0 for general patterns, which enumerate straight off
-    /// the graph CSR.
+    /// worker shares (for 4-cycles, the walk's rank-sorted neighbour
+    /// lists). 0 for general patterns, which enumerate straight off the
+    /// graph CSR.
     pub csr_build_nanos: u128,
     /// Phase split: nanos inside enumeration — intersections + emission
     /// into per-worker columns, including the shard concatenation (wall
@@ -136,6 +154,10 @@ pub struct StoreRepairStats {
 pub const COMPACT_DEAD_NUM: usize = 1;
 /// See [`COMPACT_DEAD_NUM`].
 pub const COMPACT_DEAD_DEN: usize = 4;
+
+/// Build-time bytes a 4-cycle store charges per cycle beside its columns:
+/// each shard's member and weight columns, copied once at concatenation.
+const FOUR_CYCLE_TRANSIENT: u64 = 20;
 
 /// Columnar instance storage: CSR-of-members plus CSR-of-incidence.
 #[derive(Clone, Debug)]
@@ -342,6 +364,136 @@ impl InstanceStore {
         let (members, weights) = group_rows(members, k);
         Ok(Self::finish(
             k, members, weights, n, instances, shards, 0, enum_nanos, t0,
+        ))
+    }
+
+    /// Builds the store of all 4-cycles (diamonds) of `g[alive]` from one
+    /// rank-ordered [`FourCycleWalk`], sharded across `threads` workers by
+    /// top. Each cycle is found once, from its top, as a pair of middles
+    /// in a wedge group. Cycles share a vertex set only in a K4, whose
+    /// three come from three groups of one top: the walk lists a K4 once,
+    /// as a row of weight 3, so the shard columns concatenate with no
+    /// grouping pass. Row order depends on
+    /// the worker count, the (members, weight) multiset does not: it
+    /// equals [`InstanceStore::pattern`]'s for [`Pattern::diamond`], which
+    /// reaches the same rows through the generic symmetry-broken search.
+    /// Same caps and errors as the other builders.
+    pub fn four_cycles(
+        g: &Graph,
+        alive: &VertexSet,
+        threads: usize,
+        budget: Option<u64>,
+    ) -> Result<(Self, StoreBuildStats), StoreError> {
+        Self::four_cycles_within(g, alive, threads, budget, u64::MAX).map_err(|refusal| {
+            refusal
+                .error
+                .expect("only a store cap refuses a walk without a row limit")
+        })
+    }
+
+    /// [`InstanceStore::four_cycles`] under a further cap of `row_limit`
+    /// instances. The walk groups each top's wedges by far end and counts
+    /// a group's `C(c, 2)` cycles before listing any of them, so the caps
+    /// are checked on counts; past a cap it drops what it listed and walks
+    /// on count-only, and the refusal carries the diamond degrees it
+    /// counted (those of [`crate::special::diamond_degrees`]), so a caller
+    /// that falls back to the closed-form peel does not walk again.
+    pub fn four_cycles_within(
+        g: &Graph,
+        alive: &VertexSet,
+        threads: usize,
+        budget: Option<u64>,
+        row_limit: u64,
+    ) -> Result<(Self, StoreBuildStats), FourCycleRefusal> {
+        let t0 = Instant::now();
+        let n = g.num_vertices();
+        let caps = RowCaps::new(n, 4, FOUR_CYCLE_TRANSIENT, budget);
+        let base = caps.check_base();
+        let max_rows = match base {
+            Ok(()) => caps.max_rows().min(row_limit),
+            Err(_) => 0,
+        };
+        let walk = FourCycleWalk::new(g, alive);
+        let tops: Vec<u32> = (0..walk.tops() as u32).collect();
+        let csr_nanos = t0.elapsed().as_nanos();
+        let enum_t0 = Instant::now();
+
+        let shards = shard_count(threads, tops.len());
+        let (outputs, fits) = run_capped(&tops, shards, max_rows, |mine, cap| {
+            let mut scratch = FourCycleScratch::default();
+            let mut shard = ShardCycles {
+                degrees: vec![0u64; walk.tops()],
+                ..ShardCycles::default()
+            };
+            let mut listing = true;
+            for &t in mine {
+                if !listing {
+                    shard.cycles += walk.walk_top(t, &mut scratch, &mut shard.degrees, None);
+                    continue;
+                }
+                let vt = walk.vertex(t);
+                let mut list = |w: u32, middles: &[u32]| {
+                    if !listing || !(0..pairs(middles.len())).all(|_| cap.admit()) {
+                        listing = false;
+                        return;
+                    }
+                    let (vw, chord) = (walk.vertex(w), walk.adjacent(t, w));
+                    for (i, &a) in middles.iter().enumerate() {
+                        for &b in &middles[i + 1..] {
+                            // A vertex set holds a second 4-cycle only
+                            // when both of the first's diagonals are
+                            // edges, and then it is a K4 holding three:
+                            // one in each of its top's groups. List it
+                            // once, from the group whose far end ranks
+                            // lowest (middles ascend, so `a < b`).
+                            let weight = match chord && walk.adjacent(a, b) {
+                                true if w > a => continue,
+                                true => 3,
+                                false => 1,
+                            };
+                            let mut row = [vt, vw, walk.vertex(a), walk.vertex(b)];
+                            row.sort_unstable();
+                            shard.members.extend_from_slice(&row);
+                            shard.weights.push(weight);
+                        }
+                    }
+                };
+                shard.cycles += walk.walk_top(t, &mut scratch, &mut shard.degrees, Some(&mut list));
+                if !listing {
+                    shard.members = Vec::new();
+                    shard.weights = Vec::new();
+                }
+            }
+            shard
+        });
+        let enum_nanos = enum_t0.elapsed().as_nanos();
+        let instances: u64 = outputs.iter().map(|shard| shard.cycles).sum();
+        if base.is_err() || !fits {
+            let mut degrees = vec![0u64; walk.tops()];
+            for shard in &outputs {
+                for (sum, &d) in degrees.iter_mut().zip(&shard.degrees) {
+                    *sum = sum.saturating_add(d);
+                }
+            }
+            let error = base
+                .err()
+                .or_else(|| (instances > caps.max_rows()).then(|| caps.error_at(caps.max_rows())));
+            return Err(FourCycleRefusal {
+                error,
+                instances,
+                degrees: walk.by_vertex(&degrees, n),
+            });
+        }
+        let (members, weights): (Vec<_>, Vec<_>) = outputs
+            .into_iter()
+            .map(|shard| (shard.members, shard.weights))
+            .unzip();
+        let (members, weights) = (concat(members), concat(weights));
+        debug_assert_eq!(weights.iter().map(|&w| w as u64).sum::<u64>(), instances);
+        // Unit weights everywhere keep the unweighted representation.
+        let weights = weights.iter().any(|&w| w != 1).then_some(weights);
+        Ok(Self::finish(
+            4, members, weights, n, instances, shards, csr_nanos, enum_nanos, t0,
         ))
     }
 
@@ -836,6 +988,17 @@ fn push_sorted_row(members: &mut Vec<VertexId>, clique: &[VertexId], row: &mut [
     }
 }
 
+/// One shard of a 4-cycle store build: its rows (when it listed to the
+/// end), the diamond degrees its tops contribute (rank-indexed) and how
+/// many cycles they top.
+#[derive(Default)]
+struct ShardCycles {
+    members: Vec<VertexId>,
+    weights: Vec<u32>,
+    degrees: Vec<u64>,
+    cycles: u64,
+}
+
 /// Merges rows with identical member lists, returning the compacted
 /// column plus weights (`None` when every row was already unique). Rows
 /// come out in ascending lexicographic order.
@@ -1086,6 +1249,134 @@ mod tests {
                 Err(StoreError::BudgetExceeded { .. })
             ));
         }
+    }
+
+    /// Sorted `(members, weight)` rows: the store's row multiset.
+    fn weighted_rows(store: &InstanceStore) -> Vec<(Vec<VertexId>, u64)> {
+        let mut rows: Vec<_> = (0..store.rows())
+            .map(|r| (store.members(r).to_vec(), store.weight(r)))
+            .collect();
+        rows.sort_unstable();
+        rows
+    }
+
+    /// `g` with a `k`-clique planted on every `stride`-th vertex from
+    /// `first` on.
+    fn with_clique(g: &Graph, k: u32, first: u32, stride: u32) -> Graph {
+        let mut b = GraphBuilder::new(g.num_vertices());
+        for u in 0..g.num_vertices() as VertexId {
+            for &v in g.neighbors(u) {
+                if u < v {
+                    b.add_edge(u, v);
+                }
+            }
+        }
+        for i in 0..k {
+            for j in (i + 1)..k {
+                b.add_edge(first + i * stride, first + j * stride);
+            }
+        }
+        b.build()
+    }
+
+    /// Sparse, K4/K5-rich dense and planted-clique graphs.
+    fn four_cycle_graphs() -> Vec<(String, Graph)> {
+        let mut out = Vec::new();
+        for seed in 1..=3u64 {
+            out.push((format!("sparse {seed}"), random_graph(seed, 120, 40)));
+            out.push((format!("dense {seed}"), random_graph(seed + 10, 24, 600)));
+            let planted = with_clique(&random_graph(seed + 20, 90, 30), 7, seed as u32, 5);
+            out.push((format!("planted {seed}"), with_clique(&planted, 5, 40, 3)));
+        }
+        out
+    }
+
+    /// The walk lists exactly the generic diamond store's rows, for every
+    /// worker count: the same (members, weight) multiset and instance
+    /// count, K4s and K5s (three cycles per vertex set) included.
+    #[test]
+    fn four_cycle_store_matches_the_generic_diamond_store() {
+        let psi = Pattern::diamond();
+        let mut weighted = 0;
+        for (name, g) in four_cycle_graphs() {
+            let alive = VertexSet::full(g.num_vertices());
+            let (generic, generic_stats) =
+                InstanceStore::pattern(&g, &psi, &alive, 1, None).unwrap();
+            assert!(generic.total_instances() > 0, "{name}: cycles to list");
+            weighted += usize::from(generic.weights.is_some());
+            for threads in [1, 2, 4] {
+                let (store, stats) = InstanceStore::four_cycles(&g, &alive, threads, None).unwrap();
+                let ctx = format!("{name}, threads {threads}");
+                assert_eq!(weighted_rows(&store), weighted_rows(&generic), "{ctx}");
+                assert_eq!(stats.instances, generic_stats.instances, "{ctx}");
+                assert_eq!(stats.rows, generic_stats.rows, "{ctx}");
+                assert_eq!(stats.shards, threads, "{ctx}");
+                assert_eq!(store.total_instances(), count_instances(&g, &psi, &alive));
+                assert_eq!(
+                    store.degrees_within(&alive),
+                    crate::special::diamond_degrees(&g, &alive),
+                    "{ctx}"
+                );
+            }
+            // A masked build lists the cycles of `g[alive]` only.
+            let mut masked = alive.clone();
+            for v in (0..g.num_vertices() as VertexId).step_by(4) {
+                masked.remove(v);
+            }
+            let (store, _) = InstanceStore::four_cycles(&g, &masked, 2, None).unwrap();
+            let (generic, _) = InstanceStore::pattern(&g, &psi, &masked, 1, None).unwrap();
+            assert_eq!(
+                weighted_rows(&store),
+                weighted_rows(&generic),
+                "{name} masked"
+            );
+        }
+        assert!(
+            weighted >= 3,
+            "vertex sets with several cycles ({weighted})"
+        );
+    }
+
+    /// The byte cap refuses exactly: a budget of exactly the cycle count
+    /// builds on 1, 2 and 4 shards and one row less refuses, and so does a
+    /// row limit one under the cycle count. A refusal carries the walk's
+    /// cycle count and diamond degrees.
+    #[test]
+    fn four_cycle_caps_refuse_exactly_and_keep_the_degrees() {
+        let g = with_clique(&random_graph(7, 300, 60), 6, 0, 7);
+        let n = g.num_vertices();
+        let alive = VertexSet::full(n);
+        let cycles = count_instances(&g, &Pattern::diamond(), &alive);
+        assert!(cycles > 10_000, "the cap must span chunks ({cycles})");
+        let degrees = crate::special::diamond_degrees(&g, &alive);
+        let caps = RowCaps::new(n, 4, FOUR_CYCLE_TRANSIENT, None);
+        let budget = caps.base_bytes + cycles * caps.bytes_per_row;
+        for threads in [1, 2, 4] {
+            let (store, _) = InstanceStore::four_cycles(&g, &alive, threads, Some(budget))
+                .expect("the cycles fit the cap");
+            assert_eq!(store.total_instances(), cycles);
+            let refusal =
+                InstanceStore::four_cycles_within(&g, &alive, threads, Some(budget - 1), u64::MAX)
+                    .unwrap_err();
+            assert!(matches!(
+                refusal.error,
+                Some(StoreError::BudgetExceeded { budget: b, .. }) if b == budget - 1
+            ));
+            assert_eq!((refusal.instances, &refusal.degrees), (cycles, &degrees));
+            let refusal = InstanceStore::four_cycles_within(&g, &alive, threads, None, cycles - 1)
+                .unwrap_err();
+            assert_eq!(refusal.error, None, "only the row limit refused");
+            assert_eq!((refusal.instances, &refusal.degrees), (cycles, &degrees));
+            assert!(InstanceStore::four_cycles_within(&g, &alive, threads, None, cycles).is_ok());
+        }
+        // The base allocation is budgeted before any cycle.
+        let refusal =
+            InstanceStore::four_cycles_within(&g, &alive, 2, Some(100), u64::MAX).unwrap_err();
+        assert!(matches!(
+            refusal.error,
+            Some(StoreError::BudgetExceeded { .. })
+        ));
+        assert_eq!(refusal.degrees, degrees);
     }
 
     #[test]

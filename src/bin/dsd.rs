@@ -156,6 +156,7 @@ fn store_line(store: &dsd::core::StoreStats) -> String {
             match store.fallback {
                 Some(dsd::core::StoreFallback::Budget) => "store over byte budget",
                 Some(dsd::core::StoreFallback::Capacity) => "store over u32 capacity",
+                Some(dsd::core::StoreFallback::Cost) => "closed form cheaper than the store",
                 None => "not attempted",
             }
         )

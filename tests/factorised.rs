@@ -25,10 +25,12 @@
 //! nightly CI runs this suite at 5000 iterations.
 
 use dsd::core::flownet::{build_pattern_network, build_store_network, DensityNetwork};
+use dsd::core::oracle::DIAMOND_ROW_COST;
 use dsd::core::{DsdEngine, Method, Objective, Solution};
+use dsd::graph::testing::with_pendant_star;
 use dsd::graph::{Graph, GraphUpdate, VertexId, VertexSet};
 use dsd::motif::store::InstanceStore;
-use dsd::motif::Pattern;
+use dsd::motif::{count_instances, Pattern, PatternKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -66,15 +68,31 @@ fn patterns() -> Vec<Pattern> {
     ]
 }
 
-/// Builds the Ψ-instance store of `g`, skipping pattern/graph pairs the
-/// store cannot hold (never happens at these sizes, but keep it total).
+/// Builds the Ψ-instance store of `g` the way the engine does (diamonds
+/// through the 4-cycle walk), skipping pattern/graph pairs the store
+/// cannot hold (never happens at these sizes, but keep it total).
 fn store_for(g: &Graph, psi: &Pattern) -> Option<InstanceStore> {
     let alive = VertexSet::full(g.num_vertices());
-    let built = match psi.vertex_count() * (psi.vertex_count() - 1) == 2 * psi.edge_count() {
-        true => InstanceStore::cliques(g, psi.vertex_count(), &alive, 1, None),
-        false => InstanceStore::pattern(g, psi, &alive, 1, None),
+    let built = match psi.kind() {
+        PatternKind::Clique(h) => InstanceStore::cliques(g, h, &alive, 1, None),
+        PatternKind::Diamond => InstanceStore::four_cycles(g, &alive, 2, None),
+        _ => InstanceStore::pattern(g, psi, &alive, 1, None),
     };
     built.ok().map(|(store, _)| store)
+}
+
+/// The graph a Ψ's engine runs on: `g` itself, except that diamonds get a
+/// pendant star whose hub's squared degree alone pays
+/// [`DIAMOND_ROW_COST`] for every 4-cycle of `g`. The cost rule then
+/// keeps the diamond store, so the diamond rows compare store-built
+/// networks with enumeration-built ones.
+fn graph_for(psi: &Pattern, g: &Graph) -> Graph {
+    if psi.kind() != PatternKind::Diamond {
+        return g.clone();
+    }
+    let cycles = count_instances(g, psi, &VertexSet::full(g.num_vertices()));
+    let leaves = ((DIAMOND_ROW_COST * cycles) as f64).sqrt().ceil() as usize;
+    with_pendant_star(g, leaves)
 }
 
 fn assert_solutions_identical(ctx: &str, a: &Solution, b: &Solution) {
@@ -184,15 +202,24 @@ fn store_backed_solves_match_streaming_enumeration() {
     let iters = prop_iters(3);
     let mut rng = StdRng::seed_from_u64(0xFAC7_0003);
     for iter in 0..iters {
-        let g = random_graph(&mut rng, 9, 14, 0.3, 0.55);
+        let base = random_graph(&mut rng, 9, 14, 0.3, 0.55);
         for psi in patterns() {
+            let g = graph_for(&psi, &base);
             let factorised = DsdEngine::new(g.clone());
-            let streaming = DsdEngine::new(g.clone()).with_substrate_budget(Some(0));
+            let streaming = DsdEngine::new(g).with_substrate_budget(Some(0));
+            // Edges and stars never materialize; every other Ψ must, or
+            // both sides would run the same enumeration path.
+            let stored = !matches!(psi.kind(), PatternKind::Clique(2) | PatternKind::Star(_));
             for method in [Method::Exact, Method::CoreExact] {
                 let ctx = format!("iter {iter}, psi {}, {method:?}", psi.name());
                 let warm = factorised.request(&psi).method(method).solve();
                 let cold = streaming.request(&psi).method(method).solve();
                 assert_solutions_identical(&ctx, &warm, &cold);
+                assert_eq!(
+                    warm.stats.store.is_some_and(|s| s.materialized),
+                    stored,
+                    "{ctx}: store"
+                );
             }
             let ctx = format!("iter {iter}, psi {}, top-k", psi.name());
             let warm = factorised

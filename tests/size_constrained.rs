@@ -35,12 +35,14 @@ use std::sync::Arc;
 use dsd::core::clique_core::decompose_within;
 use dsd::core::oracle::{
     oracle_for, CliqueOracle, DiamondOracle, GenericPatternOracle, StarOracle, SubstrateRepair,
+    DIAMOND_ROW_COST,
 };
 use dsd::core::size_constrained::greedy_trim;
 use dsd::core::{CliqueCoreDecomposition, CoreExactConfig, DensityOracle, Substrates};
 use dsd::datasets::{chung_lu::chung_lu, er::er};
+use dsd::graph::testing::with_pendant_star;
 use dsd::graph::{Graph, VertexId, VertexSet};
-use dsd::motif::Pattern;
+use dsd::motif::{count_instances, Pattern, PatternKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -80,6 +82,40 @@ fn random_graph(rng: &mut StdRng, iteration: usize) -> (Graph, String) {
             chung_lu(n, m, 2.5, seed),
             format!("Chung-Lu(n={n}, m~{m}, seed={seed})"),
         )
+    }
+}
+
+/// The graph a Ψ runs on: `g` itself, except that on the heavy-tailed
+/// iterations (`pad`) diamonds get a pendant star whose hub's squared
+/// degree alone pays [`DIAMOND_ROW_COST`] for every 4-cycle of `g`. The
+/// cost rule then keeps the engine's diamond store, so those rows check
+/// the store's peel against the closed form's replay; the dense G(n, p)
+/// iterations mostly check the closed form the rule falls back to,
+/// seeded with the walk's degrees. (Padding those too would make the
+/// every-k replays an order of magnitude slower.)
+fn graph_for(psi: &Pattern, g: &Graph, pad: bool) -> Graph {
+    if psi.kind() != PatternKind::Diamond || !pad {
+        return g.clone();
+    }
+    let cycles = count_instances(g, psi, &VertexSet::full(g.num_vertices()));
+    let leaves = ((DIAMOND_ROW_COST * cycles) as f64).sqrt().ceil() as usize;
+    with_pendant_star(g, leaves)
+}
+
+/// Tallies which side of the cost rule a diamond oracle took on `g`,
+/// requiring the store where `g` was padded for it.
+fn tally_diamond(
+    psi: &Pattern,
+    g: &Graph,
+    oracle: &dyn DensityOracle,
+    padded: bool,
+    sides: &mut [usize; 2],
+    ctx: &str,
+) {
+    if psi.kind() == PatternKind::Diamond {
+        let stored = oracle.store(g).is_some();
+        assert!(stored || !padded, "{ctx}: the padded graph keeps the store");
+        sides[usize::from(stored)] += 1;
     }
 }
 
@@ -220,11 +256,22 @@ fn profile_scan_matches_replayed_peel() {
     let mut repair_rng = StdRng::seed_from_u64(0x7E9A_12ED);
     let mut tally = Coverage::default();
     for it in 0..iters {
-        let (g, label) = random_graph(&mut rng, it);
-        let n = g.num_vertices();
+        let (base, label) = random_graph(&mut rng, it);
+        let pad = it % 2 == 1;
         for (psi, streaming) in oracle_pairs() {
+            let g = graph_for(&psi, &base, pad);
+            let n = g.num_vertices();
             let ctx = format!("{label} psi {}", psi.name());
-            let s = Substrates::cold(&g, &psi);
+            let engine_oracle: Arc<dyn DensityOracle> = Arc::from(oracle_for(&psi));
+            tally_diamond(
+                &psi,
+                &g,
+                engine_oracle.as_ref(),
+                pad,
+                &mut tally.diamond,
+                &ctx,
+            );
+            let s = Substrates::cold(&g, &psi).with_oracle(engine_oracle);
             let dec = s.decomposition();
             assert_eq!(dec.peel_order.len(), n, "{ctx}: whole-graph peel");
 
@@ -310,7 +357,11 @@ fn profile_scan_matches_replayed_peel() {
         }
     }
     assert!(
-        tally.straddled >= iters && tally.tombstoned >= iters / 2 && tally.mu_zero >= 6,
+        tally.straddled >= iters
+            && tally.tombstoned >= iters / 2
+            && tally.mu_zero >= 6
+            && tally.diamond[1] >= iters / 2
+            && tally.diamond[0] >= 1,
         "coverage: {tally:?}"
     );
 }
@@ -325,6 +376,9 @@ struct Coverage {
     tombstoned: usize,
     /// Instance-free graphs.
     mu_zero: usize,
+    /// Diamond engine oracles that fell back to the closed form, and that
+    /// kept their store.
+    diamond: [usize; 2],
 }
 
 /// Requires `dec`, a decomposition of `g[alive]`, to match the replay of
@@ -419,15 +473,20 @@ fn repaired_oracle(
 fn heap_trim_matches_linear_trim() {
     let iters = prop_iters(12);
     let mut rng = StdRng::seed_from_u64(0x7819_DA3C);
+    // Diamond engine oracles that fell back, and that kept their store.
+    let mut sides = [0usize; 2];
     for it in 0..iters {
-        let (g, label) = random_graph(&mut rng, it);
-        let n = g.num_vertices();
-        let all: Vec<VertexId> = g.vertices().collect();
+        let (base, label) = random_graph(&mut rng, it);
+        let pad = it % 2 == 1;
         for (psi, streaming) in oracle_pairs() {
+            let g = graph_for(&psi, &base, pad);
+            let n = g.num_vertices();
+            let all: Vec<VertexId> = g.vertices().collect();
             let ctx = format!("{label} psi {}", psi.name());
             let s = Substrates::cold(&g, &psi);
             let start = s.decomposition().best_residual();
             let engine_oracle = oracle_for(&psi);
+            tally_diamond(&psi, &g, engine_oracle.as_ref(), pad, &mut sides, &ctx);
             for k in 1..=n {
                 for (from, set) in [("S*", &start), ("V", &all)] {
                     let want = linear_trim(&g, streaming.as_ref(), set, k);
@@ -458,4 +517,8 @@ fn heap_trim_matches_linear_trim() {
             );
         }
     }
+    assert!(
+        sides[1] >= iters / 2 && sides[0] >= 1,
+        "diamond sides {sides:?}"
+    );
 }

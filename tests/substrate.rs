@@ -14,13 +14,16 @@
 
 use std::sync::Arc;
 
-use dsd::core::oracle::{CliqueOracle, DiamondOracle, GenericPatternOracle, StarOracle};
+use dsd::core::oracle::{
+    CliqueOracle, DiamondOracle, GenericPatternOracle, StarOracle, DIAMOND_ROW_COST,
+};
 use dsd::core::{
     decompose, DensityOracle, DsdEngine, MaterializedOracle, Method, Objective, Parallelism,
     StoreFallback, Substrates,
 };
+use dsd::graph::testing::with_pendant_star;
 use dsd::graph::{Graph, GraphBuilder, GraphUpdate, VertexId, VertexSet};
-use dsd::motif::Pattern;
+use dsd::motif::{count_instances, Pattern, PatternKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -44,6 +47,20 @@ fn random_graph(rng: &mut StdRng, n_lo: usize, n_hi: usize) -> Graph {
         }
     }
     b.build()
+}
+
+/// The graph a Ψ runs on: `g` itself, except that diamonds get a pendant
+/// star whose hub's squared degree alone pays [`DIAMOND_ROW_COST`] for
+/// every 4-cycle of `g`. The cost rule then keeps the diamond store, so
+/// the diamond rows compare the store with the closed form, not the
+/// closed form with itself.
+fn graph_for(psi: &Pattern, g: &Graph) -> Graph {
+    if psi.kind() != PatternKind::Diamond {
+        return g.clone();
+    }
+    let cycles = count_instances(g, psi, &VertexSet::full(g.num_vertices()));
+    let leaves = ((DIAMOND_ROW_COST * cycles) as f64).sqrt().ceil() as usize;
+    with_pendant_star(g, leaves)
 }
 
 /// The Ψ menu with each pattern's pre-substrate streaming oracle.
@@ -73,12 +90,18 @@ fn materialized_matches_streaming_degrees_and_decrements() {
     let iters = prop_iters(25);
     for seed in 0..iters as u64 {
         let mut rng = StdRng::seed_from_u64(0xD5D0 + seed);
-        let g = random_graph(&mut rng, 12, 28);
+        let base = random_graph(&mut rng, 12, 28);
         for (psi, streaming) in oracle_pairs() {
+            let g = graph_for(&psi, &base);
             // Exercise both serial and sharded clique store builds.
             let threads = if seed % 2 == 0 { 1 } else { 3 };
             let mat = MaterializedOracle::with_policy(&psi, Parallelism::new(threads), None);
             let mut alive = VertexSet::full(g.num_vertices());
+            assert!(
+                mat.store(&g).is_some(),
+                "seed {seed} psi {}: the store materializes",
+                psi.name()
+            );
             loop {
                 assert_eq!(
                     mat.degrees(&g, &alive),
@@ -118,10 +141,20 @@ fn materialized_matches_streaming_decomposition_and_apps() {
     let iters = prop_iters(20);
     for seed in 0..iters as u64 {
         let mut rng = StdRng::seed_from_u64(0xC0DE + seed);
-        let g = random_graph(&mut rng, 14, 30);
+        let base = random_graph(&mut rng, 14, 30);
         for (psi, streaming) in oracle_pairs() {
-            let mat = MaterializedOracle::with_policy(&psi, Parallelism::serial(), None);
-            let sa = Substrates::cold(&g, &psi).with_oracle(Arc::new(mat));
+            let g = graph_for(&psi, &base);
+            let mat = Arc::new(MaterializedOracle::with_policy(
+                &psi,
+                Parallelism::serial(),
+                None,
+            ));
+            assert!(
+                mat.store(&g).is_some(),
+                "seed {seed} psi {}: the store materializes",
+                psi.name()
+            );
+            let sa = Substrates::cold(&g, &psi).with_oracle(mat);
             let sb = Substrates::cold(&g, &psi).with_oracle(Arc::from(streaming));
             let (a, b) = (sa.decomposition(), sb.decomposition());
             let label = format!("seed {seed} psi {}", psi.name());

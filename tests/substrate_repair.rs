@@ -14,12 +14,14 @@
 
 use std::collections::BTreeSet;
 
+use dsd::core::oracle::DIAMOND_ROW_COST;
 use dsd::core::{
     DsdEngine, DsdRequest, DsdServer, Method, ServeConfig, ServeError, ServeOutcome, Solution,
     Ticket,
 };
-use dsd::graph::{Graph, GraphUpdate, VertexId};
-use dsd::motif::Pattern;
+use dsd::graph::testing::with_pendant_star;
+use dsd::graph::{Graph, GraphUpdate, VertexId, VertexSet};
+use dsd::motif::{count_instances, Pattern, PatternKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -44,6 +46,20 @@ fn random_base(rng: &mut StdRng) -> (usize, BTreeSet<(VertexId, VertexId)>) {
         }
     }
     (n, edges)
+}
+
+/// The base graph with a pendant star whose hub's squared degree alone
+/// pays [`DIAMOND_ROW_COST`] for every 4-cycle, so the cost rule keeps the
+/// diamond store and `apply` has a diamond store to repair.
+fn pad_for_diamond_store(
+    n: usize,
+    edges: &BTreeSet<(VertexId, VertexId)>,
+) -> (usize, BTreeSet<(VertexId, VertexId)>) {
+    let g = Graph::from_edges(n, &edges.iter().copied().collect::<Vec<_>>());
+    let cycles = count_instances(&g, &Pattern::diamond(), &VertexSet::full(n));
+    let leaves = ((DIAMOND_ROW_COST * cycles) as f64).sqrt().ceil() as usize;
+    let padded = with_pendant_star(&g, leaves);
+    (padded.num_vertices(), padded.edges().collect())
 }
 
 /// A mixed batch: deletes some present edges, inserts some absent ones,
@@ -102,14 +118,25 @@ fn repaired_substrates_answer_identical_to_rebuilt() {
     ];
     let iters = prop_iters(6);
     let mut repaired_total = 0usize;
+    let mut diamonds_repaired = 0usize;
     for seed in 0..iters as u64 {
         for psi in &psis {
             let mut rng = StdRng::seed_from_u64(0x5EED_2E9A ^ (seed << 8));
-            let (n, mut edges) = random_base(&mut rng);
+            let (mut n, mut edges) = random_base(&mut rng);
+            let diamond = psi.kind() == PatternKind::Diamond;
+            if diamond {
+                (n, edges) = pad_for_diamond_store(n, &edges);
+            }
             let edge_list: Vec<_> = edges.iter().copied().collect();
             let warm = DsdEngine::new(Graph::from_edges(n, &edge_list));
             // Warm the Ψ-substrate so apply() has something to repair.
-            warm.request(psi).method(Method::CoreExact).solve();
+            let first = warm.request(psi).method(Method::CoreExact).solve();
+            if diamond {
+                assert!(
+                    first.stats.store.is_some_and(|s| s.materialized),
+                    "seed {seed}: the diamond store materializes"
+                );
+            }
 
             for round in 0..3 {
                 let batch = mixed_batch(&mut rng, n, &mut edges);
@@ -118,6 +145,9 @@ fn repaired_substrates_answer_identical_to_rebuilt() {
                 }
                 let stats = warm.apply(&batch);
                 repaired_total += stats.substrates_repaired;
+                if diamond {
+                    diamonds_repaired += stats.substrates_repaired;
+                }
                 let edge_list: Vec<_> = edges.iter().copied().collect();
                 let cold = DsdEngine::new(Graph::from_edges(n, &edge_list));
                 for method in [Method::CoreExact, Method::PeelApp] {
@@ -129,8 +159,9 @@ fn repaired_substrates_answer_identical_to_rebuilt() {
         }
     }
     assert!(
-        repaired_total > 0,
-        "the sweep never exercised the repair path"
+        repaired_total > 0 && diamonds_repaired > 0,
+        "the sweep never exercised the repair path ({repaired_total} repairs, \
+         {diamonds_repaired} of diamond stores)"
     );
 }
 
