@@ -17,7 +17,8 @@
 //! adjacency lists) across every removal of one peel, so a removal
 //! allocates nothing.
 //!
-//! Diamond degrees come from one [`FourCycleWalk`], which finds every
+//! Diamond degrees come from one rank-ordered 4-cycle walk
+//! (`FourCycleWalk`), which finds every
 //! 4-cycle once from its top and can also list them: the instance store's
 //! 4-cycle build runs the same walk, and where the store costs less than
 //! the closed-form peel (`dsd_core::oracle::DIAMOND_ROW_COST`), diamonds
@@ -215,7 +216,8 @@ pub fn star_decrements(
 /// Diamond (4-cycle) pattern-degrees of all vertices (Appendix D.2.1):
 /// `deg(v) = Σ_{w ≠ v} C(|N(v) ∩ N(w)|, 2)` over alive vertices.
 ///
-/// The count-only call of the [`FourCycleWalk`], every top walked in turn.
+/// The count-only call of the rank-ordered 4-cycle walk (`FourCycleWalk`),
+/// every top walked in turn.
 pub fn diamond_degrees(g: &Graph, alive: &VertexSet) -> Vec<u64> {
     let walk = FourCycleWalk::new(g, alive);
     let mut scratch = FourCycleScratch::default();
@@ -243,7 +245,7 @@ pub fn diamond_degrees(g: &Graph, alive: &VertexSet) -> Vec<u64> {
 ///
 /// Vertices are named by rank inside the walk: [`Self::vertex`] maps a
 /// rank back to its vertex.
-pub struct FourCycleWalk {
+pub(crate) struct FourCycleWalk {
     /// Alive vertices in ascending (degree, id) order: rank → vertex.
     by_rank: Vec<VertexId>,
     /// `lower[start[r]..start[r + 1]]`: the ranks of rank `r`'s alive
@@ -254,12 +256,12 @@ pub struct FourCycleWalk {
 
 /// Where [`FourCycleWalk::walk_top`] hands each wedge group: its far end
 /// and its middles, as ranks.
-pub type WedgeGroups<'a> = &'a mut dyn FnMut(u32, &[u32]);
+pub(crate) type WedgeGroups<'a> = &'a mut dyn FnMut(u32, &[u32]);
 
 /// Per-worker scratch for [`FourCycleWalk::walk_top`]: wedge counts per
 /// far end and the middles of each wedge group, reused across tops.
 #[derive(Default)]
-pub struct FourCycleScratch {
+pub(crate) struct FourCycleScratch {
     count: Vec<u32>,
     touched: Vec<u32>,
     /// Group listing: where each far end's middles go in `middles`.
@@ -270,7 +272,7 @@ pub struct FourCycleScratch {
 impl FourCycleWalk {
     /// Ranks the alive vertices of `g` and sorts their alive neighbour
     /// lists by rank.
-    pub fn new(g: &Graph, alive: &VertexSet) -> Self {
+    pub(crate) fn new(g: &Graph, alive: &VertexSet) -> Self {
         // A counting sort by degree; ids ascend within a degree.
         let mut first = vec![0usize; g.max_degree() + 2];
         for v in alive.iter() {
@@ -320,19 +322,19 @@ impl FourCycleWalk {
     }
 
     /// Number of ranks (alive vertices), each a possible top.
-    pub fn tops(&self) -> usize {
+    pub(crate) fn tops(&self) -> usize {
         self.by_rank.len()
     }
 
     /// The vertex of rank `r`.
     #[inline]
-    pub fn vertex(&self, r: u32) -> VertexId {
+    pub(crate) fn vertex(&self, r: u32) -> VertexId {
         self.by_rank[r as usize]
     }
 
     /// Rank-indexed values laid out by vertex id over `n` vertices (0 for
     /// vertices outside the walk).
-    pub fn by_vertex(&self, by_rank: &[u64], n: usize) -> Vec<u64> {
+    pub(crate) fn by_vertex(&self, by_rank: &[u64], n: usize) -> Vec<u64> {
         let mut out = vec![0u64; n];
         for (&v, &x) in self.by_rank.iter().zip(by_rank) {
             out[v as usize] = x;
@@ -342,7 +344,7 @@ impl FourCycleWalk {
 
     /// Whether ranks `r` and `s` are adjacent.
     #[inline]
-    pub fn adjacent(&self, r: u32, s: u32) -> bool {
+    pub(crate) fn adjacent(&self, r: u32, s: u32) -> bool {
         self.lower[self.start[r as usize]..self.start[r as usize + 1]]
             .binary_search(&s)
             .is_ok()
@@ -360,7 +362,7 @@ impl FourCycleWalk {
     /// wedge group `(t, w)` to `group` as `(w, middles)` — far ends in
     /// first-wedge order, middles ascending by rank — and returns how many
     /// cycles `t` tops.
-    pub fn walk_top(
+    pub(crate) fn walk_top(
         &self,
         t: u32,
         scratch: &mut FourCycleScratch,

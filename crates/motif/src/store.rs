@@ -18,7 +18,8 @@
 //! every worker count (one shard runs inline on the calling thread).
 //! h-clique stores shard [`CliqueLister`] by degeneracy-ordered root
 //! vertex (every clique is discovered exactly once, from its lowest-ranked
-//! member). 4-cycle stores shard the [`FourCycleWalk`] by top (every cycle
+//! member). 4-cycle stores shard the rank-ordered 4-cycle walk of
+//! [`crate::special`] by top (every cycle
 //! is found once, from its highest-ranked member, which also tops every
 //! other cycle on its vertex set). General-pattern stores shard over
 //! first-position candidates
@@ -98,8 +99,6 @@ pub struct FourCycleRefusal {
     /// The store error when the cycles overflow `u32` indexing or the
     /// byte budget; `None` when only the caller's row limit refused them.
     pub error: Option<StoreError>,
-    /// Every 4-cycle of `g[alive]`.
-    pub instances: u64,
     /// The diamond degree of every vertex (0 outside `alive`).
     pub degrees: Vec<u64>,
 }
@@ -368,7 +367,7 @@ impl InstanceStore {
     }
 
     /// Builds the store of all 4-cycles (diamonds) of `g[alive]` from one
-    /// rank-ordered [`FourCycleWalk`], sharded across `threads` workers by
+    /// rank-ordered 4-cycle walk, sharded across `threads` workers by
     /// top. Each cycle is found once, from its top, as a pair of middles
     /// in a wedge group. Cycles share a vertex set only in a K4, whose
     /// three come from three groups of one top: the walk lists a K4 once,
@@ -480,7 +479,6 @@ impl InstanceStore {
                 .or_else(|| (instances > caps.max_rows()).then(|| caps.error_at(caps.max_rows())));
             return Err(FourCycleRefusal {
                 error,
-                instances,
                 degrees: walk.by_vertex(&degrees, n),
             });
         }
@@ -1340,7 +1338,7 @@ mod tests {
     /// The byte cap refuses exactly: a budget of exactly the cycle count
     /// builds on 1, 2 and 4 shards and one row less refuses, and so does a
     /// row limit one under the cycle count. A refusal carries the walk's
-    /// cycle count and diamond degrees.
+    /// diamond degrees.
     #[test]
     fn four_cycle_caps_refuse_exactly_and_keep_the_degrees() {
         let g = with_clique(&random_graph(7, 300, 60), 6, 0, 7);
@@ -1362,11 +1360,11 @@ mod tests {
                 refusal.error,
                 Some(StoreError::BudgetExceeded { budget: b, .. }) if b == budget - 1
             ));
-            assert_eq!((refusal.instances, &refusal.degrees), (cycles, &degrees));
+            assert_eq!(refusal.degrees, degrees);
             let refusal = InstanceStore::four_cycles_within(&g, &alive, threads, None, cycles - 1)
                 .unwrap_err();
             assert_eq!(refusal.error, None, "only the row limit refused");
-            assert_eq!((refusal.instances, &refusal.degrees), (cycles, &degrees));
+            assert_eq!(refusal.degrees, degrees);
             assert!(InstanceStore::four_cycles_within(&g, &alive, threads, None, cycles).is_ok());
         }
         // The base allocation is budgeted before any cycle.
