@@ -18,11 +18,11 @@
 //! allocates nothing.
 //!
 //! Diamond degrees come from one rank-ordered 4-cycle walk
-//! (`FourCycleWalk`), which finds every
-//! 4-cycle once from its top and can also list them: the instance store's
-//! 4-cycle build runs the same walk, and where the store costs less than
-//! the closed-form peel (`dsd_core::oracle::DIAMOND_ROW_COST`), diamonds
-//! peel from the store instead of the kernels here.
+//! (`FourCycleWalk`), which finds every 4-cycle once from its top and can
+//! also list them: the instance store's 4-cycle build runs the same walk,
+//! and where the store costs less than the closed-form peel
+//! (`dsd_core::oracle::DIAMOND_ROW_COST`), diamonds peel from the store
+//! instead of the kernels here.
 
 use std::collections::HashMap;
 

@@ -19,10 +19,9 @@
 //! h-clique stores shard [`CliqueLister`] by degeneracy-ordered root
 //! vertex (every clique is discovered exactly once, from its lowest-ranked
 //! member). 4-cycle stores shard the rank-ordered 4-cycle walk of
-//! [`crate::special`] by top (every cycle
-//! is found once, from its highest-ranked member, which also tops every
-//! other cycle on its vertex set). General-pattern stores shard over
-//! first-position candidates
+//! [`crate::special`] by top (every cycle is found once, from its
+//! highest-ranked member, which also tops every other cycle on its vertex
+//! set). General-pattern stores shard over first-position candidates
 //! (see [`crate::for_each_owned_instance_until`]): symmetry breaking
 //! reaches each instance through one embedding, whose pivot lands in
 //! exactly one shard, so the shard columns concatenate without cross-shard
@@ -372,11 +371,11 @@ impl InstanceStore {
     /// in a wedge group. Cycles share a vertex set only in a K4, whose
     /// three come from three groups of one top: the walk lists a K4 once,
     /// as a row of weight 3, so the shard columns concatenate with no
-    /// grouping pass. Row order depends on
-    /// the worker count, the (members, weight) multiset does not: it
-    /// equals [`InstanceStore::pattern`]'s for [`Pattern::diamond`], which
-    /// reaches the same rows through the generic symmetry-broken search.
-    /// Same caps and errors as the other builders.
+    /// grouping pass. Row order depends on the worker count, the
+    /// (members, weight) multiset does not: it equals
+    /// [`InstanceStore::pattern`]'s for [`Pattern::diamond`], which reaches
+    /// the same rows through the generic symmetry-broken search. Same caps
+    /// and errors as the other builders.
     pub fn four_cycles(
         g: &Graph,
         alive: &VertexSet,
