@@ -1219,6 +1219,12 @@ mod tests {
                     assert_eq!(got.residual_mu, want.residual_mu, "{ctx}");
                     assert_eq!(got.best_density.to_bits(), want.best_density.to_bits());
                     assert_eq!(got.best_residual(), want.best_residual(), "{ctx}");
+                    for k in [1, alive.len() / 2, alive.len()] {
+                        let bits = |d: &crate::CliqueCoreDecomposition| {
+                            d.densest_suffix(k).map(|(i, rho)| (i, rho.to_bits()))
+                        };
+                        assert_eq!(bits(&got), bits(&want), "{ctx}, k = {k}");
+                    }
                     assert_eq!(oracle.count(&g, &alive), DiamondOracle.count(&g, &alive));
                 }
                 let stats = oracle
