@@ -197,6 +197,37 @@ mod tests {
         assert_eq!(dec.core[0], 0);
     }
 
+    /// kmax is the largest degree a vertex has when a naive peel removes
+    /// it (repeatedly remove a minimum-degree vertex), on random graphs
+    /// and random `alive` subsets of them.
+    #[test]
+    fn kmax_is_the_naive_peels_largest_removal_degree() {
+        let mut rng = dsd_graph::testing::XorShift::new(0xDE6E);
+        for iter in 0..128 {
+            let edge_percent = 5 + rng.next() % 40;
+            let g = rng.random_graph(2, 30, edge_percent);
+            let mut alive = VertexSet::full(g.num_vertices());
+            if iter % 2 == 1 {
+                for v in g.vertices() {
+                    if rng.next().is_multiple_of(4) {
+                        alive.remove(v);
+                    }
+                }
+            }
+            let dec = k_core_decomposition_within(&g, &alive);
+            let mut kmax = 0usize;
+            while let Some((v, deg)) = alive
+                .iter()
+                .map(|v| (v, alive.restricted_degree(&g, v)))
+                .min_by_key(|&(_, d)| d)
+            {
+                kmax = kmax.max(deg);
+                alive.remove(v);
+            }
+            assert_eq!(dec.kmax as usize, kmax, "iter {iter}");
+        }
+    }
+
     #[test]
     fn core_number_le_degree() {
         let g = figure3a();

@@ -309,8 +309,8 @@ impl DensityOracle for CliqueOracle {
 
     fn count(&self, g: &Graph, alive: &VertexSet) -> u64 {
         if self.h == 2 {
-            // Σ restricted degree / 2: no kClist pass, whose degeneracy
-            // order would be rebuilt over the whole graph on every call.
+            // Σ restricted degree / 2: an edge is a 2-clique, so a kClist
+            // pass would only build an out-CSR to count its rows.
             return edge_count_within(g, alive);
         }
         kclist::count_cliques_within(g, self.h, alive)

@@ -15,8 +15,6 @@
 //!   in an [`EdgeOverlay`], and a [`DeltaGraph`] merges them back into a
 //!   CSR with a rebuild-or-patch policy;
 //! * [`components`] — connected components;
-//! * [`order`] — degeneracy ordering and the oriented DAG used by the
-//!   k-clique listing algorithm of Danisch et al.;
 //! * [`io`] — a plain edge-list text format.
 //!
 //! ```
@@ -37,7 +35,6 @@ pub mod components;
 pub mod delta;
 pub mod graph;
 pub mod io;
-pub mod order;
 pub mod testing;
 pub mod view;
 
@@ -46,5 +43,4 @@ pub use components::{
 };
 pub use delta::{DeltaGraph, EdgeOverlay, GraphUpdate};
 pub use graph::{Graph, GraphBuilder, VertexId};
-pub use order::{degeneracy_order, DegeneracyOrder};
 pub use view::{InducedSubgraph, VertexSet};

@@ -3,9 +3,7 @@
 //! seed loops instead of a property-testing framework).
 
 use dsd_graph::testing::XorShift;
-use dsd_graph::{
-    connected_components, degeneracy_order, Graph, GraphBuilder, InducedSubgraph, VertexSet,
-};
+use dsd_graph::{connected_components, Graph, GraphBuilder, InducedSubgraph};
 
 /// A random (n, edge-list) pair: n in `2..=max_n`, up to `4n` pairs that may
 /// include self-loops and duplicates (the builder's job is to clean them up).
@@ -94,32 +92,6 @@ fn components_partition() {
         }
         let total: usize = cc.all_members().iter().map(Vec::len).sum();
         assert_eq!(total, n);
-    }
-}
-
-#[test]
-fn degeneracy_is_max_core() {
-    let mut rng = XorShift::new(0xDE6E);
-    for _ in 0..128 {
-        let (n, edges) = random_edges(&mut rng, 30);
-        let g = Graph::from_edges(n, &edges);
-        let d = degeneracy_order(&g);
-        // Max core number via naive repeated peeling.
-        let mut alive = VertexSet::full(n);
-        let mut kmax = 0usize;
-        while !alive.is_empty() {
-            let (v, deg) = alive
-                .iter()
-                .map(|v| (v, alive.restricted_degree(&g, v)))
-                .min_by_key(|&(_, d)| d)
-                .unwrap();
-            kmax = kmax.max(deg);
-            alive.remove(v);
-        }
-        assert_eq!(d.degeneracy, kmax);
-        for v in g.vertices() {
-            assert!(d.out_neighbors(&g, v).count() <= d.degeneracy);
-        }
     }
 }
 

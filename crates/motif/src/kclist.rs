@@ -1,10 +1,12 @@
-//! h-clique listing on a degeneracy-oriented DAG (kClist).
+//! h-clique listing on a rank-oriented DAG (kClist).
 //!
 //! Following Danisch, Balalau and Sozio (WWW 2018) — the clique enumerator
-//! the paper itself uses — edges are oriented along a degeneracy ordering,
-//! so every h-clique is listed exactly once as an increasing-rank chain. On
-//! graphs with degeneracy `c`, out-neighbourhoods have size ≤ `c`, which is
-//! what makes 5- and 6-clique listing feasible on sparse skewed graphs.
+//! the paper itself uses — every edge is oriented up an acyclic order, so
+//! every h-clique is listed exactly once as an increasing-rank chain. The
+//! order is the crate's (degree, id) listing rank, the one the 4-cycle
+//! walk uses: an out-list holds only neighbours of at least the vertex's
+//! own degree, at most ⌊√(2m)⌋ of them, which is what makes 5- and
+//! 6-clique listing feasible on sparse skewed graphs.
 //!
 //! Candidate intersection — the inner loop of the recursion — is a
 //! two-pointer merge over id-sorted out-lists, so every level visits its
@@ -14,11 +16,14 @@
 //! the parallel degree pass and the sharded clique-store build all drive
 //! it, one root at a time (see [`crate::parallel`]).
 
-use dsd_graph::{degeneracy_order, Graph, VertexId, VertexSet};
+use dsd_graph::{Graph, VertexId, VertexSet};
 
-/// The degeneracy DAG's alive, id-sorted out-neighbour lists, flattened
-/// into one offsets+targets CSR: `targets[offsets[v]..offsets[v + 1]]` is
-/// `v`'s out-list. One allocation instead of one `Vec` per vertex — the
+use crate::rank_key;
+
+/// The rank-oriented DAG's alive, id-sorted out-neighbour lists,
+/// flattened into one offsets+targets CSR:
+/// `targets[offsets[v]..offsets[v + 1]]` is `v`'s out-list, at most
+/// ⌊√(2m)⌋ long. One allocation instead of one `Vec` per vertex — the
 /// per-vertex headers and heap scatter of the old `Vec<Vec<_>>` shape were
 /// a measurable slice of every cold enumeration (and of every rebuild an
 /// eviction forces).
@@ -35,18 +40,22 @@ impl OutCsr {
     }
 }
 
-/// Materializes the [`OutCsr`] for `g[alive]`, so intersections are linear
-/// merges over contiguous memory.
+/// Materializes the [`OutCsr`] for `g[alive]`: each alive vertex keeps its
+/// alive neighbours that rank above it, in the id order `g` stores them
+/// in, so intersections are linear merges over contiguous memory.
 fn build_out_csr(g: &Graph, alive: &VertexSet) -> OutCsr {
-    let dag = degeneracy_order(g);
     let n = g.num_vertices();
     let mut offsets = vec![0usize; n + 1];
     let mut targets: Vec<VertexId> = Vec::new();
     for v in 0..n as VertexId {
         if alive.contains(v) {
-            let start = targets.len();
-            targets.extend(dag.out_neighbors(g, v).filter(|&u| alive.contains(u)));
-            targets[start..].sort_unstable();
+            let key = rank_key(g, v);
+            targets.extend(
+                g.neighbors(v)
+                    .iter()
+                    .copied()
+                    .filter(|&u| alive.contains(u) && rank_key(g, u) > key),
+            );
         }
         offsets[v as usize + 1] = targets.len();
     }
@@ -63,7 +72,7 @@ pub struct CliqueScratch {
     pool: Vec<Vec<VertexId>>,
 }
 
-/// A shareable h-clique enumeration context: the degeneracy-oriented DAG's
+/// A shareable h-clique enumeration context: the rank-oriented DAG's
 /// out-lists, built once and read by any number of workers.
 ///
 /// Every h-clique is listed exactly once, from its lowest-ranked member
@@ -301,6 +310,9 @@ fn for_each_clique_among<F: FnMut(&[VertexId])>(g: &Graph, k: usize, among: &[Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::special::FourCycleWalk;
+    use dsd_datasets::chung_lu::chung_lu;
+    use dsd_graph::testing::XorShift;
     use dsd_graph::GraphBuilder;
 
     fn k(n: u32) -> Graph {
@@ -344,6 +356,60 @@ mod tests {
             subset[i] += 1;
             for j in i + 1..h {
                 subset[j] = subset[j - 1] + 1;
+            }
+        }
+    }
+
+    /// kClist's out-lists and the 4-cycle walk's ranks are one orientation:
+    /// every alive edge lies in exactly one id-sorted out-list, pointing
+    /// up the listing rank, no out-list exceeds ⌊√(2m)⌋, and the walk
+    /// ranks the alive vertices in ascending key order.
+    #[test]
+    fn out_lists_and_the_four_cycle_walk_share_the_listing_rank() {
+        let mut rng = XorShift::new(0x0E1E);
+        let mut graphs = vec![
+            rng.random_graph(300, 300, 2),
+            rng.random_graph(150, 150, 5),
+            rng.random_graph(60, 60, 30),
+        ];
+        for (seed, alpha) in [2.2, 2.5, 2.8].into_iter().enumerate() {
+            graphs.push(chung_lu(2_000, 8_000, alpha, seed as u64));
+        }
+        for (i, g) in graphs.iter().enumerate() {
+            let n = g.num_vertices();
+            let kept: Vec<VertexId> = g
+                .vertices()
+                .filter(|_| !rng.next().is_multiple_of(3))
+                .collect();
+            let bound = ((2 * g.num_edges()) as f64).sqrt().floor() as usize;
+            for alive in [VertexSet::full(n), VertexSet::from_members(n, &kept)] {
+                let out = build_out_csr(g, &alive);
+                let mut oriented = 0usize;
+                let mut longest = 0usize;
+                for v in g.vertices() {
+                    let row = out.row(v);
+                    assert!(alive.contains(v) || row.is_empty(), "graph {i}");
+                    assert!(row.windows(2).all(|w| w[0] < w[1]), "graph {i}");
+                    for &u in row {
+                        assert!(alive.contains(u) && g.has_edge(v, u), "graph {i}");
+                        assert!(rank_key(g, u) > rank_key(g, v), "graph {i}");
+                    }
+                    oriented += row.len();
+                    longest = longest.max(row.len());
+                }
+                // Each alive edge points one way, so no edge is listed twice.
+                let alive_edges = g
+                    .edges()
+                    .filter(|&(u, v)| alive.contains(u) && alive.contains(v));
+                assert_eq!(oriented, alive_edges.count(), "graph {i}");
+                assert!(longest <= bound, "graph {i}: {longest} > {bound}");
+
+                let walk = FourCycleWalk::new(g, &alive);
+                let walked: Vec<VertexId> =
+                    (0..walk.tops() as u32).map(|r| walk.vertex(r)).collect();
+                let mut ranked = alive.to_vec();
+                ranked.sort_unstable_by_key(|&v| rank_key(g, v));
+                assert_eq!(walked, ranked, "graph {i}");
             }
         }
     }

@@ -5,8 +5,8 @@
 //! "which instances die when v is removed". This crate provides:
 //!
 //! * [`kclist`] — the h-clique listing algorithm of Danisch, Balalau and
-//!   Sozio (WWW 2018) over a degeneracy-oriented DAG, with alive-mask
-//!   restriction and per-vertex clique degrees;
+//!   Sozio (WWW 2018) over a DAG oriented by the (degree, id) listing
+//!   rank, with alive-mask restriction and per-vertex clique degrees;
 //! * [`pattern`] — small pattern graphs ([`Pattern`]): the paper's Figure 7
 //!   menu (2-star, 3-star, c3-star, diamond, 2-triangle, 3-triangle,
 //!   basket) plus arbitrary h-cliques and user-defined patterns, with
@@ -16,8 +16,9 @@
 //!   once), per-vertex pattern-degrees, and
 //!   instance grouping by vertex set (for the `construct+` flow network);
 //! * [`special`] — the Appendix-D fast paths for star and diamond (4-cycle)
-//!   pattern degrees and decremental updates, and the rank-ordered 4-cycle
-//!   walk that both counts diamond degrees and lists the cycles;
+//!   pattern degrees and decremental updates, and the 4-cycle walk that,
+//!   on the same listing rank, both counts diamond degrees and lists the
+//!   cycles;
 //! * [`store`] — the columnar [`InstanceStore`] that materializes every
 //!   instance once, with in-place repair across edge batches;
 //! * [`parallel`] — the one sharded enumeration driver: store builds and
@@ -57,6 +58,19 @@ pub use pattern_enum::{
     instances, instances_containing, pattern_degrees, InstanceGroup, PatternInstance,
 };
 pub use store::{FourCycleRefusal, InstanceStore, StoreBuildStats, StoreError};
+
+use dsd_graph::{Graph, VertexId};
+
+/// The listing rank's key: `u` ranks above `v` iff
+/// `rank_key(g, u) > rank_key(g, v)`, i.e. by (degree in `g`, id). kClist
+/// orients every edge up this rank and the 4-cycle walk tops each cycle
+/// at its highest-ranked vertex (Chiba and Nishizeki, SIAM J. Comput.
+/// 1985). Out-neighbours rank above a vertex only if their degree is at
+/// least its own, so an out-list holds at most ⌊√(2m)⌋ vertices.
+#[inline]
+pub(crate) fn rank_key(g: &Graph, v: VertexId) -> (usize, VertexId) {
+    (g.degree(v), v)
+}
 
 /// Binomial coefficient `C(n, k)` saturating at `u64::MAX`.
 ///

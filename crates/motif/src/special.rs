@@ -28,7 +28,7 @@ use std::collections::HashMap;
 
 use dsd_graph::{Graph, VertexId, VertexSet};
 
-use crate::binomial;
+use crate::{binomial, rank_key};
 
 /// Alive-restricted degree: number of neighbours of `v` inside `alive`.
 #[inline]
@@ -231,8 +231,9 @@ pub fn diamond_degrees(g: &Graph, alive: &VertexSet) -> Vec<u64> {
 /// The rank-ordered 4-cycle walk over `g[alive]` (Chiba–Nishizeki), which
 /// both counts diamond degrees and lists the cycles.
 ///
-/// Every 4-cycle is found once, from its highest-ranked vertex in
-/// (degree, id) order — its *top* `t`: walk the wedges `t–a–w` with `a`
+/// Every 4-cycle is found once, from its highest-ranked vertex by the
+/// listing rank ([`crate::rank_key`], the one kClist orients by) — its
+/// *top* `t`: walk the wedges `t–a–w` with `a`
 /// and `w` ranked below `t`, count them per far end `w`, and each pair of
 /// wedges to `w` is one cycle, `w` opposite `t` and the two wedges'
 /// middles closing it. `t` and `w` gain `C(c_w, 2)`; a second pass over the
@@ -273,7 +274,8 @@ impl FourCycleWalk {
     /// Ranks the alive vertices of `g` and sorts their alive neighbour
     /// lists by rank.
     pub(crate) fn new(g: &Graph, alive: &VertexSet) -> Self {
-        // A counting sort by degree; ids ascend within a degree.
+        // The listing rank, materialized by a counting sort on degree:
+        // ids ascend within a degree.
         let mut first = vec![0usize; g.max_degree() + 2];
         for v in alive.iter() {
             first[g.degree(v) + 1] += 1;
@@ -287,6 +289,9 @@ impl FourCycleWalk {
             by_rank[*at] = v;
             *at += 1;
         }
+        debug_assert!(by_rank
+            .windows(2)
+            .all(|w| rank_key(g, w[0]) < rank_key(g, w[1])));
         let mut rank = vec![0u32; g.num_vertices()];
         for (r, &v) in by_rank.iter().enumerate() {
             rank[v as usize] = r as u32;

@@ -16,10 +16,10 @@
 //! columns instead of repeated subgraph matching. Both builders run on the
 //! sharded enumeration driver of [`crate::parallel`], one code path for
 //! every worker count (one shard runs inline on the calling thread).
-//! h-clique stores shard [`CliqueLister`] by degeneracy-ordered root
-//! vertex (every clique is discovered exactly once, from its lowest-ranked
-//! member). 4-cycle stores shard the rank-ordered 4-cycle walk of
-//! [`crate::special`] by top (every cycle is found once, from its
+//! h-clique stores shard [`CliqueLister`] by root vertex (every clique is
+//! discovered exactly once, from its lowest-ranked member by the crate's
+//! (degree, id) listing rank). 4-cycle stores shard the 4-cycle walk of
+//! [`crate::special`], on the same rank, by top (every cycle is found once, from its
 //! highest-ranked member, which also tops every other cycle on its vertex
 //! set). General-pattern stores shard over first-position candidates
 //! (see [`crate::for_each_owned_instance_until`]): symmetry breaking
@@ -117,7 +117,7 @@ pub struct StoreBuildStats {
     pub build_nanos: u128,
     /// Worker shards used by the enumeration (1 = serial).
     pub shards: usize,
-    /// Phase split: nanos building the degeneracy-DAG out-CSR that every
+    /// Phase split: nanos building the rank-oriented out-CSR that every
     /// worker shares (for 4-cycles, the walk's rank-sorted neighbour
     /// lists). 0 for general patterns, which enumerate straight off the
     /// graph CSR.
@@ -254,7 +254,8 @@ impl RowCaps {
 
 impl InstanceStore {
     /// Builds the store of all h-cliques of `g[alive]`, `h >= 2`, sharded
-    /// across `threads` workers by degeneracy-ordered root vertex.
+    /// across `threads` workers by root vertex, each clique from its
+    /// lowest-ranked member.
     ///
     /// Row order depends on the worker count (each worker's rows are
     /// deterministic and concatenated in worker order), but every query
@@ -970,7 +971,7 @@ impl InstanceStore {
 }
 
 /// Appends `clique` to the column in id-sorted order via a fixed scratch
-/// row (rank chains arrive in degeneracy order; |VΨ| ≤ 16 covers every
+/// row (rank chains arrive in listing-rank order; |VΨ| ≤ 16 covers every
 /// practical h — larger cliques fall back to a heap sort row).
 fn push_sorted_row(members: &mut Vec<VertexId>, clique: &[VertexId], row: &mut [VertexId; 16]) {
     if clique.len() <= 16 {

@@ -12,8 +12,9 @@
 //!                                [--queue-depth <n>] [--deadline-ms <n>]
 //!                                [--deadline-probes <n>]
 //!
-//! patterns:   edge | triangle | clique:<h> | star:<x> | 2-star | 3-star |
-//!             c3-star | diamond | 2-triangle | 3-triangle | basket
+//! patterns:   edge | triangle | clique:<h> (2..=64) | star:<x> (2..=63) |
+//!             2-star | 3-star | c3-star | diamond | 2-triangle |
+//!             3-triangle | basket
 //! methods:    auto (default) | exact | core-exact | peel | inc-app | core-app
 //! objectives: densest (default) | top-k:<k> | at-least:<k> | at-most:<k>
 //! ```
@@ -93,10 +94,18 @@ fn parse_pattern(s: &str) -> Option<Pattern> {
         "3-triangle" => Some(Pattern::three_triangle()),
         "basket" => Some(Pattern::basket()),
         other => {
+            // A pattern has at most 64 vertices: h for a clique, x + 1
+            // for a star.
             if let Some(h) = other.strip_prefix("clique:") {
-                h.parse().ok().filter(|&h| h >= 2).map(Pattern::clique)
+                h.parse()
+                    .ok()
+                    .filter(|h| (2..=64).contains(h))
+                    .map(Pattern::clique)
             } else if let Some(x) = other.strip_prefix("star:") {
-                x.parse().ok().filter(|&x| x >= 2).map(Pattern::star)
+                x.parse()
+                    .ok()
+                    .filter(|x| (2..=63).contains(x))
+                    .map(Pattern::star)
             } else {
                 None
             }

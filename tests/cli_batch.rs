@@ -190,6 +190,53 @@ fn invalid_requests_are_reported_and_fail_the_run() {
     }
 }
 
+/// Patterns past 64 vertices are unknown patterns, not panics: `dsd
+/// <file>` exits 1 with a message, and `dsd batch` reports the directive
+/// while the valid request after it still prints. The largest sizes parse.
+#[test]
+fn oversized_patterns_are_unknown_not_panics() {
+    let dir = temp_dir("oversized");
+    let edges = write_file(&dir, "toy.edges", TOY_EDGES);
+    let sizes = [
+        ("clique:65", 1),
+        ("star:64", 1),
+        ("clique:300", 1),
+        ("clique:64", 0),
+        ("star:63", 0),
+    ];
+    for (psi, code) in sizes {
+        let out = Command::new(env!("CARGO_BIN_EXE_dsd"))
+            .arg(&edges)
+            .args(["--psi", psi, "--method", "peel"])
+            .output()
+            .expect("spawn dsd");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{psi}\nstderr:\n{stderr}");
+        assert_eq!(
+            stderr.contains("unknown pattern"),
+            code == 1,
+            "{psi}\nstderr:\n{stderr}"
+        );
+    }
+    let reqs = format!(
+        "graph toy {}\nreq toy --psi clique:65\nreq toy --psi triangle\n",
+        edges.display()
+    );
+    let out = run_batch(&write_file(&dir, "reqs.txt", &reqs));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "stdout:\n{stdout}\nstderr:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("unknown pattern \"clique:65\""),
+        "stderr:\n{stderr}"
+    );
+    assert!(stdout.contains("density 0.500000"), "stdout:\n{stdout}");
+}
+
 /// An update on an unregistered graph is reported and fails the run, but
 /// the other requests still execute.
 #[test]

@@ -31,7 +31,7 @@ use dsd::core::{
     decompose, k_core_decomposition, CliqueCoreDecomposition, DensityOracle, DsdEngine, DsdRequest,
     MaterializedOracle, Method, Objective, Parallelism, Solution,
 };
-use dsd::graph::{degeneracy_order, Graph, GraphUpdate, VertexId, VertexSet};
+use dsd::graph::{Graph, GraphUpdate, VertexId, VertexSet};
 use dsd::motif::kclist::{CliqueLister, CliqueScratch};
 use dsd::motif::store::InstanceStore;
 use dsd::motif::{
@@ -257,8 +257,7 @@ fn reference_cliques(g: &Graph, h: usize) -> Vec<Vec<VertexId>> {
 
 /// The kClist lister must emit exactly the h-cliques of the plain
 /// backtracking references, each from one root and the roots in ascending
-/// order, on sparse graphs and on dense ones whose degeneracy-DAG
-/// out-lists reach 64 vertices.
+/// order, on sparse graphs and on dense ones whose kmax-core reaches 64.
 #[test]
 fn clique_lister_matches_reference_on_sparse_and_dense_roots() {
     let iters = prop_iters(8);
@@ -272,7 +271,7 @@ fn clique_lister_matches_reference_on_sparse_and_dense_roots() {
             random_graph(&mut rng, 130, 170, 0.45, 0.6)
         };
         let n = g.num_vertices();
-        deepest = deepest.max(degeneracy_order(&g).degeneracy);
+        deepest = deepest.max(k_core_decomposition(&g).kmax);
         let alive = VertexSet::full(n);
         for h in [3usize, 4] {
             let lister = CliqueLister::new(&g, h, &alive);
@@ -304,10 +303,9 @@ fn clique_lister_matches_reference_on_sparse_and_dense_roots() {
             }
         }
     }
-    // The maximum DAG out-degree is the degeneracy.
     assert!(
         iters < 2 || deepest >= 64,
-        "no dense graph reached out-lists of 64 (degeneracy {deepest})"
+        "no dense graph reached a 64-core (kmax {deepest})"
     );
 }
 

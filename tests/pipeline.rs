@@ -157,8 +157,8 @@ fn single_edge_graph() {
 fn facade_reexports_compose() {
     // The `dsd` facade exposes all five crates coherently.
     let g = dsd::datasets::er::er(50, 0.2, 1);
-    let order = dsd::graph::degeneracy_order(&g);
-    assert!(order.degeneracy > 0);
+    let cores = dsd::core::k_core_decomposition(&g);
+    assert!(cores.kmax > 0);
     let cliques = dsd::motif::count_cliques(&g, 3);
     let r = densest_subgraph(&g, &Pattern::triangle(), Method::CoreApp);
     if cliques > 0 {
